@@ -158,8 +158,8 @@ def _parse_terms(text: str):
     return out
 
 
-def load_config(path, schema: dict[str, Key]) -> dict[str, Any]:
-    path = Path(path)
+def _read_config_lines(path: Path) -> dict[str, str]:
+    """Raw ``key = value`` pairs of a config file; duplicate keys are errors."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
@@ -173,7 +173,12 @@ def load_config(path, schema: dict[str, Key]) -> dict[str, Any]:
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-    return resolve_config(raw, schema, source=str(path))
+    return raw
+
+
+def load_config(path, schema: dict[str, Key]) -> dict[str, Any]:
+    path = Path(path)
+    return resolve_config(_read_config_lines(path), schema, source=str(path))
 
 
 def resolve_config(raw: dict[str, str], schema: dict[str, Key],
@@ -529,17 +534,7 @@ def cmd_logterm_pipeline(config, outdir: Path) -> dict:
 
 def _run_sweep_item(path: str, outdir: Path) -> dict:
     sub_path = Path(path)
-    if not sub_path.is_file():
-        raise ConfigError(f"sweep config not found: {sub_path}")
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(sub_path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{sub_path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        raw[key] = value
+    raw = _read_config_lines(sub_path)
     command = raw.pop(_SWEEP_COMMAND_KEY, None)
     if command is None:
         raise ConfigError(f"{sub_path}: sweep sub-config needs a 'command' key")
@@ -556,6 +551,10 @@ def cmd_sweep(config, outdir: Path) -> dict:
     items = config["configs"]
     if not items:
         raise ConfigError("sweep requires at least one entry in 'configs'")
+    stems = [Path(p).stem for p in items]
+    clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if clashes:
+        raise ConfigError(f"sweep configs share output directories: {', '.join(clashes)}")
     workers = max(1, config["max_workers"])
     if workers == 1:
         results = [_run_sweep_item(p, outdir) for p in items]

@@ -11,7 +11,8 @@ handled in logarithmic residual form log1p(Delta_g u) - u - F = 0 by a
 damped Newton iteration whose linearization at u = 0 is (Delta_g - 1).
 Backtracking halves the step until the residual decreases and the Kahler
 positivity 1 + Delta_g u > 0 is preserved; reaching the damping floor is a
-hard failure.
+hard failure.  The Newton loop (``damped_newton``) and the band layout of
+the Dirichlet matrices (``dirichlet_bands``) live in ``radial``.
 
 All residuals are measured in the discrete sup norm.  The log1p form keeps
 full relative accuracy at deep-cusp nodes where every quantity in the
@@ -26,7 +27,13 @@ import numpy as np
 
 from .errors import SolverError
 from .geometry import ModelMetric
-from .radial import RadialField, laplacian_coefficients, solve_tridiagonal
+from .radial import (
+    RadialField,
+    damped_newton,
+    dirichlet_bands,
+    solve_tridiagonal,
+    unit_laplacian_interior,
+)
 
 
 @dataclass(frozen=True)
@@ -87,35 +94,12 @@ class ProbeReport:
     matrix_size: int
 
 
-def _operator_bands(grid, density: np.ndarray, lam: float):
-    """Bands of the Dirichlet matrix: (Delta_g - lam) inside, identity rows
-    at the two ends."""
-    n, h = grid.n_nodes, grid.h
-    c_sub, c_diag, c_sup = laplacian_coefficients(h)
-    inv = 1.0 / density
-    sub = np.zeros(n)
-    diag = np.ones(n)
-    sup = np.zeros(n)
-    sub[1:-1] = c_sub * inv[1:-1]
-    diag[1:-1] = c_diag * inv[1:-1] - lam
-    sup[1:-1] = c_sup * inv[1:-1]
-    return sub, diag, sup
-
-
-def _interior_laplacian(values: np.ndarray, h: float, density: np.ndarray) -> np.ndarray:
-    """Delta_g at interior nodes (endpoints set to 0)."""
-    c_sub, c_diag, c_sup = laplacian_coefficients(h)
-    out = np.zeros_like(values)
-    out[1:-1] = (c_sub * values[:-2] + c_diag * values[1:-1]
-                 + c_sup * values[2:]) / density[1:-1]
-    return out
-
-
 def solve_linear(problem: LinearProblem) -> RadialField:
     """Direct banded solve of the Dirichlet-truncated linear problem."""
     grid = problem.rhs.grid
     density = problem.metric.density(grid)
-    sub, diag, sup = _operator_bands(grid, density, problem.lam)
+    sub, diag, sup = dirichlet_bands(grid.n_nodes, grid.h, 1.0 / density[1:-1],
+                                     problem.lam)
     rhs = problem.rhs.values.copy()
     rhs[0] = problem.bc_left
     rhs[-1] = problem.bc_right
@@ -144,64 +128,27 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     density = problem.background.density(grid)
     F = problem.F.values
     params = problem.newton
-    c_sub, c_diag, c_sup = laplacian_coefficients(h)
 
     def residual(u: np.ndarray):
-        lap = _interior_laplacian(u, h, density)
+        lap = unit_laplacian_interior(u, h) / density
         r = np.empty(n)
         r[0] = u[0] - problem.bc_left
         r[-1] = u[-1] - problem.bc_right
-        r[1:-1] = np.log1p(lap[1:-1]) - u[1:-1] - F[1:-1]
-        return r, lap
+        positive = bool(np.all(1.0 + lap[1:-1] > 0))
+        if positive:
+            r[1:-1] = np.log1p(lap[1:-1]) - u[1:-1] - F[1:-1]
+        return r, lap, positive
 
-    u = np.zeros(n)
-    r, lap = residual(u)
-    res_norm = float(np.max(np.abs(r)))
-    residuals = [res_norm]
-    damping_events = 0
+    def jacobian_bands(lap: np.ndarray):
+        # d/du of log1p(Delta_g u) - u
+        return dirichlet_bands(n, h, 1.0 / (1.0 + lap[1:-1]) / density[1:-1], 1.0)
 
-    for iteration in range(1, params.max_iter + 1):
-        if res_norm <= params.tol:
-            report = NewtonReport(True, iteration - 1, residuals, res_norm,
-                                  float(np.min(1.0 + lap[1:-1])), damping_events)
-            return RadialField(grid, u), report
-        # Jacobian bands of the log-form residual
-        weight = 1.0 / (1.0 + lap[1:-1])
-        sub = np.zeros(n)
-        diag = np.ones(n)
-        sup = np.zeros(n)
-        sub[1:-1] = weight * c_sub / density[1:-1]
-        diag[1:-1] = weight * c_diag / density[1:-1] - 1.0
-        sup[1:-1] = weight * c_sup / density[1:-1]
-        try:
-            step = solve_tridiagonal(sub, diag, sup, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Newton linearization at iteration "
-                              f"{iteration}: {exc}") from exc
-        s = 1.0
-        while True:
-            candidate = u + s * step
-            r_new, lap_new = residual(candidate)
-            positive = bool(np.all(1.0 + lap_new[1:-1] > 0))
-            new_norm = float(np.max(np.abs(r_new))) if positive else np.inf
-            if positive and new_norm <= (1.0 - 1e-4 * s) * res_norm:
-                break
-            s *= 0.5
-            damping_events += 1
-            if s < params.damping_min:
-                raise SolverError(
-                    f"Newton damping floor reached at iteration {iteration}; "
-                    f"last residual {res_norm:.3e}")
-        u, r, lap, res_norm = candidate, r_new, lap_new, new_norm
-        residuals.append(res_norm)
-
-    if res_norm <= params.tol:
-        report = NewtonReport(True, params.max_iter, residuals, res_norm,
-                              float(np.min(1.0 + lap[1:-1])), damping_events)
-        return RadialField(grid, u), report
-    raise SolverError(
-        f"Newton did not converge in {params.max_iter} iterations; "
-        f"last residual {res_norm:.3e}")
+    u, lap, iterations, residuals, damping_events = damped_newton(
+        residual, jacobian_bands, np.zeros(n), params.tol, params.max_iter,
+        params.damping_min, "Newton")
+    report = NewtonReport(True, iterations, residuals, residuals[-1],
+                          float(np.min(1.0 + lap[1:-1])), damping_events)
+    return RadialField(grid, u), report
 
 
 def weighted_invertibility_probe(problem: LinearProblem, delta: float) -> ProbeReport:
@@ -226,7 +173,8 @@ def weighted_invertibility_probe(problem: LinearProblem, delta: float) -> ProbeR
             f"{z_plus:.6g}; the weighted operator is not invertible there")
     if problem.lam == 0 and delta > 0:
         raise ValueError("lambda = 0 has indicial root 0; only delta = 0 is valid")
-    sub, diag, sup = _operator_bands(grid, density, problem.lam)
+    sub, diag, sup = dirichlet_bands(grid.n_nodes, grid.h, 1.0 / density[1:-1],
+                                     problem.lam)
     # interior block (Dirichlet columns eliminated)
     m = grid.n_nodes - 2
     scale = np.exp(delta * grid.h)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FitError
 from .indexsets import IndexSet, IndexTerm, exponent_gt
-from .radial import RadialField, RadialGrid
+from .radial import RadialField, RadialGrid, evaluate_expansion
 
 LN10 = math.log(10.0)
 
@@ -49,11 +49,8 @@ class PolyhomFit:
     window: tuple[float, float]
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        t = np.log(np.asarray(x, dtype=float))
-        out = np.zeros_like(t)
-        for tm, a in self.coefficients.items():
-            out += a * np.exp(float(tm.z) * t) * t ** tm.k
-        return out
+        return evaluate_expansion(
+            [(a, tm.z, tm.k) for tm, a in self.coefficients.items()], x)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverError
-from .radial import RadialField, RadialGrid, unit_laplacian
+from .radial import RadialField, RadialGrid, dt_derivative, unit_laplacian
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def carlson_griffiths_radial(epsilon: float, h: RadialField) -> CuspDensityRepor
     grid = h.grid
     x = grid.x
     log_h = np.log(h.values)
-    dlogh_dt = _dt_derivative(log_h, grid.h)
+    dlogh_dt = dt_derivative(log_h, grid.h)
     numer = x * dlogh_dt + 2.0
     denom = x * (np.log(epsilon) + log_h) - 2.0
     bad = denom >= 0
@@ -242,11 +242,3 @@ def carlson_griffiths_epsilon_threshold(h: RadialField) -> float:
         raise ValueError("Hermitian factor must be positive")
     margin = 2.0 / h.grid.x - np.log(h.values)
     return float(np.exp(np.min(margin)))
-
-
-def _dt_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
-    out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * h)
-    out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * h)
-    return out

@@ -26,6 +26,9 @@ layer polluting the density extraction.
 The deepest-boundary constant of the evolving metric relaxes as
 c_t = 1 + e^{-t} (c_0 - 1); the driven cusp constant obeys dc/dt = 1 - c
 with the same closed form.
+
+The inner Newton loop (``damped_newton``) and the band layout of the
+backward-Euler matrices (``dirichlet_bands``) live in ``radial``.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import SolverError
+from .fitting import _lsq_slope
 from .geometry import ModelMetric
 from .radial import (
     RadialField,
     RadialGrid,
-    laplacian_coefficients,
+    damped_newton,
+    dirichlet_bands,
     solve_tridiagonal,
     unit_laplacian,
     unit_laplacian_interior,
@@ -67,19 +72,25 @@ def cusp_constant_rk4(c0: float, t: float, dt: float = 1e-3) -> float:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     steps = max(1, int(math.ceil(t / dt)))
-    h = t / steps
-    c = c0
+    times = np.linspace(0.0, t, steps + 1)
+    return float(_rk4(lambda s, c: 1.0 - c, c0, times, t / steps)[-1])
 
-    def f(value):
-        return 1.0 - value
 
-    for _ in range(steps):
-        k1 = f(c)
-        k2 = f(c + 0.5 * h * k1)
-        k3 = f(c + 0.5 * h * k2)
-        k4 = f(c + h * k3)
-        c += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return c
+def _rk4(f: Callable[[float, float], float], y0: float, times: np.ndarray,
+         h: float) -> np.ndarray:
+    """Classical RK4 for dy/dt = f(t, y) with step h from times[m] to
+    times[m + 1]; returns y at every sample time."""
+    out = np.empty(len(times))
+    out[0] = y = y0
+    for m in range(len(times) - 1):
+        tm = times[m]
+        k1 = f(tm, y)
+        k2 = f(tm + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(tm + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(tm + h, y + h * k3)
+        y += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[m + 1] = y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +133,7 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
     steps = max(1, int(math.ceil(T / dt)))
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
-
-    rk4 = np.zeros(steps + 1)
-    u = 0.0
-    for m in range(steps):
-        tm = times[m]
-
-        def f(s, value):
-            return -value + source(s)
-
-        k1 = f(tm, u)
-        k2 = f(tm + 0.5 * h, u + 0.5 * h * k1)
-        k3 = f(tm + 0.5 * h, u + 0.5 * h * k2)
-        k4 = f(tm + h, u + h * k3)
-        u += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rk4[m + 1] = u
+    rk4 = _rk4(lambda s, u: -u + source(s), 0.0, times, h)
 
     quadrature = np.zeros(steps + 1)
     for m, tm in enumerate(times[1:], start=1):
@@ -176,13 +173,19 @@ def omega_t_schedule(omega0: ModelMetric, t: float,
     """
     grid = omega0._resolve_grid(grid)
     density, combo = _schedule_data(omega0, grid)
+    return RadialField(grid, _schedule_values(grid, density, combo, t))
+
+
+def _schedule_values(grid: RadialGrid, density: np.ndarray, combo: np.ndarray,
+                     t: float) -> np.ndarray:
+    """S(t) = D0 + expm1(-t) (D0 + R0); an error where it is not positive."""
     values = density + math.expm1(-t) * combo
     if np.any(values <= 0):
         j = int(np.argmax(values <= 0))
         raise SolverError(
             f"flow background degenerates at t={t:.6g}, node {j} "
             f"(x={grid.x[j]:.6g})")
-    return RadialField(grid, values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +252,12 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     grid = problem.grid
     n, h = grid.n_nodes, grid.h
     density, combo = _schedule_data(problem.omega0, grid)
-    c_sub, c_diag, c_sup = laplacian_coefficients(h)
     dt_min = problem.dt * problem.dt_min_factor
 
     output_times = list(problem.output_times) if problem.output_times is not None else None
 
     def schedule_at(t: float) -> np.ndarray:
-        values = density + math.expm1(-t) * combo
-        if np.any(values <= 0):
-            j = int(np.argmax(values <= 0))
-            raise SolverError(
-                f"flow background degenerates at t={t:.6g}, node {j} "
-                f"(x={grid.x[j]:.6g})")
-        return values
+        return _schedule_values(grid, density, combo, t)
 
     def make_state(t: float, u: np.ndarray) -> FlowState:
         S = schedule_at(t)
@@ -309,8 +305,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
             while True:
                 try:
                     u_new, bc_new, iters, res_accept = _flow_step(
-                        u, bc, t, dt_loc, density, schedule_at,
-                        (c_sub, c_diag, c_sup), problem)
+                        u, bc, t, dt_loc, density, schedule_at, problem)
                     break
                 except SolverError:
                     rejections += 1
@@ -346,13 +341,11 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     )
 
 
-def _flow_step(u, bc, t, dt, density, schedule_at,
-               stencil, problem: FlowProblem):
+def _flow_step(u, bc, t, dt, density, schedule_at, problem: FlowProblem):
     """One backward-Euler step of the potential flow; returns the new
     potential, new boundary pair, Newton iteration count and the accepted
     residual."""
-    c_sub, c_diag, c_sup = stencil
-    n = len(u)
+    n, h = len(u), problem.grid.h
     t_next = t + dt
     S_next = schedule_at(t_next)
     s_minus_d0 = S_next - density
@@ -364,7 +357,7 @@ def _flow_step(u, bc, t, dt, density, schedule_at,
         bc_new[pos] = (bc[pos] + dt * src) / (1.0 + dt)
 
     def residual(v: np.ndarray):
-        lap = unit_laplacian_interior(v, problem.grid.h)
+        lap = unit_laplacian_interior(v, h)
         r = np.empty(n)
         r[0] = v[0] - bc_new[0]
         r[-1] = v[-1] - bc_new[1]
@@ -375,39 +368,14 @@ def _flow_step(u, bc, t, dt, density, schedule_at,
                    - dt * np.log1p((s_minus_d0[1:-1] + lap[1:-1]) / density[1:-1]))
         return r, lap, True
 
-    v = u.copy()
-    r, lap, ok = residual(v)
-    if not ok:
-        raise SolverError(f"positivity violated at start of step t={t:.6g}")
-    res_norm = float(np.max(np.abs(r)))
-    iters = 0
-    while res_norm > problem.newton_tol:
-        iters += 1
-        if iters > problem.newton_max_iter:
-            raise SolverError(
-                f"flow Newton failed at t={t_next:.6g}; residual {res_norm:.3e}")
-        weight = dt / (S_next[1:-1] + lap[1:-1])
-        sub = np.zeros(n)
-        diag = np.ones(n)
-        sup = np.zeros(n)
-        sub[1:-1] = -weight * c_sub
-        diag[1:-1] = (1.0 + dt) - weight * c_diag
-        sup[1:-1] = -weight * c_sup
-        step = solve_tridiagonal(sub, diag, sup, -r)
-        s = 1.0
-        while True:
-            cand = v + s * step
-            r_new, lap_new, ok = residual(cand)
-            new_norm = float(np.max(np.abs(r_new))) if ok else np.inf
-            if ok and new_norm <= (1.0 - 1e-4 * s) * res_norm:
-                break
-            s *= 0.5
-            if s < 2.0 ** -30:
-                raise SolverError(
-                    f"flow Newton damping floor at t={t_next:.6g}; "
-                    f"residual {res_norm:.3e}")
-        v, r, lap, res_norm = cand, r_new, lap_new, new_norm
-    return v, bc_new, iters, res_norm
+    def jacobian_bands(lap: np.ndarray):
+        # (1 + dt) - dt / (S + Delta u) * Delta
+        return dirichlet_bands(n, h, -dt / (S_next[1:-1] + lap[1:-1]), -(1.0 + dt))
+
+    v, _, iters, residuals, _ = damped_newton(
+        residual, jacobian_bands, u.copy(), problem.newton_tol,
+        problem.newton_max_iter, 2.0 ** -30, f"flow Newton (t={t_next:.6g})")
+    return v, bc_new, iters, residuals[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +416,8 @@ def decay_certificate(grid: RadialGrid, gamma: float,
         steps = int(math.ceil(T / dt))
     h_t = T / steps
 
-    c_sub, c_diag, c_sup = laplacian_coefficients(h)
-    sub = np.zeros(n)
-    diag = np.ones(n)
-    sup = np.zeros(n)
-    sub[1:-1] = -h_t * c_sub
-    diag[1:-1] = (1.0 + h_t) - h_t * c_diag
-    sup[1:-1] = -h_t * c_sup
+    # backward-Euler matrix (1 + h_t) - h_t * Delta with Dirichlet rows
+    sub, diag, sup = dirichlet_bands(n, h, -h_t, -(1.0 + h_t))
 
     u = np.zeros(n)
     times = np.linspace(0.0, T, steps + 1)
@@ -476,14 +439,9 @@ def decay_certificate(grid: RadialGrid, gamma: float,
     idx = np.where(positive)[0]
     tail = idx[idx >= idx[0] + (idx[-1] - idx[0]) // 2]
     if len(tail) >= 2:
-        slope = _slope(times[tail], np.log(ratios[tail]))
+        slope = _lsq_slope(times[tail], np.log(ratios[tail]))
         c_fit = max(0.0, float(slope))
     else:
         c_fit = 0.0
     K = float(np.max(ratios * np.exp(-c_fit * times)))
     return DecayCertificate(gamma, times, ratios, float(np.max(ratios)), K, c_fit)
-
-
-def _slope(t: np.ndarray, y: np.ndarray) -> float:
-    t_mean, y_mean = np.mean(t), np.mean(y)
-    return float(np.sum((t - t_mean) * (y - y_mean)) / np.sum((t - t_mean) ** 2))

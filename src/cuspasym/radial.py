@@ -10,6 +10,10 @@ has constant coefficients and the x -> 0 degeneracy disappears from the
 stencil.  Grids are uniform in t; centered second-order differences are
 used at interior nodes and one-sided second-order differences at the two
 endpoints (the latter only ever for diagnostics, never inside solves).
+
+The module also owns the numerics every radial solver shares: the band
+layout of Dirichlet-truncated operators (:func:`dirichlet_bands`) and the
+backtracking Newton loop (:func:`damped_newton`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from .errors import SolverError
 
 CSV_FLOAT_FMT = "%.17g"
 
@@ -162,13 +168,43 @@ def unit_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """
     out = unit_laplacian_interior(values, h)
     v = values
-    d1_left = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+    d1_left, d1_right = _end_dt_rows(v, h)
     d2_left = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
     out[0] = 0.5 * (d2_left + d1_left)
-    d1_right = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
     d2_right = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
     out[-1] = 0.5 * (d2_right + d1_right)
     return out
+
+
+def _end_dt_rows(v: np.ndarray, h: float) -> tuple[float, float]:
+    """One-sided second-order d/dt at the left and right endpoints."""
+    return ((-3 * v[0] + 4 * v[1] - v[2]) / (2 * h),
+            (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h))
+
+
+def dt_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """d/dt: centered inside, one-sided second order at the two ends."""
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
+    out[0], out[-1] = _end_dt_rows(values, h)
+    return out
+
+
+def dirichlet_bands(n: int, h: float, weight, shift):
+    """(sub, diag, sup) bands of the Dirichlet-truncated operator
+    weight * Delta_unit - shift.
+
+    ``weight`` and ``shift`` are scalars or arrays over the n - 2 interior
+    nodes; the two end rows are identity rows carrying Dirichlet data.
+    """
+    c_sub, c_diag, c_sup = laplacian_coefficients(h)
+    sub = np.zeros(n)
+    diag = np.ones(n)
+    sup = np.zeros(n)
+    sub[1:-1] = weight * c_sub
+    diag[1:-1] = weight * c_diag - shift
+    sup[1:-1] = weight * c_sup
+    return sub, diag, sup
 
 
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -181,6 +217,56 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     ab[1, :] = diag
     ab[2, :-1] = sub[1:]
     return solve_banded((1, 1), ab, rhs)
+
+
+def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
+                  tol: float, max_iter: int, damping_min: float, label: str):
+    """Backtracking Newton iteration on a tridiagonal Jacobian.
+
+    ``residual(v)`` returns ``(r, aux, ok)``, where ``ok`` is False when v
+    leaves the admissible set (positivity lost), and ``bands(aux)`` returns
+    the Jacobian bands at that iterate.  Each step is halved until the
+    iterate is admissible and the sup-norm residual drops by the factor
+    1 - 1e-4 s; a step below ``damping_min``, ``max_iter`` steps without
+    reaching ``tol`` or a singular linearization raise SolverError; its
+    message names ``label`` (and the last residual, where there is one).
+
+    Returns ``(v, aux, iterations, residual_history, damping_events)``.
+    """
+    v = v0
+    r, aux, ok = residual(v)
+    if not ok:
+        raise SolverError(f"{label} started from an iterate violating positivity")
+    res_norm = float(np.max(np.abs(r)))
+    residuals = [res_norm]
+    damping_events = 0
+    iteration = 0
+    while res_norm > tol:
+        if iteration == max_iter:
+            raise SolverError(f"{label} did not converge in {max_iter} iterations; "
+                              f"last residual {res_norm:.3e}")
+        iteration += 1
+        try:
+            step = solve_tridiagonal(*bands(aux), -r)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular {label} linearization at iteration "
+                              f"{iteration}: {exc}") from exc
+        s = 1.0
+        while True:
+            candidate = v + s * step
+            r_new, aux_new, ok = residual(candidate)
+            new_norm = float(np.max(np.abs(r_new))) if ok else np.inf
+            if ok and new_norm <= (1.0 - 1e-4 * s) * res_norm:
+                break
+            s *= 0.5
+            damping_events += 1
+            if s < damping_min:
+                raise SolverError(
+                    f"{label} damping floor reached at iteration {iteration}; "
+                    f"last residual {res_norm:.3e}")
+        v, r, aux, res_norm = candidate, r_new, aux_new, new_norm
+        residuals.append(res_norm)
+    return v, aux, iteration, residuals, damping_events
 
 
 def evaluate_expansion(terms: Sequence[tuple[float, float, int]], x: np.ndarray) -> np.ndarray:

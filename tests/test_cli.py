@@ -170,6 +170,27 @@ def test_sweep_subconfig_needs_command(tmp_path):
     assert main(["sweep", cfg, "-o", str(tmp_path / "out")]) == 2
 
 
+def test_sweep_subconfig_duplicate_key_rejected(tmp_path, capsys):
+    sub = write(tmp_path / "a.cfg", "command = chern-coeff\nd = 5\nd = 6\n")
+    cfg = write(tmp_path / "sweep.cfg", f"configs = {sub}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "-o", str(out)]) == 2
+    assert "duplicate key 'd'" in capsys.readouterr().err
+    assert not (out / "a").exists()
+
+
+def test_sweep_stem_collision_rejected(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    sub1 = write(tmp_path / "a" / "x.cfg", "command = chern-coeff\nd = 5\n")
+    sub2 = write(tmp_path / "b" / "x.cfg", "command = chern-coeff\nd = 7\n")
+    cfg = write(tmp_path / "sweep.cfg", f"configs = {sub1}, {sub2}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "-o", str(out)]) == 2
+    assert "x" in capsys.readouterr().err
+    assert not (out / "x").exists()
+
+
 def test_outputs_are_deterministic(tmp_path):
     cfg = write(tmp_path / "c.cfg", "n_nodes = 512\nf_terms = 1.5:1:0\n")
     outs = []

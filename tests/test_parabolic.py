@@ -181,6 +181,18 @@ def test_flow_degenerating_background_raises():
         run_flow(problem)
 
 
+def test_flow_newton_damping_floor_reports_residual():
+    # tol 0 leaves the inner Newton stalled at the rounding floor until the
+    # step is halved below 2^-30; dt_min_factor 1 forbids any step retry
+    grid = RadialGrid(-40.0, math.log(0.5), 64)
+    metric = ModelMetric(conformal=RadialField.from_function(grid, lambda x: 0.3 + 0.2 * x))
+    problem = FlowProblem(metric, T=0.1, dt=0.1, grid=grid, newton_tol=0.0,
+                          dt_min_factor=1.0)
+    with pytest.raises(SolverError, match="damping floor") as info:
+        run_flow(problem)
+    assert "residual" in str(info.value) and "t=0.1" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # decay certificate
 # ---------------------------------------------------------------------------
