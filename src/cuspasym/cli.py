@@ -9,27 +9,29 @@ Every default is echoed into the output JSON so results are
 self-describing, floats are serialized at full precision, and repeated
 runs on the same config produce byte-identical files.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error (every ``ValueError`` raised while a
+command runs, a library constructor rejecting a value included), 3 numerical
+failure (``SolverError``, ``FitError``).
 
 The default output directory is taken from the CUSPASYM_OUTDIR environment
 variable, overridable per run with --output or the ``output`` config key.
 
 Source terms and conformal factors are given as term lists: comma-separated
 ``a:z:k`` triples denoting a * x^z * (log x)^k, e.g. ``1.5:1:0, 0:2:0``.
+A term list that is not finite somewhere on the grid is a config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -53,13 +55,9 @@ from .indicial import (
     spec_b_roots,
 )
 from .parabolic import FlowProblem, fitted_boundary_constant, run_flow
-from .radial import RadialField, RadialGrid, evaluate_expansion
+from .radial import DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion
 
 OUTDIR_ENV = "CUSPASYM_OUTDIR"
-
-DEFAULT_T_MIN = -40.0
-DEFAULT_T_MAX = math.log(0.5)
-DEFAULT_N_NODES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -115,47 +113,30 @@ def _parse_str(text: str) -> str:
     return text.strip()
 
 
-def _parse_rational_list(text: str):
-    items = [s for s in (p.strip() for p in text.split(",")) if s]
-    return [_parse_rational(s) for s in items]
+def _list_of(parse: Callable[[str], Any]) -> Callable[[str], list]:
+    """Parser for a comma-separated list; empty items are skipped."""
+    def parse_list(text: str) -> list:
+        return [parse(s) for s in (p.strip() for p in text.split(",")) if s]
+    return parse_list
 
 
-def _parse_float_list(text: str):
-    items = [s for s in (p.strip() for p in text.split(",")) if s]
-    return [_parse_float(s) for s in items]
+def _colon_item(what: str, **fields: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """Parser for one ``:``-separated item whose parts are named and parsed
+    by ``fields`` in order, e.g. ``z:k``."""
+    shape = ":".join(fields)
 
-
-def _parse_int_list(text: str):
-    items = [s for s in (p.strip() for p in text.split(",")) if s]
-    return [_parse_int(s) for s in items]
-
-
-def _parse_str_list(text: str):
-    return [s for s in (p.strip() for p in text.split(",")) if s]
-
-
-def _parse_pairs(text: str):
-    """Index pairs: comma-separated z:k items."""
-    out = []
-    for item in _parse_str_list(text):
+    def parse(item: str) -> tuple:
         parts = item.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"bad index pair {item!r}: expected z:k")
-        z, k = parts
-        out.append((_parse_rational(z), _parse_int(k)))
-    return out
+        if len(parts) != len(fields):
+            raise ConfigError(f"bad {what} {item!r}: expected {shape}")
+        return tuple(parse_part(part) for parse_part, part in zip(fields.values(), parts))
+    return parse
 
 
-def _parse_terms(text: str):
-    """Term list: comma-separated a:z:k triples for a * x^z * (log x)^k."""
-    out = []
-    for item in _parse_str_list(text):
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad term {item!r}: expected a:z:k")
-        a, z, k = parts
-        out.append((_parse_float(a), _parse_float(z), _parse_int(k)))
-    return out
+#: index pairs z:k
+_parse_pairs = _list_of(_colon_item("index pair", z=_parse_rational, k=_parse_int))
+#: term list: a:z:k triples for a * x^z * (log x)^k
+_parse_terms = _list_of(_colon_item("term", a=_parse_float, z=_parse_float, k=_parse_int))
 
 
 def _read_config_lines(path: Path) -> dict[str, str]:
@@ -198,9 +179,22 @@ def resolve_config(raw: dict[str, str], schema: dict[str, Key],
 
 
 _GRID_KEYS = {
-    "t_min": Key(_parse_float, DEFAULT_T_MIN),
-    "t_max": Key(_parse_float, DEFAULT_T_MAX),
-    "n_nodes": Key(_parse_int, DEFAULT_N_NODES),
+    "t_min": Key(_parse_float, DEFAULT_GRID.t_min),
+    "t_max": Key(_parse_float, DEFAULT_GRID.t_max),
+    "n_nodes": Key(_parse_int, DEFAULT_GRID.n_nodes),
+}
+
+#: keys of the commands that solve for a potential with source ``f_terms``
+_SOLVE_KEYS = {
+    "f_terms": Key(_parse_terms),
+    "bc_left": Key(_parse_float, 0.0),
+    "bc_right": Key(_parse_float, 0.0),
+    "solution_csv": Key(_parse_str, "solution.csv"),
+}
+
+_NEWTON_KEYS = {
+    "max_iter": Key(_parse_int, NewtonParams.max_iter),
+    "tol": Key(_parse_float, NewtonParams.tol),
 }
 
 _OUTPUT_KEY = {"output": Key(_parse_str, "")}
@@ -209,8 +203,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     "indicial": {
         "lambda": Key(_parse_rational),
         "c": Key(_parse_rational),
-        "spectrum": Key(_parse_rational_list),
-        "multiplicities": Key(_parse_int_list, []),
+        "spectrum": Key(_list_of(_parse_rational)),
+        "multiplicities": Key(_list_of(_parse_int), []),
         "alpha": Key(_parse_rational, Fraction(0)),
         "cutoff": Key(_parse_rational),
         "union_terms": Key(_parse_pairs, []),
@@ -222,24 +216,17 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "solve-linear": {
         **_GRID_KEYS,
+        **_SOLVE_KEYS,
         "lambda": Key(_parse_float, 1.0),
-        "f_terms": Key(_parse_terms),
-        "bc_left": Key(_parse_float, 0.0),
-        "bc_right": Key(_parse_float, 0.0),
         "metric_a": Key(_parse_float, 1.0),
         "metric_b": Key(_parse_float, 1.0),
-        "solution_csv": Key(_parse_str, "solution.csv"),
         **_OUTPUT_KEY,
     },
     "solve-ma": {
         **_GRID_KEYS,
-        "f_terms": Key(_parse_terms),
-        "bc_left": Key(_parse_float, 0.0),
-        "bc_right": Key(_parse_float, 0.0),
-        "max_iter": Key(_parse_int, 40),
-        "tol": Key(_parse_float, 1e-11),
-        "damping_min": Key(_parse_float, 2.0 ** -20),
-        "solution_csv": Key(_parse_str, "solution.csv"),
+        **_SOLVE_KEYS,
+        **_NEWTON_KEYS,
+        "damping_min": Key(_parse_float, NewtonParams.damping_min),
         **_OUTPUT_KEY,
     },
     "flow": {
@@ -249,7 +236,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "metric_b": Key(_parse_float, 1.0),
         "T": Key(_parse_float),
         "dt": Key(_parse_float),
-        "output_times": Key(_parse_float_list, []),
+        "output_times": Key(_list_of(_parse_float), []),
         **_OUTPUT_KEY,
     },
     "fit-expansion": {
@@ -261,17 +248,13 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "logterm-pipeline": {
         **_GRID_KEYS,
-        "f_terms": Key(_parse_terms),
+        **_SOLVE_KEYS,
+        **_NEWTON_KEYS,
         "tolerance": Key(_parse_float, 0.02),
-        "bc_left": Key(_parse_float, 0.0),
-        "bc_right": Key(_parse_float, 0.0),
-        "max_iter": Key(_parse_int, 40),
-        "tol": Key(_parse_float, 1e-11),
-        "solution_csv": Key(_parse_str, "solution.csv"),
         **_OUTPUT_KEY,
     },
     "sweep": {
-        "configs": Key(_parse_str_list),
+        "configs": Key(_list_of(_parse_str)),
         "max_workers": Key(_parse_int, 2),
         **_OUTPUT_KEY,
     },
@@ -307,27 +290,26 @@ def write_json(path: Path, payload: dict) -> None:
                     encoding="ascii")
 
 
-def _config_echo(config: dict) -> dict:
-    return {k: _jsonable(v) for k, v in config.items()}
-
-
 def _grid_from_config(config) -> RadialGrid:
-    try:
-        return RadialGrid(config["t_min"], config["t_max"], config["n_nodes"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RadialGrid(config["t_min"], config["t_max"], config["n_nodes"])
+
+
+def _sample_terms(config, key: str, grid: RadialGrid) -> RadialField:
+    """The term list ``config[key]`` sampled on ``grid``; a config error
+    where it is not finite (an overflowing power of x, say)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = evaluate_expansion(config[key], grid.x)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise ConfigError(f"{key} is not finite at x={grid.x[np.argmax(bad)]:.6g}")
+    return RadialField(grid, values)
 
 
 def _metric_from_config(config, grid) -> ModelMetric:
     conformal = None
-    terms = config.get("conformal_terms") or []
-    if terms:
-        conformal = RadialField(grid, evaluate_expansion(terms, grid.x))
-    try:
-        return ModelMetric(a=config.get("metric_a", 1.0),
-                           b=config.get("metric_b", 1.0), conformal=conformal)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if config.get("conformal_terms"):
+        conformal = _sample_terms(config, "conformal_terms", grid)
+    return ModelMetric(a=config["metric_a"], b=config["metric_b"], conformal=conformal)
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +317,14 @@ def _metric_from_config(config, grid) -> ModelMetric:
 # ---------------------------------------------------------------------------
 
 def cmd_indicial(config, outdir: Path) -> dict:
-    try:
-        family = IndicialFamily(config["lambda"], config["c"],
-                                tuple(config["spectrum"]),
-                                tuple(config["multiplicities"]))
-        alpha, cutoff = config["alpha"], config["cutoff"]
-        roots = spec_b_roots(family)
-        e_plus = index_set_Eplus(family, alpha, cutoff)
-        hat_e_plus = index_set_hatEplus(family, alpha, cutoff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    family = IndicialFamily(config["lambda"], config["c"], tuple(config["spectrum"]),
+                            tuple(config["multiplicities"]))
+    alpha, cutoff = config["alpha"], config["cutoff"]
+    roots = spec_b_roots(family)
+    e_plus = index_set_Eplus(family, alpha, cutoff)
+    hat_e_plus = index_set_hatEplus(family, alpha, cutoff)
     payload = {
-        "config": _config_echo(config),
+        "config": config,
         "roots": [{"z": float(r.z), "order": r.order,
                    "eigenvalue_index": r.eigenvalue_index,
                    "multiplicity": r.multiplicity} for r in roots],
@@ -364,14 +342,11 @@ def cmd_indicial(config, outdir: Path) -> dict:
 
 
 def cmd_chern(config, outdir: Path) -> dict:
-    try:
-        b_tilde = log_coefficient_plane_curve(config["d"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    b_tilde = log_coefficient_plane_curve(config["d"])
     payload = {
         "d": config["d"],
         "b_tilde": {"num": b_tilde.numerator, "den": b_tilde.denominator},
-        "config": _config_echo(config),
+        "config": config,
     }
     write_json(outdir / "chern.json", payload)
     return payload
@@ -379,19 +354,16 @@ def cmd_chern(config, outdir: Path) -> dict:
 
 def cmd_solve_linear(config, outdir: Path) -> dict:
     grid = _grid_from_config(config)
-    metric = ModelMetric(a=config["metric_a"], b=config["metric_b"])
-    rhs = RadialField(grid, evaluate_expansion(config["f_terms"], grid.x))
-    try:
-        problem = LinearProblem(metric, config["lambda"], rhs,
-                                config["bc_left"], config["bc_right"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    metric = _metric_from_config(config, grid)
+    rhs = _sample_terms(config, "f_terms", grid)
+    problem = LinearProblem(metric, config["lambda"], rhs, config["bc_left"],
+                            config["bc_right"])
     solution = solve_linear(problem)
     solution.write_csv(outdir / config["solution_csv"])
     residual = cusp_laplacian(metric, solution).values - \
         config["lambda"] * solution.values - rhs.values
     payload = {
-        "config": _config_echo(config),
+        "config": config,
         "solution_csv": config["solution_csv"],
         "sup_solution": float(np.max(np.abs(solution.values))),
         "interior_residual_sup": float(np.max(np.abs(residual[1:-1]))),
@@ -400,17 +372,22 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
     return payload
 
 
-def cmd_solve_ma(config, outdir: Path) -> dict:
+def _solve_ma(config, outdir: Path, params: NewtonParams):
+    """Monge-Ampere solve on the unit background with the config's grid,
+    source and boundary data; writes the solution CSV."""
     grid = _grid_from_config(config)
-    F = RadialField(grid, evaluate_expansion(config["f_terms"], grid.x))
-    params = NewtonParams(max_iter=config["max_iter"], tol=config["tol"],
-                          damping_min=config["damping_min"])
-    problem = MongeAmpereProblem(ModelMetric(), F, config["bc_left"],
-                                 config["bc_right"], newton=params)
+    problem = MongeAmpereProblem(ModelMetric(), _sample_terms(config, "f_terms", grid),
+                                 config["bc_left"], config["bc_right"], newton=params)
     solution, report = solve_monge_ampere_radial(problem)
     solution.write_csv(outdir / config["solution_csv"])
+    return solution, report
+
+
+def cmd_solve_ma(config, outdir: Path) -> dict:
+    solution, report = _solve_ma(config, outdir, NewtonParams(
+        max_iter=config["max_iter"], tol=config["tol"], damping_min=config["damping_min"]))
     payload = {
-        "config": _config_echo(config),
+        "config": config,
         "solution_csv": config["solution_csv"],
         "converged": report.converged,
         "iterations": report.iterations,
@@ -428,11 +405,8 @@ def cmd_flow(config, outdir: Path) -> dict:
     grid = _grid_from_config(config)
     metric = _metric_from_config(config, grid)
     output_times = config["output_times"] or [config["T"]]
-    try:
-        problem = FlowProblem(metric, T=config["T"], dt=config["dt"], grid=grid,
-                              output_times=output_times)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = FlowProblem(metric, T=config["T"], dt=config["dt"], grid=grid,
+                          output_times=output_times)
     result = run_flow(problem)
     snapshots = []
     for state in result.states:
@@ -446,7 +420,7 @@ def cmd_flow(config, outdir: Path) -> dict:
             "sup_u": float(np.max(np.abs(state.u.values))),
         })
     payload = {
-        "config": _config_echo(config),
+        "config": config,
         "snapshots": snapshots,
         "sup_u_trajectory": float(np.max(result.sup_u)),
         "min_positivity_margin": float(np.min(result.positivity_margin)),
@@ -465,21 +439,17 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
         raise ConfigError(f"field CSV not found: {csv_path}")
     if not json_path.is_file():
         raise ConfigError(f"index-set JSON not found: {json_path}")
+    samples = RadialField.read_csv(csv_path)
     try:
-        samples = RadialField.read_csv(csv_path)
         E = IndexSet.from_json_dict(json.loads(json_path.read_text()))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except KeyError as exc:  # a missing field; not a ValueError
         raise ConfigError(str(exc)) from exc
-    given = (config["window_lo"] > 0, config["window_hi"] > 0)
-    if given == (True, True):
-        window = (config["window_lo"], config["window_hi"])
-    elif given == (False, False):
-        window = None
-    else:
+    lo, hi = config["window_lo"], config["window_hi"]
+    if (lo > 0) != (hi > 0):
         raise ConfigError("window_lo and window_hi must be given together")
-    fit = fit_polyhom(samples, E, fit_window=window)
+    fit = fit_polyhom(samples, E, fit_window=(lo, hi) if lo > 0 else None)
     payload = {
-        "config": _config_echo(config),
+        "config": config,
         "window": list(fit.window),
         "coefficients": [{"z": float(tm.z), "k": tm.k, "a": a}
                          for tm, a in fit.coefficients.items()],
@@ -492,25 +462,18 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
 
 
 def cmd_logterm_pipeline(config, outdir: Path) -> dict:
-    grid = _grid_from_config(config)
-    F = RadialField(grid, evaluate_expansion(config["f_terms"], grid.x))
     coefficient_x = sum(a for a, z, k in config["f_terms"]
                         if z == 1.0 and k == 0)
     predicted = (2.0 / 3.0) * coefficient_x
-    params = NewtonParams(max_iter=config["max_iter"], tol=config["tol"])
-    problem = MongeAmpereProblem(ModelMetric(), F, config["bc_left"],
-                                 config["bc_right"], newton=params)
-    solution, report = solve_monge_ampere_radial(problem)
-    solution.write_csv(outdir / config["solution_csv"])
+    solution, report = _solve_ma(config, outdir, NewtonParams(
+        max_iter=config["max_iter"], tol=config["tol"]))
     estimate = detect_log_term(solution)
     if predicted != 0.0:
         rel_error = abs(estimate.value - predicted) / abs(predicted)
-        passed = rel_error <= config["tolerance"]
     else:
         rel_error = abs(estimate.value)
-        passed = rel_error <= config["tolerance"]
     payload = {
-        "config": _config_echo(config),
+        "config": config,
         "solution_csv": config["solution_csv"],
         "solver": {
             "converged": report.converged,
@@ -526,7 +489,7 @@ def cmd_logterm_pipeline(config, outdir: Path) -> dict:
         "reliable": estimate.reliable,
         "rel_error": rel_error,
         "tolerance": config["tolerance"],
-        "passed": bool(passed),
+        "passed": bool(rel_error <= config["tolerance"]),
     }
     write_json(outdir / "logterm.json", payload)
     return payload
@@ -561,7 +524,7 @@ def cmd_sweep(config, outdir: Path) -> dict:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda p: _run_sweep_item(p, outdir), items))
-    payload = {"config": _config_echo(config), "runs": results}
+    payload = {"config": config, "runs": results}
     write_json(outdir / "sweep.json", payload)
     return payload
 
@@ -597,30 +560,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_outdir(cli_output: Optional[str], config: dict) -> Path:
-    if cli_output:
-        return Path(cli_output)
-    if config.get("output"):
-        return Path(config["output"])
-    env = os.environ.get(OUTDIR_ENV)
-    if env:
-        return Path(env)
-    return Path(".")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, SCHEMAS[args.command])
-        outdir = _resolve_outdir(args.output, config)
+        if args.command == "sweep":  # sub-configs are named relative to the sweep file
+            config["configs"] = [str(Path(args.config).parent / p) for p in config["configs"]]
+        outdir = Path(args.output or config["output"] or os.environ.get(OUTDIR_ENV) or ".")
         outdir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](config, outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # domain validation from problem constructors: still a config fault
+    except ValueError as exc:  # ConfigError, or a constructor rejecting a value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, FitError) as exc:

@@ -69,11 +69,16 @@ def cusp_constant_rk4(c0: float, t: float, dt: float = 1e-3) -> float:
     """Generic RK4 integration of dc/dt = 1 - c, for cross-checking."""
     if c0 <= 0:
         raise ValueError(f"cusp constant must be positive, got {c0}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    steps = max(1, int(math.ceil(t / dt)))
-    times = np.linspace(0.0, t, steps + 1)
-    return float(_rk4(lambda s, c: 1.0 - c, c0, times, t / steps)[-1])
+    times, h = _rk4_times(t, dt)
+    return float(_rk4(lambda s, c: 1.0 - c, c0, times, h)[-1])
+
+
+def _rk4_times(T: float, dt: float) -> tuple[np.ndarray, float]:
+    """Sample times 0..T in max(1, ceil(T/dt)) equal steps, and the step."""
+    if T < 0 or dt <= 0:
+        raise ValueError(f"need T >= 0 and dt > 0, got T={T}, dt={dt}")
+    steps = max(1, int(math.ceil(T / dt)))
+    return np.linspace(0.0, T, steps + 1), T / steps
 
 
 def _rk4(f: Callable[[float, float], float], y0: float, times: np.ndarray,
@@ -127,15 +132,11 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
     c_list = [float(c) for c in c_list]
     if any(c <= 0 for c in c_list):
         raise ValueError(f"all cusp constants must be positive, got {c_list}")
-    if T < 0 or dt <= 0:
-        raise ValueError(f"need T >= 0 and dt > 0, got T={T}, dt={dt}")
+    times, h = _rk4_times(T, dt)
     source = _restricted_source(c_list)
-    steps = max(1, int(math.ceil(T / dt)))
-    h = T / steps
-    times = np.linspace(0.0, T, steps + 1)
     rk4 = _rk4(lambda s, u: -u + source(s), 0.0, times, h)
 
-    quadrature = np.zeros(steps + 1)
+    quadrature = np.zeros(len(times))
     for m, tm in enumerate(times[1:], start=1):
         integral, _ = quad(lambda s: math.exp(s - tm) * source(s), 0.0, tm,
                            epsabs=1e-13, epsrel=1e-13, limit=300)
@@ -230,6 +231,15 @@ class FlowResult:
     step_rejections: int
 
 
+def _step_count(T: float, dt: float) -> int:
+    """Number of steps of about dt covering T: round(T/dt) when that lands
+    on T to within 1e-9 relative, ceil(T/dt) otherwise."""
+    steps = int(round(T / dt))
+    if abs(steps * dt - T) > 1e-9 * T:
+        steps = int(math.ceil(T / dt))
+    return steps
+
+
 def fitted_boundary_constant(state: FlowState, fraction: float = 0.1) -> float:
     """Average of the evolving metric density over the deepest nodes.
 
@@ -291,9 +301,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     if want_output(0.0):
         states.append(make_state(0.0, u))
 
-    n_steps = int(round(problem.T / problem.dt))
-    if abs(n_steps * problem.dt - problem.T) > 1e-9 * problem.T:
-        n_steps = int(math.ceil(problem.T / problem.dt))
+    n_steps = _step_count(problem.T, problem.dt)
     dt_nominal = problem.T / n_steps
 
     for _ in range(n_steps):
@@ -411,9 +419,7 @@ def decay_certificate(grid: RadialGrid, gamma: float,
         raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
     n, h = grid.n_nodes, grid.h
     x = grid.x
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * T:
-        steps = int(math.ceil(T / dt))
+    steps = _step_count(T, dt)
     h_t = T / steps
 
     # backward-Euler matrix (1 + h_t) - h_t * Delta with Dirichlet rows

@@ -4,10 +4,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from cuspasym.cli import main
+from cuspasym.elliptic import NewtonParams
 from cuspasym.indexsets import IndexTerm, closure
-from cuspasym.radial import RadialField, RadialGrid
+from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid
 
 
 def write(path, text):
@@ -44,6 +46,36 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", "d = 4\nwhatever = 1\n")
     assert main(["chern-coeff", cfg, "-o", str(tmp_path)]) == 2
     assert "whatever" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("solve-ma", "f_terms = 1:2\n", "bad term '1:2': expected a:z:k"),
+    ("indicial", "lambda = 1\nc = 1\nspectrum = 0\ncutoff = 3\nunion_terms = 1\n",
+     "bad index pair '1': expected z:k"),
+])
+def test_bad_colon_item_is_config_error(tmp_path, capsys, command, text, message):
+    cfg = write(tmp_path / "c.cfg", text)
+    assert main([command, cfg, "-o", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_defaults_come_from_library(tmp_path):
+    cfg = write(tmp_path / "c.cfg", "f_terms = 1.5:1:0\n")
+    out = tmp_path / "out"
+    assert main(["solve-ma", cfg, "-o", str(out)]) == 0
+    echo = json.loads((out / "solve_ma.json").read_text())["config"]
+    params = NewtonParams()
+    assert (echo["t_min"], echo["t_max"], echo["n_nodes"]) == (
+        DEFAULT_GRID.t_min, DEFAULT_GRID.t_max, DEFAULT_GRID.n_nodes)
+    assert (echo["max_iter"], echo["tol"], echo["damping_min"]) == (
+        params.max_iter, params.tol, params.damping_min)
+
+
+def test_overflowing_terms_are_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg", "n_nodes = 512\nf_terms = 1:-30:0\n")
+    assert main(["solve-ma", cfg, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: f_terms is not finite at x={math.exp(-40):.6g}\n"
 
 
 def test_chern_coefficients(tmp_path):
@@ -162,6 +194,15 @@ def test_sweep_fans_out(tmp_path):
     assert (out / "b" / "indicial.json").is_file()
     summary = json.loads((out / "sweep.json").read_text())
     assert len(summary["runs"]) == 2
+
+
+def test_sweep_relative_entries_follow_sweep_file(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    write(tmp_path / "sub" / "item.cfg", "command = chern-coeff\nd = 5\n")
+    write(tmp_path / "sub" / "sweep.cfg", "configs = item.cfg\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "sub/sweep.cfg", "-o", "out"]) == 0
+    assert (tmp_path / "out" / "item" / "chern.json").is_file()
 
 
 def test_sweep_subconfig_needs_command(tmp_path):

@@ -48,6 +48,9 @@ def test_cusp_constant_validation():
         cusp_constant_evolution(-1.0, 1.0)
     with pytest.raises(ValueError):
         cusp_constant_rk4(2.0, 1.0, dt=0.0)
+    # one RK4 step of size -5 would give 66.375 against the closed form 149.41
+    with pytest.raises(ValueError, match="T >= 0"):
+        cusp_constant_rk4(2.0, -5.0)
 
 
 # ---------------------------------------------------------------------------
