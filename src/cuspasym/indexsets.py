@@ -179,9 +179,35 @@ class IndexSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IndexSet":
-        terms = tuple(IndexTerm(as_exponent(item["z"]), int(item["k"]))
-                      for item in data["terms"])
-        return cls(terms, as_exponent(data["cutoff"]))
+        """Inverse of :meth:`to_json_dict`.  A ValueError names the field
+        (``terms``, ``terms[i].z``, ``terms[i].k``, ``cutoff``) that is
+        missing or ill-typed."""
+        terms = tuple(IndexTerm(_json_field(item, f"terms[{i}]", "z", as_exponent),
+                                _json_field(item, f"terms[{i}]", "k", int))
+                      for i, item in enumerate(_json_field(data, "", "terms", _json_list)))
+        return cls(terms, _json_field(data, "", "cutoff", as_exponent))
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _json_field(obj, where: str, key: str, parse):
+    """``parse(obj[key])`` for the JSON object ``obj`` found at ``where``
+    ("" for the top level); a ValueError names the field when ``obj`` is no
+    object, lacks ``key`` or ``parse`` rejects the value."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where or 'the top level'} must be a JSON object, "
+                         f"got {type(obj).__name__}")
+    name = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise ValueError(f"missing field '{name}'")
+    try:
+        return parse(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"ill-typed field '{name}': {exc}") from None
 
 
 def closure(terms: Iterable[IndexTerm], cutoff) -> IndexSet:

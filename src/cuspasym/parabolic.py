@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import SolverError
 from .fitting import _lsq_slope
@@ -129,6 +128,8 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
     maximum discrepancy over the sample times is reported.  As t -> infty
     the solution tends to -sum_i log c_i, the equilibrium of the source.
     """
+    from scipy.integrate import quad  # no CLI command reaches this
+
     c_list = [float(c) for c in c_list]
     if any(c <= 0 for c in c_list):
         raise ValueError(f"all cusp constants must be positive, got {c_list}")

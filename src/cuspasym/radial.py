@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import SolverError
 
@@ -211,6 +210,8 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
     """Direct banded solve of A u = rhs with A[j,j-1]=sub[j], A[j,j]=diag[j],
     A[j,j+1]=sup[j]."""
+    from scipy.linalg import solve_banded  # only solvers pay for scipy.linalg
+
     n = len(diag)
     ab = np.zeros((3, n))
     ab[0, 1:] = sup[:-1]

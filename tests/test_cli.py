@@ -151,6 +151,39 @@ def test_fit_expansion_round_trip(tmp_path):
     assert abs(coefs[(2.0, 0)] - 5) < 1e-6
 
 
+_GOOD_TERMS = '[{"z": 1, "k": 0}]'
+
+
+@pytest.mark.parametrize("csv_text, json_text, key, field", [
+    (None, "[1, 2]", "index_set_json", "top level"),
+    (None, '{"terms": 5, "cutoff": 2}', "index_set_json", "'terms'"),
+    (None, '{"cutoff": 2}', "index_set_json", "missing field 'terms'"),
+    (None, '{"terms": [{"k": 0}], "cutoff": 2}', "index_set_json",
+     "missing field 'terms[0].z'"),
+    (None, '{"terms": ' + _GOOD_TERMS + "}", "index_set_json", "missing field 'cutoff'"),
+    (None, '{"terms": [{"z": 1,', "index_set_json", "line 1"),
+    ("x,value\n0.1,abc\n", '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv",
+     "abc"),
+], ids=["top-level-list", "terms-not-list", "missing-terms", "missing-z",
+        "missing-cutoff", "truncated-json", "unparseable-csv"])
+def test_fit_expansion_bad_input_files_name_key_path_and_field(
+        tmp_path, capsys, csv_text, json_text, key, field):
+    csv_path, json_path = tmp_path / "field.csv", tmp_path / "eset.json"
+    if csv_text is None:
+        grid = RadialGrid(-30.0, math.log(0.5), 256)
+        RadialField.from_function(grid, lambda x: 2 * x).write_csv(csv_path)
+    else:
+        csv_path.write_text(csv_text)
+    json_path.write_text(json_text)
+    cfg = write(tmp_path / "c.cfg",
+                f"field_csv = {csv_path}\nindex_set_json = {json_path}\n")
+    assert main(["fit-expansion", cfg, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    path = csv_path if key == "field_csv" else json_path
+    assert err.startswith(f"config error: {key} {path}: ")
+    assert field in err
+
+
 def test_logterm_pipeline_passes(tmp_path):
     cfg = write(tmp_path / "c.cfg",
                 "n_nodes = 2048\nf_terms = 1.5:1:0, 0:2:0\ntolerance = 0.02\n")
