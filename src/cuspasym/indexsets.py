@@ -12,6 +12,9 @@ infinite.  Exponents are exact ``fractions.Fraction`` values whenever the
 input data is rational and stays rational, and floats otherwise; float
 exponents are compared with an absolute tolerance so that coincidence
 decisions (which drive log-term stacking) are not corrupted by roundoff.
+This module is the one owner of that rule: code elsewhere that decides
+whether exponents coincide or order calls :func:`exponents_equal` or
+:func:`exponent_gt` and applies no tolerance of its own.
 """
 
 from __future__ import annotations
@@ -39,25 +42,23 @@ def as_exponent(value) -> Exponent:
     return value
 
 
-def is_exact(value: Exponent) -> bool:
-    return isinstance(value, Fraction)
+def is_exact(value) -> bool:
+    """Rationals (``Fraction`` or ``int``) compare exactly, floats do not."""
+    return isinstance(value, (Fraction, int))
 
 
-def exponents_equal(a: Exponent, b: Exponent) -> bool:
+def exponents_equal(a, b) -> bool:
     """Exact comparison on rationals, tolerance comparison otherwise."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if is_exact(a) and is_exact(b):
         return a == b
     return abs(float(a) - float(b)) <= EXPONENT_TOL
 
 
 def exponent_gt(a, b) -> bool:
     """Strict a > b, treating within-tolerance float values as equal."""
-    a, b = as_exponent(a), as_exponent(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if is_exact(a) and is_exact(b):
         return a > b
-    if abs(float(a) - float(b)) <= EXPONENT_TOL:
-        return False
-    return float(a) > float(b)
+    return not exponents_equal(a, b) and float(a) > float(b)
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -88,28 +89,24 @@ class IndexTerm:
 
 
 def _canonical_terms(terms: Iterable[IndexTerm]) -> tuple[IndexTerm, ...]:
-    """Sort, merge exponents that coincide within tolerance, and dedup."""
-    items = sorted(terms, key=IndexTerm.sort_key)
-    # Cluster exponents by a left-to-right sweep; exact values win as the
-    # cluster representative so downstream arithmetic stays rational.
-    reps: list[Exponent] = []
-    out: dict[tuple[int, int], IndexTerm] = {}
-    for tm in items:
-        for i, rep in enumerate(reps):
-            if exponents_equal(rep, tm.z):
-                if is_exact(tm.z) and not is_exact(rep):
-                    reps[i] = tm.z
-                    # re-key existing terms of this cluster
-                    for (ci, k), old in list(out.items()):
-                        if ci == i:
-                            out[(ci, k)] = IndexTerm(tm.z, k)
-                cluster = i
-                break
+    """Sort, merge exponents that coincide within tolerance, and dedup.
+
+    One sweep in ``sort_key`` order compares each term with the last
+    cluster only; an exact exponent replaces a float representative so that
+    downstream arithmetic stays rational.  This matches a scan over all
+    clusters whenever distinct representatives lie more than
+    ``2 * EXPONENT_TOL`` apart.
+    """
+    clusters: list[list] = []  # [representative exponent, set of log powers]
+    for tm in sorted(terms, key=IndexTerm.sort_key):
+        if clusters and exponents_equal(clusters[-1][0], tm.z):
+            if is_exact(tm.z) and not is_exact(clusters[-1][0]):
+                clusters[-1][0] = tm.z
+            clusters[-1][1].add(tm.k)
         else:
-            reps.append(tm.z)
-            cluster = len(reps) - 1
-        out.setdefault((cluster, tm.k), IndexTerm(reps[cluster], tm.k))
-    return tuple(sorted(out.values(), key=IndexTerm.sort_key))
+            clusters.append([tm.z, {tm.k}])
+    return tuple(sorted((IndexTerm(z, k) for z, ks in clusters for k in ks),
+                        key=IndexTerm.sort_key))
 
 
 @dataclass(frozen=True)
@@ -133,10 +130,6 @@ class IndexSet:
                 raise ValueError(
                     f"term {tm} exceeds the enumeration cutoff {self.cutoff}")
 
-    @classmethod
-    def from_pairs(cls, pairs, cutoff) -> "IndexSet":
-        return cls(tuple(IndexTerm(as_exponent(z), int(k)) for z, k in pairs), cutoff)
-
     def __iter__(self) -> Iterator[IndexTerm]:
         return iter(self.terms)
 
@@ -152,13 +145,7 @@ class IndexSet:
 
     def is_closed(self) -> bool:
         """Check both closure rules on the enumeration up to the cutoff."""
-        for tm in self.terms:
-            if tm.k > 0 and not self.contains(tm.z, tm.k - 1):
-                return False
-            shifted = tm.z + 1
-            if not exponent_gt(shifted, self.cutoff) and not self.contains(shifted, tm.k):
-                return False
-        return True
+        return len(closure(self.terms, self.cutoff)) == len(self)
 
     def generators(self) -> tuple[IndexTerm, ...]:
         """Minimal terms: those not implied by another term via the rules."""
@@ -183,7 +170,7 @@ class IndexSet:
         (``terms``, ``terms[i].z``, ``terms[i].k``, ``cutoff``) that is
         missing or ill-typed."""
         terms = tuple(IndexTerm(_json_field(item, f"terms[{i}]", "z", as_exponent),
-                                _json_field(item, f"terms[{i}]", "k", int))
+                                _json_field(item, f"terms[{i}]", "k", _json_int))
                       for i, item in enumerate(_json_field(data, "", "terms", _json_list)))
         return cls(terms, _json_field(data, "", "cutoff", as_exponent))
 
@@ -191,6 +178,12 @@ class IndexSet:
 def _json_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:  # bool is an int subclass, and no JSON integer
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -238,10 +231,6 @@ def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
     if not exponents_equal(E.cutoff, F.cutoff):
         raise ValueError(
             f"extended_union requires a common cutoff, got {E.cutoff} and {F.cutoff}")
-    stacked = []
-    for te in E.terms:
-        for tf in F.terms:
-            if exponents_equal(te.z, tf.z):
-                z = te.z if is_exact(te.z) else tf.z
-                stacked.append(IndexTerm(z, te.k + tf.k + 1))
-    return closure(tuple(E.terms) + tuple(F.terms) + tuple(stacked), E.cutoff)
+    stacked = [IndexTerm(te.z if is_exact(te.z) else tf.z, te.k + tf.k + 1)
+               for te in E.terms for tf in F.terms if exponents_equal(te.z, tf.z)]
+    return closure(E.terms + F.terms + tuple(stacked), E.cutoff)

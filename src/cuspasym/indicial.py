@@ -15,7 +15,10 @@ double root at z = -1/2 when the right-hand side vanishes.  These roots
 drive which terms x^z (log x)^k can appear in solution expansions; the
 functions below enumerate the raw pole set and the shift-augmented index
 set that accounts for accidental multiplicities (a root landing an integer
-above another root stacks an extra log power).
+above another root stacks an extra log power).  The shift-augmented set
+walks down from each exponent of the closure of the roots, z, z-1, ...,
+while above alpha, and keeps the pole orders summed up to the last pole
+met.  Exponents are compared only through ``indexsets``.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .indexsets import (
-    EXPONENT_TOL,
     Exponent,
     IndexSet,
     IndexTerm,
     as_exponent,
+    closure,
     exponent_gt,
     exponents_equal,
     is_exact,
@@ -107,29 +110,12 @@ def spec_b_roots(family: IndicialFamily) -> list[IndicialRoot]:
     roots: list[IndicialRoot] = []
     for j, (nu, mult) in enumerate(zip(family.spectrum, family.multiplicities)):
         disc = _discriminant(family, nu)
-        if is_exact(disc):
-            if disc < 0:
-                continue
-            if disc == 0:
-                roots.append(IndicialRoot(-HALF, 2, j, mult))
-                continue
-            s = rational_sqrt(disc)
-            if s is None:
-                sf = math.sqrt(float(disc))
-                roots.append(IndicialRoot(-0.5 + sf, 1, j, mult))
-                roots.append(IndicialRoot(-0.5 - sf, 1, j, mult))
-            else:
-                roots.append(IndicialRoot(-HALF + s, 1, j, mult))
-                roots.append(IndicialRoot(-HALF - s, 1, j, mult))
-        else:
-            if disc < -EXPONENT_TOL:
-                continue
-            if abs(disc) <= EXPONENT_TOL:
-                roots.append(IndicialRoot(-0.5, 2, j, mult))
-                continue
-            sf = math.sqrt(disc)
-            roots.append(IndicialRoot(-0.5 + sf, 1, j, mult))
-            roots.append(IndicialRoot(-0.5 - sf, 1, j, mult))
+        if exponents_equal(disc, 0):
+            roots.append(IndicialRoot(-HALF if is_exact(disc) else -0.5, 2, j, mult))
+        elif exponent_gt(disc, 0):
+            s = (rational_sqrt(disc) if is_exact(disc) else None) or math.sqrt(float(disc))
+            roots.append(IndicialRoot(-HALF + s, 1, j, mult))
+            roots.append(IndicialRoot(-HALF - s, 1, j, mult))
     roots.sort(key=lambda r: float(r.z))
     return roots
 
@@ -140,12 +126,7 @@ def count_complex_root_eigenvalues(family: IndicialFamily) -> int:
     These occur only for lambda < -nu - c/8 and are excluded from the real
     index sets produced here.
     """
-    count = 0
-    for nu in family.spectrum:
-        disc = _discriminant(family, nu)
-        if (is_exact(disc) and disc < 0) or (not is_exact(disc) and float(disc) < -EXPONENT_TOL):
-            count += 1
-    return count
+    return sum(exponent_gt(0, _discriminant(family, nu)) for nu in family.spectrum)
 
 
 def _pole_order_at(roots: Sequence[IndicialRoot], z) -> int:
@@ -161,7 +142,7 @@ def index_set_Eplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet:
     Enumerated up to the cutoff.  Deliberately not closed under integer
     shifts; apply :func:`cuspasym.indexsets.closure` for the closed version.
     """
-    cutoff = as_exponent(cutoff)
+    alpha, cutoff = as_exponent(alpha), as_exponent(cutoff)
     if exponent_gt(alpha, cutoff):
         raise ValueError(f"cutoff {cutoff} must be >= alpha {alpha}")
     terms = []
@@ -175,35 +156,27 @@ def index_set_Eplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet:
 def index_set_hatEplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet:
     """Shift-augmented index set including accidental log multiplicities.
 
-    A pair (z, k) is included when z = z0 + r for a real root z0, some
-    integer r >= 0 with z > alpha + r, and k + 1 does not exceed the total
-    pole order accumulated along z, z-1, ..., z-r.  Closed by construction
-    up to the cutoff.
+    The candidates z are the closure of the real roots up to the cutoff.
+    Walking r = 0, 1, ... while z > alpha + r, the pole orders at z - r are
+    summed; (z, k) is included for k + 1 up to the sum at the last pole met,
+    which is the largest sum over r since orders are nonnegative.  Closed by
+    construction up to the cutoff.
     """
-    cutoff = as_exponent(cutoff)
-    alpha = as_exponent(alpha)
+    alpha, cutoff = as_exponent(alpha), as_exponent(cutoff)
     if exponent_gt(alpha, cutoff):
         raise ValueError(f"cutoff {cutoff} must be >= alpha {alpha}")
     roots = spec_b_roots(family)
-    candidates: list[Exponent] = []
-    for r in roots:
-        p = 0
-        while not exponent_gt(r.z + p, cutoff):
-            candidates.append(r.z + p)
-            p += 1
     terms = []
-    for z in candidates:
-        best = 0
-        r_limit = max(int(math.floor(float(z) - float(alpha))) + 1, 0)
-        for r in range(r_limit + 1):
-            if not exponent_gt(z, alpha + r):
-                continue
-            if _pole_order_at(roots, z - r) == 0:
-                continue
-            total = sum(_pole_order_at(roots, z - j) for j in range(r + 1))
-            best = max(best, total)
-        for k in range(best):
-            terms.append(IndexTerm(z, k))
+    for cand in closure([IndexTerm(r.z, 0) for r in roots], cutoff):
+        z = cand.z
+        total = best = r = 0
+        while exponent_gt(z, alpha + r):
+            order = _pole_order_at(roots, z - r)
+            total += order
+            if order:
+                best = total
+            r += 1
+        terms += [IndexTerm(z, k) for k in range(best)]
     return IndexSet(tuple(terms), cutoff)
 
 

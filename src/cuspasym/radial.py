@@ -28,6 +28,7 @@ import numpy as np
 from .errors import SolverError
 
 CSV_FLOAT_FMT = "%.17g"
+_MIN_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class RadialGrid:
             raise ValueError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
         if not (self.t_max < 0):
             raise ValueError(f"need t_max < 0 so that x stays below 1, got {self.t_max}")
-        if self.n_nodes < 8:
-            raise ValueError(f"need at least 8 nodes, got {self.n_nodes}")
+        if self.n_nodes < _MIN_NODES:
+            raise ValueError(f"need at least {_MIN_NODES} nodes, got {self.n_nodes}")
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -113,9 +114,6 @@ class RadialField:
     def constant(cls, grid: RadialGrid, value: float) -> "RadialField":
         return cls(grid, np.full(grid.n_nodes, float(value)))
 
-    def same_grid(self, other: "RadialField") -> bool:
-        return self.grid == other.grid
-
     def write_csv(self, path) -> None:
         """Write as "x,value" rows, ascending x, 17 significant digits."""
         with open(path, "w", encoding="ascii") as fh:
@@ -125,7 +123,12 @@ class RadialField:
 
     @classmethod
     def read_csv(cls, path) -> "RadialField":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path) as fh:
+            rows = fh.read().splitlines()[1:]
+        # loadtxt warns on empty input, so an empty body skips the parse
+        data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 2))
+        if len(data) < _MIN_NODES:
+            raise ValueError(f"need at least {_MIN_NODES} data rows in {path}, got {len(data)}")
         if data.shape[1] != 2:
             raise ValueError(f"expected two columns x,value in {path}")
         x, values = data[:, 0], data[:, 1]

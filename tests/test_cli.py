@@ -164,8 +164,14 @@ _GOOD_TERMS = '[{"z": 1, "k": 0}]'
     (None, '{"terms": [{"z": 1,', "index_set_json", "line 1"),
     ("x,value\n0.1,abc\n", '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv",
      "abc"),
+    (None, '{"terms": [{"z": 1, "k": 1.5}], "cutoff": 2}', "index_set_json",
+     "ill-typed field 'terms[0].k'"),
+    ("x,value\n0.1,1\n", '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv",
+     "got 1"),
+    ("x,value\n", '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv", "got 0"),
 ], ids=["top-level-list", "terms-not-list", "missing-terms", "missing-z",
-        "missing-cutoff", "truncated-json", "unparseable-csv"])
+        "missing-cutoff", "truncated-json", "unparseable-csv", "fractional-k",
+        "one-row-csv", "header-only-csv"])
 def test_fit_expansion_bad_input_files_name_key_path_and_field(
         tmp_path, capsys, csv_text, json_text, key, field):
     csv_path, json_path = tmp_path / "field.csv", tmp_path / "eset.json"

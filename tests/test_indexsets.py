@@ -168,3 +168,32 @@ def test_extended_union_matches_brute_force_oracle():
         got = set(extended_union(A, B).pairs())
         expected = brute_force_extended_union(A.pairs(), B.pairs(), 4.0)
         assert got == expected
+
+
+def brute_force_is_closed(s_pairs, cutoff, tol=1e-12):
+    """Independent oracle: both closure rules checked term by term in plain
+    float arithmetic."""
+    def has(z, k):
+        return any(k2 == k and abs(z2 - z) <= tol for z2, k2 in s_pairs)
+
+    return all((k == 0 or has(z, k - 1)) and (z + 1 > cutoff + tol or has(z + 1, k))
+               for z, k in s_pairs)
+
+
+def test_is_closed_matches_brute_force_oracle():
+    rng = random.Random(777)
+    # float exponents within 4e-13 of an exact one merge with it
+    choices = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3), 1.0 + 4e-13,
+               2.0 - 3e-13, 0.5 + 2e-13, 0.7, 1.25]
+    seen = set()
+    for _ in range(300):
+        cutoff = rng.choice([Fraction(3), Fraction(7, 2), 4.5])
+        gens = tuple(IndexTerm(rng.choice(choices), rng.randrange(3))
+                     for _ in range(rng.randrange(1, 4)))
+        drop = rng.choice([0.0, 0.1, 0.3])
+        S = IndexSet(tuple(tm for tm in closure(gens, cutoff) if rng.random() >= drop),
+                     cutoff)
+        expected = brute_force_is_closed(S.pairs(), float(cutoff))
+        assert S.is_closed() == expected, (S, expected)
+        seen.add(expected)
+    assert seen == {True, False}

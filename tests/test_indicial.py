@@ -45,6 +45,10 @@ def test_double_root_at_minus_half():
     assert roots[0].z == Fraction(-1, 2) and roots[0].order == 2
     oracle = quadratic_roots(-0.25, 2.0, 0.0)
     assert max(abs(o + 0.5) for o in oracle) < 1e-12
+    # the same family in floats: the discriminant vanishes within tolerance
+    roots = spec_b_roots(IndicialFamily(-0.25, 2.0, (0,)))
+    assert len(roots) == 1 and roots[0].order == 2
+    assert isinstance(roots[0].z, float) and roots[0].z == -0.5
 
 
 def test_irrational_discriminant_uses_floats():
@@ -202,10 +206,24 @@ def brute_force_hat_eplus(roots, alpha, cutoff, tol=1e-12):
     return pairs
 
 
+def random_real_families(count, seed):
+    """Irrational (c = 3) and float (lam = 0.7) families: roots are floats."""
+    rng = random.Random(seed)
+    out = []
+    for fam in random_rational_families(count, seed=seed):
+        if rng.random() < 0.5:
+            out.append(IndicialFamily(fam.lam, 3, fam.spectrum))
+        else:
+            out.append(IndicialFamily(0.7, float(fam.c), fam.spectrum))
+    return out
+
+
 def test_hat_eplus_matches_brute_force_oracle():
-    for fam in random_rational_families(40, seed=321):
-        got = {(round(z, 9), k)
-               for z, k in index_set_hatEplus(fam, 0, 4).pairs()}
+    families = random_rational_families(40, seed=321) + random_real_families(40, seed=654)
+    for fam in families:
         roots = [(float(r.z), r.order) for r in spec_b_roots(fam)]
-        expected = brute_force_hat_eplus(roots, 0.0, 4.0)
-        assert got == expected, (fam, sorted(got), sorted(expected))
+        for alpha in (0, Fraction(-3, 2), Fraction(1, 2)):
+            got = {(round(z, 9), k)
+                   for z, k in index_set_hatEplus(fam, alpha, 4).pairs()}
+            expected = brute_force_hat_eplus(roots, float(alpha), 4.0)
+            assert got == expected, (fam, alpha, sorted(got), sorted(expected))
