@@ -35,6 +35,9 @@ from .radial import (
     unit_laplacian_interior,
 )
 
+# at this size the probe's dense (n-2)^2 matrix is 34 MB, and the SVD copies it
+_PROBE_MAX_NODES = 2048
+
 
 @dataclass(frozen=True)
 class NewtonParams:
@@ -159,10 +162,15 @@ def weighted_invertibility_probe(problem: LinearProblem, delta: float) -> ProbeR
     e^{-+ delta h}) and reports the dense condition number and smallest
     singular value.  Conditioning degrades as delta approaches the smallest
     positive indicial root, where the weighted problem loses invertibility.
+    Grids above 2048 nodes are rejected before anything is allocated.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     grid = problem.rhs.grid
+    if grid.n_nodes > _PROBE_MAX_NODES:
+        raise ValueError(
+            f"weighted_invertibility_probe takes at most {_PROBE_MAX_NODES} nodes, "
+            f"got {grid.n_nodes} (a dense {grid.n_nodes - 2}^2 matrix)")
     density = problem.metric.density(grid)
     # the weighted problem loses invertibility at the smallest positive
     # indicial root of the deep-cusp model; reject delta at or beyond it

@@ -183,7 +183,7 @@ def index_set_hatEplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet
 def smallest_positive_root(family: IndicialFamily) -> float | None:
     """The smallest real root above zero, or None if there is none."""
     for r in spec_b_roots(family):
-        if float(r.z) > 0:
+        if exponent_gt(r.z, 0):
             return float(r.z)
     return None
 

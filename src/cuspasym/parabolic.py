@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -209,26 +210,30 @@ class FlowProblem:
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
         self.grid = self.omega0._resolve_grid(self.grid)
+        _, times = _step_times(self.T, self.dt)
+        for ot in self.output_times if self.output_times is not None else ():
+            if not any(_hits(t, ot) for t in times):
+                raise ValueError(f"output time {ot} is not a step time "
+                                 f"k*T/{len(times) - 1} in [0, {self.T}] (dt={self.dt})")
 
 
 @dataclass
 class FlowState:
     t: float
     u: RadialField
-    omega_t_density: RadialField       # schedule S(t)
     flow_metric_density: RadialField   # S(t) + Delta u, the evolving metric
     positivity_margin: float           # min of the evolving density
 
 
 @dataclass
 class FlowResult:
+    """One entry per step time (t = 0 first); states at output times only."""
     states: list[FlowState]
     times: np.ndarray
     sup_u: np.ndarray
     positivity_margin: np.ndarray
     newton_iterations: np.ndarray
-    newton_residuals: np.ndarray       # accepted residual per recorded time
-    boundary_values: np.ndarray        # left-end Dirichlet value per time
+    newton_residuals: np.ndarray       # accepted residual per step time
     step_rejections: int
 
 
@@ -239,6 +244,19 @@ def _step_count(T: float, dt: float) -> int:
     if abs(steps * dt - T) > 1e-9 * T:
         steps = int(math.ceil(T / dt))
     return steps
+
+
+def _step_times(T: float, dt: float) -> tuple[float, list[float]]:
+    """The nominal step T/steps and the times run_flow records: 0, then
+    the running sum of that step."""
+    steps = _step_count(T, dt)
+    dt_nominal = T / steps
+    return dt_nominal, list(accumulate(repeat(dt_nominal, steps), initial=0.0))
+
+
+def _hits(t: float, output_time: float) -> bool:
+    """Whether step time t serves output_time, to 1e-9 relative."""
+    return abs(t - output_time) <= 1e-9 * max(1.0, abs(output_time))
 
 
 def fitted_boundary_constant(state: FlowState, fraction: float = 0.1) -> float:
@@ -261,102 +279,48 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     backward-Euler restriction of the flow to the endpoints.
     """
     grid = problem.grid
-    n, h = grid.n_nodes, grid.h
     density, combo = _schedule_data(problem.omega0, grid)
-    dt_min = problem.dt * problem.dt_min_factor
-
-    output_times = list(problem.output_times) if problem.output_times is not None else None
-
-    def schedule_at(t: float) -> np.ndarray:
-        return _schedule_values(grid, density, combo, t)
-
-    def make_state(t: float, u: np.ndarray) -> FlowState:
-        S = schedule_at(t)
-        lap = unit_laplacian(u, h)
-        evolving = S + lap
-        return FlowState(
-            t=t,
-            u=RadialField(grid, u.copy()),
-            omega_t_density=RadialField(grid, S),
-            flow_metric_density=RadialField(grid, evolving),
-            positivity_margin=float(np.min(evolving)),
-        )
-
-    u = np.zeros(n)
-    bc = np.array([0.0, 0.0])
-    t = 0.0
+    dt_nominal, step_times = _step_times(problem.T, problem.dt)
+    u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
+    iters, res_accept, rejections = 0, 0.0, 0
     states: list[FlowState] = []
-    times = [0.0]
-    sup_u = [0.0]
-    margins = [make_state(0.0, u).positivity_margin]
-    newton_iters = [0]
-    newton_residuals = [0.0]
-    bc_left_values = [0.0]
-    rejections = 0
-
-    def want_output(time: float) -> bool:
-        if output_times is None:
-            return True
-        return any(abs(time - ot) <= 1e-9 * max(1.0, abs(ot)) for ot in output_times)
-
-    if want_output(0.0):
-        states.append(make_state(0.0, u))
-
-    n_steps = _step_count(problem.T, problem.dt)
-    dt_nominal = problem.T / n_steps
-
-    for _ in range(n_steps):
-        target = t + dt_nominal
-        iters = 0
-        res_accept = 0.0
+    records = []   # (t, sup|u|, margin, Newton iterations, residual) per step time
+    for target in step_times:
         while t < target - 1e-12 * max(1.0, target):
             dt_loc = min(dt_nominal, target - t)
             while True:
                 try:
                     u_new, bc_new, iters, res_accept = _flow_step(
-                        u, bc, t, dt_loc, density, schedule_at, problem)
+                        u, bc, t, dt_loc, density, combo, problem)
                     break
                 except SolverError:
                     rejections += 1
                     dt_loc /= 2.0
-                    if dt_loc < dt_min:
+                    if dt_loc < problem.dt * problem.dt_min_factor:
                         raise
             u, bc = u_new, bc_new
             t += dt_loc
         t = target
-        state = make_state(t, u)
-        if state.positivity_margin <= 0:
-            raise SolverError(
-                f"Kahler positivity lost at t={t:.6g}: margin "
-                f"{state.positivity_margin:.3e}")
-        times.append(t)
-        sup_u.append(float(np.max(np.abs(u))))
-        margins.append(state.positivity_margin)
-        newton_iters.append(iters)
-        newton_residuals.append(res_accept)
-        bc_left_values.append(float(bc[0]))
-        if want_output(t):
-            states.append(state)
+        evolving = _schedule_values(grid, density, combo, t) + unit_laplacian(u, grid.h)
+        margin = float(np.min(evolving))
+        if margin <= 0:
+            raise SolverError(f"Kahler positivity lost at t={t:.6g}: margin {margin:.3e}")
+        records.append((t, float(np.max(np.abs(u))), margin, iters, res_accept))
+        if problem.output_times is None or any(_hits(t, ot) for ot in problem.output_times):
+            states.append(FlowState(t, RadialField(grid, u),
+                                    RadialField(grid, evolving), margin))
 
-    return FlowResult(
-        states=states,
-        times=np.asarray(times),
-        sup_u=np.asarray(sup_u),
-        positivity_margin=np.asarray(margins),
-        newton_iterations=np.asarray(newton_iters),
-        newton_residuals=np.asarray(newton_residuals),
-        boundary_values=np.asarray(bc_left_values),
-        step_rejections=rejections,
-    )
+    times, sup_u, margins, newton_iters, residuals = map(np.asarray, zip(*records))
+    return FlowResult(states, times, sup_u, margins, newton_iters, residuals, rejections)
 
 
-def _flow_step(u, bc, t, dt, density, schedule_at, problem: FlowProblem):
+def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem):
     """One backward-Euler step of the potential flow; returns the new
     potential, new boundary pair, Newton iteration count and the accepted
     residual."""
     n, h = len(u), problem.grid.h
     t_next = t + dt
-    S_next = schedule_at(t_next)
+    S_next = _schedule_values(problem.grid, density, combo, t_next)
     s_minus_d0 = S_next - density
 
     # backward-Euler update of the endpoint restriction

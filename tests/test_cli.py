@@ -133,6 +133,15 @@ def test_flow_snapshots_and_constants(tmp_path):
     assert (out / snap["csv"]).is_file()
 
 
+def test_flow_unreachable_output_time_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg",
+                "n_nodes = 256\nT = 1\ndt = 0.1\noutput_times = 0.33, 0.5, 2\n")
+    out = tmp_path / "out"
+    assert main(["flow", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: output time 0.33 ")
+    assert not (out / "flow.json").exists()
+
+
 def test_fit_expansion_round_trip(tmp_path):
     grid = RadialGrid(-30.0, math.log(0.5), 1024)
     field = RadialField.from_function(grid, lambda x: 2 * x + 5 * x ** 2)

@@ -182,6 +182,14 @@ def test_probe_rejects_delta_at_or_past_root():
         weighted_invertibility_probe(problem, -0.1)
 
 
+def test_probe_rejects_grid_above_limit():
+    # 2049 nodes would need a dense 2047^2 matrix; the check comes first
+    grid = RadialGrid(-12.0, math.log(0.5), 2049)
+    problem = LinearProblem(UNIT, 1.0, RadialField.zeros(grid))
+    with pytest.raises(ValueError, match="at most 2048 nodes, got 2049"):
+        weighted_invertibility_probe(problem, 0.0)
+
+
 def test_linear_solve_with_scaled_metric():
     # density 2 halves the Laplacian: roots of (1/4)(z^2+z) = 1 are
     # z = (-1 +- sqrt(17))/2, so x log x is no longer special; use a

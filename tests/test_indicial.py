@@ -170,6 +170,10 @@ def test_hat_eplus_contains_closure_of_eplus():
 def test_smallest_positive_root():
     assert smallest_positive_root(IndicialFamily(1, 1, (0,))) == 1.0
     assert smallest_positive_root(IndicialFamily(-5, 1, (0,))) is None
+    # a root within EXPONENT_TOL of zero is zero, as index_set_Eplus has it
+    near_zero = IndicialFamily(1e-13, 1.0, (0,))
+    assert smallest_positive_root(near_zero) is None
+    assert index_set_Eplus(near_zero, 0, 2).terms == ()
 
 
 def test_deterministic_enumeration():

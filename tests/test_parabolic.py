@@ -170,6 +170,33 @@ def test_flow_output_times_sampling():
     assert [round(s.t, 10) for s in result.states] == [0.1, 0.2]
 
 
+def test_flow_rejects_output_times_off_the_step_grid():
+    # T = 1, dt = 0.1 records 0, 0.1, ..., 1: 0.33 and 2 are never reached
+    for bad in (0.33, 2.0, -0.1):
+        with pytest.raises(ValueError, match=f"output time {bad} "):
+            FlowProblem(ModelMetric(), T=1.0, dt=0.1, grid=GRID,
+                        output_times=[0.5, bad])
+    # the step times themselves, t = 0 included, are accepted
+    FlowProblem(ModelMetric(), T=1.0, dt=0.01, grid=GRID, output_times=[0.25, 0.5, 1])
+    FlowProblem(ModelMetric(), T=1.0, dt=0.1, grid=GRID, output_times=[0, 0.3, 1.0])
+
+
+def test_flow_step_halving_keeps_step_times():
+    # two Newton iterations cannot take a 0.5 step over the bump, so the
+    # step is halved and the remainder retried; times stay exact
+    bump = RadialField.from_function(
+        GRID, lambda x: 0.3 * np.exp(-((np.log(x) + 20.0) / 1.5) ** 2))
+    metric = ModelMetric(conformal=bump)
+    forced = run_flow(FlowProblem(metric, T=1.0, dt=0.5, newton_max_iter=2))
+    assert forced.step_rejections > 0
+    assert forced.times.tolist() == [0.0, 0.5, 1.0]
+    assert [s.t for s in forced.states] == [0.0, 0.5, 1.0]
+    # the halved sub-steps land closer to a fine run than one 0.5 step would
+    fine = run_flow(FlowProblem(metric, T=1.0, dt=0.01, output_times=[1.0]))
+    gap = np.max(np.abs(forced.states[-1].u.values - fine.states[-1].u.values))
+    assert gap < 1e-2
+
+
 def test_flow_rejects_bad_steps():
     with pytest.raises(ValueError):
         FlowProblem(ModelMetric(), T=0.1, dt=0.2, grid=GRID)
