@@ -211,16 +211,47 @@ def dirichlet_bands(n: int, h: float, weight, shift):
 
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
-    """Direct banded solve of A u = rhs with A[j,j-1]=sub[j], A[j,j]=diag[j],
-    A[j,j+1]=sup[j]."""
-    from scipy.linalg import solve_banded  # only solvers pay for scipy.linalg
+    """Direct solve of A u = rhs with A[j,j-1]=sub[j], A[j,j]=diag[j],
+    A[j,j+1]=sup[j] (LAPACK gtsv, partial pivoting); sub[0] and sup[-1]
+    lie outside A and are never read.  The inputs are not written."""
+    from scipy.linalg.lapack import dgtsv  # only solvers pay for scipy.linalg
 
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs)
+    _require_finite(sub[1:], diag, sup[:-1], rhs)
+    *_, u, info = dgtsv(sub[1:], diag, sup[:-1], rhs)
+    _check_lapack_info(info, "gtsv")
+    return u
+
+
+def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray,
+                       sup: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """LU-factor the matrix of :func:`solve_tridiagonal` once (LAPACK gttrf)
+    and return ``solve(rhs)`` (gttrs) for a matrix that many right-hand
+    sides share.  Each solve is bit-identical to ``solve_tridiagonal`` on
+    the same system; a single solve is cheaper through that function."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    _require_finite(sub[1:], diag, sup[:-1])
+    *lu, info = dgttrf(sub[1:], diag, sup[:-1])
+    _check_lapack_info(info, "gttrf")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        _require_finite(rhs)
+        u, info = dgttrs(*lu, rhs)
+        _check_lapack_info(info, "gttrs")
+        return u
+    return solve
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _check_lapack_info(info: int, routine: str) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
 def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cuspasym import parabolic
 from cuspasym.errors import SolverError
 from cuspasym.geometry import ModelMetric
 from cuspasym.parabolic import (
@@ -17,7 +18,7 @@ from cuspasym.parabolic import (
     restricted_ode_solution,
     run_flow,
 )
-from cuspasym.radial import RadialField, RadialGrid
+from cuspasym.radial import RadialField, RadialGrid, dirichlet_bands, solve_tridiagonal
 
 GRID = RadialGrid(-40.0, math.log(0.5), 512)
 
@@ -181,12 +182,17 @@ def test_flow_rejects_output_times_off_the_step_grid():
     FlowProblem(ModelMetric(), T=1.0, dt=0.1, grid=GRID, output_times=[0, 0.3, 1.0])
 
 
-def test_flow_step_halving_keeps_step_times():
-    # two Newton iterations cannot take a 0.5 step over the bump, so the
-    # step is halved and the remainder retried; times stay exact
+def _steep_bump() -> ModelMetric:
+    """A conformal bump that two Newton iterations cannot cross in a 0.5
+    step, so such a flow halves its steps."""
     bump = RadialField.from_function(
         GRID, lambda x: 0.3 * np.exp(-((np.log(x) + 20.0) / 1.5) ** 2))
-    metric = ModelMetric(conformal=bump)
+    return ModelMetric(conformal=bump)
+
+
+def test_flow_step_halving_keeps_step_times():
+    # the step is halved and the remainder retried; times stay exact
+    metric = _steep_bump()
     forced = run_flow(FlowProblem(metric, T=1.0, dt=0.5, newton_max_iter=2))
     assert forced.step_rejections > 0
     assert forced.times.tolist() == [0.0, 0.5, 1.0]
@@ -195,6 +201,21 @@ def test_flow_step_halving_keeps_step_times():
     fine = run_flow(FlowProblem(metric, T=1.0, dt=0.01, output_times=[1.0]))
     gap = np.max(np.abs(forced.states[-1].u.values - fine.states[-1].u.values))
     assert gap < 1e-2
+
+
+def test_flow_newton_iterations_count_every_accepted_sub_step(monkeypatch):
+    accepted, newton = [], parabolic.damped_newton
+
+    def counting_newton(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        accepted.append(out[2])
+        return out
+
+    monkeypatch.setattr(parabolic, "damped_newton", counting_newton)
+    result = run_flow(FlowProblem(_steep_bump(), T=1.0, dt=0.5, newton_max_iter=2))
+    assert result.step_rejections > 0
+    assert len(accepted) > len(result.times) - 1   # some step time took sub-steps
+    assert int(sum(result.newton_iterations)) == sum(accepted)
 
 
 def test_flow_rejects_bad_steps():
@@ -269,6 +290,37 @@ def test_decay_certificate_unconditional_stability():
         cert = decay_certificate(GRID, 1.0, lambda x, t: np.ones_like(x),
                                  T=5.0, dt=dt)
         assert cert.sup_ratio < 50.0
+
+
+def _decay_reference(grid, gamma, g, T, steps):
+    """Slice ratios of the backward-Euler decay run with one full solve per
+    step, in the arithmetic order decay_certificate uses."""
+    h_t = T / steps
+    sub, diag, sup = dirichlet_bands(grid.n_nodes, grid.h, -h_t, -(1.0 + h_t))
+    x = grid.x
+    u = np.zeros(grid.n_nodes)
+    ratios = [0.0]
+    for tm in np.linspace(0.0, T, steps + 1)[1:]:
+        rhs = u + h_t * (x ** gamma) * g(x, tm)
+        rhs[0] = rhs[-1] = 0.0
+        u = solve_tridiagonal(sub, diag, sup, rhs)
+        ratios.append(float(np.max(np.abs(u[1:-1]) / x[1:-1] ** gamma)))
+    return np.array(ratios)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+def test_decay_certificate_matches_per_step_solves_bit_for_bit(gamma):
+    grid = RadialGrid(-40.0, math.log(0.5), 2048)
+    g = lambda x, t: (1.0 + math.sin(3.0 * t)) * np.ones_like(x) + x
+    cert = decay_certificate(grid, gamma, g, T=1.0, dt=1e-2)
+    expected = _decay_reference(grid, gamma, g, 1.0, 100)
+    assert cert.slice_ratios.tobytes() == expected.tobytes()
+
+
+def test_decay_certificate_rejects_nonfinite_source():
+    g = lambda x, t: np.full_like(x, np.nan if t > 0.5 else 1.0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        decay_certificate(GRID, 1.0, g, T=1.0, dt=0.1)
 
 
 def test_decay_certificate_rejects_negative_gamma():

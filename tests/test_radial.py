@@ -13,6 +13,8 @@ from cuspasym.radial import (
     dirichlet_bands,
     dt_derivative,
     evaluate_expansion,
+    factor_tridiagonal,
+    solve_tridiagonal,
     unit_laplacian,
     unit_laplacian_interior,
 )
@@ -108,3 +110,84 @@ def test_damped_newton_rejects_inadmissible_start():
 
     with pytest.raises(SolverError, match="probe started .* positivity"):
         damped_newton(residual, None, np.zeros(8), 1e-12, 5, 2.0 ** -20, "probe")
+
+
+# ---------------------------------------------------------------------------
+# Tridiagonal solves: one-shot (gtsv) and factored once (gttrf/gttrs)
+# ---------------------------------------------------------------------------
+
+#: both solve paths as f(sub, diag, sup, rhs)
+TRIDIAGONAL_SOLVERS = {
+    "one-shot": solve_tridiagonal,
+    "factored": lambda sub, diag, sup, rhs: factor_tridiagonal(sub, diag, sup)(rhs),
+}
+
+
+def _pivoting_system(rng, n):
+    """Random bands and right-hand side; the weak diagonal makes partial
+    pivoting swap rows."""
+    sub, diag, sup, rhs = rng.standard_normal((4, n))
+    return sub, 0.3 * diag, sup, rhs
+
+
+def _pivots(sub, diag, sup) -> bool:
+    from scipy.linalg.lapack import dgttrf
+    ipiv = dgttrf(sub[1:], diag, sup[:-1])[4]
+    return bool(np.any(ipiv != np.arange(1, len(diag) + 1)))
+
+
+#: entries of the matrix and right-hand side, as (array position, index)
+SYSTEM_ENTRIES = [(0, 1), (0, -1), (1, 0), (1, -1), (2, 0), (2, -2), (3, 0), (3, -1)]
+
+
+@pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
+@pytest.mark.parametrize("position, index", SYSTEM_ENTRIES)
+def test_tridiagonal_rejects_nonfinite_entries(solver, position, index):
+    for bad in (np.nan, np.inf, -np.inf):
+        system = list(_pivoting_system(np.random.default_rng(3), 12))
+        system[position][index] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            TRIDIAGONAL_SOLVERS[solver](*system)
+
+
+@pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
+def test_tridiagonal_ignores_band_ends_outside_the_matrix(solver):
+    sub, diag, sup, rhs = _pivoting_system(np.random.default_rng(4), 12)
+    expected = TRIDIAGONAL_SOLVERS[solver](sub, diag, sup, rhs)
+    sub[0], sup[-1] = np.nan, np.inf
+    assert TRIDIAGONAL_SOLVERS[solver](sub, diag, sup, rhs).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
+def test_tridiagonal_singular_matrix_raises(solver):
+    sub, diag, sup, rhs = _pivoting_system(np.random.default_rng(5), 12)
+    sub[4] = diag[4] = sup[4] = 0.0   # a zero row
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        TRIDIAGONAL_SOLVERS[solver](sub, diag, sup, rhs)
+
+
+@pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
+def test_tridiagonal_solve_leaves_inputs_unchanged(solver):
+    system = _pivoting_system(np.random.default_rng(6), 64)
+    before = [a.tobytes() for a in system]
+    TRIDIAGONAL_SOLVERS[solver](*system)
+    assert [a.tobytes() for a in system] == before
+
+
+def test_factored_solves_match_one_shot_bit_for_bit():
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(3, 300))
+        sub, diag, sup, _ = _pivoting_system(rng, n)
+        assert _pivots(sub, diag, sup)
+        solve = factor_tridiagonal(sub, diag, sup)
+        for rhs in rng.standard_normal((2, n)):   # one factor, several solves
+            one_shot = solve_tridiagonal(sub, diag, sup, rhs)
+            factored = solve(rhs)
+            assert factored.shape == one_shot.shape == (n,)
+            assert factored.tobytes() == one_shot.tobytes()
+            # the one-shot path is what solve_banded computes
+            ab = np.vstack([np.r_[0.0, sup[:-1]], diag, np.r_[sub[1:], 0.0]])
+            assert solve_banded((1, 1), ab, rhs).tobytes() == one_shot.tobytes()
