@@ -143,37 +143,19 @@ def cusp_volume(metric: ModelMetric, x_lo: float, x_hi: float) -> float:
     base = 2.0 * np.pi * np.sqrt(metric.a * metric.b)
     if metric.conformal is None:
         return base * (x_hi - x_lo)
-    grid = metric.conformal.grid
-    dens = np.exp(2.0 * metric.conformal.values)
     # Piecewise-linear interpolant of the density in x; constant below the
     # grid and above it, which keeps the integral additive over ranges.
-    xs = grid.x
-    integral = _integrate_piecewise_linear(xs, dens, x_lo, x_hi)
-    return base * integral
+    dens = np.exp(2.0 * metric.conformal.values)
+    return base * _integrate_piecewise_linear(metric.conformal.grid.x, dens, x_lo, x_hi)
 
 
 def _integrate_piecewise_linear(xs, ys, lo: float, hi: float) -> float:
+    """Integral over [lo, hi] of the piecewise-linear interpolant of ys at
+    the nodes xs, which np.interp extends as a constant past both ends."""
     if hi <= lo:
         return 0.0
-
-    def antider(v: float) -> float:
-        # integral of the interpolant from xs[0] to v, extended as a
-        # constant below the grid and above it
-        if v <= xs[0]:
-            return float(ys[0] * (v - xs[0]))
-        total = 0.0
-        if v > xs[-1]:
-            total += float(ys[-1] * (v - xs[-1]))
-            v = float(xs[-1])
-        i = int(np.searchsorted(xs, v))  # xs[i-1] < v <= xs[i]
-        total += float(np.trapezoid(ys[:i], xs[:i]))
-        x0 = xs[i - 1]
-        if v > x0:
-            y_v = ys[i - 1] + (ys[i] - ys[i - 1]) * (v - x0) / (xs[i] - x0)
-            total += float(0.5 * (ys[i - 1] + y_v) * (v - x0))
-        return total
-
-    return antider(hi) - antider(lo)
+    pts = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
+    return float(np.trapezoid(np.interp(pts, xs, ys), pts))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ The deepest-boundary constant of the evolving metric relaxes as
 c_t = 1 + e^{-t} (c_0 - 1); the driven cusp constant obeys dc/dt = 1 - c
 with the same closed form.
 
+Every stepper here (the flow, the decay certificate and both RK4 paths)
+takes its steps from one time grid, ``_time_grid``: steps of about dt,
+times exactly k*T/steps with T itself last.
+
 The inner Newton loop (``damped_newton``) and the band layout of the
 backward-Euler matrices (``dirichlet_bands``) live in ``radial``.
 """
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,16 +72,21 @@ def cusp_constant_rk4(c0: float, t: float, dt: float = 1e-3) -> float:
     """Generic RK4 integration of dc/dt = 1 - c, for cross-checking."""
     if c0 <= 0:
         raise ValueError(f"cusp constant must be positive, got {c0}")
-    times, h = _rk4_times(t, dt)
+    h, times = _time_grid(t, dt)
     return float(_rk4(lambda s, c: 1.0 - c, c0, times, h)[-1])
 
 
-def _rk4_times(T: float, dt: float) -> tuple[np.ndarray, float]:
-    """Sample times 0..T in max(1, ceil(T/dt)) equal steps, and the step."""
-    if T < 0 or dt <= 0:
-        raise ValueError(f"need T >= 0 and dt > 0, got T={T}, dt={dt}")
-    steps = max(1, int(math.ceil(T / dt)))
-    return np.linspace(0.0, T, steps + 1), T / steps
+def _time_grid(T: float, dt: float) -> tuple[float, np.ndarray]:
+    """The one time grid of every stepper here: the step T/steps and the
+    times k*T/steps, k = 0..steps, T last.  steps is round(T/dt) when that
+    lands on T to within 1e-9 relative, ceil(T/dt) otherwise, at least 1."""
+    if not (T >= 0 and dt > 0 and math.isfinite(T / dt)):
+        raise ValueError(f"need T >= 0, dt > 0 and finite T/dt, got T={T}, dt={dt}")
+    steps = round(T / dt)
+    if abs(steps * dt - T) > 1e-9 * T:
+        steps = math.ceil(T / dt)
+    steps = max(1, steps)
+    return T / steps, np.linspace(0.0, T, steps + 1)
 
 
 def _rk4(f: Callable[[float, float], float], y0: float, times: np.ndarray,
@@ -134,7 +142,7 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
     c_list = [float(c) for c in c_list]
     if any(c <= 0 for c in c_list):
         raise ValueError(f"all cusp constants must be positive, got {c_list}")
-    times, h = _rk4_times(T, dt)
+    h, times = _time_grid(T, dt)
     source = _restricted_source(c_list)
     rk4 = _rk4(lambda s, u: -u + source(s), 0.0, times, h)
 
@@ -210,7 +218,7 @@ class FlowProblem:
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
         self.grid = self.omega0._resolve_grid(self.grid)
-        _, times = _step_times(self.T, self.dt)
+        _, times = _time_grid(self.T, self.dt)
         for ot in self.output_times if self.output_times is not None else ():
             if not any(_hits(t, ot) for t in times):
                 raise ValueError(f"output time {ot} is not a step time "
@@ -242,23 +250,6 @@ class FlowResult:
     step_rejections: int
 
 
-def _step_count(T: float, dt: float) -> int:
-    """Number of steps of about dt covering T: round(T/dt) when that lands
-    on T to within 1e-9 relative, ceil(T/dt) otherwise."""
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * T:
-        steps = int(math.ceil(T / dt))
-    return steps
-
-
-def _step_times(T: float, dt: float) -> tuple[float, list[float]]:
-    """The nominal step T/steps and the times run_flow records: 0, then
-    the running sum of that step."""
-    steps = _step_count(T, dt)
-    dt_nominal = T / steps
-    return dt_nominal, list(accumulate(repeat(dt_nominal, steps), initial=0.0))
-
-
 def _hits(t: float, output_time: float) -> bool:
     """Whether step time t serves output_time, to 1e-9 relative."""
     return abs(t - output_time) <= 1e-9 * max(1.0, abs(output_time))
@@ -285,12 +276,12 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     """
     grid = problem.grid
     density, combo = _schedule_data(problem.omega0, grid)
-    dt_nominal, step_times = _step_times(problem.T, problem.dt)
+    dt_nominal, step_times = _time_grid(problem.T, problem.dt)
     u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
     res_accept, rejections = 0.0, 0
     states: list[FlowState] = []
     records = []   # (t, sup|u|, margin, Newton iterations, residual) per step time
-    for target in step_times:
+    for target in step_times.tolist():
         iters = 0
         while t < target - 1e-12 * max(1.0, target):
             dt_loc = min(dt_nominal, target - t)
@@ -392,20 +383,18 @@ def decay_certificate(grid: RadialGrid, gamma: float,
         raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
     n, h = grid.n_nodes, grid.h
     x = grid.x
-    steps = _step_count(T, dt)
-    h_t = T / steps
+    h_t, times = _time_grid(T, dt)
 
     # backward-Euler matrix (1 + h_t) - h_t * Delta with Dirichlet rows,
     # the same at every step, so factored once
     solve = factor_tridiagonal(*dirichlet_bands(n, h, -h_t, -(1.0 + h_t)))
 
     u = np.zeros(n)
-    times = np.linspace(0.0, T, steps + 1)
-    ratios = np.zeros(steps + 1)
+    ratios = np.zeros(len(times))
     x_gamma = x ** gamma
     forcing = h_t * x_gamma
     weight = x_gamma[1:-1]
-    for m in range(1, steps + 1):
+    for m in range(1, len(times)):
         tm = times[m]
         rhs = u + forcing * np.asarray(g(x, tm), dtype=float)
         rhs[0] = 0.0

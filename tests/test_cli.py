@@ -142,6 +142,17 @@ def test_flow_unreachable_output_time_is_config_error(tmp_path, capsys):
     assert not (out / "flow.json").exists()
 
 
+@pytest.mark.parametrize("steps", ["T = inf\ndt = 0.1", "T = 1e300\ndt = 1e-300",
+                                   "T = nan\ndt = 0.1", "T = 1\ndt = nan"],
+                         ids=["T-inf", "T-over-dt-overflows", "T-nan", "dt-nan"])
+def test_flow_without_finite_step_count_is_config_error(tmp_path, capsys, steps):
+    cfg = write(tmp_path / "c.cfg", f"n_nodes = 256\n{steps}\noutput_times = 1\n")
+    out = tmp_path / "out"
+    assert main(["flow", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: need T >= 0, dt > 0")
+    assert not (out / "flow.json").exists()
+
+
 def test_fit_expansion_round_trip(tmp_path):
     grid = RadialGrid(-30.0, math.log(0.5), 1024)
     field = RadialField.from_function(grid, lambda x: 2 * x + 5 * x ** 2)

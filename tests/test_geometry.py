@@ -133,6 +133,16 @@ def test_cusp_volume_additive():
     assert abs(total_c - split_c) < 1e-12 * total_c
 
 
+def test_cusp_volume_extends_density_past_the_grid():
+    # GRID covers x in [6.1e-6, 0.5]: (0, 0.5) reaches below it, (0, 0.99)
+    # above it too, and the density is the constant e^{2c} throughout
+    c = 0.3
+    const = ModelMetric(conformal=RadialField.constant(GRID, c))
+    for lo, hi in ((0.0, 0.5), (0.0, 0.99)):
+        exact = 2 * math.pi * math.exp(2 * c) * (hi - lo)
+        assert abs(cusp_volume(const, lo, hi) - exact) <= 1e-14 * exact
+
+
 def test_cusp_volume_invalid_range():
     with pytest.raises(ValueError, match="range"):
         cusp_volume(ModelMetric(), 0.5, 0.2)

@@ -52,6 +52,9 @@ def test_cusp_constant_validation():
     # one RK4 step of size -5 would give 66.375 against the closed form 149.41
     with pytest.raises(ValueError, match="T >= 0"):
         cusp_constant_rk4(2.0, -5.0)
+    # no step count covers an infinite T
+    with pytest.raises(ValueError, match="T >= 0"):
+        cusp_constant_rk4(2.0, float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +76,12 @@ def test_restricted_ode_long_time_limit():
     # the source relaxes to -sum(log c_i), and so does the solution
     res = restricted_ode_solution([2.0], 10.0, dt=1e-2)
     assert abs(res.final() + math.log(2.0)) < 0.01
+
+
+def test_restricted_ode_uses_the_one_time_grid():
+    # 2.1 / 0.3 = 7.000000000000001: seven steps, times exactly k*2.1/7
+    res = restricted_ode_solution([2.0], 2.1, dt=0.3)
+    assert np.array_equal(res.times, np.linspace(0.0, 2.1, 8))
 
 
 def test_restricted_ode_rejects_bad_constants():
@@ -168,7 +177,15 @@ def test_flow_output_times_sampling():
     problem = FlowProblem(ModelMetric(), T=0.2, dt=0.05,
                           output_times=[0.1, 0.2], grid=GRID)
     result = run_flow(problem)
-    assert [round(s.t, 10) for s in result.states] == [0.1, 0.2]
+    assert [s.t for s in result.states] == [0.1, 0.2]
+
+
+def test_flow_step_times_are_exact_multiples_of_the_step():
+    result = run_flow(FlowProblem(ModelMetric(), T=1.0, dt=0.01, grid=GRID,
+                                  output_times=[0.25, 0.5, 1]))
+    assert [s.t for s in result.states] == [0.25, 0.5, 1.0]
+    assert all(type(s.t) is float for s in result.states)
+    assert np.array_equal(result.times, np.linspace(0.0, 1.0, 101))
 
 
 def test_flow_rejects_output_times_off_the_step_grid():
