@@ -19,6 +19,7 @@ whether exponents coincide or order calls :func:`exponents_equal` or
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,29 +85,51 @@ class IndexTerm:
         if not isinstance(self.k, int) or self.k < 0:
             raise ValueError(f"log power k must be a nonnegative integer, got {self.k!r}")
 
-    def sort_key(self):
-        return (float(self.z), self.k)
+
+def _heap(pairs: Iterable[tuple]) -> list:
+    """Entries ``(float(z), base, p, value)``, z = base + p, for pairs (z, value)."""
+    heap = [(float(z), z, 0, value) for z, value in pairs]
+    heapq.heapify(heap)
+    return heap
+
+
+def _clusters(heap: list) -> Iterator[tuple]:
+    """Pop ``heap`` one cluster of coinciding exponents at a time, ascending,
+    as ``(base, p, values)``; entries pushed between yields are seen.  Each
+    entry is compared with the representative: the first entry popped, or
+    the first exact member, so that arithmetic stays rational."""
+    while heap:
+        _, base, p, value = heapq.heappop(heap)
+        z, values = base + p, [value]
+        while heap and exponents_equal(z, heap[0][1] + heap[0][2]):
+            _, b, q, value = heapq.heappop(heap)
+            if is_exact(b) and not is_exact(z):
+                base, p, z = b, q, b + q
+            values.append(value)
+        yield base, p, values
+
+
+def sweep_shifts(heads: Iterable[tuple], cutoff, combine) -> Iterator[tuple]:
+    """``(z, combine(values))`` for each exponent z <= cutoff, ascending, of
+    the chains z, z + 1, ... from ``heads``, pairs (z, value).  The values
+    at z are its heads' and the one carried up from z - 1."""
+    heap = _heap(heads)
+    for base, p, values in _clusters(heap):
+        z = base + p
+        if exponent_gt(z, cutoff):
+            return
+        value = combine(values)
+        heapq.heappush(heap, (float(base + (p + 1)), base, p + 1, value))
+        yield z, value
 
 
 def _canonical_terms(terms: Iterable[IndexTerm]) -> tuple[IndexTerm, ...]:
-    """Sort, merge exponents that coincide within tolerance, and dedup.
-
-    One sweep in ``sort_key`` order compares each term with the last
-    cluster only; an exact exponent replaces a float representative so that
-    downstream arithmetic stays rational.  This matches a scan over all
-    clusters whenever distinct representatives lie more than
-    ``2 * EXPONENT_TOL`` apart.
-    """
-    clusters: list[list] = []  # [representative exponent, set of log powers]
-    for tm in sorted(terms, key=IndexTerm.sort_key):
-        if clusters and exponents_equal(clusters[-1][0], tm.z):
-            if is_exact(tm.z) and not is_exact(clusters[-1][0]):
-                clusters[-1][0] = tm.z
-            clusters[-1][1].add(tm.k)
-        else:
-            clusters.append([tm.z, {tm.k}])
-    return tuple(sorted((IndexTerm(z, k) for z, ks in clusters for k in ks),
-                        key=IndexTerm.sort_key))
+    """Sort, merge exponents that coincide within tolerance, and dedup: a
+    :func:`_clusters` sweep with no pushes, so each base is its exponent.
+    A scan over all clusters agrees when representatives are > 2 EXPONENT_TOL apart."""
+    return tuple(IndexTerm(z, k)
+                 for z, _, ks in _clusters(_heap((tm.z, tm.k) for tm in terms))
+                 for k in sorted(set(ks)))
 
 
 @dataclass(frozen=True)
@@ -204,33 +227,29 @@ def _json_field(obj, where: str, key: str, parse):
 
 
 def closure(terms: Iterable[IndexTerm], cutoff) -> IndexSet:
-    """Smallest index set containing ``terms``, enumerated up to ``cutoff``.
-
-    Applies both generation rules exhaustively: integer upward shifts of the
-    exponent until the cutoff is passed, and all lower log powers.
-    """
+    """Smallest index set containing ``terms``, enumerated up to ``cutoff``:
+    one ascending sweep carries the largest log power met on the chains
+    into each exponent, and every lower power is listed with it."""
     cutoff = as_exponent(cutoff)
-    out: list[IndexTerm] = []
-    for tm in terms:
-        z = tm.z
-        p = 0
-        while not exponent_gt(z + p, cutoff):
-            for j in range(tm.k + 1):
-                out.append(IndexTerm(z + p, j))
-            p += 1
-    return IndexSet(tuple(out), cutoff)
+    tops = sweep_shifts(((tm.z, tm.k) for tm in terms), cutoff, max)
+    return IndexSet(tuple(IndexTerm(z, k) for z, top in tops for k in range(top + 1)),
+                    cutoff)
 
 
 def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
     """Union of two index sets plus log-stacked terms at shared exponents.
 
-    Wherever an exponent z occurs in both sets, with log powers l1 and l2,
-    the term (z, l1 + l2 + 1) is added; the result is re-closed up to the
-    common cutoff.  Commutative, and always contains the plain union.
+    Wherever an exponent z occurs in both sets, with top log powers l1 and
+    l2, the term (z, l1 + l2 + 1) is added; the result is re-closed up to
+    the common cutoff.  Commutative, and always contains the plain union.
     """
     if not exponents_equal(E.cutoff, F.cutoff):
         raise ValueError(
             f"extended_union requires a common cutoff, got {E.cutoff} and {F.cutoff}")
-    stacked = [IndexTerm(te.z if is_exact(te.z) else tf.z, te.k + tf.k + 1)
-               for te in E.terms for tf in F.terms if exponents_equal(te.z, tf.z)]
-    return closure(E.terms + F.terms + tuple(stacked), E.cutoff)
+    heads = []
+    for z, _, values in _clusters(_heap((tm.z, (side, tm.k))
+                                        for side, S in enumerate((E, F)) for tm in S)):
+        # the largest log power at z in E and in F, -1 where a set has none
+        top = [max((k for s, k in values if s == side), default=-1) for side in (0, 1)]
+        heads.append(IndexTerm(z, sum(top) + 1 if min(top) >= 0 else max(top)))
+    return closure(heads, E.cutoff)

@@ -16,9 +16,9 @@ drive which terms x^z (log x)^k can appear in solution expansions; the
 functions below enumerate the raw pole set and the shift-augmented index
 set that accounts for accidental multiplicities (a root landing an integer
 above another root stacks an extra log power).  The shift-augmented set
-walks down from each exponent of the closure of the roots, z, z-1, ...,
-while above alpha, and keeps the pole orders summed up to the last pole
-met.  Exponents are compared only through ``indexsets``.
+is one ascending sweep over the chains z, z+1, ... that start at the roots
+above alpha, summing the pole orders met along the way.  Exponents are
+compared only through ``indexsets``.
 """
 
 from __future__ import annotations
@@ -26,18 +26,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .indexsets import (
     Exponent,
     IndexSet,
     IndexTerm,
     as_exponent,
-    closure,
     exponent_gt,
     exponents_equal,
     is_exact,
     rational_sqrt,
+    sweep_shifts,
 )
 
 HALF = Fraction(1, 2)
@@ -129,13 +128,6 @@ def count_complex_root_eigenvalues(family: IndicialFamily) -> int:
     return sum(exponent_gt(0, _discriminant(family, nu)) for nu in family.spectrum)
 
 
-def _pole_order_at(roots: Sequence[IndicialRoot], z) -> int:
-    for r in roots:
-        if exponents_equal(r.z, z):
-            return r.order
-    return 0
-
-
 def index_set_Eplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet:
     """Raw pole set: terms (z, k) with z a real root above alpha, k < order.
 
@@ -156,28 +148,16 @@ def index_set_Eplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet:
 def index_set_hatEplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet:
     """Shift-augmented index set including accidental log multiplicities.
 
-    The candidates z are the closure of the real roots up to the cutoff.
-    Walking r = 0, 1, ... while z > alpha + r, the pole orders at z - r are
-    summed; (z, k) is included for k + 1 up to the sum at the last pole met,
-    which is the largest sum over r since orders are nonnegative.  Closed by
-    construction up to the cutoff.
+    One ascending sweep follows the chains z, z + 1, ... <= cutoff from the
+    real roots above alpha; (z, k) is included for k below the sum of the
+    pole orders met on the chains into z.  Closed by construction.
     """
     alpha, cutoff = as_exponent(alpha), as_exponent(cutoff)
     if exponent_gt(alpha, cutoff):
         raise ValueError(f"cutoff {cutoff} must be >= alpha {alpha}")
-    roots = spec_b_roots(family)
-    terms = []
-    for cand in closure([IndexTerm(r.z, 0) for r in roots], cutoff):
-        z = cand.z
-        total = best = r = 0
-        while exponent_gt(z, alpha + r):
-            order = _pole_order_at(roots, z - r)
-            total += order
-            if order:
-                best = total
-            r += 1
-        terms += [IndexTerm(z, k) for k in range(best)]
-    return IndexSet(tuple(terms), cutoff)
+    heads = [(r.z, r.order) for r in spec_b_roots(family) if exponent_gt(r.z, alpha)]
+    return IndexSet(tuple(IndexTerm(z, k) for z, total in sweep_shifts(heads, cutoff, sum)
+                          for k in range(total)), cutoff)
 
 
 def smallest_positive_root(family: IndicialFamily) -> float | None:

@@ -30,6 +30,18 @@ def test_indicial_outputs_index_sets(tmp_path):
     assert data["complex_eigenvalues"] == 0
 
 
+def test_indicial_tolerance_chain_lists_one_exponent(tmp_path):
+    cfg = write(tmp_path / "c.cfg",
+                "lambda = 4e-13\nc = 1\nspectrum = 0, 1/3, 2, 5/2, 3\n"
+                "multiplicities = 1, 2, 1, 2, 2\nalpha = -1\ncutoff = 4\n")
+    assert main(["indicial", cfg, "-o", str(tmp_path / "out")]) == 0
+    terms = json.loads((tmp_path / "out" / "indicial.json").read_text())["hat_E_plus"]["terms"]
+    for n in (2, 3, 4):
+        near = [(t["z"], t["k"]) for t in terms if abs(t["z"] - n) <= 2e-12]
+        assert len({z for z, _ in near}) == 1, near
+        assert sorted(k for _, k in near) == [0, 1]
+
+
 def test_indicial_missing_key_named(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", "c = 1\nspectrum = 0\ncutoff = 3\n")
     assert main(["indicial", cfg, "-o", str(tmp_path)]) == 2

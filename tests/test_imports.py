@@ -1,12 +1,14 @@
-"""Import graph: scipy is loaded only by the functions that use it.
+"""Import graph: scipy is loaded only by the functions that use it, and the
+exact-arithmetic modules import nothing outside the standard library.
 
-Each check runs in a fresh interpreter, since the test process itself has
-long since imported scipy.  ``scipy.linalg`` belongs to
+Each runtime check runs in a fresh interpreter, since the test process
+itself has long since imported scipy.  ``scipy.linalg`` belongs to
 ``radial.solve_tridiagonal`` and ``scipy.integrate`` to
 ``parabolic.restricted_ode_solution``; importing the package or running a
 command that solves nothing loads neither.
 """
 
+import ast
 import json
 import math
 import os
@@ -41,6 +43,20 @@ def run_command(command: str, cfg_text: str, tmp_path: Path) -> list[str]:
     argv = [command, str(cfg), "-o", str(tmp_path / "out")]
     return run_fresh(f"from cuspasym.cli import main\nassert main({argv!r}) == 0",
                      tmp_path)
+
+
+def test_exact_modules_import_only_stdlib_and_package():
+    for name in ("indexsets.py", "indicial.py", "chern.py"):
+        tree = ast.parse((SRC / "cuspasym" / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:  # a relative import stays inside the package
+                continue
+            assert all(top in sys.stdlib_module_names or top == "cuspasym"
+                       for top in tops), (name, tops)
 
 
 def test_package_import_loads_no_scipy(tmp_path):

@@ -1,6 +1,7 @@
 """Index-set algebra: closure rules, extended unions, serialization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from cuspasym.indexsets import (
     extended_union,
     exponents_equal,
 )
+from cuspasym.indicial import IndicialFamily, index_set_hatEplus
 
 
 def pairs(s):
@@ -168,6 +170,22 @@ def test_extended_union_matches_brute_force_oracle():
         got = set(extended_union(A, B).pairs())
         expected = brute_force_extended_union(A.pairs(), B.pairs(), 4.0)
         assert got == expected
+
+
+def test_extended_union_of_stacked_hat_eplus_is_near_linear():
+    # lambda = c = 1 and nu_j = j(j+3)/2 give the roots 1, 2, ..., 12 above
+    # alpha = -1, one integer apart, so every exponent stacks log powers
+    fam = IndicialFamily(1, 1, tuple(Fraction(j * (j + 3), 2) for j in range(12)))
+    E = index_set_hatEplus(fam, -1, 8)
+    U = extended_union(E, E)
+    assert set(U.pairs()) == brute_force_extended_union(E.pairs(), E.pairs(), 8.0)
+    assert len(U) == 72
+    E = index_set_hatEplus(fam, -1, 32)
+    start = time.perf_counter()
+    U = extended_union(E, E)
+    elapsed = time.perf_counter() - start
+    assert len(U) == 636 and U.is_closed()
+    assert elapsed < 1.0, f"extended_union took {elapsed:.2f} s at cutoff 32"
 
 
 def brute_force_is_closed(s_pairs, cutoff, tol=1e-12):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cuspasym.indexsets import closure
+from cuspasym.indexsets import IndexTerm, closure, extended_union
 from cuspasym.indicial import (
     IndicialFamily,
     count_complex_root_eigenvalues,
@@ -176,6 +176,21 @@ def test_smallest_positive_root():
     assert index_set_Eplus(near_zero, 0, 2).terms == ()
 
 
+#: shifted roots near 2 at 2 - 8e-13 (from -1 - 8e-13, which is not above
+#: alpha = -1), 2 + 1.6e-13 and 2 + 8e-13: a chain of tolerance coincidences
+TOLERANCE_CHAIN_FAMILY = IndicialFamily(4e-13, 1, (0, Fraction(1, 3), 2, Fraction(5, 2), 3),
+                                        (1, 2, 1, 2, 2))
+
+
+def test_hat_eplus_tolerance_chain_is_one_exponent():
+    E = index_set_hatEplus(TOLERANCE_CHAIN_FAMILY, -1, 4)
+    for n in (2, 3):
+        near = [tm for tm in E if abs(float(tm.z) - n) <= 2e-12]
+        assert len({tm.z for tm in near}) == 1, near
+        assert sorted(tm.k for tm in near) == [0, 1]
+    assert E.is_closed()
+
+
 def test_deterministic_enumeration():
     fam = IndicialFamily(1, 1, (0, 2))
     a = index_set_hatEplus(fam, 0, 3).pairs()
@@ -231,3 +246,27 @@ def test_hat_eplus_matches_brute_force_oracle():
                    for z, k in index_set_hatEplus(fam, alpha, 4).pairs()}
             expected = brute_force_hat_eplus(roots, float(alpha), 4.0)
             assert got == expected, (fam, alpha, sorted(got), sorted(expected))
+
+
+def test_float_family_index_algebra_properties():
+    """Closure idempotence, a closed Ê+ and a commutative extended union
+    containing its inputs, on families whose roots are floats."""
+    rng = random.Random(4242)
+    for i, fam in enumerate(random_rational_families(200, seed=4242)):
+        mult = tuple(rng.randrange(1, 4) for _ in fam.spectrum)
+        if i % 2:
+            fam = IndicialFamily(0.7, rng.choice([Fraction(1, 2), 1, 2]), fam.spectrum, mult)
+        else:
+            fam = IndicialFamily(rng.choice([0, 1, Fraction(5, 2)]), 3, fam.spectrum, mult)
+        alpha = rng.choice([0, Fraction(-3, 2), Fraction(1, 2), -1.0])
+        cutoff = rng.choice([Fraction(3), Fraction(7, 2), 5.5])
+        hatE = index_set_hatEplus(fam, alpha, cutoff)
+        assert hatE.is_closed(), fam
+        pool = [r.z for r in spec_b_roots(fam)] + [Fraction(1), Fraction(3, 2)]
+        C = closure(tuple(IndexTerm(rng.choice(pool), rng.randrange(3))
+                          for _ in range(rng.randrange(1, 4))), cutoff)
+        for S in (C, closure(index_set_Eplus(fam, alpha, cutoff).terms, cutoff)):
+            assert repr(closure(S.terms, cutoff)) == repr(S), fam
+        U = extended_union(hatE, C)
+        assert repr(U) == repr(extended_union(C, hatE)), fam
+        assert all(U.contains(tm.z, tm.k) for tm in hatE.terms + C.terms), fam
