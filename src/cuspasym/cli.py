@@ -72,10 +72,6 @@ class Key:
     parse: Callable[[str], Any]
     default: Any = _REQUIRED
 
-    @property
-    def required(self) -> bool:
-        return self.default is _REQUIRED
-
 
 def _parse_rational(text: str):
     """Exact Fraction for integers and p/q forms, float otherwise."""
@@ -107,10 +103,6 @@ def _parse_int(text: str) -> int:
         return int(text)
     except ValueError as exc:
         raise ConfigError(f"bad integer value {text!r}") from exc
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
 
 
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], list]:
@@ -171,7 +163,7 @@ def resolve_config(raw: dict[str, str], schema: dict[str, Key],
     for key, spec in schema.items():
         if key in raw:
             config[key] = spec.parse(raw[key])
-        elif spec.required:
+        elif spec.default is _REQUIRED:
             raise ConfigError(f"{source}: missing required key '{key}'")
         else:
             config[key] = spec.default
@@ -189,7 +181,7 @@ _SOLVE_KEYS = {
     "f_terms": Key(_parse_terms),
     "bc_left": Key(_parse_float, 0.0),
     "bc_right": Key(_parse_float, 0.0),
-    "solution_csv": Key(_parse_str, "solution.csv"),
+    "solution_csv": Key(str, "solution.csv"),
 }
 
 _NEWTON_KEYS = {
@@ -197,9 +189,10 @@ _NEWTON_KEYS = {
     "tol": Key(_parse_float, NewtonParams.tol),
 }
 
-_OUTPUT_KEY = {"output": Key(_parse_str, "")}
+_OUTPUT_KEY = {"output": Key(str, "")}
 
-SCHEMAS: dict[str, dict[str, Key]] = {
+#: every schema ends with the ``output`` key
+SCHEMAS: dict[str, dict[str, Key]] = {name: {**keys, **_OUTPUT_KEY} for name, keys in {
     "indicial": {
         "lambda": Key(_parse_rational),
         "c": Key(_parse_rational),
@@ -208,11 +201,9 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "alpha": Key(_parse_rational, Fraction(0)),
         "cutoff": Key(_parse_rational),
         "union_terms": Key(_parse_pairs, []),
-        **_OUTPUT_KEY,
     },
     "chern-coeff": {
         "d": Key(_parse_int),
-        **_OUTPUT_KEY,
     },
     "solve-linear": {
         **_GRID_KEYS,
@@ -220,14 +211,12 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "lambda": Key(_parse_float, 1.0),
         "metric_a": Key(_parse_float, 1.0),
         "metric_b": Key(_parse_float, 1.0),
-        **_OUTPUT_KEY,
     },
     "solve-ma": {
         **_GRID_KEYS,
         **_SOLVE_KEYS,
         **_NEWTON_KEYS,
         "damping_min": Key(_parse_float, NewtonParams.damping_min),
-        **_OUTPUT_KEY,
     },
     "flow": {
         **_GRID_KEYS,
@@ -237,28 +226,24 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "T": Key(_parse_float),
         "dt": Key(_parse_float),
         "output_times": Key(_list_of(_parse_float), []),
-        **_OUTPUT_KEY,
     },
     "fit-expansion": {
-        "field_csv": Key(_parse_str),
-        "index_set_json": Key(_parse_str),
+        "field_csv": Key(str),
+        "index_set_json": Key(str),
         "window_lo": Key(_parse_float, 0.0),
         "window_hi": Key(_parse_float, 0.0),
-        **_OUTPUT_KEY,
     },
     "logterm-pipeline": {
         **_GRID_KEYS,
         **_SOLVE_KEYS,
         **_NEWTON_KEYS,
         "tolerance": Key(_parse_float, 0.02),
-        **_OUTPUT_KEY,
     },
     "sweep": {
-        "configs": Key(_list_of(_parse_str)),
+        "configs": Key(_list_of(str)),
         "max_workers": Key(_parse_int, 2),
-        **_OUTPUT_KEY,
     },
-}
+}.items()}
 
 #: extra key allowed in sweep sub-configs to name their subcommand
 _SWEEP_COMMAND_KEY = "command"
@@ -342,10 +327,9 @@ def cmd_indicial(config, outdir: Path) -> dict:
 
 
 def cmd_chern(config, outdir: Path) -> dict:
-    b_tilde = log_coefficient_plane_curve(config["d"])
     payload = {
         "d": config["d"],
-        "b_tilde": {"num": b_tilde.numerator, "den": b_tilde.denominator},
+        "b_tilde": log_coefficient_plane_curve(config["d"]),
         "config": config,
     }
     write_json(outdir / "chern.json", payload)
@@ -516,7 +500,9 @@ def _run_sweep_item(path: str, outdir: Path) -> dict:
 
 
 def cmd_sweep(config, outdir: Path) -> dict:
-    """Run each sub-config into ``outdir/<stem>``, ``max_workers`` at a time.
+    """Run each sub-config into ``outdir/<stem>``, ``max_workers`` at a time
+    (at least one) on one thread pool.  Every item runs, even after one
+    fails; the first failure in config order is raised.
 
     The pool is one of threads, not processes.  An item is small next to the
     cost of a new process: a 4096-node logterm-pipeline item computes in
@@ -533,13 +519,10 @@ def cmd_sweep(config, outdir: Path) -> dict:
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:
         raise ConfigError(f"sweep configs share output directories: {', '.join(clashes)}")
-    workers = max(1, config["max_workers"])
-    if workers == 1:
-        results = [_run_sweep_item(p, outdir) for p in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _run_sweep_item(p, outdir), items))
-    payload = {"config": config, "runs": results}
+    # submit, not map: map cancels the items still queued when one fails
+    with ThreadPoolExecutor(max_workers=max(1, config["max_workers"])) as pool:
+        futures = [pool.submit(_run_sweep_item, p, outdir) for p in items]
+    payload = {"config": config, "runs": [f.result() for f in futures]}
     write_json(outdir / "sweep.json", payload)
     return payload
 

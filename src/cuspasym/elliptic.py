@@ -11,8 +11,9 @@ handled in logarithmic residual form log1p(Delta_g u) - u - F = 0 by a
 damped Newton iteration whose linearization at u = 0 is (Delta_g - 1).
 Backtracking halves the step until the residual decreases and the Kahler
 positivity 1 + Delta_g u > 0 is preserved; reaching the damping floor is a
-hard failure.  The Newton loop (``damped_newton``) and the band layout of
-the Dirichlet matrices (``dirichlet_bands``) live in ``radial``.
+hard failure.  The Newton loop (``damped_newton``), its settings
+(``NewtonParams``) and the band layout of the Dirichlet matrices
+(``dirichlet_bands``) live in ``radial``.
 
 All residuals are measured in the discrete sup norm.  The log1p form keeps
 full relative accuracy at deep-cusp nodes where every quantity in the
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import SolverError
 from .geometry import ModelMetric
 from .radial import (
+    NewtonParams,
     RadialField,
     damped_newton,
     dirichlet_bands,
@@ -39,11 +41,10 @@ from .radial import (
 _PROBE_MAX_NODES = 2048
 
 
-@dataclass(frozen=True)
-class NewtonParams:
-    max_iter: int = 40
-    tol: float = 1e-11
-    damping_min: float = 2.0 ** -20
+def _require_finite_bcs(problem) -> None:
+    if not (math.isfinite(problem.bc_left) and math.isfinite(problem.bc_right)):
+        raise ValueError(f"bc_left and bc_right must be finite, "
+                         f"got {problem.bc_left} and {problem.bc_right}")
 
 
 @dataclass
@@ -59,8 +60,8 @@ class LinearProblem:
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.metric.conformal is not None and self.metric.conformal.grid != self.rhs.grid:
-            raise ValueError("rhs grid does not match the metric grid")
+        self.metric._resolve_grid(self.rhs.grid)
+        _require_finite_bcs(self)
 
 
 @dataclass
@@ -74,9 +75,8 @@ class MongeAmpereProblem:
     newton: NewtonParams = field(default_factory=NewtonParams)
 
     def __post_init__(self):
-        if (self.background.conformal is not None
-                and self.background.conformal.grid != self.F.grid):
-            raise ValueError("F grid does not match the background metric grid")
+        self.background._resolve_grid(self.F.grid)
+        _require_finite_bcs(self)
 
 
 @dataclass
@@ -130,7 +130,6 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     n, h = grid.n_nodes, grid.h
     density = problem.background.density(grid)
     F = problem.F.values
-    params = problem.newton
 
     def residual(u: np.ndarray):
         lap = unit_laplacian_interior(u, h) / density
@@ -147,8 +146,7 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
         return dirichlet_bands(n, h, 1.0 / (1.0 + lap[1:-1]) / density[1:-1], 1.0)
 
     u, lap, iterations, residuals, damping_events = damped_newton(
-        residual, jacobian_bands, np.zeros(n), params.tol, params.max_iter,
-        params.damping_min, "Newton")
+        residual, jacobian_bands, np.zeros(n), problem.newton, "Newton")
     report = NewtonReport(True, iterations, residuals, residuals[-1],
                           float(np.min(1.0 + lap[1:-1])), damping_events)
     return RadialField(grid, u), report

@@ -85,8 +85,8 @@ def _design(t: np.ndarray, terms: Sequence[IndexTerm]) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _weighted_lstsq(t: np.ndarray, x: np.ndarray, y: np.ndarray,
-                    terms: Sequence[IndexTerm], weight_exponent: float):
+def _weighted_lstsq(t: np.ndarray, y: np.ndarray, terms: Sequence[IndexTerm],
+                    weight_exponent: float):
     w = np.exp(-weight_exponent * t)        # x^{-weight_exponent}
     A = _design(t, terms) * w[:, None]
     b = y * w
@@ -141,7 +141,7 @@ def fit_polyhom(samples: RadialField, E: IndexSet,
     # squares then minimizes the remainder in its natural units, which pins
     # low-order coefficients from the deepest rows and keeps omitted-term
     # leakage below the remainder there.
-    coefs = _weighted_lstsq(t, x, y, terms, weight_exponent=N)
+    coefs = _weighted_lstsq(t, y, terms, weight_exponent=N)
     r = y - _design(t, terms) @ coefs
     residual_sup = float(np.max(np.abs(r) / x ** N))
     slope, spread = _remainder_slope(x, r, noise_scale=float(np.max(np.abs(y))))
@@ -235,10 +235,10 @@ def detect_log_term(samples: RadialField, width_decades: float = 1.5,
     linear_values = []
     for x_lo, x_hi in windows:
         mask = grid.window_mask(x_lo, x_hi)
-        t, x, y = grid.t[mask], grid.x[mask], samples.values[mask]
+        t, y = grid.t[mask], samples.values[mask]
         if len(t) < 6:
             raise ValueError("detector window holds fewer than 6 samples")
-        coefs = _weighted_lstsq(t, x, y, basis, weight_exponent=1.0)
+        coefs = _weighted_lstsq(t, y, basis, weight_exponent=1.0)
         values.append(float(coefs[0]))
         linear_values.append(float(coefs[1]))
     value = values[0]

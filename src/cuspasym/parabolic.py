@@ -31,8 +31,9 @@ Every stepper here (the flow, the decay certificate and both RK4 paths)
 takes its steps from one time grid, ``_time_grid``: steps of about dt,
 times exactly k*T/steps with T itself last.
 
-The inner Newton loop (``damped_newton``) and the band layout of the
-backward-Euler matrices (``dirichlet_bands``) live in ``radial``.
+The inner Newton loop (``damped_newton``, set by ``_FLOW_NEWTON``) and the
+band layout of the backward-Euler matrices (``dirichlet_bands``) live in
+``radial``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .errors import SolverError
 from .fitting import _lsq_slope
 from .geometry import ModelMetric
 from .radial import (
+    NewtonParams,
     RadialField,
     RadialGrid,
     damped_newton,
@@ -55,6 +57,11 @@ from .radial import (
     unit_laplacian,
     unit_laplacian_interior,
 )
+
+#: the inner Newton solve of every backward-Euler step
+_FLOW_NEWTON = NewtonParams(max_iter=30, tol=1e-12, damping_min=2.0 ** -30)
+#: a step halved below dt * _DT_MIN_FACTOR fails the flow
+_DT_MIN_FACTOR = 2.0 ** -10
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +217,6 @@ class FlowProblem:
     dt: float
     grid: Optional[RadialGrid] = None
     output_times: Optional[Sequence[float]] = None
-    dt_min_factor: float = 2.0 ** -10
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 30
 
     def __post_init__(self):
         if self.dt <= 0 or self.T < self.dt:
@@ -220,7 +224,7 @@ class FlowProblem:
         self.grid = self.omega0._resolve_grid(self.grid)
         _, times = _time_grid(self.T, self.dt)
         for ot in self.output_times if self.output_times is not None else ():
-            if not any(_hits(t, ot) for t in times):
+            if not (math.isfinite(ot) and np.any(_hits(times, ot))):
                 raise ValueError(f"output time {ot} is not a step time "
                                  f"k*T/{len(times) - 1} in [0, {self.T}] (dt={self.dt})")
 
@@ -250,8 +254,9 @@ class FlowResult:
     step_rejections: int
 
 
-def _hits(t: float, output_time: float) -> bool:
-    """Whether step time t serves output_time, to 1e-9 relative."""
+def _hits(t, output_time: float):
+    """Whether step time t (or each of an array of them) serves
+    output_time, to 1e-9 relative."""
     return abs(t - output_time) <= 1e-9 * max(1.0, abs(output_time))
 
 
@@ -271,7 +276,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     Each step solves the implicit equation with an inner damped Newton
     iteration, maintains positivity of the evolving density S + Delta u,
     and falls back to halving the step on failure (an error below
-    dt * dt_min_factor).  Boundary values at both ends follow the
+    dt * _DT_MIN_FACTOR).  Boundary values at both ends follow the
     backward-Euler restriction of the flow to the endpoints.
     """
     grid = problem.grid
@@ -293,7 +298,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
                 except SolverError:
                     rejections += 1
                     dt_loc /= 2.0
-                    if dt_loc < problem.dt * problem.dt_min_factor:
+                    if dt_loc < problem.dt * _DT_MIN_FACTOR:
                         raise
             u, bc = u_new, bc_new
             iters += step_iters
@@ -344,8 +349,7 @@ def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem):
         return dirichlet_bands(n, h, -dt / (S_next[1:-1] + lap[1:-1]), -(1.0 + dt))
 
     v, _, iters, residuals, _ = damped_newton(
-        residual, jacobian_bands, u.copy(), problem.newton_tol,
-        problem.newton_max_iter, 2.0 ** -30, f"flow Newton (t={t_next:.6g})")
+        residual, jacobian_bands, u.copy(), _FLOW_NEWTON, f"flow Newton (t={t_next:.6g})")
     return v, bc_new, iters, residuals[-1]
 
 

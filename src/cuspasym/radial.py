@@ -254,17 +254,28 @@ def _check_lapack_info(info: int, routine: str) -> None:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
+@dataclass(frozen=True)
+class NewtonParams:
+    """Settings of :func:`damped_newton`: the step budget, the sup-norm
+    residual to reach and the smallest step fraction backtracking tries."""
+
+    max_iter: int = 40
+    tol: float = 1e-11
+    damping_min: float = 2.0 ** -20
+
+
 def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
-                  tol: float, max_iter: int, damping_min: float, label: str):
+                  params: NewtonParams, label: str):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
     ``residual(v)`` returns ``(r, aux, ok)``, where ``ok`` is False when v
     leaves the admissible set (positivity lost), and ``bands(aux)`` returns
     the Jacobian bands at that iterate.  Each step is halved until the
     iterate is admissible and the sup-norm residual drops by the factor
-    1 - 1e-4 s; a step below ``damping_min``, ``max_iter`` steps without
-    reaching ``tol`` or a singular linearization raise SolverError; its
-    message names ``label`` (and the last residual, where there is one).
+    1 - 1e-4 s; a step below ``params.damping_min``, ``params.max_iter``
+    steps without reaching ``params.tol`` or a singular linearization raise
+    SolverError; its message names ``label`` (and the last residual, where
+    there is one).  A NaN residual never counts as reached.
 
     Returns ``(v, aux, iterations, residual_history, damping_events)``.
     """
@@ -276,9 +287,9 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
     residuals = [res_norm]
     damping_events = 0
     iteration = 0
-    while res_norm > tol:
-        if iteration == max_iter:
-            raise SolverError(f"{label} did not converge in {max_iter} iterations; "
+    while not res_norm <= params.tol:
+        if iteration == params.max_iter:
+            raise SolverError(f"{label} did not converge in {params.max_iter} iterations; "
                               f"last residual {res_norm:.3e}")
         iteration += 1
         try:
@@ -295,7 +306,7 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
                 break
             s *= 0.5
             damping_events += 1
-            if s < damping_min:
+            if s < params.damping_min:
                 raise SolverError(
                     f"{label} damping floor reached at iteration {iteration}; "
                     f"last residual {res_norm:.3e}")

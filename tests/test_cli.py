@@ -130,6 +130,16 @@ def test_solve_ma_reports_convergence(tmp_path):
     assert data["final_residual"] <= 1e-11
 
 
+@pytest.mark.parametrize("command", ["solve-ma", "solve-linear"])
+def test_non_finite_boundary_value_is_config_error(tmp_path, capsys, command):
+    # a NaN once read as a converged Newton residual: exit 0, all-zero solution
+    cfg = write(tmp_path / "c.cfg", "n_nodes = 512\nf_terms = 1.5:1:0\nbc_left = nan\n")
+    out = tmp_path / "out"
+    assert main([command, cfg, "-o", str(out)]) == 2
+    assert "bc_left" in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+
+
 def test_flow_snapshots_and_constants(tmp_path):
     kappa = 0.5 * math.log(2.0)
     cfg = write(tmp_path / "c.cfg",
@@ -280,6 +290,17 @@ def test_sweep_subconfig_needs_command(tmp_path):
     sub = write(tmp_path / "a.cfg", "d = 5\n")
     cfg = write(tmp_path / "sweep.cfg", f"configs = {sub}\n")
     assert main(["sweep", cfg, "-o", str(tmp_path / "out")]) == 2
+
+
+def test_single_worker_sweep_runs_every_item_past_a_failure(tmp_path, capsys):
+    bad = write(tmp_path / "a.cfg", "d = 5\n")
+    good = write(tmp_path / "b.cfg", "command = chern-coeff\nd = 5\n")
+    cfg = write(tmp_path / "sweep.cfg", f"configs = {bad}, {good}\nmax_workers = 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "-o", str(out)]) == 2
+    assert "needs a 'command' key" in capsys.readouterr().err
+    assert (out / "b" / "chern.json").is_file()
+    assert not (out / "sweep.json").exists()
 
 
 def test_sweep_subconfig_duplicate_key_rejected(tmp_path, capsys):

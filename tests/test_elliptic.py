@@ -66,6 +66,24 @@ def test_linear_rejects_negative_lambda():
         LinearProblem(UNIT, -1.0, RadialField.zeros(GRID))
 
 
+def test_problems_reject_a_field_off_the_metric_grid():
+    metric = ModelMetric(conformal=RadialField.zeros(GRID))
+    other = RadialField.zeros(RadialGrid(GRID.t_min, GRID.t_max, 512))
+    with pytest.raises(ValueError, match="grid"):
+        LinearProblem(metric, 1.0, other)
+    with pytest.raises(ValueError, match="grid"):
+        MongeAmpereProblem(metric, other)
+
+
+@pytest.mark.parametrize("bcs", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_problems_reject_non_finite_boundary_data(bcs):
+    f = RadialField.zeros(GRID)
+    with pytest.raises(ValueError, match="bc_left and bc_right"):
+        LinearProblem(UNIT, 1.0, f, *bcs)
+    with pytest.raises(ValueError, match="bc_left and bc_right"):
+        MongeAmpereProblem(UNIT, f, *bcs)
+
+
 def test_discrete_maximum_principle():
     # lambda = 1, f <= 0, zero Dirichlet data => u >= 0 at every node
     rng = np.random.default_rng(20250808)

@@ -100,6 +100,13 @@ def test_ricci_of_model_is_minus_one():
     assert np.max(np.abs(r2.values + 1.0)) == 0.0
 
 
+def test_ricci_of_plain_cusp_is_the_zero_factor_case_bit_for_bit():
+    expected = np.full(GRID.n_nodes, -1.0).tobytes()
+    assert ricci_radial(UNIT, GRID).values.tobytes() == expected
+    zero = ModelMetric(conformal=RadialField.zeros(GRID))
+    assert ricci_radial(zero).values.tobytes() == expected
+
+
 def test_ricci_constant_conformal_scaling():
     kappa = 0.3
     metric = ModelMetric(conformal=RadialField.constant(GRID, kappa))

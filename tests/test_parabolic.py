@@ -1,6 +1,8 @@
 """Flow integration, cusp-constant relaxation, restricted ODE, decay bounds."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -190,13 +192,20 @@ def test_flow_step_times_are_exact_multiples_of_the_step():
 
 def test_flow_rejects_output_times_off_the_step_grid():
     # T = 1, dt = 0.1 records 0, 0.1, ..., 1: 0.33 and 2 are never reached
-    for bad in (0.33, 2.0, -0.1):
+    for bad in (0.33, 2.0, -0.1, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=f"output time {bad} "):
             FlowProblem(ModelMetric(), T=1.0, dt=0.1, grid=GRID,
                         output_times=[0.5, bad])
     # the step times themselves, t = 0 included, are accepted
     FlowProblem(ModelMetric(), T=1.0, dt=0.01, grid=GRID, output_times=[0.25, 0.5, 1])
     FlowProblem(ModelMetric(), T=1.0, dt=0.1, grid=GRID, output_times=[0, 0.3, 1.0])
+
+
+def test_flow_output_times_checked_in_one_pass_over_the_step_times():
+    # 10^7 step times; a Python loop over them took about 9 s
+    start = time.perf_counter()
+    FlowProblem(ModelMetric(), T=100.0, dt=1e-5, grid=GRID, output_times=[0.5, 50.0, 100.0])
+    assert time.perf_counter() - start < 2.0
 
 
 def _steep_bump() -> ModelMetric:
@@ -207,10 +216,17 @@ def _steep_bump() -> ModelMetric:
     return ModelMetric(conformal=bump)
 
 
-def test_flow_step_halving_keeps_step_times():
+def _newton_max_iter(monkeypatch, max_iter: int) -> None:
+    monkeypatch.setattr(parabolic, "_FLOW_NEWTON",
+                        dataclasses.replace(parabolic._FLOW_NEWTON, max_iter=max_iter))
+
+
+def test_flow_step_halving_keeps_step_times(monkeypatch):
     # the step is halved and the remainder retried; times stay exact
     metric = _steep_bump()
-    forced = run_flow(FlowProblem(metric, T=1.0, dt=0.5, newton_max_iter=2))
+    with monkeypatch.context() as m:
+        _newton_max_iter(m, 2)
+        forced = run_flow(FlowProblem(metric, T=1.0, dt=0.5))
     assert forced.step_rejections > 0
     assert forced.times.tolist() == [0.0, 0.5, 1.0]
     assert [s.t for s in forced.states] == [0.0, 0.5, 1.0]
@@ -229,7 +245,8 @@ def test_flow_newton_iterations_count_every_accepted_sub_step(monkeypatch):
         return out
 
     monkeypatch.setattr(parabolic, "damped_newton", counting_newton)
-    result = run_flow(FlowProblem(_steep_bump(), T=1.0, dt=0.5, newton_max_iter=2))
+    _newton_max_iter(monkeypatch, 2)
+    result = run_flow(FlowProblem(_steep_bump(), T=1.0, dt=0.5))
     assert result.step_rejections > 0
     assert len(accepted) > len(result.times) - 1   # some step time took sub-steps
     assert int(sum(result.newton_iterations)) == sum(accepted)
@@ -249,13 +266,15 @@ def test_flow_degenerating_background_raises():
         run_flow(problem)
 
 
-def test_flow_newton_damping_floor_reports_residual():
+def test_flow_newton_damping_floor_reports_residual(monkeypatch):
     # tol 0 leaves the inner Newton stalled at the rounding floor until the
-    # step is halved below 2^-30; dt_min_factor 1 forbids any step retry
+    # step is halved below 2^-30; _DT_MIN_FACTOR 1 forbids any step retry
     grid = RadialGrid(-40.0, math.log(0.5), 64)
     metric = ModelMetric(conformal=RadialField.from_function(grid, lambda x: 0.3 + 0.2 * x))
-    problem = FlowProblem(metric, T=0.1, dt=0.1, grid=grid, newton_tol=0.0,
-                          dt_min_factor=1.0)
+    monkeypatch.setattr(parabolic, "_FLOW_NEWTON",
+                        dataclasses.replace(parabolic._FLOW_NEWTON, tol=0.0))
+    monkeypatch.setattr(parabolic, "_DT_MIN_FACTOR", 1.0)
+    problem = FlowProblem(metric, T=0.1, dt=0.1, grid=grid)
     with pytest.raises(SolverError, match="damping floor") as info:
         run_flow(problem)
     assert "residual" in str(info.value) and "t=0.1" in str(info.value)

@@ -7,6 +7,7 @@ import pytest
 
 from cuspasym.errors import SolverError
 from cuspasym.radial import (
+    NewtonParams,
     RadialField,
     RadialGrid,
     damped_newton,
@@ -109,7 +110,16 @@ def test_damped_newton_rejects_inadmissible_start():
         return v - 1.0, None, False
 
     with pytest.raises(SolverError, match="probe started .* positivity"):
-        damped_newton(residual, None, np.zeros(8), 1e-12, 5, 2.0 ** -20, "probe")
+        damped_newton(residual, None, np.zeros(8), NewtonParams(5, 1e-12), "probe")
+
+
+def test_damped_newton_never_reads_a_nan_residual_as_converged():
+    def residual(v):
+        return np.full_like(v, np.nan), None, True
+
+    bands = lambda aux: dirichlet_bands(8, 0.1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        damped_newton(residual, bands, np.zeros(8), NewtonParams(), "probe")
 
 
 # ---------------------------------------------------------------------------
