@@ -502,7 +502,8 @@ def _run_sweep_item(path: str, outdir: Path) -> dict:
 def cmd_sweep(config, outdir: Path) -> dict:
     """Run each sub-config into ``outdir/<stem>``, ``max_workers`` at a time
     (at least one) on one thread pool.  Every item runs, even after one
-    fails; the first failure in config order is raised.
+    fails; the first failure in config order is raised, carrying one note
+    per later failure that names its sub-config and its error.
 
     The pool is one of threads, not processes.  An item is small next to the
     cost of a new process: a 4096-node logterm-pipeline item computes in
@@ -522,6 +523,13 @@ def cmd_sweep(config, outdir: Path) -> dict:
     # submit, not map: map cancels the items still queued when one fails
     with ThreadPoolExecutor(max_workers=max(1, config["max_workers"])) as pool:
         futures = [pool.submit(_run_sweep_item, p, outdir) for p in items]
+    failures = [(p, exc) for p, f in zip(items, futures)
+                if (exc := f.exception()) is not None]
+    if failures:
+        (_, first), *later = failures
+        for path, exc in later:
+            first.add_note(f"sweep item {path} also failed: {exc}")
+        raise first
     payload = {"config": config, "runs": [f.result() for f in futures]}
     write_json(outdir / "sweep.json", payload)
     return payload
@@ -569,12 +577,19 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](config, outdir)
     except ValueError as exc:  # ConfigError, or a constructor rejecting a value
-        print(f"config error: {exc}", file=sys.stderr)
+        _report("config error", exc)
         return 2
     except (SolverError, FitError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _report("numerical failure", exc)
         return 3
     return 0
+
+
+def _report(kind: str, exc: Exception) -> None:
+    """The error line, then one line per note (a sweep's later failures)."""
+    print(f"{kind}: {exc}", file=sys.stderr)
+    for note in getattr(exc, "__notes__", ()):
+        print(note, file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

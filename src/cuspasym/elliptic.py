@@ -30,6 +30,7 @@ from .errors import SolverError
 from .geometry import ModelMetric
 from .radial import (
     NewtonParams,
+    NewtonWorkspace,
     RadialField,
     damped_newton,
     dirichlet_bands,
@@ -130,23 +131,32 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     n, h = grid.n_nodes, grid.h
     density = problem.background.density(grid)
     F = problem.F.values
+    work = NewtonWorkspace(n)
+    tmp = work.scratch[1:-1]
 
-    def residual(u: np.ndarray):
-        lap = unit_laplacian_interior(u, h) / density
-        r = np.empty(n)
+    def residual(u: np.ndarray, r: np.ndarray, lap: np.ndarray) -> bool:
+        unit_laplacian_interior(u, h, out=lap, scratch=work.scratch)
+        np.divide(lap, density, out=lap)
         r[0] = u[0] - problem.bc_left
         r[-1] = u[-1] - problem.bc_right
-        positive = bool(np.all(1.0 + lap[1:-1] > 0))
+        np.add(1.0, lap[1:-1], out=tmp)
+        positive = bool(np.all(tmp > 0))
         if positive:
-            r[1:-1] = np.log1p(lap[1:-1]) - u[1:-1] - F[1:-1]
-        return r, lap, positive
+            inner = r[1:-1]
+            np.log1p(lap[1:-1], out=inner)
+            np.subtract(inner, u[1:-1], out=inner)
+            np.subtract(inner, F[1:-1], out=inner)
+        return positive
 
-    def jacobian_bands(lap: np.ndarray):
-        # d/du of log1p(Delta_g u) - u
-        return dirichlet_bands(n, h, 1.0 / (1.0 + lap[1:-1]) / density[1:-1], 1.0)
+    def jacobian_bands(lap: np.ndarray, out) -> None:
+        # d/du of log1p(Delta_g u) - u: weight 1 / (1 + Delta_g u) / density
+        np.add(1.0, lap[1:-1], out=tmp)
+        np.divide(1.0, tmp, out=tmp)
+        np.divide(tmp, density[1:-1], out=tmp)
+        dirichlet_bands(n, h, tmp, 1.0, out=out)
 
     u, lap, iterations, residuals, damping_events = damped_newton(
-        residual, jacobian_bands, np.zeros(n), problem.newton, "Newton")
+        residual, jacobian_bands, np.zeros(n), problem.newton, "Newton", work)
     report = NewtonReport(True, iterations, residuals, residuals[-1],
                           float(np.min(1.0 + lap[1:-1])), damping_events)
     return RadialField(grid, u), report

@@ -49,6 +49,7 @@ from .fitting import _lsq_slope
 from .geometry import ModelMetric
 from .radial import (
     NewtonParams,
+    NewtonWorkspace,
     RadialField,
     RadialGrid,
     damped_newton,
@@ -62,6 +63,8 @@ from .radial import (
 _FLOW_NEWTON = NewtonParams(max_iter=30, tol=1e-12, damping_min=2.0 ** -30)
 #: a step halved below dt * _DT_MIN_FACTOR fails the flow
 _DT_MIN_FACTOR = 2.0 ** -10
+#: the most steps a time grid may have (see ``_time_grid``)
+_MAX_STEPS = 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +89,25 @@ def cusp_constant_rk4(c0: float, t: float, dt: float = 1e-3) -> float:
 def _time_grid(T: float, dt: float) -> tuple[float, np.ndarray]:
     """The one time grid of every stepper here: the step T/steps and the
     times k*T/steps, k = 0..steps, T last.  steps is round(T/dt) when that
-    lands on T to within 1e-9 relative, ceil(T/dt) otherwise, at least 1."""
+    lands on T to within 1e-9 relative, ceil(T/dt) otherwise, at least 1.
+
+    More than ``_MAX_STEPS`` steps is an error, raised before any array is
+    built.  The cap comes from the cost of one step, measured in one
+    process on a 2-vCPU shared Xeon: the cheapest stepper, the scalar RK4
+    of ``cusp_constant_rk4``, takes 0.85 us a step (10^5 and 10^6 steps),
+    a flow step on the smallest (8-node) grid 140 us (10^4 steps) and a
+    decay-certificate step there 20 us.  At 10^8 steps the RK4 alone runs
+    85 s, the flow about 4 h, and each 8-byte-per-step time array is 800 MB.
+    """
     if not (T >= 0 and dt > 0 and math.isfinite(T / dt)):
         raise ValueError(f"need T >= 0, dt > 0 and finite T/dt, got T={T}, dt={dt}")
     steps = round(T / dt)
     if abs(steps * dt - T) > 1e-9 * T:
         steps = math.ceil(T / dt)
     steps = max(1, steps)
+    if steps > _MAX_STEPS:
+        raise ValueError(f"T={T} with dt={dt} takes {steps} steps, "
+                         f"more than the {_MAX_STEPS} a run may take")
     return T / steps, np.linspace(0.0, T, steps + 1)
 
 
@@ -283,6 +298,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     density, combo = _schedule_data(problem.omega0, grid)
     dt_nominal, step_times = _time_grid(problem.T, problem.dt)
     u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
+    work = NewtonWorkspace(grid.n_nodes)   # every Newton solve of the run
     res_accept, rejections = 0.0, 0
     states: list[FlowState] = []
     records = []   # (t, sup|u|, margin, Newton iterations, residual) per step time
@@ -293,14 +309,15 @@ def run_flow(problem: FlowProblem) -> FlowResult:
             while True:
                 try:
                     u_new, bc_new, step_iters, res_accept = _flow_step(
-                        u, bc, t, dt_loc, density, combo, problem)
+                        u, bc, t, dt_loc, density, combo, problem, work)
                     break
                 except SolverError:
                     rejections += 1
                     dt_loc /= 2.0
                     if dt_loc < problem.dt * _DT_MIN_FACTOR:
                         raise
-            u, bc = u_new, bc_new
+            np.copyto(u, u_new)
+            bc = bc_new
             iters += step_iters
             t += dt_loc
         t = target
@@ -310,21 +327,23 @@ def run_flow(problem: FlowProblem) -> FlowResult:
             raise SolverError(f"Kahler positivity lost at t={t:.6g}: margin {margin:.3e}")
         records.append((t, float(np.max(np.abs(u))), margin, iters, res_accept))
         if problem.output_times is None or any(_hits(t, ot) for ot in problem.output_times):
-            states.append(FlowState(t, RadialField(grid, u),
+            states.append(FlowState(t, RadialField(grid, u.copy()),
                                     RadialField(grid, evolving), margin))
 
     times, sup_u, margins, newton_iters, residuals = map(np.asarray, zip(*records))
     return FlowResult(states, times, sup_u, margins, newton_iters, residuals, rejections)
 
 
-def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem):
-    """One backward-Euler step of the potential flow; returns the new
-    potential, new boundary pair, Newton iteration count and the accepted
-    residual."""
+def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem,
+               work: NewtonWorkspace):
+    """One backward-Euler step of the potential flow, solved in ``work``;
+    returns the new potential (a buffer of ``work``), new boundary pair,
+    Newton iteration count and the accepted residual."""
     n, h = len(u), problem.grid.h
     t_next = t + dt
     S_next = _schedule_values(problem.grid, density, combo, t_next)
     s_minus_d0 = S_next - density
+    tmp = work.scratch[1:-1]
 
     # backward-Euler update of the endpoint restriction
     bc_new = np.empty(2)
@@ -332,24 +351,32 @@ def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem):
         src = math.log1p(s_minus_d0[j] / density[j])
         bc_new[pos] = (bc[pos] + dt * src) / (1.0 + dt)
 
-    def residual(v: np.ndarray):
-        lap = unit_laplacian_interior(v, h)
-        r = np.empty(n)
+    def residual(v: np.ndarray, r: np.ndarray, lap: np.ndarray) -> bool:
+        unit_laplacian_interior(v, h, out=lap, scratch=work.scratch)
         r[0] = v[0] - bc_new[0]
         r[-1] = v[-1] - bc_new[1]
-        arg = S_next[1:-1] + lap[1:-1]
-        if np.any(arg <= 0):
-            return r, lap, False
-        r[1:-1] = ((1.0 + dt) * v[1:-1] - u[1:-1]
-                   - dt * np.log1p((s_minus_d0[1:-1] + lap[1:-1]) / density[1:-1]))
-        return r, lap, True
+        np.add(S_next[1:-1], lap[1:-1], out=tmp)
+        if np.any(tmp <= 0):
+            return False
+        # (1 + dt) v - u - dt log1p((S - D0 + Delta v) / D0)
+        inner = r[1:-1]
+        np.add(s_minus_d0[1:-1], lap[1:-1], out=tmp)
+        np.divide(tmp, density[1:-1], out=tmp)
+        np.log1p(tmp, out=inner)
+        np.multiply(dt, inner, out=tmp)
+        np.multiply(1.0 + dt, v[1:-1], out=inner)
+        np.subtract(inner, u[1:-1], out=inner)
+        np.subtract(inner, tmp, out=inner)
+        return True
 
-    def jacobian_bands(lap: np.ndarray):
+    def jacobian_bands(lap: np.ndarray, out) -> None:
         # (1 + dt) - dt / (S + Delta u) * Delta
-        return dirichlet_bands(n, h, -dt / (S_next[1:-1] + lap[1:-1]), -(1.0 + dt))
+        np.add(S_next[1:-1], lap[1:-1], out=tmp)
+        np.divide(-dt, tmp, out=tmp)
+        dirichlet_bands(n, h, tmp, -(1.0 + dt), out=out)
 
     v, _, iters, residuals, _ = damped_newton(
-        residual, jacobian_bands, u.copy(), _FLOW_NEWTON, f"flow Newton (t={t_next:.6g})")
+        residual, jacobian_bands, u, _FLOW_NEWTON, f"flow Newton (t={t_next:.6g})", work)
     return v, bc_new, iters, residuals[-1]
 
 

@@ -13,7 +13,8 @@ endpoints (the latter only ever for diagnostics, never inside solves).
 
 The module also owns the numerics every radial solver shares: the band
 layout of Dirichlet-truncated operators (:func:`dirichlet_bands`) and the
-backtracking Newton loop (:func:`damped_newton`).
+backtracking Newton loop (:func:`damped_newton`) with the buffers it works
+in (:class:`NewtonWorkspace`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -154,11 +155,24 @@ def laplacian_coefficients(h: float) -> tuple[float, float, float]:
     return sub, diag, sup
 
 
-def unit_laplacian_interior(values: np.ndarray, h: float) -> np.ndarray:
-    """Centered stencil on interior nodes; endpoints returned as 0."""
+def unit_laplacian_interior(values: np.ndarray, h: float, out: Optional[np.ndarray] = None,
+                            scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Centered stencil on interior nodes; endpoints returned as 0.
+
+    ``out`` receives the result and ``scratch`` one intermediate product;
+    both are arrays shaped like ``values`` that do not overlap it, fresh
+    ones when omitted.  The interior sum is (s v[j-1] + d v[j]) + p v[j+1].
+    """
     sub, diag, sup = laplacian_coefficients(h)
-    out = np.zeros_like(values)
-    out[1:-1] = sub * values[:-2] + diag * values[1:-1] + sup * values[2:]
+    out = np.empty_like(values) if out is None else out
+    tmp = (np.empty_like(values) if scratch is None else scratch)[1:-1]
+    inner = out[1:-1]
+    out[0] = out[-1] = 0.0
+    np.multiply(sub, values[:-2], out=inner)
+    np.multiply(diag, values[1:-1], out=tmp)
+    np.add(inner, tmp, out=inner)
+    np.multiply(sup, values[2:], out=tmp)
+    np.add(inner, tmp, out=inner)
     return out
 
 
@@ -192,20 +206,23 @@ def dt_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def dirichlet_bands(n: int, h: float, weight, shift):
+def dirichlet_bands(n: int, h: float, weight, shift, out=None):
     """(sub, diag, sup) bands of the Dirichlet-truncated operator
     weight * Delta_unit - shift.
 
     ``weight`` and ``shift`` are scalars or arrays over the n - 2 interior
     nodes; the two end rows are identity rows carrying Dirichlet data.
+    ``out`` is a triple of n-arrays that receives every entry of the bands
+    (fresh ones when omitted); ``weight`` must not be a view of them.
     """
     c_sub, c_diag, c_sup = laplacian_coefficients(h)
-    sub = np.zeros(n)
-    diag = np.ones(n)
-    sup = np.zeros(n)
-    sub[1:-1] = weight * c_sub
-    diag[1:-1] = weight * c_diag - shift
-    sup[1:-1] = weight * c_sup
+    sub, diag, sup = (np.empty(n), np.empty(n), np.empty(n)) if out is None else out
+    sub[0] = sub[-1] = sup[0] = sup[-1] = 0.0
+    diag[0] = diag[-1] = 1.0
+    np.multiply(weight, c_sub, out=sub[1:-1])
+    np.multiply(weight, c_diag, out=diag[1:-1])
+    np.subtract(diag[1:-1], shift, out=diag[1:-1])
+    np.multiply(weight, c_sup, out=sup[1:-1])
     return sub, diag, sup
 
 
@@ -214,10 +231,19 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     """Direct solve of A u = rhs with A[j,j-1]=sub[j], A[j,j]=diag[j],
     A[j,j+1]=sup[j] (LAPACK gtsv, partial pivoting); sub[0] and sup[-1]
     lie outside A and are never read.  The inputs are not written."""
+    return _gtsv(sub, diag, sup, rhs, overwrite=False)
+
+
+def _gtsv(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray,
+          overwrite: bool) -> np.ndarray:
+    """:func:`solve_tridiagonal`, checks included; with ``overwrite`` LAPACK
+    works in the caller's contiguous float64 arrays: the solution is
+    written into ``rhs`` (and returned) and the bands are destroyed."""
     from scipy.linalg.lapack import dgtsv  # only solvers pay for scipy.linalg
 
     _require_finite(sub[1:], diag, sup[:-1], rhs)
-    *_, u, info = dgtsv(sub[1:], diag, sup[:-1], rhs)
+    *_, u, info = dgtsv(sub[1:], diag, sup[:-1], rhs,
+                        overwrite, overwrite, overwrite, overwrite)
     _check_lapack_info(info, "gtsv")
     return u
 
@@ -264,26 +290,55 @@ class NewtonParams:
     damping_min: float = 2.0 ** -20
 
 
+class NewtonWorkspace:
+    """The arrays one :func:`damped_newton` solve on ``n`` nodes works in.
+
+    The caller creates it and may pass it to any number of solves of its
+    size, one at a time; nothing here is shared between callers.  ``v`` and
+    ``candidate``, ``r`` and ``r_new``, ``aux`` and ``aux_new`` are double
+    buffers (the loop swaps each pair on an accepted step), ``step`` holds
+    the right-hand side and then the Newton step, ``bands`` the Jacobian's
+    (sub, diag, sup), and ``scratch`` is free for the callbacks: the loop
+    itself uses it only between their calls.
+    """
+
+    def __init__(self, n: int):
+        self.v, self.candidate = np.empty(n), np.empty(n)
+        self.r, self.r_new = np.empty(n), np.empty(n)
+        self.aux, self.aux_new = np.empty(n), np.empty(n)
+        self.step = np.empty(n)
+        self.bands = (np.empty(n), np.empty(n), np.empty(n))
+        self.scratch = np.empty(n)
+
+
 def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
-                  params: NewtonParams, label: str):
+                  params: NewtonParams, label: str,
+                  work: Optional[NewtonWorkspace] = None):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
-    ``residual(v)`` returns ``(r, aux, ok)``, where ``ok`` is False when v
-    leaves the admissible set (positivity lost), and ``bands(aux)`` returns
-    the Jacobian bands at that iterate.  Each step is halved until the
+    ``residual(v, r_out, aux_out)`` writes the residual at v into
+    ``r_out`` and the data its Jacobian needs into ``aux_out``, and returns
+    False when v leaves the admissible set (positivity lost);
+    ``bands(aux, bands_out)`` writes the Jacobian bands at that iterate into
+    the triple ``bands_out``.  Each step is halved until the
     iterate is admissible and the sup-norm residual drops by the factor
     1 - 1e-4 s; a step below ``params.damping_min``, ``params.max_iter``
     steps without reaching ``params.tol`` or a singular linearization raise
     SolverError; its message names ``label`` (and the last residual, where
     there is one).  A NaN residual never counts as reached.
 
-    Returns ``(v, aux, iterations, residual_history, damping_events)``.
+    The loop allocates no float array of the grid's size: it works in
+    ``work`` (a fresh :class:`NewtonWorkspace` when omitted), starting from
+    a copy of ``v0``, and solves each step in place.
+    Returns ``(v, aux, iterations, residual_history, damping_events)``,
+    where ``v`` and ``aux`` are buffers of the workspace.
     """
-    v = v0
-    r, aux, ok = residual(v)
-    if not ok:
+    w = NewtonWorkspace(len(v0)) if work is None else work
+    v, candidate, r, r_new, aux, aux_new = w.v, w.candidate, w.r, w.r_new, w.aux, w.aux_new
+    np.copyto(v, v0)
+    if not residual(v, r, aux):
         raise SolverError(f"{label} started from an iterate violating positivity")
-    res_norm = float(np.max(np.abs(r)))
+    res_norm = _sup_norm(r, w.scratch)
     residuals = [res_norm]
     damping_events = 0
     iteration = 0
@@ -292,16 +347,19 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
             raise SolverError(f"{label} did not converge in {params.max_iter} iterations; "
                               f"last residual {res_norm:.3e}")
         iteration += 1
+        bands(aux, w.bands)
+        np.negative(r, out=w.step)
         try:
-            step = solve_tridiagonal(*bands(aux), -r)
+            step = _gtsv(*w.bands, w.step, overwrite=True)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular {label} linearization at iteration "
                               f"{iteration}: {exc}") from exc
         s = 1.0
         while True:
-            candidate = v + s * step
-            r_new, aux_new, ok = residual(candidate)
-            new_norm = float(np.max(np.abs(r_new))) if ok else np.inf
+            np.multiply(step, s, out=candidate)
+            np.add(v, candidate, out=candidate)
+            ok = residual(candidate, r_new, aux_new)
+            new_norm = _sup_norm(r_new, w.scratch) if ok else np.inf
             if ok and new_norm <= (1.0 - 1e-4 * s) * res_norm:
                 break
             s *= 0.5
@@ -310,9 +368,16 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
                 raise SolverError(
                     f"{label} damping floor reached at iteration {iteration}; "
                     f"last residual {res_norm:.3e}")
-        v, r, aux, res_norm = candidate, r_new, aux_new, new_norm
+        v, candidate = candidate, v
+        r, r_new = r_new, r
+        aux, aux_new = aux_new, aux
+        res_norm = new_norm
         residuals.append(res_norm)
     return v, aux, iteration, residuals, damping_events
+
+
+def _sup_norm(r: np.ndarray, scratch: np.ndarray) -> float:
+    return float(np.max(np.abs(r, out=scratch)))
 
 
 def evaluate_expansion(terms: Sequence[tuple[float, float, int]], x: np.ndarray) -> np.ndarray:

@@ -175,6 +175,17 @@ def test_flow_without_finite_step_count_is_config_error(tmp_path, capsys, steps)
     assert not (out / "flow.json").exists()
 
 
+def test_flow_with_too_many_steps_is_config_error(tmp_path, capsys):
+    # 10^15 steps: rejected before the time grid (7 PiB) is built
+    cfg = write(tmp_path / "c.cfg", "n_nodes = 64\nT = 1000000\ndt = 1e-9\n")
+    out = tmp_path / "out"
+    assert main(["flow", cfg, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: T=1000000.0 with dt=1e-09 takes 1000000000000000 "
+                   "steps, more than the 100000000 a run may take\n")
+    assert not (out / "flow.json").exists()
+
+
 def test_fit_expansion_round_trip(tmp_path):
     grid = RadialGrid(-30.0, math.log(0.5), 1024)
     field = RadialField.from_function(grid, lambda x: 2 * x + 5 * x ** 2)
@@ -301,6 +312,32 @@ def test_single_worker_sweep_runs_every_item_past_a_failure(tmp_path, capsys):
     assert "needs a 'command' key" in capsys.readouterr().err
     assert (out / "b" / "chern.json").is_file()
     assert not (out / "sweep.json").exists()
+
+
+def test_sweep_names_every_failed_item(tmp_path, capsys):
+    bad = write(tmp_path / "a.cfg", "d = 5\n")
+    also_bad = write(tmp_path / "b.cfg", "command = chern-coeff\nd = 3\n")
+    good = write(tmp_path / "c.cfg", "command = chern-coeff\nd = 5\n")
+    cfg = write(tmp_path / "sweep.cfg", f"configs = {bad}, {good}, {also_bad}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "-o", str(out)]) == 2
+    # the first failure in config order, then each later one on its own line
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {bad}: sweep sub-config needs a 'command' key",
+        f"sweep item {also_bad} also failed: plane-curve degree must be an "
+        f"integer >= 4, got 3 (for d <= 3 the adjoint bundle is not positive)",
+    ]
+    assert (out / "c" / "chern.json").is_file()
+    assert not (out / "sweep.json").exists()
+
+
+def test_sweep_with_one_failed_item_prints_one_line(tmp_path, capsys):
+    bad = write(tmp_path / "a.cfg", "d = 5\n")
+    good = write(tmp_path / "b.cfg", "command = chern-coeff\nd = 5\n")
+    cfg = write(tmp_path / "sweep.cfg", f"configs = {good}, {bad}\nmax_workers = 2\n")
+    assert main(["sweep", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {bad}: sweep sub-config needs a 'command' key\n")
 
 
 def test_sweep_subconfig_duplicate_key_rejected(tmp_path, capsys):

@@ -2,7 +2,13 @@
 
 import dataclasses
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +212,103 @@ def test_flow_output_times_checked_in_one_pass_over_the_step_times():
     start = time.perf_counter()
     FlowProblem(ModelMetric(), T=100.0, dt=1e-5, grid=GRID, output_times=[0.5, 50.0, 100.0])
     assert time.perf_counter() - start < 2.0
+
+
+def test_time_grid_caps_the_step_count_before_building_it(monkeypatch):
+    with pytest.raises(ValueError, match=r"T=1000000.0 with dt=1e-09 takes "
+                                         r"1000000000000000 steps, more than the 100000000"):
+        FlowProblem(ModelMetric(), T=1e6, dt=1e-9, grid=GRID)
+    # at a cap of 10^5 the rejected grid would be 800 kB; nothing near it is built
+    monkeypatch.setattr(parabolic, "_MAX_STEPS", 10 ** 5)
+    assert len(parabolic._time_grid(1.0, 1e-5)[1]) == 10 ** 5 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="takes 100001 steps, more than the 100000"):
+            parabolic._time_grid(1.0, 1.0 / 100001)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ValueError, match="takes 200000 steps"):
+        cusp_constant_rk4(2.0, 2.0, 1e-5)
+
+
+def _bump_metric(grid: RadialGrid) -> ModelMetric:
+    """The benchmark's flow background: a conformal bump around t = -20."""
+    bump = np.exp(-((grid.t + 20.0) / 3.0) ** 2)
+    return ModelMetric(conformal=RadialField(grid, 0.2 + 0.1 * bump))
+
+
+def test_flow_snapshots_equal_runs_that_end_there():
+    # the run steps in one reused workspace; each snapshot keeps its own copy
+    metric = _bump_metric(RadialGrid(-40.0, math.log(0.5), 2048))
+    result = run_flow(FlowProblem(metric, T=1.0, dt=1e-2, output_times=[0.5, 1.0]))
+    assert [s.t for s in result.states] == [0.5, 1.0]
+    for state in result.states:
+        alone = run_flow(FlowProblem(metric, T=state.t, dt=1e-2)).states[-1]
+        assert alone.t == state.t
+        assert state.u.values.tobytes() == alone.u.values.tobytes()
+        assert (state.flow_metric_density.values.tobytes()
+                == alone.flow_metric_density.values.tobytes())
+
+
+@pytest.mark.parametrize("solve", ["monge_ampere", "flow"])
+def test_newton_loop_allocates_no_grid_array(monkeypatch, solve):
+    # traced peak inside each damped_newton call, below one float64 array of
+    # the grid (the loop's only allocations are bool masks of the grid)
+    from cuspasym import elliptic
+
+    module = elliptic if solve == "monge_ampere" else parabolic
+    grid = RadialGrid(-40.0, math.log(0.5), 8192)
+    peaks, newton = [], module.damped_newton
+
+    def traced_newton(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = newton(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(module, "damped_newton", traced_newton)
+    if solve == "monge_ampere":
+        F = RadialField(grid, 1.5 * grid.x)
+        report = elliptic.solve_monge_ampere_radial(
+            elliptic.MongeAmpereProblem(ModelMetric(), F))[1]
+        assert report.iterations > 2
+    else:
+        result = run_flow(FlowProblem(_bump_metric(grid), T=0.1, dt=0.05))
+        assert sum(result.newton_iterations) > 2
+    assert peaks and max(peaks) < 8 * grid.n_nodes
+
+
+def test_warm_flow_run_takes_few_page_faults():
+    # 16384-node arrays are 128 KiB, glibc's default mmap threshold: every
+    # such temporary of a Newton iteration used to be mapped and faulted in
+    if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+        pytest.skip("this system reports no minor page faults (ru_minflt)")
+    code = """
+import math, resource
+import numpy as np
+from cuspasym.geometry import ModelMetric
+from cuspasym.parabolic import FlowProblem, run_flow
+from cuspasym.radial import RadialField, RadialGrid
+grid = RadialGrid(-40.0, math.log(0.5), 16384)
+bump = np.exp(-((grid.t + 20.0) / 3.0) ** 2)
+problem = FlowProblem(ModelMetric(conformal=RadialField(grid, 0.2 + 0.1 * bump)),
+                      T=1.0, dt=1e-2, output_times=[0.5, 1.0])
+run_flow(problem)  # lazy imports and first touches
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_flow(problem)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.splitlines()[-1])
+    assert faults <= 3000, f"{faults} minor page faults in one warm run_flow"
 
 
 def _steep_bump() -> ModelMetric:

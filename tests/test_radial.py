@@ -8,13 +8,16 @@ import pytest
 from cuspasym.errors import SolverError
 from cuspasym.radial import (
     NewtonParams,
+    NewtonWorkspace,
     RadialField,
     RadialGrid,
+    _gtsv,
     damped_newton,
     dirichlet_bands,
     dt_derivative,
     evaluate_expansion,
     factor_tridiagonal,
+    laplacian_coefficients,
     solve_tridiagonal,
     unit_laplacian,
     unit_laplacian_interior,
@@ -99,6 +102,42 @@ def test_dirichlet_bands_apply_operator(name):
     assert Av[0] == v[0] and Av[-1] == v[-1]
 
 
+def test_unit_laplacian_interior_out_path_matches_allocating_path():
+    rng = np.random.default_rng(11)
+    g = RadialGrid(-40.0, -0.5, 3001)
+    v = rng.standard_normal(g.n_nodes) * np.exp(rng.uniform(-30, 3, g.n_nodes))
+    fresh = unit_laplacian_interior(v, g.h)
+    out, scratch = np.full((2, g.n_nodes), np.nan)
+    assert unit_laplacian_interior(v, g.h, out=out, scratch=scratch) is out
+    assert out.tobytes() == fresh.tobytes()
+    # the stencil sum as written before the out= path: (s v- + d v0) + p v+
+    sub, diag, sup = laplacian_coefficients(g.h)
+    reference = np.zeros_like(v)
+    reference[1:-1] = sub * v[:-2] + diag * v[1:-1] + sup * v[2:]
+    assert fresh.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("name", list(BAND_CASES))
+def test_dirichlet_bands_out_path_matches_allocating_path(name):
+    rng = np.random.default_rng(12)
+    g = RadialGrid(-40.0, -0.5, 257)
+    n, h = g.n_nodes, g.h
+    density = 1.4 * np.exp(2.0 * rng.uniform(-0.3, 0.3, n - 2))
+    weight, shift = BAND_CASES[name](density, rng.uniform(-0.5, 0.5, n - 2))
+    fresh = dirichlet_bands(n, h, weight, shift)
+    out = tuple(np.full((3, n), np.nan))
+    bands = dirichlet_bands(n, h, weight, shift, out=out)
+    assert all(band is buffer for band, buffer in zip(bands, out))
+    assert [b.tobytes() for b in out] == [b.tobytes() for b in fresh]
+    # the bands as built before the out= path
+    c_sub, c_diag, c_sup = laplacian_coefficients(h)
+    reference = np.zeros(n), np.ones(n), np.zeros(n)
+    reference[0][1:-1] = weight * c_sub
+    reference[1][1:-1] = weight * c_diag - shift
+    reference[2][1:-1] = weight * c_sup
+    assert [b.tobytes() for b in fresh] == [b.tobytes() for b in reference]
+
+
 def test_dt_derivative_exact_on_quadratics():
     g = RadialGrid(-3.0, -0.5, 32)
     vals = 2.0 * g.t ** 2 - g.t + 0.5
@@ -106,30 +145,57 @@ def test_dt_derivative_exact_on_quadratics():
 
 
 def test_damped_newton_rejects_inadmissible_start():
-    def residual(v):
-        return v - 1.0, None, False
+    def residual(v, r, aux):
+        np.subtract(v, 1.0, out=r)
+        return False
 
     with pytest.raises(SolverError, match="probe started .* positivity"):
         damped_newton(residual, None, np.zeros(8), NewtonParams(5, 1e-12), "probe")
 
 
 def test_damped_newton_never_reads_a_nan_residual_as_converged():
-    def residual(v):
-        return np.full_like(v, np.nan), None, True
+    def residual(v, r, aux):
+        r.fill(np.nan)
+        return True
 
-    bands = lambda aux: dirichlet_bands(8, 0.1, 1.0, 1.0)
+    bands = lambda aux, out: dirichlet_bands(8, 0.1, 1.0, 1.0, out=out)
     with pytest.raises(ValueError, match="NaN"):
         damped_newton(residual, bands, np.zeros(8), NewtonParams(), "probe")
+
+
+def test_damped_newton_works_in_the_given_workspace():
+    # the linear residual v - target converges in one full step
+    target = np.linspace(1.0, 2.0, 16)
+    work = NewtonWorkspace(16)
+    buffers = [work.v, work.candidate, work.aux, work.aux_new]
+
+    def residual(v, r, aux):
+        np.subtract(v, target, out=r)
+        np.copyto(aux, v)
+        return True
+
+    bands = lambda aux, out: dirichlet_bands(16, 0.1, 0.0, -1.0, out=out)
+    v, aux, iterations, residuals, damping = damped_newton(
+        residual, bands, np.zeros(16), NewtonParams(5, 1e-12), "probe", work)
+    assert iterations == 1 and damping == 0 and residuals == [2.0, 0.0]
+    assert any(v is b for b in buffers) and any(aux is b for b in buffers)
+    assert v.tobytes() == target.tobytes() and aux.tobytes() == target.tobytes()
 
 
 # ---------------------------------------------------------------------------
 # Tridiagonal solves: one-shot (gtsv) and factored once (gttrf/gttrs)
 # ---------------------------------------------------------------------------
 
-#: both solve paths as f(sub, diag, sup, rhs)
+#: both solve paths that leave their inputs alone, as f(sub, diag, sup, rhs)
 TRIDIAGONAL_SOLVERS = {
     "one-shot": solve_tridiagonal,
     "factored": lambda sub, diag, sup, rhs: factor_tridiagonal(sub, diag, sup)(rhs),
+}
+
+#: those and the Newton loop's solve, which works in (copies of) its inputs
+CHECKED_SOLVERS = {
+    **TRIDIAGONAL_SOLVERS,
+    "in-place": lambda *system: _gtsv(*(a.copy() for a in system), overwrite=True),
 }
 
 
@@ -150,30 +216,30 @@ def _pivots(sub, diag, sup) -> bool:
 SYSTEM_ENTRIES = [(0, 1), (0, -1), (1, 0), (1, -1), (2, 0), (2, -2), (3, 0), (3, -1)]
 
 
-@pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
+@pytest.mark.parametrize("solver", list(CHECKED_SOLVERS))
 @pytest.mark.parametrize("position, index", SYSTEM_ENTRIES)
 def test_tridiagonal_rejects_nonfinite_entries(solver, position, index):
     for bad in (np.nan, np.inf, -np.inf):
         system = list(_pivoting_system(np.random.default_rng(3), 12))
         system[position][index] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            TRIDIAGONAL_SOLVERS[solver](*system)
+            CHECKED_SOLVERS[solver](*system)
 
 
-@pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
+@pytest.mark.parametrize("solver", list(CHECKED_SOLVERS))
 def test_tridiagonal_ignores_band_ends_outside_the_matrix(solver):
     sub, diag, sup, rhs = _pivoting_system(np.random.default_rng(4), 12)
-    expected = TRIDIAGONAL_SOLVERS[solver](sub, diag, sup, rhs)
+    expected = CHECKED_SOLVERS[solver](sub, diag, sup, rhs)
     sub[0], sup[-1] = np.nan, np.inf
-    assert TRIDIAGONAL_SOLVERS[solver](sub, diag, sup, rhs).tobytes() == expected.tobytes()
+    assert CHECKED_SOLVERS[solver](sub, diag, sup, rhs).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
+@pytest.mark.parametrize("solver", list(CHECKED_SOLVERS))
 def test_tridiagonal_singular_matrix_raises(solver):
     sub, diag, sup, rhs = _pivoting_system(np.random.default_rng(5), 12)
     sub[4] = diag[4] = sup[4] = 0.0   # a zero row
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        TRIDIAGONAL_SOLVERS[solver](sub, diag, sup, rhs)
+        CHECKED_SOLVERS[solver](sub, diag, sup, rhs)
 
 
 @pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
@@ -182,6 +248,22 @@ def test_tridiagonal_solve_leaves_inputs_unchanged(solver):
     before = [a.tobytes() for a in system]
     TRIDIAGONAL_SOLVERS[solver](*system)
     assert [a.tobytes() for a in system] == before
+
+
+def test_in_place_solve_overwrites_rhs_and_matches_one_shot_bit_for_bit():
+    # f2py copies an argument it cannot hand to LAPACK as is; a copy here
+    # would leave every result right and every Newton step slower
+    rng = np.random.default_rng(10)
+    work = NewtonWorkspace(300)
+    for _ in range(100):
+        n = int(rng.integers(3, 300))
+        system = _pivoting_system(rng, n)
+        expected = solve_tridiagonal(*system)
+        sub, diag, sup, rhs = (np.copyto(b[:n], a) or b[:n]
+                               for a, b in zip(system, (*work.bands, work.step)))
+        u = _gtsv(sub, diag, sup, rhs, overwrite=True)
+        assert np.shares_memory(u, rhs)
+        assert u.tobytes() == expected.tobytes()
 
 
 def test_factored_solves_match_one_shot_bit_for_bit():
