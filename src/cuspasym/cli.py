@@ -392,9 +392,15 @@ def cmd_flow(config, outdir: Path) -> dict:
     problem = FlowProblem(metric, T=config["T"], dt=config["dt"], grid=grid,
                           output_times=output_times)
     result = run_flow(problem)
-    snapshots = []
+    named = {}   # snapshot file name -> FlowState
     for state in result.states:
         name = f"flow_t{state.t:.6f}.csv"
+        if name in named:
+            raise ConfigError(f"output times {named[name].t} and {state.t} "
+                              f"share the snapshot file {name}")
+        named[name] = state
+    snapshots = []
+    for name, state in named.items():
         state.u.write_csv(outdir / name)
         snapshots.append({
             "t": state.t,
@@ -494,8 +500,15 @@ def _run_sweep_item(path: str, outdir: Path) -> dict:
         raise ConfigError(f"{sub_path}: unknown sweep command {command!r}")
     config = resolve_config(raw, SCHEMAS[command], source=str(sub_path))
     item_dir = outdir / sub_path.stem
+    created = not item_dir.exists()
     item_dir.mkdir(parents=True, exist_ok=True)
-    COMMANDS[command](config, item_dir)
+    try:
+        COMMANDS[command](config, item_dir)
+    except Exception:
+        # a failed item leaves no empty directory of its own making
+        if created and not any(item_dir.iterdir()):
+            item_dir.rmdir()
+        raise
     return {"config": str(sub_path), "command": command, "outdir": sub_path.stem}
 
 

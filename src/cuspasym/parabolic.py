@@ -28,8 +28,10 @@ c_t = 1 + e^{-t} (c_0 - 1); the driven cusp constant obeys dc/dt = 1 - c
 with the same closed form.
 
 Every stepper here (the flow, the decay certificate and both RK4 paths)
-takes its steps from one time grid, ``_time_grid``: steps of about dt,
-times exactly k*T/steps with T itself last.
+takes its steps from one time grid, ``_time_grid``: a step count, not an
+array.  ``_TimeGrid.time`` gives the time of step k, exactly k*T/steps with
+T itself last, and ``_TimeGrid.step_of`` the step that serves an output
+time; no other code here does time-grid arithmetic.
 
 The inner Newton loop (``damped_newton``, set by ``_FLOW_NEWTON``) and the
 band layout of the backward-Euler matrices (``dirichlet_bands``) live in
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,22 +84,54 @@ def cusp_constant_rk4(c0: float, t: float, dt: float = 1e-3) -> float:
     """Generic RK4 integration of dc/dt = 1 - c, for cross-checking."""
     if c0 <= 0:
         raise ValueError(f"cusp constant must be positive, got {c0}")
-    h, times = _time_grid(t, dt)
-    return float(_rk4(lambda s, c: 1.0 - c, c0, times, h)[-1])
+    return float(_rk4(lambda s, c: 1.0 - c, c0, _time_grid(t, dt))[-1])
 
 
-def _time_grid(T: float, dt: float) -> tuple[float, np.ndarray]:
-    """The one time grid of every stepper here: the step T/steps and the
-    times k*T/steps, k = 0..steps, T last.  steps is round(T/dt) when that
-    lands on T to within 1e-9 relative, ceil(T/dt) otherwise, at least 1.
+class _TimeGrid(NamedTuple):
+    """``steps`` steps of h = T/steps from 0 to T."""
+    T: float
+    steps: int
 
-    More than ``_MAX_STEPS`` steps is an error, raised before any array is
-    built.  The cap comes from the cost of one step, measured in one
-    process on a 2-vCPU shared Xeon: the cheapest stepper, the scalar RK4
-    of ``cusp_constant_rk4``, takes 0.85 us a step (10^5 and 10^6 steps),
-    a flow step on the smallest (8-node) grid 140 us (10^4 steps) and a
-    decay-certificate step there 20 us.  At 10^8 steps the RK4 alone runs
-    85 s, the flow about 4 h, and each 8-byte-per-step time array is 800 MB.
+    @property
+    def h(self) -> float:
+        return self.T / self.steps
+
+    def time(self, k: int) -> float:
+        """The time of step k: k*(T/steps), T itself last; bit for bit
+        ``np.linspace(0, T, steps + 1)[k]``."""
+        return self.T if k == self.steps else k * (self.T / self.steps)
+
+    def step_of(self, t: float) -> Optional[int]:
+        """The step that serves output time t: the nearest one, if its time
+        is t to 1e-9 relative; None for a non-finite or unreachable t.
+        Needs T > 0."""
+        if not math.isfinite(t):
+            return None
+        k = round(min(max(t / self.T * self.steps, 0.0), self.steps))
+        return k if _hits(self.time(k), t) else None
+
+    def times(self) -> np.ndarray:
+        """Every step time, for the results that report them."""
+        return np.fromiter(map(self.time, range(self.steps + 1)), float, self.steps + 1)
+
+
+def _hits(t: float, output_time: float) -> bool:
+    """Whether step time t serves output_time, to 1e-9 relative."""
+    return abs(t - output_time) <= 1e-9 * max(1.0, abs(output_time))
+
+
+def _time_grid(T: float, dt: float) -> _TimeGrid:
+    """The one time grid of every stepper here, as a step count: steps is
+    round(T/dt) when that lands on T to within 1e-9 relative, ceil(T/dt)
+    otherwise, at least 1.  No array over the steps is built; a stepper
+    asks ``time(k)`` for the time of step k as it reaches it.
+
+    More than ``_MAX_STEPS`` steps is an error.  The cap comes from the
+    cost of one step, measured in one process on a 2-vCPU shared Xeon: the
+    cheapest stepper, the scalar RK4 of ``cusp_constant_rk4``, takes
+    0.85 us a step (10^5 and 10^6 steps), a flow step on the smallest
+    (8-node) grid 140 us (10^4 steps) and a decay-certificate step there
+    20 us.  At 10^8 steps the RK4 alone runs 85 s and the flow about 4 h.
     """
     if not (T >= 0 and dt > 0 and math.isfinite(T / dt)):
         raise ValueError(f"need T >= 0, dt > 0 and finite T/dt, got T={T}, dt={dt}")
@@ -108,17 +142,18 @@ def _time_grid(T: float, dt: float) -> tuple[float, np.ndarray]:
     if steps > _MAX_STEPS:
         raise ValueError(f"T={T} with dt={dt} takes {steps} steps, "
                          f"more than the {_MAX_STEPS} a run may take")
-    return T / steps, np.linspace(0.0, T, steps + 1)
+    return _TimeGrid(float(T), steps)
 
 
-def _rk4(f: Callable[[float, float], float], y0: float, times: np.ndarray,
-         h: float) -> np.ndarray:
-    """Classical RK4 for dy/dt = f(t, y) with step h from times[m] to
-    times[m + 1]; returns y at every sample time."""
-    out = np.empty(len(times))
+def _rk4(f: Callable[[float, float], float], y0: float,
+         time_grid: _TimeGrid) -> np.ndarray:
+    """Classical RK4 for dy/dt = f(t, y) over ``time_grid``; returns y at
+    every step time."""
+    h = time_grid.h
+    out = np.empty(time_grid.steps + 1)
     out[0] = y = y0
-    for m in range(len(times) - 1):
-        tm = times[m]
+    for m in range(time_grid.steps):
+        tm = time_grid.time(m)
         k1 = f(tm, y)
         k2 = f(tm + 0.5 * h, y + 0.5 * h * k1)
         k3 = f(tm + 0.5 * h, y + 0.5 * h * k2)
@@ -164,9 +199,10 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
     c_list = [float(c) for c in c_list]
     if any(c <= 0 for c in c_list):
         raise ValueError(f"all cusp constants must be positive, got {c_list}")
-    h, times = _time_grid(T, dt)
+    time_grid = _time_grid(T, dt)
+    times = time_grid.times()
     source = _restricted_source(c_list)
-    rk4 = _rk4(lambda s, u: -u + source(s), 0.0, times, h)
+    rk4 = _rk4(lambda s, u: -u + source(s), 0.0, time_grid)
 
     quadrature = np.zeros(len(times))
     for m, tm in enumerate(times[1:], start=1):
@@ -237,11 +273,11 @@ class FlowProblem:
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
         self.grid = self.omega0._resolve_grid(self.grid)
-        _, times = _time_grid(self.T, self.dt)
+        time_grid = _time_grid(self.T, self.dt)
         for ot in self.output_times if self.output_times is not None else ():
-            if not (math.isfinite(ot) and np.any(_hits(times, ot))):
+            if time_grid.step_of(ot) is None:
                 raise ValueError(f"output time {ot} is not a step time "
-                                 f"k*T/{len(times) - 1} in [0, {self.T}] (dt={self.dt})")
+                                 f"k*T/{time_grid.steps} in [0, {self.T}] (dt={self.dt})")
 
 
 @dataclass
@@ -269,12 +305,6 @@ class FlowResult:
     step_rejections: int
 
 
-def _hits(t, output_time: float):
-    """Whether step time t (or each of an array of them) serves
-    output_time, to 1e-9 relative."""
-    return abs(t - output_time) <= 1e-9 * max(1.0, abs(output_time))
-
-
 def fitted_boundary_constant(state: FlowState, fraction: float = 0.1) -> float:
     """Average of the evolving metric density over the deepest nodes.
 
@@ -296,16 +326,20 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     """
     grid = problem.grid
     density, combo = _schedule_data(problem.omega0, grid)
-    dt_nominal, step_times = _time_grid(problem.T, problem.dt)
+    time_grid = _time_grid(problem.T, problem.dt)
+    # the step of each output time; None keeps every step
+    keep = (None if problem.output_times is None
+            else {time_grid.step_of(ot) for ot in problem.output_times})
     u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
     work = NewtonWorkspace(grid.n_nodes)   # every Newton solve of the run
     res_accept, rejections = 0.0, 0
     states: list[FlowState] = []
     records = []   # (t, sup|u|, margin, Newton iterations, residual) per step time
-    for target in step_times.tolist():
+    for k in range(time_grid.steps + 1):
+        target = time_grid.time(k)
         iters = 0
         while t < target - 1e-12 * max(1.0, target):
-            dt_loc = min(dt_nominal, target - t)
+            dt_loc = min(time_grid.h, target - t)
             while True:
                 try:
                     u_new, bc_new, step_iters, res_accept = _flow_step(
@@ -326,7 +360,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
         if margin <= 0:
             raise SolverError(f"Kahler positivity lost at t={t:.6g}: margin {margin:.3e}")
         records.append((t, float(np.max(np.abs(u))), margin, iters, res_accept))
-        if problem.output_times is None or any(_hits(t, ot) for ot in problem.output_times):
+        if keep is None or k in keep:
             states.append(FlowState(t, RadialField(grid, u.copy()),
                                     RadialField(grid, evolving), margin))
 
@@ -414,7 +448,8 @@ def decay_certificate(grid: RadialGrid, gamma: float,
         raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
     n, h = grid.n_nodes, grid.h
     x = grid.x
-    h_t, times = _time_grid(T, dt)
+    time_grid = _time_grid(T, dt)
+    h_t, times = time_grid.h, time_grid.times()
 
     # backward-Euler matrix (1 + h_t) - h_t * Delta with Dirichlet rows,
     # the same at every step, so factored once

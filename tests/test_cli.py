@@ -164,6 +164,18 @@ def test_flow_unreachable_output_time_is_config_error(tmp_path, capsys):
     assert not (out / "flow.json").exists()
 
 
+def test_flow_snapshots_sharing_a_file_name_are_config_error(tmp_path, capsys):
+    # 2e-7 and 3e-7 both print as flow_t0.000000.csv
+    cfg = write(tmp_path / "c.cfg",
+                "n_nodes = 8\nt_min = -5\nt_max = -1\nconformal_terms = 0.2:0:0\n"
+                "T = 1e-6\ndt = 1e-7\noutput_times = 2e-7, 3e-7\n")
+    out = tmp_path / "out"
+    assert main(["flow", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: output times 2e-07 and 3e-07 "
+                                       "share the snapshot file flow_t0.000000.csv\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("steps", ["T = inf\ndt = 0.1", "T = 1e300\ndt = 1e-300",
                                    "T = nan\ndt = 0.1", "T = 1\ndt = nan"],
                          ids=["T-inf", "T-over-dt-overflows", "T-nan", "dt-nan"])
@@ -329,6 +341,11 @@ def test_sweep_names_every_failed_item(tmp_path, capsys):
     ]
     assert (out / "c" / "chern.json").is_file()
     assert not (out / "sweep.json").exists()
+    # a failed item leaves no directory of its own, but keeps one it found
+    assert sorted(p.name for p in out.iterdir()) == ["c"]
+    (out / "b").mkdir()
+    assert main(["sweep", cfg, "-o", str(out)]) == 2
+    assert (out / "b").is_dir()
 
 
 def test_sweep_with_one_failed_item_prints_one_line(tmp_path, capsys):

@@ -86,10 +86,21 @@ def test_restricted_ode_long_time_limit():
     assert abs(res.final() + math.log(2.0)) < 0.01
 
 
-def test_restricted_ode_uses_the_one_time_grid():
-    # 2.1 / 0.3 = 7.000000000000001: seven steps, times exactly k*2.1/7
-    res = restricted_ode_solution([2.0], 2.1, dt=0.3)
-    assert np.array_equal(res.times, np.linspace(0.0, 2.1, 8))
+#: (T, dt, steps): T/dt an integer, just off one (2.1/0.3 = 7.000000000000001,
+#: 0.3/0.1 = 2.9999999999999996, 0.7/0.1 = 6.999999999999999) and well off one
+TIME_GRIDS = [(1.0, 0.01, 100), (2.1, 0.3, 7), (0.3, 0.1, 3), (0.7, 0.1, 7),
+              (1.1, 0.1, 11), (3.3, 0.11, 30), (1.0, 0.3, 4), (0.5, 0.07, 8),
+              (2.0, 0.025, 80), (1e-3, 7e-6, 143)]
+
+
+@pytest.mark.parametrize("T, dt, steps", TIME_GRIDS)
+def test_restricted_ode_uses_the_one_time_grid(T, dt, steps):
+    # the times are k*T/steps with T last, bit for bit linspace's
+    expected = np.linspace(0.0, T, steps + 1).tobytes()
+    assert restricted_ode_solution([2.0], T, dt=dt).times.tobytes() == expected
+    cert = decay_certificate(RadialGrid(-10.0, math.log(0.5), 16), 1.0,
+                             lambda x, t: np.ones_like(x), T=T, dt=dt)
+    assert cert.times.tobytes() == expected
 
 
 def test_restricted_ode_rejects_bad_constants():
@@ -188,12 +199,18 @@ def test_flow_output_times_sampling():
     assert [s.t for s in result.states] == [0.1, 0.2]
 
 
-def test_flow_step_times_are_exact_multiples_of_the_step():
-    result = run_flow(FlowProblem(ModelMetric(), T=1.0, dt=0.01, grid=GRID,
-                                  output_times=[0.25, 0.5, 1]))
-    assert [s.t for s in result.states] == [0.25, 0.5, 1.0]
+@pytest.mark.parametrize("T, dt, steps", TIME_GRIDS)
+def test_flow_step_times_are_exact_multiples_of_the_step(T, dt, steps):
+    # output times k*T/steps, rounded differently from the step times
+    # k*(T/steps); each snapshot reads its step time (0.25, 0.5, 1.0 at T = 1,
+    # dt = 0.01)
+    expected = np.linspace(0.0, T, steps + 1)
+    ks = [steps // 4, steps // 2, steps]
+    result = run_flow(FlowProblem(ModelMetric(), T=T, dt=dt, grid=GRID,
+                                  output_times=[k * T / steps for k in ks]))
+    assert [s.t for s in result.states] == expected[ks].tolist()
     assert all(type(s.t) is float for s in result.states)
-    assert np.array_equal(result.times, np.linspace(0.0, 1.0, 101))
+    assert result.times.tobytes() == expected.tobytes()
 
 
 def test_flow_rejects_output_times_off_the_step_grid():
@@ -208,10 +225,26 @@ def test_flow_rejects_output_times_off_the_step_grid():
 
 
 def test_flow_output_times_checked_in_one_pass_over_the_step_times():
-    # 10^7 step times; a Python loop over them took about 9 s
-    start = time.perf_counter()
-    FlowProblem(ModelMetric(), T=100.0, dt=1e-5, grid=GRID, output_times=[0.5, 50.0, 100.0])
-    assert time.perf_counter() - start < 2.0
+    # 10^7 steps; a Python loop over the step times took about 9 s, and
+    # an array of them with its comparison temporary peaked at 170 MB
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        FlowProblem(ModelMetric(), T=100.0, dt=1e-5, grid=GRID,
+                    output_times=[0.5, 50.0, 100.0])
+        assert time.perf_counter() - start < 2.0
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_output_time_gives_one_state():
+    # steps of 1e-11: about 200 step times lie within the 1e-9 tolerance of
+    # each output time, and only the nearest is kept
+    grid = RadialGrid(-40.0, math.log(0.5), 8)
+    result = run_flow(FlowProblem(ModelMetric(), T=2e-8, dt=1e-11, grid=grid,
+                                  output_times=[1e-8, 2e-8]))
+    assert [s.t for s in result.states] == [1e-8, 2e-8]
 
 
 def test_time_grid_caps_the_step_count_before_building_it(monkeypatch):
@@ -220,7 +253,7 @@ def test_time_grid_caps_the_step_count_before_building_it(monkeypatch):
         FlowProblem(ModelMetric(), T=1e6, dt=1e-9, grid=GRID)
     # at a cap of 10^5 the rejected grid would be 800 kB; nothing near it is built
     monkeypatch.setattr(parabolic, "_MAX_STEPS", 10 ** 5)
-    assert len(parabolic._time_grid(1.0, 1e-5)[1]) == 10 ** 5 + 1
+    assert parabolic._time_grid(1.0, 1e-5).steps == 10 ** 5
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="takes 100001 steps, more than the 100000"):
