@@ -54,7 +54,7 @@ from .indicial import (
     index_set_hatEplus,
     spec_b_roots,
 )
-from .parabolic import FlowProblem, fitted_boundary_constant, run_flow
+from .parabolic import FlowProblem, _kept_steps, fitted_boundary_constant, run_flow
 from .radial import DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion
 
 OUTDIR_ENV = "CUSPASYM_OUTDIR"
@@ -391,16 +391,19 @@ def cmd_flow(config, outdir: Path) -> dict:
     output_times = config["output_times"] or [config["T"]]
     problem = FlowProblem(metric, T=config["T"], dt=config["dt"], grid=grid,
                           output_times=output_times)
-    result = run_flow(problem)
-    named = {}   # snapshot file name -> FlowState
-    for state in result.states:
-        name = f"flow_t{state.t:.6f}.csv"
+    # name every snapshot before the flow runs: one per kept step, ascending
+    time_grid, kept = _kept_steps(problem)
+    named = {}   # snapshot file name -> its time
+    for k in sorted(kept):
+        t = time_grid.time(k)
+        name = f"flow_t{t:.6f}.csv"
         if name in named:
-            raise ConfigError(f"output times {named[name].t} and {state.t} "
+            raise ConfigError(f"output times {named[name]} and {t} "
                               f"share the snapshot file {name}")
-        named[name] = state
+        named[name] = t
+    result = run_flow(problem)
     snapshots = []
-    for name, state in named.items():
+    for name, state in zip(named, result.states):
         state.u.write_csv(outdir / name)
         snapshots.append({
             "t": state.t,
@@ -520,11 +523,11 @@ def cmd_sweep(config, outdir: Path) -> dict:
 
     The pool is one of threads, not processes.  An item is small next to the
     cost of a new process: a 4096-node logterm-pipeline item computes in
-    about 20 ms, while a spawned worker first re-imports the package and
-    ``scipy.linalg``.  Timed as fresh CLI processes on two 4096-node
-    logterm-pipeline items (2 vCPUs, median of 9): threads 0.68 s with one
-    worker and 0.67 s with two, a spawn process pool 1.11 s, a fork pool
-    0.74 s; 16384-node items gave the same order.
+    about 20 ms, while a spawned worker first re-imports numpy and the
+    package and loads LAPACK again.  Timed as fresh CLI processes on two
+    4096-node logterm-pipeline items (2 vCPUs, median of 9): threads 0.40 s
+    with one worker and 0.39 s with two, a spawn process pool 0.95 s, a fork
+    pool 0.45 s.
     """
     items = config["configs"]
     if not items:

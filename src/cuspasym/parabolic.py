@@ -315,6 +315,16 @@ def fitted_boundary_constant(state: FlowState, fraction: float = 0.1) -> float:
     return float(np.mean(state.flow_metric_density.values[sl]))
 
 
+def _kept_steps(problem: FlowProblem) -> tuple[_TimeGrid, Optional[set[int]]]:
+    """The time grid of ``run_flow`` on ``problem`` and the set of steps
+    whose states it keeps, the step of each output time (None keeps every
+    step)."""
+    time_grid = _time_grid(problem.T, problem.dt)
+    if problem.output_times is None:
+        return time_grid, None
+    return time_grid, {time_grid.step_of(ot) for ot in problem.output_times}
+
+
 def run_flow(problem: FlowProblem) -> FlowResult:
     """Backward-Euler integration of the normalized potential flow.
 
@@ -326,10 +336,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     """
     grid = problem.grid
     density, combo = _schedule_data(problem.omega0, grid)
-    time_grid = _time_grid(problem.T, problem.dt)
-    # the step of each output time; None keeps every step
-    keep = (None if problem.output_times is None
-            else {time_grid.step_of(ot) for ot in problem.output_times})
+    time_grid, keep = _kept_steps(problem)
     u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
     work = NewtonWorkspace(grid.n_nodes)   # every Newton solve of the run
     res_accept, rejections = 0.0, 0

@@ -19,9 +19,14 @@ in (:class:`NewtonWorkspace`).
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import PathFinder
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -239,11 +244,9 @@ def _gtsv(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray,
     """:func:`solve_tridiagonal`, checks included; with ``overwrite`` LAPACK
     works in the caller's contiguous float64 arrays: the solution is
     written into ``rhs`` (and returned) and the bands are destroyed."""
-    from scipy.linalg.lapack import dgtsv  # only solvers pay for scipy.linalg
-
     _require_finite(sub[1:], diag, sup[:-1], rhs)
-    *_, u, info = dgtsv(sub[1:], diag, sup[:-1], rhs,
-                        overwrite, overwrite, overwrite, overwrite)
+    *_, u, info = _lapack().dgtsv(sub[1:], diag, sup[:-1], rhs,
+                                  overwrite, overwrite, overwrite, overwrite)
     _check_lapack_info(info, "gtsv")
     return u
 
@@ -254,18 +257,55 @@ def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray,
     and return ``solve(rhs)`` (gttrs) for a matrix that many right-hand
     sides share.  Each solve is bit-identical to ``solve_tridiagonal`` on
     the same system; a single solve is cheaper through that function."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
+    lapack = _lapack()
     _require_finite(sub[1:], diag, sup[:-1])
-    *lu, info = dgttrf(sub[1:], diag, sup[:-1])
+    *lu, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
     _check_lapack_info(info, "gttrf")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         _require_finite(rhs)
-        u, info = dgttrs(*lu, rhs)
+        u, info = lapack.dgttrs(*lu, rhs)
         _check_lapack_info(info, "gttrs")
         return u
     return solve
+
+
+_FLAPACK = "scipy.linalg._flapack"
+_FLAPACK_LOCK = threading.Lock()
+
+
+def _lapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``: the package's one
+    way to LAPACK (``dgtsv``, ``dgttrf``, ``dgttrs``).
+
+    ``scipy.linalg.lapack`` re-exports these very routines, but the package
+    init of ``scipy.linalg`` takes about 0.35 s that a solve never uses,
+    while the extension alone loads in a few ms.  Unless it is loaded
+    already, this imports the top-level ``scipy`` (whose init finds the
+    libraries scipy vendors) and loads ``_flapack`` from ``scipy/linalg``
+    under its own name, registered in ``sys.modules``, so a later
+    ``import scipy.linalg`` binds the same module object.  The lock makes
+    threads that reach their first solve together load it once.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        with _FLAPACK_LOCK:
+            module = sys.modules.get(_FLAPACK) or _load_flapack()
+    return module
+
+
+def _load_flapack():
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = PathFinder.find_spec(_FLAPACK, [where])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension "
+                          f"_flapack in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
 
 
 def _require_finite(*arrays: np.ndarray) -> None:

@@ -176,6 +176,23 @@ def test_flow_snapshots_sharing_a_file_name_are_config_error(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_flow_snapshot_names_checked_before_any_flow_step(tmp_path, capsys, monkeypatch):
+    # 10^4 steps of 1e-7: the names collide at the first two output times,
+    # so the flow is never started
+    def no_flow(problem):
+        raise AssertionError("run_flow called")
+
+    monkeypatch.setattr("cuspasym.cli.run_flow", no_flow)
+    cfg = write(tmp_path / "c.cfg",
+                "n_nodes = 8\nt_min = -5\nt_max = -1\nconformal_terms = 0.2:0:0\n"
+                "T = 1e-3\ndt = 1e-7\noutput_times = 2e-7, 3e-7\n")
+    out = tmp_path / "out"
+    assert main(["flow", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: output times 2e-07 and 3e-07 "
+                                       "share the snapshot file flow_t0.000000.csv\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("steps", ["T = inf\ndt = 0.1", "T = 1e300\ndt = 1e-300",
                                    "T = nan\ndt = 0.1", "T = 1\ndt = nan"],
                          ids=["T-inf", "T-over-dt-overflows", "T-nan", "dt-nan"])

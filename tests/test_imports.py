@@ -2,10 +2,14 @@
 exact-arithmetic modules import nothing outside the standard library.
 
 Each runtime check runs in a fresh interpreter, since the test process
-itself has long since imported scipy.  ``scipy.linalg`` belongs to
-``radial.solve_tridiagonal`` and ``scipy.integrate`` to
-``parabolic.restricted_ode_solution``; importing the package or running a
-command that solves nothing loads neither.
+itself has long since imported scipy.  The package reaches LAPACK through
+``radial._lapack``, which loads the one extension ``scipy.linalg._flapack``
+(after the top-level ``scipy``) and never the ``scipy.linalg`` package;
+``scipy.integrate`` belongs to ``parabolic.restricted_ode_solution``.
+Importing the package or running a command that solves nothing loads
+neither.  The extension it loads is the very module a later
+``import scipy.linalg`` binds, loaded once however many threads reach their
+first solve together.
 """
 
 import ast
@@ -15,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from cuspasym.indexsets import IndexTerm, closure
 from cuspasym.radial import RadialField, RadialGrid
@@ -83,10 +89,96 @@ def test_fit_expansion_loads_no_scipy(tmp_path):
                        f"index_set_json = {tmp_path / 'eset.json'}\n", tmp_path) == []
 
 
-def test_solve_ma_loads_linalg_not_integrate(tmp_path):
-    loaded = run_command("solve-ma", "n_nodes = 512\nf_terms = 1.5:1:0\n", tmp_path)
-    assert "scipy.linalg" in loaded
-    assert "scipy.integrate" not in loaded
+SOLVER_CONFIGS = {
+    "solve-ma": "n_nodes = 512\nf_terms = 1.5:1:0\n",
+    "solve-linear": "n_nodes = 512\nt_min = -20\nlambda = 1\nf_terms = 1.5:1:0\n",
+    "flow": "n_nodes = 64\nconformal_terms = 0.2:0:0\nT = 0.1\ndt = 0.05\n",
+    "logterm-pipeline": "n_nodes = 2048\nf_terms = 1.5:1:0, 0:2:0\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOLVER_CONFIGS))
+def test_solver_commands_load_only_the_lapack_extension(tmp_path, command):
+    loaded = run_command(command, SOLVER_CONFIGS[command], tmp_path)
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+
+
+#: a child's tridiagonal system, and its gtsv solution through the package
+_SOLVE = ("import numpy as np\n"
+          "from cuspasym import radial\n"
+          "n = 64\n"
+          "sub, diag, sup, rhs = np.random.default_rng(13).random((4, n))\n"
+          "diag += 3.0\n")
+
+
+def test_lapack_routines_are_the_ones_scipy_linalg_exports(tmp_path):
+    # solve first, then import scipy.linalg: one module object, same routines
+    code = _SOLVE + (
+        "u = radial.solve_tridiagonal(sub, diag, sup, rhs)\n"
+        "lu_solve = radial.factor_tridiagonal(sub, diag, sup)\n"
+        "flapack = radial._lapack()\n"
+        "import sys\n"
+        "from scipy.linalg import lapack, solve_banded\n"
+        "assert sys.modules['scipy.linalg._flapack'] is flapack\n"
+        "assert lapack.dgtsv is flapack.dgtsv\n"
+        "assert lapack.dgttrf is flapack.dgttrf\n"
+        "assert lapack.dgttrs is flapack.dgttrs\n"
+        "ab = np.zeros((3, n))\n"
+        "ab[0, 1:], ab[1], ab[2, :-1] = sup[:-1], diag, sub[1:]\n"
+        "assert solve_banded((1, 1), ab, rhs).tobytes() == u.tobytes()\n"
+        "assert lu_solve(rhs).tobytes() == u.tobytes()\n")
+    assert "scipy.linalg" in run_fresh(code, tmp_path)
+
+
+def test_lapack_reuses_an_extension_scipy_linalg_loaded(tmp_path):
+    code = ("import scipy.linalg, sys\n" + _SOLVE +
+            "def no_second_load():\n"
+            "    raise AssertionError('_flapack loaded twice')\n"
+            "radial._load_flapack = no_second_load\n"
+            "radial.solve_tridiagonal(sub, diag, sup, rhs)\n"
+            "assert radial._lapack() is sys.modules['scipy.linalg._flapack']\n")
+    run_fresh(code, tmp_path)
+
+
+def test_missing_lapack_extension_names_scipy_version_and_directory(tmp_path, monkeypatch):
+    import scipy
+
+    from cuspasym import radial
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError) as info:
+        radial._load_flapack()
+    assert str(info.value) == (f"scipy {scipy.__version__} has no LAPACK extension "
+                               f"_flapack in {tmp_path / 'linalg'}")
+
+
+def test_threads_solving_together_load_lapack_once(tmp_path):
+    code = _SOLVE + (
+        "import sys, threading, time\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "loads = []\n"
+        "real_load = radial._load_flapack\n"
+        "def counted_load():\n"
+        "    loads.append(1)\n"
+        "    time.sleep(0.05)  # hold the other threads at the lock\n"
+        "    return real_load()\n"
+        "radial._load_flapack = counted_load\n"
+        "barrier = threading.Barrier(8)\n"
+        "modules, solutions = [], []\n"
+        "def first_solve():\n"
+        "    barrier.wait()\n"
+        "    solutions.append(radial.solve_tridiagonal(sub, diag, sup, rhs).tobytes())\n"
+        "    modules.append(radial._lapack())\n"
+        "threads = [threading.Thread(target=first_solve) for _ in range(8)]\n"
+        "for th in threads: th.start()\n"
+        "for th in threads: th.join(timeout=60)\n"
+        "assert not any(th.is_alive() for th in threads)\n"
+        "assert len(loads) == 1, loads\n"
+        "assert len(modules) == 8 and len({id(m) for m in modules}) == 1\n"
+        "assert len(set(solutions)) == 1\n")
+    loaded = run_fresh(code, tmp_path)
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
 
 
 def test_restricted_ode_first_call_in_cold_process(tmp_path):
@@ -114,7 +206,7 @@ def _sweep(tmp_path: Path, workers: int) -> dict:
 
 def test_concurrent_first_solves_match_serial_sweep(tmp_path):
     # with two workers both threads reach the first solve, and so the
-    # deferred scipy.linalg import, together
+    # deferred LAPACK load, together
     (tmp_path / "a.cfg").write_text("command = solve-ma\nn_nodes = 2048\n"
                                     "f_terms = 1.5:1:0\n")
     (tmp_path / "b.cfg").write_text("command = logterm-pipeline\nn_nodes = 2048\n"
