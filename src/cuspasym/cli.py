@@ -24,10 +24,10 @@ A term list that is not finite somewhere on the grid is a config error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -83,7 +83,7 @@ def _parse_rational(text: str):
     if "/" in text:
         try:
             return Fraction(text)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational value {text!r}") from exc
     try:
         return float(text)
@@ -94,7 +94,7 @@ def _parse_rational(text: str):
 def _parse_float(text: str) -> float:
     try:
         return float(Fraction(text)) if "/" in text else float(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad float value {text!r}") from exc
 
 
@@ -529,6 +529,9 @@ def cmd_sweep(config, outdir: Path) -> dict:
     with one worker and 0.39 s with two, a spawn process pool 0.95 s, a fork
     pool 0.45 s.
     """
+    # only a sweep pays for this import (and the logging it pulls in)
+    from concurrent.futures import ThreadPoolExecutor
+
     items = config["configs"]
     if not items:
         raise ConfigError("sweep requires at least one entry in 'configs'")
@@ -608,5 +611,21 @@ def _report(kind: str, exc: Exception) -> None:
         print(note, file=sys.stderr)
 
 
+def entry_point() -> None:
+    """Run :func:`main` as a whole process and exit with its code: the
+    ``cuspasym`` script, ``python -m cuspasym`` and ``python -m cuspasym.cli``.
+
+    Before exiting it moves every live object into the collector's permanent
+    generation (``gc.freeze``), so interpreter shutdown skips the full
+    collections over everything the imports created (about 40 ms).  Nothing
+    is lost by that: every artifact is written and closed inside ``main``,
+    and the streams are flushed at exit as usual.  ``main`` itself never
+    freezes, so tests and library callers keep a normal collector.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry_point()

@@ -179,8 +179,15 @@ class RestrictedOdeResult:
 
 
 def _restricted_source(c_list: Sequence[float]) -> Callable[[float], float]:
+    pairs = [(c - 1.0, c) for c in c_list]
+
     def source(s: float) -> float:
-        return sum(math.log((1.0 + math.exp(-s) * (c - 1.0)) / c) for c in c_list)
+        # the terms of sum(...) in its order, from 0, with e^{-s} taken once
+        decay = math.exp(-s)
+        total = 0
+        for c_minus_1, c in pairs:
+            total += math.log((1.0 + decay * c_minus_1) / c)
+        return total
     return source
 
 

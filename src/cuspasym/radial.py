@@ -279,13 +279,14 @@ def _lapack():
     way to LAPACK (``dgtsv``, ``dgttrf``, ``dgttrs``).
 
     ``scipy.linalg.lapack`` re-exports these very routines, but the package
-    init of ``scipy.linalg`` takes about 0.35 s that a solve never uses,
-    while the extension alone loads in a few ms.  Unless it is loaded
-    already, this imports the top-level ``scipy`` (whose init finds the
-    libraries scipy vendors) and loads ``_flapack`` from ``scipy/linalg``
-    under its own name, registered in ``sys.modules``, so a later
-    ``import scipy.linalg`` binds the same module object.  The lock makes
-    threads that reach their first solve together load it once.
+    init of ``scipy.linalg`` takes about 0.35 s that a solve never uses, and
+    even the top-level ``scipy`` init (about 20 ms) is more than the
+    extension itself, which loads in a few ms.  Unless it is loaded already,
+    this finds scipy's directory without importing anything and loads
+    ``_flapack`` from ``scipy/linalg`` under its own name, registered in
+    ``sys.modules``, so a later ``import scipy.linalg`` binds the same module
+    object.  The lock makes threads that reach their first solve together
+    load it once.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
@@ -295,15 +296,30 @@ def _lapack():
 
 
 def _load_flapack():
-    import scipy
-
-    where = os.path.join(scipy.__path__[0], "linalg")
+    scipy_spec = importlib.util.find_spec("scipy")   # executes nothing
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    where = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
     spec = PathFinder.find_spec(_FLAPACK, [where])
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension "
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no LAPACK extension "
                           f"_flapack in {where}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+
+    def load():
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    try:
+        module = load()
+    except ImportError:
+        # the OS loader may need what scipy's own init sets up first, such
+        # as the DLL directory of a Windows wheel: run it, then load again
+        import scipy  # noqa: F401
+
+        module = load()
     sys.modules[_FLAPACK] = module
     return module
 

@@ -71,6 +71,17 @@ def test_bad_colon_item_is_config_error(tmp_path, capsys, command, text, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("indicial", "lambda = 1/0\nc = 1\nspectrum = 0\ncutoff = 3\n", "bad rational value '1/0'"),
+    ("solve-ma", "f_terms = 1/0:1:0\n", "bad float value '1/0'"),
+    ("solve-ma", "f_terms = 1.5:1:0\ntol = 1/0\n", "bad float value '1/0'"),
+])
+def test_zero_denominator_is_config_error(tmp_path, capsys, command, text, message):
+    cfg = write(tmp_path / "c.cfg", text)
+    assert main([command, cfg, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_defaults_come_from_library(tmp_path):
     cfg = write(tmp_path / "c.cfg", "f_terms = 1.5:1:0\n")
     out = tmp_path / "out"

@@ -1,15 +1,17 @@
-"""Import graph: scipy is loaded only by the functions that use it, and the
-exact-arithmetic modules import nothing outside the standard library.
+"""Import graph: scipy and the thread pool are loaded only by the functions
+that use them, and the exact-arithmetic modules import nothing outside the
+standard library.
 
 Each runtime check runs in a fresh interpreter, since the test process
 itself has long since imported scipy.  The package reaches LAPACK through
 ``radial._lapack``, which loads the one extension ``scipy.linalg._flapack``
-(after the top-level ``scipy``) and never the ``scipy.linalg`` package;
-``scipy.integrate`` belongs to ``parabolic.restricted_ode_solution``.
-Importing the package or running a command that solves nothing loads
-neither.  The extension it loads is the very module a later
-``import scipy.linalg`` binds, loaded once however many threads reach their
-first solve together.
+and no other scipy module, not even the top-level ``scipy`` (unless the
+extension fails to load without it); ``scipy.integrate`` belongs to
+``parabolic.restricted_ode_solution`` and ``concurrent.futures`` to
+``cli.cmd_sweep``.  Importing the package or running a command that solves
+nothing loads none of them.  The extension it loads is the very module a
+later ``import scipy.linalg`` binds, loaded once however many threads reach
+their first solve together.
 """
 
 import ast
@@ -27,14 +29,16 @@ from cuspasym.radial import RadialField, RadialGrid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: appended to every child script: the scipy modules it ended with
+#: appended to every child script: the scipy* and concurrent.* modules it
+#: ended with
 _REPORT = ("\nimport json, sys\n"
            "print(json.dumps(sorted(m for m in sys.modules "
-           "if m.split('.')[0] == 'scipy')))\n")
+           "if m.startswith(('scipy', 'concurrent')))))\n")
 
 
 def run_fresh(code: str, cwd: Path) -> list[str]:
-    """Run ``code`` in a new interpreter; the scipy modules it loaded."""
+    """Run ``code`` in a new interpreter; the scipy* and concurrent.*
+    modules it loaded."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code + _REPORT], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -94,14 +98,17 @@ SOLVER_CONFIGS = {
     "solve-linear": "n_nodes = 512\nt_min = -20\nlambda = 1\nf_terms = 1.5:1:0\n",
     "flow": "n_nodes = 64\nconformal_terms = 0.2:0:0\nT = 0.1\ndt = 0.05\n",
     "logterm-pipeline": "n_nodes = 2048\nf_terms = 1.5:1:0, 0:2:0\n",
+    "sweep": "configs = item.cfg\n",
 }
 
 
 @pytest.mark.parametrize("command", sorted(SOLVER_CONFIGS))
 def test_solver_commands_load_only_the_lapack_extension(tmp_path, command):
+    (tmp_path / "item.cfg").write_text("command = solve-ma\n" + SOLVER_CONFIGS["solve-ma"])
     loaded = run_command(command, SOLVER_CONFIGS[command], tmp_path)
-    assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
-    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+    scipy_modules = [m for m in loaded if m.startswith("scipy")]
+    assert scipy_modules == ["scipy.linalg._flapack"]
+    assert ("concurrent.futures" in loaded) == (command == "sweep"), loaded
 
 
 #: a child's tridiagonal system, and its gtsv solution through the package
@@ -141,16 +148,60 @@ def test_lapack_reuses_an_extension_scipy_linalg_loaded(tmp_path):
     run_fresh(code, tmp_path)
 
 
-def test_missing_lapack_extension_names_scipy_version_and_directory(tmp_path, monkeypatch):
-    import scipy
+def test_missing_lapack_extension_names_scipy_version_and_directory(tmp_path):
+    # a scipy directory without linalg/_flapack found first on the path; the
+    # version still comes from the installed distribution's metadata
+    fake = tmp_path / "fake"
+    (fake / "scipy").mkdir(parents=True)
+    (fake / "scipy" / "__init__.py").write_text("raise AssertionError('scipy imported')\n")
+    code = (f"import sys\nsys.path.insert(0, {str(fake)!r})\n"
+            "from importlib.metadata import version\n"
+            "from cuspasym import radial\n"
+            "try:\n"
+            "    radial._load_flapack()\n"
+            "except ImportError as exc:\n"
+            "    message = str(exc)\n"
+            "else:\n"
+            "    raise AssertionError('no ImportError')\n"
+            f"expected = (f\"scipy {{version('scipy')}} has no LAPACK extension \"\n"
+            f"            f\"_flapack in {fake / 'scipy' / 'linalg'}\")\n"
+            "assert message == expected, message\n")
+    assert run_fresh(code, tmp_path) == []
 
-    from cuspasym import radial
 
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    with pytest.raises(ImportError) as info:
-        radial._load_flapack()
-    assert str(info.value) == (f"scipy {scipy.__version__} has no LAPACK extension "
-                               f"_flapack in {tmp_path / 'linalg'}")
+def test_extension_that_fails_to_load_alone_is_loaded_after_scipy(tmp_path):
+    # the first load fails (as where only scipy's init makes the libraries
+    # findable); the loader imports scipy and loads once more.  A load that
+    # fails again raises the loader's own ImportError.
+    code = _SOLVE + (
+        "import importlib.util, sys\n"
+        "real_from_spec = importlib.util.module_from_spec\n"
+        "def flaky(fails):\n"
+        "    calls = []\n"
+        "    def from_spec(spec):\n"
+        "        calls.append('scipy' in sys.modules)\n"
+        "        if len(calls) <= fails:\n"
+        "            raise ImportError('DLL load failed')\n"
+        "        return real_from_spec(spec)\n"
+        "    importlib.util.module_from_spec = from_spec\n"
+        "    return calls\n"
+        "calls = flaky(2)\n"
+        "try:\n"
+        "    radial._lapack()\n"
+        "except ImportError as exc:\n"
+        "    assert str(exc) == 'DLL load failed', exc\n"
+        "else:\n"
+        "    raise AssertionError('no ImportError')\n"
+        "assert calls == [False, True], calls\n"
+        "assert 'scipy.linalg._flapack' not in sys.modules\n"
+        "calls = flaky(1)\n"
+        "radial.solve_tridiagonal(sub, diag, sup, rhs)\n"
+        "assert calls == [True, True], calls\n"
+        "importlib.util.module_from_spec = real_from_spec\n"
+        "from scipy.linalg import lapack\n"
+        "assert radial._lapack().dgtsv is lapack.dgtsv\n")
+    loaded = run_fresh(code, tmp_path)
+    assert "scipy" in loaded and "scipy.linalg._flapack" in loaded
 
 
 def test_threads_solving_together_load_lapack_once(tmp_path):

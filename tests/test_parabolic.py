@@ -80,6 +80,15 @@ def test_restricted_ode_mutual_oracle():
     assert res.max_discrepancy < 1e-8
 
 
+@pytest.mark.parametrize("c_list", [[2.0], [2.0, 0.5, 1.3], [0.1, 7.5, 1.0, 3.25]])
+def test_restricted_source_matches_the_sum_formula_bit_for_bit(c_list):
+    # reference: the source as a sum over a generator, e^{-s} taken per term
+    source = parabolic._restricted_source(c_list)
+    for s in np.linspace(0.0, 12.0, 241).tolist() + [1e-9, 30.0, 800.0]:
+        expected = sum(math.log((1.0 + math.exp(-s) * (c - 1.0)) / c) for c in c_list)
+        assert source(s) == expected, (c_list, s)
+
+
 def test_restricted_ode_long_time_limit():
     # the source relaxes to -sum(log c_i), and so does the solution
     res = restricted_ode_solution([2.0], 10.0, dt=1e-2)
