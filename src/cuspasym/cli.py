@@ -54,7 +54,7 @@ from .indicial import (
     index_set_hatEplus,
     spec_b_roots,
 )
-from .parabolic import FlowProblem, _kept_steps, fitted_boundary_constant, run_flow
+from .parabolic import FlowProblem, fitted_boundary_constant, run_flow
 from .radial import DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion
 
 OUTDIR_ENV = "CUSPASYM_OUTDIR"
@@ -253,26 +253,17 @@ _SWEEP_COMMAND_KEY = "command"
 # JSON helpers
 # ---------------------------------------------------------------------------
 
-def _jsonable(value):
+def _fraction_json(value):
+    """JSON form of the one non-JSON type a payload holds, an exact rational."""
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n",
-                    encoding="ascii")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_fraction_json)
+                    + "\n", encoding="ascii")
 
 
 def _grid_from_config(config) -> RadialGrid:
@@ -392,10 +383,8 @@ def cmd_flow(config, outdir: Path) -> dict:
     problem = FlowProblem(metric, T=config["T"], dt=config["dt"], grid=grid,
                           output_times=output_times)
     # name every snapshot before the flow runs: one per kept step, ascending
-    time_grid, kept = _kept_steps(problem)
     named = {}   # snapshot file name -> its time
-    for k in sorted(kept):
-        t = time_grid.time(k)
+    for t in problem.snapshot_times:
         name = f"flow_t{t:.6f}.csv"
         if name in named:
             raise ConfigError(f"output times {named[name]} and {t} "
@@ -524,10 +513,7 @@ def cmd_sweep(config, outdir: Path) -> dict:
     The pool is one of threads, not processes.  An item is small next to the
     cost of a new process: a 4096-node logterm-pipeline item computes in
     about 20 ms, while a spawned worker first re-imports numpy and the
-    package and loads LAPACK again.  Timed as fresh CLI processes on two
-    4096-node logterm-pipeline items (2 vCPUs, median of 9): threads 0.40 s
-    with one worker and 0.39 s with two, a spawn process pool 0.95 s, a fork
-    pool 0.45 s.
+    package and loads LAPACK again (the README gives the timings).
     """
     # only a sweep pays for this import (and the logging it pulls in)
     from concurrent.futures import ThreadPoolExecutor

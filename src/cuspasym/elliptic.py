@@ -23,7 +23,7 @@ equation is of size x ~ 1e-17.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
@@ -48,7 +48,7 @@ def _require_finite_bcs(problem) -> None:
                          f"got {problem.bc_left} and {problem.bc_right}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearProblem:
     """(Delta_g - lambda) u = rhs with Dirichlet data at both ends."""
 
@@ -65,7 +65,7 @@ class LinearProblem:
         _require_finite_bcs(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MongeAmpereProblem:
     """(1 + Delta_g u) e^{-u} = e^F with Dirichlet data at both ends."""
 
@@ -73,7 +73,7 @@ class MongeAmpereProblem:
     F: RadialField
     bc_left: float = 0.0
     bc_right: float = 0.0
-    newton: NewtonParams = field(default_factory=NewtonParams)
+    newton: NewtonParams = NewtonParams()
 
     def __post_init__(self):
         self.background._resolve_grid(self.F.grid)

@@ -34,6 +34,10 @@ BOUNDARY_GUARD_NODES = 5
 
 #: Extra guard, in decades, for the sliding log-term detector.
 DETECTOR_GUARD_DECADES = 1.25
+#: Width and stride, in decades, and the most windows of that detector.
+DETECTOR_WIDTH_DECADES = 1.5
+DETECTOR_STRIDE_DECADES = 0.75
+DETECTOR_MAX_WINDOWS = 4
 
 
 @dataclass
@@ -180,14 +184,16 @@ def _lsq_slope(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum((t - t_mean) * (y - y_mean)) / denom)
 
 
-def remainder_check(fit: PolyhomFit, samples: RadialField, N: float) -> RemainderReport:
+def remainder_check(fit: PolyhomFit, samples: RadialField) -> RemainderReport:
     """Decay report for the remainder of a fit against its own samples.
 
     Computes r = samples - expansion over the fit window and fits
-    log |r| against log x over the deepest decade.  A remainder below the
+    log |r| against log x over the deepest decade; the slope should reach
+    N, the cutoff of the fit's index set.  A remainder below the
     double-precision noise floor is reported as saturated rather than
     given a meaningless slope.
     """
+    N = float(fit.index_set.cutoff)
     grid = samples.grid
     mask = grid.window_mask(*fit.window)
     x = grid.x[mask]
@@ -195,41 +201,38 @@ def remainder_check(fit: PolyhomFit, samples: RadialField, N: float) -> Remainde
     slope, spread = _remainder_slope(
         x, r, noise_scale=float(np.max(np.abs(samples.values[mask]))))
     if slope is None:
-        return RemainderReport(None, None, True, float(N), True)
-    return RemainderReport(slope, spread, False, float(N), bool(slope >= N - 0.25))
+        return RemainderReport(None, None, True, N, True)
+    return RemainderReport(slope, spread, False, N, bool(slope >= N - 0.25))
 
 
-def _detector_windows(grid: RadialGrid, width_decades: float,
-                      stride_decades: float, max_windows: int):
+def _detector_windows(grid: RadialGrid):
     t_start = grid.t_min + max(BOUNDARY_GUARD_NODES * grid.h,
                                DETECTOR_GUARD_DECADES * LN10)
-    width = width_decades * LN10
-    stride = stride_decades * LN10
+    width = DETECTOR_WIDTH_DECADES * LN10
+    stride = DETECTOR_STRIDE_DECADES * LN10
     windows = []
-    k = 0
-    while len(windows) < max_windows:
+    for k in range(DETECTOR_MAX_WINDOWS):
         lo = t_start + k * stride
         hi = lo + width
         if hi > grid.t_max:
             break
         windows.append((math.exp(lo), math.exp(hi)))
-        k += 1
     if not windows:
         raise ValueError("grid too shallow for the sliding-window detector")
     return windows
 
 
-def detect_log_term(samples: RadialField, width_decades: float = 1.5,
-                    stride_decades: float = 0.75, max_windows: int = 4) -> LogTermEstimate:
+def detect_log_term(samples: RadialField) -> LogTermEstimate:
     """Estimate the coefficient of x log x in a field vanishing at the cusp.
 
-    Fits b * x log x + c * x on each sliding window; the deepest window
-    gives the reported value and the spread across windows the
-    uncertainty.  Estimates whose spread exceeds half their size are
-    flagged as unreliable ("no reliable log term").
+    Fits b * x log x + c * x on each sliding window (placed by the
+    ``DETECTOR_*`` constants); the deepest window gives the reported value
+    and the spread across windows the uncertainty.  Estimates whose spread
+    exceeds half their size are flagged as unreliable ("no reliable log
+    term").
     """
     grid = samples.grid
-    windows = _detector_windows(grid, width_decades, stride_decades, max_windows)
+    windows = _detector_windows(grid)
     basis = (IndexTerm(1, 1), IndexTerm(1, 0))
     values = []
     linear_values = []

@@ -41,7 +41,7 @@ band layout of the backward-Euler matrices (``dirichlet_bands``) live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -108,16 +108,11 @@ class _TimeGrid(NamedTuple):
         if not math.isfinite(t):
             return None
         k = round(min(max(t / self.T * self.steps, 0.0), self.steps))
-        return k if _hits(self.time(k), t) else None
+        return k if abs(self.time(k) - t) <= 1e-9 * max(1.0, abs(t)) else None
 
     def times(self) -> np.ndarray:
         """Every step time, for the results that report them."""
         return np.fromiter(map(self.time, range(self.steps + 1)), float, self.steps + 1)
-
-
-def _hits(t: float, output_time: float) -> bool:
-    """Whether step time t serves output_time, to 1e-9 relative."""
-    return abs(t - output_time) <= 1e-9 * max(1.0, abs(output_time))
 
 
 def _time_grid(T: float, dt: float) -> _TimeGrid:
@@ -268,23 +263,40 @@ def _schedule_values(grid: RadialGrid, density: np.ndarray, combo: np.ndarray,
 # Normalized flow for the potential
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FlowProblem:
+    """The flow from ``omega0`` on [0, T] in steps of about dt.  The grid,
+    the time grid and the steps kept (those of ``output_times``; all when
+    None) are resolved once, when it is built."""
     omega0: ModelMetric
     T: float
     dt: float
     grid: Optional[RadialGrid] = None
     output_times: Optional[Sequence[float]] = None
+    #: (time grid, steps whose states are kept, None for every step)
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
-        self.grid = self.omega0._resolve_grid(self.grid)
-        time_grid = _time_grid(self.T, self.dt)
-        for ot in self.output_times if self.output_times is not None else ():
-            if time_grid.step_of(ot) is None:
-                raise ValueError(f"output time {ot} is not a step time "
-                                 f"k*T/{time_grid.steps} in [0, {self.T}] (dt={self.dt})")
+        object.__setattr__(self, "grid", self.omega0._resolve_grid(self.grid))
+        time_grid, kept = _time_grid(self.T, self.dt), None
+        if self.output_times is not None:
+            object.__setattr__(self, "output_times", tuple(self.output_times))
+            steps = [time_grid.step_of(ot) for ot in self.output_times]
+            if None in steps:
+                raise ValueError(f"output time {self.output_times[steps.index(None)]} is not "
+                                 f"a step time k*T/{time_grid.steps} in [0, {self.T}] "
+                                 f"(dt={self.dt})")
+            kept = frozenset(steps)
+        object.__setattr__(self, "_plan", (time_grid, kept))
+
+    @property
+    def snapshot_times(self) -> tuple[float, ...]:
+        """The time of each state ``run_flow`` keeps, ascending."""
+        time_grid, kept = self._plan
+        steps = range(time_grid.steps + 1) if kept is None else sorted(kept)
+        return tuple(map(time_grid.time, steps))
 
 
 @dataclass
@@ -312,24 +324,14 @@ class FlowResult:
     step_rejections: int
 
 
-def fitted_boundary_constant(state: FlowState, fraction: float = 0.1) -> float:
+def fitted_boundary_constant(state: FlowState) -> float:
     """Average of the evolving metric density over the deepest nodes.
 
     The boundary constant is the x -> 0 limit of the density; averaging the
     deepest tenth of the grid suppresses the O(x) contamination.
     """
-    sl = state.u.grid.deepest_indices(fraction)
+    sl = state.u.grid.deepest_indices()
     return float(np.mean(state.flow_metric_density.values[sl]))
-
-
-def _kept_steps(problem: FlowProblem) -> tuple[_TimeGrid, Optional[set[int]]]:
-    """The time grid of ``run_flow`` on ``problem`` and the set of steps
-    whose states it keeps, the step of each output time (None keeps every
-    step)."""
-    time_grid = _time_grid(problem.T, problem.dt)
-    if problem.output_times is None:
-        return time_grid, None
-    return time_grid, {time_grid.step_of(ot) for ot in problem.output_times}
 
 
 def run_flow(problem: FlowProblem) -> FlowResult:
@@ -343,7 +345,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     """
     grid = problem.grid
     density, combo = _schedule_data(problem.omega0, grid)
-    time_grid, keep = _kept_steps(problem)
+    time_grid, keep = problem._plan
     u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
     work = NewtonWorkspace(grid.n_nodes)   # every Newton solve of the run
     res_accept, rejections = 0.0, 0

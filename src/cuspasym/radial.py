@@ -35,6 +35,16 @@ from .errors import SolverError
 
 CSV_FLOAT_FMT = "%.17g"
 _MIN_NODES = 8
+#: share of the nodes, deepest first, that stands for the x -> 0 limit
+DEEPEST_FRACTION = 0.1
+
+
+def laplacian_coefficients(h: float) -> tuple[float, float, float]:
+    """(sub, diag, sup) coefficients of the interior centered stencil."""
+    sub = 0.5 / h**2 - 0.25 / h
+    diag = -1.0 / h**2
+    sup = 0.5 / h**2 + 0.25 / h
+    return sub, diag, sup
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,13 @@ class RadialGrid:
             raise ValueError(f"need t_max < 0 so that x stays below 1, got {self.t_max}")
         if self.n_nodes < _MIN_NODES:
             raise ValueError(f"need at least {_MIN_NODES} nodes, got {self.n_nodes}")
+        try:   # h**2 overflows, or underflows to 0, on an extreme span
+            finite = all(map(math.isfinite, (self.t_min, *laplacian_coefficients(self.h))))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError(f"need a finite t_min and finite stencil coefficients, got "
+                             f"[{self.t_min}, {self.t_max}] with {self.n_nodes} nodes")
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -82,9 +99,9 @@ class RadialGrid:
             raise ValueError(f"invalid window [{x_lo}, {x_hi}]")
         return (self.x >= x_lo) & (self.x <= x_hi)
 
-    def deepest_indices(self, fraction: float = 0.1) -> slice:
-        """Indices of the deepest ``fraction`` of nodes (smallest x)."""
-        count = max(1, int(round(self.n_nodes * fraction)))
+    def deepest_indices(self) -> slice:
+        """Indices of the deepest ``DEEPEST_FRACTION`` of nodes (smallest x)."""
+        count = max(1, int(round(self.n_nodes * DEEPEST_FRACTION)))
         return slice(0, count)
 
 
@@ -151,14 +168,6 @@ class RadialField:
 # ---------------------------------------------------------------------------
 # Stencils for the unit model Laplacian (1/2)(d^2/dt^2 + d/dt)
 # ---------------------------------------------------------------------------
-
-def laplacian_coefficients(h: float) -> tuple[float, float, float]:
-    """(sub, diag, sup) coefficients of the interior centered stencil."""
-    sub = 0.5 / h**2 - 0.25 / h
-    diag = -1.0 / h**2
-    sup = 0.5 / h**2 + 0.25 / h
-    return sub, diag, sup
-
 
 def unit_laplacian_interior(values: np.ndarray, h: float, out: Optional[np.ndarray] = None,
                             scratch: Optional[np.ndarray] = None) -> np.ndarray:
@@ -368,8 +377,7 @@ class NewtonWorkspace:
 
 
 def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
-                  params: NewtonParams, label: str,
-                  work: Optional[NewtonWorkspace] = None):
+                  params: NewtonParams, label: str, work: NewtonWorkspace):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
     ``residual(v, r_out, aux_out)`` writes the residual at v into
@@ -383,18 +391,17 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
     SolverError; its message names ``label`` (and the last residual, where
     there is one).  A NaN residual never counts as reached.
 
-    The loop allocates no float array of the grid's size: it works in
-    ``work`` (a fresh :class:`NewtonWorkspace` when omitted), starting from
-    a copy of ``v0``, and solves each step in place.
-    Returns ``(v, aux, iterations, residual_history, damping_events)``,
-    where ``v`` and ``aux`` are buffers of the workspace.
+    The loop allocates no float array of the grid's size: it works in the
+    caller's ``work``, starting from a copy of ``v0``, and solves each step
+    in place.  Returns ``(v, aux, iterations, residual_history,
+    damping_events)``, where ``v`` and ``aux`` are buffers of ``work``.
     """
-    w = NewtonWorkspace(len(v0)) if work is None else work
-    v, candidate, r, r_new, aux, aux_new = w.v, w.candidate, w.r, w.r_new, w.aux, w.aux_new
+    v, candidate, r, r_new = work.v, work.candidate, work.r, work.r_new
+    aux, aux_new = work.aux, work.aux_new
     np.copyto(v, v0)
     if not residual(v, r, aux):
         raise SolverError(f"{label} started from an iterate violating positivity")
-    res_norm = _sup_norm(r, w.scratch)
+    res_norm = _sup_norm(r, work.scratch)
     residuals = [res_norm]
     damping_events = 0
     iteration = 0
@@ -403,10 +410,10 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
             raise SolverError(f"{label} did not converge in {params.max_iter} iterations; "
                               f"last residual {res_norm:.3e}")
         iteration += 1
-        bands(aux, w.bands)
-        np.negative(r, out=w.step)
+        bands(aux, work.bands)
+        np.negative(r, out=work.step)
         try:
-            step = _gtsv(*w.bands, w.step, overwrite=True)
+            step = _gtsv(*work.bands, work.step, overwrite=True)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular {label} linearization at iteration "
                               f"{iteration}: {exc}") from exc
@@ -415,7 +422,7 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
             np.multiply(step, s, out=candidate)
             np.add(v, candidate, out=candidate)
             ok = residual(candidate, r_new, aux_new)
-            new_norm = _sup_norm(r_new, w.scratch) if ok else np.inf
+            new_norm = _sup_norm(r_new, work.scratch) if ok else np.inf
             if ok and new_norm <= (1.0 - 1e-4 * s) * res_norm:
                 break
             s *= 0.5

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cuspasym import parabolic
 from cuspasym.cli import main
 from cuspasym.elliptic import NewtonParams
 from cuspasym.indexsets import IndexTerm, closure
@@ -151,6 +152,20 @@ def test_non_finite_boundary_value_is_config_error(tmp_path, capsys, command):
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("command, t_min", [
+    ("flow", "-inf"), ("flow", "-1e308"), ("solve-ma", "-inf"), ("solve-linear", "-inf")])
+def test_non_finite_grid_is_config_error(tmp_path, capsys, command, t_min):
+    # flow once exited 0 with an all-NaN x column (-inf) or 1 with an
+    # OverflowError traceback (-1e308); the solvers blamed f_terms at x=nan
+    keys = "T = 0.5\ndt = 0.25" if command == "flow" else "f_terms = 1:1:0"
+    cfg = write(tmp_path / "c.cfg", f"n_nodes = 16\nt_min = {t_min}\n{keys}\n")
+    out = tmp_path / "out"
+    assert main([command, cfg, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: need a finite t_min") and f"[{float(t_min)}, " in err
+    assert list(out.iterdir()) == []
+
+
 def test_flow_snapshots_and_constants(tmp_path):
     kappa = 0.5 * math.log(2.0)
     cfg = write(tmp_path / "c.cfg",
@@ -185,6 +200,20 @@ def test_flow_snapshots_sharing_a_file_name_are_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == ("config error: output times 2e-07 and 3e-07 "
                                        "share the snapshot file flow_t0.000000.csv\n")
     assert list(out.iterdir()) == []
+
+
+def test_flow_resolves_its_time_grid_once(tmp_path, monkeypatch):
+    # the problem, the snapshot naming and run_flow once built it each
+    calls = []
+    time_grid = parabolic._time_grid
+    monkeypatch.setattr(parabolic, "_time_grid",
+                        lambda T, dt: calls.append((T, dt)) or time_grid(T, dt))
+    cfg = write(tmp_path / "c.cfg", "n_nodes = 64\nT = 0.5\ndt = 0.1\noutput_times = 0.2, 0.5\n")
+    out = tmp_path / "out"
+    assert main(["flow", cfg, "-o", str(out)]) == 0
+    assert calls == [(0.5, 0.1)]
+    assert sorted(p.name for p in out.glob("*.csv")) == ["flow_t0.200000.csv",
+                                                         "flow_t0.500000.csv"]
 
 
 def test_flow_snapshot_names_checked_before_any_flow_step(tmp_path, capsys, monkeypatch):

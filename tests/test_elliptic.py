@@ -1,6 +1,7 @@
 """Linear and Monge-Ampere solves: manufactured solutions, maximum
 principle, Newton behavior, weighted conjugation probe."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +65,17 @@ def test_linear_manufactured_x_squared():
 def test_linear_rejects_negative_lambda():
     with pytest.raises(ValueError, match="lambda"):
         LinearProblem(UNIT, -1.0, RadialField.zeros(GRID))
+
+
+@pytest.mark.parametrize("problem", [
+    LinearProblem(UNIT, 1.0, RadialField.zeros(GRID)),
+    MongeAmpereProblem(UNIT, RadialField.zeros(GRID)),
+], ids=["linear", "monge-ampere"])
+def test_problems_are_immutable(problem):
+    # lam = -3 set after construction once solved silently (sup 2.7e8)
+    for f in dataclasses.fields(problem):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, f.name, -3.0)
 
 
 def test_problems_reject_a_field_off_the_metric_grid():

@@ -131,14 +131,14 @@ def test_detector_on_monge_ampere_solution():
 def test_remainder_saturates_on_exact_expansion():
     f = RadialField.from_function(GRID, lambda x: 3 * x + 2 * x ** 2)
     fit = fit_polyhom(f, E_X, fit_window=WINDOW)
-    report = remainder_check(fit, f, 2.0)
+    report = remainder_check(fit, f)
     assert report.saturated and report.meets_target
 
 
 def test_remainder_slope_of_half_power():
     f = RadialField.from_function(GRID, lambda x: x + x ** 2.5)
     fit = fit_polyhom(f, E_X, fit_window=WINDOW)
-    report = remainder_check(fit, f, 2.0)
+    report = remainder_check(fit, f)
     assert not report.saturated
     assert 2.2 <= report.slope <= 2.8
     assert report.meets_target
@@ -153,7 +153,7 @@ def test_remainder_of_ma_manufactured_solution():
         MongeAmpereProblem(ModelMetric(), F,
                            bc_left=grid.x_min ** 2, bc_right=grid.x_max ** 2))
     fit = fit_polyhom(u, E_X, fit_window=(1e-6, 1e-2))
-    report = remainder_check(fit, u, 2.0)
+    report = remainder_check(fit, u)
     assert report.saturated or report.slope >= 1.75
 
 

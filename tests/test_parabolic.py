@@ -197,7 +197,7 @@ def test_flow_with_compact_bump_stays_bounded():
     assert np.max(result.sup_u) < 1.0
     assert np.all(result.positivity_margin > 0)
     final = result.states[-1]
-    deep = final.u.values[GRID.deepest_indices(0.1)]
+    deep = final.u.values[GRID.deepest_indices()]
     assert np.max(np.abs(deep)) < 1e-4
 
 
@@ -395,6 +395,23 @@ def test_flow_newton_iterations_count_every_accepted_sub_step(monkeypatch):
     assert result.step_rejections > 0
     assert len(accepted) > len(result.times) - 1   # some step time took sub-steps
     assert int(sum(result.newton_iterations)) == sum(accepted)
+
+
+def test_flow_problem_is_immutable():
+    # output_times = [0.3] set after construction once ran and kept 0 states
+    problem = FlowProblem(ModelMetric(), T=1.0, dt=0.1, grid=GRID, output_times=[0.5])
+    for f in dataclasses.fields(problem):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, f.name, [0.3])
+
+
+def test_flow_problem_copies_the_callers_output_times():
+    times = [0.1, 0.2]
+    problem = FlowProblem(ModelMetric(), T=0.2, dt=0.05, grid=GRID, output_times=times)
+    times[:] = [0.3, 0.15]
+    assert problem.output_times == (0.1, 0.2)
+    assert problem.snapshot_times == (0.1, 0.2)
+    assert [s.t for s in run_flow(problem).states] == [0.1, 0.2]
 
 
 def test_flow_rejects_bad_steps():

@@ -1,6 +1,7 @@
 """Radial grid plumbing: CSV round trips, expansion evaluation, stencils."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,18 @@ def test_grid_geometry():
     fine = g.refined()
     assert fine.n_nodes == 255
     assert np.allclose(fine.x[::2], g.x)
+
+
+@pytest.mark.parametrize("t_min, t_max", [
+    (-math.inf, -1.0),        # once x = nan at every node
+    (-1e308, -1.0),           # h**2 overflows: once an OverflowError
+    (-2e-300, -1e-300),       # 1/h**2 overflows
+    (-2e-310, -1e-310),       # h**2 underflows to 0
+])
+def test_grid_rejects_non_finite_bounds_or_stencil(t_min, t_max):
+    message = f"finite t_min and finite stencil coefficients, got [{t_min}, {t_max}] with 16"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RadialGrid(t_min, t_max, 16)
 
 
 def test_field_validation():
@@ -150,7 +163,8 @@ def test_damped_newton_rejects_inadmissible_start():
         return False
 
     with pytest.raises(SolverError, match="probe started .* positivity"):
-        damped_newton(residual, None, np.zeros(8), NewtonParams(5, 1e-12), "probe")
+        damped_newton(residual, None, np.zeros(8), NewtonParams(5, 1e-12), "probe",
+                      NewtonWorkspace(8))
 
 
 def test_damped_newton_never_reads_a_nan_residual_as_converged():
@@ -160,7 +174,7 @@ def test_damped_newton_never_reads_a_nan_residual_as_converged():
 
     bands = lambda aux, out: dirichlet_bands(8, 0.1, 1.0, 1.0, out=out)
     with pytest.raises(ValueError, match="NaN"):
-        damped_newton(residual, bands, np.zeros(8), NewtonParams(), "probe")
+        damped_newton(residual, bands, np.zeros(8), NewtonParams(), "probe", NewtonWorkspace(8))
 
 
 def test_damped_newton_works_in_the_given_workspace():
