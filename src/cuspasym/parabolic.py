@@ -24,18 +24,16 @@ initial data stays exactly spatially constant, with no artificial boundary
 layer polluting the density extraction.
 
 The deepest-boundary constant of the evolving metric relaxes as
-c_t = 1 + e^{-t} (c_0 - 1); the driven cusp constant obeys dc/dt = 1 - c
-with the same closed form.
+c_t = 1 + e^{-t} (c_0 - 1), the closed form of dc/dt = 1 - c.  Beside the
+flow sit two checks no CLI command runs: the linear decay certificate, on
+one symmetric factorization, and the restricted ODE, RK4 against one
+vectorized Gauss quadrature.
 
-Every stepper here (the flow, the decay certificate and both RK4 paths)
-takes its steps from one time grid, ``_time_grid``: a step count, not an
-array.  ``_TimeGrid.time`` gives the time of step k, exactly k*T/steps with
-T itself last, and ``_TimeGrid.step_of`` the step that serves an output
-time; no other code here does time-grid arithmetic.
-
-The inner Newton loop (``damped_newton``, set by ``_FLOW_NEWTON``) and the
-band layout of the backward-Euler matrices (``dirichlet_bands``) live in
-``radial``.
+Every stepper takes its steps from one time grid, ``_time_grid``, a step
+count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
+``_TimeGrid.step_of`` the step serving an output time.  The Newton loop
+(``damped_newton``, set by ``_FLOW_NEWTON``) and the band layout
+(``dirichlet_bands``) live in ``radial``.
 """
 
 from __future__ import annotations
@@ -56,7 +54,8 @@ from .radial import (
     RadialGrid,
     damped_newton,
     dirichlet_bands,
-    factor_tridiagonal,
+    factor_symmetric_tridiagonal,
+    laplacian_coefficients,
     unit_laplacian,
     unit_laplacian_interior,
 )
@@ -67,6 +66,8 @@ _FLOW_NEWTON = NewtonParams(max_iter=30, tol=1e-12, damping_min=2.0 ** -30)
 _DT_MIN_FACTOR = 2.0 ** -10
 #: the most steps a time grid may have (see ``_time_grid``)
 _MAX_STEPS = 10 ** 8
+#: the widest panel and the two Gauss-Legendre orders of the restricted ODE
+_PANEL_WIDTH, _GAUSS_ORDERS = 0.125, (8, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +103,8 @@ class _TimeGrid(NamedTuple):
         return self.T if k == self.steps else k * (self.T / self.steps)
 
     def step_of(self, t: float) -> Optional[int]:
-        """The step that serves output time t: the nearest one, if its time
-        is t to 1e-9 relative; None for a non-finite or unreachable t.
-        Needs T > 0."""
+        """The nearest step to output time t, if its time is t to 1e-9
+        relative; None for a non-finite or unreachable t.  Needs T > 0."""
         if not math.isfinite(t):
             return None
         k = round(min(max(t / self.T * self.steps, 0.0), self.steps))
@@ -118,16 +118,9 @@ class _TimeGrid(NamedTuple):
 def _time_grid(T: float, dt: float) -> _TimeGrid:
     """The one time grid of every stepper here, as a step count: steps is
     round(T/dt) when that lands on T to within 1e-9 relative, ceil(T/dt)
-    otherwise, at least 1.  No array over the steps is built; a stepper
-    asks ``time(k)`` for the time of step k as it reaches it.
-
-    More than ``_MAX_STEPS`` steps is an error.  The cap comes from the
-    cost of one step, measured in one process on a 2-vCPU shared Xeon: the
-    cheapest stepper, the scalar RK4 of ``cusp_constant_rk4``, takes
-    0.85 us a step (10^5 and 10^6 steps), a flow step on the smallest
-    (8-node) grid 140 us (10^4 steps) and a decay-certificate step there
-    20 us.  At 10^8 steps the RK4 alone runs 85 s and the flow about 4 h.
-    """
+    otherwise, at least 1 and at most ``_MAX_STEPS``.  At 10^8 steps the
+    cheapest stepper, the scalar RK4, runs 85 s (0.85 us a step on a 2-vCPU
+    shared Xeon) and a flow on 8 nodes about 4 h (140 us a step)."""
     if not (T >= 0 and dt > 0 and math.isfinite(T / dt)):
         raise ValueError(f"need T >= 0, dt > 0 and finite T/dt, got T={T}, dt={dt}")
     steps = round(T / dt)
@@ -173,15 +166,17 @@ class RestrictedOdeResult:
         return float(self.quadrature[-1])
 
 
-def _restricted_source(c_list: Sequence[float]) -> Callable[[float], float]:
+def _restricted_source(c_list: Sequence[float], xp=math) -> Callable:
+    """The source sum_i log((1 + e^{-s}(c_i - 1)) / c_i): for scalar s with
+    ``xp = math`` (RK4), for arrays with ``xp = np`` (the quadrature)."""
     pairs = [(c - 1.0, c) for c in c_list]
 
-    def source(s: float) -> float:
+    def source(s):
         # the terms of sum(...) in its order, from 0, with e^{-s} taken once
-        decay = math.exp(-s)
+        decay = xp.exp(-s)
         total = 0
         for c_minus_1, c in pairs:
-            total += math.log((1.0 + decay * c_minus_1) / c)
+            total = total + xp.log((1.0 + decay * c_minus_1) / c)
         return total
     return source
 
@@ -190,13 +185,18 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
                             dt: float = 1e-3) -> RestrictedOdeResult:
     """du/dt = -u + sum_i log((1 + e^{-t}(c_i - 1)) / c_i), u(0) = 0.
 
-    Solved two independent ways: adaptive quadrature of the
-    variation-of-constants integral e^{-t} int_0^t e^s source(s) ds, and an
-    RK4 trajectory with step dt.  The two act as mutual oracles; their
-    maximum discrepancy over the sample times is reported.  As t -> infty
-    the solution tends to -sum_i log c_i, the equilibrium of the source.
+    Solved two independent ways, which act as mutual oracles (their maximum
+    discrepancy over the step times is reported): an RK4 trajectory with
+    step dt on the scalar source, and the variation-of-constants integral
+    I_m = e^{-t_m} int_0^{t_m} e^s source(s) ds by the exact recursion
+    I_m = e^{-(t_m - t_{m-1})} I_{m-1} + J_m.  Each J_m, the integral over
+    one step, is a composite Gauss rule, vectorized over the steps, on equal
+    panels no wider than ``_PANEL_WIDTH``, at both ``_GAUSS_ORDERS``.  Their
+    difference, carried by the same recursion, is the error estimate, a
+    SolverError above 1e-13 (1 + |I_m|); a c_i near 0 puts a log
+    singularity next to t = 0.  As t -> infty u tends to -sum_i log c_i.
     """
-    from scipy.integrate import quad  # no CLI command reaches this
+    from numpy.polynomial.legendre import leggauss
 
     c_list = [float(c) for c in c_list]
     if any(c <= 0 for c in c_list):
@@ -206,12 +206,23 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
     source = _restricted_source(c_list)
     rk4 = _rk4(lambda s, u: -u + source(s), 0.0, time_grid)
 
-    quadrature = np.zeros(len(times))
-    for m, tm in enumerate(times[1:], start=1):
-        integral, _ = quad(lambda s: math.exp(s - tm) * source(s), 0.0, tm,
-                           epsabs=1e-13, epsrel=1e-13, limit=300)
-        quadrature[m] = integral
-
+    source_at, lengths = _restricted_source(c_list, np), np.diff(times)
+    panels = max(1, math.ceil(float(np.max(lengths)) / _PANEL_WIDTH))
+    low, high = np.zeros((2, len(lengths)))
+    for total, (nodes, weights) in zip((low, high), map(leggauss, _GAUSS_ORDERS)):
+        fractions = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels   # of a step
+        for f, w in zip(fractions.ravel().tolist(), np.tile(weights, panels).tolist()):
+            total += w * np.exp((f - 1.0) * lengths) * source_at(times[:-1] + f * lengths)
+    scale = lengths / (2 * panels)
+    steps = zip(np.exp(-lengths).tolist(), (high * scale).tolist(),
+                (abs(high - low) * scale).tolist())
+    quadrature, value, error = np.zeros(len(times)), 0.0, 0.0
+    for m, (decay, step, step_error) in enumerate(steps, 1):
+        value, error = decay * value + step, decay * error + step_error
+        if not error <= 1e-13 * (1.0 + abs(value)):
+            raise SolverError(f"restricted-ODE quadrature error estimate {error:.3e} at "
+                              f"t={times[m]:.6g} exceeds 1e-13 (1 + |I|)")
+        quadrature[m] = value
     max_disc = float(np.max(np.abs(quadrature - rk4)))
     return RestrictedOdeResult(times=times, quadrature=quadrature, rk4=rk4,
                                max_discrepancy=max_disc)
@@ -443,58 +454,58 @@ class DecayCertificate:
     K: float
     growth_rate: float           # fitted c in the bound K e^{c t}
 
-    def bound_at(self, t: float) -> float:
-        return self.K * math.exp(self.growth_rate * t)
-
 
 def decay_certificate(grid: RadialGrid, gamma: float,
                       g: Callable[[np.ndarray, float], np.ndarray],
                       T: float, dt: float) -> DecayCertificate:
     """Empirical barrier bound for du/dt = Delta u - u + x^gamma g(x, t).
 
-    Integrates the linear equation by backward Euler (one tridiagonal
-    matrix, factored once for every step, zero Dirichlet data, u(0) = 0)
-    and reports, per time slice, the sup over interior nodes of
+    Integrates the linear equation by backward Euler (zero Dirichlet data,
+    u(0) = 0) and reports, per time slice, the sup over interior nodes of
     |u| / x^gamma, together with fitted constants K and c such that every
     slice ratio is below K e^{c t}.
+
+    The step matrix (1 + h_t) - h_t Delta has constant coefficients, and
+    its interior rows decouple from the zero end rows.  The similarity
+    y = D u, D_j = (c_sup/c_sub)^{j/2} relative to the middle node, makes
+    them symmetric positive definite: factored once (LAPACK pttrf), solved
+    for y at each step (pttrs), with D folded into the forcing and the
+    weight D x^gamma.  A spacing h >= 2 (c_sub <= 0, no real D) is an error.
     """
     if gamma < 0:
         raise ValueError(f"decay weight gamma must be >= 0, got {gamma}")
     if dt <= 0 or T < dt:
         raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
-    n, h = grid.n_nodes, grid.h
-    x = grid.x
+    n, h, x = grid.n_nodes, grid.h, grid.x
+    c_sub, _, c_sup = laplacian_coefficients(h)
+    if not (c_sub > 0 and 0.25 * math.log(c_sup / c_sub) * n < 700):
+        raise ValueError(f"the decay certificate needs a grid spacing h < 2 whose "
+                         f"similarity D stays below e^700, got h={h} on {n} nodes")
     time_grid = _time_grid(T, dt)
     h_t, times = time_grid.h, time_grid.times()
 
-    # backward-Euler matrix (1 + h_t) - h_t * Delta with Dirichlet rows,
-    # the same at every step, so factored once
-    solve = factor_tridiagonal(*dirichlet_bands(n, h, -h_t, -(1.0 + h_t)))
+    # the interior rows of (1 + h_t) - h_t * Delta, symmetrized
+    sub, diag, sup = dirichlet_bands(n, h, -h_t, -(1.0 + h_t))
+    solve = factor_symmetric_tridiagonal(diag[1:-1], -np.sqrt(sub[2:-1] * sup[1:-2]))
+    scale = np.exp(0.5 * math.log(c_sup / c_sub) * (np.arange(1, n - 1) - n // 2))
 
-    u = np.zeros(n)
-    ratios = np.zeros(len(times))
-    x_gamma = x ** gamma
-    forcing = h_t * x_gamma
-    weight = x_gamma[1:-1]
+    y, rhs, ratios = np.zeros(n - 2), np.empty(n - 2), np.zeros(len(times))
+    weight = scale * x[1:-1] ** gamma
+    forcing = h_t * weight
     for m in range(1, len(times)):
-        tm = times[m]
-        rhs = u + forcing * np.asarray(g(x, tm), dtype=float)
-        rhs[0] = 0.0
-        rhs[-1] = 0.0
-        u = solve(rhs)
-        ratios[m] = float(np.max(np.abs(u[1:-1]) / weight))
+        np.multiply(forcing, np.asarray(g(x, times[m]), dtype=float)[1:-1], out=rhs)
+        np.add(rhs, y, out=rhs)
+        y, rhs = solve(rhs), y   # solved in place; the old y is scratch now
+        np.divide(np.abs(y, out=rhs), weight, out=rhs)
+        ratios[m] = float(np.max(rhs))
 
-    positive = ratios > 0
-    if not np.any(positive):
+    idx = np.flatnonzero(ratios > 0)
+    if len(idx) == 0:
         return DecayCertificate(gamma, times, ratios, 0.0, 0.0, 0.0)
     # fit c from the later half of the positive slices, then the smallest
     # K making K e^{c t} a true bound
-    idx = np.where(positive)[0]
     tail = idx[idx >= idx[0] + (idx[-1] - idx[0]) // 2]
-    if len(tail) >= 2:
-        slope = _lsq_slope(times[tail], np.log(ratios[tail]))
-        c_fit = max(0.0, float(slope))
-    else:
-        c_fit = 0.0
+    slope = _lsq_slope(times[tail], np.log(ratios[tail])) if len(tail) >= 2 else 0.0
+    c_fit = max(0.0, float(slope))
     K = float(np.max(ratios * np.exp(-c_fit * times)))
     return DecayCertificate(gamma, times, ratios, float(np.max(ratios)), K, c_fit)

@@ -41,10 +41,7 @@ DEEPEST_FRACTION = 0.1
 
 def laplacian_coefficients(h: float) -> tuple[float, float, float]:
     """(sub, diag, sup) coefficients of the interior centered stencil."""
-    sub = 0.5 / h**2 - 0.25 / h
-    diag = -1.0 / h**2
-    sup = 0.5 / h**2 + 0.25 / h
-    return sub, diag, sup
+    return 0.5 / h**2 - 0.25 / h, -1.0 / h**2, 0.5 / h**2 + 0.25 / h
 
 
 @dataclass(frozen=True)
@@ -69,6 +66,9 @@ class RadialGrid:
         if not finite:
             raise ValueError(f"need a finite t_min and finite stencil coefficients, got "
                              f"[{self.t_min}, {self.t_max}] with {self.n_nodes} nodes")
+        if not math.exp(self.t_min) >= sys.float_info.min:   # a subnormal x reads back skewed
+            raise ValueError(f"need x = exp(t_min) > 0 as a normal float (t_min >= "
+                             f"{math.log(sys.float_info.min):.6g}), got t_min={self.t_min}")
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -199,10 +199,8 @@ def unit_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     out = unit_laplacian_interior(values, h)
     v = values
     d1_left, d1_right = _end_dt_rows(v, h)
-    d2_left = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
-    out[0] = 0.5 * (d2_left + d1_left)
-    d2_right = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
-    out[-1] = 0.5 * (d2_right + d1_right)
+    out[0] = 0.5 * ((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2 + d1_left)
+    out[-1] = 0.5 * ((2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2 + d1_right)
     return out
 
 
@@ -260,21 +258,21 @@ def _gtsv(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray,
     return u
 
 
-def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray,
-                       sup: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """LU-factor the matrix of :func:`solve_tridiagonal` once (LAPACK gttrf)
-    and return ``solve(rhs)`` (gttrs) for a matrix that many right-hand
-    sides share.  Each solve is bit-identical to ``solve_tridiagonal`` on
-    the same system; a single solve is cheaper through that function."""
+def factor_symmetric_tridiagonal(diag: np.ndarray,
+                                 off: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """LDL^T-factor once (LAPACK pttrf, inputs not written) the symmetric
+    positive definite tridiagonal matrix with diagonal ``diag`` and the one
+    entry shorter off-diagonal ``off``; ``solve(rhs)`` (pttrs) writes the
+    solution into a contiguous float64 ``rhs`` and returns it."""
     lapack = _lapack()
-    _require_finite(sub[1:], diag, sup[:-1])
-    *lu, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
-    _check_lapack_info(info, "gttrf")
+    _require_finite(diag, off)
+    *ldl, info = lapack.dpttrf(diag, off)
+    _check_lapack_info(info, "pttrf", "matrix not positive definite")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         _require_finite(rhs)
-        u, info = lapack.dgttrs(*lu, rhs)
-        _check_lapack_info(info, "gttrs")
+        u, info = lapack.dpttrs(*ldl, rhs, True)
+        _check_lapack_info(info, "pttrs")
         return u
     return solve
 
@@ -284,19 +282,11 @@ _FLAPACK_LOCK = threading.Lock()
 
 
 def _lapack():
-    """scipy's LAPACK extension ``scipy.linalg._flapack``: the package's one
-    way to LAPACK (``dgtsv``, ``dgttrf``, ``dgttrs``).
-
-    ``scipy.linalg.lapack`` re-exports these very routines, but the package
-    init of ``scipy.linalg`` takes about 0.35 s that a solve never uses, and
-    even the top-level ``scipy`` init (about 20 ms) is more than the
-    extension itself, which loads in a few ms.  Unless it is loaded already,
-    this finds scipy's directory without importing anything and loads
-    ``_flapack`` from ``scipy/linalg`` under its own name, registered in
-    ``sys.modules``, so a later ``import scipy.linalg`` binds the same module
-    object.  The lock makes threads that reach their first solve together
-    load it once.
-    """
+    """scipy's LAPACK extension ``scipy.linalg._flapack`` (``dgtsv``,
+    ``dpttrf``, ``dpttrs``), the package's one way to LAPACK.  It is loaded
+    alone, without the inits of ``scipy.linalg`` (about 0.35 s) or ``scipy``
+    (about 20 ms), once under a lock, and registered in ``sys.modules``, so
+    a later ``import scipy.linalg`` binds the same module (see README)."""
     module = sys.modules.get(_FLAPACK)
     if module is None:
         with _FLAPACK_LOCK:
@@ -338,9 +328,9 @@ def _require_finite(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _check_lapack_info(info: int, routine: str) -> None:
+def _check_lapack_info(info: int, routine: str, fault: str = "singular matrix") -> None:
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError(fault)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
@@ -354,18 +344,22 @@ class NewtonParams:
     tol: float = 1e-11
     damping_min: float = 2.0 ** -20
 
+    def __post_init__(self):
+        count = self.max_iter >= 0 and self.max_iter % 1 == 0
+        for name, ok, need in (("max_iter", count, "an integer >= 0"),
+                               ("tol", 0 < self.tol < math.inf, "finite and > 0"),
+                               ("damping_min", 0 < self.damping_min < 1, "in (0, 1)")):
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
+
 
 class NewtonWorkspace:
-    """The arrays one :func:`damped_newton` solve on ``n`` nodes works in.
-
-    The caller creates it and may pass it to any number of solves of its
-    size, one at a time; nothing here is shared between callers.  ``v`` and
-    ``candidate``, ``r`` and ``r_new``, ``aux`` and ``aux_new`` are double
-    buffers (the loop swaps each pair on an accepted step), ``step`` holds
-    the right-hand side and then the Newton step, ``bands`` the Jacobian's
-    (sub, diag, sup), and ``scratch`` is free for the callbacks: the loop
-    itself uses it only between their calls.
-    """
+    """The arrays one :func:`damped_newton` solve on ``n`` nodes works in,
+    the caller's own, for any number of its solves of that size, one at a
+    time.  ``v``/``candidate``, ``r``/``r_new`` and ``aux``/``aux_new`` are
+    double buffers, swapped on an accepted step; ``step`` holds the
+    right-hand side, then the step; ``bands`` the Jacobian's (sub, diag,
+    sup); ``scratch`` is the callbacks' (the loop uses it between calls)."""
 
     def __init__(self, n: int):
         self.v, self.candidate = np.empty(n), np.empty(n)
@@ -380,21 +374,19 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
                   params: NewtonParams, label: str, work: NewtonWorkspace):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
-    ``residual(v, r_out, aux_out)`` writes the residual at v into
-    ``r_out`` and the data its Jacobian needs into ``aux_out``, and returns
-    False when v leaves the admissible set (positivity lost);
-    ``bands(aux, bands_out)`` writes the Jacobian bands at that iterate into
-    the triple ``bands_out``.  Each step is halved until the
-    iterate is admissible and the sup-norm residual drops by the factor
-    1 - 1e-4 s; a step below ``params.damping_min``, ``params.max_iter``
-    steps without reaching ``params.tol`` or a singular linearization raise
-    SolverError; its message names ``label`` (and the last residual, where
-    there is one).  A NaN residual never counts as reached.
+    ``residual(v, r_out, aux_out)`` writes the residual at v and the data
+    its Jacobian needs, and returns False when v is not admissible
+    (positivity lost); ``bands(aux, bands_out)`` writes the Jacobian bands
+    at that iterate.  Each step is halved until the iterate is admissible
+    and the sup-norm residual drops by the factor 1 - 1e-4 s.  A step below
+    ``params.damping_min``, ``params.max_iter`` steps without reaching
+    ``params.tol`` (a NaN residual never does) or a singular linearization
+    raise SolverError naming ``label`` (and the last residual, if any).
 
-    The loop allocates no float array of the grid's size: it works in the
-    caller's ``work``, starting from a copy of ``v0``, and solves each step
-    in place.  Returns ``(v, aux, iterations, residual_history,
-    damping_events)``, where ``v`` and ``aux`` are buffers of ``work``.
+    No array of the grid's size is allocated: the loop works in ``work``
+    from a copy of ``v0`` and solves each step in place.  Returns ``(v, aux,
+    iterations, residual_history, damping_events)``, ``v`` and ``aux``
+    buffers of ``work``.
     """
     v, candidate, r, r_new = work.v, work.candidate, work.r, work.r_new
     aux, aux_new = work.aux, work.aux_new
@@ -403,8 +395,7 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
         raise SolverError(f"{label} started from an iterate violating positivity")
     res_norm = _sup_norm(r, work.scratch)
     residuals = [res_norm]
-    damping_events = 0
-    iteration = 0
+    damping_events = iteration = 0
     while not res_norm <= params.tol:
         if iteration == params.max_iter:
             raise SolverError(f"{label} did not converge in {params.max_iter} iterations; "
@@ -431,9 +422,7 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
                 raise SolverError(
                     f"{label} damping floor reached at iteration {iteration}; "
                     f"last residual {res_norm:.3e}")
-        v, candidate = candidate, v
-        r, r_new = r_new, r
-        aux, aux_new = aux_new, aux
+        v, candidate, r, r_new, aux, aux_new = candidate, v, r_new, r, aux_new, aux
         res_norm = new_norm
         residuals.append(res_norm)
     return v, aux, iteration, residuals, damping_events

@@ -50,6 +50,14 @@ CASES = {
     "exit2-t-min-inf": "flow",
     "exit2-t-min-huge": "flow",
     "exit3-max-iter": "solve-ma",
+    "indicial-readme": "indicial",
+    "indicial-lambda-07": "indicial",
+    "sweep-serial": "sweep",
+    "exit2-sweep-no-command": "sweep",
+    "exit2-T-inf": "flow",
+    "exit2-damping-min-zero": "solve-ma",
+    "exit2-max-iter-negative": "solve-ma",
+    "exit2-t-min-underflow": "solve-ma",
 }
 
 

@@ -6,8 +6,9 @@ Each runtime check runs in a fresh interpreter, since the test process
 itself has long since imported scipy.  The package reaches LAPACK through
 ``radial._lapack``, which loads the one extension ``scipy.linalg._flapack``
 and no other scipy module, not even the top-level ``scipy`` (unless the
-extension fails to load without it); ``scipy.integrate`` belongs to
-``parabolic.restricted_ode_solution`` and ``concurrent.futures`` to
+extension fails to load without it); no package code imports
+``scipy.integrate``, not even ``parabolic.restricted_ode_solution``, whose
+quadrature is numpy's own, and ``concurrent.futures`` belongs to
 ``cli.cmd_sweep``.  Importing the package or running a command that solves
 nothing loads none of them.  The extension it loads is the very module a
 later ``import scipy.linalg`` binds, loaded once however many threads reach
@@ -123,18 +124,19 @@ def test_lapack_routines_are_the_ones_scipy_linalg_exports(tmp_path):
     # solve first, then import scipy.linalg: one module object, same routines
     code = _SOLVE + (
         "u = radial.solve_tridiagonal(sub, diag, sup, rhs)\n"
-        "lu_solve = radial.factor_tridiagonal(sub, diag, sup)\n"
+        "spd_solve = radial.factor_symmetric_tridiagonal(diag, -sup[:-1])\n"
+        "v = spd_solve(rhs.copy())\n"
         "flapack = radial._lapack()\n"
         "import sys\n"
         "from scipy.linalg import lapack, solve_banded\n"
         "assert sys.modules['scipy.linalg._flapack'] is flapack\n"
         "assert lapack.dgtsv is flapack.dgtsv\n"
-        "assert lapack.dgttrf is flapack.dgttrf\n"
-        "assert lapack.dgttrs is flapack.dgttrs\n"
+        "assert lapack.dpttrf is flapack.dpttrf\n"
+        "assert lapack.dpttrs is flapack.dpttrs\n"
         "ab = np.zeros((3, n))\n"
         "ab[0, 1:], ab[1], ab[2, :-1] = sup[:-1], diag, sub[1:]\n"
         "assert solve_banded((1, 1), ab, rhs).tobytes() == u.tobytes()\n"
-        "assert lu_solve(rhs).tobytes() == u.tobytes()\n")
+        "assert lapack.dptsv(diag, -sup[:-1], rhs)[2].tobytes() == v.tobytes()\n")
     assert "scipy.linalg" in run_fresh(code, tmp_path)
 
 
@@ -236,7 +238,8 @@ def test_restricted_ode_first_call_in_cold_process(tmp_path):
     code = ("from cuspasym import restricted_ode_solution\n"
             "res = restricted_ode_solution([2.0, 0.5], 1.0)\n"
             "assert res.max_discrepancy < 1e-8, res.max_discrepancy\n")
-    assert "scipy.integrate" in run_fresh(code, tmp_path)
+    # both routes are numpy alone: no scipy.integrate, no LAPACK
+    assert [m for m in run_fresh(code, tmp_path) if m.startswith("scipy")] == []
 
 
 def _sweep(tmp_path: Path, workers: int) -> dict:

@@ -26,7 +26,13 @@ from cuspasym.parabolic import (
     restricted_ode_solution,
     run_flow,
 )
-from cuspasym.radial import RadialField, RadialGrid, dirichlet_bands, solve_tridiagonal
+from cuspasym.radial import (
+    RadialField,
+    RadialGrid,
+    dirichlet_bands,
+    laplacian_coefficients,
+    solve_tridiagonal,
+)
 
 GRID = RadialGrid(-40.0, math.log(0.5), 512)
 
@@ -87,6 +93,47 @@ def test_restricted_source_matches_the_sum_formula_bit_for_bit(c_list):
     for s in np.linspace(0.0, 12.0, 241).tolist() + [1e-9, 30.0, 800.0]:
         expected = sum(math.log((1.0 + math.exp(-s) * (c - 1.0)) / c) for c in c_list)
         assert source(s) == expected, (c_list, s)
+
+
+@pytest.mark.parametrize("c_list", [[2.0], [2.0, 0.5, 1.3], [0.1, 7.5, 1.0, 3.25]])
+def test_restricted_source_array_form_within_two_ulp_of_scalar_form(c_list):
+    # both forms sum the same terms log(x_i), x_i = (1 + d (c_i - 1)) / c_i
+    # with d = e^{-s}, in the same order; numpy's exp and log are each within
+    # 1 ulp of math's.  A 1-ulp change of d moves log(x_i) by
+    # d |c_i - 1| / (c_i x_i) units of eps, so one ulp of the source is eps
+    # times the sum over the terms of |log x_i| plus that factor
+    scalar = parabolic._restricted_source(c_list)
+    array = parabolic._restricted_source(c_list, np)
+    s = np.r_[np.linspace(0.0, 12.0, 2401), 1e-9, 30.0, 800.0,
+              np.random.default_rng(2).uniform(0.0, 40.0, 5000)]
+    eps = np.finfo(float).eps
+    for si, value in zip(s.tolist(), array(s).tolist()):
+        d = math.exp(-si)
+        ulp = eps * sum(abs(math.log((1.0 + d * (c - 1.0)) / c))
+                        + d * abs(c - 1.0) / (1.0 + d * (c - 1.0)) for c in c_list)
+        assert abs(value - scalar(si)) <= 2.0 * ulp, (si, value, scalar(si))
+
+
+@pytest.mark.parametrize("c_list, T, dt", [
+    ([2.0], 1.0, 1e-3), ([2.1, 1.4], 1.0, 1e-3), ([0.1, 7.5, 1.0, 3.25], 1.0, 1e-3),
+    ([2.0], 10.0, 5.0), ([0.1, 7.5], 10.0, 5.0), ([0.5, 3.0], 37.0, 0.7)])
+def test_restricted_ode_quadrature_matches_adaptive_quad(c_list, T, dt):
+    # the reference is the adaptive route the quadrature replaced, one
+    # scipy quad call per step time
+    from scipy.integrate import quad
+
+    res = restricted_ode_solution(c_list, T, dt)
+    source = parabolic._restricted_source(c_list)
+    for value, tm in zip(res.quadrature.tolist(), res.times.tolist()):
+        expected, _ = quad(lambda s: math.exp(s - tm) * source(s), 0.0, tm,
+                           epsabs=1e-13, epsrel=1e-13, limit=300)
+        assert abs(value - expected) <= 1e-13, (tm, value, expected)
+
+
+def test_restricted_ode_quadrature_raises_on_its_error_estimate():
+    # c = 1e-6 puts a log singularity at t = log(1 - 1e-6), next to t = 0
+    with pytest.raises(SolverError, match=r"error estimate .* at t=0\.001 exceeds 1e-13"):
+        restricted_ode_solution([1e-6], 1.0, dt=1e-3)
 
 
 def test_restricted_ode_long_time_limit():
@@ -429,12 +476,13 @@ def test_flow_degenerating_background_raises():
 
 
 def test_flow_newton_damping_floor_reports_residual(monkeypatch):
-    # tol 0 leaves the inner Newton stalled at the rounding floor until the
-    # step is halved below 2^-30; _DT_MIN_FACTOR 1 forbids any step retry
+    # tol 5e-324, the least positive float, leaves the inner Newton stalled
+    # at the rounding floor until the step is halved below 2^-30;
+    # _DT_MIN_FACTOR 1 forbids any step retry
     grid = RadialGrid(-40.0, math.log(0.5), 64)
     metric = ModelMetric(conformal=RadialField.from_function(grid, lambda x: 0.3 + 0.2 * x))
     monkeypatch.setattr(parabolic, "_FLOW_NEWTON",
-                        dataclasses.replace(parabolic._FLOW_NEWTON, tol=0.0))
+                        dataclasses.replace(parabolic._FLOW_NEWTON, tol=5e-324))
     monkeypatch.setattr(parabolic, "_DT_MIN_FACTOR", 1.0)
     problem = FlowProblem(metric, T=0.1, dt=0.1, grid=grid)
     with pytest.raises(SolverError, match="damping floor") as info:
@@ -491,18 +539,22 @@ def test_decay_certificate_unconditional_stability():
 
 
 def _decay_reference(grid, gamma, g, T, steps):
-    """Slice ratios of the backward-Euler decay run with one full solve per
-    step, in the arithmetic order decay_certificate uses."""
-    h_t = T / steps
-    sub, diag, sup = dirichlet_bands(grid.n_nodes, grid.h, -h_t, -(1.0 + h_t))
-    x = grid.x
-    u = np.zeros(grid.n_nodes)
+    """Slice ratios of the backward-Euler decay run with one full solve of
+    the symmetrized interior system (LAPACK ptsv) per step, in the
+    variables y = D u and the arithmetic order decay_certificate uses."""
+    from scipy.linalg.lapack import dptsv
+
+    h_t, n = T / steps, grid.n_nodes
+    sub, diag, sup = dirichlet_bands(n, grid.h, -h_t, -(1.0 + h_t))
+    c_sub, _, c_sup = laplacian_coefficients(grid.h)
+    scale = np.exp(0.5 * math.log(c_sup / c_sub) * (np.arange(1, n - 1) - n // 2))
+    weight = scale * grid.x[1:-1] ** gamma
+    y = np.zeros(n - 2)
     ratios = [0.0]
     for tm in np.linspace(0.0, T, steps + 1)[1:]:
-        rhs = u + h_t * (x ** gamma) * g(x, tm)
-        rhs[0] = rhs[-1] = 0.0
-        u = solve_tridiagonal(sub, diag, sup, rhs)
-        ratios.append(float(np.max(np.abs(u[1:-1]) / x[1:-1] ** gamma)))
+        rhs = h_t * weight * g(grid.x, tm)[1:-1] + y
+        y = dptsv(diag[1:-1], -np.sqrt(sub[2:-1] * sup[1:-2]), rhs)[2]
+        ratios.append(float(np.max(np.abs(y) / weight)))
     return np.array(ratios)
 
 
@@ -513,6 +565,58 @@ def test_decay_certificate_matches_per_step_solves_bit_for_bit(gamma):
     cert = decay_certificate(grid, gamma, g, T=1.0, dt=1e-2)
     expected = _decay_reference(grid, gamma, g, 1.0, 100)
     assert cert.slice_ratios.tobytes() == expected.tobytes()
+
+
+def _unsymmetrized_reference(grid, gamma, g, T, steps):
+    """Slice ratios and bound (K, c) of the backward-Euler decay run in u
+    itself, one pivoting gtsv solve of the full system per step."""
+    h_t, x = T / steps, grid.x
+    bands = dirichlet_bands(grid.n_nodes, grid.h, -h_t, -(1.0 + h_t))
+    times = np.linspace(0.0, T, steps + 1)
+    u, ratios = np.zeros(grid.n_nodes), np.zeros(steps + 1)
+    for m in range(1, steps + 1):
+        rhs = u + h_t * x ** gamma * g(x, times[m])
+        rhs[0] = rhs[-1] = 0.0
+        u = solve_tridiagonal(*bands, rhs)
+        ratios[m] = np.max(np.abs(u[1:-1]) / x[1:-1] ** gamma)
+    idx = np.flatnonzero(ratios > 0)
+    tail = idx[idx >= idx[0] + (idx[-1] - idx[0]) // 2]
+    c = max(0.0, np.polyfit(times[tail], np.log(ratios[tail]), 1)[0])
+    return ratios, float(np.max(ratios * np.exp(-c * times))), c
+
+
+DECAY_SOURCES = {
+    "constant": lambda x, t: 1.3 * np.ones_like(x),
+    "oscillating": lambda x, t: (1.0 + math.sin(3.0 * t)) * np.ones_like(x) + x,
+}
+
+
+@pytest.mark.parametrize("source", list(DECAY_SOURCES))
+@pytest.mark.parametrize("n", [4096, 16384, 65536])
+def test_decay_certificate_agrees_with_unsymmetrized_solves(n, source):
+    grid, g = RadialGrid(-40.0, math.log(0.5), n), DECAY_SOURCES[source]
+    cert = decay_certificate(grid, 1.0, g, T=0.5, dt=1e-2)
+    ratios, K, c = _unsymmetrized_reference(grid, 1.0, g, 0.5, 50)
+    assert ratios[0] == cert.slice_ratios[0] == 0.0
+    assert np.max(np.abs(cert.slice_ratios[1:] / ratios[1:] - 1.0)) <= 1e-9
+    assert abs(cert.K / K - 1.0) <= 1e-9
+    assert abs(cert.growth_rate - c) <= 1e-9 * max(1.0, c)
+
+
+@pytest.mark.parametrize("t_min", [-15.0, -40.0])   # h = 2 exactly, h = 39/7
+def test_decay_certificate_needs_spacing_below_two(t_min):
+    grid = RadialGrid(t_min, -1.0, 8)
+    with pytest.raises(ValueError, match=f"h < 2 .*h={grid.h} on 8 nodes"):
+        decay_certificate(grid, 1.0, lambda x, t: np.ones_like(x), T=1.0, dt=0.1)
+
+
+def test_decay_certificate_just_below_spacing_two():
+    # D_{j+1}/D_j = sqrt(c_sup/c_sub) = 16.7 here, and still no slice moves
+    grid, g = RadialGrid(-14.9, -1.0, 8), DECAY_SOURCES["oscillating"]
+    cert = decay_certificate(grid, 0.5, g, T=1.0, dt=0.1)
+    ratios, K, _ = _unsymmetrized_reference(grid, 0.5, g, 1.0, 10)
+    assert np.max(np.abs(cert.slice_ratios[1:] / ratios[1:] - 1.0)) <= 1e-12
+    assert abs(cert.K / K - 1.0) <= 1e-12
 
 
 def test_decay_certificate_rejects_nonfinite_source():

@@ -17,7 +17,7 @@ from cuspasym.radial import (
     dirichlet_bands,
     dt_derivative,
     evaluate_expansion,
-    factor_tridiagonal,
+    factor_symmetric_tridiagonal,
     laplacian_coefficients,
     solve_tridiagonal,
     unit_laplacian,
@@ -45,6 +45,42 @@ def test_grid_rejects_non_finite_bounds_or_stencil(t_min, t_max):
     message = f"finite t_min and finite stencil coefficients, got [{t_min}, {t_max}] with 16"
     with pytest.raises(ValueError, match=re.escape(message)):
         RadialGrid(t_min, t_max, 16)
+
+
+@pytest.mark.parametrize("t_min", [-800.0, -740.0, -708.5])
+def test_grid_rejects_x_min_below_the_normal_floats(t_min):
+    # exp(-800) is 0 and exp(-740) subnormal: x = 0 once reached the CSV,
+    # and a subnormal column reads back as not log-uniform
+    with pytest.raises(ValueError, match=re.escape(f"exp(t_min) > 0 as a normal float "
+                                                   f"(t_min >= -708.396), got t_min={t_min}")):
+        RadialGrid(t_min, -1.0, 64)
+
+
+def test_grid_at_the_deepest_normal_x_min_round_trips(tmp_path):
+    grid = RadialGrid(-708.0, math.log(0.5), 64)
+    RadialField(grid, grid.x).write_csv(tmp_path / "deep.csv")
+    back = RadialField.read_csv(tmp_path / "deep.csv")
+    assert back.grid == grid and back.values.tobytes() == grid.x.tobytes()
+
+
+@pytest.mark.parametrize("field, value, need", [
+    ("max_iter", -1, "an integer >= 0"), ("max_iter", 2.5, "an integer >= 0"),
+    ("max_iter", math.nan, "an integer >= 0"),
+    ("tol", 0.0, "finite and > 0"), ("tol", -1e-12, "finite and > 0"),
+    ("tol", math.nan, "finite and > 0"), ("tol", math.inf, "finite and > 0"),
+    ("damping_min", 0.0, "in (0, 1)"), ("damping_min", -0.5, "in (0, 1)"),
+    ("damping_min", 1.0, "in (0, 1)"), ("damping_min", math.nan, "in (0, 1)"),
+])
+def test_newton_params_name_the_field_out_of_range(field, value, need):
+    # damping_min = 0 once backtracked forever, and max_iter = -1 or 2.5
+    # lifted the cap (iteration == max_iter never held)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {need}, got {value}")):
+        NewtonParams(**{field: value})
+
+
+def test_newton_params_accept_the_edges_of_their_ranges():
+    assert NewtonParams(max_iter=0, tol=5e-324, damping_min=5e-324).max_iter == 0
+    assert NewtonParams(damping_min=1.0 - 2.0 ** -53).damping_min < 1.0
 
 
 def test_field_validation():
@@ -197,18 +233,14 @@ def test_damped_newton_works_in_the_given_workspace():
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal solves: one-shot (gtsv) and factored once (gttrf/gttrs)
+# Tridiagonal solves: one-shot (gtsv), and a symmetric positive definite
+# matrix factored once (pttrf/pttrs)
 # ---------------------------------------------------------------------------
 
-#: both solve paths that leave their inputs alone, as f(sub, diag, sup, rhs)
-TRIDIAGONAL_SOLVERS = {
-    "one-shot": solve_tridiagonal,
-    "factored": lambda sub, diag, sup, rhs: factor_tridiagonal(sub, diag, sup)(rhs),
-}
-
-#: those and the Newton loop's solve, which works in (copies of) its inputs
+#: the public solve, which leaves its inputs alone, and the Newton loop's,
+#: which works in (copies of) its inputs, as f(sub, diag, sup, rhs)
 CHECKED_SOLVERS = {
-    **TRIDIAGONAL_SOLVERS,
+    "one-shot": solve_tridiagonal,
     "in-place": lambda *system: _gtsv(*(a.copy() for a in system), overwrite=True),
 }
 
@@ -218,12 +250,6 @@ def _pivoting_system(rng, n):
     pivoting swap rows."""
     sub, diag, sup, rhs = rng.standard_normal((4, n))
     return sub, 0.3 * diag, sup, rhs
-
-
-def _pivots(sub, diag, sup) -> bool:
-    from scipy.linalg.lapack import dgttrf
-    ipiv = dgttrf(sub[1:], diag, sup[:-1])[4]
-    return bool(np.any(ipiv != np.arange(1, len(diag) + 1)))
 
 
 #: entries of the matrix and right-hand side, as (array position, index)
@@ -256,15 +282,17 @@ def test_tridiagonal_singular_matrix_raises(solver):
         CHECKED_SOLVERS[solver](sub, diag, sup, rhs)
 
 
-@pytest.mark.parametrize("solver", list(TRIDIAGONAL_SOLVERS))
+@pytest.mark.parametrize("solver", ["one-shot"])
 def test_tridiagonal_solve_leaves_inputs_unchanged(solver):
     system = _pivoting_system(np.random.default_rng(6), 64)
     before = [a.tobytes() for a in system]
-    TRIDIAGONAL_SOLVERS[solver](*system)
+    CHECKED_SOLVERS[solver](*system)
     assert [a.tobytes() for a in system] == before
 
 
 def test_in_place_solve_overwrites_rhs_and_matches_one_shot_bit_for_bit():
+    from scipy.linalg import solve_banded
+
     # f2py copies an argument it cannot hand to LAPACK as is; a copy here
     # would leave every result right and every Newton step slower
     rng = np.random.default_rng(10)
@@ -278,22 +306,71 @@ def test_in_place_solve_overwrites_rhs_and_matches_one_shot_bit_for_bit():
         u = _gtsv(sub, diag, sup, rhs, overwrite=True)
         assert np.shares_memory(u, rhs)
         assert u.tobytes() == expected.tobytes()
+        # the one-shot path is what solve_banded computes
+        ab = np.vstack([np.r_[0.0, system[2][:-1]], system[1], np.r_[system[0][1:], 0.0]])
+        assert solve_banded((1, 1), ab, system[3]).tobytes() == expected.tobytes()
+
+
+def _spd_system(rng, n):
+    """A random symmetric positive definite tridiagonal system (diagonal,
+    off-diagonal, right-hand side), diagonally dominant by a random margin."""
+    off = rng.standard_normal(n - 1)
+    pad = np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0])
+    return pad + rng.uniform(1e-3, 2.0, n), off, rng.standard_normal(n)
 
 
 def test_factored_solves_match_one_shot_bit_for_bit():
-    from scipy.linalg import solve_banded
+    # pttrf + pttrs is ptsv's own sequence, and the solve agrees with a
+    # dense one to rounding
+    from scipy.linalg.lapack import dptsv
 
     rng = np.random.default_rng(8)
     for _ in range(200):
-        n = int(rng.integers(3, 300))
-        sub, diag, sup, _ = _pivoting_system(rng, n)
-        assert _pivots(sub, diag, sup)
-        solve = factor_tridiagonal(sub, diag, sup)
+        n = int(rng.integers(1, 300))
+        diag, off, _ = _spd_system(rng, n)
+        solve = factor_symmetric_tridiagonal(diag, off)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         for rhs in rng.standard_normal((2, n)):   # one factor, several solves
-            one_shot = solve_tridiagonal(sub, diag, sup, rhs)
-            factored = solve(rhs)
+            one_shot = dptsv(diag, off, rhs)[2]
+            factored = solve(rhs.copy())
             assert factored.shape == one_shot.shape == (n,)
             assert factored.tobytes() == one_shot.tobytes()
-            # the one-shot path is what solve_banded computes
-            ab = np.vstack([np.r_[0.0, sup[:-1]], diag, np.r_[sub[1:], 0.0]])
-            assert solve_banded((1, 1), ab, rhs).tobytes() == one_shot.tobytes()
+            exact = np.linalg.solve(dense, rhs)
+            assert np.max(np.abs(factored - exact)) <= 1e-13 * np.max(np.abs(exact)) \
+                * np.linalg.cond(dense)
+
+
+def test_symmetric_factor_solves_in_place_and_keeps_its_matrix():
+    diag, off, rhs = _spd_system(np.random.default_rng(9), 64)
+    before, b = (diag.tobytes(), off.tobytes()), rhs.copy()
+    u = factor_symmetric_tridiagonal(diag, off)(rhs)
+    assert np.shares_memory(u, rhs)
+    assert (diag.tobytes(), off.tobytes()) == before
+    residual = diag * u + np.r_[off * u[1:], 0.0] + np.r_[0.0, off * u[:-1]] - b
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(b))
+
+
+#: entries of (diag, off, rhs), as (array position, index)
+SYMMETRIC_ENTRIES = [(0, 0), (0, -1), (1, 0), (1, -1), (2, 0), (2, -1)]
+
+
+@pytest.mark.parametrize("position, index", SYMMETRIC_ENTRIES)
+def test_symmetric_factor_rejects_nonfinite_entries(position, index):
+    for bad in (np.nan, np.inf, -np.inf):
+        system = list(_spd_system(np.random.default_rng(3), 12))
+        system[position][index] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            factor_symmetric_tridiagonal(*system[:2])(system[2])
+
+
+@pytest.mark.parametrize("entry", [3, 0, 11])
+def test_symmetric_factor_not_positive_definite_raises(entry):
+    diag, off, _ = _spd_system(np.random.default_rng(5), 12)
+    diag[entry] = -0.5           # a negative pivot: pttrf stops with info > 0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        factor_symmetric_tridiagonal(diag, off)
+    # positive diagonal, indefinite matrix: [[1, 2], [2, 1]] in the middle
+    diag, off = np.full(12, 5.0), np.zeros(11)
+    diag[5:7], off[5] = 1.0, 2.0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        factor_symmetric_tridiagonal(diag, off)
