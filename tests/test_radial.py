@@ -237,11 +237,23 @@ def test_damped_newton_works_in_the_given_workspace():
 # matrix factored once (pttrf/pttrs)
 # ---------------------------------------------------------------------------
 
-#: the public solve, which leaves its inputs alone, and the Newton loop's,
-#: which works in (copies of) its inputs, as f(sub, diag, sup, rhs)
+def _symmetrized_solve(sub, diag, sup, rhs):
+    """A u = rhs the way decay_certificate solves: for bands with
+    sub[j+1] sup[j] > 0, y = D u with D_{j+1}/D_j = sqrt(sup[j]/sub[j+1])
+    turns A into the symmetric D A D^-1 (off-diagonal -sqrt(sub sup) for
+    negative bands), factored once; sub[0] and sup[-1] are never read."""
+    d = np.r_[1.0, np.cumprod(np.sqrt(np.abs(sup[:-1] / sub[1:])))]
+    solve = factor_symmetric_tridiagonal(diag, -np.sqrt(np.abs(sub[1:] * sup[:-1])))
+    return solve(d * rhs) / d
+
+
+#: the public solve, which leaves its inputs alone, the Newton loop's, which
+#: works in (copies of) its inputs, and the decay certificate's symmetric
+#: factor, as f(sub, diag, sup, rhs)
 CHECKED_SOLVERS = {
     "one-shot": solve_tridiagonal,
     "in-place": lambda *system: _gtsv(*(a.copy() for a in system), overwrite=True),
+    "factored": _symmetrized_solve,
 }
 
 
@@ -252,6 +264,17 @@ def _pivoting_system(rng, n):
     return sub, 0.3 * diag, sup, rhs
 
 
+def _system(solver, rng, n):
+    """A system ``solver`` can take: the factored solve needs negative bands
+    whose symmetrization is positive definite (diagonally dominant here)."""
+    if solver != "factored":
+        return _pivoting_system(rng, n)
+    sub, sup = -rng.uniform(0.5, 2.0, (2, n))
+    off = np.sqrt(sub[1:] * sup[:-1])
+    diag = np.r_[0.0, off] + np.r_[off, 0.0] + rng.uniform(1e-3, 2.0, n)
+    return sub, diag, sup, rng.standard_normal(n)
+
+
 #: entries of the matrix and right-hand side, as (array position, index)
 SYSTEM_ENTRIES = [(0, 1), (0, -1), (1, 0), (1, -1), (2, 0), (2, -2), (3, 0), (3, -1)]
 
@@ -260,7 +283,7 @@ SYSTEM_ENTRIES = [(0, 1), (0, -1), (1, 0), (1, -1), (2, 0), (2, -2), (3, 0), (3,
 @pytest.mark.parametrize("position, index", SYSTEM_ENTRIES)
 def test_tridiagonal_rejects_nonfinite_entries(solver, position, index):
     for bad in (np.nan, np.inf, -np.inf):
-        system = list(_pivoting_system(np.random.default_rng(3), 12))
+        system = list(_system(solver, np.random.default_rng(3), 12))
         system[position][index] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             CHECKED_SOLVERS[solver](*system)
@@ -268,13 +291,13 @@ def test_tridiagonal_rejects_nonfinite_entries(solver, position, index):
 
 @pytest.mark.parametrize("solver", list(CHECKED_SOLVERS))
 def test_tridiagonal_ignores_band_ends_outside_the_matrix(solver):
-    sub, diag, sup, rhs = _pivoting_system(np.random.default_rng(4), 12)
+    sub, diag, sup, rhs = _system(solver, np.random.default_rng(4), 12)
     expected = CHECKED_SOLVERS[solver](sub, diag, sup, rhs)
     sub[0], sup[-1] = np.nan, np.inf
     assert CHECKED_SOLVERS[solver](sub, diag, sup, rhs).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("solver", list(CHECKED_SOLVERS))
+@pytest.mark.parametrize("solver", ["one-shot", "in-place"])
 def test_tridiagonal_singular_matrix_raises(solver):
     sub, diag, sup, rhs = _pivoting_system(np.random.default_rng(5), 12)
     sub[4] = diag[4] = sup[4] = 0.0   # a zero row
@@ -282,9 +305,9 @@ def test_tridiagonal_singular_matrix_raises(solver):
         CHECKED_SOLVERS[solver](sub, diag, sup, rhs)
 
 
-@pytest.mark.parametrize("solver", ["one-shot"])
+@pytest.mark.parametrize("solver", ["one-shot", "factored"])
 def test_tridiagonal_solve_leaves_inputs_unchanged(solver):
-    system = _pivoting_system(np.random.default_rng(6), 64)
+    system = _system(solver, np.random.default_rng(6), 64)
     before = [a.tobytes() for a in system]
     CHECKED_SOLVERS[solver](*system)
     assert [a.tobytes() for a in system] == before
