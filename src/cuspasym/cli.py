@@ -282,10 +282,17 @@ def _sample_terms(config, key: str, grid: RadialGrid) -> RadialField:
 
 
 def _metric_from_config(config, grid) -> ModelMetric:
-    conformal = None
+    """The config's metric, its fields given one at a time, so that a value the
+    constructor rejects is a config error naming the key it came from."""
+    args = [config["metric_a"], config["metric_b"]]
     if config.get("conformal_terms"):
-        conformal = _sample_terms(config, "conformal_terms", grid)
-    return ModelMetric(a=config["metric_a"], b=config["metric_b"], conformal=conformal)
+        args.append(_sample_terms(config, "conformal_terms", grid))
+    for count, key in enumerate(("metric_a", "metric_b", "conformal_terms")[:len(args)], 1):
+        try:
+            metric = ModelMetric(*args[:count])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return metric
 
 
 # ---------------------------------------------------------------------------

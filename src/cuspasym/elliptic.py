@@ -32,9 +32,9 @@ from .radial import (
     NewtonParams,
     NewtonWorkspace,
     RadialField,
+    _gtsv,
     damped_newton,
     dirichlet_bands,
-    solve_tridiagonal,
     unit_laplacian_interior,
 )
 
@@ -99,16 +99,15 @@ class ProbeReport:
 
 
 def solve_linear(problem: LinearProblem) -> RadialField:
-    """Direct banded solve of the Dirichlet-truncated linear problem."""
+    """Direct banded solve of the Dirichlet-truncated linear problem, in the thread's workspace."""
     grid = problem.rhs.grid
-    density = problem.metric.density(grid)
-    sub, diag, sup = dirichlet_bands(grid.n_nodes, grid.h, 1.0 / density[1:-1],
-                                     problem.lam)
-    rhs = problem.rhs.values.copy()
-    rhs[0] = problem.bc_left
-    rhs[-1] = problem.bc_right
+    work, density = NewtonWorkspace.for_thread(grid.n_nodes), problem.metric.density(grid)
+    dirichlet_bands(grid.n_nodes, grid.h, np.divide(1.0, density[1:-1], out=work.scratch[1:-1]),
+                    problem.lam, out=work.bands)
+    np.copyto(work.step, problem.rhs.values)
+    work.step[0], work.step[-1] = problem.bc_left, problem.bc_right
     try:
-        u = solve_tridiagonal(sub, diag, sup, rhs)
+        u = _gtsv(*work.bands, work.step, overwrite=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exact collision
         raise SolverError(f"singular linear system: {exc}") from exc
     if not np.all(np.isfinite(u)):
@@ -116,7 +115,7 @@ def solve_linear(problem: LinearProblem) -> RadialField:
                           "(lambda collides with a discrete eigenvalue?)")
     # the Dirichlet rows are identities; pin the returned values exactly
     u[0], u[-1] = problem.bc_left, problem.bc_right
-    return RadialField(grid, u)
+    return RadialField(grid, u.copy())
 
 
 def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField, NewtonReport]:
@@ -129,9 +128,9 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     """
     grid = problem.F.grid
     n, h = grid.n_nodes, grid.h
+    work = NewtonWorkspace.for_thread(n)
     density = problem.background.density(grid)
     F = problem.F.values
-    work = NewtonWorkspace(n)
     tmp = work.scratch[1:-1]
 
     def residual(u: np.ndarray, r: np.ndarray, lap: np.ndarray) -> bool:
@@ -156,10 +155,10 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
         dirichlet_bands(n, h, tmp, 1.0, out=out)
 
     u, lap, iterations, residuals, damping_events = damped_newton(
-        residual, jacobian_bands, np.zeros(n), problem.newton, "Newton", work)
+        residual, jacobian_bands, 0.0, problem.newton, "Newton", work)
     report = NewtonReport(True, iterations, residuals, residuals[-1],
-                          float(np.min(1.0 + lap[1:-1])), damping_events)
-    return RadialField(grid, u), report
+                          float(np.min(np.add(1.0, lap[1:-1], out=tmp))), damping_events)
+    return RadialField(grid, u.copy()), report
 
 
 def weighted_invertibility_probe(problem: LinearProblem, delta: float) -> ProbeReport:

@@ -17,7 +17,9 @@ like (x_left / x)^3 in relative size.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +40,7 @@ DETECTOR_GUARD_DECADES = 1.25
 DETECTOR_WIDTH_DECADES = 1.5
 DETECTOR_STRIDE_DECADES = 0.75
 DETECTOR_MAX_WINDOWS = 4
+_DETECTOR_BASIS = (IndexTerm(1, 1), IndexTerm(1, 0))   # b x log x + c x
 
 
 @dataclass
@@ -84,21 +87,35 @@ def default_fit_window(grid: RadialGrid) -> tuple[float, float]:
     return (x_lo, x_hi)
 
 
-def _design(t: np.ndarray, terms: Sequence[IndexTerm]) -> np.ndarray:
-    cols = [np.exp(float(tm.z) * t) * t ** tm.k for tm in terms]
-    return np.column_stack(cols)
+#: what a fit on one window needs of the grid alone (read-only): the rows, the
+#: weights x^-N, the design, its weighted columns scaled to unit norm, their norms
+_FitDesign = namedtuple("_FitDesign", "rows w A A_scaled col_norms")
 
 
-def _weighted_lstsq(t: np.ndarray, y: np.ndarray, terms: Sequence[IndexTerm],
-                    weight_exponent: float):
+@functools.lru_cache(maxsize=32)
+def _fit_design(grid: RadialGrid, window: tuple[float, float], terms: tuple[IndexTerm, ...],
+                weight_exponent: float) -> _FitDesign:
+    nodes = np.flatnonzero(grid.window_mask(*window))   # one run, as x ascends
+    if len(nodes) < 3 * len(terms):
+        raise ValueError(f"window [{window[0]:.3g}, {window[1]:.3g}] holds {len(nodes)} "
+                         f"samples; need at least {3 * len(terms)} for {len(terms)} terms")
+    rows = slice(int(nodes[0]), int(nodes[-1]) + 1)
+    t = grid.t[rows]
     w = np.exp(-weight_exponent * t)        # x^{-weight_exponent}
-    A = _design(t, terms) * w[:, None]
-    b = y * w
-    col_norms = np.linalg.norm(A, axis=0)
+    A = np.column_stack([np.exp(float(tm.z) * t) * t ** tm.k for tm in terms])
+    weighted = A * w[:, None]
+    col_norms = np.linalg.norm(weighted, axis=0)
     if np.any(col_norms == 0):
         j = int(np.argmax(col_norms == 0))
         raise FitError(f"basis term {terms[j]} vanishes identically on the window")
-    A_scaled = A / col_norms
+    design = _FitDesign(rows, w, A, weighted / col_norms, col_norms)
+    for array in design[1:]:
+        array.flags.writeable = False
+    return design
+
+
+def _weighted_lstsq(design: _FitDesign, y: np.ndarray, terms: Sequence[IndexTerm]):
+    A_scaled, b = design.A_scaled, y * design.w
     coef_scaled, _, _, sv = np.linalg.lstsq(A_scaled, b, rcond=None)
     if sv[-1] < 1e-12 * sv[0]:
         gram = A_scaled.T @ A_scaled
@@ -113,7 +130,7 @@ def _weighted_lstsq(t: np.ndarray, y: np.ndarray, terms: Sequence[IndexTerm],
         correction = np.linalg.lstsq(A_scaled, b - A_scaled @ coef_scaled,
                                      rcond=None)[0]
         coef_scaled = coef_scaled + correction
-    return coef_scaled / col_norms
+    return coef_scaled / design.col_norms
 
 
 def fit_polyhom(samples: RadialField, E: IndexSet,
@@ -132,21 +149,14 @@ def fit_polyhom(samples: RadialField, E: IndexSet,
     terms = tuple(tm for tm in E if not exponent_gt(tm.z, E.cutoff))
     if not terms:
         raise ValueError("index set has no terms below its cutoff")
-    mask = grid.window_mask(x_lo, x_hi)
-    count = int(np.count_nonzero(mask))
-    if count < 3 * len(terms):
-        raise ValueError(
-            f"window [{x_lo:.3g}, {x_hi:.3g}] holds {count} samples; "
-            f"need at least {3 * len(terms)} for {len(terms)} terms")
-    t = grid.t[mask]
-    x = grid.x[mask]
-    y = samples.values[mask]
+    design = _fit_design(grid, (x_lo, x_hi), terms, N)
+    x, y = grid.x[design.rows], samples.values[design.rows]
     # Rows are weighted by x^{-N}, the expected remainder scale: the least
     # squares then minimizes the remainder in its natural units, which pins
     # low-order coefficients from the deepest rows and keeps omitted-term
     # leakage below the remainder there.
-    coefs = _weighted_lstsq(t, y, terms, weight_exponent=N)
-    r = y - _design(t, terms) @ coefs
+    coefs = _weighted_lstsq(design, y, terms)
+    r = y - design.A @ coefs
     residual_sup = float(np.max(np.abs(r) / x ** N))
     slope, spread = _remainder_slope(x, r, noise_scale=float(np.max(np.abs(y))))
     return PolyhomFit(
@@ -167,9 +177,9 @@ def _remainder_slope(x: np.ndarray, r: np.ndarray, noise_scale: float):
     mask = x <= x_lo * 10.0
     xs, rs = x[mask], np.abs(r[mask])
     floor = 1e-12 * max(noise_scale, np.max(np.abs(r)) if len(r) else 0.0)
-    if np.max(rs) <= floor or np.count_nonzero(rs > 0) < 4:
-        return None, None
     keep = rs > max(floor, 1e-300)
+    if np.count_nonzero(keep) < 4:   # each half-sample slope needs two points
+        return None, None
     ts, ls = np.log(xs[keep]), np.log(rs[keep])
     slope = _lsq_slope(ts, ls)
     even = _lsq_slope(ts[::2], ls[::2])
@@ -205,7 +215,8 @@ def remainder_check(fit: PolyhomFit, samples: RadialField) -> RemainderReport:
     return RemainderReport(slope, spread, False, N, bool(slope >= N - 0.25))
 
 
-def _detector_windows(grid: RadialGrid):
+@functools.lru_cache(maxsize=32)
+def _detector_windows(grid: RadialGrid) -> tuple[tuple[float, float], ...]:
     t_start = grid.t_min + max(BOUNDARY_GUARD_NODES * grid.h,
                                DETECTOR_GUARD_DECADES * LN10)
     width = DETECTOR_WIDTH_DECADES * LN10
@@ -219,7 +230,7 @@ def _detector_windows(grid: RadialGrid):
         windows.append((math.exp(lo), math.exp(hi)))
     if not windows:
         raise ValueError("grid too shallow for the sliding-window detector")
-    return windows
+    return tuple(windows)
 
 
 def detect_log_term(samples: RadialField) -> LogTermEstimate:
@@ -233,22 +244,17 @@ def detect_log_term(samples: RadialField) -> LogTermEstimate:
     """
     grid = samples.grid
     windows = _detector_windows(grid)
-    basis = (IndexTerm(1, 1), IndexTerm(1, 0))
-    values = []
-    linear_values = []
-    for x_lo, x_hi in windows:
-        mask = grid.window_mask(x_lo, x_hi)
-        t, y = grid.t[mask], samples.values[mask]
-        if len(t) < 6:
-            raise ValueError("detector window holds fewer than 6 samples")
-        coefs = _weighted_lstsq(t, y, basis, weight_exponent=1.0)
+    values, linear_values = [], []
+    for window in windows:
+        design = _fit_design(grid, window, _DETECTOR_BASIS, 1.0)
+        coefs = _weighted_lstsq(design, samples.values[design.rows], _DETECTOR_BASIS)
         values.append(float(coefs[0]))
         linear_values.append(float(coefs[1]))
     value = values[0]
     uncertainty = max(abs(v - value) for v in values)
     # scale of the data measured against x on the deepest window
-    mask = grid.window_mask(*windows[0])
-    data_scale = float(np.max(np.abs(samples.values[mask]) / grid.x[mask]))
+    rows = _fit_design(grid, windows[0], _DETECTOR_BASIS, 1.0).rows
+    data_scale = float(np.max(np.abs(samples.values[rows]) / grid.x[rows]))
     floor = 1e-8 * (1.0 + data_scale)
     reliable = uncertainty <= max(0.5 * abs(value), floor)
     message = "" if reliable else "no reliable log term (non-stabilizing estimates)"
@@ -258,6 +264,6 @@ def detect_log_term(samples: RadialField) -> LogTermEstimate:
         uncertainty=uncertainty,
         reliable=reliable,
         window_values=values,
-        windows=windows,
+        windows=[(lo, hi) for lo, hi in windows],   # the caller's own
         message=message,
     )

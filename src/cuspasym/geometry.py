@@ -21,6 +21,7 @@ coefficient phi0 exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,9 +40,20 @@ class ModelMetric:
     b: float = 1.0
     conformal: Optional[RadialField] = None  # phi, the log of the factor
 
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"metric coefficients must be positive, got a={self.a}, b={self.b}")
+    def __post_init__(self):   # the solvers divide by a, b and the density
+        tiny = np.finfo(float).tiny
+        for name in ("a", "b"):
+            if not tiny <= getattr(self, name) < math.inf:
+                raise ValueError(f"metric coefficient {name} must be a finite positive "
+                                 f"normal float, got {getattr(self, name)}")
+        with np.errstate(over="ignore", under="ignore"):
+            density = np.sqrt([self.a * self.b]) if self.conformal is None else self.density()
+        bad = ~((density >= tiny) & (density < math.inf))
+        if bad.any():
+            where = ("" if self.conformal is None
+                     else f" at x={self.conformal.grid.x[bad.argmax()]:.6g}")
+            raise ValueError(f"metric density sqrt(ab) e^(2 phi) is {density[bad][0]:.6g}{where}, "
+                             "not a finite positive normal float")
 
     def density(self, grid: Optional[RadialGrid] = None) -> np.ndarray:
         """Area density sqrt(ab) e^{2 phi} relative to the unit model."""

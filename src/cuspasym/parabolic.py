@@ -355,10 +355,10 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     backward-Euler restriction of the flow to the endpoints.
     """
     grid = problem.grid
+    work = NewtonWorkspace.for_thread(grid.n_nodes)   # every Newton solve of the run
     density, combo = _schedule_data(problem.omega0, grid)
     time_grid, keep = problem._plan
     u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
-    work = NewtonWorkspace(grid.n_nodes)   # every Newton solve of the run
     res_accept, rejections = 0.0, 0
     states: list[FlowState] = []
     records = []   # (t, sup|u|, margin, Newton iterations, residual) per step time
@@ -461,9 +461,9 @@ def decay_certificate(grid: RadialGrid, gamma: float,
     """Empirical barrier bound for du/dt = Delta u - u + x^gamma g(x, t).
 
     Integrates the linear equation by backward Euler (zero Dirichlet data,
-    u(0) = 0) and reports, per time slice, the sup over interior nodes of
-    |u| / x^gamma, together with fitted constants K and c such that every
-    slice ratio is below K e^{c t}.
+    u(0) = 0) and reports, per time slice, the sup of |u| / x^gamma over the
+    interior nodes where the weight is a normal float (none is a ValueError),
+    with fitted constants K and c such that every slice ratio is below K e^{c t}.
 
     The step matrix (1 + h_t) - h_t Delta has constant coefficients, and
     its interior rows decouple from the zero end rows.  The similarity
@@ -477,27 +477,31 @@ def decay_certificate(grid: RadialGrid, gamma: float,
     if dt <= 0 or T < dt:
         raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
     n, h, x = grid.n_nodes, grid.h, grid.x
-    c_sub, _, c_sup = laplacian_coefficients(h)
+    c_sub, c_diag, c_sup = laplacian_coefficients(h)
     if not (c_sub > 0 and 0.25 * math.log(c_sup / c_sub) * n < 700):
         raise ValueError(f"the decay certificate needs a grid spacing h < 2 whose "
                          f"similarity D stays below e^700, got h={h} on {n} nodes")
     time_grid = _time_grid(T, dt)
     h_t, times = time_grid.h, time_grid.times()
 
-    # the interior rows of (1 + h_t) - h_t * Delta, symmetrized
-    sub, diag, sup = dirichlet_bands(n, h, -h_t, -(1.0 + h_t))
-    solve = factor_symmetric_tridiagonal(diag[1:-1], -np.sqrt(sub[2:-1] * sup[1:-2]))
-    scale = np.exp(0.5 * math.log(c_sup / c_sub) * (np.arange(1, n - 1) - n // 2))
+    # the interior rows of (1 + h_t) - h_t * Delta by dirichlet_bands' arithmetic
+    diag, off = -h_t * c_diag + (1.0 + h_t), -math.sqrt((-h_t * c_sub) * (-h_t * c_sup))
+    solve = factor_symmetric_tridiagonal(np.full(n - 2, diag), np.full(n - 3, off))
+    weight = np.arange(1 - n // 2, n - 1 - n // 2, dtype=float)   # D x^gamma, in place
+    np.exp(np.multiply(0.5 * math.log(c_sup / c_sub), weight, out=weight), out=weight)
+    np.multiply(weight, x[1:-1] ** gamma, out=weight)
+    if not weight[-1] >= np.finfo(float).tiny:   # the weight grows with x
+        raise ValueError(f"decay weight gamma={gamma} makes x^gamma underflow at every node")
+    kept = slice(int(np.argmax(weight >= np.finfo(float).tiny)), None)   # normal weights
 
     y, rhs, ratios = np.zeros(n - 2), np.empty(n - 2), np.zeros(len(times))
-    weight = scale * x[1:-1] ** gamma
     forcing = h_t * weight
     for m in range(1, len(times)):
         np.multiply(forcing, np.asarray(g(x, times[m]), dtype=float)[1:-1], out=rhs)
         np.add(rhs, y, out=rhs)
         y, rhs = solve(rhs), y   # solved in place; the old y is scratch now
-        np.divide(np.abs(y, out=rhs), weight, out=rhs)
-        ratios[m] = float(np.max(rhs))
+        ratio = np.abs(y[kept], out=rhs[kept])
+        ratios[m] = float(np.max(np.divide(ratio, weight[kept], out=ratio)))
 
     idx = np.flatnonzero(ratios > 0)
     if len(idx) == 0:

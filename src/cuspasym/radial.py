@@ -354,12 +354,14 @@ class NewtonParams:
 
 
 class NewtonWorkspace:
-    """The arrays one :func:`damped_newton` solve on ``n`` nodes works in,
-    the caller's own, for any number of its solves of that size, one at a
-    time.  ``v``/``candidate``, ``r``/``r_new`` and ``aux``/``aux_new`` are
-    double buffers, swapped on an accepted step; ``step`` holds the
-    right-hand side, then the step; ``bands`` the Jacobian's (sub, diag,
-    sup); ``scratch`` is the callbacks' (the loop uses it between calls)."""
+    """The arrays :func:`damped_newton` works in on ``n`` nodes, one solve at
+    a time: ``v``/``candidate``, ``r``/``r_new`` and ``aux``/``aux_new`` are
+    double buffers, swapped on an accepted step; ``step`` holds the right-hand
+    side, then the step; ``bands`` the Jacobian's (sub, diag, sup); ``scratch``
+    is the callbacks' (the loop's between calls).  The package's solvers use
+    :meth:`for_thread`'s and return copies, never these buffers."""
+
+    _slot = threading.local()
 
     def __init__(self, n: int):
         self.v, self.candidate = np.empty(n), np.empty(n)
@@ -369,8 +371,18 @@ class NewtonWorkspace:
         self.bands = (np.empty(n), np.empty(n), np.empty(n))
         self.scratch = np.empty(n)
 
+    @classmethod
+    def for_thread(cls, n: int) -> "NewtonWorkspace":
+        """The calling thread's workspace, kept for its next solve.  Take it
+        first, so that a solve's own arrays can reuse a dropped one's memory."""
+        work = getattr(cls._slot, "work", None)
+        if work is None or len(work.v) != n:
+            cls._slot.work = None   # at most one a thread: drop the old one first
+            cls._slot.work = work = cls(n)
+        return work
 
-def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
+
+def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
                   params: NewtonParams, label: str, work: NewtonWorkspace):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
@@ -384,9 +396,9 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray,
     raise SolverError naming ``label`` (and the last residual, if any).
 
     No array of the grid's size is allocated: the loop works in ``work``
-    from a copy of ``v0`` and solves each step in place.  Returns ``(v, aux,
-    iterations, residual_history, damping_events)``, ``v`` and ``aux``
-    buffers of ``work``.
+    from a copy of ``v0`` (an array, or a scalar for a constant start) and
+    solves each step in place.  Returns ``(v, aux, iterations,
+    residual_history, damping_events)``, ``v`` and ``aux`` buffers of ``work``.
     """
     v, candidate, r, r_new = work.v, work.candidate, work.r, work.r_new
     aux, aux_new = work.aux, work.aux_new

@@ -58,6 +58,10 @@ CASES = {
     "exit2-damping-min-zero": "solve-ma",
     "exit2-max-iter-negative": "solve-ma",
     "exit2-t-min-underflow": "solve-ma",
+    "solve-ma-512": "solve-ma",
+    "fit-expansion-few-points": "fit-expansion",
+    "exit2-conformal-overflow": "flow",
+    "exit2-metric-a-inf": "flow",
 }
 
 

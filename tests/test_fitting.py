@@ -170,3 +170,15 @@ def test_near_collinear_basis_raises_named_error():
     E = closure((IndexTerm(1, 6),), 3)
     with pytest.raises(FitError, match="terms"):
         fit_polyhom(f, E, fit_window=(1.0e-3, 1.9e-3))
+
+
+def test_remainder_slope_needs_four_points_above_the_floor():
+    # at 512 nodes the deepest decade of [1e-10, 1e-3] keeps 2 residuals above
+    # the noise floor: too few for the even and odd half-sample slopes
+    grid = RadialGrid(-40.0, math.log(0.5), 512)
+    u, _ = solve_monge_ampere_radial(
+        MongeAmpereProblem(ModelMetric(), RadialField(grid, 1.5 * grid.x)))
+    E = closure((IndexTerm(1, 1),), 2)
+    fit = fit_polyhom(u, E, fit_window=(1e-10, 1e-3))
+    assert fit.remainder_exponent is None and fit.remainder_spread is None
+    assert remainder_check(fit, u).saturated

@@ -243,3 +243,32 @@ def test_carlson_griffiths_epsilon_threshold():
         assert np.all(rep.density.values > 0)
     with pytest.raises(SolverError):
         carlson_griffiths_radial(1.5 * threshold, h)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"a": math.inf}, "coefficient a"),
+    ({"b": math.nan}, "coefficient b"),
+    ({"a": 0.0}, "coefficient a"),
+    ({"b": -1.0}, "coefficient b"),
+    ({"a": 5e-324}, "coefficient a"),          # subnormal
+    ({"a": 1e200, "b": 1e200}, "density .* is inf,"),
+    ({"a": 1e-200, "b": 1e-200}, "density .* is 0,"),
+])
+def test_metric_rejects_non_normal_coefficients_and_density(fields, match):
+    with pytest.raises(ValueError, match=match):
+        ModelMetric(**fields)
+
+
+@pytest.mark.parametrize("phi, match", [(lambda t: 0.002 * t ** 4, "inf at x=4.24835e-18"),
+                                        (lambda t: -400.0 + 0 * t, "0 at x=4.24835e-18")])
+def test_metric_rejects_a_conformal_density_out_of_range_naming_x(phi, match):
+    grid = RadialGrid(-40.0, math.log(0.5), 256)
+    with pytest.raises(ValueError, match=match):
+        ModelMetric(conformal=RadialField(grid, phi(grid.t)))
+
+
+def test_metric_accepts_the_edges_of_the_normal_range():
+    tiny = np.finfo(float).tiny
+    assert ModelMetric(a=tiny, b=1.0 / tiny).density(GRID)[0] == 1.0
+    phi = RadialField(GRID, np.full(GRID.n_nodes, 350.0))   # e^700 is finite
+    assert np.all(np.isfinite(ModelMetric(conformal=phi).density()))

@@ -628,3 +628,18 @@ def test_decay_certificate_rejects_nonfinite_source():
 def test_decay_certificate_rejects_negative_gamma():
     with pytest.raises(ValueError):
         decay_certificate(GRID, -0.5, lambda x, t: np.ones_like(x), T=1.0, dt=0.1)
+
+
+def test_decay_certificate_takes_ratios_where_the_weight_is_normal():
+    # x^20 is subnormal or 0 below about x = e^-35.4: those nodes hold no
+    # ratio (dividing by them made sup_ratio and K inf)
+    cert = decay_certificate(GRID, 20.0, lambda x, t: np.ones_like(x), T=1.0, dt=0.1)
+    assert np.all(np.isfinite(cert.slice_ratios)) and np.all(cert.slice_ratios[1:] > 0)
+    assert 0 < cert.sup_ratio < math.inf and 0 < cert.K < math.inf
+    bound = cert.K * np.exp(cert.growth_rate * cert.times)
+    assert np.all(cert.slice_ratios <= bound * (1 + 1e-12))
+
+
+def test_decay_certificate_weight_underflowing_everywhere_names_gamma():
+    with pytest.raises(ValueError, match="gamma=2000"):
+        decay_certificate(GRID, 2000.0, lambda x, t: np.ones_like(x), T=1.0, dt=0.1)
