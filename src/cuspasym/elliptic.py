@@ -35,6 +35,7 @@ from .radial import (
     _gtsv,
     damped_newton,
     dirichlet_bands,
+    laplacian_coefficients,
     unit_laplacian_interior,
 )
 
@@ -88,6 +89,7 @@ class NewtonReport:
     final_residual: float
     min_kahler: float            # min of 1 + Delta_g u at the solution
     damping_events: int
+    residual_floor: float | None = None   # the rounding floor that stopped Newton, if one did
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,20 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
         np.divide(tmp, density[1:-1], out=tmp)
         dirichlet_bands(n, h, tmp, 1.0, out=out)
 
-    u, lap, iterations, residuals, damping_events = damped_newton(
-        residual, jacobian_bands, 0.0, problem.newton, "Newton", work)
+    def floor(u: np.ndarray, lap: np.ndarray, out: np.ndarray) -> float:
+        # eps max_j (|s u_j-1| + |d u_j| + |p u_j+1|) / (density_j (1 + Delta_g u_j))
+        inner = out[1:-1]
+        inner.fill(0.0)
+        for k, c in enumerate(laplacian_coefficients(h)):   # neighbours j - 1, j, j + 1
+            np.add(inner, np.multiply(np.abs(u[k:n - 2 + k], out=tmp), abs(c), out=tmp), out=inner)
+        np.multiply(np.add(1.0, lap[1:-1], out=tmp), density[1:-1], out=tmp)
+        return np.finfo(float).eps * float(np.max(np.divide(inner, tmp, out=inner)))
+
+    u, lap, iterations, residuals, damping_events, floor_value = damped_newton(
+        residual, jacobian_bands, 0.0, problem.newton, "Newton", work, floor)
     report = NewtonReport(True, iterations, residuals, residuals[-1],
-                          float(np.min(np.add(1.0, lap[1:-1], out=tmp))), damping_events)
+                          float(np.min(np.add(1.0, lap[1:-1], out=tmp))), damping_events,
+                          floor_value)
     return RadialField(grid, u.copy()), report
 
 

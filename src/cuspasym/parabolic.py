@@ -436,7 +436,7 @@ def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem,
         np.divide(-dt, tmp, out=tmp)
         dirichlet_bands(n, h, tmp, -(1.0 + dt), out=out)
 
-    v, _, iters, residuals, _ = damped_newton(
+    v, _, iters, residuals, *_ = damped_newton(
         residual, jacobian_bands, u, _FLOW_NEWTON, f"flow Newton (t={t_next:.6g})", work)
     return v, bc_new, iters, residuals[-1]
 

@@ -37,6 +37,8 @@ CSV_FLOAT_FMT = "%.17g"
 _MIN_NODES = 8
 #: share of the nodes, deepest first, that stands for the x -> 0 limit
 DEEPEST_FRACTION = 0.1
+#: a stalled Newton loop stops within this factor of the caller's rounding floor
+_FLOOR_FACTOR = 4.0
 
 
 def laplacian_coefficients(h: float) -> tuple[float, float, float]:
@@ -383,7 +385,8 @@ class NewtonWorkspace:
 
 
 def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
-                  params: NewtonParams, label: str, work: NewtonWorkspace):
+                  params: NewtonParams, label: str, work: NewtonWorkspace,
+                  floor: Optional[Callable] = None):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
     ``residual(v, r_out, aux_out)`` writes the residual at v and the data
@@ -395,10 +398,17 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
     ``params.tol`` (a NaN residual never does) or a singular linearization
     raise SolverError naming ``label`` (and the last residual, if any).
 
+    ``floor(v, aux, out)``, if given, is the residual's rounding floor at an
+    iterate, computed in ``out`` and ``work.scratch``.  Once Newton stalls (a
+    full step rejected, or an accepted one above tol and half the last
+    residual), an iterate within ``_FLOOR_FACTOR`` of a finite floor counts as
+    converged.  Trials and floors overflow quietly: a non-finite trial fails.
+
     No array of the grid's size is allocated: the loop works in ``work``
     from a copy of ``v0`` (an array, or a scalar for a constant start) and
-    solves each step in place.  Returns ``(v, aux, iterations,
-    residual_history, damping_events)``, ``v`` and ``aux`` buffers of ``work``.
+    solves each step in place.  Returns ``(v, aux, iterations, residual_history,
+    damping_events, floor_value)``, ``v`` and ``aux`` buffers of ``work`` and
+    ``floor_value`` the floor that stopped the loop, else None.
     """
     v, candidate, r, r_new = work.v, work.candidate, work.r, work.r_new
     aux, aux_new = work.aux, work.aux_new
@@ -424,10 +434,13 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
         while True:
             np.multiply(step, s, out=candidate)
             np.add(v, candidate, out=candidate)
-            ok = residual(candidate, r_new, aux_new)
-            new_norm = _sup_norm(r_new, work.scratch) if ok else np.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                ok = residual(candidate, r_new, aux_new)
+                new_norm = _sup_norm(r_new, work.scratch) if ok else np.inf
             if ok and new_norm <= (1.0 - 1e-4 * s) * res_norm:
                 break
+            if s == 1.0 and floor and (at := _at_floor(floor, v, aux, r_new, res_norm)):
+                return v, aux, iteration - 1, residuals, damping_events, at
             s *= 0.5
             damping_events += 1
             if s < params.damping_min:
@@ -437,7 +450,17 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
         v, candidate, r, r_new, aux, aux_new = candidate, v, r_new, r, aux_new, aux
         res_norm = new_norm
         residuals.append(res_norm)
-    return v, aux, iteration, residuals, damping_events
+        if floor and res_norm > max(params.tol, 0.5 * residuals[-2]) and \
+                (at := _at_floor(floor, v, aux, r_new, res_norm)):
+            return v, aux, iteration, residuals, damping_events, at
+    return v, aux, iteration, residuals, damping_events, None
+
+
+def _at_floor(floor: Callable, v, aux, out, res_norm: float) -> Optional[float]:
+    """The floor at (v, aux), positive, if the residual has reached it; else None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = floor(v, aux, out)
+    return value if math.isfinite(value) and res_norm <= _FLOOR_FACTOR * value else None
 
 
 def _sup_norm(r: np.ndarray, scratch: np.ndarray) -> float:

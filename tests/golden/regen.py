@@ -62,6 +62,10 @@ CASES = {
     "fit-expansion-few-points": "fit-expansion",
     "exit2-conformal-overflow": "flow",
     "exit2-metric-a-inf": "flow",
+    "solve-ma-32768": "solve-ma",
+    "exit3-ma-bc-huge": "solve-ma",
+    "solve-linear-bc-huge": "solve-linear",
+    "exit3-linear-residual-overflow": "solve-linear",
 }
 
 

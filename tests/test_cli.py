@@ -132,6 +132,28 @@ def test_solve_linear_writes_solution(tmp_path):
     assert np.max(np.abs(field.values[mask] - x[mask] * np.log(x[mask]))) < 1e-3
 
 
+def test_solve_linear_residual_leaves_out_the_overflowing_end_rows(tmp_path, capsys):
+    # the solve succeeds; the one-sided end rows of the full-grid Laplacian
+    # once overflowed on bc_left, leaked RuntimeWarnings and exited 2 with
+    # "field values must be finite", which names no key
+    cfg = write(tmp_path / "c.cfg", "n_nodes = 16\nlambda = 1\nf_terms = 1:1:0\nbc_left = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["solve-linear", cfg, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((out / "solve_linear.json").read_text())
+    assert math.isfinite(data["interior_residual_sup"]) and data["sup_solution"] == 1e308
+
+
+def test_solve_linear_overflowing_interior_residual_is_numerical_failure(tmp_path, capsys):
+    # a finite solution whose residual stencil overflows at node 1
+    cfg = write(tmp_path / "c.cfg", "n_nodes = 132\nmetric_a = 100\nlambda = 1\n"
+                                    "f_terms = 1:1:0\nbc_left = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["solve-linear", cfg, "-o", str(out)]) == 3
+    assert "numerical failure: the linear residual overflows at the solution" in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+
+
 def test_solve_ma_reports_convergence(tmp_path):
     cfg = write(tmp_path / "c.cfg", "n_nodes = 512\nf_terms = 1.5:1:0\n")
     out = tmp_path / "out"

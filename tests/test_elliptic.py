@@ -3,10 +3,12 @@ principle, Newton behavior, weighted conjugation probe."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cuspasym import radial
 from cuspasym.elliptic import (
     LinearProblem,
     MongeAmpereProblem,
@@ -16,6 +18,7 @@ from cuspasym.elliptic import (
     weighted_invertibility_probe,
 )
 from cuspasym.errors import SolverError
+from cuspasym.fitting import detect_log_term
 from cuspasym.geometry import ModelMetric
 from cuspasym.radial import RadialField, RadialGrid
 
@@ -184,6 +187,60 @@ def test_ma_nonconvergence_reports_residual():
     params = NewtonParams(max_iter=1, tol=1e-30)
     with pytest.raises(SolverError, match="residual"):
         solve_monge_ampere_radial(MongeAmpereProblem(UNIT, F, newton=params))
+
+
+def _ma_on(n, a, **kwargs):
+    grid = RadialGrid(-40.0, math.log(0.5), n)
+    return solve_monge_ampere_radial(
+        MongeAmpereProblem(UNIT, RadialField(grid, a * grid.x), **kwargs))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 3.0, 4.5])
+@pytest.mark.parametrize("n", [2048, 4096, 16384, 32768, 65536, 2 ** 18])
+def test_ma_converges_to_its_rounding_floor_on_every_grid(n, a):
+    # from 32768 nodes up, and at 16384 from F = 3x up, tol = 1e-11 lies
+    # below the rounding floor of a residual holding 1/h^2: these solves
+    # once iterated in the noise and failed on the damping floor
+    u, report = _ma_on(n, a)
+    tol = NewtonParams().tol
+    assert report.converged and report.iterations == len(report.residuals) - 1
+    if report.residual_floor is None:
+        assert report.final_residual <= tol
+    else:
+        assert tol < report.final_residual <= 4 * report.residual_floor
+    assert abs(detect_log_term(u).value / (2 * a / 3) - 1) < 1.5e-3
+
+
+#: the README's 4096-node configs and the benchmark's 4096- and 16384-node
+#: MA inputs (amplitudes jittered by up to 2%)
+CONTRACTING = sorted({(4096, 1.0), (4096, 1.5),
+                      *((4096, a * j) for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+                        for j in (0.98, 1.0, 1.02)),
+                      *((16384, a * j) for a in (0.5, 0.75, 1.0, 1.25) for j in (0.98, 1.0, 1.02))})
+
+
+def test_contracting_solves_keep_their_newton_history(monkeypatch):
+    def run():
+        out = []
+        for n, a in CONTRACTING:
+            u, report = _ma_on(n, a)
+            assert getattr(report, "residual_floor", None) is None
+            out.append((report.residuals, report.damping_events, u.values.tobytes()))
+        return out
+
+    floor_aware = run()
+    monkeypatch.setattr(radial, "_FLOOR_FACTOR", 0.0, raising=False)   # no floor is reached
+    assert floor_aware == run()
+
+
+def test_overflowing_newton_trials_warn_nothing():
+    # every trial step overflows the stencil; such a trial is a rejection,
+    # and once leaked two RuntimeWarnings before the same failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=r"damping floor reached at iteration 1; "
+                                              r"last residual 1\.000e\+308"):
+            _ma_on(256, 1.5, bc_left=-1e308)
 
 
 def test_probe_delta_zero_matches_solver_matrix():

@@ -225,11 +225,112 @@ def test_damped_newton_works_in_the_given_workspace():
         return True
 
     bands = lambda aux, out: dirichlet_bands(16, 0.1, 0.0, -1.0, out=out)
-    v, aux, iterations, residuals, damping = damped_newton(
+    v, aux, iterations, residuals, damping, floor_value = damped_newton(
         residual, bands, np.zeros(16), NewtonParams(5, 1e-12), "probe", work)
-    assert iterations == 1 and damping == 0 and residuals == [2.0, 0.0]
+    assert iterations == 1 and damping == 0 and residuals == [2.0, 0.0] and floor_value is None
     assert any(v is b for b in buffers) and any(aux is b for b in buffers)
     assert v.tobytes() == target.tobytes() and aux.tobytes() == target.tobytes()
+
+
+def _cubic(target):
+    """v + v^3 = target, solved by Newton in a few quadratic steps."""
+    def residual(v, r, aux):
+        np.copyto(aux, v)
+        np.multiply(v, v, out=r)
+        np.multiply(r, v, out=r)
+        np.add(r, v, out=r)
+        np.subtract(r, target, out=r)
+        return True
+
+    def bands(aux, out):
+        dirichlet_bands(len(target), 0.1, 0.0, -(1.0 + 3.0 * aux[1:-1] ** 2), out=out)
+    return residual, bands
+
+
+def _identity_bands(aux, out):
+    dirichlet_bands(len(aux), 0.1, 0.0, -1.0, out=out)
+
+
+def _wobbling(target, amplitude):
+    """v - target plus a wobble of the given amplitude that the identity
+    Jacobian does not see: Newton lands within it in one step, then stalls."""
+    def residual(v, r, aux):
+        np.copyto(aux, v)
+        np.subtract(v, target, out=r)
+        r[1:-1] += amplitude * np.sin(1e12 * v[1:-1])
+        return True
+    return residual, _identity_bands
+
+
+def test_damped_newton_asks_no_floor_while_newton_contracts():
+    calls = []
+    target = np.r_[0.0, np.linspace(0.1, 0.5, 14), 0.0]
+    v, aux, iterations, residuals, damping, floor_value = damped_newton(
+        *_cubic(target), 0.0, NewtonParams(), "probe", NewtonWorkspace(16),
+        floor=lambda v, aux, out: calls.append(1) or 1.0)
+    assert calls == [] and floor_value is None and damping == 0
+    assert residuals[-1] <= 1e-11 and iterations == len(residuals) - 1
+    assert np.max(np.abs(v + v ** 3 - target)) == residuals[-1]
+
+
+def _slow(target):
+    """1.6 (v - target) with the Jacobian taken as 1: each full step is
+    accepted, but leaves 0.6 of the residual."""
+    def residual(v, r, aux):
+        np.copyto(aux, v)
+        np.subtract(v, target, out=r)
+        np.multiply(r, 1.6, out=r)
+        return True
+    return residual, _identity_bands
+
+
+@pytest.mark.parametrize("problem, amplitude", [(lambda t: _wobbling(t, 1e-9), 1e-9),
+                                                (_slow, 1e-6)],
+                         ids=["full-step-rejected", "step-accepted-above-half"])
+def test_damped_newton_stops_at_the_callers_floor(problem, amplitude):
+    target = np.r_[0.0, np.linspace(1.0, 2.0, 14), 0.0]
+    work = NewtonWorkspace(16)
+    residual, bands = problem(target)
+    seen = []
+
+    def floor(v, aux, out):
+        # the loop's spare buffer and the scratch array are the floor's to spoil
+        assert not any(np.shares_memory(out, a) for a in (v, aux, work.scratch))
+        seen.append(v.copy())
+        out.fill(np.nan)
+        work.scratch.fill(np.nan)
+        return amplitude
+
+    v, aux, iterations, residuals, damping, floor_value = damped_newton(
+        residual, bands, 0.0, NewtonParams(), "probe", work, floor=floor)
+    assert floor_value == amplitude and iterations == len(residuals) - 1 >= 1
+    assert NewtonParams().tol < residuals[-1] <= 4 * amplitude < residuals[-2]
+    # the returned iterate is the one the floor was asked about, and its
+    # residual is the last one reported
+    assert v.tobytes() == seen[-1].tobytes()
+    r, check = np.empty(16), np.empty(16)
+    residual(v, r, check)
+    assert np.max(np.abs(r)) == residuals[-1] and check.tobytes() == aux.tobytes()
+
+
+@pytest.mark.parametrize("floor_value", [math.inf, math.nan, 1e-12],
+                         ids=["inf", "nan", "below-the-wobble"])
+def test_damped_newton_goes_on_unless_a_finite_floor_is_reached(floor_value):
+    target = np.r_[0.0, np.linspace(1.0, 2.0, 14), 0.0]
+    work = NewtonWorkspace(16)
+
+    def spoiling_floor(v, aux, out):   # the loop goes on as if never asked
+        out.fill(np.nan)
+        work.scratch.fill(np.nan)
+        return floor_value
+
+    messages = []
+    for floor in (None, spoiling_floor):
+        with pytest.raises(SolverError) as info:
+            damped_newton(*_wobbling(target, 1e-9), 0.0, NewtonParams(), "probe", work,
+                          floor=floor)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------
