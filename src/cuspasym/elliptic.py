@@ -32,6 +32,7 @@ from .radial import (
     NewtonParams,
     NewtonWorkspace,
     RadialField,
+    _all_finite,
     _gtsv,
     damped_newton,
     dirichlet_bands,
@@ -112,9 +113,11 @@ def solve_linear(problem: LinearProblem) -> RadialField:
         u = _gtsv(*work.bands, work.step, overwrite=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exact collision
         raise SolverError(f"singular linear system: {exc}") from exc
-    if not np.all(np.isfinite(u)):
-        raise SolverError("singular linear system: non-finite solution "
-                          "(lambda collides with a discrete eigenvalue?)")
+    if not _all_finite(u):   # from finite data (_gtsv checked): the elimination overflowed
+        data = max(abs(problem.bc_left), abs(problem.bc_right),
+                   np.abs(problem.rhs.values[1:-1]).max())
+        raise SolverError(f"linear solve overflowed: the tridiagonal elimination gave a non-finite "
+                          f"solution from data of magnitude up to {data:.3e}")
     # the Dirichlet rows are identities; pin the returned values exactly
     u[0], u[-1] = problem.bc_left, problem.bc_right
     return RadialField(grid, u.copy())
@@ -141,7 +144,7 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
         r[0] = u[0] - problem.bc_left
         r[-1] = u[-1] - problem.bc_right
         np.add(1.0, lap[1:-1], out=tmp)
-        positive = bool(np.all(tmp > 0))
+        positive = bool(tmp.min() > 0)   # np.all(tmp > 0): False on NaN
         if positive:
             inner = r[1:-1]
             np.log1p(lap[1:-1], out=inner)

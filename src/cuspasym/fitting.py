@@ -157,8 +157,8 @@ def fit_polyhom(samples: RadialField, E: IndexSet,
     # leakage below the remainder there.
     coefs = _weighted_lstsq(design, y, terms)
     r = y - design.A @ coefs
-    residual_sup = float(np.max(np.abs(r) / x ** N))
-    slope, spread = _remainder_slope(x, r, noise_scale=float(np.max(np.abs(y))))
+    residual_sup = float((np.abs(r) / x ** N).max())
+    slope, spread = _remainder_slope(x, r, noise_scale=float(np.abs(y).max()))
     return PolyhomFit(
         index_set=E,
         terms=terms,
@@ -173,10 +173,10 @@ def fit_polyhom(samples: RadialField, E: IndexSet,
 def _remainder_slope(x: np.ndarray, r: np.ndarray, noise_scale: float):
     """Slope of log |r| vs log x over the deepest decade, or None if the
     remainder sits below the double-precision noise floor."""
-    x_lo = float(np.min(x))
+    x_lo = float(x.min())
     mask = x <= x_lo * 10.0
     xs, rs = x[mask], np.abs(r[mask])
-    floor = 1e-12 * max(noise_scale, np.max(np.abs(r)) if len(r) else 0.0)
+    floor = 1e-12 * max(noise_scale, np.abs(r).max() if len(r) else 0.0)
     keep = rs > max(floor, 1e-300)
     if np.count_nonzero(keep) < 4:   # each half-sample slope needs two points
         return None, None
@@ -189,9 +189,10 @@ def _remainder_slope(x: np.ndarray, r: np.ndarray, noise_scale: float):
 
 
 def _lsq_slope(t: np.ndarray, y: np.ndarray) -> float:
-    t_mean, y_mean = np.mean(t), np.mean(y)
-    denom = np.sum((t - t_mean) ** 2)
-    return float(np.sum((t - t_mean) * (y - y_mean)) / denom)
+    # sum() / len is np.mean's own arithmetic, without its wrapper
+    t_mean, y_mean = t.sum() / len(t), y.sum() / len(y)
+    denom = ((t - t_mean) ** 2).sum()
+    return float(((t - t_mean) * (y - y_mean)).sum() / denom)
 
 
 def remainder_check(fit: PolyhomFit, samples: RadialField) -> RemainderReport:
@@ -233,6 +234,12 @@ def _detector_windows(grid: RadialGrid) -> tuple[tuple[float, float], ...]:
     return tuple(windows)
 
 
+@functools.lru_cache(maxsize=32)
+def _detector_designs(grid: RadialGrid) -> tuple[tuple[tuple[float, float], _FitDesign], ...]:
+    """Each detector window with its design: one cached lookup a detection."""
+    return tuple((w, _fit_design(grid, w, _DETECTOR_BASIS, 1.0)) for w in _detector_windows(grid))
+
+
 def detect_log_term(samples: RadialField) -> LogTermEstimate:
     """Estimate the coefficient of x log x in a field vanishing at the cusp.
 
@@ -243,18 +250,17 @@ def detect_log_term(samples: RadialField) -> LogTermEstimate:
     term").
     """
     grid = samples.grid
-    windows = _detector_windows(grid)
+    windowed = _detector_designs(grid)
     values, linear_values = [], []
-    for window in windows:
-        design = _fit_design(grid, window, _DETECTOR_BASIS, 1.0)
+    for _, design in windowed:
         coefs = _weighted_lstsq(design, samples.values[design.rows], _DETECTOR_BASIS)
         values.append(float(coefs[0]))
         linear_values.append(float(coefs[1]))
     value = values[0]
     uncertainty = max(abs(v - value) for v in values)
     # scale of the data measured against x on the deepest window
-    rows = _fit_design(grid, windows[0], _DETECTOR_BASIS, 1.0).rows
-    data_scale = float(np.max(np.abs(samples.values[rows]) / grid.x[rows]))
+    rows = windowed[0][1].rows
+    data_scale = float((np.abs(samples.values[rows]) / grid.x[rows]).max())
     floor = 1e-8 * (1.0 + data_scale)
     reliable = uncertainty <= max(0.5 * abs(value), floor)
     message = "" if reliable else "no reliable log term (non-stabilizing estimates)"
@@ -264,6 +270,6 @@ def detect_log_term(samples: RadialField) -> LogTermEstimate:
         uncertainty=uncertainty,
         reliable=reliable,
         window_values=values,
-        windows=[(lo, hi) for lo, hi in windows],   # the caller's own
+        windows=[window for window, _ in windowed],   # the caller's own
         message=message,
     )

@@ -417,7 +417,7 @@ def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem,
         r[0] = v[0] - bc_new[0]
         r[-1] = v[-1] - bc_new[1]
         np.add(S_next[1:-1], lap[1:-1], out=tmp)
-        if np.any(tmp <= 0):
+        if np.fmin.reduce(tmp) <= 0:   # np.any(tmp <= 0): NaN ignored
             return False
         # (1 + dt) v - u - dt log1p((S - D0 + Delta v) / D0)
         inner = r[1:-1]

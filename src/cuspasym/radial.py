@@ -123,7 +123,7 @@ class RadialField:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.grid.n_nodes} nodes)")
-        if not np.all(np.isfinite(self.values)):
+        if not _all_finite(self.values):
             raise ValueError("field values must be finite at every node")
 
     @classmethod
@@ -325,8 +325,14 @@ def _load_flapack():
     return module
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite, in one pass when a finite sum of squares
+    proves it (``np.vdot`` raises no FP flag, where ``a @ a`` warns above 1e154)."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not all(map(_all_finite, arrays)):
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -432,8 +438,8 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
                               f"{iteration}: {exc}") from exc
         s = 1.0
         while True:
-            np.multiply(step, s, out=candidate)
-            np.add(v, candidate, out=candidate)
+            # 1.0 * step is exact, so the full step skips the multiply
+            np.add(v, step if s == 1.0 else np.multiply(step, s, out=candidate), out=candidate)
             with np.errstate(over="ignore", invalid="ignore"):
                 ok = residual(candidate, r_new, aux_new)
                 new_norm = _sup_norm(r_new, work.scratch) if ok else np.inf
@@ -464,7 +470,7 @@ def _at_floor(floor: Callable, v, aux, out, res_norm: float) -> Optional[float]:
 
 
 def _sup_norm(r: np.ndarray, scratch: np.ndarray) -> float:
-    return float(np.max(np.abs(r, out=scratch)))
+    return float(np.abs(r, out=scratch).max())
 
 
 def evaluate_expansion(terms: Sequence[tuple[float, float, int]], x: np.ndarray) -> np.ndarray:

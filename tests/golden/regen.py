@@ -66,6 +66,7 @@ CASES = {
     "exit3-ma-bc-huge": "solve-ma",
     "solve-linear-bc-huge": "solve-linear",
     "exit3-linear-residual-overflow": "solve-linear",
+    "exit3-linear-elimination-overflow": "solve-linear",
 }
 
 

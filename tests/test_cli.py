@@ -154,6 +154,23 @@ def test_solve_linear_overflowing_interior_residual_is_numerical_failure(tmp_pat
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("bc_left, code", [(1e308, 3), (1e300, 0)])
+def test_solve_linear_names_an_overflowing_elimination(tmp_path, capsys, bc_left, code):
+    # at 4096 nodes the elimination overflows on the 1e308 Dirichlet row; the
+    # message once blamed "lambda collides with a discrete eigenvalue?"
+    cfg = write(tmp_path / "c.cfg", f"n_nodes = 4096\nlambda = 1\nf_terms = 1:1:0\n"
+                                    f"bc_left = {bc_left}\n")
+    out = tmp_path / "out"
+    assert main(["solve-linear", cfg, "-o", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err == ("numerical failure: linear solve overflowed: the tridiagonal elimination "
+                       "gave a non-finite solution from data of magnitude up to 1.000e+308\n")
+        assert not (out / "solution.csv").exists()
+    else:
+        assert err == ""
+
+
 def test_solve_ma_reports_convergence(tmp_path):
     cfg = write(tmp_path / "c.cfg", "n_nodes = 512\nf_terms = 1.5:1:0\n")
     out = tmp_path / "out"

@@ -6,13 +6,16 @@ import re
 import numpy as np
 import pytest
 
+from cuspasym import elliptic, parabolic
 from cuspasym.errors import SolverError
+from cuspasym.geometry import ModelMetric
 from cuspasym.radial import (
     NewtonParams,
     NewtonWorkspace,
     RadialField,
     RadialGrid,
     _gtsv,
+    _require_finite,
     damped_newton,
     dirichlet_bands,
     dt_derivative,
@@ -388,6 +391,121 @@ def test_tridiagonal_rejects_nonfinite_entries(solver, position, index):
         system[position][index] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             CHECKED_SOLVERS[solver](*system)
+
+
+#: finite entries whose squares overflow (the one-pass sum of squares is
+#: inf, so the exact test decides), and subnormals
+HUGE_OR_TINY = [1e200, -1e200, 1.7e308, -1.7e308, 5e-324, -2.5e-310]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", range(4))
+def test_tridiagonal_rejects_a_nonfinite_entry_among_huge_ones(position, bad):
+    system = list(_pivoting_system(np.random.default_rng(3), 12))
+    system[position][2:2 + len(HUGE_OR_TINY)] = HUGE_OR_TINY
+    system[position][-2] = bad
+    for solver in ("one-shot", "in-place"):
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            CHECKED_SOLVERS[solver](*system)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_tridiagonal_takes_huge_and_subnormal_entries_quietly(position):
+    # pyproject turns warnings into errors: the check must raise no FP flag
+    system = list(_pivoting_system(np.random.default_rng(3), 12))
+    system[position][2:2 + len(HUGE_OR_TINY)] = HUGE_OR_TINY
+    for solver in ("one-shot", "in-place"):
+        try:
+            CHECKED_SOLVERS[solver](*system)
+        except np.linalg.LinAlgError:   # past the check: LAPACK met a zero pivot
+            pass
+    diag, off, rhs = _spd_system(np.random.default_rng(9), 12)
+    diag[4] = rhs[5] = 1.7e308
+    rhs[:len(HUGE_OR_TINY)] = HUGE_OR_TINY
+    factor_symmetric_tridiagonal(diag, off)(rhs)
+    _require_finite(np.array(HUGE_OR_TINY), np.array(HUGE_OR_TINY)[::2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 7, -1])
+def test_field_rejects_a_nonfinite_value_among_huge_ones(index, bad):
+    g = RadialGrid(-10.0, -1.0, 16)
+    values = np.ones(32)
+    values[2:2 + 2 * len(HUGE_OR_TINY):2] = HUGE_OR_TINY
+    for array in (values[:16], values[::2]):   # contiguous and strided views
+        array[index] = bad
+        with pytest.raises(ValueError, match="^field values must be finite at every node$"):
+            RadialField(g, array)
+    values[:] = 1.0
+    values[2:2 + len(HUGE_OR_TINY)] = HUGE_OR_TINY
+    assert RadialField(g, values[:16]).values.tobytes() == values[:16].tobytes()
+    assert RadialField(g, values[::2]).values.tobytes() == values[::2].tobytes()
+
+
+#: what 1 + Delta_g u (the MA residual) and S + Delta u (the flow's, S = 1
+#: on the unit metric) can be at four of six interior nodes, built as 1 + L
+#: from a Laplacian L
+REACHABLE_POSITIVITY = {
+    "positive": [0.0, 0.0, 0.0, 0.0],
+    "zero": [0.0, -1.0, 0.0, 0.0],
+    "negative": [0.0, 0.0, -3.0, 0.0],
+    "nan": [0.0, np.nan, 0.0, 0.0],
+    "all-nan": [np.nan] * 4,
+    "nan-and-zero": [np.nan, 0.0, -1.0, 0.0],
+    "nan-and-negative": [0.0, -2.0, np.nan, 0.0],
+    "tiny-positive": [0.0, -1.0 + 2.0 ** -53, 0.0, 0.0],
+    "inf": [np.inf, 0.0, 0.0, 0.0],
+    "minus-inf": [0.0, 0.0, 0.0, -np.inf],
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", list(REACHABLE_POSITIVITY))
+@pytest.mark.parametrize("solver", ["ma", "flow"])
+def test_residual_positivity_answers_as_the_elementwise_tests(solver, name, monkeypatch):
+    # MA: np.all(1 + lap > 0), False on NaN; flow: not np.any(S + lap <= 0),
+    # NaN ignored.  The residual is the callback handed to damped_newton,
+    # run on a Laplacian set to the case's values.
+    grid = RadialGrid(-10.0, -1.0, 8)
+    lap = np.array([0.0, *REACHABLE_POSITIVITY[name], 0.0])
+    tmp = 1.0 + lap
+    if solver == "ma":
+        field = RadialField(grid, grid.x)
+        run = lambda: elliptic.solve_monge_ampere_radial(
+            elliptic.MongeAmpereProblem(ModelMetric(), field))
+        module, expected = elliptic, bool(np.all(tmp > 0))
+    else:
+        run = lambda: parabolic.run_flow(parabolic.FlowProblem(ModelMetric(), 0.5, 0.5, grid))
+        module, expected = parabolic, not np.any(tmp <= 0)
+    captured = []
+
+    def capture(residual, *args, **kwargs):
+        captured.append(residual)
+        raise _Captured
+
+    monkeypatch.setattr(module, "damped_newton", capture)
+    with pytest.raises(_Captured):
+        run()
+    monkeypatch.setattr(module, "unit_laplacian_interior",
+                        lambda v, h, out, scratch: np.copyto(out[1:-1], lap) or out)
+    with np.errstate(all="ignore"):
+        assert captured[0](np.zeros(8), np.empty(8), np.empty(8)) is expected
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 2.0], [0.0, 1.0], [-0.0, 1.0], [5e-324, 1.0], [-5e-324, 1.0],
+    [np.nan, 1.0], [np.nan, np.nan], [np.nan, 0.0], [-0.0, np.nan], [np.nan, -5e-324],
+    [np.inf, 1.0], [-np.inf, np.nan], [2.5e-310, 1e-300],
+], ids=str)
+def test_one_reduction_positivity_tests_match_the_elementwise_ones(values):
+    # the residuals' forms on values 1 + L cannot reach: signed zeros and
+    # subnormals, each alone and mixed with NaN
+    for tmp in (np.array(values), np.array(values[::-1]), np.repeat(values, 300)):
+        assert bool(tmp.min() > 0) is bool(np.all(tmp > 0))
+        assert bool(np.fmin.reduce(tmp) <= 0) is bool(np.any(tmp <= 0))
 
 
 @pytest.mark.parametrize("solver", list(CHECKED_SOLVERS))

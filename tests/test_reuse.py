@@ -190,7 +190,7 @@ def _uncached_detector(samples):
 @pytest.mark.parametrize("n", [512, 4096, 16384])
 def test_detector_and_fit_match_the_uncached_computation_bit_for_bit(n):
     grid = _grid(n)
-    hits = fitting._fit_design.cache_info().hits
+    hits = fitting._fit_design.cache_info().hits, fitting._detector_designs.cache_info().hits
     for a in (0.5, 1.0, 1.5):
         u = _ma(grid, a)
         estimate = fitting.detect_log_term(u)
@@ -200,5 +200,7 @@ def test_detector_and_fit_match_the_uncached_computation_bit_for_bit(n):
             fit = fitting.fit_polyhom(u, FIT_SET, fit_window=window)
             assert (fit.coefficients, fit.residual_sup, fit.remainder_exponent,
                     fit.remainder_spread) == _uncached_fit(u, FIT_SET, window)
-    # every amplitude after the first reused the grid's designs
-    assert fitting._fit_design.cache_info().hits - hits >= 2 * (4 + 3)
+    # every amplitude after the first reused the grid's designs: the fit's
+    # three windows through _fit_design, the detector's four in one lookup
+    assert fitting._fit_design.cache_info().hits - hits[0] >= 2 * 3
+    assert fitting._detector_designs.cache_info().hits - hits[1] >= 2
