@@ -34,9 +34,9 @@ from .radial import (
     RadialField,
     _all_finite,
     _gtsv,
+    _stencil_magnitude,
     damped_newton,
     dirichlet_bands,
-    laplacian_coefficients,
     unit_laplacian_interior,
 )
 
@@ -161,10 +161,7 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
 
     def floor(u: np.ndarray, kahler: np.ndarray, out: np.ndarray) -> float:
         # eps max_j (|s u_j-1| + |d u_j| + |p u_j+1|) / (density_j (1 + Delta_g u_j))
-        inner = out[1:-1]
-        inner.fill(0.0)
-        for k, c in enumerate(laplacian_coefficients(h)):   # neighbours j - 1, j, j + 1
-            np.add(inner, np.multiply(np.abs(u[k:n - 2 + k], out=tmp), abs(c), out=tmp), out=inner)
+        inner = _stencil_magnitude(u, h, out, work.scratch)
         np.multiply(kahler[1:-1], density[1:-1], out=tmp)
         return np.finfo(float).eps * float(np.max(np.divide(inner, tmp, out=inner)))
 

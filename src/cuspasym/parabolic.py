@@ -29,6 +29,17 @@ flow sit two checks no CLI command runs: the linear decay certificate, on
 one symmetric factorization, and the restricted ODE, RK4 against one
 vectorized Gauss quadrature.
 
+Each flow step's inner Newton starts from the extrapolation
+u_n + (dt/dt_prev)(u_n - u_{n-1}) of the last two accepted states (from u_n
+on the first step, after a rejection and where that start loses
+positivity), and stops at ``tol`` or, once it stalls, at the residual's
+rounding floor
+
+    eps max_j [dt sum_k |c_k v_{j+k}| / (S + Delta v)_j + (1 + dt)|v_j| + |u_j|],
+
+with c_k the stencil's coefficients; a step is halved only when Newton
+fails.
+
 Every stepper takes its steps from one time grid, ``_time_grid``, a step
 count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
 ``_TimeGrid.step_of`` the step serving an output time.  The Newton loop
@@ -52,6 +63,7 @@ from .radial import (
     NewtonWorkspace,
     RadialField,
     RadialGrid,
+    _stencil_magnitude,
     damped_newton,
     dirichlet_bands,
     factor_symmetric_tridiagonal,
@@ -322,9 +334,13 @@ class FlowState:
 class FlowResult:
     """One entry per step time (t = 0 first); states at output times only.
 
-    ``newton_iterations`` sums the iterations of every accepted sub-step
-    that reached the step time; attempts rejected by step halving count
-    only in ``step_rejections``.
+    ``newton_iterations`` sums the Newton steps (linear solves) of every
+    accepted sub-step that reached the step time, from its start to where it
+    stopped; attempts rejected by step halving count only in
+    ``step_rejections``.  The last accepted sub-step's Newton stopped either
+    on ``tol`` or, once stalled, within ``radial._FLOOR_FACTOR`` of its rounding
+    floor: ``newton_floors`` holds that floor, NaN where tol stopped it (and
+    at t = 0), and ``stopped_at_floor`` says which.
     """
     states: list[FlowState]
     times: np.ndarray
@@ -332,7 +348,13 @@ class FlowResult:
     positivity_margin: np.ndarray
     newton_iterations: np.ndarray
     newton_residuals: np.ndarray       # residual of the last accepted sub-step
+    newton_floors: np.ndarray          # the floor that stopped it, NaN if tol did
     step_rejections: int
+
+    @property
+    def stopped_at_floor(self) -> np.ndarray:
+        """Per step time, whether the rounding floor (not tol) stopped Newton."""
+        return ~np.isnan(self.newton_floors)
 
 
 def fitted_boundary_constant(state: FlowState) -> float:
@@ -351,34 +373,47 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     Each step solves the implicit equation with an inner damped Newton
     iteration, maintains positivity of the evolving density S + Delta u,
     and falls back to halving the step on failure (an error below
-    dt * _DT_MIN_FACTOR).  Boundary values at both ends follow the
-    backward-Euler restriction of the flow to the endpoints.
+    dt * _DT_MIN_FACTOR).  Newton starts from u_n + (dt/dt_prev)(u_n - u_{n-1}),
+    the extrapolation of the last two accepted states, and from u_n on the
+    first step, on a retry after a rejection and where the extrapolated start
+    loses positivity.  Boundary values at both ends follow the backward-Euler
+    restriction of the flow to the endpoints.
     """
     grid = problem.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)   # every Newton solve of the run
     density, combo = _schedule_data(problem.omega0, grid)
     time_grid, keep = problem._plan
     u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
-    res_accept, rejections = 0.0, 0
+    # u_{n-1}, the extrapolated start, and the last accepted step (0: none yet)
+    u_prev, start, dt_prev = np.empty(grid.n_nodes), np.empty(grid.n_nodes), 0.0
+    res_accept, floor_accept, rejections = 0.0, None, 0
     states: list[FlowState] = []
-    records = []   # (t, sup|u|, margin, Newton iterations, residual) per step time
+    records = []   # (t, sup|u|, margin, Newton iterations, residual, floor) per step time
     for k in range(time_grid.steps + 1):
         target = time_grid.time(k)
         iters = 0
         while t < target - 1e-12 * max(1.0, target):
             dt_loc = min(time_grid.h, target - t)
+            warm = dt_prev > 0
             while True:
+                if warm:
+                    np.subtract(u, u_prev, out=start)
+                    np.multiply(start, dt_loc / dt_prev, out=start)
+                    np.add(u, start, out=start)
                 try:
-                    u_new, bc_new, step_iters, res_accept = _flow_step(
-                        u, bc, t, dt_loc, density, combo, problem, work)
+                    u_new, bc_new, step_iters, res_accept, floor_accept = _flow_step(
+                        u, start if warm else None, bc, t, dt_loc, density, combo,
+                        problem, work)
                     break
                 except SolverError:
                     rejections += 1
                     dt_loc /= 2.0
+                    warm = False
                     if dt_loc < problem.dt * _DT_MIN_FACTOR:
                         raise
+            u, u_prev = u_prev, u
             np.copyto(u, u_new)
-            bc = bc_new
+            bc, dt_prev = bc_new, dt_loc
             iters += step_iters
             t += dt_loc
         t = target
@@ -386,20 +421,24 @@ def run_flow(problem: FlowProblem) -> FlowResult:
         margin = float(np.min(evolving))
         if margin <= 0:
             raise SolverError(f"Kahler positivity lost at t={t:.6g}: margin {margin:.3e}")
-        records.append((t, float(np.max(np.abs(u))), margin, iters, res_accept))
+        records.append((t, float(np.max(np.abs(u))), margin, iters, res_accept,
+                        math.nan if floor_accept is None else floor_accept))
         if keep is None or k in keep:
             states.append(FlowState(t, RadialField(grid, u.copy()),
                                     RadialField(grid, evolving), margin))
 
-    times, sup_u, margins, newton_iters, residuals = map(np.asarray, zip(*records))
-    return FlowResult(states, times, sup_u, margins, newton_iters, residuals, rejections)
+    times, sup_u, margins, newton_iters, residuals, floors = map(np.asarray, zip(*records))
+    return FlowResult(states, times, sup_u, margins, newton_iters, residuals, floors,
+                      rejections)
 
 
-def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem,
+def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
                work: NewtonWorkspace):
-    """One backward-Euler step of the potential flow, solved in ``work``;
-    returns the new potential (a buffer of ``work``), new boundary pair,
-    Newton iteration count and the accepted residual."""
+    """One backward-Euler step of the potential flow from u, solved in
+    ``work``; Newton starts from ``start`` if it keeps S + Delta v positive
+    and is not None, else from u.  Returns the new potential (a buffer of
+    ``work``), the new boundary pair, the Newton iteration count, the accepted
+    residual and the rounding floor that stopped Newton (None if tol did)."""
     n, h = len(u), problem.grid.h
     t_next = t + dt
     S_next = _schedule_values(problem.grid, density, combo, t_next)
@@ -412,11 +451,15 @@ def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem,
         src = math.log1p(s_minus_d0[j] / density[j])
         bc_new[pos] = (bc[pos] + dt * src) / (1.0 + dt)
 
-    def residual(v: np.ndarray, r: np.ndarray, lap: np.ndarray) -> bool:
+    def evolving_density(v: np.ndarray, lap: np.ndarray) -> None:
+        # Delta v in lap, S + Delta v in tmp
         unit_laplacian_interior(v, h, out=lap, scratch=work.scratch)
+        np.add(S_next[1:-1], lap[1:-1], out=tmp)
+
+    def residual(v: np.ndarray, r: np.ndarray, lap: np.ndarray) -> bool:
+        evolving_density(v, lap)
         r[0] = v[0] - bc_new[0]
         r[-1] = v[-1] - bc_new[1]
-        np.add(S_next[1:-1], lap[1:-1], out=tmp)
         if np.fmin.reduce(tmp) <= 0:   # np.any(tmp <= 0): NaN ignored
             return False
         # (1 + dt) v - u - dt log1p((S - D0 + Delta v) / D0)
@@ -436,9 +479,24 @@ def _flow_step(u, bc, t, dt, density, combo, problem: FlowProblem,
         np.divide(-dt, tmp, out=tmp)
         dirichlet_bands(n, h, tmp, -(1.0 + dt), out=out)
 
-    v, _, iters, residuals, *_ = damped_newton(
-        residual, jacobian_bands, u, _FLOW_NEWTON, f"flow Newton (t={t_next:.6g})", work)
-    return v, bc_new, iters, residuals[-1]
+    def floor(v: np.ndarray, lap: np.ndarray, out: np.ndarray) -> float:
+        # eps max_j (dt sum_k |c_k v_j+k| / (S + Delta v)_j + (1 + dt)|v_j| + |u_j|)
+        inner = _stencil_magnitude(v, h, out, work.scratch)
+        np.add(S_next[1:-1], lap[1:-1], out=tmp)
+        np.divide(inner, tmp, out=inner)
+        np.multiply(dt, inner, out=inner)
+        np.add(inner, np.multiply(np.abs(v[1:-1], out=tmp), 1.0 + dt, out=tmp), out=inner)
+        np.add(inner, np.abs(u[1:-1], out=tmp), out=inner)
+        return np.finfo(float).eps * float(np.max(inner))
+
+    if start is not None:   # the start must keep S + Delta v > 0 (NaN fails)
+        evolving_density(start, work.aux)
+        if not tmp.min() > 0:
+            start = None
+    v, _, iters, residuals, _, floor_value = damped_newton(
+        residual, jacobian_bands, u if start is None else start, _FLOW_NEWTON,
+        f"flow Newton (t={t_next:.6g})", work, floor)
+    return v, bc_new, iters, residuals[-1], floor_value
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,19 @@ def unit_laplacian_interior(values: np.ndarray, h: float, out: Optional[np.ndarr
     return out
 
 
+def _stencil_magnitude(values: np.ndarray, h: float, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
+    """sum_k |c_k v_{j+k}| over the centered stencil's coefficients c_k at the
+    interior nodes, written into ``out[1:-1]`` (returned) with ``scratch``
+    for one intermediate: the scale of the stencil's rounding, for the
+    solvers' floors.  Both are shaped like ``values``."""
+    n, inner, tmp = len(values), out[1:-1], scratch[1:-1]
+    inner.fill(0.0)
+    for k, c in enumerate(laplacian_coefficients(h)):   # neighbours j - 1, j, j + 1
+        np.add(inner, np.multiply(np.abs(values[k:n - 2 + k], out=tmp), abs(c), out=tmp), out=inner)
+    return inner
+
+
 def unit_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """Full-grid stencil: centered inside, one-sided second order at ends.
 

@@ -1,6 +1,7 @@
 """The golden CLI corpus: run every case and rewrite ``manifest.json``.
 
     PYTHONPATH=src python tests/golden/regen.py
+    python tests/golden/regen.py --against REV
 
 Each case is ``<name>.cfg`` in this directory, run in-process as
 ``cuspasym.cli.main([command, "<name>.cfg", "-o", "out/<name>"])`` from a
@@ -11,24 +12,40 @@ once the Python, numpy and scipy versions it was made with.
 ``tests/test_golden.py`` replays the cases with :func:`replay` and compares.
 Rerun this script only for an intended change of output; it prints the
 entries that changed.
+
+``--against REV`` rewrites nothing: it exports REV's ``src/`` with ``git
+archive`` into a temporary directory, runs this corpus and the results of
+``tests/test_library_digests.py`` with that source and with this checkout's,
+each in its own process, and prints per case the exit codes, the stdout and
+stderr differences and the largest absolute and relative difference of each
+JSON number and each CSV column, then the same for each library result.
+It needs only git, the standard library and numpy.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
+import importlib.util
 import io
 import json
+import math
 import os
 import platform
 import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 from importlib.metadata import version
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
 MANIFEST = GOLDEN / "manifest.json"
+ROOT = GOLDEN.parents[1]
+LIBRARY_DIGESTS = ROOT / "tests" / "test_library_digests.py"
 
 #: case name -> subcommand, in run order (fit-expansion reads solve-ma's CSV)
 CASES = {
@@ -67,6 +84,9 @@ CASES = {
     "solve-linear-bc-huge": "solve-linear",
     "exit3-linear-residual-overflow": "solve-linear",
     "exit3-linear-elimination-overflow": "solve-linear",
+    "flow-halving-positivity": "flow",
+    "exit3-flow-tiny-spacing": "flow",
+    "exit3-fit-overflow": "fit-expansion",
 }
 
 
@@ -108,7 +128,8 @@ def _changes(before: dict, after: dict) -> list[str]:
                      if before["files"].get(name) != after["files"].get(name)]
 
 
-def main() -> None:
+def regenerate() -> None:
+    """Replay every case, rewrite the manifest and print what changed."""
     old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {"versions": None, "cases": {}}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -129,6 +150,203 @@ def main() -> None:
             print(f"{name}: {', '.join(_changes(before, after))}")
 
 
+# ---------------------------------------------------------------------------
+# --against REV: how far each output moved
+# ---------------------------------------------------------------------------
+
+def record(workdir: str) -> None:
+    """Replay the corpus in ``workdir`` with the ``cuspasym`` first on
+    ``sys.path``: the artifacts stay under ``workdir/out``, each case's exit
+    code, stdout and stderr (its source directory written ``<src>``) go to
+    ``cases.json`` and the arrays of every library digest to ``library.npz``."""
+    import numpy as np
+
+    import cuspasym
+
+    src = str(Path(cuspasym.__file__).parents[1])   # in warnings: the same text on both sides
+    os.chdir(workdir)
+    cases = {name: {key: entry[key].replace(src, "<src>") if key != "exit" else entry[key]
+                    for key in ("exit", "stdout", "stderr")}
+             for name, entry in replay().items()}
+    Path("cases.json").write_text(json.dumps(cases, indent=1), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("library_digests", LIBRARY_DIGESTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    arrays = {f"{name}[{i}]": np.asarray(part, dtype=float)
+              for compute in module.RESULTS.values()
+              for name, parts in compute().items() for i, part in enumerate(parts)}
+    np.savez("library.npz", **arrays)
+
+
+def export_src(rev: str, into: Path) -> Path:
+    """REV's ``src/`` exported with ``git archive`` into ``into``; its path."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        # the "data" filter where this Python has it (3.11.4 and later)
+        archive.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return into / "src"
+
+
+def run_both(before_src: Path, after_src: Path, workdir: Path) -> tuple[Path, Path]:
+    """Record the corpus with each source tree, in two processes at once, in
+    ``workdir/before`` and ``workdir/after``; those two directories."""
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import regen; regen.record(sys.argv[3])")
+    runs = []
+    for src, side in ((before_src, "before"), (after_src, "after")):
+        (workdir / side).mkdir(parents=True)
+        runs.append((workdir / side, subprocess.Popen(
+            [sys.executable, "-c", code, str(src), str(GOLDEN), str(workdir / side)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
+    for side, proc in runs:
+        _, err = proc.communicate()
+        if proc.returncode:
+            raise RuntimeError(f"recording in {side} failed:\n{err}")
+    return runs[0][0], runs[1][0]
+
+
+def _difference(a: float, b: float) -> tuple[float, float]:
+    """|a - b| and |a - b| / max(|a|, |b|) (0 for equal values, NaN included)."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    diff = abs(a - b)
+    return diff, diff / max(abs(a), abs(b))
+
+
+def _json_leaves(value, path: str = ""):
+    """(path, leaf) for every leaf of a parsed JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _compare_json(before: Path, after: Path) -> list[str]:
+    old, new = (dict(_json_leaves(json.loads(p.read_text()))) for p in (before, after))
+    lines = []
+    for key in [*old, *(k for k in new if k not in old)]:
+        if key not in new or key not in old:
+            lines.append(f"{key}: only {'before' if key in old else 'after'}")
+        elif _is_number(old[key]) and _is_number(new[key]):
+            diff, rel = _difference(float(old[key]), float(new[key]))
+            if diff or rel:
+                lines.append(f"{key}: {old[key]!r} -> {new[key]!r} (abs {diff:.3g}, rel {rel:.3g})")
+        elif old[key] != new[key]:
+            lines.append(f"{key}: {old[key]!r} -> {new[key]!r}")
+    return lines
+
+
+def _compare_arrays(label: str, old, new) -> list[str]:
+    """The largest absolute and relative difference of two float arrays."""
+    import numpy as np
+
+    if old.shape != new.shape:
+        return [f"{label}: shape {old.shape} -> {new.shape}"]
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    if same.all():
+        return []
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        diff = np.where(same, 0.0, np.abs(old - new))
+        rel = np.where(same, 0.0, diff / np.maximum(np.abs(old), np.abs(new)))
+    return [f"{label}: max abs {np.nanmax(diff):.3g}, max rel {np.nanmax(rel):.3g} "
+            f"({int(np.count_nonzero(~same))} of {same.size} differ)"]
+
+
+def _compare_csv(before: Path, after: Path) -> list[str]:
+    import numpy as np
+
+    header = before.read_text().partition("\n")[0].split(",")
+    if after.read_text().partition("\n")[0].split(",") != header:
+        return ["header changed"]
+    old, new = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (before, after))
+    if old.shape != new.shape:
+        return [f"shape {old.shape} -> {new.shape}"]
+    return [line for j, column in enumerate(header)
+            for line in _compare_arrays(column, old[:, j], new[:, j])]
+
+
+def _compare_text(label: str, old: str, new: str) -> list[str]:
+    if old == new:
+        return []
+    diff = difflib.unified_diff(old.splitlines(), new.splitlines(), "before", "after", lineterm="", n=0)
+    return [f"{label}:"] + [f"  {line}" for line in list(diff)[2:]]
+
+
+def compare(before: Path, after: Path) -> list[str]:
+    """The report on two directories that :func:`record` wrote: a line per
+    case that did not change, its differences under it for one that did."""
+    import numpy as np
+
+    old_cases, new_cases = (json.loads((d / "cases.json").read_text()) for d in (before, after))
+    report = []
+    for name in [*old_cases, *(n for n in new_cases if n not in old_cases)]:
+        if name not in new_cases or name not in old_cases:
+            report.append(f"{name}: only {'before' if name in old_cases else 'after'}")
+            continue
+        old, new = old_cases[name], new_cases[name]
+        lines = [] if old["exit"] == new["exit"] else [f"exit {old['exit']} -> {new['exit']}"]
+        lines += _compare_text("stdout", old["stdout"], new["stdout"])
+        lines += _compare_text("stderr", old["stderr"], new["stderr"])
+        roots = (before / "out" / name, after / "out" / name)
+        files = [sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+                 if root.is_dir() else [] for root in roots]
+        for file in [*files[0], *(f for f in files[1] if f not in files[0])]:
+            if file not in files[0] or file not in files[1]:
+                lines.append(f"{file}: only {'before' if file in files[0] else 'after'}")
+                continue
+            paths = (roots[0] / file, roots[1] / file)
+            if paths[0].read_bytes() == paths[1].read_bytes():
+                continue
+            compare_file = {".json": _compare_json, ".csv": _compare_csv}.get(paths[0].suffix)
+            found = compare_file(*paths) if compare_file else ["bytes differ"]
+            lines += [f"{file} {line}" for line in found] or [f"{file}: bytes differ"]
+        status = f"exit {new['exit']}" + ("" if lines else ", no difference")
+        report.append(f"{name}: {status}")
+        report += [f"    {line}" for line in lines]
+    with np.load(before / "library.npz") as old, np.load(after / "library.npz") as new:
+        for key in [*old.files, *(k for k in new.files if k not in old.files)]:
+            if key not in new.files or key not in old.files:
+                report.append(f"library {key}: only {'before' if key in old.files else 'after'}")
+            else:
+                found = _compare_arrays(f"library {key}", old[key], new[key])
+                report += found or [f"library {key}: no difference"]
+    return report
+
+
+def against(rev: str) -> list[str]:
+    """The report on REV's outputs (before) against this checkout's (after)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = export_src(rev, Path(tmp, "rev"))
+        return compare(*run_both(src, ROOT / "src", Path(tmp, "runs")))
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="Rewrite the golden manifest, or with "
+                                     "--against compare the outputs of two source trees.")
+    parser.add_argument("--against", metavar="REV",
+                        help="report how far each output moved from REV's (a git revision); "
+                             "rewrites nothing")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        regenerate()
+        return
+    try:
+        report = against(args.against)
+    except subprocess.CalledProcessError as exc:
+        sys.exit(f"git archive {args.against} failed: {exc.stderr.decode().strip()}")
+    print(f"--against {args.against}: before is {args.against}, after is this checkout")
+    print("\n".join(report))
+
+
 if __name__ == "__main__":
-    sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
     main()

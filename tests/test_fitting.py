@@ -182,3 +182,23 @@ def test_remainder_slope_needs_four_points_above_the_floor():
     fit = fit_polyhom(u, E, fit_window=(1e-10, 1e-3))
     assert fit.remainder_exponent is None and fit.remainder_spread is None
     assert remainder_check(fit, u).saturated
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e292, "the fit's coefficients overflow"),   # finite weighted samples
+    (1e293, "the weighted samples overflow"),     # samples times x^-2 overflow
+    (3e290, None),                                 # just below: fits as before
+])
+def test_fit_of_overflowing_weighted_samples_raises_a_named_error(scale, message):
+    # s (x + x log x) / x^1.5 weighted by x^-2 on [1e-6, 1e-2]: a NaN fit
+    # with a RuntimeWarning once the weighted samples overflowed
+    E = closure((IndexTerm(1, 0), IndexTerm(1, 1)), 2)
+    grid = RadialGrid(-16.0, -2.0, 64)
+    f = RadialField(grid, scale * (grid.x + grid.x * grid.t) / grid.x ** 1.5)
+    if message is None:
+        fit = fit_polyhom(f, E, fit_window=WINDOW)
+        assert all(map(math.isfinite, fit.coefficients.values()))
+        assert math.isfinite(fit.residual_sup)
+    else:
+        with pytest.raises(FitError, match=message):
+            fit_polyhom(f, E, fit_window=WINDOW)

@@ -2,12 +2,17 @@
 through ``main`` from a scratch working directory with relative paths, must
 reproduce its manifest entry byte for byte: exit code, stdout, stderr, the
 text of every JSON artifact and the sha256 of every CSV.  The manifest is
-rewritten by ``tests/golden/regen.py``, only for an intended change."""
+rewritten by ``tests/golden/regen.py``, only for an intended change; its
+``--against REV`` report is checked here too."""
 
 import importlib.util
 import json
+import math
+import shutil
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -39,3 +44,56 @@ def test_manifest_lists_every_case_in_run_order():
 @pytest.mark.parametrize("name", list(regen.CASES))
 def test_golden_case(replayed, name):
     assert replayed[name] == MANIFEST["cases"][name]
+
+
+@pytest.fixture(scope="module")
+def recorded_twice(tmp_path_factory):
+    """HEAD's ``src/``, exported as ``--against HEAD`` does, recorded twice;
+    outside a git checkout the checkout's own ``src/``."""
+    work = tmp_path_factory.mktemp("against")
+    try:
+        src = regen.export_src("HEAD", work / "head")
+    except (OSError, subprocess.CalledProcessError):
+        src = regen.ROOT / "src"
+    return regen.run_both(src, src, work / "runs")
+
+
+def test_a_revision_against_itself_shows_no_difference(recorded_twice):
+    report = regen.compare(*recorded_twice)
+    assert [line.partition(":")[0] for line in report[:len(regen.CASES)]] == list(regen.CASES)
+    assert any(line.startswith("library flow-snapshot[0]") for line in report)
+    assert all(line.endswith("no difference") for line in report), report
+
+
+def _one_ulp_up(value: float) -> float:
+    return math.nextafter(value, math.inf)
+
+
+def test_a_one_ulp_change_shows_in_the_report(recorded_twice, tmp_path):
+    before, after = recorded_twice
+    changed = shutil.copytree(after, tmp_path / "changed")
+    case = changed / "out" / "flow-conformal"
+    rows = (case / "flow_t1.000000.csv").read_text().splitlines()
+    x, value = rows[10].split(",")
+    rows[10] = f"{x},{_one_ulp_up(float(value))!r}"
+    (case / "flow_t1.000000.csv").write_text("\n".join(rows) + "\n")
+    flow = json.loads((case / "flow.json").read_text())
+    flow["sup_u_trajectory"] = _one_ulp_up(flow["sup_u_trajectory"])
+    (case / "flow.json").write_text(json.dumps(flow))
+    with np.load(changed / "library.npz") as library:
+        arrays = dict(library)
+    arrays["decay-slice-ratios[0]"][5] = _one_ulp_up(arrays["decay-slice-ratios[0]"][5])
+    np.savez(changed / "library.npz", **arrays)
+
+    report = regen.compare(before, changed)
+    moved = [line for line in report if not line.endswith("no difference")]
+    ulp = math.ulp(float(value))
+    assert moved[0] == "flow-conformal: exit 0"
+    assert moved[1].startswith("    flow.json sup_u_trajectory: ")
+    assert moved[1].endswith(f"(abs {math.ulp(flow['sup_u_trajectory']):.3g}, "
+                             f"rel {math.ulp(flow['sup_u_trajectory']) / flow['sup_u_trajectory']:.3g})")
+    assert moved[2].startswith(f"    flow_t1.000000.csv value: max abs {ulp:.3g}, ")
+    assert moved[2].endswith("(1 of 1024 differ)")
+    assert moved[3].startswith("library decay-slice-ratios[0]: max abs ")
+    assert moved[3].endswith("(1 of 101 differ)")
+    assert len(moved) == 4

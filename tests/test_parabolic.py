@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cuspasym import parabolic
+from cuspasym import parabolic, radial
 from cuspasym.errors import SolverError
 from cuspasym.geometry import ModelMetric
 from cuspasym.parabolic import (
@@ -27,6 +27,7 @@ from cuspasym.parabolic import (
     run_flow,
 )
 from cuspasym.radial import (
+    NewtonWorkspace,
     RadialField,
     RadialGrid,
     dirichlet_bands,
@@ -476,18 +477,129 @@ def test_flow_degenerating_background_raises():
 
 
 def test_flow_newton_damping_floor_reports_residual(monkeypatch):
-    # tol 5e-324, the least positive float, leaves the inner Newton stalled
-    # at the rounding floor until the step is halved below 2^-30;
-    # _DT_MIN_FACTOR 1 forbids any step retry
+    # tol 5e-324, the least positive float, with the rounding-floor stop
+    # switched off (_FLOOR_FACTOR 0), leaves the inner Newton stalled until
+    # the step is halved below 2^-30; _DT_MIN_FACTOR 1 forbids any step retry
     grid = RadialGrid(-40.0, math.log(0.5), 64)
     metric = ModelMetric(conformal=RadialField.from_function(grid, lambda x: 0.3 + 0.2 * x))
     monkeypatch.setattr(parabolic, "_FLOW_NEWTON",
                         dataclasses.replace(parabolic._FLOW_NEWTON, tol=5e-324))
+    monkeypatch.setattr(radial, "_FLOOR_FACTOR", 0.0)
     monkeypatch.setattr(parabolic, "_DT_MIN_FACTOR", 1.0)
     problem = FlowProblem(metric, T=0.1, dt=0.1, grid=grid)
     with pytest.raises(SolverError, match="damping floor") as info:
         run_flow(problem)
     assert "residual" in str(info.value) and "t=0.1" in str(info.value)
+
+
+def test_flow_newton_stops_at_its_rounding_floor(monkeypatch):
+    # the same stall with the floor in place: every step stops at the floor
+    grid = RadialGrid(-40.0, math.log(0.5), 64)
+    metric = ModelMetric(conformal=RadialField.from_function(grid, lambda x: 0.3 + 0.2 * x))
+    monkeypatch.setattr(parabolic, "_FLOW_NEWTON",
+                        dataclasses.replace(parabolic._FLOW_NEWTON, tol=5e-324))
+    monkeypatch.setattr(parabolic, "_DT_MIN_FACTOR", 1.0)
+    result = run_flow(FlowProblem(metric, T=0.2, dt=0.1, grid=grid))
+    assert result.step_rejections == 0
+    assert result.stopped_at_floor.tolist() == [False, True, True]
+    floors = result.newton_floors[1:]
+    assert np.all((floors > 0) & (result.newton_residuals[1:] <= radial._FLOOR_FACTOR * floors))
+
+
+def _bench_flow(n: int, dt: float):
+    """The benchmark's flow op on n nodes with step dt."""
+    grid = RadialGrid(-40.0, math.log(0.5), n)
+    return FlowProblem(_bump_metric(grid), T=1.0, dt=dt, output_times=[0.5, 1.0])
+
+
+def test_flow_with_long_steps_takes_no_rejection():
+    # dt/h^2 large: the inner Newton stalls above tol = 1e-12 and used to be
+    # halved 5 times; now it stops at its floor
+    result = run_flow(_bench_flow(16384, 0.5))
+    assert result.step_rejections == 0
+    assert result.stopped_at_floor.any()
+    assert result.newton_residuals.max() > parabolic._FLOW_NEWTON.tol
+
+
+def test_bench_flow_takes_about_one_newton_iteration_a_step():
+    # started from the extrapolated state (191 iterations from u_n)
+    result = run_flow(_bench_flow(16384, 1e-2))
+    assert len(result.times) == 101 and result.step_rejections == 0
+    assert int(result.newton_iterations.sum()) <= 110
+
+
+def _steps_of(problem: FlowProblem):
+    """One step of the problem's flow as a function of (u, start, bc, t)."""
+    density, combo = parabolic._schedule_data(problem.omega0, problem.grid)
+    work = NewtonWorkspace.for_thread(problem.grid.n_nodes)
+    return lambda u, start, bc, t: parabolic._flow_step(u, start, bc, t, problem.dt, density,
+                                                        combo, problem, work)
+
+
+def test_flow_step_from_the_extrapolated_start_matches_the_cold_start():
+    problem = _bench_flow(16384, 0.5)
+    step = _steps_of(problem)
+    u0 = np.zeros(problem.grid.n_nodes)
+    v, bc, *_ = step(u0, None, np.zeros(2), 0.0)
+    u1 = v.copy()
+    v, _, cold_iters, _, cold_floor = step(u1, None, bc, 0.5)
+    cold = v.copy()
+    v, _, warm_iters, _, warm_floor = step(u1, u1 + (u1 - u0), bc, 0.5)
+    assert cold_floor is not None and warm_floor is not None   # both stopped at the floor
+    assert warm_iters < cold_iters
+    assert np.max(np.abs(v - cold)) <= 4 * min(cold_floor, warm_floor)
+
+
+def test_flow_step_falls_back_to_u_n_from_a_start_losing_positivity():
+    problem = _bench_flow(4096, 1e-2)
+    step = _steps_of(problem)
+    u1 = step(np.zeros(problem.grid.n_nodes), None, np.zeros(2), 0.0)[0].copy()
+    v, _, *cold_stop = step(u1, None, np.zeros(2), 0.01)   # iterations, residual, floor
+    cold = v.copy()
+    spoiled = u1.copy()
+    spoiled[1::2] += 1e3   # Delta of the spike train is about -1e3/h^2 on its nodes
+    v, _, *stop = step(u1, spoiled, np.zeros(2), 0.01)
+    assert v.tobytes() == cold.tobytes() and stop == cold_stop
+
+
+def test_flow_start_losing_positivity_counts_no_rejection(monkeypatch):
+    # every extrapolated start spoiled: the run is the one started from u_n
+    # at every step, bit for bit, with no rejection
+    problem, step, spoiled = _bench_flow(4096, 1e-2), parabolic._flow_step, []
+
+    def spoiling_step(u, start, *args):
+        if start is not None:
+            start[1::2] += 1e3
+            spoiled.append(1)
+        return step(u, start, *args)
+
+    def cold_step(u, start, *args):
+        return step(u, None, *args)
+
+    monkeypatch.setattr(parabolic, "_flow_step", spoiling_step)
+    result = run_flow(problem)
+    monkeypatch.setattr(parabolic, "_flow_step", cold_step)
+    cold = run_flow(problem)
+    assert len(spoiled) == 99 and result.step_rejections == cold.step_rejections == 0
+    assert result.newton_iterations.tolist() == cold.newton_iterations.tolist()
+    for state, cold_state in zip(result.states, cold.states):
+        assert state.u.values.tobytes() == cold_state.u.values.tobytes()
+
+
+def test_model_metric_flow_stays_exactly_at_zero():
+    # the extrapolation of zeros is zero: no step moves u off 0
+    result = run_flow(FlowProblem(ModelMetric(), T=1.0, dt=0.1, grid=GRID))
+    assert not np.any(result.sup_u) and not np.any(result.newton_iterations)
+    assert all(not np.any(state.u.values) for state in result.states)
+
+
+def test_tiny_spacing_conformal_flow_fails_with_a_named_error():
+    # t_max - t_min = 1e-9: Delta carries 1/h^2 ~ 4e21, and the flow fails
+    # on a named numerical error rather than returning
+    grid = RadialGrid(-1.000000001, -1.0, 64)
+    metric = ModelMetric(conformal=RadialField.constant(grid, 0.2))
+    with pytest.raises(SolverError, match="damping floor reached"):
+        run_flow(FlowProblem(metric, T=1.0, dt=0.01, grid=grid))
 
 
 # ---------------------------------------------------------------------------
