@@ -88,14 +88,10 @@ def default_fit_window(grid: RadialGrid) -> tuple[float, float]:
     return (x_lo, x_hi)
 
 
-#: below this bound on the weighted samples' 2-norm no solve of a fit overflows:
-#: a fit that passes the collinearity check has coefficients at most 1e12 times it
-_SAFE_WEIGHTED_NORM = 1e290
-
 #: what a fit on one window needs of the grid alone (read-only): the rows, the
-#: least-squares cutoff eps max(m, n), the largest weight, the weights x^-N,
-#: x^N, the design, its weighted columns scaled to unit norm and their norms
-_FitDesign = namedtuple("_FitDesign", "rows rcond w_max w x_N A A_scaled col_norms")
+#: least-squares cutoff eps max(m, n), the weights x^-N, x^N, the design, its
+#: weighted columns scaled to unit norm and their norms
+_FitDesign = namedtuple("_FitDesign", "rows rcond w x_N A A_scaled col_norms")
 
 
 @functools.lru_cache(maxsize=32)
@@ -116,9 +112,9 @@ def _fit_design(grid: RadialGrid, window: tuple[float, float], terms: tuple[Inde
         raise FitError(f"basis term {terms[j]} vanishes identically on the window")
     # numpy.linalg.lstsq's rcond=None
     rcond = float(np.finfo(float).eps * max(A.shape))
-    design = _FitDesign(rows, rcond, float(w.max()), w, grid.x[rows] ** weight_exponent, A,
+    design = _FitDesign(rows, rcond, w, grid.x[rows] ** weight_exponent, A,
                         weighted / col_norms, col_norms)
-    for array in design[3:]:
+    for array in design[2:]:
         array.flags.writeable = False
     return design
 
@@ -140,35 +136,28 @@ def _lstsq(A: np.ndarray, b: np.ndarray, rcond: float):
 def _weighted_lstsq(design: _FitDesign, y: np.ndarray, terms: Sequence[IndexTerm]):
     """The coefficients of the weighted least squares of y on the design; a
     FitError where the weighted samples or the coefficients are not finite."""
-    # |y w|_2 <= |y|_2 max w bounds every solve below; np.vdot raises no FP flag
-    if math.sqrt(np.vdot(y, y)) * design.w_max <= _SAFE_WEIGHTED_NORM:
-        return _refined_lstsq(design, y * design.w, terms)
+    A_scaled, rcond = design.A_scaled, design.rcond
     with np.errstate(over="ignore", invalid="ignore"):
         b = y * design.w
         if not _all_finite(b):
             raise FitError(f"the weighted samples overflow: samples up to "
-                           f"{np.abs(y).max():.3e} times weights up to {design.w_max:.3e}")
-        coefs = _refined_lstsq(design, b, terms)
+                           f"{np.abs(y).max():.3e} times weights up to {design.w.max():.3e}")
+        coef_scaled, sv = _lstsq(A_scaled, b, rcond)
+        if sv[-1] < 1e-12 * sv[0]:
+            gram = A_scaled.T @ A_scaled
+            np.fill_diagonal(gram, 0.0)
+            i, j = np.unravel_index(np.argmax(np.abs(gram)), gram.shape)
+            raise FitError(
+                f"near-collinear basis on this window: terms {terms[i]} and "
+                f"{terms[j]} are numerically indistinguishable")
+        # two sweeps of iterative refinement recover digits lost to the mild
+        # ill-conditioning of the scaled design
+        for _ in range(2):
+            coef_scaled = coef_scaled + _lstsq(A_scaled, b - A_scaled @ coef_scaled, rcond)[0]
+        coefs = coef_scaled / design.col_norms
     if not _all_finite(coefs):
         raise FitError(f"the fit's coefficients overflow on samples up to {np.abs(y).max():.3e}")
     return coefs
-
-
-def _refined_lstsq(design: _FitDesign, b: np.ndarray, terms: Sequence[IndexTerm]):
-    A_scaled, rcond = design.A_scaled, design.rcond
-    coef_scaled, sv = _lstsq(A_scaled, b, rcond)
-    if sv[-1] < 1e-12 * sv[0]:
-        gram = A_scaled.T @ A_scaled
-        np.fill_diagonal(gram, 0.0)
-        i, j = np.unravel_index(np.argmax(np.abs(gram)), gram.shape)
-        raise FitError(
-            f"near-collinear basis on this window: terms {terms[i]} and "
-            f"{terms[j]} are numerically indistinguishable")
-    # two sweeps of iterative refinement recover digits lost to the mild
-    # ill-conditioning of the scaled design
-    for _ in range(2):
-        coef_scaled = coef_scaled + _lstsq(A_scaled, b - A_scaled @ coef_scaled, rcond)[0]
-    return coef_scaled / design.col_norms
 
 
 def fit_polyhom(samples: RadialField, E: IndexSet,

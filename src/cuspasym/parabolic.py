@@ -37,8 +37,10 @@ rounding floor
 
     eps max_j [dt sum_k |c_k v_{j+k}| / (S + Delta v)_j + (1 + dt)|v_j| + |u_j|],
 
-with c_k the stencil's coefficients; a step is halved only when Newton
-fails.
+with c_k the stencil's coefficients, provided that floor is at most
+``_FLOW_FLOOR_MAX``.  A larger floor (near a degenerating background, where
+S + Delta v nears 0) is refused: Newton goes on, fails, and the step is
+halved.  A step is halved only when its Newton fails.
 
 Every stepper takes its steps from one time grid, ``_time_grid``, a step
 count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
@@ -74,6 +76,11 @@ from .radial import (
 
 #: the inner Newton solve of every backward-Euler step
 _FLOW_NEWTON = NewtonParams(max_iter=30, tol=1e-12, damping_min=2.0 ** -30)
+#: the largest rounding floor a flow step's Newton may stop at.  The step's
+#: Jacobian (1 + dt) I - dt Delta / (S + Delta v) is diagonally dominant by
+#: 1 + dt, so a floor stop (residual within radial._FLOOR_FACTOR of the floor)
+#: leaves v off the step's solution by about 4e-6 / (1 + dt) at most
+_FLOW_FLOOR_MAX = 1e-6
 #: a step halved below dt * _DT_MIN_FACTOR fails the flow
 _DT_MIN_FACTOR = 2.0 ** -10
 #: the most steps a time grid may have (see ``_time_grid``)
@@ -339,8 +346,8 @@ class FlowResult:
     stopped; attempts rejected by step halving count only in
     ``step_rejections``.  The last accepted sub-step's Newton stopped either
     on ``tol`` or, once stalled, within ``radial._FLOOR_FACTOR`` of its rounding
-    floor: ``newton_floors`` holds that floor, NaN where tol stopped it (and
-    at t = 0), and ``stopped_at_floor`` says which.
+    floor, never above ``_FLOW_FLOOR_MAX``: ``newton_floors`` holds that
+    floor, NaN where tol stopped it (and at t = 0).
     """
     states: list[FlowState]
     times: np.ndarray
@@ -350,11 +357,6 @@ class FlowResult:
     newton_residuals: np.ndarray       # residual of the last accepted sub-step
     newton_floors: np.ndarray          # the floor that stopped it, NaN if tol did
     step_rejections: int
-
-    @property
-    def stopped_at_floor(self) -> np.ndarray:
-        """Per step time, whether the rounding floor (not tol) stopped Newton."""
-        return ~np.isnan(self.newton_floors)
 
 
 def fitted_boundary_constant(state: FlowState) -> float:
@@ -487,7 +489,8 @@ def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
         np.multiply(dt, inner, out=inner)
         np.add(inner, np.multiply(np.abs(v[1:-1], out=tmp), 1.0 + dt, out=tmp), out=inner)
         np.add(inner, np.abs(u[1:-1], out=tmp), out=inner)
-        return np.finfo(float).eps * float(np.max(inner))
+        value = np.finfo(float).eps * float(np.max(inner))
+        return value if value <= _FLOW_FLOOR_MAX else math.inf   # inf: no floor stop
 
     if start is not None:   # the start must keep S + Delta v > 0 (NaN fails)
         evolving_density(start, work.aux)
