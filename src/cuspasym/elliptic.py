@@ -34,7 +34,7 @@ from .radial import (
     RadialField,
     _all_finite,
     _gtsv,
-    _stencil_magnitude,
+    _rounding_floor,
     damped_newton,
     dirichlet_bands,
     unit_laplacian_interior,
@@ -159,14 +159,13 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
         np.divide(tmp, density[1:-1], out=tmp)
         dirichlet_bands(n, h, tmp, 1.0, out=out)
 
-    def floor(u: np.ndarray, kahler: np.ndarray, out: np.ndarray) -> float:
-        # eps max_j (|s u_j-1| + |d u_j| + |p u_j+1|) / (density_j (1 + Delta_g u_j))
-        inner = _stencil_magnitude(u, h, out, work.scratch)
-        np.multiply(kahler[1:-1], density[1:-1], out=tmp)
-        return np.finfo(float).eps * float(np.max(np.divide(inner, tmp, out=inner)))
+    def floor(u: np.ndarray, kahler: np.ndarray, out: np.ndarray, spare: np.ndarray) -> float:
+        # the density D (1 + Delta_g u) holds the stencil; u and F are rounded too
+        rho = np.multiply(kahler[1:-1], density[1:-1], out=spare[1:-1])
+        return _rounding_floor(u, h, 1.0, 1.0, F[1:-1], rho, out, work.scratch)
 
     u, kahler, iterations, residuals, damping_events, floor_value = damped_newton(
-        residual, jacobian_bands, 0.0, problem.newton, "Newton", work, floor)
+        residual, jacobian_bands, (0.0,), problem.newton, "Newton", work, floor)
     report = NewtonReport(True, iterations, residuals, residuals[-1],
                           float(kahler[1:-1].min()), damping_events,
                           floor_value)

@@ -243,7 +243,6 @@ def remainder_check(fit: PolyhomFit, samples: RadialField) -> RemainderReport:
     return RemainderReport(slope, spread, False, N, bool(slope >= N - 0.25))
 
 
-@functools.lru_cache(maxsize=32)
 def _detector_windows(grid: RadialGrid) -> tuple[tuple[float, float], ...]:
     t_start = grid.t_min + max(BOUNDARY_GUARD_NODES * grid.h,
                                DETECTOR_GUARD_DECADES * LN10)

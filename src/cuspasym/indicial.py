@@ -76,10 +76,6 @@ class IndicialFamily:
             if not exponent_gt(b, a):
                 raise ValueError("spectrum must be strictly increasing")
 
-    def is_rational(self) -> bool:
-        return (is_exact(self.lam) and is_exact(self.c)
-                and all(is_exact(nu) for nu in self.spectrum))
-
 
 @dataclass(frozen=True)
 class IndicialRoot:

@@ -29,18 +29,19 @@ flow sit two checks no CLI command runs: the linear decay certificate, on
 one symmetric factorization, and the restricted ODE, RK4 against one
 vectorized Gauss quadrature.
 
-Each flow step's inner Newton starts from the extrapolation
-u_n + (dt/dt_prev)(u_n - u_{n-1}) of the last two accepted states (from u_n
-on the first step, after a rejection and where that start loses
-positivity), and stops at ``tol`` or, once it stalls, at the residual's
-rounding floor
+Each flow step hands its inner Newton the starts (u_n + (dt/dt_prev)
+(u_n - u_{n-1}), u_n), the extrapolation of the last two accepted states
+first (only u_n on the first step and after a rejection), and the loop
+takes the first that keeps S + Delta v positive.  Newton stops at ``tol``
+or, once it stalls, at the residual's rounding floor
 
     eps max_j [dt sum_k |c_k v_{j+k}| / (S + Delta v)_j + (1 + dt)|v_j| + |u_j|],
 
-with c_k the stencil's coefficients, provided that floor is at most
-``_FLOW_FLOOR_MAX``.  A larger floor (near a degenerating background, where
-S + Delta v nears 0) is refused: Newton goes on, fails, and the step is
-halved.  A step is halved only when its Newton fails.
+``radial._rounding_floor`` with (gamma, alpha, beta, rho) = (dt, 1 + dt,
+u_n, S + Delta v), provided that floor is at most ``_FLOW_FLOOR_MAX``.  A
+larger floor (near a degenerating background, where S + Delta v nears 0)
+is refused: Newton goes on, fails, and the step is halved.  A step is
+halved only when its Newton fails.
 
 Every stepper takes its steps from one time grid, ``_time_grid``, a step
 count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
@@ -65,7 +66,7 @@ from .radial import (
     NewtonWorkspace,
     RadialField,
     RadialGrid,
-    _stencil_magnitude,
+    _rounding_floor,
     damped_newton,
     dirichlet_bands,
     factor_symmetric_tridiagonal,
@@ -376,10 +377,10 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     iteration, maintains positivity of the evolving density S + Delta u,
     and falls back to halving the step on failure (an error below
     dt * _DT_MIN_FACTOR).  Newton starts from u_n + (dt/dt_prev)(u_n - u_{n-1}),
-    the extrapolation of the last two accepted states, and from u_n on the
-    first step, on a retry after a rejection and where the extrapolated start
-    loses positivity.  Boundary values at both ends follow the backward-Euler
-    restriction of the flow to the endpoints.
+    the extrapolation of the last two accepted states, where that keeps the
+    evolving density positive, else from u_n (always on the first step and
+    on a retry after a rejection).  Boundary values at both ends follow the
+    backward-Euler restriction of the flow to the endpoints.
     """
     grid = problem.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)   # every Newton solve of the run
@@ -437,10 +438,11 @@ def run_flow(problem: FlowProblem) -> FlowResult:
 def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
                work: NewtonWorkspace):
     """One backward-Euler step of the potential flow from u, solved in
-    ``work``; Newton starts from ``start`` if it keeps S + Delta v positive
-    and is not None, else from u.  Returns the new potential (a buffer of
-    ``work``), the new boundary pair, the Newton iteration count, the accepted
-    residual and the rounding floor that stopped Newton (None if tol did)."""
+    ``work``.  Newton's starts are (start, u), or (u,) when ``start`` is
+    None: the loop takes the first whose S + Delta v is positive.  Returns
+    the new potential (a buffer of ``work``), the new boundary pair, the
+    Newton iteration count, the accepted residual and the rounding floor
+    that stopped Newton (None if tol did)."""
     n, h = len(u), problem.grid.h
     t_next = t + dt
     S_next = _schedule_values(problem.grid, density, combo, t_next)
@@ -453,51 +455,36 @@ def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
         src = math.log1p(s_minus_d0[j] / density[j])
         bc_new[pos] = (bc[pos] + dt * src) / (1.0 + dt)
 
-    def evolving_density(v: np.ndarray, lap: np.ndarray) -> None:
-        # Delta v in lap, S + Delta v in tmp
-        unit_laplacian_interior(v, h, out=lap, scratch=work.scratch)
-        np.add(S_next[1:-1], lap[1:-1], out=tmp)
-
-    def residual(v: np.ndarray, r: np.ndarray, lap: np.ndarray) -> bool:
-        evolving_density(v, lap)
+    def residual(v: np.ndarray, r: np.ndarray, evolving: np.ndarray) -> bool:
+        # Delta v in r, S + Delta v in evolving's interior (its ends are not written)
+        unit_laplacian_interior(v, h, out=r, scratch=work.scratch)
+        inner, positivity = r[1:-1], evolving[1:-1]
+        np.add(S_next[1:-1], inner, out=positivity)
+        positive = bool(positivity.min() > 0)
+        if positive:
+            # (1 + dt) v - u - dt log1p((S - D0 + Delta v) / D0)
+            np.add(s_minus_d0[1:-1], inner, out=tmp)
+            np.divide(tmp, density[1:-1], out=tmp)
+            np.log1p(tmp, out=inner)
+            np.multiply(dt, inner, out=tmp)
+            np.multiply(1.0 + dt, v[1:-1], out=inner)
+            np.subtract(inner, u[1:-1], out=inner)
+            np.subtract(inner, tmp, out=inner)
         r[0] = v[0] - bc_new[0]
         r[-1] = v[-1] - bc_new[1]
-        if np.fmin.reduce(tmp) <= 0:   # np.any(tmp <= 0): NaN ignored
-            return False
-        # (1 + dt) v - u - dt log1p((S - D0 + Delta v) / D0)
-        inner = r[1:-1]
-        np.add(s_minus_d0[1:-1], lap[1:-1], out=tmp)
-        np.divide(tmp, density[1:-1], out=tmp)
-        np.log1p(tmp, out=inner)
-        np.multiply(dt, inner, out=tmp)
-        np.multiply(1.0 + dt, v[1:-1], out=inner)
-        np.subtract(inner, u[1:-1], out=inner)
-        np.subtract(inner, tmp, out=inner)
-        return True
+        return positive
 
-    def jacobian_bands(lap: np.ndarray, out) -> None:
+    def jacobian_bands(evolving: np.ndarray, out) -> None:
         # (1 + dt) - dt / (S + Delta u) * Delta
-        np.add(S_next[1:-1], lap[1:-1], out=tmp)
-        np.divide(-dt, tmp, out=tmp)
+        np.divide(-dt, evolving[1:-1], out=tmp)
         dirichlet_bands(n, h, tmp, -(1.0 + dt), out=out)
 
-    def floor(v: np.ndarray, lap: np.ndarray, out: np.ndarray) -> float:
-        # eps max_j (dt sum_k |c_k v_j+k| / (S + Delta v)_j + (1 + dt)|v_j| + |u_j|)
-        inner = _stencil_magnitude(v, h, out, work.scratch)
-        np.add(S_next[1:-1], lap[1:-1], out=tmp)
-        np.divide(inner, tmp, out=inner)
-        np.multiply(dt, inner, out=inner)
-        np.add(inner, np.multiply(np.abs(v[1:-1], out=tmp), 1.0 + dt, out=tmp), out=inner)
-        np.add(inner, np.abs(u[1:-1], out=tmp), out=inner)
-        value = np.finfo(float).eps * float(np.max(inner))
+    def floor(v: np.ndarray, evolving: np.ndarray, out: np.ndarray, _) -> float:
+        value = _rounding_floor(v, h, dt, 1.0 + dt, u[1:-1], evolving[1:-1], out, work.scratch)
         return value if value <= _FLOW_FLOOR_MAX else math.inf   # inf: no floor stop
 
-    if start is not None:   # the start must keep S + Delta v > 0 (NaN fails)
-        evolving_density(start, work.aux)
-        if not tmp.min() > 0:
-            start = None
     v, _, iters, residuals, _, floor_value = damped_newton(
-        residual, jacobian_bands, u if start is None else start, _FLOW_NEWTON,
+        residual, jacobian_bands, (u,) if start is None else (start, u), _FLOW_NEWTON,
         f"flow Newton (t={t_next:.6g})", work, floor)
     return v, bc_new, iters, residuals[-1], floor_value
 

@@ -14,7 +14,11 @@ endpoints (the latter only ever for diagnostics, never inside solves).
 The module also owns the numerics every radial solver shares: the band
 layout of Dirichlet-truncated operators (:func:`dirichlet_bands`) and the
 backtracking Newton loop (:func:`damped_newton`) with the buffers it works
-in (:class:`NewtonWorkspace`).
+in (:class:`NewtonWorkspace`).  The loop holds the whole Newton contract:
+it picks the first admissible start, its residuals answer one positivity
+rule (``min() > 0`` on the evolving density, False on NaN), and it stops
+at a rounding floor of one formula (:func:`_rounding_floor`), so a solver
+states only its equation.
 """
 
 from __future__ import annotations
@@ -190,19 +194,6 @@ def unit_laplacian_interior(values: np.ndarray, h: float, out: Optional[np.ndarr
     np.multiply(sup, values[2:], out=tmp)
     np.add(inner, tmp, out=inner)
     return out
-
-
-def _stencil_magnitude(values: np.ndarray, h: float, out: np.ndarray,
-                       scratch: np.ndarray) -> np.ndarray:
-    """sum_k |c_k v_{j+k}| over the centered stencil's coefficients c_k at the
-    interior nodes, written into ``out[1:-1]`` (returned) with ``scratch``
-    for one intermediate: the scale of the stencil's rounding, for the
-    solvers' floors.  Both are shaped like ``values``."""
-    n, inner, tmp = len(values), out[1:-1], scratch[1:-1]
-    inner.fill(0.0)
-    for k, c in enumerate(laplacian_coefficients(h)):   # neighbours j - 1, j, j + 1
-        np.add(inner, np.multiply(np.abs(values[k:n - 2 + k], out=tmp), abs(c), out=tmp), out=inner)
-    return inner
 
 
 def unit_laplacian(values: np.ndarray, h: float) -> np.ndarray:
@@ -404,36 +395,42 @@ class NewtonWorkspace:
         return work
 
 
-def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
-                  params: NewtonParams, label: str, work: NewtonWorkspace,
-                  floor: Optional[Callable] = None):
+def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarray | float],
+                  params: NewtonParams, label: str, work: NewtonWorkspace, floor: Callable):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
     ``residual(v, r_out, aux_out)`` writes the residual at v and the data
-    its Jacobian needs, and returns False when v is not admissible
-    (positivity lost); ``bands(aux, bands_out)`` writes the Jacobian bands
-    at that iterate.  Each step is halved until the iterate is admissible
-    and the sup-norm residual drops by the factor 1 - 1e-4 s.  A step below
+    its Jacobian needs, and returns False when v is not admissible: when
+    the evolving density's ``min() > 0`` fails, which NaN fails too.
+    ``bands(aux, bands_out)`` writes the Jacobian bands at that iterate.
+    The loop starts from the first of ``starts`` (arrays, or scalars for a
+    constant start) that is admissible; when none is, it raises SolverError.
+    Each step is halved until the iterate is admissible and the sup-norm
+    residual drops by the factor 1 - 1e-4 s.  A step below
     ``params.damping_min``, ``params.max_iter`` steps without reaching
     ``params.tol`` (a NaN residual never does) or a singular linearization
     raise SolverError naming ``label`` (and the last residual, if any).
 
-    ``floor(v, aux, out)``, if given, is the residual's rounding floor at an
-    iterate, computed in ``out`` and ``work.scratch``.  Once Newton stalls (a
+    ``floor(v, aux, out, spare)`` is the residual's rounding floor at an
+    iterate, as :func:`_rounding_floor` states it, computed in the n-arrays
+    ``out`` and ``spare`` and in ``work.scratch``.  Once Newton stalls (a
     full step rejected, or an accepted one above tol and half the last
     residual), an iterate within ``_FLOOR_FACTOR`` of a finite floor counts as
     converged.  Trials and floors overflow quietly: a non-finite trial fails.
 
     No array of the grid's size is allocated: the loop works in ``work``
-    from a copy of ``v0`` (an array, or a scalar for a constant start) and
-    solves each step in place.  Returns ``(v, aux, iterations, residual_history,
-    damping_events, floor_value)``, ``v`` and ``aux`` buffers of ``work`` and
-    ``floor_value`` the floor that stopped the loop, else None.
+    from a copy of a start and solves each step in place.  Returns ``(v,
+    aux, iterations, residual_history, damping_events, floor_value)``, ``v``
+    and ``aux`` buffers of ``work`` and ``floor_value`` the floor that
+    stopped the loop, else None.
     """
     v, candidate, r, r_new = work.v, work.candidate, work.r, work.r_new
     aux, aux_new = work.aux, work.aux_new
-    np.copyto(v, v0)
-    if not residual(v, r, aux):
+    for start in starts:
+        np.copyto(v, start)
+        if residual(v, r, aux):
+            break
+    else:
         raise SolverError(f"{label} started from an iterate violating positivity")
     res_norm = _sup_norm(r, work.scratch)
     residuals = [res_norm]
@@ -459,7 +456,7 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
                 new_norm = _sup_norm(r_new, work.scratch) if ok else np.inf
             if ok and new_norm <= (1.0 - 1e-4 * s) * res_norm:
                 break
-            if s == 1.0 and floor and (at := _at_floor(floor, v, aux, r_new, res_norm)):
+            if s == 1.0 and (at := _at_floor(floor, v, aux, r_new, aux_new, res_norm)):
                 return v, aux, iteration - 1, residuals, damping_events, at
             s *= 0.5
             damping_events += 1
@@ -470,17 +467,36 @@ def damped_newton(residual: Callable, bands: Callable, v0: np.ndarray | float,
         v, candidate, r, r_new, aux, aux_new = candidate, v, r_new, r, aux_new, aux
         res_norm = new_norm
         residuals.append(res_norm)
-        if floor and res_norm > max(params.tol, 0.5 * residuals[-2]) and \
-                (at := _at_floor(floor, v, aux, r_new, res_norm)):
+        if res_norm > max(params.tol, 0.5 * residuals[-2]) and \
+                (at := _at_floor(floor, v, aux, r_new, aux_new, res_norm)):
             return v, aux, iteration, residuals, damping_events, at
     return v, aux, iteration, residuals, damping_events, None
 
 
-def _at_floor(floor: Callable, v, aux, out, res_norm: float) -> Optional[float]:
+def _at_floor(floor: Callable, v, aux, out, spare, res_norm: float) -> Optional[float]:
     """The floor at (v, aux), positive, if the residual has reached it; else None."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = floor(v, aux, out)
+        value = floor(v, aux, out, spare)
     return value if math.isfinite(value) and res_norm <= _FLOOR_FACTOR * value else None
+
+
+def _rounding_floor(v: np.ndarray, h: float, gamma: float, alpha: float, beta: np.ndarray,
+                    rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> float:
+    """eps max_j [gamma sum_k |c_k v_{j+k}| / rho_j + alpha |v_j| + |beta_j|]
+    over the interior nodes j, with c_k the centred stencil's coefficients:
+    the rounding floor of a residual made of gamma log(rho), alpha v and beta
+    terms, rho the evolving density at v, which holds the stencil.  ``beta``
+    and ``rho`` are over the n - 2 interior nodes; ``out`` and ``scratch``,
+    shaped like ``v``, are worked in and overlap neither."""
+    n, inner, tmp = len(v), out[1:-1], scratch[1:-1]
+    inner.fill(0.0)
+    for k, c in enumerate(laplacian_coefficients(h)):   # neighbours j - 1, j, j + 1
+        np.add(inner, np.multiply(np.abs(v[k:n - 2 + k], out=tmp), abs(c), out=tmp), out=inner)
+    np.divide(inner, rho, out=inner)
+    np.multiply(gamma, inner, out=inner)
+    np.add(inner, np.multiply(np.abs(v[1:-1], out=tmp), alpha, out=tmp), out=inner)
+    np.add(inner, np.abs(beta, out=tmp), out=inner)
+    return np.finfo(float).eps * float(np.max(inner))
 
 
 def _sup_norm(r: np.ndarray, scratch: np.ndarray) -> float:

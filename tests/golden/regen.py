@@ -14,12 +14,15 @@ Rerun this script only for an intended change of output; it prints the
 entries that changed.
 
 ``--against REV`` rewrites nothing: it exports REV's ``src/`` with ``git
-archive`` into a temporary directory, runs this corpus and the results of
-``tests/test_library_digests.py`` with that source and with this checkout's,
-each in its own process, and prints per case the exit codes, the stdout and
-stderr differences and the largest absolute and relative difference of each
-JSON number and each CSV column, then the same for each library result.
-It needs only git, the standard library and numpy.
+archive`` into a temporary directory, runs this corpus, the results of
+``tests/test_library_digests.py`` and one pass of the benchmark's
+radial-numerics ops (``bench/workloads.py``, loaded read-only, at seed
+``OPS_SEED``) with that source and with this checkout's, each in its own
+process, and prints per case the exit codes, the stdout and stderr
+differences and the largest absolute and relative difference of each JSON
+number and each CSV column, then the same for each library result and for
+every number of each op's result.  It needs only git, the standard library
+and numpy (and scipy, which the ops' reference task imports).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import types
 from importlib.metadata import version
 from pathlib import Path
 
@@ -46,6 +50,9 @@ GOLDEN = Path(__file__).resolve().parent
 MANIFEST = GOLDEN / "manifest.json"
 ROOT = GOLDEN.parents[1]
 LIBRARY_DIGESTS = ROOT / "tests" / "test_library_digests.py"
+BENCH = ROOT / "bench"
+#: the seed of the radial-numerics pass ``--against`` records
+OPS_SEED = 22
 
 #: case name -> subcommand, in run order (fit-expansion reads solve-ma's CSV)
 CASES = {
@@ -159,7 +166,8 @@ def record(workdir: str) -> None:
     """Replay the corpus in ``workdir`` with the ``cuspasym`` first on
     ``sys.path``: the artifacts stay under ``workdir/out``, each case's exit
     code, stdout and stderr (its source directory written ``<src>``) go to
-    ``cases.json`` and the arrays of every library digest to ``library.npz``."""
+    ``cases.json``, the arrays of every library digest to ``library.npz`` and
+    the numbers of each radial-numerics op's result to ``ops.npz``."""
     import numpy as np
 
     import cuspasym
@@ -177,6 +185,54 @@ def record(workdir: str) -> None:
               for compute in module.RESULTS.values()
               for name, parts in compute().items() for i, part in enumerate(parts)}
     np.savez("library.npz", **arrays)
+    np.savez("ops.npz", **radial_numerics_results())
+
+
+def _load_bench(name: str):
+    """``bench/<name>.py`` as module ``name``, executed from its source, so
+    no bytecode is written under ``bench/``."""
+    path = BENCH / f"{name}.py"
+    module = sys.modules[name] = types.ModuleType(name)   # dataclasses look it up there
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), path, "exec"), module.__dict__)
+    return module
+
+
+def radial_numerics_results() -> dict:
+    """One pass of the radial-numerics ops at ``OPS_SEED``: every number of
+    each op's result, as float arrays keyed ``"<op index> <op name>: <path>"``."""
+    _load_bench("tracing")   # workloads imports it by name
+    workload = _load_bench("workloads").RadialNumerics(OPS_SEED, Path("bench-work"))
+    results = {}
+    for i, op in enumerate(workload.ops()):
+        if op.prepare is not None:
+            op.prepare()
+        results.update((f"{i:02d} {op.name}: {path}", value) for path, value in _numbers(op.run()))
+    return results
+
+
+def _numbers(value, path: str = "result"):
+    """(path, float array) for every number, array and None (NaN) in a
+    result made of dataclasses, dicts, sequences and numbers; strings are
+    left out."""
+    import dataclasses
+    from fractions import Fraction
+
+    import numpy as np
+
+    if dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            yield from _numbers(getattr(value, item.name), f"{path}.{item.name}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(item, f"{path}[{key}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{path}[{i}]")
+    elif value is None or isinstance(value, (int, float, Fraction, np.number, np.ndarray)):
+        yield path, np.asarray(np.nan if value is None else value, dtype=float)
+    elif not isinstance(value, str):
+        raise TypeError(f"{path}: no numbers known for a {type(value).__name__}")
 
 
 def export_src(rev: str, into: Path) -> Path:
@@ -200,10 +256,11 @@ def run_both(before_src: Path, after_src: Path, workdir: Path) -> tuple[Path, Pa
         runs.append((workdir / side, subprocess.Popen(
             [sys.executable, "-c", code, str(src), str(GOLDEN), str(workdir / side)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
-    for side, proc in runs:
-        _, err = proc.communicate()
-        if proc.returncode:
-            raise RuntimeError(f"recording in {side} failed:\n{err}")
+    errors = [proc.communicate()[1] for _, proc in runs]   # both end before a failure is raised
+    failed = [f"recording in {side} failed:\n{err}"
+              for (side, proc), err in zip(runs, errors) if proc.returncode]
+    if failed:
+        raise RuntimeError("\n".join(failed))
     return runs[0][0], runs[1][0]
 
 
@@ -320,6 +377,17 @@ def compare(before: Path, after: Path) -> list[str]:
             else:
                 found = _compare_arrays(f"library {key}", old[key], new[key])
                 report += found or [f"library {key}: no difference"]
+    with np.load(before / "ops.npz") as old, np.load(after / "ops.npz") as new:
+        ops = {key.partition(": ")[0]: [] for key in [*old.files, *new.files]}
+        for key in [*old.files, *(k for k in new.files if k not in old.files)]:
+            op, _, path = key.partition(": ")
+            if key not in new.files or key not in old.files:
+                ops[op].append(f"{path}: only {'before' if key in old.files else 'after'}")
+            else:
+                ops[op] += _compare_arrays(path, old[key], new[key])
+        for op, lines in ops.items():
+            report.append(f"radial-numerics {op}: " + ("differs" if lines else "no difference"))
+            report += [f"    {line}" for line in lines]
     return report
 
 

@@ -211,6 +211,24 @@ def test_ma_converges_to_its_rounding_floor_on_every_grid(n, a):
     assert abs(detect_log_term(u).value / (2 * a / 3) - 1) < 1.5e-3
 
 
+@pytest.mark.parametrize("n, a", [(32768, 1.5), (65536, 1.0)])
+def test_ma_floor_is_at_least_its_stencil_term(n, a):
+    # the floor once held only the stencil term eps max_j sum_k |c_k u_{j+k}|
+    # / (D (1 + Delta_g u))_j; it gains eps (|u_j| + |F_j|), which the
+    # residual rounds too, and no more
+    u, report = _ma_on(n, a)
+    assert report.residual_floor is not None
+    grid, v, h = u.grid, u.values, u.grid.h
+    density = UNIT.density(grid)[1:-1]
+    rho = (radial.unit_laplacian_interior(v, h)[1:-1] / density + 1.0) * density
+    stencil = sum(abs(c) * np.abs(v[k:k + n - 2])
+                  for k, c in enumerate(radial.laplacian_coefficients(h)))
+    eps = np.finfo(float).eps
+    stencil_term = eps * float(np.max(stencil / rho))
+    extra = eps * float(np.max(np.abs(v[1:-1]) + a * grid.x[1:-1]))
+    assert stencil_term < report.residual_floor <= stencil_term + extra
+
+
 #: the README's 4096-node configs and the benchmark's 4096- and 16384-node
 #: MA inputs (amplitudes jittered by up to 2%)
 CONTRACTING = sorted({(4096, 1.0), (4096, 1.5),

@@ -62,6 +62,7 @@ def test_a_revision_against_itself_shows_no_difference(recorded_twice):
     report = regen.compare(*recorded_twice)
     assert [line.partition(":")[0] for line in report[:len(regen.CASES)]] == list(regen.CASES)
     assert any(line.startswith("library flow-snapshot[0]") for line in report)
+    assert any(line.startswith("radial-numerics ") and " ma-65536:" in line for line in report)
     assert all(line.endswith("no difference") for line in report), report
 
 

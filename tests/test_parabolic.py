@@ -574,6 +574,24 @@ def test_flow_step_from_the_extrapolated_start_matches_the_cold_start():
     assert np.max(np.abs(v - cold)) <= 4 * min(cold_floor, warm_floor)
 
 
+def test_warm_flow_step_takes_its_starts_laplacian_once(monkeypatch):
+    # the start's positivity is the residual's answer: no separate check
+    # takes the start's Laplacian a second time
+    problem = _bench_flow(4096, 1e-2)
+    step = _steps_of(problem)
+    u0 = np.zeros(problem.grid.n_nodes)
+    u1 = step(u0, None, np.zeros(2), 0.0)[0].copy()
+    start, laplacian, calls = 2.0 * u1 - u0, parabolic.unit_laplacian_interior, []
+
+    def counting(values, *args, **kwargs):
+        calls.append(np.array_equal(values, start))
+        return laplacian(values, *args, **kwargs)
+
+    monkeypatch.setattr(parabolic, "unit_laplacian_interior", counting)
+    step(u1, start, np.zeros(2), 0.01)
+    assert calls.count(True) == 1 and len(calls) >= 2
+
+
 def test_flow_step_falls_back_to_u_n_from_a_start_losing_positivity():
     problem = _bench_flow(4096, 1e-2)
     step = _steps_of(problem)

@@ -16,6 +16,7 @@ from cuspasym.radial import (
     RadialGrid,
     _gtsv,
     _require_finite,
+    _rounding_floor,
     damped_newton,
     dirichlet_bands,
     dt_derivative,
@@ -196,14 +197,41 @@ def test_dt_derivative_exact_on_quadratics():
     assert np.allclose(dt_derivative(vals, g.h), 4.0 * g.t - 1.0, rtol=0, atol=1e-11)
 
 
+def _no_floor(v, aux, out, spare):
+    """A floor never reached: the loop runs as if it had none."""
+    return math.inf
+
+
 def test_damped_newton_rejects_inadmissible_start():
+    # no start admissible: each is tried, in order, and the error names the label
+    starts, seen = (0.0, np.ones(8), -1.0), []
+
     def residual(v, r, aux):
+        seen.append(v.copy())
         np.subtract(v, 1.0, out=r)
         return False
 
-    with pytest.raises(SolverError, match="probe started .* positivity"):
-        damped_newton(residual, None, np.zeros(8), NewtonParams(5, 1e-12), "probe",
-                      NewtonWorkspace(8))
+    with pytest.raises(SolverError, match="^probe started from an iterate violating positivity$"):
+        damped_newton(residual, None, starts, NewtonParams(5, 1e-12), "probe",
+                      NewtonWorkspace(8), _no_floor)
+    assert [v.tolist() for v in seen] == [np.broadcast_to(s, 8).tolist() for s in starts]
+
+
+def test_damped_newton_takes_the_first_admissible_start():
+    # the first start is refused, the second converges at once; the third is never tried
+    target = np.linspace(1.0, 2.0, 8)
+    tried = []
+
+    def residual(v, r, aux):
+        tried.append(v.copy())
+        np.subtract(v, target, out=r)
+        return bool(v.min() > 0)
+
+    v, _, iterations, residuals, *_ = damped_newton(
+        residual, None, (-1.0, target, 0.5), NewtonParams(5, 1e-12), "probe",
+        NewtonWorkspace(8), _no_floor)
+    assert iterations == 0 and residuals == [0.0] and v.tobytes() == target.tobytes()
+    assert len(tried) == 2 and tried[0].tolist() == [-1.0] * 8
 
 
 def test_damped_newton_never_reads_a_nan_residual_as_converged():
@@ -213,7 +241,8 @@ def test_damped_newton_never_reads_a_nan_residual_as_converged():
 
     bands = lambda aux, out: dirichlet_bands(8, 0.1, 1.0, 1.0, out=out)
     with pytest.raises(ValueError, match="NaN"):
-        damped_newton(residual, bands, np.zeros(8), NewtonParams(), "probe", NewtonWorkspace(8))
+        damped_newton(residual, bands, (np.zeros(8),), NewtonParams(), "probe",
+                      NewtonWorkspace(8), _no_floor)
 
 
 def test_damped_newton_works_in_the_given_workspace():
@@ -229,7 +258,7 @@ def test_damped_newton_works_in_the_given_workspace():
 
     bands = lambda aux, out: dirichlet_bands(16, 0.1, 0.0, -1.0, out=out)
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
-        residual, bands, np.zeros(16), NewtonParams(5, 1e-12), "probe", work)
+        residual, bands, (np.zeros(16),), NewtonParams(5, 1e-12), "probe", work, _no_floor)
     assert iterations == 1 and damping == 0 and residuals == [2.0, 0.0] and floor_value is None
     assert any(v is b for b in buffers) and any(aux is b for b in buffers)
     assert v.tobytes() == target.tobytes() and aux.tobytes() == target.tobytes()
@@ -269,8 +298,8 @@ def test_damped_newton_asks_no_floor_while_newton_contracts():
     calls = []
     target = np.r_[0.0, np.linspace(0.1, 0.5, 14), 0.0]
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
-        *_cubic(target), 0.0, NewtonParams(), "probe", NewtonWorkspace(16),
-        floor=lambda v, aux, out: calls.append(1) or 1.0)
+        *_cubic(target), (0.0,), NewtonParams(), "probe", NewtonWorkspace(16),
+        floor=lambda v, aux, out, spare: calls.append(1) or 1.0)
     assert calls == [] and floor_value is None and damping == 0
     assert residuals[-1] <= 1e-11 and iterations == len(residuals) - 1
     assert np.max(np.abs(v + v ** 3 - target)) == residuals[-1]
@@ -296,16 +325,18 @@ def test_damped_newton_stops_at_the_callers_floor(problem, amplitude):
     residual, bands = problem(target)
     seen = []
 
-    def floor(v, aux, out):
-        # the loop's spare buffer and the scratch array are the floor's to spoil
-        assert not any(np.shares_memory(out, a) for a in (v, aux, work.scratch))
+    def floor(v, aux, out, spare):
+        # the loop's two spare buffers and the scratch array are the floor's to spoil
+        buffers = (v, aux, out, spare, work.scratch)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers)
+                       for b in buffers[i + 1:])
         seen.append(v.copy())
-        out.fill(np.nan)
-        work.scratch.fill(np.nan)
+        for spoilt in (out, spare, work.scratch):
+            spoilt.fill(np.nan)
         return amplitude
 
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
-        residual, bands, 0.0, NewtonParams(), "probe", work, floor=floor)
+        residual, bands, (0.0,), NewtonParams(), "probe", work, floor=floor)
     assert floor_value == amplitude and iterations == len(residuals) - 1 >= 1
     assert NewtonParams().tol < residuals[-1] <= 4 * amplitude < residuals[-2]
     # the returned iterate is the one the floor was asked about, and its
@@ -322,18 +353,36 @@ def test_damped_newton_goes_on_unless_a_finite_floor_is_reached(floor_value):
     target = np.r_[0.0, np.linspace(1.0, 2.0, 14), 0.0]
     work = NewtonWorkspace(16)
 
-    def spoiling_floor(v, aux, out):   # the loop goes on as if never asked
-        out.fill(np.nan)
-        work.scratch.fill(np.nan)
+    def spoiling_floor(v, aux, out, spare):   # the loop goes on as if never asked
+        for spoilt in (out, spare, work.scratch):
+            spoilt.fill(np.nan)
         return floor_value
 
     messages = []
-    for floor in (None, spoiling_floor):
+    for floor in (_no_floor, spoiling_floor):
         with pytest.raises(SolverError) as info:
-            damped_newton(*_wobbling(target, 1e-9), 0.0, NewtonParams(), "probe", work,
+            damped_newton(*_wobbling(target, 1e-9), (0.0,), NewtonParams(), "probe", work,
                           floor=floor)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+def test_rounding_floor_matches_a_dense_evaluation():
+    # eps max_j [gamma sum_k |c_k v_{j+k}| / rho_j + alpha |v_j| + |beta_j|],
+    # each row summed exactly by math.fsum from the dense stencil matrix
+    rng = np.random.default_rng(11)
+    n, h, gamma, alpha = 12, 0.3, 0.7, 1.7
+    v = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    beta, rho = rng.normal(size=n - 2), rng.uniform(0.1, 2.0, size=n - 2)
+    stencil = np.zeros((n - 2, n))
+    for k, c in enumerate(laplacian_coefficients(h)):
+        stencil[np.arange(n - 2), np.arange(n - 2) + k] = c
+    dense = max(math.fsum([gamma * math.fsum(np.abs(row * v)) / r, alpha * abs(vj), abs(b)])
+                for row, r, vj, b in zip(stencil, rho, v[1:-1], beta))
+    inputs = [a.copy() for a in (v, beta, rho)]
+    value = _rounding_floor(v, h, gamma, alpha, beta, rho, np.empty(n), np.empty(n))
+    assert value == pytest.approx(np.finfo(float).eps * dense, rel=8 * np.finfo(float).eps)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (v, beta, rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +515,9 @@ class _Captured(Exception):
 @pytest.mark.parametrize("name", list(REACHABLE_POSITIVITY))
 @pytest.mark.parametrize("solver", ["ma", "flow"])
 def test_residual_positivity_answers_as_the_elementwise_tests(solver, name, monkeypatch):
-    # MA: np.all(1 + lap > 0), False on NaN; flow: not np.any(S + lap <= 0),
-    # NaN ignored.  The residual is the callback handed to damped_newton,
-    # run on a Laplacian set to the case's values.
+    # one rule for both: np.all(density > 0), False on NaN, with the density
+    # 1 + lap (MA) or S + lap (flow).  The residual is the callback handed to
+    # damped_newton, run on a Laplacian set to the case's values.
     grid = RadialGrid(-10.0, -1.0, 8)
     lap = np.array([0.0, *REACHABLE_POSITIVITY[name], 0.0])
     tmp = 1.0 + lap
@@ -476,10 +525,11 @@ def test_residual_positivity_answers_as_the_elementwise_tests(solver, name, monk
         field = RadialField(grid, grid.x)
         run = lambda: elliptic.solve_monge_ampere_radial(
             elliptic.MongeAmpereProblem(ModelMetric(), field))
-        module, expected = elliptic, bool(np.all(tmp > 0))
+        module = elliptic
     else:
         run = lambda: parabolic.run_flow(parabolic.FlowProblem(ModelMetric(), 0.5, 0.5, grid))
-        module, expected = parabolic, not np.any(tmp <= 0)
+        module = parabolic
+    expected = bool(np.all(tmp > 0))
     captured = []
 
     def capture(residual, *args, **kwargs):
@@ -505,7 +555,6 @@ def test_one_reduction_positivity_tests_match_the_elementwise_ones(values):
     # subnormals, each alone and mixed with NaN
     for tmp in (np.array(values), np.array(values[::-1]), np.repeat(values, 300)):
         assert bool(tmp.min() > 0) is bool(np.all(tmp > 0))
-        assert bool(np.fmin.reduce(tmp) <= 0) is bool(np.any(tmp <= 0))
 
 
 @pytest.mark.parametrize("solver", list(CHECKED_SOLVERS))

@@ -178,7 +178,7 @@ def _uncached_fit(samples, E, window):
 def _uncached_detector(samples):
     grid = samples.grid
     values, linear = [], []
-    for window in fitting._detector_windows.__wrapped__(grid):
+    for window in fitting._detector_windows(grid):
         mask = grid.window_mask(*window)
         coefs = _uncached_lstsq(grid.t[mask], samples.values[mask],
                                 (IndexTerm(1, 1), IndexTerm(1, 0)), 1.0)
