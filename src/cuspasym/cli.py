@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -444,9 +445,12 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
     except ValueError as exc:
         raise ConfigError(f"index_set_json {json_path}: {exc}") from exc
     lo, hi = config["window_lo"], config["window_hi"]
-    if (lo > 0) != (hi > 0):
-        raise ConfigError("window_lo and window_hi must be given together")
-    fit = fit_polyhom(samples, E, fit_window=(lo, hi) if lo > 0 else None)
+    window = None if lo == hi == 0 else (lo, hi)   # both 0: the default window
+    for key, ok in (("window_lo", 0 < lo < math.inf), ("window_hi", lo < hi < math.inf)):
+        if window and not ok:
+            raise ConfigError(f"{key} must be finite with 0 < window_lo < window_hi "
+                              f"(both 0 for the default window), got {lo} and {hi}")
+    fit = fit_polyhom(samples, E, fit_window=window)
     payload = {
         "config": config,
         "window": list(fit.window),
@@ -461,6 +465,8 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
 
 
 def cmd_logterm_pipeline(config, outdir: Path) -> dict:
+    if not 0 < config["tolerance"] < math.inf:
+        raise ConfigError(f"tolerance must be finite and > 0, got {config['tolerance']}")
     coefficient_x = sum(a for a, z, k in config["f_terms"]
                         if z == 1.0 and k == 0)
     predicted = (2.0 / 3.0) * coefficient_x

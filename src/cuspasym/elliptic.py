@@ -7,13 +7,16 @@ dimension-1 complex Monge-Ampere equation
 
     (1 + Delta_g u) e^{-u} = e^F,
 
-handled in logarithmic residual form log1p(Delta_g u) - u - F = 0 by a
-damped Newton iteration whose linearization at u = 0 is (Delta_g - 1).
+handled in logarithmic residual form (u + F) - log1p(Delta_g u) = 0 by a
+damped Newton iteration whose linearization at u = 0 is (1 - Delta_g).
+With D the background density and Delta_g = Delta / D, that is ``radial``'s
+log-density equation with (S, D0, alpha, beta, gamma) = (D, D, 1, F, 1),
+whose residual, Jacobian, positivity test and rounding floor live there,
+beside the Newton loop (``damped_newton``), its settings (``NewtonParams``)
+and the band layout of the Dirichlet matrices (``dirichlet_bands``).
 Backtracking halves the step until the residual decreases and the Kahler
-positivity 1 + Delta_g u > 0 is preserved; reaching the damping floor is a
-hard failure.  The Newton loop (``damped_newton``), its settings
-(``NewtonParams``) and the band layout of the Dirichlet matrices
-(``dirichlet_bands``) live in ``radial``.
+positivity D + Delta u > 0 is preserved; reaching the damping floor is a
+hard failure.
 
 All residuals are measured in the discrete sup norm.  The log1p form keeps
 full relative accuracy at deep-cusp nodes where every quantity in the
@@ -34,10 +37,9 @@ from .radial import (
     RadialField,
     _all_finite,
     _gtsv,
-    _rounding_floor,
+    _log_density_equation,
     damped_newton,
     dirichlet_bands,
-    unit_laplacian_interior,
 )
 
 # at this size the probe's dense (n-2)^2 matrix is 34 MB, and the SVD copies it
@@ -61,8 +63,8 @@ class LinearProblem:
     bc_right: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         self.metric._resolve_grid(self.rhs.grid)
         _require_finite_bcs(self)
 
@@ -126,49 +128,23 @@ def solve_linear(problem: LinearProblem) -> RadialField:
 def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField, NewtonReport]:
     """Damped Newton solve of the radial Monge-Ampere equation.
 
-    Starts from u = 0 (which keeps 1 + Delta_g u = 1 > 0) and iterates on
-    the residual log1p(Delta_g u) - u - F at interior nodes together with
-    the Dirichlet mismatch at the two boundary rows.  Every accepted
-    iterate satisfies min(1 + Delta_g u) > 0.
+    Starts from u = 0 (which keeps D + Delta u = D > 0) and iterates on
+    the residual (u + F) - log1p(Delta_g u) at interior nodes together with
+    the Dirichlet mismatch at the two boundary rows: ``radial``'s
+    log-density equation with (S, excess, D0, alpha, beta, gamma) = (D, 0,
+    D, 1, F, 1).  Every accepted iterate satisfies min(D + Delta u) > 0.
     """
     grid = problem.F.grid
-    n, h = grid.n_nodes, grid.h
-    work = NewtonWorkspace.for_thread(n)
-    density = problem.background.density(grid)
-    F = problem.F.values
-    tmp = work.scratch[1:-1]
-
-    def residual(u: np.ndarray, r: np.ndarray, kahler: np.ndarray) -> bool:
-        # Delta_g u in r, 1 + Delta_g u in kahler's interior (its ends are not written)
-        unit_laplacian_interior(u, h, out=r, scratch=work.scratch)
-        inner, positivity = r[1:-1], kahler[1:-1]
-        np.divide(inner, density[1:-1], out=inner)
-        np.add(1.0, inner, out=positivity)
-        positive = bool(positivity.min() > 0)   # np.all(positivity > 0): False on NaN
-        if positive:
-            np.log1p(inner, out=inner)
-            np.subtract(inner, u[1:-1], out=inner)
-            np.subtract(inner, F[1:-1], out=inner)
-        r[0] = u[0] - problem.bc_left
-        r[-1] = u[-1] - problem.bc_right
-        return positive
-
-    def jacobian_bands(kahler: np.ndarray, out) -> None:
-        # d/du of log1p(Delta_g u) - u: weight 1 / (1 + Delta_g u) / density
-        np.divide(1.0, kahler[1:-1], out=tmp)
-        np.divide(tmp, density[1:-1], out=tmp)
-        dirichlet_bands(n, h, tmp, 1.0, out=out)
-
-    def floor(u: np.ndarray, kahler: np.ndarray, out: np.ndarray, spare: np.ndarray) -> float:
-        # the density D (1 + Delta_g u) holds the stencil; u and F are rounded too
-        rho = np.multiply(kahler[1:-1], density[1:-1], out=spare[1:-1])
-        return _rounding_floor(u, h, 1.0, 1.0, F[1:-1], rho, out, work.scratch)
-
-    u, kahler, iterations, residuals, damping_events, floor_value = damped_newton(
-        residual, jacobian_bands, (0.0,), problem.newton, "Newton", work, floor)
-    report = NewtonReport(True, iterations, residuals, residuals[-1],
-                          float(kahler[1:-1].min()), damping_events,
-                          floor_value)
+    work = NewtonWorkspace.for_thread(grid.n_nodes)
+    D = problem.background.density(grid)[1:-1]
+    residual, bands, floor = _log_density_equation(
+        grid.h, D, 0.0, D, 1.0, problem.F.values[1:-1], 1.0,
+        (problem.bc_left, problem.bc_right), work, math.inf)
+    u, rho, iterations, residuals, damping_events, floor_value = damped_newton(
+        residual, bands, (0.0,), problem.newton, "Newton", work, floor)
+    min_kahler = float(np.divide(rho[1:-1], D, out=work.scratch[1:-1]).min())
+    report = NewtonReport(True, iterations, residuals, residuals[-1], min_kahler,
+                          damping_events, floor_value)
     return RadialField(grid, u.copy()), report
 
 

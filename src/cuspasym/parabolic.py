@@ -29,25 +29,23 @@ flow sit two checks no CLI command runs: the linear decay certificate, on
 one symmetric factorization, and the restricted ODE, RK4 against one
 vectorized Gauss quadrature.
 
-Each flow step hands its inner Newton the starts (u_n + (dt/dt_prev)
-(u_n - u_{n-1}), u_n), the extrapolation of the last two accepted states
-first (only u_n on the first step and after a rejection), and the loop
-takes the first that keeps S + Delta v positive.  Newton stops at ``tol``
-or, once it stalls, at the residual's rounding floor
-
-    eps max_j [dt sum_k |c_k v_{j+k}| / (S + Delta v)_j + (1 + dt)|v_j| + |u_j|],
-
-``radial._rounding_floor`` with (gamma, alpha, beta, rho) = (dt, 1 + dt,
-u_n, S + Delta v), provided that floor is at most ``_FLOW_FLOOR_MAX``.  A
-larger floor (near a degenerating background, where S + Delta v nears 0)
-is refused: Newton goes on, fails, and the step is halved.  A step is
-halved only when its Newton fails.
+A flow step's equation, (1 + dt) v - u_n - dt log1p((S - D0 + Delta v) / D0)
+= 0 with S = S(t_{n+1}), is ``radial``'s log-density equation with (S, D0,
+alpha, beta, gamma) = (S, D0, 1 + dt, -u_n, dt), whose residual, Jacobian,
+positivity test and rounding floor live there.  Each step hands its inner
+Newton the starts (u_n + (dt/dt_prev) (u_n - u_{n-1}), u_n), the
+extrapolation of the last two accepted states first (only u_n on the first
+step and after a rejection), and the loop takes the first that keeps
+S + Delta v positive.  Newton stops at ``tol`` or, once it stalls, at the
+residual's rounding floor, provided that floor is at most
+``_FLOW_FLOOR_MAX``.  A larger floor (near a degenerating background, where
+S + Delta v nears 0) is refused: Newton goes on, fails, and the step is
+halved.  A step is halved only when its Newton fails.
 
 Every stepper takes its steps from one time grid, ``_time_grid``, a step
 count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
 ``_TimeGrid.step_of`` the step serving an output time.  The Newton loop
-(``damped_newton``, set by ``_FLOW_NEWTON``) and the band layout
-(``dirichlet_bands``) live in ``radial``.
+(``damped_newton``, set by ``_FLOW_NEWTON``) lives in ``radial``.
 """
 
 from __future__ import annotations
@@ -66,13 +64,11 @@ from .radial import (
     NewtonWorkspace,
     RadialField,
     RadialGrid,
-    _rounding_floor,
+    _log_density_equation,
     damped_newton,
-    dirichlet_bands,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
     unit_laplacian,
-    unit_laplacian_interior,
 )
 
 #: the inner Newton solve of every backward-Euler step
@@ -447,7 +443,6 @@ def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
     t_next = t + dt
     S_next = _schedule_values(problem.grid, density, combo, t_next)
     s_minus_d0 = S_next - density
-    tmp = work.scratch[1:-1]
 
     # backward-Euler update of the endpoint restriction
     bc_new = np.empty(2)
@@ -455,36 +450,11 @@ def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
         src = math.log1p(s_minus_d0[j] / density[j])
         bc_new[pos] = (bc[pos] + dt * src) / (1.0 + dt)
 
-    def residual(v: np.ndarray, r: np.ndarray, evolving: np.ndarray) -> bool:
-        # Delta v in r, S + Delta v in evolving's interior (its ends are not written)
-        unit_laplacian_interior(v, h, out=r, scratch=work.scratch)
-        inner, positivity = r[1:-1], evolving[1:-1]
-        np.add(S_next[1:-1], inner, out=positivity)
-        positive = bool(positivity.min() > 0)
-        if positive:
-            # (1 + dt) v - u - dt log1p((S - D0 + Delta v) / D0)
-            np.add(s_minus_d0[1:-1], inner, out=tmp)
-            np.divide(tmp, density[1:-1], out=tmp)
-            np.log1p(tmp, out=inner)
-            np.multiply(dt, inner, out=tmp)
-            np.multiply(1.0 + dt, v[1:-1], out=inner)
-            np.subtract(inner, u[1:-1], out=inner)
-            np.subtract(inner, tmp, out=inner)
-        r[0] = v[0] - bc_new[0]
-        r[-1] = v[-1] - bc_new[1]
-        return positive
-
-    def jacobian_bands(evolving: np.ndarray, out) -> None:
-        # (1 + dt) - dt / (S + Delta u) * Delta
-        np.divide(-dt, evolving[1:-1], out=tmp)
-        dirichlet_bands(n, h, tmp, -(1.0 + dt), out=out)
-
-    def floor(v: np.ndarray, evolving: np.ndarray, out: np.ndarray, _) -> float:
-        value = _rounding_floor(v, h, dt, 1.0 + dt, u[1:-1], evolving[1:-1], out, work.scratch)
-        return value if value <= _FLOW_FLOOR_MAX else math.inf   # inf: no floor stop
-
+    residual, bands, floor = _log_density_equation(
+        h, S_next[1:-1], s_minus_d0[1:-1], density[1:-1], 1.0 + dt, np.negative(u[1:-1]), dt,
+        bc_new, work, _FLOW_FLOOR_MAX)
     v, _, iters, residuals, _, floor_value = damped_newton(
-        residual, jacobian_bands, (u,) if start is None else (start, u), _FLOW_NEWTON,
+        residual, bands, (u,) if start is None else (start, u), _FLOW_NEWTON,
         f"flow Newton (t={t_next:.6g})", work, floor)
     return v, bc_new, iters, residuals[-1], floor_value
 

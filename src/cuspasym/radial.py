@@ -12,13 +12,16 @@ used at interior nodes and one-sided second-order differences at the two
 endpoints (the latter only ever for diagnostics, never inside solves).
 
 The module also owns the numerics every radial solver shares: the band
-layout of Dirichlet-truncated operators (:func:`dirichlet_bands`) and the
+layout of Dirichlet-truncated operators (:func:`dirichlet_bands`), the
 backtracking Newton loop (:func:`damped_newton`) with the buffers it works
-in (:class:`NewtonWorkspace`).  The loop holds the whole Newton contract:
-it picks the first admissible start, its residuals answer one positivity
-rule (``min() > 0`` on the evolving density, False on NaN), and it stops
-at a rounding floor of one formula (:func:`_rounding_floor`), so a solver
-states only its equation.
+in (:class:`NewtonWorkspace`), and the one equation of both Newton solves,
+
+    (alpha v + beta) - gamma log1p((S - D0 + Delta v) / D0) = 0,   S + Delta v > 0,
+
+with its residual, Jacobian, positivity test and rounding floor
+(:func:`_log_density_equation`): the Monge-Ampere solve is the instance
+(S, D0, alpha, beta, gamma) = (D, D, 1, F, 1), a flow step (S_{n+1}, D0,
+1 + dt, -u_n, dt).  A solver states only its coefficients and its starts.
 """
 
 from __future__ import annotations
@@ -497,6 +500,47 @@ def _rounding_floor(v: np.ndarray, h: float, gamma: float, alpha: float, beta: n
     np.add(inner, np.multiply(np.abs(v[1:-1], out=tmp), alpha, out=tmp), out=inner)
     np.add(inner, np.abs(beta, out=tmp), out=inner)
     return np.finfo(float).eps * float(np.max(inner))
+
+
+def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: float,
+                          bc: Sequence[float], work: NewtonWorkspace, floor_max: float):
+    """``damped_newton``'s ``residual``, ``bands`` and ``floor`` for the
+    equation (alpha v + beta) - gamma log1p((excess + Delta v) / D0) = 0 at
+    the interior nodes, excess = S - D0, with v = bc at the two ends.  The
+    residual writes rho = S + Delta v into the interior of ``aux`` and
+    answers ``min(rho) > 0``; the bands are alpha - (gamma / rho) Delta; the
+    floor is :func:`_rounding_floor`'s, inf above ``floor_max``.  ``S``,
+    ``excess``, ``D0`` and ``beta`` are scalars or arrays over the n - 2
+    interior nodes; the callbacks work in ``work.scratch``."""
+    n, tmp = len(work.v), work.scratch[1:-1]
+
+    def residual(v: np.ndarray, r: np.ndarray, rho: np.ndarray) -> bool:
+        # Delta v in r, S + Delta v in rho's interior (its ends are not written)
+        unit_laplacian_interior(v, h, out=r, scratch=work.scratch)
+        inner, positivity = r[1:-1], rho[1:-1]
+        np.add(S, inner, out=positivity)
+        positive = bool(positivity.min() > 0)   # np.all(rho > 0): False on NaN
+        if positive:
+            np.add(excess, inner, out=tmp)
+            np.divide(tmp, D0, out=tmp)
+            np.log1p(tmp, out=inner)
+            np.multiply(gamma, inner, out=tmp)
+            np.multiply(alpha, v[1:-1], out=inner)
+            np.add(inner, beta, out=inner)
+            np.subtract(inner, tmp, out=inner)
+        r[0] = v[0] - bc[0]
+        r[-1] = v[-1] - bc[1]
+        return positive
+
+    def bands(rho: np.ndarray, out) -> None:
+        np.divide(-gamma, rho[1:-1], out=tmp)
+        dirichlet_bands(n, h, tmp, -alpha, out=out)
+
+    def floor(v: np.ndarray, rho: np.ndarray, out: np.ndarray, _) -> float:
+        value = _rounding_floor(v, h, gamma, alpha, beta, rho[1:-1], out, work.scratch)
+        return value if value <= floor_max else math.inf   # inf: no floor stop
+
+    return residual, bands, floor
 
 
 def _sup_norm(r: np.ndarray, scratch: np.ndarray) -> float:

@@ -95,6 +95,9 @@ CASES = {
     "exit3-flow-tiny-spacing": "flow",
     "exit3-fit-overflow": "fit-expansion",
     "flow-halving-floor-bound": "flow",
+    "exit2-fit-window-nan": "fit-expansion",
+    "exit2-tolerance-nan": "logterm-pipeline",
+    "exit2-lambda-nan": "solve-linear",
 }
 
 

@@ -171,6 +171,16 @@ def test_solve_linear_names_an_overflowing_elimination(tmp_path, capsys, bc_left
         assert err == ""
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_solve_linear_non_finite_lambda_is_named(tmp_path, capsys, lam):
+    # once "config error: array must not contain infs or NaNs", naming no key
+    cfg = write(tmp_path / "c.cfg", f"n_nodes = 16\nlambda = {lam}\nf_terms = 1:1:0\n")
+    out = tmp_path / "out"
+    assert main(["solve-linear", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: lambda must be finite and >= 0, got {lam}\n"
+    assert not (out / "solution.csv").exists()
+
+
 def test_solve_ma_reports_convergence(tmp_path):
     cfg = write(tmp_path / "c.cfg", "n_nodes = 512\nf_terms = 1.5:1:0\n")
     out = tmp_path / "out"
@@ -349,6 +359,41 @@ def test_fit_expansion_bad_input_files_name_key_path_and_field(
     path = csv_path if key == "field_csv" else json_path
     assert err.startswith(f"config error: {key} {path}: ")
     assert field in err
+
+
+@pytest.mark.parametrize("window, key", [
+    ("window_lo = nan\nwindow_hi = nan", "window_lo"),
+    ("window_lo = -1e-2\nwindow_hi = -1e-6", "window_lo"),
+    ("window_lo = 1e-6\nwindow_hi = inf", "window_hi"),
+    ("window_lo = 1e-2\nwindow_hi = 1e-6", "window_hi"),
+    ("window_lo = 1e-6", "window_hi"),
+    ("window_hi = 1e-2", "window_lo"),
+], ids=["nan", "negative", "inf", "reversed", "lo-only", "hi-only"])
+def test_fit_expansion_window_keys_are_checked(tmp_path, capsys, window, key):
+    # NaN or negative bounds once fell back to the default window and exited
+    # 0, echoing a non-JSON NaN into fit.json
+    grid = RadialGrid(-30.0, math.log(0.5), 256)
+    RadialField.from_function(grid, lambda x: 2 * x).write_csv(tmp_path / "field.csv")
+    (tmp_path / "eset.json").write_text(json.dumps(closure((IndexTerm(1, 0),), 2).to_json_dict()))
+    cfg = write(tmp_path / "c.cfg", f"field_csv = {tmp_path / 'field.csv'}\n"
+                                    f"index_set_json = {tmp_path / 'eset.json'}\n{window}\n")
+    out = tmp_path / "out"
+    assert main(["fit-expansion", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {key} must be finite with 0 < window_lo < window_hi "
+        f"(both 0 for the default window), got ")
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-0.02"])
+def test_logterm_pipeline_tolerance_is_checked_before_the_solve(tmp_path, capsys, tolerance):
+    # NaN once exited 0 with "passed": false and a non-JSON NaN in logterm.json
+    cfg = write(tmp_path / "c.cfg", f"n_nodes = 1024\nf_terms = 1.5:1:0\ntolerance = {tolerance}\n")
+    out = tmp_path / "out"
+    assert main(["logterm-pipeline", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: tolerance must be finite and > 0, "
+                                       f"got {float(tolerance)}\n")
+    assert not any(out.iterdir())
 
 
 def test_logterm_pipeline_passes(tmp_path):

@@ -70,6 +70,13 @@ def test_linear_rejects_negative_lambda():
         LinearProblem(UNIT, -1.0, RadialField.zeros(GRID))
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_linear_rejects_non_finite_lambda(lam):
+    # once let through to the solve, whose finiteness check named no key
+    with pytest.raises(ValueError, match=rf"^lambda must be finite and >= 0, got {lam}$"):
+        LinearProblem(UNIT, lam, RadialField.zeros(GRID))
+
+
 @pytest.mark.parametrize("problem", [
     LinearProblem(UNIT, 1.0, RadialField.zeros(GRID)),
     MongeAmpereProblem(UNIT, RadialField.zeros(GRID)),

@@ -46,6 +46,21 @@ def test_golden_case(replayed, name):
     assert replayed[name] == MANIFEST["cases"][name]
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_artifacts_are_strict_json():
+    # json.dumps writes NaN and Infinity unless told not to; no artifact may hold them
+    for name, case in MANIFEST["cases"].items():
+        for file, text in case["files"].items():
+            if file.endswith(".json"):
+                try:
+                    json.loads(text, parse_constant=_refuse_constant)
+                except ValueError as exc:
+                    pytest.fail(f"{name}/{file}: {exc}")
+
+
 @pytest.fixture(scope="module")
 def recorded_twice(tmp_path_factory):
     """HEAD's ``src/``, exported as ``--against HEAD`` does, recorded twice;

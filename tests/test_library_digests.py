@@ -27,9 +27,9 @@ GRID = RadialGrid(-40.0, math.log(0.5), 16384)
 FIT_SET = IndexSet(tuple(IndexTerm(z, k) for z, k in ((1, 0), (1, 1), (2, 0), (2, 1))), 2)
 
 DIGESTS = {
-    "ma-solution": "fd1fe3503d57e651d26fed2478a8f77e5f9b2c61571448e9a88a931aa930ab52",
-    "ma-detector": "47b443f0dde692c3eb1837a4086f130a65b9879bb455168292b9a0d822a81660",
-    "ma-fit": "59eac94435610b6fe72880f061582ba8fba623df27cb386d6ded89c112840760",
+    "ma-solution": "dfb88a3017584999345d00856aee1d3c6a963b53cf7a38bb14bc14f842c61f0d",
+    "ma-detector": "c084ad9a875c3dc073e15087fb4cb7322c4c828fd241782c87b70e42c29f25e7",
+    "ma-fit": "5d4d860ce9766f925690a39724ebe781f4360436aed66af9997503e49ec47522",
     "flow-snapshot": "d4cf906315b8e99e821e0cb6edc2c7ab30e574f37b91227f844499e7c820b8e8",
     "decay-slice-ratios": "3088b9158a7695b02b5dd9163f79878a18267c361d533ee7bfb25cf54e4061b2",
 }

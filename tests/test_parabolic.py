@@ -581,13 +581,13 @@ def test_warm_flow_step_takes_its_starts_laplacian_once(monkeypatch):
     step = _steps_of(problem)
     u0 = np.zeros(problem.grid.n_nodes)
     u1 = step(u0, None, np.zeros(2), 0.0)[0].copy()
-    start, laplacian, calls = 2.0 * u1 - u0, parabolic.unit_laplacian_interior, []
+    start, laplacian, calls = 2.0 * u1 - u0, radial.unit_laplacian_interior, []
 
     def counting(values, *args, **kwargs):
         calls.append(np.array_equal(values, start))
         return laplacian(values, *args, **kwargs)
 
-    monkeypatch.setattr(parabolic, "unit_laplacian_interior", counting)
+    monkeypatch.setattr(radial, "unit_laplacian_interior", counting)
     step(u1, start, np.zeros(2), 0.01)
     assert calls.count(True) == 1 and len(calls) >= 2
 

@@ -6,15 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from cuspasym import elliptic, parabolic
+from cuspasym import radial
 from cuspasym.errors import SolverError
-from cuspasym.geometry import ModelMetric
 from cuspasym.radial import (
     NewtonParams,
     NewtonWorkspace,
     RadialField,
     RadialGrid,
     _gtsv,
+    _log_density_equation,
     _require_finite,
     _rounding_floor,
     damped_newton,
@@ -132,7 +132,7 @@ def test_unit_laplacian_exponential_profile():
 #: interior density and Laplacian
 BAND_CASES = {
     "solve_linear": lambda density, lap: (1.0 / density, 2.5),
-    "monge_ampere_jacobian": lambda density, lap: (1.0 / (1.0 + lap) / density, 1.0),
+    "monge_ampere_jacobian": lambda density, lap: (-1.0 / (density + lap), -1.0),
     "flow_step": lambda density, lap: (-0.05 / (density + lap), -(1.0 + 0.05)),
     "decay_certificate": lambda density, lap: (-0.01, -(1.0 + 0.01)),
 }
@@ -508,41 +508,78 @@ REACHABLE_POSITIVITY = {
 }
 
 
-class _Captured(Exception):
-    pass
+def _equation(solver: str, S: np.ndarray, data: np.ndarray) -> tuple:
+    """(S, excess, D0, alpha, beta, gamma) of a solver's instance of the
+    log-density equation over the interior nodes, with S the density and
+    data F (MA) or u_n (flow): the MA's (D, 0, D, 1, F, 1) with D = S, a
+    flow step's (S, S - D0, D0, 1 + dt, -u_n, dt) with D0 = 0.8 S."""
+    if solver == "ma":
+        return S, 0.0, S, 1.0, data, 1.0
+    dt = 0.05
+    return S, S - 0.8 * S, 0.8 * S, 1.0 + dt, -data, dt
 
 
 @pytest.mark.parametrize("name", list(REACHABLE_POSITIVITY))
 @pytest.mark.parametrize("solver", ["ma", "flow"])
 def test_residual_positivity_answers_as_the_elementwise_tests(solver, name, monkeypatch):
-    # one rule for both: np.all(density > 0), False on NaN, with the density
-    # 1 + lap (MA) or S + lap (flow).  The residual is the callback handed to
-    # damped_newton, run on a Laplacian set to the case's values.
-    grid = RadialGrid(-10.0, -1.0, 8)
+    # one rule for both instances: np.all(rho > 0), False on NaN, with rho =
+    # S + lap and S = 1, the residual run on a Laplacian set to the case's values
     lap = np.array([0.0, *REACHABLE_POSITIVITY[name], 0.0])
-    tmp = 1.0 + lap
-    if solver == "ma":
-        field = RadialField(grid, grid.x)
-        run = lambda: elliptic.solve_monge_ampere_radial(
-            elliptic.MongeAmpereProblem(ModelMetric(), field))
-        module = elliptic
-    else:
-        run = lambda: parabolic.run_flow(parabolic.FlowProblem(ModelMetric(), 0.5, 0.5, grid))
-        module = parabolic
-    expected = bool(np.all(tmp > 0))
-    captured = []
-
-    def capture(residual, *args, **kwargs):
-        captured.append(residual)
-        raise _Captured
-
-    monkeypatch.setattr(module, "damped_newton", capture)
-    with pytest.raises(_Captured):
-        run()
-    monkeypatch.setattr(module, "unit_laplacian_interior",
+    residual, _, _ = _log_density_equation(0.1, *_equation(solver, np.ones(6), np.zeros(6)),
+                                           (0.0, 0.0), NewtonWorkspace(8), math.inf)
+    monkeypatch.setattr(radial, "unit_laplacian_interior",
                         lambda v, h, out, scratch: np.copyto(out[1:-1], lap) or out)
     with np.errstate(all="ignore"):
-        assert captured[0](np.zeros(8), np.empty(8), np.empty(8)) is expected
+        assert residual(np.zeros(8), np.empty(8), np.empty(8)) is bool(np.all(1.0 + lap > 0))
+
+
+@pytest.mark.parametrize("solver", ["ma", "flow"])
+def test_log_density_equation_matches_a_dense_evaluation(solver):
+    # residual, rho, Jacobian bands and floor of each instance against
+    # (alpha v + beta) - gamma log1p((excess + L v) / D0), rho = S + L v,
+    # evaluated with the dense stencil matrix L
+    rng = np.random.default_rng(17)
+    n, h, bc = 12, 0.3, (0.3, -0.2)
+    S = rng.uniform(0.5, 2.0, n - 2)
+    equation = _equation(solver, S, rng.normal(size=n - 2))
+    _, excess, D0, alpha, beta, gamma = equation
+    v = 0.005 * rng.normal(size=n)
+    L = np.zeros((n - 2, n))
+    for k, c in enumerate(laplacian_coefficients(h)):
+        L[np.arange(n - 2), np.arange(n - 2) + k] = c
+    rho = S + L @ v
+    work = NewtonWorkspace(n)
+    residual, bands, floor = _log_density_equation(h, *equation, bc, work, math.inf)
+
+    def residual_at(w):
+        r, aux = np.full(n, np.nan), np.full(n, np.nan)
+        assert residual(w, r, aux) is True
+        return r, aux
+
+    r, aux = residual_at(v)
+    assert r[0] == v[0] - bc[0] and r[-1] == v[-1] - bc[1]
+    assert np.allclose(r[1:-1], (alpha * v[1:-1] + beta) - gamma * np.log1p((excess + L @ v) / D0),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(aux[1:-1], rho, rtol=1e-14, atol=0)
+    bands(aux, work.bands)
+    sub, diag, sup = work.bands
+    jacobian = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    dense = np.eye(n)
+    dense[1:-1] = alpha * dense[1:-1] - (gamma / rho)[:, None] * L
+    assert np.allclose(jacobian, dense, rtol=1e-14, atol=0)
+    # the bands are the residual's derivative: central differences, column by column
+    delta = 1e-6
+    differences = np.column_stack([
+        (residual_at(v + delta * e)[0] - residual_at(v - delta * e)[0]) / (2 * delta)
+        for e in np.eye(n)])
+    assert np.allclose(differences, jacobian, rtol=0, atol=1e-7 * np.abs(jacobian).max())
+    stencil_sums = np.abs(L) @ np.abs(v)
+    expected = max(math.fsum([gamma * s / p, alpha * abs(vj), abs(b)])
+                   for s, p, vj, b in zip(stencil_sums, rho, v[1:-1], beta))
+    value = floor(v, aux, np.empty(n), np.empty(n))
+    assert value == pytest.approx(np.finfo(float).eps * expected, rel=1e-13)
+    _, _, bounded = _log_density_equation(h, *equation, bc, work, 0.5 * value)
+    assert bounded(v, aux, np.empty(n), np.empty(n)) == math.inf
 
 
 @pytest.mark.parametrize("values", [
