@@ -45,9 +45,9 @@ from .elliptic import (
     solve_linear,
     solve_monge_ampere_radial,
 )
-from .fitting import detect_log_term, fit_polyhom
+from .fitting import detect_log_term, fit_polyhom, remainder_check
 from .geometry import ModelMetric
-from .indexsets import IndexSet, IndexTerm, closure, extended_union
+from .indexsets import IndexSet, IndexTerm, as_exponent, closure, extended_union
 from .indicial import (
     IndicialFamily,
     count_complex_root_eigenvalues,
@@ -302,6 +302,13 @@ def _metric_from_config(config, grid) -> ModelMetric:
 # ---------------------------------------------------------------------------
 
 def cmd_indicial(config, outdir: Path) -> dict:
+    # the library rejects a non-finite exponent without knowing its key
+    for key in ("lambda", "c", "spectrum", "alpha", "cutoff", "union_terms"):
+        try:   # a number, a list of them, or z:k pairs (each k an int)
+            for value in np.ravel(np.asarray(config[key], dtype=object)):
+                as_exponent(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     family = IndicialFamily(config["lambda"], config["c"], tuple(config["spectrum"]),
                             tuple(config["multiplicities"]))
     alpha, cutoff = config["alpha"], config["cutoff"]
@@ -450,15 +457,21 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
         if window and not ok:
             raise ConfigError(f"{key} must be finite with 0 < window_lo < window_hi "
                               f"(both 0 for the default window), got {lo} and {hi}")
-    fit = fit_polyhom(samples, E, fit_window=window)
+    try:   # an index set without terms, or a window with too few samples
+        fit = fit_polyhom(samples, E, fit_window=window)
+    except ValueError as exc:
+        key = (f"index_set_json {json_path}" if not E.terms else
+               "window_lo, window_hi" if window else f"field_csv {csv_path}")
+        raise ConfigError(f"{key}: {exc}") from exc
+    remainder = remainder_check(fit, samples)
     payload = {
         "config": config,
         "window": list(fit.window),
         "coefficients": [{"z": float(tm.z), "k": tm.k, "a": a}
                          for tm, a in fit.coefficients.items()],
-        "residual_sup": fit.residual_sup,
-        "remainder_exponent": fit.remainder_exponent,
-        "remainder_spread": list(fit.remainder_spread) if fit.remainder_spread else None,
+        "residual_sup": remainder.residual_sup,
+        "remainder_exponent": remainder.slope,
+        "remainder_spread": list(remainder.spread) if remainder.spread else None,
     }
     write_json(outdir / "fit.json", payload)
     return payload

@@ -5,14 +5,17 @@ x^z (log x)^k prescribed by an index set.  The monomials are severely
 collinear on narrow windows, so the fit works in t = log x with basis
 e^{z t} t^k, scales each column to unit norm, and weights rows by
 x^{-N} (N the truncation order) so that the least squares runs in the
-remainder's natural units.  Remainder decay is measured as the slope of
-log |residual| against log x over the deepest decade of the window, with
-a spread estimated from the even/odd node subsamples.
+remainder's natural units.  ``fit_polyhom`` is the only fit: it returns the
+coefficients alone.  ``remainder_check`` is the only remainder: it forms the
+residual on the fit's cached design and measures its decay as the slope of
+log |residual| against log x over the deepest decade of the window, with a
+spread estimated from the even/odd node subsamples.
 
-The two-term detector for b * x log x + c * x slides a window toward the
-cusp and reports the deepest stable estimate; windows hugging the left
-boundary are excluded because Dirichlet truncation errors there decay only
-like (x_left / x)^3 in relative size.
+The log-term detector is ``fit_polyhom`` of b * x log x + c * x (cutoff 1,
+so rows weighted by x^-1) on windows that slide toward the cusp; it reports
+the deepest stable estimate.  Windows hugging the left boundary are excluded
+because Dirichlet truncation errors there decay only like (x_left / x)^3 in
+relative size.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from .errors import FitError
-from .indexsets import IndexSet, IndexTerm, exponent_gt
+from .indexsets import IndexSet, IndexTerm
 from .radial import RadialField, RadialGrid, _all_finite, evaluate_expansion
 
 LN10 = math.log(10.0)
@@ -41,19 +44,19 @@ DETECTOR_GUARD_DECADES = 1.25
 DETECTOR_WIDTH_DECADES = 1.5
 DETECTOR_STRIDE_DECADES = 0.75
 DETECTOR_MAX_WINDOWS = 4
-_DETECTOR_BASIS = (IndexTerm(1, 1), IndexTerm(1, 0))   # b x log x + c x
+_LOG_TERM, _LINEAR_TERM = IndexTerm(1, 1), IndexTerm(1, 0)
+#: b x log x + c x, with the cutoff 1 weighting rows by x^-1
+_DETECTOR_SET = IndexSet((_LOG_TERM, _LINEAR_TERM), 1)
 
 
 @dataclass
 class PolyhomFit:
-    """Result of a truncated-expansion fit."""
+    """Result of a truncated-expansion fit: its coefficients on its window.
+    ``remainder_check`` measures what it leaves over."""
 
     index_set: IndexSet
     terms: tuple[IndexTerm, ...]
     coefficients: dict[IndexTerm, float]
-    residual_sup: float               # sup |residual| / x^N over the window
-    remainder_exponent: Optional[float]   # None when the remainder saturates
-    remainder_spread: Optional[tuple[float, float]]
     window: tuple[float, float]
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -63,6 +66,7 @@ class PolyhomFit:
 
 @dataclass
 class RemainderReport:
+    residual_sup: float           # sup |residual| / x^N over the window
     slope: Optional[float]        # None when saturated
     spread: Optional[tuple[float, float]]
     saturated: bool
@@ -164,37 +168,24 @@ def fit_polyhom(samples: RadialField, E: IndexSet,
                 fit_window: Optional[tuple[float, float]] = None) -> PolyhomFit:
     """Weighted least-squares fit of the expansion prescribed by E.
 
-    Uses every term of E with exponent below the cutoff N; requires at
-    least three samples per term inside the window.  ``residual_sup`` is
-    the sup over the window of |data - expansion| / x^N, the natural size
-    for a remainder that should vanish to order N.
+    Uses every term of E (each has exponent at most the cutoff N); requires
+    at least three samples per term inside the window.  The window defaults
+    to :func:`default_fit_window`.
     """
     grid = samples.grid
-    window = fit_window if fit_window is not None else default_fit_window(grid)
-    x_lo, x_hi = window
-    N = float(E.cutoff)
-    terms = tuple(tm for tm in E if not exponent_gt(tm.z, E.cutoff))
-    if not terms:
-        raise ValueError("index set has no terms below its cutoff")
-    design = _fit_design(grid, (x_lo, x_hi), terms, N)
-    x, y = grid.x[design.rows], samples.values[design.rows]
+    x_lo, x_hi = fit_window if fit_window is not None else default_fit_window(grid)
+    window = (float(x_lo), float(x_hi))
+    if not E.terms:
+        raise ValueError("index set has no terms")
+    design = _fit_design(grid, window, E.terms, float(E.cutoff))
     # Rows are weighted by x^{-N}, the expected remainder scale: the least
     # squares then minimizes the remainder in its natural units, which pins
     # low-order coefficients from the deepest rows and keeps omitted-term
     # leakage below the remainder there.
-    coefs = _weighted_lstsq(design, y, terms)
-    r = y - design.A @ coefs
-    residual_sup = float((np.abs(r) / design.x_N).max())
-    slope, spread = _remainder_slope(x, r, noise_scale=float(np.abs(y).max()))
-    return PolyhomFit(
-        index_set=E,
-        terms=terms,
-        coefficients={tm: float(c) for tm, c in zip(terms, coefs)},
-        residual_sup=residual_sup,
-        remainder_exponent=slope,
-        remainder_spread=spread,
-        window=(float(x_lo), float(x_hi)),
-    )
+    coefs = _weighted_lstsq(design, samples.values[design.rows], E.terms)
+    return PolyhomFit(index_set=E, terms=E.terms,
+                      coefficients={tm: float(c) for tm, c in zip(E.terms, coefs)},
+                      window=window)
 
 
 def _remainder_slope(x: np.ndarray, r: np.ndarray, noise_scale: float):
@@ -223,24 +214,24 @@ def _lsq_slope(t: np.ndarray, y: np.ndarray) -> float:
 
 
 def remainder_check(fit: PolyhomFit, samples: RadialField) -> RemainderReport:
-    """Decay report for the remainder of a fit against its own samples.
-
-    Computes r = samples - expansion over the fit window and fits
-    log |r| against log x over the deepest decade; the slope should reach
-    N, the cutoff of the fit's index set.  A remainder below the
-    double-precision noise floor is reported as saturated rather than
-    given a meaningless slope.
+    """Size and decay of r = samples - expansion over the fit window, formed
+    on the fit's cached design: ``residual_sup`` is the sup of |r| / x^N, N
+    the cutoff of the fit's index set, and the slope of log |r| against
+    log x over the deepest decade should reach N.  A remainder below the
+    double-precision noise floor is reported as saturated rather than given
+    a meaningless slope.
     """
     N = float(fit.index_set.cutoff)
     grid = samples.grid
-    mask = grid.window_mask(*fit.window)
-    x = grid.x[mask]
-    r = samples.values[mask] - fit.evaluate(x)
-    slope, spread = _remainder_slope(
-        x, r, noise_scale=float(np.max(np.abs(samples.values[mask]))))
+    design = _fit_design(grid, fit.window, fit.terms, N)
+    y = samples.values[design.rows]
+    r = y - design.A @ np.array([fit.coefficients[tm] for tm in fit.terms])
+    residual_sup = float((np.abs(r) / design.x_N).max())
+    slope, spread = _remainder_slope(grid.x[design.rows], r,
+                                     noise_scale=float(np.abs(y).max()))
     if slope is None:
-        return RemainderReport(None, None, True, N, True)
-    return RemainderReport(slope, spread, False, N, bool(slope >= N - 0.25))
+        return RemainderReport(residual_sup, None, None, True, N, True)
+    return RemainderReport(residual_sup, slope, spread, False, N, bool(slope >= N - 0.25))
 
 
 def _detector_windows(grid: RadialGrid) -> tuple[tuple[float, float], ...]:
@@ -260,42 +251,34 @@ def _detector_windows(grid: RadialGrid) -> tuple[tuple[float, float], ...]:
     return tuple(windows)
 
 
-@functools.lru_cache(maxsize=32)
-def _detector_designs(grid: RadialGrid) -> tuple[tuple[tuple[float, float], _FitDesign], ...]:
-    """Each detector window with its design: one cached lookup a detection."""
-    return tuple((w, _fit_design(grid, w, _DETECTOR_BASIS, 1.0)) for w in _detector_windows(grid))
-
-
 def detect_log_term(samples: RadialField) -> LogTermEstimate:
     """Estimate the coefficient of x log x in a field vanishing at the cusp.
 
-    Fits b * x log x + c * x on each sliding window (placed by the
-    ``DETECTOR_*`` constants); the deepest window gives the reported value
-    and the spread across windows the uncertainty.  Estimates whose spread
-    exceeds half their size are flagged as unreliable ("no reliable log
-    term").
+    Fits b * x log x + c * x with :func:`fit_polyhom` on each sliding
+    window (placed by the ``DETECTOR_*`` constants); the deepest window
+    gives the reported value and the spread across windows the uncertainty.
+    Estimates whose spread exceeds half their size are flagged as
+    unreliable ("no reliable log term").
     """
     grid = samples.grid
-    windowed = _detector_designs(grid)
-    values, linear_values = [], []
-    for _, design in windowed:
-        coefs = _weighted_lstsq(design, samples.values[design.rows], _DETECTOR_BASIS)
-        values.append(float(coefs[0]))
-        linear_values.append(float(coefs[1]))
+    windows = _detector_windows(grid)
+    fits = [fit_polyhom(samples, _DETECTOR_SET, window) for window in windows]
+    values = [fit.coefficients[_LOG_TERM] for fit in fits]
     value = values[0]
     uncertainty = max(abs(v - value) for v in values)
-    # scale of the data measured against x on the deepest window
-    rows = windowed[0][1].rows
+    # scale of the data measured against x on the deepest window (its rows
+    # from the cached design: a slice, where a mask costs a pass over the grid)
+    rows = _fit_design(grid, windows[0], _DETECTOR_SET.terms, 1.0).rows
     data_scale = float((np.abs(samples.values[rows]) / grid.x[rows]).max())
     floor = 1e-8 * (1.0 + data_scale)
     reliable = uncertainty <= max(0.5 * abs(value), floor)
     message = "" if reliable else "no reliable log term (non-stabilizing estimates)"
     return LogTermEstimate(
         value=value,
-        linear_value=linear_values[0],
+        linear_value=fits[0].coefficients[_LINEAR_TERM],
         uncertainty=uncertainty,
         reliable=reliable,
         window_values=values,
-        windows=[window for window, _ in windowed],   # the caller's own
+        windows=list(windows),   # the caller's own
         message=message,
     )

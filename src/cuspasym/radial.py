@@ -414,9 +414,9 @@ def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarr
     ``params.tol`` (a NaN residual never does) or a singular linearization
     raise SolverError naming ``label`` (and the last residual, if any).
 
-    ``floor(v, aux, out, spare)`` is the residual's rounding floor at an
-    iterate, as :func:`_rounding_floor` states it, computed in the n-arrays
-    ``out`` and ``spare`` and in ``work.scratch``.  Once Newton stalls (a
+    ``floor(v, aux, out)`` is the residual's rounding floor at an iterate,
+    as :func:`_rounding_floor` states it, computed in the n-array ``out``
+    and in ``work.scratch``.  Once Newton stalls (a
     full step rejected, or an accepted one above tol and half the last
     residual), an iterate within ``_FLOOR_FACTOR`` of a finite floor counts as
     converged.  Trials and floors overflow quietly: a non-finite trial fails.
@@ -459,7 +459,7 @@ def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarr
                 new_norm = _sup_norm(r_new, work.scratch) if ok else np.inf
             if ok and new_norm <= (1.0 - 1e-4 * s) * res_norm:
                 break
-            if s == 1.0 and (at := _at_floor(floor, v, aux, r_new, aux_new, res_norm)):
+            if s == 1.0 and (at := _at_floor(floor, v, aux, r_new, res_norm)):
                 return v, aux, iteration - 1, residuals, damping_events, at
             s *= 0.5
             damping_events += 1
@@ -471,15 +471,15 @@ def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarr
         res_norm = new_norm
         residuals.append(res_norm)
         if res_norm > max(params.tol, 0.5 * residuals[-2]) and \
-                (at := _at_floor(floor, v, aux, r_new, aux_new, res_norm)):
+                (at := _at_floor(floor, v, aux, r_new, res_norm)):
             return v, aux, iteration, residuals, damping_events, at
     return v, aux, iteration, residuals, damping_events, None
 
 
-def _at_floor(floor: Callable, v, aux, out, spare, res_norm: float) -> Optional[float]:
+def _at_floor(floor: Callable, v, aux, out, res_norm: float) -> Optional[float]:
     """The floor at (v, aux), positive, if the residual has reached it; else None."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = floor(v, aux, out, spare)
+        value = floor(v, aux, out)
     return value if math.isfinite(value) and res_norm <= _FLOOR_FACTOR * value else None
 
 
@@ -536,7 +536,7 @@ def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: fl
         np.divide(-gamma, rho[1:-1], out=tmp)
         dirichlet_bands(n, h, tmp, -alpha, out=out)
 
-    def floor(v: np.ndarray, rho: np.ndarray, out: np.ndarray, _) -> float:
+    def floor(v: np.ndarray, rho: np.ndarray, out: np.ndarray) -> float:
         value = _rounding_floor(v, h, gamma, alpha, beta, rho[1:-1], out, work.scratch)
         return value if value <= floor_max else math.inf   # inf: no floor stop
 

@@ -13,11 +13,13 @@ once the Python, numpy and scipy versions it was made with.
 Rerun this script only for an intended change of output; it prints the
 entries that changed.
 
-``--against REV`` rewrites nothing: it exports REV's ``src/`` with ``git
-archive`` into a temporary directory, runs this corpus, the results of
-``tests/test_library_digests.py`` and one pass of the benchmark's
-radial-numerics ops (``bench/workloads.py``, loaded read-only, at seed
-``OPS_SEED``) with that source and with this checkout's, each in its own
+``--against REV`` rewrites nothing: it exports REV's ``src/`` and
+``tests/test_library_digests.py`` with ``git archive`` into a temporary
+directory, runs this corpus, the results of that tree's own
+``tests/test_library_digests.py`` (so a library result whose fields changed
+is recorded on each side with that side's accessors) and one pass of the
+benchmark's radial-numerics ops (``bench/workloads.py``, loaded read-only, at
+seed ``OPS_SEED``) with that tree and with this checkout, each in its own
 process, and prints per case the exit codes, the stdout and stderr
 differences and the largest absolute and relative difference of each JSON
 number and each CSV column, then the same for each library result and for
@@ -49,7 +51,8 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent
 MANIFEST = GOLDEN / "manifest.json"
 ROOT = GOLDEN.parents[1]
-LIBRARY_DIGESTS = ROOT / "tests" / "test_library_digests.py"
+#: where a source tree keeps its library results, relative to its root
+LIBRARY_DIGESTS = Path("tests", "test_library_digests.py")
 BENCH = ROOT / "bench"
 #: the seed of the radial-numerics pass ``--against`` records
 OPS_SEED = 22
@@ -98,6 +101,9 @@ CASES = {
     "exit2-fit-window-nan": "fit-expansion",
     "exit2-tolerance-nan": "logterm-pipeline",
     "exit2-lambda-nan": "solve-linear",
+    "exit2-indicial-spectrum-inf": "indicial",
+    "exit2-fit-index-set-empty": "fit-expansion",
+    "exit2-fit-window-narrow": "fit-expansion",
 }
 
 
@@ -165,23 +171,25 @@ def regenerate() -> None:
 # --against REV: how far each output moved
 # ---------------------------------------------------------------------------
 
-def record(workdir: str) -> None:
-    """Replay the corpus in ``workdir`` with the ``cuspasym`` first on
-    ``sys.path``: the artifacts stay under ``workdir/out``, each case's exit
-    code, stdout and stderr (its source directory written ``<src>``) go to
-    ``cases.json``, the arrays of every library digest to ``library.npz`` and
-    the numbers of each radial-numerics op's result to ``ops.npz``."""
+def record(workdir: str, tree: str) -> None:
+    """Replay the corpus in ``workdir`` with the ``cuspasym`` of the source
+    tree ``tree`` first on ``sys.path``: the artifacts stay under
+    ``workdir/out``, each case's exit code, stdout and stderr (its source
+    directory written ``<src>``) go to ``cases.json``, the arrays of every
+    library result of the tree's own digests file to ``library.npz`` and the
+    numbers of each radial-numerics op's result to ``ops.npz``."""
     import numpy as np
 
     import cuspasym
 
     src = str(Path(cuspasym.__file__).parents[1])   # in warnings: the same text on both sides
+    library = Path(tree, LIBRARY_DIGESTS).resolve()
     os.chdir(workdir)
     cases = {name: {key: entry[key].replace(src, "<src>") if key != "exit" else entry[key]
                     for key in ("exit", "stdout", "stderr")}
              for name, entry in replay().items()}
     Path("cases.json").write_text(json.dumps(cases, indent=1), encoding="utf-8")
-    spec = importlib.util.spec_from_file_location("library_digests", LIBRARY_DIGESTS)
+    spec = importlib.util.spec_from_file_location("library_digests", library)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     arrays = {f"{name}[{i}]": np.asarray(part, dtype=float)
@@ -239,25 +247,27 @@ def _numbers(value, path: str = "result"):
 
 
 def export_src(rev: str, into: Path) -> Path:
-    """REV's ``src/`` exported with ``git archive`` into ``into``; its path."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-                         capture_output=True, check=True).stdout
+    """REV's ``src/`` and library digests file exported with ``git archive``
+    into ``into``: a source tree, whose root is ``into``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src",
+                          LIBRARY_DIGESTS.as_posix()], capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         # the "data" filter where this Python has it (3.11.4 and later)
         archive.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    return into / "src"
+    return into
 
 
-def run_both(before_src: Path, after_src: Path, workdir: Path) -> tuple[Path, Path]:
-    """Record the corpus with each source tree, in two processes at once, in
+def run_both(before: Path, after: Path, workdir: Path) -> tuple[Path, Path]:
+    """Record the corpus with each source tree (a root holding ``src/`` and
+    the library digests file), in two processes at once, in
     ``workdir/before`` and ``workdir/after``; those two directories."""
-    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-            "import regen; regen.record(sys.argv[3])")
+    code = ("import sys; sys.path[:0] = [sys.argv[1] + '/src', sys.argv[2]]; "
+            "import regen; regen.record(sys.argv[3], sys.argv[1])")
     runs = []
-    for src, side in ((before_src, "before"), (after_src, "after")):
+    for tree, side in ((before, "before"), (after, "after")):
         (workdir / side).mkdir(parents=True)
         runs.append((workdir / side, subprocess.Popen(
-            [sys.executable, "-c", code, str(src), str(GOLDEN), str(workdir / side)],
+            [sys.executable, "-c", code, str(tree), str(GOLDEN), str(workdir / side)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
     errors = [proc.communicate()[1] for _, proc in runs]   # both end before a failure is raised
     failed = [f"recording in {side} failed:\n{err}"
@@ -397,8 +407,8 @@ def compare(before: Path, after: Path) -> list[str]:
 def against(rev: str) -> list[str]:
     """The report on REV's outputs (before) against this checkout's (after)."""
     with tempfile.TemporaryDirectory() as tmp:
-        src = export_src(rev, Path(tmp, "rev"))
-        return compare(*run_both(src, ROOT / "src", Path(tmp, "runs")))
+        tree = export_src(rev, Path(tmp, "rev"))
+        return compare(*run_both(tree, ROOT, Path(tmp, "runs")))
 
 
 def main(argv: list[str] | None = None) -> None:

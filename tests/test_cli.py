@@ -55,6 +55,22 @@ def test_indicial_cutoff_below_alpha_rejected(tmp_path):
     assert main(["indicial", cfg, "-o", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("key, text", [
+    ("lambda", "lambda = nan"), ("c", "c = nan"), ("spectrum", "spectrum = 0, inf"),
+    ("alpha", "alpha = nan"), ("cutoff", "cutoff = inf"), ("union_terms", "union_terms = nan:0"),
+])
+def test_indicial_non_finite_exponent_is_named(tmp_path, capsys, key, text):
+    # once only "config error: exponent must be finite, got nan", naming no key
+    config = {"lambda": "lambda = 1", "c": "c = 1", "spectrum": "spectrum = 0",
+              "cutoff": "cutoff = 3", key: text}
+    cfg = write(tmp_path / "c.cfg", "\n".join(config.values()) + "\n")
+    out = tmp_path / "out"
+    assert main(["indicial", cfg, "-o", str(out)]) == 2
+    bad = text.split("= ")[1].split(", ")[-1].split(":")[0]
+    assert capsys.readouterr().err == f"config error: {key}: exponent must be finite, got {bad}\n"
+    assert not (out / "indicial.json").exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", "d = 4\nwhatever = 1\n")
     assert main(["chern-coeff", cfg, "-o", str(tmp_path)]) == 2
@@ -337,12 +353,13 @@ _GOOD_TERMS = '[{"z": 1, "k": 0}]'
      "abc"),
     (None, '{"terms": [{"z": 1, "k": 1.5}], "cutoff": 2}', "index_set_json",
      "ill-typed field 'terms[0].k'"),
+    (None, '{"cutoff": 0.5, "terms": []}', "index_set_json", "index set has no terms"),
     ("x,value\n0.1,1\n", '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv",
      "got 1"),
     ("x,value\n", '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv", "got 0"),
 ], ids=["top-level-list", "terms-not-list", "missing-terms", "missing-z",
         "missing-cutoff", "truncated-json", "unparseable-csv", "fractional-k",
-        "one-row-csv", "header-only-csv"])
+        "no-terms", "one-row-csv", "header-only-csv"])
 def test_fit_expansion_bad_input_files_name_key_path_and_field(
         tmp_path, capsys, csv_text, json_text, key, field):
     csv_path, json_path = tmp_path / "field.csv", tmp_path / "eset.json"
@@ -382,6 +399,27 @@ def test_fit_expansion_window_keys_are_checked(tmp_path, capsys, window, key):
     assert capsys.readouterr().err.startswith(
         f"config error: {key} must be finite with 0 < window_lo < window_hi "
         f"(both 0 for the default window), got ")
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("n_nodes, window, key", [
+    (256, "window_lo = 1e-3\nwindow_hi = 1.0001e-3", "window_lo, window_hi"),
+    (8, "", "field_csv"),   # the default window of a coarse grid
+], ids=["narrow-window", "coarse-default-window"])
+def test_fit_expansion_window_without_enough_samples_is_named(tmp_path, capsys,
+                                                              n_nodes, window, key):
+    # once only "config error: window [...] holds 0 samples; ...", naming no key
+    csv_path = tmp_path / "field.csv"
+    grid = RadialGrid(-30.0, math.log(0.5), n_nodes)
+    RadialField.from_function(grid, lambda x: 2 * x).write_csv(csv_path)
+    (tmp_path / "eset.json").write_text(json.dumps(closure((IndexTerm(1, 0),), 2).to_json_dict()))
+    cfg = write(tmp_path / "c.cfg", f"field_csv = {csv_path}\n"
+                                    f"index_set_json = {tmp_path / 'eset.json'}\n{window}\n")
+    out = tmp_path / "out"
+    assert main(["fit-expansion", cfg, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    named = f"{key} {csv_path}" if key == "field_csv" else key
+    assert err.startswith(f"config error: {named}: window [") and "samples; need at least" in err
     assert not (out / "fit.json").exists()
 
 

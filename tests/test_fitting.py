@@ -7,6 +7,8 @@ import pytest
 
 from cuspasym.errors import FitError
 from cuspasym.fitting import (
+    _DETECTOR_SET,
+    _detector_windows,
     default_fit_window,
     detect_log_term,
     fit_polyhom,
@@ -32,7 +34,7 @@ def test_exact_recovery_two_terms():
 def test_exact_recovery_conditioned_window_residual():
     f = RadialField.from_function(GRID, lambda x: 2 * x + 5 * x ** 2)
     fit = fit_polyhom(f, E_X, fit_window=(1e-3, 1e-1))
-    assert fit.residual_sup <= 1e-10
+    assert remainder_check(fit, f).residual_sup <= 1e-10
     assert abs(fit.coefficients[IndexTerm(1, 0)] - 2) < 1e-8
 
 
@@ -128,6 +130,15 @@ def test_detector_on_monge_ampere_solution():
     assert abs(est.value - 1.0) <= 0.02
 
 
+def test_detector_is_the_fit_on_each_of_its_windows():
+    f = RadialField.from_function(GRID, lambda x: 1.7 * x * np.log(x) + 0.3 * x + x ** 2)
+    est = detect_log_term(f)
+    fits = [fit_polyhom(f, _DETECTOR_SET, window) for window in _detector_windows(GRID)]
+    assert est.windows == [fit.window for fit in fits]
+    assert est.window_values == [fit.coefficients[IndexTerm(1, 1)] for fit in fits]
+    assert est.linear_value == fits[0].coefficients[IndexTerm(1, 0)]
+
+
 def test_remainder_saturates_on_exact_expansion():
     f = RadialField.from_function(GRID, lambda x: 3 * x + 2 * x ** 2)
     fit = fit_polyhom(f, E_X, fit_window=WINDOW)
@@ -158,10 +169,16 @@ def test_remainder_of_ma_manufactured_solution():
 
 
 def test_fit_reports_remainder_exponent():
+    # the remainder formed on the fit's design is the data less the
+    # evaluated expansion, to rounding
     f = RadialField.from_function(GRID, lambda x: x + x ** 2.5)
     fit = fit_polyhom(f, E_X, fit_window=WINDOW)
-    assert fit.remainder_exponent is not None
-    assert fit.remainder_spread is not None
+    report = remainder_check(fit, f)
+    assert report.slope is not None and report.spread is not None
+    mask = GRID.window_mask(*WINDOW)
+    x = GRID.x[mask]
+    evaluated = np.max(np.abs(f.values[mask] - fit.evaluate(x)) / x ** 2)
+    assert abs(report.residual_sup - evaluated) <= 1e-9 * evaluated
 
 
 def test_near_collinear_basis_raises_named_error():
@@ -180,8 +197,8 @@ def test_remainder_slope_needs_four_points_above_the_floor():
         MongeAmpereProblem(ModelMetric(), RadialField(grid, 1.5 * grid.x)))
     E = closure((IndexTerm(1, 1),), 2)
     fit = fit_polyhom(u, E, fit_window=(1e-10, 1e-3))
-    assert fit.remainder_exponent is None and fit.remainder_spread is None
-    assert remainder_check(fit, u).saturated
+    report = remainder_check(fit, u)
+    assert report.slope is None and report.spread is None and report.saturated
 
 
 @pytest.mark.parametrize("scale, message", [
@@ -198,7 +215,7 @@ def test_fit_of_overflowing_weighted_samples_raises_a_named_error(scale, message
     if message is None:
         fit = fit_polyhom(f, E, fit_window=WINDOW)
         assert all(map(math.isfinite, fit.coefficients.values()))
-        assert math.isfinite(fit.residual_sup)
+        assert math.isfinite(remainder_check(fit, f).residual_sup)
     else:
         with pytest.raises(FitError, match=message):
             fit_polyhom(f, E, fit_window=WINDOW)

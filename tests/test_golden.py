@@ -63,14 +63,14 @@ def test_json_artifacts_are_strict_json():
 
 @pytest.fixture(scope="module")
 def recorded_twice(tmp_path_factory):
-    """HEAD's ``src/``, exported as ``--against HEAD`` does, recorded twice;
-    outside a git checkout the checkout's own ``src/``."""
+    """HEAD's tree, exported as ``--against HEAD`` does, recorded twice;
+    outside a git checkout the checkout itself."""
     work = tmp_path_factory.mktemp("against")
     try:
-        src = regen.export_src("HEAD", work / "head")
+        tree = regen.export_src("HEAD", work / "head")
     except (OSError, subprocess.CalledProcessError):
-        src = regen.ROOT / "src"
-    return regen.run_both(src, src, work / "runs")
+        tree = regen.ROOT
+    return regen.run_both(tree, tree, work / "runs")
 
 
 def test_a_revision_against_itself_shows_no_difference(recorded_twice):
@@ -113,3 +113,23 @@ def test_a_one_ulp_change_shows_in_the_report(recorded_twice, tmp_path):
     assert moved[3].startswith("library decay-slice-ratios[0]: max abs ")
     assert moved[3].endswith("(1 of 101 differ)")
     assert len(moved) == 4
+
+
+def test_each_side_records_the_library_results_of_its_own_tree(tmp_path):
+    # a before tree whose library results read an accessor its own source
+    # has and the checkout's does not: recorded with the checkout's digests
+    # file it would lose the result, recorded with its own the report
+    # shows it on the before side only
+    before = tmp_path / "before"
+    shutil.copytree(regen.ROOT / "src", before / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(before / "src" / "cuspasym" / "__init__.py", "a") as init:
+        init.write("\nONLY_BEFORE = 2.5\n")
+    digests = before / regen.LIBRARY_DIGESTS
+    digests.parent.mkdir()
+    digests.write_text("import cuspasym\n\n"
+                       "RESULTS = {'only': lambda: {'only-before': ([cuspasym.ONLY_BEFORE],)}}\n")
+    report = regen.compare(*regen.run_both(before, regen.ROOT, tmp_path / "runs"))
+    library = [line for line in report if line.startswith("library ")]
+    assert library[0] == "library only-before[0]: only before"
+    assert "library ma-fit[0]: only after" in library

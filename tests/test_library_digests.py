@@ -28,7 +28,7 @@ FIT_SET = IndexSet(tuple(IndexTerm(z, k) for z, k in ((1, 0), (1, 1), (2, 0), (2
 
 DIGESTS = {
     "ma-solution": "dfb88a3017584999345d00856aee1d3c6a963b53cf7a38bb14bc14f842c61f0d",
-    "ma-detector": "c084ad9a875c3dc073e15087fb4cb7322c4c828fd241782c87b70e42c29f25e7",
+    "ma-detector": "4a1fb04aa0a22b8457ba9207c03614196706d833fcd8cd83fd51ac89a1467756",
     "ma-fit": "5d4d860ce9766f925690a39724ebe781f4360436aed66af9997503e49ec47522",
     "flow-snapshot": "d4cf906315b8e99e821e0cb6edc2c7ab30e574f37b91227f844499e7c820b8e8",
     "decay-slice-ratios": "3088b9158a7695b02b5dd9163f79878a18267c361d533ee7bfb25cf54e4061b2",
@@ -50,11 +50,12 @@ def _ma():
                                                              RadialField(GRID, 1.5 * GRID.x)))
     estimate = fitting.detect_log_term(u)
     fit = fitting.fit_polyhom(u, FIT_SET, fit_window=(1e-6, 1e-2))
+    remainder = fitting.remainder_check(fit, u)
     return {"ma-solution": (u.values, report.residuals),
             "ma-detector": ([estimate.value, estimate.linear_value, estimate.uncertainty],
                             estimate.window_values),
             "ma-fit": ([fit.coefficients[tm] for tm in fit.terms],
-                       [fit.residual_sup, fit.remainder_exponent, *fit.remainder_spread])}
+                       [remainder.residual_sup, remainder.slope, *remainder.spread])}
 
 
 def _flow():

@@ -197,7 +197,7 @@ def test_dt_derivative_exact_on_quadratics():
     assert np.allclose(dt_derivative(vals, g.h), 4.0 * g.t - 1.0, rtol=0, atol=1e-11)
 
 
-def _no_floor(v, aux, out, spare):
+def _no_floor(v, aux, out):
     """A floor never reached: the loop runs as if it had none."""
     return math.inf
 
@@ -299,7 +299,7 @@ def test_damped_newton_asks_no_floor_while_newton_contracts():
     target = np.r_[0.0, np.linspace(0.1, 0.5, 14), 0.0]
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
         *_cubic(target), (0.0,), NewtonParams(), "probe", NewtonWorkspace(16),
-        floor=lambda v, aux, out, spare: calls.append(1) or 1.0)
+        floor=lambda v, aux, out: calls.append(1) or 1.0)
     assert calls == [] and floor_value is None and damping == 0
     assert residuals[-1] <= 1e-11 and iterations == len(residuals) - 1
     assert np.max(np.abs(v + v ** 3 - target)) == residuals[-1]
@@ -325,13 +325,13 @@ def test_damped_newton_stops_at_the_callers_floor(problem, amplitude):
     residual, bands = problem(target)
     seen = []
 
-    def floor(v, aux, out, spare):
-        # the loop's two spare buffers and the scratch array are the floor's to spoil
-        buffers = (v, aux, out, spare, work.scratch)
+    def floor(v, aux, out):
+        # the loop's spare buffer and the scratch array are the floor's to spoil
+        buffers = (v, aux, out, work.scratch)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers)
                        for b in buffers[i + 1:])
         seen.append(v.copy())
-        for spoilt in (out, spare, work.scratch):
+        for spoilt in (out, work.scratch):
             spoilt.fill(np.nan)
         return amplitude
 
@@ -353,8 +353,8 @@ def test_damped_newton_goes_on_unless_a_finite_floor_is_reached(floor_value):
     target = np.r_[0.0, np.linspace(1.0, 2.0, 14), 0.0]
     work = NewtonWorkspace(16)
 
-    def spoiling_floor(v, aux, out, spare):   # the loop goes on as if never asked
-        for spoilt in (out, spare, work.scratch):
+    def spoiling_floor(v, aux, out):   # the loop goes on as if never asked
+        for spoilt in (out, work.scratch):
             spoilt.fill(np.nan)
         return floor_value
 
@@ -576,10 +576,10 @@ def test_log_density_equation_matches_a_dense_evaluation(solver):
     stencil_sums = np.abs(L) @ np.abs(v)
     expected = max(math.fsum([gamma * s / p, alpha * abs(vj), abs(b)])
                    for s, p, vj, b in zip(stencil_sums, rho, v[1:-1], beta))
-    value = floor(v, aux, np.empty(n), np.empty(n))
+    value = floor(v, aux, np.empty(n))
     assert value == pytest.approx(np.finfo(float).eps * expected, rel=1e-13)
     _, _, bounded = _log_density_equation(h, *equation, bc, work, 0.5 * value)
-    assert bounded(v, aux, np.empty(n), np.empty(n)) == math.inf
+    assert bounded(v, aux, np.empty(n)) == math.inf
 
 
 @pytest.mark.parametrize("values", [

@@ -140,7 +140,7 @@ def test_cached_designs_and_windows_reject_writes():
     assert isinstance(windows, tuple) and estimate.windows == list(windows)
     estimate.windows.clear()   # the estimate's list is its own
     assert fitting.detect_log_term(RadialField(grid, grid.x)).windows == list(windows)
-    design = fitting._fit_design(grid, windows[0], fitting._DETECTOR_BASIS, 1.0)
+    design = fitting._fit_design(grid, windows[0], fitting._DETECTOR_SET.terms, 1.0)
     for array in (design.w, design.x_N, design.A, design.A_scaled, design.col_norms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -180,30 +180,33 @@ def _uncached_detector(samples):
     values, linear = [], []
     for window in fitting._detector_windows(grid):
         mask = grid.window_mask(*window)
+        # the index set's canonical column order: x, then x log x
         coefs = _uncached_lstsq(grid.t[mask], samples.values[mask],
-                                (IndexTerm(1, 1), IndexTerm(1, 0)), 1.0)
-        values.append(float(coefs[0]))
-        linear.append(float(coefs[1]))
+                                (IndexTerm(1, 0), IndexTerm(1, 1)), 1.0)
+        values.append(float(coefs[1]))
+        linear.append(float(coefs[0]))
     return values[0], linear[0], max(abs(v - values[0]) for v in values), values
 
 
 @pytest.mark.parametrize("n", [512, 4096, 16384, 65536])
 def test_detector_and_fit_match_the_uncached_computation_bit_for_bit(n):
     grid = _grid(n)
-    hits = fitting._fit_design.cache_info().hits, fitting._detector_designs.cache_info().hits
     for a in (0.5, 1.0, 1.5):
         u = _ma(grid, a)
+        before = fitting._fit_design.cache_info()
         estimate = fitting.detect_log_term(u)
+        after = fitting._fit_design.cache_info()
         assert (estimate.value, estimate.linear_value, estimate.uncertainty,
                 estimate.window_values) == _uncached_detector(u)
+        if a > 0.5:
+            # the grid's designs, reused: a fit on each of the four windows,
+            # and the deepest window's rows for the data scale
+            assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
         for window in (None, (1e-6, 1e-2), (1e-9, 1e-3)):
             fit = fitting.fit_polyhom(u, FIT_SET, fit_window=window)
-            assert (fit.coefficients, fit.residual_sup, fit.remainder_exponent,
-                    fit.remainder_spread) == _uncached_fit(u, FIT_SET, window)
-    # every amplitude after the first reused the grid's designs: the fit's
-    # three windows through _fit_design, the detector's four in one lookup
-    assert fitting._fit_design.cache_info().hits - hits[0] >= 2 * 3
-    assert fitting._detector_designs.cache_info().hits - hits[1] >= 2
+            report = fitting.remainder_check(fit, u)
+            assert (fit.coefficients, report.residual_sup, report.slope,
+                    report.spread) == _uncached_fit(u, FIT_SET, window)
 
 
 def test_the_lstsq_kernel_gives_numpys_solution_and_error():
