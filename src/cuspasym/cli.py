@@ -10,8 +10,9 @@ self-describing, floats are serialized at full precision, and repeated
 runs on the same config produce byte-identical files.
 
 Exit codes: 0 success, 2 config error (every ``ValueError`` raised while a
-command runs, a library constructor rejecting a value included), 3 numerical
-failure (``SolverError``, ``FitError``).
+command runs, a library constructor rejecting a value included; ``_named``
+puts the config key at fault before the message), 3 numerical failure
+(``SolverError``, ``FitError``).
 
 The default output directory is taken from the CUSPASYM_OUTDIR environment
 variable, overridable per run with --output or the ``output`` config key.
@@ -75,36 +76,38 @@ class Key:
     default: Any = _REQUIRED
 
 
-def _parse_rational(text: str):
+def _number(kind: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Parser of one number by ``convert``, failing as "bad <kind> value '<text>'"."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"bad {kind} value {text!r}") from exc
+    return parse
+
+
+def _rational(text: str):
     """Exact Fraction for integers and p/q forms, float otherwise."""
-    text = text.strip()
     try:
         return Fraction(int(text))
     except ValueError:
-        pass
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad rational value {text!r}") from exc
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value {text!r}") from exc
+        return Fraction(text) if "/" in text else float(text)
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(Fraction(text)) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad float value {text!r}") from exc
+_parse_int = _number("integer", int)
+_parse_float = _number("float", lambda text: float(Fraction(text)) if "/" in text else float(text))
+_parse_rational = _number("rational", _rational)
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad integer value {text!r}") from exc
+def _parse_exponent(text: str):   # as_exponent refuses one that is not finite
+    return as_exponent(_parse_rational(text))
+
+
+def _file_name(text: str) -> str:
+    """A file name in the output directory, without a directory part."""
+    if Path(text).name != text or text in ("", ".."):
+        raise ValueError(f"must be a file name in the output directory, got {text!r}")
+    return text
 
 
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], list]:
@@ -128,7 +131,7 @@ def _colon_item(what: str, **fields: Callable[[str], Any]) -> Callable[[str], tu
 
 
 #: index pairs z:k
-_parse_pairs = _list_of(_colon_item("index pair", z=_parse_rational, k=_parse_int))
+_parse_pairs = _list_of(_colon_item("index pair", z=_parse_exponent, k=_parse_int))
 #: term list: a:z:k triples for a * x^z * (log x)^k
 _parse_terms = _list_of(_colon_item("term", a=_parse_float, z=_parse_float, k=_parse_int))
 
@@ -151,6 +154,16 @@ def _read_config_lines(path: Path) -> dict[str, str]:
     return raw
 
 
+def _named(key: str, call: Callable[..., Any], *args, **kwargs):
+    """``call(*args, **kwargs)``; a ValueError it raises becomes the ConfigError
+    "<key>: <message>", the one place a message gets the key at fault.  Never
+    nested: a ConfigError is a ValueError, and would gain the key twice."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def load_config(path, schema: dict[str, Key]) -> dict[str, Any]:
     path = Path(path)
     return resolve_config(_read_config_lines(path), schema, source=str(path))
@@ -164,7 +177,7 @@ def resolve_config(raw: dict[str, str], schema: dict[str, Key],
     config: dict[str, Any] = {}
     for key, spec in schema.items():
         if key in raw:
-            config[key] = spec.parse(raw[key])
+            config[key] = _named(key, spec.parse, raw[key])
         elif spec.default is _REQUIRED:
             raise ConfigError(f"{source}: missing required key '{key}'")
         else:
@@ -183,7 +196,7 @@ _SOLVE_KEYS = {
     "f_terms": Key(_parse_terms),
     "bc_left": Key(_parse_float, 0.0),
     "bc_right": Key(_parse_float, 0.0),
-    "solution_csv": Key(str, "solution.csv"),
+    "solution_csv": Key(_file_name, "solution.csv"),
 }
 
 _NEWTON_KEYS = {
@@ -196,12 +209,12 @@ _OUTPUT_KEY = {"output": Key(str, "")}
 #: every schema ends with the ``output`` key
 SCHEMAS: dict[str, dict[str, Key]] = {name: {**keys, **_OUTPUT_KEY} for name, keys in {
     "indicial": {
-        "lambda": Key(_parse_rational),
-        "c": Key(_parse_rational),
-        "spectrum": Key(_list_of(_parse_rational)),
+        "lambda": Key(_parse_exponent),
+        "c": Key(_parse_exponent),
+        "spectrum": Key(_list_of(_parse_exponent)),
         "multiplicities": Key(_list_of(_parse_int), []),
-        "alpha": Key(_parse_rational, Fraction(0)),
-        "cutoff": Key(_parse_rational),
+        "alpha": Key(_parse_exponent, Fraction(0)),
+        "cutoff": Key(_parse_exponent),
         "union_terms": Key(_parse_pairs, []),
     },
     "chern-coeff": {
@@ -274,7 +287,10 @@ def _grid_from_config(config) -> RadialGrid:
 
 def _sample_terms(config, key: str, grid: RadialGrid) -> RadialField:
     """The term list ``config[key]`` sampled on ``grid``; a config error
-    where it is not finite (an overflowing power of x, say)."""
+    where it is not finite (an overflowing power of x, say) or a term's
+    exponent is not (x^inf is 0 on the grid, but no JSON number)."""
+    if not all(math.isfinite(z) for _, z, _ in config[key]):
+        raise ConfigError(f"{key} has a term exponent that is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         values = evaluate_expansion(config[key], grid.x)
     bad = ~np.isfinite(values)
@@ -290,10 +306,7 @@ def _metric_from_config(config, grid) -> ModelMetric:
     if config.get("conformal_terms"):
         args.append(_sample_terms(config, "conformal_terms", grid))
     for count, key in enumerate(("metric_a", "metric_b", "conformal_terms")[:len(args)], 1):
-        try:
-            metric = ModelMetric(*args[:count])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+        metric = _named(key, ModelMetric, *args[:count])
     return metric
 
 
@@ -302,13 +315,6 @@ def _metric_from_config(config, grid) -> ModelMetric:
 # ---------------------------------------------------------------------------
 
 def cmd_indicial(config, outdir: Path) -> dict:
-    # the library rejects a non-finite exponent without knowing its key
-    for key in ("lambda", "c", "spectrum", "alpha", "cutoff", "union_terms"):
-        try:   # a number, a list of them, or z:k pairs (each k an int)
-            for value in np.ravel(np.asarray(config[key], dtype=object)):
-                as_exponent(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
     family = IndicialFamily(config["lambda"], config["c"], tuple(config["spectrum"]),
                             tuple(config["multiplicities"]))
     alpha, cutoff = config["alpha"], config["cutoff"]
@@ -326,8 +332,9 @@ def cmd_indicial(config, outdir: Path) -> dict:
         "hat_E_plus": hat_e_plus.to_json_dict(),
     }
     if config["union_terms"]:
-        extra = closure(tuple(IndexTerm(z, k) for z, k in config["union_terms"]),
-                        cutoff)
+        # the terms are built inside the call, so a bad log power names the key too
+        extra = _named("union_terms", closure,
+                       (IndexTerm(z, k) for z, k in config["union_terms"]), cutoff)
         payload["extended_union"] = extended_union(hat_e_plus, extra).to_json_dict()
     write_json(outdir / "indicial.json", payload)
     return payload
@@ -434,35 +441,31 @@ def cmd_flow(config, outdir: Path) -> dict:
     return payload
 
 
+def _read_file(path: Path, read: Callable[[Path], Any]):
+    """``read(path)``; a missing file is a ValueError like an unreadable one."""
+    if not path.is_file():
+        raise ValueError("no such file")
+    return read(path)
+
+
 def cmd_fit_expansion(config, outdir: Path) -> dict:
     csv_path = Path(config["field_csv"])
     json_path = Path(config["index_set_json"])
-    if not csv_path.is_file():
-        raise ConfigError(f"field CSV not found: {csv_path}")
-    if not json_path.is_file():
-        raise ConfigError(f"index-set JSON not found: {json_path}")
-    # bad JSON, an unreadable CSV or a missing or ill-typed field: each a
-    # ValueError, reported with the key and the file it came from
-    try:
-        samples = RadialField.read_csv(csv_path)
-    except ValueError as exc:
-        raise ConfigError(f"field_csv {csv_path}: {exc}") from exc
-    try:
-        E = IndexSet.from_json_dict(json.loads(json_path.read_text()))
-    except ValueError as exc:
-        raise ConfigError(f"index_set_json {json_path}: {exc}") from exc
+    # a missing file, bad JSON, an unreadable CSV or a missing or ill-typed
+    # field: each a ValueError, reported with the key and the file
+    samples = _named(f"field_csv {csv_path}", _read_file, csv_path, RadialField.read_csv)
+    E = _named(f"index_set_json {json_path}", _read_file, json_path,
+               lambda path: IndexSet.from_json_dict(json.loads(path.read_text())))
     lo, hi = config["window_lo"], config["window_hi"]
     window = None if lo == hi == 0 else (lo, hi)   # both 0: the default window
     for key, ok in (("window_lo", 0 < lo < math.inf), ("window_hi", lo < hi < math.inf)):
         if window and not ok:
             raise ConfigError(f"{key} must be finite with 0 < window_lo < window_hi "
                               f"(both 0 for the default window), got {lo} and {hi}")
-    try:   # an index set without terms, or a window with too few samples
-        fit = fit_polyhom(samples, E, fit_window=window)
-    except ValueError as exc:
-        key = (f"index_set_json {json_path}" if not E.terms else
-               "window_lo, window_hi" if window else f"field_csv {csv_path}")
-        raise ConfigError(f"{key}: {exc}") from exc
+    # an index set without terms, or a window with too few samples
+    fit = _named(f"index_set_json {json_path}" if not E.terms else
+                 "window_lo, window_hi" if window else f"field_csv {csv_path}",
+                 fit_polyhom, samples, E, fit_window=window)
     remainder = remainder_check(fit, samples)
     payload = {
         "config": config,
@@ -480,16 +483,12 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
 def cmd_logterm_pipeline(config, outdir: Path) -> dict:
     if not 0 < config["tolerance"] < math.inf:
         raise ConfigError(f"tolerance must be finite and > 0, got {config['tolerance']}")
-    coefficient_x = sum(a for a, z, k in config["f_terms"]
-                        if z == 1.0 and k == 0)
+    coefficient_x = sum(a for a, z, k in config["f_terms"] if z == 1.0 and k == 0)
     predicted = (2.0 / 3.0) * coefficient_x
     solution, report = _solve_ma(config, outdir, NewtonParams(
         max_iter=config["max_iter"], tol=config["tol"]))
-    estimate = detect_log_term(solution)
-    if predicted != 0.0:
-        rel_error = abs(estimate.value - predicted) / abs(predicted)
-    else:
-        rel_error = abs(estimate.value)
+    estimate = _named(", ".join(_GRID_KEYS), detect_log_term, solution)   # a shallow grid
+    rel_error = abs(estimate.value - predicted) / (abs(predicted) or 1.0)
     payload = {
         "config": config,
         "solution_csv": config["solution_csv"],

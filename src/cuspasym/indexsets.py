@@ -29,14 +29,25 @@ Exponent = Union[Fraction, float]
 
 #: Tolerance for deciding that two float exponents coincide.
 EXPONENT_TOL = 1e-12
+#: the most integer shifts a chain may take from its head to the cutoff (see
+#: ``sweep_shifts``); ``indicial`` on one chain to that cutoff (lambda = c = 1,
+#: spectrum 0) takes about 1 s in-process on a 2-vCPU shared Xeon
+_MAX_SHIFTS = 25_000
 
 
 def as_exponent(value) -> Exponent:
-    """Normalize a number to an exact Fraction when possible, else float."""
-    if isinstance(value, Fraction):
-        return value
+    """Normalize a number to an exact Fraction when possible, else float.
+    Either kind must have a finite float value: exponents are ordered and
+    written as floats."""
     if isinstance(value, int):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError("exponent must be finite, got a rational beyond "
+                             "the float range") from None
+        return value
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"exponent must be finite, got {value!r}")
@@ -112,8 +123,13 @@ def _clusters(heap: list) -> Iterator[tuple]:
 def sweep_shifts(heads: Iterable[tuple], cutoff, combine) -> Iterator[tuple]:
     """``(z, combine(values))`` for each exponent z <= cutoff, ascending, of
     the chains z, z + 1, ... from ``heads``, pairs (z, value).  The values
-    at z are its heads' and the one carried up from z - 1."""
+    at z are its heads' and the one carried up from z - 1.  A cutoff more
+    than ``_MAX_SHIFTS`` above the lowest head is a ValueError, raised
+    before any chain is followed."""
     heap = _heap(heads)
+    if heap and cutoff > heap[0][1] + _MAX_SHIFTS:   # exact, a float against a Fraction too
+        raise ValueError(f"cutoff {cutoff} lies more than {_MAX_SHIFTS} integer shifts "
+                         f"above the lowest exponent {heap[0][1]}")
     for base, p, values in _clusters(heap):
         z = base + p
         if exponent_gt(z, cutoff):

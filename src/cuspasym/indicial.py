@@ -64,17 +64,19 @@ class IndicialFamily:
         mult = self.multiplicities or tuple(1 for _ in spec)
         mult = tuple(int(m) for m in mult)
         object.__setattr__(self, "multiplicities", mult)
-        if float(self.c) <= 0:
+        if not self.c > 0:   # exact: a tiny rational c floats to 0
             raise ValueError(f"cusp constant c must be positive, got {self.c}")
         if len(mult) != len(spec):
             raise ValueError("multiplicities must match the spectrum in length")
         if any(m < 1 for m in mult):
             raise ValueError("multiplicities must be >= 1")
-        if any(float(nu) < 0 for nu in spec):
+        if any(nu < 0 for nu in spec):
             raise ValueError("spectrum values must be >= 0")
         for a, b in zip(spec, spec[1:]):
             if not exponent_gt(b, a):
                 raise ValueError("spectrum must be strictly increasing")
+        for nu in spec:   # each root needs its discriminant as a finite float
+            _discriminant(self, nu)
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,23 @@ class IndicialRoot:
 
 
 def _discriminant(family: IndicialFamily, nu: Exponent) -> Exponent:
+    """2(lambda + nu)/c + 1/4, exact for exact data; a ValueError where its
+    float is not finite, since the roots are compared and written as floats."""
     lam, c = family.lam, family.c
-    if is_exact(lam) and is_exact(c) and is_exact(nu):
-        return 2 * (lam + nu) / c + Fraction(1, 4)
-    return 2.0 * (float(lam) + float(nu)) / float(c) + 0.25
+    try:
+        if is_exact(lam) and is_exact(c) and is_exact(nu):
+            disc = 2 * (lam + nu) / c + Fraction(1, 4)
+            finite = math.isfinite(float(disc))
+        else:   # 0/c is 0 also where a tiny rational c floats to 0
+            s = float(lam) + float(nu)
+            disc = (2.0 * s / float(c) if s else 0.0) + 0.25
+            finite = math.isfinite(disc)
+    except (OverflowError, ZeroDivisionError):   # 1/c overflows
+        finite = False
+    if not finite:
+        raise ValueError(f"the discriminant 2(lambda + nu)/c + 1/4 at spectrum value "
+                         f"nu={float(nu):.6g} is not a finite float")
+    return disc
 
 
 def spec_b_roots(family: IndicialFamily) -> list[IndicialRoot]:

@@ -312,9 +312,9 @@ class FlowProblem:
             object.__setattr__(self, "output_times", tuple(self.output_times))
             steps = [time_grid.step_of(ot) for ot in self.output_times]
             if None in steps:
-                raise ValueError(f"output time {self.output_times[steps.index(None)]} is not "
-                                 f"a step time k*T/{time_grid.steps} in [0, {self.T}] "
-                                 f"(dt={self.dt})")
+                raise ValueError(f"output time {self.output_times[steps.index(None)]} in "
+                                 f"output_times is not a step time k*T/{time_grid.steps} "
+                                 f"in [0, {self.T}] (dt={self.dt})")
             kept = frozenset(steps)
         object.__setattr__(self, "_plan", (time_grid, kept))
 

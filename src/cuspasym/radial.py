@@ -67,7 +67,7 @@ class RadialGrid:
         if not (self.t_max < 0):
             raise ValueError(f"need t_max < 0 so that x stays below 1, got {self.t_max}")
         if self.n_nodes < _MIN_NODES:
-            raise ValueError(f"need at least {_MIN_NODES} nodes, got {self.n_nodes}")
+            raise ValueError(f"need n_nodes >= {_MIN_NODES}, got {self.n_nodes}")
         try:   # h**2 overflows, or underflows to 0, on an extreme span
             finite = all(map(math.isfinite, (self.t_min, *laplacian_coefficients(self.h))))
         except (OverflowError, ZeroDivisionError):

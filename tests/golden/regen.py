@@ -40,6 +40,7 @@ import math
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
@@ -56,6 +57,8 @@ LIBRARY_DIGESTS = Path("tests", "test_library_digests.py")
 BENCH = ROOT / "bench"
 #: the seed of the radial-numerics pass ``--against`` records
 OPS_SEED = 22
+#: seconds a case may run before :func:`run_case` stops it
+CASE_TIME_LIMIT = 10
 
 #: case name -> subcommand, in run order (fit-expansion reads solve-ma's CSV)
 CASES = {
@@ -104,6 +107,10 @@ CASES = {
     "exit2-indicial-spectrum-inf": "indicial",
     "exit2-fit-index-set-empty": "fit-expansion",
     "exit2-fit-window-narrow": "fit-expansion",
+    "exit2-indicial-lambda-exact-huge": "indicial",
+    "exit2-indicial-spectrum-huge": "indicial",
+    "exit2-indicial-c-tiny": "indicial",
+    "exit2-indicial-cutoff-huge": "indicial",
 }
 
 
@@ -113,13 +120,36 @@ def versions() -> dict[str, str]:
             "scipy": version("scipy")}
 
 
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """A TimeoutError raised in the body once ``seconds`` have passed."""
+    def expire(*_):
+        raise TimeoutError(f"case still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def run_case(name: str, command: str) -> dict:
-    """Run one case from the working directory; its manifest entry."""
+    """Run one case from the working directory; its manifest entry.  An
+    exception that escapes ``main``, a case running past
+    ``CASE_TIME_LIMIT`` included, is recorded as a process would end: exit
+    1 and the last line of its traceback on stderr.  So ``--against`` can
+    run a revision that crashes or loops on a case added since."""
     from cuspasym.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, f"{name}.cfg", "-o", f"out/{name}"])
+        try:
+            with time_limit(CASE_TIME_LIMIT):
+                code = main([command, f"{name}.cfg", "-o", f"out/{name}"])
+        except Exception as exc:   # noqa: BLE001 - recorded, not raised
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     root = Path("out", name)
     files = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):

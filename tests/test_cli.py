@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cuspasym import parabolic
+from cuspasym import indexsets, parabolic
 from cuspasym.cli import main
 from cuspasym.elliptic import NewtonParams
 from cuspasym.indexsets import IndexTerm, closure
@@ -96,7 +96,8 @@ def test_bad_colon_item_is_config_error(tmp_path, capsys, command, text, message
 def test_zero_denominator_is_config_error(tmp_path, capsys, command, text, message):
     cfg = write(tmp_path / "c.cfg", text)
     assert main([command, cfg, "-o", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    key = next(line.split(" = ")[0] for line in text.splitlines() if "1/0" in line)
+    assert capsys.readouterr().err == f"config error: {key}: {message}\n"
 
 
 def test_defaults_come_from_library(tmp_path):
@@ -593,3 +594,44 @@ def test_indicial_extended_union_output(tmp_path):
     # hat E+ holds (1,0); the extra set holds (1,0) and (1,1); stacking at
     # z = 1 tops out at k = 0 + 1 + 1 = 2
     assert (1.0, 2) in pairs and (1.0, 1) in pairs and (1.0, 0) in pairs
+
+
+def test_indicial_cutoff_beyond_the_shift_bound_is_named(tmp_path, capsys):
+    # one chain from the root 1 to the cutoff: once followed shift by shift
+    # (about 1 s here, and never returning at cutoff = 1e308)
+    cutoff = 2 + indexsets._MAX_SHIFTS
+    cfg = write(tmp_path / "c.cfg", f"lambda = 1\nc = 1\nspectrum = 0\ncutoff = {cutoff}\n")
+    out = tmp_path / "out"
+    assert main(["indicial", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cutoff {cutoff} lies more than {indexsets._MAX_SHIFTS} integer "
+        "shifts above the lowest exponent 1\n")
+    assert not (out / "indicial.json").exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    # an exact z that no float holds: once an OverflowError traceback
+    pytest.param("indicial", "lambda = 1\nc = 1\nspectrum = 0\ncutoff = 3\nunion_terms = 1"
+                 + "0" * 400 + ":0\n",
+                 "union_terms: exponent must be finite, got a rational beyond the float range",
+                 id="indicial-union-z-10^400"),
+    # a log power below 0, once named by no key
+    ("indicial", "lambda = 1\nc = 1\nspectrum = 0\ncutoff = 3\nunion_terms = 1:-1\n",
+     "union_terms: log power k must be a nonnegative integer, got -1"),
+    ("solve-ma", "n_nodes = 4\nf_terms = 1.5:1:0\n", "need n_nodes >= 8, got 4"),
+    # x^inf is 0 on the grid: once exit 0 with the non-JSON Infinity in the config echo
+    ("solve-ma", "n_nodes = 64\nf_terms = 0.5:inf:0\n",
+     "f_terms has a term exponent that is not finite"),
+    # once a FileNotFoundError traceback, as the directory "sub" is not there
+    ("solve-ma", "n_nodes = 64\nf_terms = 1.5:1:0\nsolution_csv = sub/u.csv\n",
+     "solution_csv: must be a file name in the output directory, got 'sub/u.csv'"),
+    ("logterm-pipeline", "t_min = -4\nn_nodes = 64\nf_terms = 1.5:1:0\n",
+     "t_min, t_max, n_nodes: grid too shallow for the sliding-window detector"),
+    ("fit-expansion", "field_csv = absent.csv\nindex_set_json = absent.json\n",
+     "field_csv absent.csv: no such file"),
+])
+def test_a_rejected_value_names_its_key(tmp_path, capsys, monkeypatch, command, text, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "c.cfg", text)
+    assert main([command, cfg, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"

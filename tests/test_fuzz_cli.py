@@ -1,0 +1,144 @@
+"""Single-key edge sweep of the CLI: every key of every subcommand but
+``sweep``, one at a time, set to each edge value its parser's type admits,
+on top of a config that runs.  Each config runs through ``main``
+in-process.  It must exit 0, 2 or 3 with no exception escaping ``main`` and
+no warning; an exit 2 must name the key that was changed, as a whole word;
+every JSON artifact must be strict JSON (no ``NaN``, no ``Infinity``).  A
+run still going after ``TIME_LIMIT`` seconds fails as a hang.
+
+The keys come from ``cli.SCHEMAS``, and each key's parser is probed on
+sample texts to learn whether it reads a list of ``:``-separated items, and
+of which arity.  The node count of each
+run is drawn from 16 to 256 (96 to 256 for the log-term detector) by a
+seeded generator, so a run reproduces.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import math
+import random
+import re
+import warnings
+from pathlib import Path
+
+import pytest
+
+from cuspasym import cli
+from cuspasym.indexsets import IndexSet, IndexTerm
+from cuspasym.radial import RadialField, RadialGrid
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py")
+regen = importlib.util.module_from_spec(_spec)   # for its time limit
+_spec.loader.exec_module(regen)
+
+SEED = 25
+#: seconds a run may take before it counts as a hang; each takes milliseconds
+TIME_LIMIT = 2.0
+#: what each edge value stands for: NaN, infinities, signed zeros, the
+#: smallest subnormal, the largest magnitudes, a zero denominator, a word,
+#: a negative, a fraction where an integer may be wanted
+EDGES = ("nan", "inf", "-inf", "0", "-0", "5e-324", "1e308", "-1e308", "1/0", "abc", "-1", "2.5")
+#: item texts of the wrong shape for a list of ``:``-separated items
+BAD_SHAPES = ("1", "1:", ":", "1:2:3:4")
+#: a valid item of each arity, whose fields the sweep replaces one at a time
+BASE_ITEM = {2: "1:0", 3: "0.5:1:0"}
+
+#: the node counts a run draws from; the detector's windows need more nodes
+NODES = {"logterm-pipeline": (96, 256)}
+
+#: the keys each base config sets; every other key keeps its default
+BASE = {
+    "indicial": {"lambda": "1", "c": "1", "spectrum": "0, 2", "cutoff": "3"},
+    "chern-coeff": {"d": "4"},
+    "solve-linear": {"f_terms": "1.5:1:0"},
+    "solve-ma": {"f_terms": "1.5:1:0"},
+    "flow": {"T": "0.5", "dt": "0.25"},
+    "fit-expansion": {"field_csv": "field.csv", "index_set_json": "eset.json"},
+    "logterm-pipeline": {"f_terms": "1.5:1:0"},
+}
+
+
+def _values(parse) -> list[str]:
+    """The edge texts of one key: each edge as the whole value, or, for a
+    list of ``:``-separated items (its parser refuses the one-field "1"),
+    each edge in each field of a valid item, then items of the wrong shape."""
+    with contextlib.suppress(ValueError):
+        parse("1")
+        return list(EDGES)
+    for item in BASE_ITEM.values():
+        with contextlib.suppress(ValueError):
+            parse(item)
+            fields = item.split(":")
+            return [":".join(fields[:i] + [edge] + fields[i + 1:])
+                    for i in range(len(fields)) for edge in EDGES] + list(BAD_SHAPES)
+    raise AssertionError(f"{parse} reads neither '1' nor any item of {BASE_ITEM}")
+
+
+def _runs():
+    """(command, changed key, its text, the whole config) for every run."""
+    rng = random.Random(SEED)
+    for command, base in BASE.items():
+        schema = cli.SCHEMAS[command]
+        for key, spec in schema.items():
+            for text in _values(spec.parse):
+                config = dict(base)
+                if "n_nodes" in schema:
+                    config["n_nodes"] = str(rng.randint(*NODES.get(command, (16, 256))))
+                config[key] = text
+                yield command, key, text, config
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture
+def corpus(tmp_path, monkeypatch):
+    """A working directory holding the field and index set fit-expansion reads."""
+    monkeypatch.chdir(tmp_path)
+    grid = RadialGrid(-40.0, math.log(0.5), 256)
+    RadialField(grid, grid.x * (1.0 + grid.t)).write_csv(tmp_path / "field.csv")
+    eset = IndexSet((IndexTerm(1, 1), IndexTerm(1, 0)), 1)
+    (tmp_path / "eset.json").write_text(json.dumps(eset.to_json_dict()))
+    return tmp_path
+
+
+def test_every_single_key_edge_exits_cleanly_and_names_its_key(corpus):
+    faults = []
+    for n, (command, key, text, config) in enumerate(_runs()):
+        cfg, out = corpus / f"c{n}.cfg", corpus / f"out{n}"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        what = f"{command} {key} = {text!r}"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                with regen.time_limit(TIME_LIMIT):
+                    code = cli.main([command, str(cfg), "-o", str(out)])
+            except Exception as exc:   # noqa: BLE001 - every escape is a finding
+                faults.append(f"{what}: {type(exc).__name__}: {exc}")
+                continue
+        message = err.getvalue()
+        if code not in (0, 2, 3):
+            faults.append(f"{what}: exit {code}")
+        if caught:
+            faults.append(f"{what}: warns {caught[0].category.__name__}: {caught[0].message}")
+        if code == 2 and not re.search(rf"(?<!\w){re.escape(key)}(?!\w)", message):
+            faults.append(f"{what}: exit 2 names no {key}: {message.strip()}")
+        for path in sorted(out.rglob("*.json")):
+            try:
+                json.loads(path.read_text(), parse_constant=_refuse_constant)
+            except ValueError as exc:
+                faults.append(f"{what}: {path.name}: {exc}")
+    assert not faults, "\n".join(faults)
+
+
+def test_the_sweep_covers_every_key_of_every_command():
+    runs = list(_runs())
+    assert {(command, key) for command, key, _, _ in runs} == {
+        (command, key) for command in BASE for key in cli.SCHEMAS[command]}
+    assert len(runs) >= 800

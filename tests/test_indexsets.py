@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspasym import indexsets
 from cuspasym.indexsets import (
     IndexSet,
     IndexTerm,
@@ -215,3 +216,20 @@ def test_is_closed_matches_brute_force_oracle():
         assert S.is_closed() == expected, (S, expected)
         seen.add(expected)
     assert seen == {True, False}
+
+
+def test_a_chain_longer_than_the_shift_bound_is_refused_before_it_is_followed():
+    # a cutoff of 1e308 once never returned, its memory growing all the time
+    bound = indexsets._MAX_SHIFTS
+    assert len(closure((IndexTerm(1, 0),), 1 + bound)) == bound + 1
+    for cutoff in (2 + bound, 1e308, Fraction(10 ** 300, 3)):
+        with pytest.raises(ValueError, match=f"cutoff .* more than {bound} integer shifts"):
+            closure((IndexTerm(1, 0), IndexTerm(Fraction(5, 2), 1)), cutoff)
+
+
+def test_an_exponent_needs_a_finite_float_value():
+    # an exact 10^400 once passed, then failed as an OverflowError wherever it was floated
+    assert indexsets.as_exponent(10 ** 308) == 10 ** 308
+    for value in (10 ** 400, Fraction(-(10 ** 400), 7), float("nan")):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            indexsets.as_exponent(value)

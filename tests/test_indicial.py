@@ -270,3 +270,26 @@ def test_float_family_index_algebra_properties():
         U = extended_union(hatE, C)
         assert repr(U) == repr(extended_union(C, hatE)), fam
         assert all(U.contains(tm.z, tm.k) for tm in hatE.terms + C.terms), fam
+
+
+@pytest.mark.parametrize("lam, c, nu", [
+    (Fraction(10 ** 308), 1, 0),        # exact: once an OverflowError from spec_b_roots
+    (1, 1, 1e308),                      # float: once roots of -inf and inf
+    (1e308, 1e-300, 0),
+    (1, Fraction(1, 10 ** 400), 0),     # once refused as "c must be positive"
+    (1.5, Fraction(1, 10 ** 400), 0),   # a float lambda over a c that floats to 0
+])
+def test_discriminant_must_be_a_finite_float(lam, c, nu):
+    with pytest.raises(ValueError, match=r"discriminant 2\(lambda \+ nu\)/c \+ 1/4 .* "
+                                         r"not a finite float"):
+        IndicialFamily(lam, c, (nu,))
+
+
+def test_signs_of_c_and_nu_are_compared_exactly():
+    tiny = Fraction(1, 10 ** 400)   # floats to 0
+    roots = spec_b_roots(IndicialFamily(0, tiny, (0,)))   # discriminant exactly 1/4
+    assert [r.z for r in roots] == [-1, 0]
+    roots = spec_b_roots(IndicialFamily(-0.5, tiny, (0.5,)))   # in float arithmetic
+    assert [r.z for r in roots] == [-1, 0]
+    with pytest.raises(ValueError, match="spectrum values must be >= 0"):
+        IndicialFamily(1, 1, (-tiny,))
