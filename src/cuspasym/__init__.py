@@ -14,18 +14,13 @@ from .elliptic import (
     NewtonParams,
     solve_linear,
     solve_monge_ampere_radial,
-    weighted_invertibility_probe,
 )
 from .fitting import PolyhomFit, detect_log_term, fit_polyhom, remainder_check
 from .geometry import (
-    BdfTransform,
     ModelMetric,
-    bdf_transform,
     carlson_griffiths_epsilon_threshold,
     carlson_griffiths_radial,
     cusp_laplacian,
-    cusp_volume,
-    ricci_radial,
 )
 from .indexsets import IndexSet, IndexTerm, closure, extended_union
 from .indicial import (
@@ -44,7 +39,6 @@ from .parabolic import (
     cusp_constant_rk4,
     decay_certificate,
     fitted_boundary_constant,
-    omega_t_schedule,
     restricted_ode_solution,
     run_flow,
 )

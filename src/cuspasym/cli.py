@@ -281,6 +281,14 @@ def write_json(path: Path, payload: dict) -> None:
                     + "\n", encoding="ascii")
 
 
+def _make_dir(path: Path) -> None:
+    """``path`` and its parents as directories; failing to make them is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror or exc}") from exc
+
+
 def _grid_from_config(config) -> RadialGrid:
     return RadialGrid(config["t_min"], config["t_max"], config["n_nodes"])
 
@@ -523,7 +531,7 @@ def _run_sweep_item(path: str, outdir: Path) -> dict:
     config = resolve_config(raw, SCHEMAS[command], source=str(sub_path))
     item_dir = outdir / sub_path.stem
     created = not item_dir.exists()
-    item_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(item_dir)
     try:
         COMMANDS[command](config, item_dir)
     except Exception:
@@ -537,8 +545,9 @@ def _run_sweep_item(path: str, outdir: Path) -> dict:
 def cmd_sweep(config, outdir: Path) -> dict:
     """Run each sub-config into ``outdir/<stem>``, ``max_workers`` at a time
     (at least one) on one thread pool.  Every item runs, even after one
-    fails; the first failure in config order is raised, carrying one note
-    per later failure that names its sub-config and its error.
+    fails; the first failure in config order is raised, naming its
+    sub-config once, and carrying one note per later failure that names its
+    sub-config and its error.
 
     The pool is one of threads, not processes.  An item is small next to the
     cost of a new process: a 4096-node logterm-pipeline item computes in
@@ -561,7 +570,9 @@ def cmd_sweep(config, outdir: Path) -> dict:
     failures = [(p, exc) for p, f in zip(items, futures)
                 if (exc := f.exception()) is not None]
     if failures:
-        (_, first), *later = failures
+        (path, first), *later = failures
+        if path not in str(first):   # a sub-config's own parse errors name it already
+            first.add_note(f"sweep item {path} failed first")
         for path, exc in later:
             first.add_note(f"sweep item {path} also failed: {exc}")
         raise first
@@ -609,7 +620,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":  # sub-configs are named relative to the sweep file
             config["configs"] = [str(Path(args.config).parent / p) for p in config["configs"]]
         outdir = Path(args.output or config["output"] or os.environ.get(OUTDIR_ENV) or ".")
-        outdir.mkdir(parents=True, exist_ok=True)
+        _make_dir(outdir)
         COMMANDS[args.command](config, outdir)
     except ValueError as exc:  # ConfigError, or a constructor rejecting a value
         _report("config error", exc)

@@ -42,9 +42,6 @@ from .radial import (
     dirichlet_bands,
 )
 
-# at this size the probe's dense (n-2)^2 matrix is 34 MB, and the SVD copies it
-_PROBE_MAX_NODES = 2048
-
 
 def _require_finite_bcs(problem) -> None:
     if not (math.isfinite(problem.bc_left) and math.isfinite(problem.bc_right)):
@@ -95,14 +92,6 @@ class NewtonReport:
     residual_floor: float | None = None   # the rounding floor that stopped Newton, if one did
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    delta: float
-    condition_number: float
-    min_singular_value: float
-    matrix_size: int
-
-
 def solve_linear(problem: LinearProblem) -> RadialField:
     """Direct banded solve of the Dirichlet-truncated linear problem, in the thread's workspace."""
     grid = problem.rhs.grid
@@ -147,46 +136,3 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
                           damping_events, floor_value)
     return RadialField(grid, u.copy()), report
 
-
-def weighted_invertibility_probe(problem: LinearProblem, delta: float) -> ProbeReport:
-    """Condition diagnostics of the x^delta-conjugated Dirichlet operator.
-
-    Assembles the interior matrix of (Delta_g - lambda), conjugates it by
-    the weight x^delta (which multiplies the off-diagonal bands by
-    e^{-+ delta h}) and reports the dense condition number and smallest
-    singular value.  Conditioning degrades as delta approaches the smallest
-    positive indicial root, where the weighted problem loses invertibility.
-    Grids above 2048 nodes are rejected before anything is allocated.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    grid = problem.rhs.grid
-    if grid.n_nodes > _PROBE_MAX_NODES:
-        raise ValueError(
-            f"weighted_invertibility_probe takes at most {_PROBE_MAX_NODES} nodes, "
-            f"got {grid.n_nodes} (a dense {grid.n_nodes - 2}^2 matrix)")
-    density = problem.metric.density(grid)
-    # the weighted problem loses invertibility at the smallest positive
-    # indicial root of the deep-cusp model; reject delta at or beyond it
-    z_plus = -0.5 + math.sqrt(2.0 * density[0] * problem.lam + 0.25)
-    if problem.lam > 0 and delta >= z_plus:
-        raise ValueError(
-            f"delta={delta} reaches the smallest positive indicial root "
-            f"{z_plus:.6g}; the weighted operator is not invertible there")
-    if problem.lam == 0 and delta > 0:
-        raise ValueError("lambda = 0 has indicial root 0; only delta = 0 is valid")
-    sub, diag, sup = dirichlet_bands(grid.n_nodes, grid.h, 1.0 / density[1:-1],
-                                     problem.lam)
-    # interior block (Dirichlet columns eliminated)
-    m = grid.n_nodes - 2
-    scale = np.exp(delta * grid.h)
-    A = np.zeros((m, m))
-    idx = np.arange(m)
-    A[idx, idx] = diag[1:-1]
-    A[idx[1:], idx[:-1]] = sub[2:-1] / scale
-    A[idx[:-1], idx[1:]] = sup[1:-2] * scale
-    sv = np.linalg.svd(A, compute_uv=False)
-    return ProbeReport(delta=float(delta),
-                       condition_number=float(sv[0] / sv[-1]),
-                       min_singular_value=float(sv[-1]),
-                       matrix_size=m)

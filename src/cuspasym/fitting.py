@@ -31,7 +31,7 @@ from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from .errors import FitError
 from .indexsets import IndexSet, IndexTerm
-from .radial import RadialField, RadialGrid, _all_finite, evaluate_expansion
+from .radial import RadialField, RadialGrid, _all_finite
 
 LN10 = math.log(10.0)
 
@@ -58,10 +58,6 @@ class PolyhomFit:
     terms: tuple[IndexTerm, ...]
     coefficients: dict[IndexTerm, float]
     window: tuple[float, float]
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return evaluate_expansion(
-            [(a, tm.z, tm.k) for tm, a in self.coefficients.items()], x)
 
 
 @dataclass

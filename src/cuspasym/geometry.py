@@ -12,11 +12,6 @@ associated dbar-Laplacian on radial functions is
 
 and the Ricci form has density -1 - 2 Delta_unit(phi) relative to the unit
 model area form, so the unperturbed cusp satisfies Ric = -omega exactly.
-
-Boundary defining functions transform under a change of Hermitian metric
-rho -> rho * e^{phi0} as x' = x / (1 - x phi0), whose expansion
-x' = x (1 + x phi0 + x^2 phi0^2/(1 - x phi0)) isolates the first-order
-coefficient phi0 exactly.
 """
 
 from __future__ import annotations
@@ -81,41 +76,6 @@ class ModelMetric:
         return grid
 
 
-@dataclass(frozen=True)
-class BdfTransform:
-    """Change of boundary defining function x -> x' = x(1 + x bbar + x^2 btilde)."""
-
-    bbar: float
-    btilde: np.ndarray          # phi0^2 / (1 - x phi0) per sample
-    x_original: np.ndarray
-    x_transformed: np.ndarray
-
-
-def bdf_transform(phi0: float, x_values) -> BdfTransform:
-    """Transform of x = -1/log(rho) under rho -> rho e^{phi0}.
-
-    Exactly x' = x / (1 - x phi0); the expansion coefficients returned are
-    bbar = phi0 and btilde = phi0^2 / (1 - x phi0).  Samples with
-    1 - x phi0 <= 0 (the rescaled rho reaching 1) are rejected.
-    """
-    x = np.asarray(x_values, dtype=float)
-    if np.any(x <= 0) or np.any(x >= 1):
-        raise ValueError("x samples must lie in (0, 1)")
-    denom = 1.0 - x * phi0
-    if np.any(denom <= 0):
-        j = int(np.argmax(denom <= 0))
-        raise ValueError(
-            f"1 - x*phi0 <= 0 at sample {j} (x={x[j]:.6g}): rescaled rho reaches 1")
-    x_new = x / denom
-    btilde = phi0**2 / denom
-    # Second-order expansion control: |x' - x(1 + x phi0)| <= max(btilde) x^3.
-    excess = np.abs(x_new - x * (1.0 + x * phi0)) - np.max(btilde) * x**3
-    if np.any(excess > 1e-12 * np.maximum(x_new, x)):
-        raise AssertionError("bdf expansion remainder bound violated")
-    return BdfTransform(bbar=float(phi0), btilde=btilde, x_original=x,
-                        x_transformed=x_new)
-
-
 def cusp_laplacian(metric: ModelMetric, u: RadialField) -> RadialField:
     """dbar-Laplacian of the metric applied to a radial field.
 
@@ -126,41 +86,6 @@ def cusp_laplacian(metric: ModelMetric, u: RadialField) -> RadialField:
     """
     lap = unit_laplacian(u.values, u.grid.h)
     return RadialField(u.grid, lap / metric.density(u.grid))
-
-
-def ricci_radial(metric: ModelMetric, grid: Optional[RadialGrid] = None) -> RadialField:
-    """Density of the Ricci form relative to the unit model area form.
-
-    Equals -1 - 2 Delta_unit(phi); constants a, b drop out.  The pure model
-    (phi = 0) returns the constant -1, i.e. Ric = -omega.
-    """
-    grid = metric._resolve_grid(grid)
-    lap_phi = unit_laplacian(metric.phi_values(grid), grid.h)
-    return RadialField(grid, -1.0 - 2.0 * lap_phi)
-
-
-def cusp_volume(metric: ModelMetric, x_lo: float, x_hi: float) -> float:
-    """Volume of the annulus x_lo <= x <= x_hi: 2 pi sqrt(ab) integral of
-    e^{2 phi} dx.  Finite down to x_lo = 0; exact for constant metrics.
-    """
-    if not (0 <= x_lo <= x_hi) or x_hi >= 1:
-        raise ValueError(f"invalid volume range [{x_lo}, {x_hi}]")
-    base = 2.0 * np.pi * np.sqrt(metric.a * metric.b)
-    if metric.conformal is None:
-        return base * (x_hi - x_lo)
-    # Piecewise-linear interpolant of the density in x; constant below the
-    # grid and above it, which keeps the integral additive over ranges.
-    dens = np.exp(2.0 * metric.conformal.values)
-    return base * _integrate_piecewise_linear(metric.conformal.grid.x, dens, x_lo, x_hi)
-
-
-def _integrate_piecewise_linear(xs, ys, lo: float, hi: float) -> float:
-    """Integral over [lo, hi] of the piecewise-linear interpolant of ys at
-    the nodes xs, which np.interp extends as a constant past both ends."""
-    if hi <= lo:
-        return 0.0
-    pts = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
-    return float(np.trapezoid(np.interp(pts, xs, ys), pts))
 
 
 @dataclass(frozen=True)

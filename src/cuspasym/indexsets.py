@@ -186,17 +186,6 @@ class IndexSet:
         """Check both closure rules on the enumeration up to the cutoff."""
         return len(closure(self.terms, self.cutoff)) == len(self)
 
-    def generators(self) -> tuple[IndexTerm, ...]:
-        """Minimal terms: those not implied by another term via the rules."""
-        gens = []
-        for tm in self.terms:
-            if self.contains(tm.z - 1, tm.k):
-                continue
-            if self.contains(tm.z, tm.k + 1):
-                continue
-            gens.append(tm)
-        return tuple(gens)
-
     def to_json_dict(self) -> dict:
         return {
             "cutoff": float(self.cutoff),

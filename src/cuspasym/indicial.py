@@ -171,14 +171,6 @@ def index_set_hatEplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet
                           for k in range(total)), cutoff)
 
 
-def smallest_positive_root(family: IndicialFamily) -> float | None:
-    """The smallest real root above zero, or None if there is none."""
-    for r in spec_b_roots(family):
-        if exponent_gt(r.z, 0):
-            return float(r.z)
-    return None
-
-
 __all__ = [
     "IndicialFamily",
     "IndicialRoot",
@@ -186,5 +178,4 @@ __all__ = [
     "count_complex_root_eigenvalues",
     "index_set_Eplus",
     "index_set_hatEplus",
-    "smallest_positive_root",
 ]

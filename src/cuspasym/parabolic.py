@@ -261,19 +261,6 @@ def _schedule_data(omega0: ModelMetric, grid: RadialGrid):
     return density, combo
 
 
-def omega_t_schedule(omega0: ModelMetric, t: float,
-                     grid: Optional[RadialGrid] = None) -> RadialField:
-    """Density of the flow background at time t relative to the unit model.
-
-    S(t) = D0 + expm1(-t) (D0 + R0); for the unperturbed cusp D0 + R0 = 0
-    and the schedule is constant in t.  A schedule reaching zero anywhere
-    means the background degenerates and is an error.
-    """
-    grid = omega0._resolve_grid(grid)
-    density, combo = _schedule_data(omega0, grid)
-    return RadialField(grid, _schedule_values(grid, density, combo, t))
-
-
 def _schedule_values(grid: RadialGrid, density: np.ndarray, combo: np.ndarray,
                      t: float) -> np.ndarray:
     """S(t) = D0 + expm1(-t) (D0 + R0); an error where it is not positive."""

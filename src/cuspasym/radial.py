@@ -168,7 +168,10 @@ class RadialField:
             raise ValueError(f"x column in {path} must be positive and ascending")
         t = np.log(x)
         h = (t[-1] - t[0]) / (len(t) - 1)
-        if np.max(np.abs(np.diff(t) - h)) > 1e-8 * abs(h):
+        # log(exp(t)) is off from t by up to about eps (1 + |t|), which on a
+        # tiny spacing is far more than 1e-8 h
+        slack = 4 * sys.float_info.epsilon * (1.0 + np.abs(t).max())
+        if np.max(np.abs(np.diff(t) - h)) > 1e-8 * abs(h) + slack:
             raise ValueError(f"x column in {path} is not log-uniform")
         grid = RadialGrid(float(t[0]), float(t[-1]), len(t))
         return cls(grid, values)

@@ -84,6 +84,7 @@ CASES = {
     "indicial-lambda-07": "indicial",
     "sweep-serial": "sweep",
     "exit2-sweep-no-command": "sweep",
+    "exit2-sweep-bad-value": "sweep",
     "exit2-T-inf": "flow",
     "exit2-damping-min-zero": "solve-ma",
     "exit2-max-iter-negative": "solve-ma",

@@ -537,6 +537,41 @@ def test_sweep_with_one_failed_item_prints_one_line(tmp_path, capsys):
         f"config error: {bad}: sweep sub-config needs a 'command' key\n")
 
 
+def test_sweep_first_failure_names_its_sub_config_once(tmp_path, capsys):
+    bad = write(tmp_path / "a.cfg", "command = chern-coeff\nd = 1/0\n")
+    also_bad = write(tmp_path / "b.cfg", "command = chern-coeff\nd = 1/0\n")
+    cfg = write(tmp_path / "sweep.cfg", f"configs = {bad}, {also_bad}\n")
+    assert main(["sweep", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: d: bad integer value '1/0'",
+        f"sweep item {bad} failed first",
+        f"sweep item {also_bad} also failed: d: bad integer value '1/0'",
+    ]
+
+
+def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = write(tmp_path / "c.cfg", "d = 5\n")
+    for target in (afile, afile / "sub"):
+        assert main(["chern-coeff", cfg, "-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {target}: ")
+        assert err.count("\n") == 1
+
+
+def test_sweep_item_directory_that_cannot_be_made_is_config_error(tmp_path, capsys):
+    sub = write(tmp_path / "a.cfg", "command = chern-coeff\nd = 5\n")
+    cfg = write(tmp_path / "sweep.cfg", f"configs = {sub}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "a").write_text("")
+    assert main(["sweep", cfg, "-o", str(out)]) == 2
+    first, note = capsys.readouterr().err.splitlines()
+    assert first.startswith(f"config error: cannot make output directory {out / 'a'}: ")
+    assert note == f"sweep item {sub} failed first"
+
+
 def test_sweep_subconfig_duplicate_key_rejected(tmp_path, capsys):
     sub = write(tmp_path / "a.cfg", "command = chern-coeff\nd = 5\nd = 6\n")
     cfg = write(tmp_path / "sweep.cfg", f"configs = {sub}\n")

@@ -1,5 +1,5 @@
 """Linear and Monge-Ampere solves: manufactured solutions, maximum
-principle, Newton behavior, weighted conjugation probe."""
+principle, Newton behavior."""
 
 import dataclasses
 import math
@@ -15,7 +15,6 @@ from cuspasym.elliptic import (
     NewtonParams,
     solve_linear,
     solve_monge_ampere_radial,
-    weighted_invertibility_probe,
 )
 from cuspasym.errors import SolverError
 from cuspasym.fitting import detect_log_term
@@ -266,40 +265,6 @@ def test_overflowing_newton_trials_warn_nothing():
         with pytest.raises(SolverError, match=r"damping floor reached at iteration 1; "
                                               r"last residual 1\.000e\+308"):
             _ma_on(256, 1.5, bc_left=-1e308)
-
-
-def test_probe_delta_zero_matches_solver_matrix():
-    problem = LinearProblem(UNIT, 1.0, RadialField.zeros(GRID))
-    report = weighted_invertibility_probe(problem, 0.0)
-    assert report.matrix_size == GRID.n_nodes - 2
-    assert report.condition_number > 1.0
-    assert report.min_singular_value > 0.5  # invertible with a healthy margin
-
-
-def test_probe_conditioning_degrades_toward_indicial_root():
-    grid = RadialGrid(-40.0, math.log(0.5), 512)
-    problem = LinearProblem(UNIT, 1.0, RadialField.zeros(grid))
-    mid = weighted_invertibility_probe(problem, 0.5)
-    near = weighted_invertibility_probe(problem, 0.999)
-    assert math.isfinite(mid.condition_number)
-    assert near.condition_number >= 10.0 * mid.condition_number
-    assert near.min_singular_value < mid.min_singular_value
-
-
-def test_probe_rejects_delta_at_or_past_root():
-    problem = LinearProblem(UNIT, 1.0, RadialField.zeros(GRID))
-    with pytest.raises(ValueError, match="indicial root"):
-        weighted_invertibility_probe(problem, 1.0)
-    with pytest.raises(ValueError):
-        weighted_invertibility_probe(problem, -0.1)
-
-
-def test_probe_rejects_grid_above_limit():
-    # 2049 nodes would need a dense 2047^2 matrix; the check comes first
-    grid = RadialGrid(-12.0, math.log(0.5), 2049)
-    problem = LinearProblem(UNIT, 1.0, RadialField.zeros(grid))
-    with pytest.raises(ValueError, match="at most 2048 nodes, got 2049"):
-        weighted_invertibility_probe(problem, 0.0)
 
 
 def test_linear_solve_with_scaled_metric():

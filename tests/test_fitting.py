@@ -17,11 +17,15 @@ from cuspasym.fitting import (
 from cuspasym.geometry import ModelMetric
 from cuspasym.elliptic import MongeAmpereProblem, solve_monge_ampere_radial
 from cuspasym.indexsets import IndexTerm, closure
-from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid
+from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion
 
 GRID = DEFAULT_GRID
 E_X = closure((IndexTerm(1, 0),), 2)          # {x, x^2}
 WINDOW = (1e-6, 1e-2)
+
+
+def expansion_at(fit, x):
+    return evaluate_expansion([(a, tm.z, tm.k) for tm, a in fit.coefficients.items()], x)
 
 
 def test_exact_recovery_two_terms():
@@ -64,11 +68,11 @@ def test_missing_log_term_leaves_large_misfit():
     fit_without = fit_polyhom(h, E_X, fit_window=WINDOW)
     mask = GRID.window_mask(*WINDOW)
     x = GRID.x[mask]
-    misfit = np.max(np.abs(h.values[mask] - fit_without.evaluate(x)) / x)
+    misfit = np.max(np.abs(h.values[mask] - expansion_at(fit_without, x)) / x)
     # a basis lacking x log x cannot beat the half log-range of the window
     assert misfit >= math.log(WINDOW[1] / WINDOW[0]) / 4.0
     fit_with = fit_polyhom(h, closure((IndexTerm(1, 1),), 2), fit_window=WINDOW)
-    misfit_with = np.max(np.abs(h.values[mask] - fit_with.evaluate(x)) / x)
+    misfit_with = np.max(np.abs(h.values[mask] - expansion_at(fit_with, x)) / x)
     assert misfit > 50 * misfit_with
 
 
@@ -177,7 +181,7 @@ def test_fit_reports_remainder_exponent():
     assert report.slope is not None and report.spread is not None
     mask = GRID.window_mask(*WINDOW)
     x = GRID.x[mask]
-    evaluated = np.max(np.abs(f.values[mask] - fit.evaluate(x)) / x ** 2)
+    evaluated = np.max(np.abs(f.values[mask] - expansion_at(fit, x)) / x ** 2)
     assert abs(report.residual_sup - evaluated) <= 1e-9 * evaluated
 
 

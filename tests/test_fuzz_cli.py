@@ -3,14 +3,17 @@
 on top of a config that runs.  Each config runs through ``main``
 in-process.  It must exit 0, 2 or 3 with no exception escaping ``main`` and
 no warning; an exit 2 must name the key that was changed, as a whole word;
-every JSON artifact must be strict JSON (no ``NaN``, no ``Infinity``).  A
-run still going after ``TIME_LIMIT`` seconds fails as a hang.
+every JSON artifact must be strict JSON (no ``NaN``, no ``Infinity``), and
+every CSV of a run that exits 0 must read back through
+``RadialField.read_csv`` on the run's grid with the values it holds.  A run
+still going after ``TIME_LIMIT`` seconds fails as a hang.
 
 The keys come from ``cli.SCHEMAS``, and each key's parser is probed on
 sample texts to learn whether it reads a list of ``:``-separated items, and
 of which arity.  The node count of each
 run is drawn from 16 to 256 (96 to 256 for the log-term detector) by a
-seeded generator, so a run reproduces.
+seeded generator, so a run reproduces.  Each command with a grid also runs
+once on ``TINY_SPACING``, a 64-node grid of spacing 1.6e-11.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import json
 import math
 import random
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -48,6 +52,9 @@ BASE_ITEM = {2: "1:0", 3: "0.5:1:0"}
 
 #: the node counts a run draws from; the detector's windows need more nodes
 NODES = {"logterm-pipeline": (96, 256)}
+
+#: a grid whose spacing is far below the rounding of log x at its nodes
+TINY_SPACING = {"n_nodes": "64", "t_min": "-1.000000001", "t_max": "-1"}
 
 #: the keys each base config sets; every other key keeps its default
 BASE = {
@@ -89,10 +96,35 @@ def _runs():
                     config["n_nodes"] = str(rng.randint(*NODES.get(command, (16, 256))))
                 config[key] = text
                 yield command, key, text, config
+        if "n_nodes" in schema:
+            yield command, "t_min", TINY_SPACING["t_min"], {**base, **TINY_SPACING}
 
 
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def _read_back_faults(command: str, cfg: Path, out: Path) -> list[str]:
+    """Each CSV the run wrote that does not read back on the run's grid with
+    the values its text holds."""
+    csvs = sorted(out.rglob("*.csv"))
+    if not csvs:
+        return []
+    grid = cli._grid_from_config(cli.load_config(str(cfg), cli.SCHEMAS[command]))
+    # log(exp(t)) misses t by about eps (1 + |t|) at each end of the grid read
+    slack = 8 * sys.float_info.epsilon * (1.0 - grid.t_min)
+    faults = []
+    for path in csvs:
+        try:
+            back = RadialField.read_csv(path)
+        except ValueError as exc:
+            faults.append(f"{path.name}: {exc}")
+            continue
+        values = [float(row.split(",")[1]) for row in path.read_text().splitlines()[1:]]
+        if back.grid.n_nodes != grid.n_nodes or back.values.tolist() != values or \
+                max(abs(a - b) for a, b in zip(back.grid.t, grid.t)) > slack:
+            faults.append(f"{path.name}: reads back as {back.grid}, written on {grid}")
+    return faults
 
 
 @pytest.fixture
@@ -134,6 +166,8 @@ def test_every_single_key_edge_exits_cleanly_and_names_its_key(corpus):
                 json.loads(path.read_text(), parse_constant=_refuse_constant)
             except ValueError as exc:
                 faults.append(f"{what}: {path.name}: {exc}")
+        if code == 0:
+            faults += [f"{what}: {fault}" for fault in _read_back_faults(command, cfg, out)]
     assert not faults, "\n".join(faults)
 
 

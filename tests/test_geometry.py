@@ -1,18 +1,16 @@
-"""Model metrics, Laplacian identities, volumes, bdf transforms."""
+"""Model metrics, Laplacian identities, the Carlson-Griffiths cusp density."""
 
 import math
 
 import numpy as np
 import pytest
 
+from cuspasym import parabolic
 from cuspasym.errors import SolverError
 from cuspasym.geometry import (
     ModelMetric,
-    bdf_transform,
     carlson_griffiths_radial,
     cusp_laplacian,
-    cusp_volume,
-    ricci_radial,
 )
 from cuspasym.radial import RadialField, RadialGrid
 
@@ -93,107 +91,28 @@ def test_weighted_symmetry_of_laplacian():
     assert a_fine < a_coarse / 3.0
 
 
+def ricci_density(metric):
+    """R0 as the flow forms it: the difference of D0 + R0 and D0."""
+    density, combo = parabolic._schedule_data(metric, GRID)
+    return combo - density
+
+
 def test_ricci_of_model_is_minus_one():
-    r = ricci_radial(ModelMetric(conformal=RadialField.zeros(GRID)))
-    assert np.max(np.abs(r.values + 1.0)) == 0.0
-    r2 = ricci_radial(UNIT, grid=GRID)
-    assert np.max(np.abs(r2.values + 1.0)) == 0.0
+    r = ricci_density(ModelMetric(conformal=RadialField.zeros(GRID)))
+    assert np.max(np.abs(r + 1.0)) == 0.0
+    r2 = ricci_density(UNIT)
+    assert np.max(np.abs(r2 + 1.0)) == 0.0
 
 
 def test_ricci_of_plain_cusp_is_the_zero_factor_case_bit_for_bit():
+    # D0 + R0 = 0 for Ric = -omega, bit for bit, with or without a zero factor
     expected = np.full(GRID.n_nodes, -1.0).tobytes()
-    assert ricci_radial(UNIT, GRID).values.tobytes() == expected
-    zero = ModelMetric(conformal=RadialField.zeros(GRID))
-    assert ricci_radial(zero).values.tobytes() == expected
-
-
-def test_ricci_constant_conformal_scaling():
-    kappa = 0.3
-    metric = ModelMetric(conformal=RadialField.constant(GRID, kappa))
-    rel = ricci_radial(metric).values / metric.density()
-    assert np.max(np.abs(rel + math.exp(-2 * kappa))) < 1e-12
-
-
-def test_ricci_decaying_perturbation():
-    metric = ModelMetric(conformal=RadialField.from_function(GRID, lambda x: x))
-    r = ricci_radial(metric)
-    total = r.values + metric.density()
-    # Ric + omega = O(x): quadratic remainder plus stencil error
-    bound = 3 * GRID.x ** 2 + 20 * GRID.h ** 2 * GRID.x
-    assert np.all(np.abs(total) <= bound + 1e-14)
-
-
-def test_cusp_volume_examples():
-    assert abs(cusp_volume(ModelMetric(), 0.0, 0.5) - math.pi) < 1e-14
-    assert cusp_volume(ModelMetric(), 0.3, 0.3) == 0.0
-    assert abs(cusp_volume(ModelMetric(a=4.0), 0.0, 0.25) - math.pi) < 1e-14
-
-
-def test_cusp_volume_additive():
-    m = ModelMetric()
-    total = cusp_volume(m, 0.0, 0.5)
-    split = cusp_volume(m, 0.0, 0.2) + cusp_volume(m, 0.2, 0.5)
-    assert abs(total - split) < 1e-14
-    conf = ModelMetric(conformal=RadialField.from_function(GRID, lambda x: 0.1 * x))
-    total_c = cusp_volume(conf, 0.01, 0.5)
-    split_c = cusp_volume(conf, 0.01, 0.07) + cusp_volume(conf, 0.07, 0.5)
-    assert abs(total_c - split_c) < 1e-12 * total_c
-
-
-def test_cusp_volume_extends_density_past_the_grid():
-    # GRID covers x in [6.1e-6, 0.5]: (0, 0.5) reaches below it, (0, 0.99)
-    # above it too, and the density is the constant e^{2c} throughout
-    c = 0.3
-    const = ModelMetric(conformal=RadialField.constant(GRID, c))
-    for lo, hi in ((0.0, 0.5), (0.0, 0.99)):
-        exact = 2 * math.pi * math.exp(2 * c) * (hi - lo)
-        assert abs(cusp_volume(const, lo, hi) - exact) <= 1e-14 * exact
-
-
-def test_cusp_volume_invalid_range():
-    with pytest.raises(ValueError, match="range"):
-        cusp_volume(ModelMetric(), 0.5, 0.2)
-    with pytest.raises(ValueError, match="range"):
-        cusp_volume(ModelMetric(), -0.1, 0.2)
-    with pytest.raises(ValueError, match="range"):
-        cusp_volume(ModelMetric(), 0.1, 1.5)
-
-
-def test_bdf_identity():
-    bt = bdf_transform(0.0, GRID.x)
-    assert np.array_equal(bt.x_transformed, GRID.x)
-    assert bt.bbar == 0.0
-    assert np.max(np.abs(bt.btilde)) == 0.0
-
-
-def test_bdf_pointwise_value():
-    bt = bdf_transform(math.log(2.0), np.array([0.1]))
-    assert abs(bt.x_transformed[0] - 1.0 / (10.0 - math.log(2.0))) < 1e-16
-
-
-def test_bdf_expansion_remainder_bound():
-    phi0 = 1.0
-    bt = bdf_transform(phi0, GRID.x)
-    remainder = np.abs(bt.x_transformed - GRID.x * (1 + GRID.x * phi0))
-    bound = (phi0 ** 2 / (1 - GRID.x * phi0)) * GRID.x ** 3
-    # the remainder saturates the bound exactly; allow absolute roundoff
-    # headroom from the cancellation x' - x - x^2 phi0 at deep nodes
-    assert np.all(remainder <= bound + 10 * np.finfo(float).eps * GRID.x)
-    assert bt.bbar == phi0
-
-
-def test_bdf_derivative_tends_to_one():
-    phi0 = 0.7
-    # dx'/dx = 1/(1 - x phi0)^2 analytically
-    deep = GRID.x_min
-    assert abs(1.0 / (1.0 - deep * phi0) ** 2 - 1.0) < 3 * deep * phi0
-
-
-def test_bdf_rejects_rescaled_rho_reaching_one():
-    with pytest.raises(ValueError, match="rho"):
-        bdf_transform(3.0, np.array([0.1, 0.4]))
-    with pytest.raises(ValueError):
-        bdf_transform(0.5, np.array([1.2]))
+    zero = np.zeros(GRID.n_nodes).tobytes()
+    for m in (UNIT, ModelMetric(conformal=RadialField.zeros(GRID))):
+        density, combo = parabolic._schedule_data(m, GRID)
+        assert combo.tobytes() == zero
+        assert density.tobytes() == np.ones(GRID.n_nodes).tobytes()
+        assert ricci_density(m).tobytes() == expected
 
 
 def test_carlson_griffiths_unit_data_is_poincare():
@@ -203,9 +122,10 @@ def test_carlson_griffiths_unit_data_is_poincare():
 
 
 def test_carlson_griffiths_constant_h_matches_bdf():
+    # log h = 1 rescales rho by e^{1/2}: the density is (x'/x)^2 with
+    # x' = x / (1 - x/2), the rescaled boundary defining function
     rep = carlson_griffiths_radial(1.0, RadialField.constant(GRID, math.e))
-    bt = bdf_transform(0.5, GRID.x)
-    predicted = (bt.x_transformed / GRID.x) ** 2
+    predicted = 1.0 / (1.0 - 0.5 * GRID.x) ** 2
     assert np.max(np.abs(rep.density.values - predicted)) < 1e-10
 
 

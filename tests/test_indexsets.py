@@ -125,12 +125,6 @@ def test_json_round_trip_sorted():
     assert pairs(back) == pairs(S)
 
 
-def test_generators_are_minimal():
-    S = closure((IndexTerm(1, 1),), 3)
-    gens = S.generators()
-    assert [(float(g.z), g.k) for g in gens] == [(1.0, 1)]
-
-
 def test_enumeration_deterministic():
     gens = (IndexTerm(Fraction(1, 2), 1), IndexTerm(1, 0), IndexTerm(2, 2))
     a = closure(gens, 4).pairs()

@@ -12,7 +12,6 @@ from cuspasym.indicial import (
     count_complex_root_eigenvalues,
     index_set_Eplus,
     index_set_hatEplus,
-    smallest_positive_root,
     spec_b_roots,
 )
 
@@ -167,12 +166,9 @@ def test_hat_eplus_contains_closure_of_eplus():
         assert set(closure(E.terms, 4).pairs()) <= set(hatE.pairs())
 
 
-def test_smallest_positive_root():
-    assert smallest_positive_root(IndicialFamily(1, 1, (0,))) == 1.0
-    assert smallest_positive_root(IndicialFamily(-5, 1, (0,))) is None
-    # a root within EXPONENT_TOL of zero is zero, as index_set_Eplus has it
+def test_eplus_treats_a_root_within_tolerance_of_zero_as_zero():
+    # the root 1e-13 is within EXPONENT_TOL of alpha = 0, so not above it
     near_zero = IndicialFamily(1e-13, 1.0, (0,))
-    assert smallest_positive_root(near_zero) is None
     assert index_set_Eplus(near_zero, 0, 2).terms == ()
 
 

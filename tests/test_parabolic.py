@@ -22,7 +22,6 @@ from cuspasym.parabolic import (
     cusp_constant_rk4,
     decay_certificate,
     fitted_boundary_constant,
-    omega_t_schedule,
     restricted_ode_solution,
     run_flow,
 )
@@ -171,26 +170,27 @@ def test_restricted_ode_rejects_bad_constants():
 # background schedule
 # ---------------------------------------------------------------------------
 
+def schedule(metric, t):
+    density, combo = parabolic._schedule_data(metric, GRID)
+    return parabolic._schedule_values(GRID, density, combo, t)
+
+
 def test_schedule_fixed_for_model_cusp():
     m = ModelMetric(conformal=RadialField.zeros(GRID))
     for t in (0.0, 0.5, 3.7):
-        s = omega_t_schedule(m, t)
-        assert np.max(np.abs(s.values - 1.0)) < 1e-14
+        assert np.max(np.abs(schedule(m, t) - 1.0)) < 1e-14
 
 
 def test_schedule_at_time_zero_is_initial_density():
-    m = scaled_cusp(2.0)
-    s0 = omega_t_schedule(m, 0.0)
-    assert np.max(np.abs(s0.values - 2.0)) < 1e-12
+    assert np.max(np.abs(schedule(scaled_cusp(2.0), 0.0) - 2.0)) < 1e-12
 
 
 def test_schedule_constant_conformal_formula():
     kappa = 0.3
     m = ModelMetric(conformal=RadialField.constant(GRID, kappa))
     c0 = math.exp(2 * kappa)
-    s1 = omega_t_schedule(m, 1.0)
     expected = 1.0 + math.exp(-1.0) * (c0 - 1.0)
-    assert np.max(np.abs(s1.values - expected)) < 1e-12
+    assert np.max(np.abs(schedule(m, 1.0) - expected)) < 1e-12
 
 
 def test_schedule_degeneration_detected():
@@ -199,7 +199,7 @@ def test_schedule_degeneration_detected():
     phi = RadialField.from_function(GRID, lambda x: 1.5 * np.sin(np.log(x)))
     m = ModelMetric(conformal=phi)
     with pytest.raises(SolverError, match="degenerates"):
-        omega_t_schedule(m, 10.0)
+        schedule(m, 10.0)
 
 
 # ---------------------------------------------------------------------------

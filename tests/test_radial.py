@@ -106,6 +106,23 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.max(np.abs(back.grid.x - g.x) / g.x) < 1e-15
 
 
+def test_csv_round_trip_on_a_tiny_spacing(tmp_path):
+    # h = 1.6e-11, where log(exp(t)) misses t by 1.6e-16 against 1e-8 h = 1.6e-19
+    g = RadialGrid(-1.000000001, -1.0, 64)
+    f = RadialField.from_function(g, lambda x: 1.5 * x)
+    f.write_csv(tmp_path / "tiny.csv")
+    back = RadialField.read_csv(tmp_path / "tiny.csv")
+    assert back.grid.n_nodes == g.n_nodes
+    assert np.array_equal(back.values, f.values)
+    assert np.max(np.abs(back.grid.x - g.x) / g.x) < 1e-15
+    # a node a tenth of a spacing off is still refused
+    x = g.x.copy()
+    x[30] = math.exp(g.t[30] + g.h / 10)
+    (tmp_path / "skewed.csv").write_text("x,value\n" + "".join(f"{v:.17g},1\n" for v in x))
+    with pytest.raises(ValueError, match="log-uniform"):
+        RadialField.read_csv(tmp_path / "skewed.csv")
+
+
 def test_csv_rejects_nonuniform_grid(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0.001,1\n0.002,1\n0.01,1\n0.02,1\n"
