@@ -16,12 +16,7 @@ from .elliptic import (
     solve_monge_ampere_radial,
 )
 from .fitting import PolyhomFit, detect_log_term, fit_polyhom, remainder_check
-from .geometry import (
-    ModelMetric,
-    carlson_griffiths_epsilon_threshold,
-    carlson_griffiths_radial,
-    cusp_laplacian,
-)
+from .geometry import ModelMetric, cusp_laplacian
 from .indexsets import IndexSet, IndexTerm, closure, extended_union
 from .indicial import (
     IndicialFamily,

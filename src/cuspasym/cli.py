@@ -351,7 +351,7 @@ def cmd_indicial(config, outdir: Path) -> dict:
 def cmd_chern(config, outdir: Path) -> dict:
     payload = {
         "d": config["d"],
-        "b_tilde": log_coefficient_plane_curve(config["d"]),
+        "b_tilde": _named("d", log_coefficient_plane_curve, config["d"]),
         "config": config,
     }
     write_json(outdir / "chern.json", payload)
@@ -365,7 +365,7 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
     problem = LinearProblem(metric, config["lambda"], rhs, config["bc_left"],
                             config["bc_right"])
     solution = solve_linear(problem)
-    v = solution.values   # interior rows: cusp_laplacian's end rows can overflow on the data
+    v = solution.values   # interior rows: the one-sided end rows can overflow on the data
     with np.errstate(over="ignore", invalid="ignore"):
         lap = unit_laplacian_interior(v, grid.h) / metric.density(grid)
         residual_sup = float(np.max(np.abs((lap - config["lambda"] * v - rhs.values)[1:-1])))
@@ -545,9 +545,8 @@ def _run_sweep_item(path: str, outdir: Path) -> dict:
 def cmd_sweep(config, outdir: Path) -> dict:
     """Run each sub-config into ``outdir/<stem>``, ``max_workers`` at a time
     (at least one) on one thread pool.  Every item runs, even after one
-    fails; the first failure in config order is raised, naming its
-    sub-config once, and carrying one note per later failure that names its
-    sub-config and its error.
+    fails; the first failure in config order is raised, carrying one note
+    per later failure with its error.  Each line names its sub-config once.
 
     The pool is one of threads, not processes.  An item is small next to the
     cost of a new process: a 4096-node logterm-pipeline item computes in
@@ -570,11 +569,14 @@ def cmd_sweep(config, outdir: Path) -> dict:
     failures = [(p, exc) for p, f in zip(items, futures)
                 if (exc := f.exception()) is not None]
     if failures:
-        (path, first), *later = failures
-        if path not in str(first):   # a sub-config's own parse errors name it already
-            first.add_note(f"sweep item {path} failed first")
-        for path, exc in later:
-            first.add_note(f"sweep item {path} also failed: {exc}")
+        first = failures[0][1]
+        for i, (path, exc) in enumerate(failures):
+            # a sub-config's own parse errors name it already
+            item = "sweep item" if path in str(exc) else f"sweep item {path}"
+            if i:
+                first.add_note(f"{item} also failed: {exc}")
+            elif item != "sweep item":
+                first.add_note(f"{item} failed first")
         raise first
     payload = {"config": config, "runs": [f.result() for f in futures]}
     write_json(outdir / "sweep.json", payload)

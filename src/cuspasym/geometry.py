@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SolverError
-from .radial import RadialField, RadialGrid, dt_derivative, unit_laplacian
+from .radial import RadialField, RadialGrid, unit_laplacian
 
 
 @dataclass(frozen=True)
@@ -86,71 +85,3 @@ def cusp_laplacian(metric: ModelMetric, u: RadialField) -> RadialField:
     """
     lap = unit_laplacian(u.values, u.grid.h)
     return RadialField(u.grid, lap / metric.density(u.grid))
-
-
-@dataclass(frozen=True)
-class CuspDensityReport:
-    """Radial density of the curvature-potential cusp term and its deviation
-    from the pure model."""
-
-    metric: ModelMetric
-    density: RadialField
-    deviation: RadialField       # density - 1
-    deviation_rate: float        # max |deviation| / x over the grid
-
-
-def carlson_griffiths_radial(epsilon: float, h: RadialField) -> CuspDensityReport:
-    """Cusp part of the curvature-potential Kahler form, radially reduced.
-
-    With section norm ||s||^2 = h(x) rho^2 and rho = e^{-1/x}, the density
-    of 2 (d log(eps ||s||^2)) (dbar log(eps ||s||^2)) / (log eps ||s||^2)^2
-    relative to the unit cusp model is
-
-        ((x dlog(h)/dt + 2) / (x (log eps + log h) - 2))^2,
-
-    which is exactly 1 for h = 1, eps = 1 and deviates by O(x) relative for
-    admissible data.  Positivity of the construction requires
-    x (log eps + log h) < 2 at every node; the first failure is reported.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if np.any(h.values <= 0):
-        j = int(np.argmax(h.values <= 0))
-        raise ValueError(f"Hermitian factor must be positive; h <= 0 at node {j}")
-    grid = h.grid
-    x = grid.x
-    log_h = np.log(h.values)
-    dlogh_dt = dt_derivative(log_h, grid.h)
-    numer = x * dlogh_dt + 2.0
-    denom = x * (np.log(epsilon) + log_h) - 2.0
-    bad = denom >= 0
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise SolverError(
-            f"positivity failure at node {j} (x={x[j]:.6g}): "
-            f"epsilon ||s||^2 reaches 1; decrease epsilon")
-    density = (numer / denom) ** 2
-    if np.any(density <= 0):
-        j = int(np.argmax(density <= 0))
-        raise SolverError(f"degenerate cusp density at node {j} (x={x[j]:.6g})")
-    deviation = density - 1.0
-    metric = ModelMetric(a=1.0, b=1.0,
-                         conformal=RadialField(grid, 0.5 * np.log(density)))
-    return CuspDensityReport(
-        metric=metric,
-        density=RadialField(grid, density),
-        deviation=RadialField(grid, deviation),
-        deviation_rate=float(np.max(np.abs(deviation) / x)),
-    )
-
-
-def carlson_griffiths_epsilon_threshold(h: RadialField) -> float:
-    """Largest epsilon keeping x (log eps + log h) < 2 on the whole grid.
-
-    Every epsilon strictly below the threshold yields a positive cusp
-    density in :func:`carlson_griffiths_radial`.
-    """
-    if np.any(h.values <= 0):
-        raise ValueError("Hermitian factor must be positive")
-    margin = 2.0 / h.grid.x - np.log(h.values)
-    return float(np.exp(np.min(margin)))

@@ -210,23 +210,10 @@ def unit_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """
     out = unit_laplacian_interior(values, h)
     v = values
-    d1_left, d1_right = _end_dt_rows(v, h)
-    out[0] = 0.5 * ((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2 + d1_left)
-    out[-1] = 0.5 * ((2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2 + d1_right)
-    return out
-
-
-def _end_dt_rows(v: np.ndarray, h: float) -> tuple[float, float]:
-    """One-sided second-order d/dt at the left and right endpoints."""
-    return ((-3 * v[0] + 4 * v[1] - v[2]) / (2 * h),
-            (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h))
-
-
-def dt_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dt: centered inside, one-sided second order at the two ends."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
-    out[0], out[-1] = _end_dt_rows(values, h)
+    out[0] = 0.5 * ((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
+                    + (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h))
+    out[-1] = 0.5 * ((2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
+                     + (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h))
     return out
 
 

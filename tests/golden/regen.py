@@ -76,6 +76,7 @@ CASES = {
     "exit2-output-time-off-grid": "flow",
     "exit2-output-time-inf": "flow",
     "exit2-unknown-key": "chern-coeff",
+    "exit2-chern-d-3": "chern-coeff",
     "exit2-bc-left-nan": "solve-ma",
     "exit2-t-min-inf": "flow",
     "exit2-t-min-huge": "flow",

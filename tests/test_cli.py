@@ -516,7 +516,7 @@ def test_sweep_names_every_failed_item(tmp_path, capsys):
     # the first failure in config order, then each later one on its own line
     assert capsys.readouterr().err.splitlines() == [
         f"config error: {bad}: sweep sub-config needs a 'command' key",
-        f"sweep item {also_bad} also failed: plane-curve degree must be an "
+        f"sweep item {also_bad} also failed: d: plane-curve degree must be an "
         f"integer >= 4, got 3 (for d <= 3 the adjoint bundle is not positive)",
     ]
     assert (out / "c" / "chern.json").is_file()
@@ -546,6 +546,17 @@ def test_sweep_first_failure_names_its_sub_config_once(tmp_path, capsys):
         "config error: d: bad integer value '1/0'",
         f"sweep item {bad} failed first",
         f"sweep item {also_bad} also failed: d: bad integer value '1/0'",
+    ]
+
+
+def test_sweep_later_failure_names_its_sub_config_once(tmp_path, capsys):
+    bad = write(tmp_path / "n1.cfg", "d = 5\n")
+    also_bad = write(tmp_path / "n2.cfg", "d = 5\n")
+    cfg = write(tmp_path / "sweep.cfg", f"configs = {bad}, {also_bad}\n")
+    assert main(["sweep", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {bad}: sweep sub-config needs a 'command' key",
+        f"sweep item also failed: {also_bad}: sweep sub-config needs a 'command' key",
     ]
 
 
@@ -664,6 +675,11 @@ def test_indicial_cutoff_beyond_the_shift_bound_is_named(tmp_path, capsys):
      "t_min, t_max, n_nodes: grid too shallow for the sliding-window detector"),
     ("fit-expansion", "field_csv = absent.csv\nindex_set_json = absent.json\n",
      "field_csv absent.csv: no such file"),
+    # a degree the library refuses: once reported without its key
+    *(pytest.param("chern-coeff", f"d = {d}\n",
+                   f"d: plane-curve degree must be an integer >= 4, got {d} "
+                   "(for d <= 3 the adjoint bundle is not positive)", id=f"chern-coeff-d={d}")
+      for d in (3, 0, -1)),
 ])
 def test_a_rejected_value_names_its_key(tmp_path, capsys, monkeypatch, command, text, message):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,4 @@
-"""Model metrics, Laplacian identities, the Carlson-Griffiths cusp density."""
+"""Model metrics and Laplacian identities."""
 
 import math
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from cuspasym import parabolic
-from cuspasym.errors import SolverError
-from cuspasym.geometry import (
-    ModelMetric,
-    carlson_griffiths_radial,
-    cusp_laplacian,
-)
+from cuspasym.geometry import ModelMetric, cusp_laplacian
 from cuspasym.radial import RadialField, RadialGrid
 
 GRID = RadialGrid(-12.0, math.log(0.5), 1024)
@@ -113,56 +108,6 @@ def test_ricci_of_plain_cusp_is_the_zero_factor_case_bit_for_bit():
         assert combo.tobytes() == zero
         assert density.tobytes() == np.ones(GRID.n_nodes).tobytes()
         assert ricci_density(m).tobytes() == expected
-
-
-def test_carlson_griffiths_unit_data_is_poincare():
-    rep = carlson_griffiths_radial(1.0, RadialField.constant(GRID, 1.0))
-    assert np.max(np.abs(rep.density.values - 1.0)) < 1e-13
-    assert rep.deviation_rate < 1e-12
-
-
-def test_carlson_griffiths_constant_h_matches_bdf():
-    # log h = 1 rescales rho by e^{1/2}: the density is (x'/x)^2 with
-    # x' = x / (1 - x/2), the rescaled boundary defining function
-    rep = carlson_griffiths_radial(1.0, RadialField.constant(GRID, math.e))
-    predicted = 1.0 / (1.0 - 0.5 * GRID.x) ** 2
-    assert np.max(np.abs(rep.density.values - predicted)) < 1e-10
-
-
-def test_carlson_griffiths_epsilon_dependence_is_order_x():
-    h = RadialField.constant(GRID, 1.0)
-    d1 = carlson_griffiths_radial(0.2, h).density.values
-    d2 = carlson_griffiths_radial(0.4, h).density.values
-    rel = np.abs(d1 / d2 - 1.0) / GRID.x
-    assert np.max(rel) <= 1.5 * abs(math.log(0.2 / 0.4))
-
-
-def test_carlson_griffiths_positivity_failure_names_node():
-    # log h = 10 makes x (log eps + log h) - 2 >= 0 near x = 0.2
-    h = RadialField.constant(GRID, math.exp(10.0))
-    with pytest.raises(SolverError, match="node"):
-        carlson_griffiths_radial(1.0, h)
-    # small enough epsilon restores positivity
-    rep = carlson_griffiths_radial(math.exp(-10.0), h)
-    assert np.all(rep.density.values > 0)
-
-
-def test_carlson_griffiths_deviation_is_order_x():
-    h = RadialField.from_function(GRID, lambda x: 1.0 + 0.3 * x)
-    rep = carlson_griffiths_radial(0.5, h)
-    assert rep.deviation_rate < 5.0
-    assert np.all(np.abs(rep.deviation.values) <= rep.deviation_rate * GRID.x + 1e-15)
-
-
-def test_carlson_griffiths_epsilon_threshold():
-    from cuspasym.geometry import carlson_griffiths_epsilon_threshold
-    h = RadialField.from_function(GRID, lambda x: 1.0 + 0.2 * x)
-    threshold = carlson_griffiths_epsilon_threshold(h)
-    for factor in (0.9, 0.5, 0.1):
-        rep = carlson_griffiths_radial(factor * threshold, h)
-        assert np.all(rep.density.values > 0)
-    with pytest.raises(SolverError):
-        carlson_griffiths_radial(1.5 * threshold, h)
 
 
 @pytest.mark.parametrize("fields, match", [

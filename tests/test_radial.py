@@ -19,7 +19,6 @@ from cuspasym.radial import (
     _rounding_floor,
     damped_newton,
     dirichlet_bands,
-    dt_derivative,
     evaluate_expansion,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
@@ -208,10 +207,12 @@ def test_dirichlet_bands_out_path_matches_allocating_path(name):
     assert [b.tobytes() for b in fresh] == [b.tobytes() for b in reference]
 
 
-def test_dt_derivative_exact_on_quadratics():
+def test_unit_laplacian_end_rows_exact_on_quadratics():
+    # both one-sided rows, d^2/dt^2 and d/dt, are exact on v = t^2 - t
     g = RadialGrid(-3.0, -0.5, 32)
-    vals = 2.0 * g.t ** 2 - g.t + 0.5
-    assert np.allclose(dt_derivative(vals, g.h), 4.0 * g.t - 1.0, rtol=0, atol=1e-11)
+    lap = unit_laplacian(g.t ** 2 - g.t, g.h)
+    exact = 0.5 * (2.0 + 2.0 * g.t - 1.0)
+    assert np.allclose(lap[[0, -1]], exact[[0, -1]], rtol=0, atol=1e-11)
 
 
 def _no_floor(v, aux, out):
