@@ -5,11 +5,14 @@ x^z (log x)^k prescribed by an index set.  The monomials are severely
 collinear on narrow windows, so the fit works in t = log x with basis
 e^{z t} t^k, scales each column to unit norm, and weights rows by
 x^{-N} (N the truncation order) so that the least squares runs in the
-remainder's natural units.  ``fit_polyhom`` is the only fit: it returns the
-coefficients alone.  ``remainder_check`` is the only remainder: it forms the
-residual on the fit's cached design and measures its decay as the slope of
-log |residual| against log x over the deepest decade of the window, with a
-spread estimated from the even/odd node subsamples.
+remainder's natural units.  A window's scaled design is factored once, when
+it is built: its thin SVD gives the pseudo-inverse P (singular values at or
+below dgelsd's cutoff eps max(m, n) s[0] dropped), and each fit is P b with
+two sweeps of iterative refinement, all numpy.  ``fit_polyhom`` is the only
+fit: it returns the coefficients alone.  ``remainder_check`` is the only
+remainder: it forms the residual on the fit's cached design and measures its
+decay as the slope of log |residual| against log x over the deepest decade of
+the window, with a spread estimated from the even/odd node subsamples.
 
 The log-term detector is ``fit_polyhom`` of b * x log x + c * x (cutoff 1,
 so rows weighted by x^-1) on windows that slide toward the cusp; it reports
@@ -24,10 +27,9 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from .errors import FitError
 from .indexsets import IndexSet, IndexTerm
@@ -89,9 +91,9 @@ def default_fit_window(grid: RadialGrid) -> tuple[float, float]:
 
 
 #: what a fit on one window needs of the grid alone (read-only): the rows, the
-#: least-squares cutoff eps max(m, n), the weights x^-N, x^N, the design, its
-#: weighted columns scaled to unit norm and their norms
-_FitDesign = namedtuple("_FitDesign", "rows rcond w x_N A A_scaled col_norms")
+#: weights x^-N, x^N, the design, its weighted columns scaled to unit norm,
+#: their norms, and the pseudo-inverse and singular values of the scaled design
+_FitDesign = namedtuple("_FitDesign", "rows w x_N A A_scaled col_norms pinv sv")
 
 
 @functools.lru_cache(maxsize=32)
@@ -103,57 +105,54 @@ def _fit_design(grid: RadialGrid, window: tuple[float, float], terms: tuple[Inde
                          f"samples; need at least {3 * len(terms)} for {len(terms)} terms")
     rows = slice(int(nodes[0]), int(nodes[-1]) + 1)
     t = grid.t[rows]
-    w = np.exp(-weight_exponent * t)        # x^{-weight_exponent}
-    A = np.column_stack([np.exp(float(tm.z) * t) * t ** tm.k for tm in terms])
-    weighted = A * w[:, None]
-    col_norms = np.linalg.norm(weighted, axis=0)
-    if np.any(col_norms == 0):
-        j = int(np.argmax(col_norms == 0))
-        raise FitError(f"basis term {terms[j]} vanishes identically on the window")
-    # numpy.linalg.lstsq's rcond=None
-    rcond = float(np.finfo(float).eps * max(A.shape))
-    design = _FitDesign(rows, rcond, w, grid.x[rows] ** weight_exponent, A,
-                        weighted / col_norms, col_norms)
-    for array in design[2:]:
+    on_window = f"on the window [{window[0]:.3g}, {window[1]:.3g}]"
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(-weight_exponent * t)        # x^{-weight_exponent}
+        A = np.column_stack([np.exp(float(tm.z) * t) * t ** tm.k for tm in terms])
+        weighted = A * w[:, None]
+        col_norms = np.linalg.norm(weighted, axis=0)
+    if not _all_finite(w):
+        raise FitError(f"the row weights x^-{weight_exponent:g} overflow {on_window}")
+    # a column that overflows, alone or weighted, has a norm that is not finite
+    for tm, norm in zip(terms, col_norms.tolist()):
+        if not math.isfinite(norm):
+            raise FitError(f"basis term {tm} overflows {on_window}")
+        if norm == 0:
+            raise FitError(f"basis term {tm} vanishes identically {on_window}")
+    A_scaled = weighted / col_norms
+    U, sv, Vt = np.linalg.svd(A_scaled, full_matrices=False)
+    if sv[-1] < 1e-12 * sv[0]:
+        gram = A_scaled.T @ A_scaled
+        np.fill_diagonal(gram, 0.0)
+        i, j = np.unravel_index(np.argmax(np.abs(gram)), gram.shape)
+        raise FitError(
+            f"near-collinear basis on this window: terms {terms[i]} and "
+            f"{terms[j]} are numerically indistinguishable")
+    # P = V diag(1/s) U^T without each s <= eps max(m, n) s[0], the values
+    # LAPACK dgelsd treats as zero under numpy.linalg.lstsq's rcond=None
+    keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
+    pinv = (Vt[keep].T / sv[keep]) @ U[:, keep].T
+    design = _FitDesign(rows, w, grid.x[rows] ** weight_exponent, A, A_scaled, col_norms,
+                        pinv, sv)
+    for array in design[1:]:
         array.flags.writeable = False
     return design
 
 
-def _raise_lstsq_error(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq(A: np.ndarray, b: np.ndarray, rcond: float):
-    """``numpy.linalg.lstsq(A, b, rcond)[::3]`` for float64 A (m, n) and b (m,):
-    the gufunc it runs, under its floating-point settings, without the rest
-    of its wrapper (type checks, reshapes and copies)."""
-    with np.errstate(call=_raise_lstsq_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        x, _, _, sv = _lstsq_gufunc(A, b[:, None], rcond, signature="ddd->ddid")
-    return x[:, 0], sv
-
-
-def _weighted_lstsq(design: _FitDesign, y: np.ndarray, terms: Sequence[IndexTerm]):
+def _weighted_lstsq(design: _FitDesign, y: np.ndarray) -> np.ndarray:
     """The coefficients of the weighted least squares of y on the design; a
     FitError where the weighted samples or the coefficients are not finite."""
-    A_scaled, rcond = design.A_scaled, design.rcond
+    A_scaled, pinv = design.A_scaled, design.pinv
     with np.errstate(over="ignore", invalid="ignore"):
         b = y * design.w
         if not _all_finite(b):
             raise FitError(f"the weighted samples overflow: samples up to "
                            f"{np.abs(y).max():.3e} times weights up to {design.w.max():.3e}")
-        coef_scaled, sv = _lstsq(A_scaled, b, rcond)
-        if sv[-1] < 1e-12 * sv[0]:
-            gram = A_scaled.T @ A_scaled
-            np.fill_diagonal(gram, 0.0)
-            i, j = np.unravel_index(np.argmax(np.abs(gram)), gram.shape)
-            raise FitError(
-                f"near-collinear basis on this window: terms {terms[i]} and "
-                f"{terms[j]} are numerically indistinguishable")
+        coef_scaled = pinv @ b
         # two sweeps of iterative refinement recover digits lost to the mild
         # ill-conditioning of the scaled design
         for _ in range(2):
-            coef_scaled = coef_scaled + _lstsq(A_scaled, b - A_scaled @ coef_scaled, rcond)[0]
+            coef_scaled = coef_scaled + pinv @ (b - A_scaled @ coef_scaled)
         coefs = coef_scaled / design.col_norms
     if not _all_finite(coefs):
         raise FitError(f"the fit's coefficients overflow on samples up to {np.abs(y).max():.3e}")
@@ -178,7 +177,7 @@ def fit_polyhom(samples: RadialField, E: IndexSet,
     # squares then minimizes the remainder in its natural units, which pins
     # low-order coefficients from the deepest rows and keeps omitted-term
     # leakage below the remainder there.
-    coefs = _weighted_lstsq(design, samples.values[design.rows], E.terms)
+    coefs = _weighted_lstsq(design, samples.values[design.rows])
     return PolyhomFit(index_set=E, terms=E.terms,
                       coefficients={tm: float(c) for tm, c in zip(E.terms, coefs)},
                       window=window)

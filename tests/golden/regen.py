@@ -23,8 +23,11 @@ seed ``OPS_SEED``) with that tree and with this checkout, each in its own
 process, and prints per case the exit codes, the stdout and stderr
 differences and the largest absolute and relative difference of each JSON
 number and each CSV column, then the same for each library result and for
-every number of each op's result.  It needs only git, the standard library
-and numpy (and scipy, which the ops' reference task imports).
+every number of each op's result.  A summary ends the report: per output
+that moved its largest absolute and relative move (and its other changes),
+then how many golden cases, library results and ops did not move.  It needs
+only git, the standard library and numpy (and scipy, which the ops'
+reference task imports).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import sys
 import tarfile
 import tempfile
 import types
+from collections import namedtuple
 from importlib.metadata import version
 from pathlib import Path
 
@@ -113,6 +117,7 @@ CASES = {
     "exit2-indicial-spectrum-huge": "indicial",
     "exit2-indicial-c-tiny": "indicial",
     "exit2-indicial-cutoff-huge": "indicial",
+    "exit3-fit-term-overflow": "fit-expansion",
 }
 
 
@@ -333,114 +338,160 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _compare_json(before: Path, after: Path) -> list[str]:
+# Each comparison below finds (line, move) pairs: a report line and the
+# move it shows, (largest absolute, largest relative difference) for numbers
+# and a short text for any other change.
+
+def _compare_json(before: Path, after: Path) -> list[tuple]:
     old, new = (dict(_json_leaves(json.loads(p.read_text()))) for p in (before, after))
-    lines = []
+    found = []
     for key in [*old, *(k for k in new if k not in old)]:
         if key not in new or key not in old:
-            lines.append(f"{key}: only {'before' if key in old else 'after'}")
+            found.append((f"{key}: only {'before' if key in old else 'after'}", f"{key} added or removed"))
         elif _is_number(old[key]) and _is_number(new[key]):
             diff, rel = _difference(float(old[key]), float(new[key]))
             if diff or rel:
-                lines.append(f"{key}: {old[key]!r} -> {new[key]!r} (abs {diff:.3g}, rel {rel:.3g})")
+                found.append((f"{key}: {old[key]!r} -> {new[key]!r} (abs {diff:.3g}, rel {rel:.3g})",
+                              (diff, rel)))
         elif old[key] != new[key]:
-            lines.append(f"{key}: {old[key]!r} -> {new[key]!r}")
-    return lines
+            found.append((f"{key}: {old[key]!r} -> {new[key]!r}", f"{key} changed"))
+    return found
 
 
-def _compare_arrays(label: str, old, new) -> list[str]:
+def _compare_arrays(label: str, old, new) -> list[tuple]:
     """The largest absolute and relative difference of two float arrays."""
     import numpy as np
 
     if old.shape != new.shape:
-        return [f"{label}: shape {old.shape} -> {new.shape}"]
+        return [(f"{label}: shape {old.shape} -> {new.shape}", "shape changed")]
     same = (old == new) | (np.isnan(old) & np.isnan(new))
     if same.all():
         return []
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         diff = np.where(same, 0.0, np.abs(old - new))
         rel = np.where(same, 0.0, diff / np.maximum(np.abs(old), np.abs(new)))
-    return [f"{label}: max abs {np.nanmax(diff):.3g}, max rel {np.nanmax(rel):.3g} "
-            f"({int(np.count_nonzero(~same))} of {same.size} differ)"]
+    diff, rel = float(np.nanmax(diff)), float(np.nanmax(rel))
+    return [(f"{label}: max abs {diff:.3g}, max rel {rel:.3g} "
+             f"({int(np.count_nonzero(~same))} of {same.size} differ)", (diff, rel))]
 
 
-def _compare_csv(before: Path, after: Path) -> list[str]:
+def _compare_csv(before: Path, after: Path) -> list[tuple]:
     import numpy as np
 
     header = before.read_text().partition("\n")[0].split(",")
     if after.read_text().partition("\n")[0].split(",") != header:
-        return ["header changed"]
+        return [("header changed", "header changed")]
     old, new = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (before, after))
     if old.shape != new.shape:
-        return [f"shape {old.shape} -> {new.shape}"]
-    return [line for j, column in enumerate(header)
-            for line in _compare_arrays(column, old[:, j], new[:, j])]
+        return [(f"shape {old.shape} -> {new.shape}", "shape changed")]
+    return [found for j, column in enumerate(header)
+            for found in _compare_arrays(column, old[:, j], new[:, j])]
 
 
-def _compare_text(label: str, old: str, new: str) -> list[str]:
+def _compare_text(label: str, old: str, new: str) -> list[tuple]:
     if old == new:
         return []
     diff = difflib.unified_diff(old.splitlines(), new.splitlines(), "before", "after", lineterm="", n=0)
-    return [f"{label}:"] + [f"  {line}" for line in list(diff)[2:]]
+    return [(line, label) for line in [f"{label}:"] + [f"  {line}" for line in list(diff)[2:]]]
 
 
-def compare(before: Path, after: Path) -> list[str]:
-    """The report on two directories that :func:`record` wrote: a line per
-    case that did not change, its differences under it for one that did."""
+#: one compared output: its kind (a key of ``KINDS``), its name, its lines in
+#: the report and the moves its differences show (none when it did not move)
+_Item = namedtuple("_Item", "kind name lines moves")
+#: the kinds of output, each a name for the summary
+KINDS = {"case": "golden cases", "library": "library results", "op": "radial-numerics ops"}
+
+
+def _items(before: Path, after: Path) -> list[_Item]:
+    """Every golden case, library result and radial-numerics op of two
+    directories that :func:`record` wrote, in report order."""
     import numpy as np
 
     old_cases, new_cases = (json.loads((d / "cases.json").read_text()) for d in (before, after))
-    report = []
+    items = []
     for name in [*old_cases, *(n for n in new_cases if n not in old_cases)]:
         if name not in new_cases or name not in old_cases:
-            report.append(f"{name}: only {'before' if name in old_cases else 'after'}")
+            only = f"only {'before' if name in old_cases else 'after'}"
+            items.append(_Item("case", name, [f"{name}: {only}"], [only]))
             continue
         old, new = old_cases[name], new_cases[name]
-        lines = [] if old["exit"] == new["exit"] else [f"exit {old['exit']} -> {new['exit']}"]
-        lines += _compare_text("stdout", old["stdout"], new["stdout"])
-        lines += _compare_text("stderr", old["stderr"], new["stderr"])
+        found = [] if old["exit"] == new["exit"] else [(f"exit {old['exit']} -> {new['exit']}",) * 2]
+        found += _compare_text("stdout", old["stdout"], new["stdout"])
+        found += _compare_text("stderr", old["stderr"], new["stderr"])
         roots = (before / "out" / name, after / "out" / name)
         files = [sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
                  if root.is_dir() else [] for root in roots]
         for file in [*files[0], *(f for f in files[1] if f not in files[0])]:
             if file not in files[0] or file not in files[1]:
-                lines.append(f"{file}: only {'before' if file in files[0] else 'after'}")
+                only = f"{file}: only {'before' if file in files[0] else 'after'}"
+                found.append((only, only))
                 continue
             paths = (roots[0] / file, roots[1] / file)
             if paths[0].read_bytes() == paths[1].read_bytes():
                 continue
             compare_file = {".json": _compare_json, ".csv": _compare_csv}.get(paths[0].suffix)
-            found = compare_file(*paths) if compare_file else ["bytes differ"]
-            lines += [f"{file} {line}" for line in found] or [f"{file}: bytes differ"]
-        status = f"exit {new['exit']}" + ("" if lines else ", no difference")
-        report.append(f"{name}: {status}")
-        report += [f"    {line}" for line in lines]
+            in_file = compare_file(*paths) if compare_file else [("bytes differ",) * 2]
+            found += ([(f"{file} {line}", move if isinstance(move, tuple) else f"{file} {move}")
+                       for line, move in in_file] or [(f"{file}: bytes differ",) * 2])
+        status = f"exit {new['exit']}" + ("" if found else ", no difference")
+        items.append(_Item("case", name, [f"{name}: {status}"] + [f"    {line}" for line, _ in found],
+                           [move for _, move in found]))
     with np.load(before / "library.npz") as old, np.load(after / "library.npz") as new:
         for key in [*old.files, *(k for k in new.files if k not in old.files)]:
             if key not in new.files or key not in old.files:
-                report.append(f"library {key}: only {'before' if key in old.files else 'after'}")
+                only = f"only {'before' if key in old.files else 'after'}"
+                items.append(_Item("library", key, [f"library {key}: {only}"], [only]))
             else:
                 found = _compare_arrays(f"library {key}", old[key], new[key])
-                report += found or [f"library {key}: no difference"]
+                items.append(_Item("library", key, [line for line, _ in found]
+                                   or [f"library {key}: no difference"], [move for _, move in found]))
     with np.load(before / "ops.npz") as old, np.load(after / "ops.npz") as new:
         ops = {key.partition(": ")[0]: [] for key in [*old.files, *new.files]}
         for key in [*old.files, *(k for k in new.files if k not in old.files)]:
             op, _, path = key.partition(": ")
             if key not in new.files or key not in old.files:
-                ops[op].append(f"{path}: only {'before' if key in old.files else 'after'}")
+                only = f"{path}: only {'before' if key in old.files else 'after'}"
+                ops[op].append((only, only))
             else:
                 ops[op] += _compare_arrays(path, old[key], new[key])
-        for op, lines in ops.items():
-            report.append(f"radial-numerics {op}: " + ("differs" if lines else "no difference"))
-            report += [f"    {line}" for line in lines]
-    return report
+        for op, found in ops.items():
+            items.append(_Item("op", op, [f"radial-numerics {op}: "
+                                          + ("differs" if found else "no difference")]
+                               + [f"    {line}" for line, _ in found], [move for _, move in found]))
+    return items
+
+
+def compare(before: Path, after: Path) -> list[str]:
+    """The report on two directories that :func:`record` wrote: a line per
+    case that did not change, its differences under it for one that did."""
+    return [line for item in _items(before, after) for line in item.lines]
+
+
+def summary(items: list[_Item]) -> list[str]:
+    """Per output that moved, its largest absolute and relative move and
+    its other changes, then per kind the number that did not move."""
+    lines = []
+    for item in items:
+        if not item.moves:
+            continue
+        numbers = [move for move in item.moves if isinstance(move, tuple)]
+        parts = ([f"max abs {max(d for d, _ in numbers):.3g}, "
+                  f"max rel {max(r for _, r in numbers):.3g}"] if numbers else [])
+        parts += dict.fromkeys(move for move in item.moves if isinstance(move, str))
+        label = {"case": "", "library": "library ", "op": "radial-numerics "}[item.kind]
+        lines.append(f"  {label}{item.name}: {'; '.join(parts)}")
+    counts = [f"{sum(not i.moves for i in items if i.kind == kind)} of "
+              f"{sum(i.kind == kind for i in items)} {name}" for kind, name in KINDS.items()]
+    return ["summary:", *lines, "  no difference: " + ", ".join(counts)]
 
 
 def against(rev: str) -> list[str]:
-    """The report on REV's outputs (before) against this checkout's (after)."""
+    """The report on REV's outputs (before) against this checkout's (after),
+    ending with its summary."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = export_src(rev, Path(tmp, "rev"))
-        return compare(*run_both(tree, ROOT, Path(tmp, "runs")))
+        items = _items(*run_both(tree, ROOT, Path(tmp, "runs")))
+    return [line for item in items for line in item.lines] + summary(items)
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -1,6 +1,7 @@
 """Expansion fitting, the log-term detector, and remainder diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cuspasym.errors import FitError
 from cuspasym.fitting import (
     _DETECTOR_SET,
+    _fit_design,
     _detector_windows,
     default_fit_window,
     detect_log_term,
@@ -16,7 +18,7 @@ from cuspasym.fitting import (
 )
 from cuspasym.geometry import ModelMetric
 from cuspasym.elliptic import MongeAmpereProblem, solve_monge_ampere_radial
-from cuspasym.indexsets import IndexTerm, closure
+from cuspasym.indexsets import IndexSet, IndexTerm, closure
 from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion
 
 GRID = DEFAULT_GRID
@@ -223,3 +225,56 @@ def test_fit_of_overflowing_weighted_samples_raises_a_named_error(scale, message
     else:
         with pytest.raises(FitError, match=message):
             fit_polyhom(f, E, fit_window=WINDOW)
+
+
+def test_a_basis_term_that_overflows_on_its_window_is_named():
+    # x^-20 passes the largest double below x = 3.9e-16: overflow warnings,
+    # LAPACK argument errors and a non-converging SVD before this was named
+    grid = RadialGrid(-40.0, math.log(0.5), 512)
+    E = IndexSet((IndexTerm(-20.0, 0), IndexTerm(1.0, 0)), 2.0)
+    with pytest.raises(FitError, match=r"^basis term IndexTerm\(z=-20.0, k=0\) overflows "
+                                       r"on the window \[1e-17, 0\.01\]$"):
+        fit_polyhom(RadialField(grid, grid.x), E, fit_window=(1e-17, 1e-2))
+
+
+def _exact_lstsq(A: np.ndarray, b: np.ndarray) -> list[Fraction]:
+    """The exact least-squares solution for the float matrix A and vector b:
+    the normal equations in integers over one power-of-two denominator each,
+    eliminated in Fractions."""
+    def integers(a):
+        ratios = [v.as_integer_ratio() for v in a.ravel().tolist()]
+        scale = max(d for _, d in ratios)
+        return np.array([n * (scale // d) for n, d in ratios], dtype=object).reshape(a.shape), scale
+
+    (IA, sa), (Ib, sb) = integers(A), integers(b)
+    n = A.shape[1]
+    rows = [[Fraction(g) for g in row] + [Fraction(r * sa, sb)]
+            for row, r in zip((IA.T @ IA).tolist(), (IA.T @ Ib).tolist())]
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = rows[j][i] / rows[i][i]
+            rows[j] = [a - f * p for a, p in zip(rows[j], rows[i])]
+    c = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        c[i] = (rows[i][n] - sum(rows[i][j] * c[j] for j in range(i + 1, n))) / rows[i][i]
+    return c
+
+
+def test_fits_agree_with_exact_least_squares_to_rounding():
+    # on the scaled design the fit's coefficients are those of the exact
+    # least squares of its float matrix and weighted samples, to a few ulps
+    grid = RadialGrid(-40.0, math.log(0.5), 4096)
+    FIT_SET = IndexSet(tuple(IndexTerm(z, k) for z, k in ((1, 0), (1, 1), (2, 0), (2, 1))), 2)
+    cases = ([(FIT_SET, window) for window in ((1e-6, 1e-2), (1e-9, 1e-3))]
+             + [(_DETECTOR_SET, window) for window in _detector_windows(grid)])
+    for a in (0.5, 1.5):
+        u, _ = solve_monge_ampere_radial(
+            MongeAmpereProblem(ModelMetric(), RadialField(grid, a * grid.x)))
+        for E, window in cases:
+            fit = fit_polyhom(u, E, fit_window=window)
+            design = _fit_design(grid, fit.window, E.terms, float(E.cutoff))
+            exact = _exact_lstsq(design.A_scaled, u.values[design.rows] * design.w)
+            scaled = [Fraction(fit.coefficients[tm]) * Fraction(norm)
+                      for tm, norm in zip(E.terms, design.col_norms.tolist())]
+            error = max(abs(c - e) for c, e in zip(scaled, exact)) / max(map(abs, exact))
+            assert error <= 16 * np.finfo(float).eps, (a, window, float(error))

@@ -115,6 +115,34 @@ def test_a_one_ulp_change_shows_in_the_report(recorded_twice, tmp_path):
     assert len(moved) == 4
 
 
+def test_the_summary_gives_each_moved_output_its_largest_move(recorded_twice, tmp_path):
+    before, after = recorded_twice
+    changed = shutil.copytree(after, tmp_path / "changed")
+    case = changed / "out" / "flow-conformal"
+    rows = (case / "flow_t1.000000.csv").read_text().splitlines()
+    x, value = rows[10].split(",")
+    rows[10] = f"{x},{_one_ulp_up(float(value))!r}"
+    (case / "flow_t1.000000.csv").write_text("\n".join(rows) + "\n")
+    flow = json.loads((case / "flow.json").read_text())
+    sup = flow["sup_u_trajectory"]
+    flow["sup_u_trajectory"] = 2.0 * sup
+    (case / "flow.json").write_text(json.dumps(flow))
+    cases = json.loads((changed / "cases.json").read_text())
+    cases["exit2-unknown-key"]["exit"] = 3
+    (changed / "cases.json").write_text(json.dumps(cases))
+
+    items = regen._items(before, changed)
+    assert regen.compare(before, changed) == [line for item in items for line in item.lines]
+    n_library, n_ops = (sum(item.kind == kind for item in items) for kind in ("library", "op"))
+    assert regen.summary(items) == [
+        "summary:",
+        f"  flow-conformal: max abs {sup:.3g}, max rel 0.5",
+        "  exit2-unknown-key: exit 2 -> 3",
+        f"  no difference: {len(regen.CASES) - 2} of {len(regen.CASES)} golden cases, "
+        f"{n_library} of {n_library} library results, {n_ops} of {n_ops} radial-numerics ops",
+    ]
+
+
 def test_each_side_records_the_library_results_of_its_own_tree(tmp_path):
     # a before tree whose library results read an accessor its own source
     # has and the checkout's does not: recorded with the checkout's digests

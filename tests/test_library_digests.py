@@ -28,8 +28,8 @@ FIT_SET = IndexSet(tuple(IndexTerm(z, k) for z, k in ((1, 0), (1, 1), (2, 0), (2
 
 DIGESTS = {
     "ma-solution": "dfb88a3017584999345d00856aee1d3c6a963b53cf7a38bb14bc14f842c61f0d",
-    "ma-detector": "4a1fb04aa0a22b8457ba9207c03614196706d833fcd8cd83fd51ac89a1467756",
-    "ma-fit": "5d4d860ce9766f925690a39724ebe781f4360436aed66af9997503e49ec47522",
+    "ma-detector": "9b738001d338664c5b0d132541785a87ac7dcef878da11f340691961f5f90fe2",
+    "ma-fit": "24e92a1a8715638d713140f9f1c438ee7703fec1fab1478743a79c36db96b044",
     "flow-snapshot": "d4cf906315b8e99e821e0cb6edc2c7ab30e574f37b91227f844499e7c820b8e8",
     "decay-slice-ratios": "3088b9158a7695b02b5dd9163f79878a18267c361d533ee7bfb25cf54e4061b2",
 }

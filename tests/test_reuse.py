@@ -141,7 +141,8 @@ def test_cached_designs_and_windows_reject_writes():
     estimate.windows.clear()   # the estimate's list is its own
     assert fitting.detect_log_term(RadialField(grid, grid.x)).windows == list(windows)
     design = fitting._fit_design(grid, windows[0], fitting._DETECTOR_SET.terms, 1.0)
-    for array in (design.w, design.x_N, design.A, design.A_scaled, design.col_norms):
+    for array in (design.w, design.x_N, design.A, design.A_scaled, design.col_norms,
+                  design.pinv, design.sv):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -154,9 +155,12 @@ def _uncached_lstsq(t, y, terms, weight_exponent):
     b = y * w
     col_norms = np.linalg.norm(A, axis=0)
     A_scaled = A / col_norms
-    coef = np.linalg.lstsq(A_scaled, b, rcond=None)[0]
+    U, sv, Vt = np.linalg.svd(A_scaled, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
+    pinv = (Vt[keep].T / sv[keep]) @ U[:, keep].T
+    coef = pinv @ b
     for _ in range(2):
-        coef = coef + np.linalg.lstsq(A_scaled, b - A_scaled @ coef, rcond=None)[0]
+        coef = coef + pinv @ (b - A_scaled @ coef)
     return coef / col_norms
 
 
@@ -209,15 +213,17 @@ def test_detector_and_fit_match_the_uncached_computation_bit_for_bit(n):
                     report.spread) == _uncached_fit(u, FIT_SET, window)
 
 
-def test_the_lstsq_kernel_gives_numpys_solution_and_error():
-    rng = np.random.default_rng(20)
-    A, b = rng.standard_normal((40, 3)), rng.standard_normal(40)
-    rcond = np.finfo(float).eps * 40
-    x, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
-    mine = fitting._lstsq(A, b, rcond)
-    assert np.array_equal(mine[0], x) and np.array_equal(mine[1], sv)
-    A[3, 0] = np.nan   # the SVD does not converge
-    for solve in (lambda: np.linalg.lstsq(A, b, rcond=None), lambda: fitting._lstsq(A, b, rcond)):
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="^SVD did not converge in Linear Least Squares$"):
-            solve()
+def test_a_repeated_detector_and_fit_reuse_their_factorizations(monkeypatch):
+    u = _ma(_grid(2048), 1.0)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    fitting._fit_design.cache_clear()
+    # the first round factors the four detector windows and the fit's window
+    # once each; the repeat factors nothing and builds no design
+    for svds, misses in ((5, 5), (0, 0)):
+        calls.clear()
+        before = fitting._fit_design.cache_info()
+        fitting.detect_log_term(u)
+        fitting.fit_polyhom(u, FIT_SET)
+        after = fitting._fit_design.cache_info()
+        assert (len(calls), after.misses - before.misses) == (svds, misses)
