@@ -86,7 +86,9 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class IndexTerm:
-    """One admissible term x^z (log x)^k: exponent z and log power k >= 0."""
+    """One admissible term x^z (log x)^k: exponent z and log power k >= 0.
+    Its hash, that of (z, k), is taken once: cached fit designs are looked
+    up by their terms, and a ``Fraction`` hashes slowly."""
 
     z: Exponent
     k: int
@@ -95,6 +97,10 @@ class IndexTerm:
         object.__setattr__(self, "z", as_exponent(self.z))
         if not isinstance(self.k, int) or self.k < 0:
             raise ValueError(f"log power k must be a nonnegative integer, got {self.k!r}")
+        object.__setattr__(self, "_hash", hash((self.z, self.k)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _heap(pairs: Iterable[tuple]) -> list:

@@ -42,6 +42,13 @@ residual's rounding floor, provided that floor is at most
 S + Delta v nears 0) is refused: Newton goes on, fails, and the step is
 halved.  A step is halved only when its Newton fails.
 
+Each step time's record (the evolving density S + Delta u, its positivity
+margin and sup|u|) reads the accepted Newton iterate of its last sub-step:
+that step's S and rho = S + Delta v on the interior, the one-sided end rows
+of Delta u added at the two ends.  No step forms the schedule or a
+Laplacian twice; where the last sub-step lands a rounding off its step
+time, S is taken there.
+
 Every stepper takes its steps from one time grid, ``_time_grid``, a step
 count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
 ``_TimeGrid.step_of`` the step serving an output time.  The Newton loop
@@ -64,6 +71,7 @@ from .radial import (
     NewtonWorkspace,
     RadialField,
     RadialGrid,
+    _end_rows,
     _log_density_equation,
     damped_newton,
     factor_symmetric_tridiagonal,
@@ -373,6 +381,9 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     # u_{n-1}, the extrapolated start, and the last accepted step (0: none yet)
     u_prev, start, dt_prev = np.empty(grid.n_nodes), np.empty(grid.n_nodes), 0.0
     res_accept, floor_accept, rejections = 0.0, None, 0
+    # S and rho = S + Delta u on the interior at the last accepted iterate; at
+    # t = 0, S(0) + unit_laplacian(0) is D0 itself
+    S, rho = density, density
     states: list[FlowState] = []
     records = []   # (t, sup|u|, margin, Newton iterations, residual, floor) per step time
     for k in range(time_grid.steps + 1):
@@ -387,7 +398,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
                     np.multiply(start, dt_loc / dt_prev, out=start)
                     np.add(u, start, out=start)
                 try:
-                    u_new, bc_new, step_iters, res_accept, floor_accept = _flow_step(
+                    u_new, bc_new, step_iters, res_accept, floor_accept, S, rho = _flow_step(
                         u, start if warm else None, bc, t, dt_loc, density, combo,
                         problem, work)
                     break
@@ -403,13 +414,17 @@ def run_flow(problem: FlowProblem) -> FlowResult:
             iters += step_iters
             t += dt_loc
         t = target
-        evolving = _schedule_values(grid, density, combo, t) + unit_laplacian(u, grid.h)
-        margin = float(np.min(evolving))
+        # the evolving density S + Delta u: rho inside, the one-sided rows at the ends
+        lo, hi = _end_rows(u, grid.h)
+        ends = (S[0] + lo, S[-1] + hi)
+        margin = float(min(rho[1:-1].min(), *ends))
         if margin <= 0:
             raise SolverError(f"Kahler positivity lost at t={t:.6g}: margin {margin:.3e}")
-        records.append((t, float(np.max(np.abs(u))), margin, iters, res_accept,
+        records.append((t, float(max(u.max(), -u.min())), margin, iters, res_accept,
                         math.nan if floor_accept is None else floor_accept))
         if keep is None or k in keep:
+            evolving = rho.copy()
+            evolving[0], evolving[-1] = ends
             states.append(FlowState(t, RadialField(grid, u.copy()),
                                     RadialField(grid, evolving), margin))
 
@@ -424,8 +439,9 @@ def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
     ``work``.  Newton's starts are (start, u), or (u,) when ``start`` is
     None: the loop takes the first whose S + Delta v is positive.  Returns
     the new potential (a buffer of ``work``), the new boundary pair, the
-    Newton iteration count, the accepted residual and the rounding floor
-    that stopped Newton (None if tol did)."""
+    Newton iteration count, the accepted residual, the rounding floor that
+    stopped Newton (None if tol did), S(t + dt) and the buffer of ``work``
+    holding S(t + dt) + Delta v on the interior at the new potential."""
     n, h = len(u), problem.grid.h
     t_next = t + dt
     S_next = _schedule_values(problem.grid, density, combo, t_next)
@@ -440,10 +456,10 @@ def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
     residual, bands, floor = _log_density_equation(
         h, S_next[1:-1], s_minus_d0[1:-1], density[1:-1], 1.0 + dt, np.negative(u[1:-1]), dt,
         bc_new, work, _FLOW_FLOOR_MAX)
-    v, _, iters, residuals, _, floor_value = damped_newton(
+    v, rho, iters, residuals, _, floor_value = damped_newton(
         residual, bands, (u,) if start is None else (start, u), _FLOW_NEWTON,
         f"flow Newton (t={t_next:.6g})", work, floor)
-    return v, bc_new, iters, residuals[-1], floor_value
+    return v, bc_new, iters, residuals[-1], floor_value, S_next, rho
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,17 @@ def unit_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     conditions instead of using them.
     """
     out = unit_laplacian_interior(values, h)
-    v = values
-    out[0] = 0.5 * ((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
-                    + (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h))
-    out[-1] = 0.5 * ((2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
-                     + (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h))
+    out[0], out[-1] = _end_rows(values, h)
     return out
+
+
+def _end_rows(v: np.ndarray, h: float) -> tuple[float, float]:
+    """The one-sided second-order rows of :func:`unit_laplacian` at the
+    first and the last node."""
+    return (0.5 * ((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
+                   + (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)),
+            0.5 * ((2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
+                   + (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)))
 
 
 def dirichlet_bands(n: int, h: float, weight, shift, out=None):
@@ -362,8 +367,9 @@ class NewtonParams:
 class NewtonWorkspace:
     """The arrays :func:`damped_newton` works in on ``n`` nodes, one solve at
     a time: ``v``/``candidate``, ``r``/``r_new`` and ``aux``/``aux_new`` are
-    double buffers, swapped on an accepted step; ``step`` holds the right-hand
-    side, then the step; ``bands`` the Jacobian's (sub, diag, sup); ``scratch``
+    double buffers, swapped on an accepted step, and ``r`` receives each Newton
+    correction; ``step`` holds a linear solve's right-hand side, then its
+    solution; ``bands`` the Jacobian's (sub, diag, sup); ``scratch``
     is the callbacks' (the loop's between calls).  The package's solvers use
     :meth:`for_thread`'s and return copies, never these buffers."""
 
@@ -412,10 +418,10 @@ def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarr
     converged.  Trials and floors overflow quietly: a non-finite trial fails.
 
     No array of the grid's size is allocated: the loop works in ``work``
-    from a copy of a start and solves each step in place.  Returns ``(v,
-    aux, iterations, residual_history, damping_events, floor_value)``, ``v``
-    and ``aux`` buffers of ``work`` and ``floor_value`` the floor that
-    stopped the loop, else None.
+    from a copy of a start and solves each step in the residual's buffer.
+    Returns ``(v, aux, iterations, residual_history, damping_events,
+    floor_value)``, ``v`` and ``aux`` buffers of ``work`` and
+    ``floor_value`` the floor that stopped the loop, else None.
     """
     v, candidate, r, r_new = work.v, work.candidate, work.r, work.r_new
     aux, aux_new = work.aux, work.aux_new
@@ -434,16 +440,16 @@ def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarr
                               f"last residual {res_norm:.3e}")
         iteration += 1
         bands(aux, work.bands)
-        np.negative(r, out=work.step)
-        try:
-            step = _gtsv(*work.bands, work.step, overwrite=True)
+        try:   # J c = r, solved in r's buffer; the Newton step is -c
+            correction = _gtsv(*work.bands, r, overwrite=True)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular {label} linearization at iteration "
                               f"{iteration}: {exc}") from exc
         s = 1.0
         while True:
-            # 1.0 * step is exact, so the full step skips the multiply
-            np.add(v, step if s == 1.0 else np.multiply(step, s, out=candidate), out=candidate)
+            # 1.0 * c is exact, so the full step skips the multiply
+            np.subtract(v, correction if s == 1.0
+                        else np.multiply(correction, s, out=candidate), out=candidate)
             with np.errstate(over="ignore", invalid="ignore"):
                 ok = residual(candidate, r_new, aux_new)
                 new_norm = _sup_norm(r_new, work.scratch) if ok else np.inf

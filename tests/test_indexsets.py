@@ -10,6 +10,7 @@ from cuspasym import indexsets
 from cuspasym.indexsets import (
     IndexSet,
     IndexTerm,
+    as_exponent,
     closure,
     extended_union,
     exponents_equal,
@@ -108,6 +109,24 @@ def test_term_validation():
         IndexTerm(1, -1)
     with pytest.raises(ValueError):
         IndexTerm(float("inf"), 0)
+
+
+def test_a_term_hashes_as_its_pair_and_hashes_its_exponent_once():
+    hashed = []
+
+    class CountingFraction(Fraction):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    term = IndexTerm(CountingFraction(3, 2), 1)
+    assert hash(term) == hash(term) == hash((Fraction(3, 2), 1)) and len(hashed) == 1
+    for z, k in ((Fraction(3, 2), 1), (2, 0), (0.25, 3), (1 / 3, 0)):
+        assert hash(IndexTerm(z, k)) == hash((as_exponent(z), k))
+    # equal terms, one exact and one float, are one cache key
+    assert IndexTerm(0.5, 2) == IndexTerm(Fraction(1, 2), 2)
+    assert hash(IndexTerm(0.5, 2)) == hash(IndexTerm(Fraction(1, 2), 2))
+    assert len({IndexTerm(0.5, 2), IndexTerm(Fraction(1, 2), 2)}) == 1
 
 
 def test_terms_beyond_cutoff_rejected():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cuspasym import parabolic, radial
+from cuspasym import cli, parabolic, radial
 from cuspasym.errors import SolverError
 from cuspasym.geometry import ModelMetric
 from cuspasym.parabolic import (
@@ -35,6 +35,7 @@ from cuspasym.radial import (
 )
 
 GRID = RadialGrid(-40.0, math.log(0.5), 512)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def scaled_cusp(c0: float, grid=GRID) -> ModelMetric:
@@ -566,9 +567,9 @@ def test_flow_step_from_the_extrapolated_start_matches_the_cold_start():
     u0 = np.zeros(problem.grid.n_nodes)
     v, bc, *_ = step(u0, None, np.zeros(2), 0.0)
     u1 = v.copy()
-    v, _, cold_iters, _, cold_floor = step(u1, None, bc, 0.5)
+    v, _, cold_iters, _, cold_floor, *_ = step(u1, None, bc, 0.5)
     cold = v.copy()
-    v, _, warm_iters, _, warm_floor = step(u1, u1 + (u1 - u0), bc, 0.5)
+    v, _, warm_iters, _, warm_floor, *_ = step(u1, u1 + (u1 - u0), bc, 0.5)
     assert cold_floor is not None and warm_floor is not None   # both stopped at the floor
     assert warm_iters < cold_iters
     assert np.max(np.abs(v - cold)) <= 4 * min(cold_floor, warm_floor)
@@ -596,11 +597,11 @@ def test_flow_step_falls_back_to_u_n_from_a_start_losing_positivity():
     problem = _bench_flow(4096, 1e-2)
     step = _steps_of(problem)
     u1 = step(np.zeros(problem.grid.n_nodes), None, np.zeros(2), 0.0)[0].copy()
-    v, _, *cold_stop = step(u1, None, np.zeros(2), 0.01)   # iterations, residual, floor
+    v, _, *cold_stop, _, _ = step(u1, None, np.zeros(2), 0.01)   # iterations, residual, floor
     cold = v.copy()
     spoiled = u1.copy()
     spoiled[1::2] += 1e3   # Delta of the spike train is about -1e3/h^2 on its nodes
-    v, _, *stop = step(u1, spoiled, np.zeros(2), 0.01)
+    v, _, *stop, _, _ = step(u1, spoiled, np.zeros(2), 0.01)
     assert v.tobytes() == cold.tobytes() and stop == cold_stop
 
 
@@ -626,6 +627,45 @@ def test_flow_start_losing_positivity_counts_no_rejection(monkeypatch):
     assert result.newton_iterations.tolist() == cold.newton_iterations.tolist()
     for state, cold_state in zip(result.states, cold.states):
         assert state.u.values.tobytes() == cold_state.u.values.tobytes()
+
+
+def _golden_flow(name: str) -> FlowProblem:
+    """The flow of the golden case ``name``, every state kept."""
+    config = cli.load_config(GOLDEN / f"{name}.cfg", cli.SCHEMAS["flow"])
+    grid = cli._grid_from_config(config)
+    return FlowProblem(cli._metric_from_config(config, grid), T=config["T"], dt=config["dt"])
+
+
+@pytest.mark.parametrize("name", ["flow-conformal", "flow-halving", "flow-halving-floor-bound"])
+def test_each_state_records_the_schedule_plus_laplacian_of_its_potential(monkeypatch, name):
+    # the record reads S and S + Delta u off the accepted Newton iterate; where
+    # the last sub-step landed exactly on the step time that is the recomputed
+    # density bit for bit, elsewhere S is taken a rounding of t off it
+    problem, step, landed = _golden_flow(name), parabolic._flow_step, {0.0}
+
+    def landing_step(u, start, bc, t, dt, *args):
+        out = step(u, start, bc, t, dt, *args)
+        landed.add(t + dt)
+        return out
+
+    monkeypatch.setattr(parabolic, "_flow_step", landing_step)
+    result = run_flow(problem)
+    grid, (density, combo) = problem.grid, parabolic._schedule_data(problem.omega0, problem.grid)
+    assert [state.t for state in result.states] == result.times.tolist()
+    for state, sup_u, margin in zip(result.states, result.sup_u, result.positivity_margin):
+        u = state.u.values
+        evolving = (parabolic._schedule_values(grid, density, combo, state.t)
+                    + radial.unit_laplacian(u, grid.h))
+        recorded = state.flow_metric_density.values
+        assert state.positivity_margin == margin and sup_u == np.max(np.abs(u))
+        if state.t in landed:
+            assert recorded.tobytes() == evolving.tobytes()
+            assert margin == np.min(evolving)
+        else:
+            assert np.all(np.abs(recorded - evolving) <= 4 * np.spacing(evolving))
+            assert abs(margin - np.min(evolving)) <= 4 * np.spacing(np.min(evolving))
+    if name == "flow-halving-floor-bound":
+        assert result.step_rejections > 0
 
 
 def test_model_metric_flow_stays_exactly_at_zero():

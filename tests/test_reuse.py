@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cuspasym import fitting
+from cuspasym import fitting, parabolic, radial
 from cuspasym.elliptic import (
     LinearProblem,
     MongeAmpereProblem,
@@ -227,3 +227,22 @@ def test_a_repeated_detector_and_fit_reuse_their_factorizations(monkeypatch):
         fitting.fit_polyhom(u, FIT_SET)
         after = fitting._fit_design.cache_info()
         assert (len(calls), after.misses - before.misses) == (svds, misses)
+
+
+def test_a_flow_forms_each_steps_schedule_once_and_no_laplacian(monkeypatch):
+    # each step's record reads S and S + Delta u off the step's accepted Newton
+    # iterate: one schedule a step, and no full-grid Laplacian beside the
+    # schedule data's Delta(phi)
+    grid = _grid(512)
+    problem = FlowProblem(ModelMetric(conformal=RadialField(grid, 0.05 * grid.x)), T=0.5, dt=0.1)
+    schedule, laplacian, calls = parabolic._schedule_values, radial.unit_laplacian, []
+
+    def counting(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
+    monkeypatch.setattr(parabolic, "_schedule_values", counting("schedule", schedule))
+    for module in (radial, parabolic):
+        monkeypatch.setattr(module, "unit_laplacian", counting("laplacian", laplacian))
+    result = run_flow(problem)
+    assert result.step_rejections == 0 and len(result.times) == 6
+    assert (calls.count("schedule"), calls.count("laplacian")) == (5, 1)
