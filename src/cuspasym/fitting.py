@@ -68,7 +68,6 @@ class RemainderReport:
     slope: Optional[float]        # None when saturated
     spread: Optional[tuple[float, float]]
     saturated: bool
-    target_order: float
     meets_target: bool            # slope >= N - 0.25 (True when saturated)
 
 
@@ -225,8 +224,8 @@ def remainder_check(fit: PolyhomFit, samples: RadialField) -> RemainderReport:
     slope, spread = _remainder_slope(grid.x[design.rows], r,
                                      noise_scale=float(np.abs(y).max()))
     if slope is None:
-        return RemainderReport(residual_sup, None, None, True, N, True)
-    return RemainderReport(residual_sup, slope, spread, False, N, bool(slope >= N - 0.25))
+        return RemainderReport(residual_sup, None, None, True, True)
+    return RemainderReport(residual_sup, slope, spread, False, bool(slope >= N - 0.25))
 
 
 def _detector_windows(grid: RadialGrid) -> tuple[tuple[float, float], ...]:

@@ -136,7 +136,7 @@ def test_criterion_06_restricted_ode_mutual_oracle():
     assert res.max_discrepancy < 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    report(6, f"quadrature vs RK4 discrepancy {res.max_discrepancy:.2e} < 1e-8; "
+    report(6, f"exact solution vs RK4 discrepancy {res.max_discrepancy:.2e} < 1e-8; "
               f"{elapsed:.2f} s")
 
 

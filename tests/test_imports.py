@@ -8,7 +8,7 @@ itself has long since imported scipy.  The package reaches LAPACK through
 and no other scipy module, not even the top-level ``scipy`` (unless the
 extension fails to load without it); no package code imports
 ``scipy.integrate``, not even ``parabolic.restricted_ode_solution``, whose
-quadrature is numpy's own, and ``concurrent.futures`` belongs to
+second route is the ODE's exact solution, and ``concurrent.futures`` belongs to
 ``cli.cmd_sweep``.  Importing the package or running a command that solves
 nothing loads none of them.  The extension it loads is the very module a
 later ``import scipy.linalg`` binds, loaded once however many threads reach
