@@ -442,7 +442,6 @@ def cmd_flow(config, outdir: Path) -> dict:
         "sup_u_trajectory": float(np.max(result.sup_u)),
         "min_positivity_margin": float(np.min(result.positivity_margin)),
         "max_newton_iterations": int(np.max(result.newton_iterations)),
-        "max_newton_residual": float(np.max(result.newton_residuals)),
         "step_rejections": result.step_rejections,
     }
     write_json(outdir / "flow.json", payload)

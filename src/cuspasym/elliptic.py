@@ -126,11 +126,11 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     grid = problem.F.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)
     D = problem.background.density(grid)[1:-1]
-    residual, bands, floor = _log_density_equation(
+    residual, bands, floor, _ = _log_density_equation(
         grid.h, D, 0.0, D, 1.0, problem.F.values[1:-1], 1.0,
-        (problem.bc_left, problem.bc_right), work, math.inf)
+        (problem.bc_left, problem.bc_right), work)
     u, rho, iterations, residuals, damping_events, floor_value = damped_newton(
-        residual, bands, (0.0,), problem.newton, "Newton", work, floor)
+        residual, bands, 0.0, problem.newton, "Newton", work, floor)
     min_kahler = float(np.divide(rho[1:-1], D, out=work.scratch[1:-1]).min())
     report = NewtonReport(True, iterations, residuals, residuals[-1], min_kahler,
                           damping_events, floor_value)

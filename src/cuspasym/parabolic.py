@@ -12,16 +12,16 @@ potential then evolves by
     du/dt = log((S(t) + Delta u) / D0) - u,      u(0) = 0,
 
 where Delta u is the density contribution of the Hessian term, and is
-stepped by backward Euler with an inner Newton solve (the log nonlinearity
-is stiff near positivity loss; first-order accuracy in time suffices for
-the fixed-point and boundary-constant checks this module exists for).
+stepped by linearly implicit Euler (the one-stage Rosenbrock method: first
+order and L-stable like backward Euler, whose equation it solves by one
+Newton step from u_n; the log nonlinearity is stiff near positivity loss).
 Boundary values at both ends follow the zero-dimensional restriction
 
     dv/dt = log(S(t, x_end) / D0(x_end)) - v,
 
-integrated by the same backward-Euler rule so that spatially constant
-initial data stays exactly spatially constant, with no artificial boundary
-layer polluting the density extraction.
+integrated by backward Euler, the same rule on this linear equation, so
+that spatially constant initial data stays spatially constant, with no
+artificial boundary layer polluting the density extraction.
 
 The deepest-boundary constant of the evolving metric relaxes as
 c_t = 1 + e^{-t} (c_0 - 1), the closed form of dc/dt = 1 - c.  Beside the
@@ -29,35 +29,29 @@ flow sit two checks no CLI command runs: the linear decay certificate, on
 one symmetric factorization, and the restricted ODE, RK4 against its
 exact solution.
 
-A flow step's equation, (1 + dt) v - u_n - dt log1p((S - D0 + Delta v) / D0)
-= 0 with S = S(t_{n+1}), is ``radial``'s log-density equation with (S, D0,
-alpha, beta, gamma) = (S, D0, 1 + dt, -u_n, dt), whose residual, Jacobian,
-positivity test and rounding floor live there.  Each step hands its inner
-Newton the starts (u_n + (dt/dt_prev) (u_n - u_{n-1}), u_n), the
-extrapolation of the last two accepted states first (only u_n on the first
-step and after a rejection), and the loop takes the first that keeps
-S + Delta v positive.  Newton stops at ``tol`` or, once it stalls, at the
-residual's rounding floor, provided that floor is at most
-``_FLOW_FLOOR_MAX``.  A larger floor (near a degenerating background, where
-S + Delta v nears 0) is refused: Newton goes on, fails, and the step is
-halved.  A step is halved only when its Newton fails.
-
-Each step time's record (the evolving density S + Delta u, its positivity
-margin and sup|u|) reads the accepted Newton iterate of its last sub-step:
-that step's S and rho = S + Delta v on the interior, the one-sided end rows
-of Delta u added at the two ends.  No step forms the schedule or a
-Laplacian twice; where the last sub-step lands a rounding off its step
-time, S is taken there.
+Backward Euler's equation, (1 + dt) v - u_n - dt log1p((excess + Delta v)
+/ D0) = 0, is ``radial``'s log-density equation with (S, excess, D0, alpha,
+beta, gamma) = (S(t_{n+1}), expm1(-t_{n+1}) (D0 + R0), D0, 1 + dt, -u_n,
+dt).  The excess is formed once, never as S - D0, which rounds an O(x)
+forcing to 0 at deep nodes.  A step linearizes it at u_n (one tridiagonal
+solve) and is refused, and halved, when S(t_{n+1}) + Delta u_n or
+S(t_{n+1}) + Delta v is not positive, or when the residual's rounding floor
+at v passes ``_FLOW_FLOOR_MAX`` (computed only when a bound from sup|v|,
+min rho and sup|u_n| passes it).  Each step forms one Laplacian, of v: it
+gives rho = S + Delta v for the positivity test and the record, and it is
+the next step's Delta u_n.  A step time's record (the evolving density
+S + Delta u, its margin and sup|u|) reads the last sub-step's S and rho,
+with the one-sided end rows of Delta u at the two ends.
 
 Every stepper takes its steps from one time grid, ``_time_grid``, a step
 count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
-``_TimeGrid.step_of`` the step serving an output time.  The Newton loop
-(``damped_newton``, set by ``_FLOW_NEWTON``) lives in ``radial``.
+``_TimeGrid.step_of`` the step serving an output time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -67,24 +61,22 @@ from .errors import SolverError
 from .fitting import _lsq_slope
 from .geometry import ModelMetric
 from .radial import (
-    NewtonParams,
     NewtonWorkspace,
     RadialField,
     RadialGrid,
     _end_rows,
+    _gtsv,
     _log_density_equation,
-    damped_newton,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
     unit_laplacian,
+    unit_laplacian_interior,
 )
 
-#: the inner Newton solve of every backward-Euler step
-_FLOW_NEWTON = NewtonParams(max_iter=30, tol=1e-12, damping_min=2.0 ** -30)
-#: the largest rounding floor a flow step's Newton may stop at.  The step's
-#: Jacobian (1 + dt) I - dt Delta / (S + Delta v) is diagonally dominant by
-#: 1 + dt, so a floor stop (residual within radial._FLOOR_FACTOR of the floor)
-#: leaves v off the step's solution by about 4e-6 / (1 + dt) at most
+#: the largest rounding floor a flow step's residual may have at its new
+#: state.  The step's Jacobian (1 + dt) I - dt Delta / (S + Delta v) is
+#: diagonally dominant by 1 + dt, so such a floor puts v about 1e-6 / (1 + dt)
+#: in doubt at most
 _FLOW_FLOOR_MAX = 1e-6
 #: a step halved below dt * _DT_MIN_FACTOR fails the flow
 _DT_MIN_FACTOR = 2.0 ** -10
@@ -142,7 +134,7 @@ def _time_grid(T: float, dt: float) -> _TimeGrid:
     round(T/dt) when that lands on T to within 1e-9 relative, ceil(T/dt)
     otherwise, at least 1 and at most ``_MAX_STEPS``.  At 10^8 steps the
     cheapest stepper, the scalar RK4, runs 85 s (0.85 us a step on a 2-vCPU
-    shared Xeon) and a flow on 8 nodes about 4 h (140 us a step)."""
+    shared Xeon) and a flow on 8 nodes about 1.1 h (39 us a step)."""
     if not (T >= 0 and dt > 0 and math.isfinite(T / dt)):
         raise ValueError(f"need T >= 0, dt > 0 and finite T/dt, got T={T}, dt={dt}")
     steps = round(T / dt)
@@ -263,15 +255,17 @@ def _schedule_data(omega0: ModelMetric, grid: RadialGrid):
 
 
 def _schedule_values(grid: RadialGrid, density: np.ndarray, combo: np.ndarray,
-                     t: float) -> np.ndarray:
-    """S(t) = D0 + expm1(-t) (D0 + R0); an error where it is not positive."""
-    values = density + math.expm1(-t) * combo
-    if np.any(values <= 0):
-        j = int(np.argmax(values <= 0))
+                     t: float) -> tuple[np.ndarray, np.ndarray]:
+    """S(t) = D0 + excess and the excess expm1(-t) (D0 + R0), taken once
+    so that S - D0 is never formed; an error where S is not positive."""
+    excess = math.expm1(-t) * combo
+    values = density + excess
+    if not values.min() > 0:   # np.all(values > 0) in one reduction
+        j = int(np.argmax(~(values > 0)))
         raise SolverError(
             f"flow background degenerates at t={t:.6g}, node {j} "
             f"(x={grid.x[j]:.6g})")
-    return values
+    return values, excess
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +320,15 @@ class FlowState:
 class FlowResult:
     """One entry per step time (t = 0 first); states at output times only.
 
-    ``newton_iterations`` sums the Newton steps (linear solves) of every
-    accepted sub-step that reached the step time, from its start to where it
-    stopped; attempts rejected by step halving count only in
-    ``step_rejections``.  The last accepted sub-step's Newton stopped either
-    on ``tol`` or, once stalled, within ``radial._FLOOR_FACTOR`` of its rounding
-    floor, never above ``_FLOW_FLOOR_MAX``: ``newton_floors`` holds that
-    floor, NaN where tol stopped it (and at t = 0).
+    ``newton_iterations`` counts the linear solves of the accepted sub-steps
+    that reached the step time, one each (0 at t = 0); attempts refused and
+    halved count only in ``step_rejections``.
     """
     states: list[FlowState]
     times: np.ndarray
     sup_u: np.ndarray
     positivity_margin: np.ndarray
     newton_iterations: np.ndarray
-    newton_residuals: np.ndarray       # residual of the last accepted sub-step
-    newton_floors: np.ndarray          # the floor that stopped it, NaN if tol did
     step_rejections: int
 
 
@@ -355,106 +343,113 @@ def fitted_boundary_constant(state: FlowState) -> float:
 
 
 def run_flow(problem: FlowProblem) -> FlowResult:
-    """Backward-Euler integration of the normalized potential flow.
-
-    Each step solves the implicit equation with an inner damped Newton
-    iteration, maintains positivity of the evolving density S + Delta u,
-    and falls back to halving the step on failure (an error below
-    dt * _DT_MIN_FACTOR).  Newton starts from u_n + (dt/dt_prev)(u_n - u_{n-1}),
-    the extrapolation of the last two accepted states, where that keeps the
-    evolving density positive, else from u_n (always on the first step and
-    on a retry after a rejection).  Boundary values at both ends follow the
-    backward-Euler restriction of the flow to the endpoints.
-    """
+    """Linearly implicit Euler integration of the normalized potential
+    flow: a refused step is halved and retried, and one halved below
+    dt * _DT_MIN_FACTOR fails the flow with its refusal."""
     grid = problem.grid
-    work = NewtonWorkspace.for_thread(grid.n_nodes)   # every Newton solve of the run
+    work = NewtonWorkspace.for_thread(grid.n_nodes)   # every step of the run
     density, combo = _schedule_data(problem.omega0, grid)
     time_grid, keep = problem._plan
-    u, bc, t = np.zeros(grid.n_nodes), np.zeros(2), 0.0
-    # u_{n-1}, the extrapolated start, and the last accepted step (0: none yet)
-    u_prev, start, dt_prev = np.empty(grid.n_nodes), np.empty(grid.n_nodes), 0.0
-    res_accept, floor_accept, rejections = 0.0, None, 0
-    # S and rho = S + Delta u on the interior at the last accepted iterate; at
-    # t = 0, S(0) + unit_laplacian(0) is D0 itself
-    S, rho = density, density
+    u, bc, t, rejections = np.zeros(grid.n_nodes), np.zeros(2), 0.0, 0
+    lap, spare = work.r_new, work.candidate   # Delta u, and Delta of the next state
+    lap.fill(0.0)
+    # the last sub-step's S, rho, min rho and sup|u|; at t = 0, rho is D0
+    S, rho, rho_min, sup_v = density, density, float(density[1:-1].min()), 0.0
     states: list[FlowState] = []
-    # per step time: sup|u|, margin, Newton iterations, residual and floor
-    sup_u, margins, residuals, floors = np.empty((4, time_grid.steps + 1))
-    newton_iters = np.empty(time_grid.steps + 1, dtype=int)
+    sup_u, margins = np.empty((2, time_grid.steps + 1))
+    solves = np.empty(time_grid.steps + 1, dtype=int)
     for k in range(time_grid.steps + 1):
         target = time_grid.time(k)
-        iters = 0
+        solves[k] = 0
         while t < target - 1e-12 * target:
             dt_loc = min(time_grid.h, target - t)
-            warm = dt_prev > 0
             while True:
-                if warm:
-                    np.subtract(u, u_prev, out=start)
-                    np.multiply(start, dt_loc / dt_prev, out=start)
-                    np.add(u, start, out=start)
                 try:
-                    u_new, bc_new, step_iters, res_accept, floor_accept, S, rho = _flow_step(
-                        u, start if warm else None, bc, t, dt_loc, density, combo,
-                        problem, work)
+                    v, bc_new, S, rho, rho_min, sup_v = _flow_step(
+                        u, lap, spare, bc, t, dt_loc, density, combo, problem, work, sup_v)
                     break
                 except SolverError:
                     rejections += 1
                     dt_loc /= 2.0
-                    warm = False
                     if dt_loc < problem.dt * _DT_MIN_FACTOR:
                         raise
-            u, u_prev = u_prev, u
-            np.copyto(u, u_new)
-            bc, dt_prev = bc_new, dt_loc
-            iters += step_iters
+            np.copyto(u, v)
+            lap, spare, bc = spare, lap, bc_new
+            solves[k] += 1
             t += dt_loc
         t = target
         # the evolving density S + Delta u: rho inside, the one-sided rows at the ends
         lo, hi = _end_rows(u, grid.h)
         ends = (S[0] + lo, S[-1] + hi)
-        margin = float(min(rho[1:-1].min(), *ends))
+        margin = float(min(rho_min, *ends))
         if margin <= 0:
             raise SolverError(f"Kahler positivity lost at t={t:.6g}: margin {margin:.3e}")
-        sup_u[k], margins[k], newton_iters[k], residuals[k], floors[k] = (
-            max(u.max(), -u.min()), margin, iters, res_accept,
-            math.nan if floor_accept is None else floor_accept)
+        sup_u[k], margins[k] = sup_v, margin
         if keep is None or k in keep:
             evolving = rho.copy()
             evolving[0], evolving[-1] = ends
             states.append(FlowState(t, RadialField(grid, u.copy()),
                                     RadialField(grid, evolving), margin))
 
-    return FlowResult(states, time_grid.times(), sup_u, margins, newton_iters, residuals,
-                      floors, rejections)
+    return FlowResult(states, time_grid.times(), sup_u, margins, solves, rejections)
 
 
-def _flow_step(u, start, bc, t, dt, density, combo, problem: FlowProblem,
-               work: NewtonWorkspace):
-    """One backward-Euler step of the potential flow from u, solved in
-    ``work``.  Newton's starts are (start, u), or (u,) when ``start`` is
-    None: the loop takes the first whose S + Delta v is positive.  Returns
-    the new potential (a buffer of ``work``), the new boundary pair, the
-    Newton iteration count, the accepted residual, the rounding floor that
-    stopped Newton (None if tol did), S(t + dt) and the buffer of ``work``
-    holding S(t + dt) + Delta v on the interior at the new potential."""
-    n, h = len(u), problem.grid.h
+def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
+               work: NewtonWorkspace, sup_u: float):
+    """One linearly implicit Euler step from u, whose interior Laplacian
+    ``lap`` holds and whose sup|u| is ``sup_u``, worked in ``work``; Delta v
+    goes into the interior of ``spare``.  Returns v (``work.v``), the new
+    boundary pair, S(t + dt), rho = S(t + dt) + Delta v on the interior
+    (``work.aux_new``), min rho and sup|v|; a refused step raises SolverError."""
+    grid, h = problem.grid, problem.grid.h
     t_next = t + dt
-    S_next = _schedule_values(problem.grid, density, combo, t_next)
-    s_minus_d0 = S_next - density
+    S_next, excess = _schedule_values(grid, density, combo, t_next)
 
     # backward-Euler update of the endpoint restriction
     bc_new = np.empty(2)
-    for pos, j in ((0, 0), (1, n - 1)):
-        src = math.log1p(s_minus_d0[j] / density[j])
-        bc_new[pos] = (bc[pos] + dt * src) / (1.0 + dt)
+    for pos, j in ((0, 0), (1, -1)):
+        bc_new[pos] = (bc[pos] + dt * math.log1p(excess[j] / density[j])) / (1.0 + dt)
 
-    residual, bands, floor = _log_density_equation(
-        h, S_next[1:-1], s_minus_d0[1:-1], density[1:-1], 1.0 + dt, np.negative(u[1:-1]), dt,
-        bc_new, work, _FLOW_FLOOR_MAX)
-    v, rho, iters, residuals, _, floor_value = damped_newton(
-        residual, bands, (u,) if start is None else (start, u), _FLOW_NEWTON,
-        f"flow Newton (t={t_next:.6g})", work, floor)
-    return v, bc_new, iters, residuals[-1], floor_value, S_next, rho
+    _, bands, floor, from_laplacian = _log_density_equation(
+        h, S_next[1:-1], excess[1:-1], density[1:-1], 1.0 + dt,
+        np.negative(u[1:-1], out=work.step[1:-1]), dt, bc_new, work)
+    r = work.r
+    if not from_laplacian(u, lap, r, work.aux):
+        raise _refusal(grid, t_next, "the evolving density before the solve has minimum",
+                       work.aux[1:-1], np.argmin)
+    bands(work.aux, work.bands)
+    try:   # J c = r, solved in r's buffer; the step is -c
+        v = np.subtract(u, _gtsv(*work.bands, r, overwrite=True), out=work.v)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolverError(f"flow step to t={t_next:.6g} refused: its linear system is "
+                          f"singular or not finite ({exc})") from exc
+    v[0], v[-1] = bc_new
+    rho = work.aux_new
+    np.add(S_next[1:-1], unit_laplacian_interior(v, h, out=spare, scratch=work.scratch)[1:-1],
+           out=rho[1:-1])
+    rho_min = float(rho[1:-1].min())
+    if not rho_min > 0:
+        raise _refusal(grid, t_next, "the evolving density after the solve has minimum",
+                       rho[1:-1], np.argmin)
+    sup_v = float(max(v.max(), -v.min()))
+    # the floor is at most eps (dt sum|c_k| sup|v| / min rho + (1 + dt) sup|v| + sup|u|)
+    stencil = sum(map(abs, laplacian_coefficients(h)))
+    bound = sys.float_info.epsilon * (dt * stencil * sup_v / rho_min + (1.0 + dt) * sup_v + sup_u)
+    if not bound <= _FLOW_FLOOR_MAX:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not floor(v, rho, r) <= _FLOW_FLOOR_MAX:   # r's interior holds each node's term
+                raise _refusal(grid, t_next, f"the rounding floor (bound {_FLOW_FLOOR_MAX:g}) is",
+                               sys.float_info.epsilon * r[1:-1], np.argmax)
+    return v, bc_new, S_next, rho, rho_min, sup_v
+
+
+def _refusal(grid: RadialGrid, t: float, what: str, values: np.ndarray,
+             pick: Callable) -> SolverError:
+    """The error of a flow step to t refused on the interior ``values``, at
+    the node ``pick`` (np.argmin or np.argmax; the first NaN, if any) chooses."""
+    j = int(pick(values)) + 1
+    return SolverError(f"flow step to t={t:.6g} refused: {what} {values[j - 1]:.3e} "
+                       f"at node {j} (x={grid.x[j]:.6g})")
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ endpoints (the latter only ever for diagnostics, never inside solves).
 The module also owns the numerics every radial solver shares: the band
 layout of Dirichlet-truncated operators (:func:`dirichlet_bands`), the
 backtracking Newton loop (:func:`damped_newton`) with the buffers it works
-in (:class:`NewtonWorkspace`), and the one equation of both Newton solves,
+in (:class:`NewtonWorkspace`), and the one equation of the MA and the flow,
 
     (alpha v + beta) - gamma log1p((S - D0 + Delta v) / D0) = 0,   S + Delta v > 0,
 
 with its residual, Jacobian, positivity test and rounding floor
 (:func:`_log_density_equation`): the Monge-Ampere solve is the instance
-(S, D0, alpha, beta, gamma) = (D, D, 1, F, 1), a flow step (S_{n+1}, D0,
-1 + dt, -u_n, dt).  A solver states only its coefficients and its starts.
+(S, D0, alpha, beta, gamma) = (D, D, 1, F, 1), solved by Newton, a flow step
+(S_{n+1}, D0, 1 + dt, -u_n, dt), linearized once at u_n.
 """
 
 from __future__ import annotations
@@ -394,7 +394,7 @@ class NewtonWorkspace:
         return work
 
 
-def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarray | float],
+def damped_newton(residual: Callable, bands: Callable, start: np.ndarray | float,
                   params: NewtonParams, label: str, work: NewtonWorkspace, floor: Callable):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
@@ -402,8 +402,8 @@ def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarr
     its Jacobian needs, and returns False when v is not admissible: when
     the evolving density's ``min() > 0`` fails, which NaN fails too.
     ``bands(aux, bands_out)`` writes the Jacobian bands at that iterate.
-    The loop starts from the first of ``starts`` (arrays, or scalars for a
-    constant start) that is admissible; when none is, it raises SolverError.
+    The loop starts from ``start`` (an array, or a scalar for a constant
+    start); when it is not admissible, it raises SolverError.
     Each step is halved until the iterate is admissible and the sup-norm
     residual drops by the factor 1 - 1e-4 s.  A step below
     ``params.damping_min``, ``params.max_iter`` steps without reaching
@@ -418,18 +418,15 @@ def damped_newton(residual: Callable, bands: Callable, starts: Sequence[np.ndarr
     converged.  Trials and floors overflow quietly: a non-finite trial fails.
 
     No array of the grid's size is allocated: the loop works in ``work``
-    from a copy of a start and solves each step in the residual's buffer.
+    from a copy of the start and solves each step in the residual's buffer.
     Returns ``(v, aux, iterations, residual_history, damping_events,
     floor_value)``, ``v`` and ``aux`` buffers of ``work`` and
     ``floor_value`` the floor that stopped the loop, else None.
     """
     v, candidate, r, r_new = work.v, work.candidate, work.r, work.r_new
     aux, aux_new = work.aux, work.aux_new
-    for start in starts:
-        np.copyto(v, start)
-        if residual(v, r, aux):
-            break
-    else:
+    np.copyto(v, start)
+    if not residual(v, r, aux):
         raise SolverError(f"{label} started from an iterate violating positivity")
     res_norm = _sup_norm(r, work.scratch)
     residuals = [res_norm]
@@ -499,25 +496,24 @@ def _rounding_floor(v: np.ndarray, h: float, gamma: float, alpha: float, beta: n
 
 
 def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: float,
-                          bc: Sequence[float], work: NewtonWorkspace, floor_max: float):
+                          bc: Sequence[float], work: NewtonWorkspace):
     """``damped_newton``'s ``residual``, ``bands`` and ``floor`` for the
     equation (alpha v + beta) - gamma log1p((excess + Delta v) / D0) = 0 at
-    the interior nodes, excess = S - D0, with v = bc at the two ends.  The
-    residual writes rho = S + Delta v into the interior of ``aux`` and
-    answers ``min(rho) > 0``; the bands are alpha - (gamma / rho) Delta; the
-    floor is :func:`_rounding_floor`'s, inf above ``floor_max``.  ``S``,
+    the interior nodes, excess = S - D0, with v = bc at the two ends, and
+    ``from_laplacian(v, lap, r, rho)``, the residual from Delta v held in
+    ``lap`` (which may be ``r``).  Each writes rho = S + Delta v into the
+    interior of ``rho`` and answers ``min(rho) > 0``; the bands are alpha -
+    (gamma / rho) Delta, the floor :func:`_rounding_floor`'s.  ``S``,
     ``excess``, ``D0`` and ``beta`` are scalars or arrays over the n - 2
     interior nodes; the callbacks work in ``work.scratch``."""
     n, tmp = len(work.v), work.scratch[1:-1]
 
-    def residual(v: np.ndarray, r: np.ndarray, rho: np.ndarray) -> bool:
-        # Delta v in r, S + Delta v in rho's interior (its ends are not written)
-        unit_laplacian_interior(v, h, out=r, scratch=work.scratch)
-        inner, positivity = r[1:-1], rho[1:-1]
-        np.add(S, inner, out=positivity)
+    def from_laplacian(v: np.ndarray, lap: np.ndarray, r: np.ndarray, rho: np.ndarray) -> bool:
+        inner, laplacian, positivity = r[1:-1], lap[1:-1], rho[1:-1]   # rho's ends unwritten
+        np.add(S, laplacian, out=positivity)
         positive = bool(positivity.min() > 0)   # np.all(rho > 0): False on NaN
         if positive:
-            np.add(excess, inner, out=tmp)
+            np.add(excess, laplacian, out=tmp)
             np.divide(tmp, D0, out=tmp)
             np.log1p(tmp, out=inner)
             np.multiply(gamma, inner, out=tmp)
@@ -528,15 +524,18 @@ def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: fl
         r[-1] = v[-1] - bc[1]
         return positive
 
+    def residual(v: np.ndarray, r: np.ndarray, rho: np.ndarray) -> bool:
+        return from_laplacian(v, unit_laplacian_interior(v, h, out=r, scratch=work.scratch),
+                              r, rho)
+
     def bands(rho: np.ndarray, out) -> None:
         np.divide(-gamma, rho[1:-1], out=tmp)
         dirichlet_bands(n, h, tmp, -alpha, out=out)
 
     def floor(v: np.ndarray, rho: np.ndarray, out: np.ndarray) -> float:
-        value = _rounding_floor(v, h, gamma, alpha, beta, rho[1:-1], out, work.scratch)
-        return value if value <= floor_max else math.inf   # inf: no floor stop
+        return _rounding_floor(v, h, gamma, alpha, beta, rho[1:-1], out, work.scratch)
 
-    return residual, bands, floor
+    return residual, bands, floor, from_laplacian
 
 
 def _sup_norm(r: np.ndarray, scratch: np.ndarray) -> float:

@@ -13,7 +13,8 @@ sample texts to learn whether it reads a list of ``:``-separated items, and
 of which arity.  The node count of each
 run is drawn from 16 to 256 (96 to 256 for the log-term detector) by a
 seeded generator, so a run reproduces.  Each command with a grid also runs
-once on ``TINY_SPACING``, a 64-node grid of spacing 1.6e-11.
+once on ``TINY_SPACING``, a 64-node grid of spacing 1.6e-11.  Three flow
+configs end on each refusal a flow step makes, and must exit 3 naming it.
 """
 
 import contextlib
@@ -176,3 +177,27 @@ def test_the_sweep_covers_every_key_of_every_command():
     assert {(command, key) for command, key, _, _ in runs} == {
         (command, key) for command in BASE for key in cli.SCHEMAS[command]}
     assert len(runs) >= 800
+
+
+#: flow configs whose last step is refused, by what the refusal names: the
+#: evolving density before or after the step's solve, or its rounding floor
+REFUSED_FLOWS = {
+    "density before the solve": {"n_nodes": "12", "t_min": "-4", "t_max": "-2.3",
+                                 "conformal_terms": "1:0:2", "T": "20", "dt": "20"},
+    "density after the solve": {**TINY_SPACING, "conformal_terms": "0.2:0:0", "T": "1",
+                                "dt": "0.01"},
+    "rounding floor": {"n_nodes": "256", "t_min": "-5", "t_max": "-1",
+                       "conformal_terms": "-1:0:1", "T": "27", "dt": "9"},
+}
+
+
+@pytest.mark.parametrize("refusal", list(REFUSED_FLOWS))
+def test_each_flow_refusal_exits_3_naming_its_time_and_node(corpus, refusal):
+    cfg = corpus / "refused.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in REFUSED_FLOWS[refusal].items()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), regen.time_limit(TIME_LIMIT):
+        code = cli.main(["flow", str(cfg), "-o", str(corpus / "out")])
+    assert code == 3
+    assert re.fullmatch(rf"numerical failure: flow step to t=\S+ refused: .*{refusal}.* "
+                        rf"-?\d\.\d{{3}}e[-+]\d\d at node \d+ \(x=\S+\)\n", err.getvalue())

@@ -30,12 +30,9 @@ DIGESTS = {
     "ma-solution": "dfb88a3017584999345d00856aee1d3c6a963b53cf7a38bb14bc14f842c61f0d",
     "ma-detector": "9b738001d338664c5b0d132541785a87ac7dcef878da11f340691961f5f90fe2",
     "ma-fit": "24e92a1a8715638d713140f9f1c438ee7703fec1fab1478743a79c36db96b044",
-    "flow-snapshot": "d4cf906315b8e99e821e0cb6edc2c7ab30e574f37b91227f844499e7c820b8e8",
+    "flow-snapshot": "3e3d46ca94caaebc958cff908f0df3203d0c3e6499f60481b9ea7a00df30ef38",
     "decay-slice-ratios": "3088b9158a7695b02b5dd9163f79878a18267c361d533ee7bfb25cf54e4061b2",
 }
-#: the flow snapshot with every step's Newton started from u_n: the digest it
-#: had before the extrapolated start, which the rounding floor alone keeps
-COLD_START_FLOW = "dd4b59b07b8ed02d716b4d5d2b84ddd49d35a626d1861c79fbbdf3b13ed839aa"
 
 
 def _digest(*arrays) -> str:
@@ -64,7 +61,7 @@ def _flow():
     metric = ModelMetric(conformal=RadialField(GRID, 0.2 + 0.1 * bump))
     result = parabolic.run_flow(parabolic.FlowProblem(metric, T=0.04, dt=0.01,
                                                       output_times=[0.04]))
-    return {"flow-snapshot": (result.states[-1].u.values, result.newton_residuals)}
+    return {"flow-snapshot": (result.states[-1].u.values, result.positivity_margin)}
 
 
 def _decay():
@@ -80,12 +77,6 @@ RESULTS = {"ma": _ma, "flow": _flow, "decay": _decay}
 def test_library_results_keep_their_digests(compute):
     for name, arrays in compute().items():
         assert _digest(*arrays) == DIGESTS[name], f"{name} changed bits"
-
-
-def test_flow_started_from_u_n_keeps_its_digest_from_before_the_warm_start(monkeypatch):
-    step = parabolic._flow_step
-    monkeypatch.setattr(parabolic, "_flow_step", lambda u, start, *args: step(u, None, *args))
-    assert _digest(*_flow()["flow-snapshot"]) == COLD_START_FLOW
 
 
 if __name__ == "__main__":

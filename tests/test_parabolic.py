@@ -28,7 +28,6 @@ from cuspasym.parabolic import (
     run_flow,
 )
 from cuspasym.radial import (
-    NewtonWorkspace,
     RadialField,
     RadialGrid,
     dirichlet_bands,
@@ -191,7 +190,7 @@ def test_restricted_ode_rejects_bad_constants():
 
 def schedule(metric, t):
     density, combo = parabolic._schedule_data(metric, GRID)
-    return parabolic._schedule_values(GRID, density, combo, t)
+    return parabolic._schedule_values(GRID, density, combo, t)[0]
 
 
 def test_schedule_fixed_for_model_cusp():
@@ -338,7 +337,7 @@ def test_flow_takes_every_step_shorter_than_1e_minus_12(monkeypatch):
 
 
 def test_flow_records_take_a_fixed_few_bytes_per_step():
-    # six numbers a step time in arrays, 48 bytes; a Python tuple of them
+    # four numbers a step time in arrays, 32 bytes; a Python tuple of them
     # per step time took about 280
     metric = _linear_conformal(8)
     run_flow(FlowProblem(metric, T=2e-3, dt=1e-3))   # the first run's imports and caches
@@ -349,8 +348,8 @@ def test_flow_records_take_a_fixed_few_bytes_per_step():
         assert tracemalloc.get_traced_memory()[1] < 100 * 2000
     finally:
         tracemalloc.stop()
-    assert result.newton_iterations.dtype == int and result.newton_iterations[1:].min() >= 0
-    assert math.isnan(result.newton_floors[0]) and result.times[-1] == 2.0
+    assert result.newton_iterations.dtype == int and result.newton_iterations[1:].min() >= 1
+    assert result.newton_iterations[0] == 0 and result.times[-1] == 2.0
 
 
 def test_time_grid_caps_the_step_count_before_building_it(monkeypatch):
@@ -393,23 +392,26 @@ def test_flow_snapshots_equal_runs_that_end_there():
 @pytest.mark.parametrize("solve", ["monge_ampere", "flow"])
 def test_newton_loop_allocates_no_grid_array(monkeypatch, solve):
     # traced peak inside each damped_newton call, below one float64 array of
-    # the grid (the loop's only allocations are bool masks of the grid)
+    # the grid (the loop's only allocations are bool masks of the grid); a
+    # flow step allocates only the two it returns or drops, S(t + dt) and
+    # its excess over D0
     from cuspasym import elliptic
 
-    module = elliptic if solve == "monge_ampere" else parabolic
+    module, name = ((elliptic, "damped_newton") if solve == "monge_ampere"
+                    else (parabolic, "_flow_step"))
     grid = RadialGrid(-40.0, math.log(0.5), 8192)
-    peaks, newton = [], module.damped_newton
+    peaks, traced, arrays = [], getattr(module, name), 0 if solve == "monge_ampere" else 2
 
-    def traced_newton(*args, **kwargs):
+    def traced_call(*args, **kwargs):
         tracemalloc.start()
         try:
-            out = newton(*args, **kwargs)
+            out = traced(*args, **kwargs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         return out
 
-    monkeypatch.setattr(module, "damped_newton", traced_newton)
+    monkeypatch.setattr(module, name, traced_call)
     if solve == "monge_ampere":
         F = RadialField(grid, 1.5 * grid.x)
         report = elliptic.solve_monge_ampere_radial(
@@ -417,8 +419,8 @@ def test_newton_loop_allocates_no_grid_array(monkeypatch, solve):
         assert report.iterations > 2
     else:
         result = run_flow(FlowProblem(_bump_metric(grid), T=0.1, dt=0.05))
-        assert sum(result.newton_iterations) > 2
-    assert peaks and max(peaks) < 8 * grid.n_nodes
+        assert len(peaks) == sum(result.newton_iterations) == 2
+    assert peaks and max(peaks) < 8 * grid.n_nodes * (arrays + 1)
 
 
 def test_warm_flow_run_takes_few_page_faults():
@@ -450,24 +452,23 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert faults <= 3000, f"{faults} minor page faults in one warm run_flow"
 
 
+def _refusing_floors_above(monkeypatch, bound: float) -> None:
+    """Lower the flow's floor bound, so that its long steps are refused and halved."""
+    monkeypatch.setattr(parabolic, "_FLOW_FLOOR_MAX", bound)
+
+
 def _steep_bump() -> ModelMetric:
-    """A conformal bump that two Newton iterations cannot cross in a 0.5
-    step, so such a flow halves its steps."""
+    """A conformal bump whose 0.5 steps have rounding floors about 4e-15."""
     bump = RadialField.from_function(
         GRID, lambda x: 0.3 * np.exp(-((np.log(x) + 20.0) / 1.5) ** 2))
     return ModelMetric(conformal=bump)
-
-
-def _newton_max_iter(monkeypatch, max_iter: int) -> None:
-    monkeypatch.setattr(parabolic, "_FLOW_NEWTON",
-                        dataclasses.replace(parabolic._FLOW_NEWTON, max_iter=max_iter))
 
 
 def test_flow_step_halving_keeps_step_times(monkeypatch):
     # the step is halved and the remainder retried; times stay exact
     metric = _steep_bump()
     with monkeypatch.context() as m:
-        _newton_max_iter(m, 2)
+        _refusing_floors_above(m, 2e-15)
         forced = run_flow(FlowProblem(metric, T=1.0, dt=0.5))
     assert forced.step_rejections > 0
     assert forced.times.tolist() == [0.0, 0.5, 1.0]
@@ -478,20 +479,57 @@ def test_flow_step_halving_keeps_step_times(monkeypatch):
     assert gap < 1e-2
 
 
-def test_flow_newton_iterations_count_every_accepted_sub_step(monkeypatch):
-    accepted, newton = [], parabolic.damped_newton
+def _counting_steps(monkeypatch) -> list:
+    """Record 1 for each sub-step ``_flow_step`` accepts, 0 for each it refuses."""
+    outcomes, step = [], parabolic._flow_step
 
-    def counting_newton(*args, **kwargs):
-        out = newton(*args, **kwargs)
-        accepted.append(out[2])
+    def counting_step(*args):
+        try:
+            out = step(*args)
+        except SolverError:
+            outcomes.append(0)
+            raise
+        outcomes.append(1)
         return out
 
-    monkeypatch.setattr(parabolic, "damped_newton", counting_newton)
-    _newton_max_iter(monkeypatch, 2)
+    monkeypatch.setattr(parabolic, "_flow_step", counting_step)
+    return outcomes
+
+
+def test_flow_newton_iterations_count_every_accepted_sub_step(monkeypatch):
+    # one linear solve an accepted sub-step; refused attempts are rejections
+    _refusing_floors_above(monkeypatch, 2e-15)
+    outcomes = _counting_steps(monkeypatch)
     result = run_flow(FlowProblem(_steep_bump(), T=1.0, dt=0.5))
-    assert result.step_rejections > 0
-    assert len(accepted) > len(result.times) - 1   # some step time took sub-steps
-    assert int(sum(result.newton_iterations)) == sum(accepted)
+    assert result.step_rejections == outcomes.count(0) > 0
+    assert outcomes.count(1) > len(result.times) - 1   # some step time took sub-steps
+    assert int(sum(result.newton_iterations)) == outcomes.count(1)
+
+
+def _counting_solves(monkeypatch) -> list:
+    """Fail any Newton loop, and record each tridiagonal solve of the flow."""
+    calls, gtsv = [], parabolic._gtsv
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("the flow ran a Newton loop")
+
+    assert not hasattr(parabolic, "damped_newton")   # a name bound here would escape the patch
+    monkeypatch.setattr(radial, "damped_newton", no_newton)
+    monkeypatch.setattr(parabolic, "_gtsv", lambda *a, **k: calls.append(1) or gtsv(*a, **k))
+    return calls
+
+
+def test_flow_takes_one_linear_solve_a_step(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    result = run_flow(_bench_flow(4096, 1e-2))
+    assert len(calls) == 100 and result.step_rejections == 0
+    assert result.newton_iterations.tolist() == [0] + [1] * 100
+    # a refused step pays its solve when the refusal comes after it
+    calls.clear()
+    _refusing_floors_above(monkeypatch, 2e-15)
+    outcomes = _counting_steps(monkeypatch)
+    result = run_flow(FlowProblem(_steep_bump(), T=1.0, dt=0.5))
+    assert int(sum(result.newton_iterations)) == outcomes.count(1) < len(calls) <= len(outcomes)
 
 
 def test_flow_problem_is_immutable():
@@ -525,36 +563,6 @@ def test_flow_degenerating_background_raises():
         run_flow(problem)
 
 
-def test_flow_newton_damping_floor_reports_residual(monkeypatch):
-    # tol 5e-324, the least positive float, with the rounding-floor stop
-    # switched off (_FLOOR_FACTOR 0), leaves the inner Newton stalled until
-    # the step is halved below 2^-30; _DT_MIN_FACTOR 1 forbids any step retry
-    grid = RadialGrid(-40.0, math.log(0.5), 64)
-    metric = ModelMetric(conformal=RadialField.from_function(grid, lambda x: 0.3 + 0.2 * x))
-    monkeypatch.setattr(parabolic, "_FLOW_NEWTON",
-                        dataclasses.replace(parabolic._FLOW_NEWTON, tol=5e-324))
-    monkeypatch.setattr(radial, "_FLOOR_FACTOR", 0.0)
-    monkeypatch.setattr(parabolic, "_DT_MIN_FACTOR", 1.0)
-    problem = FlowProblem(metric, T=0.1, dt=0.1, grid=grid)
-    with pytest.raises(SolverError, match="damping floor") as info:
-        run_flow(problem)
-    assert "residual" in str(info.value) and "t=0.1" in str(info.value)
-
-
-def test_flow_newton_stops_at_its_rounding_floor(monkeypatch):
-    # the same stall with the floor in place: every step stops at the floor
-    grid = RadialGrid(-40.0, math.log(0.5), 64)
-    metric = ModelMetric(conformal=RadialField.from_function(grid, lambda x: 0.3 + 0.2 * x))
-    monkeypatch.setattr(parabolic, "_FLOW_NEWTON",
-                        dataclasses.replace(parabolic._FLOW_NEWTON, tol=5e-324))
-    monkeypatch.setattr(parabolic, "_DT_MIN_FACTOR", 1.0)
-    result = run_flow(FlowProblem(metric, T=0.2, dt=0.1, grid=grid))
-    assert result.step_rejections == 0
-    assert np.isnan(result.newton_floors).tolist() == [True, False, False]
-    floors = result.newton_floors[1:]
-    assert np.all((floors > 0) & (result.newton_residuals[1:] <= radial._FLOOR_FACTOR * floors))
-
-
 def _degenerating_flow(T: float, dt: float) -> FlowProblem:
     """The conformal factor -log x, whose density nears 0 as the flow runs: near the
     end the step's rounding floor grows like dt / (S + Delta v)."""
@@ -562,20 +570,42 @@ def _degenerating_flow(T: float, dt: float) -> FlowProblem:
     return FlowProblem(ModelMetric(conformal=RadialField(grid, -grid.t)), T=T, dt=dt)
 
 
-def test_flow_refuses_a_floor_stop_above_its_bound():
+def _checking_floors(monkeypatch) -> list:
+    """Record the rounding floor of each accepted step at its new state,
+    computed exactly, after checking that the step's cheap bound covers it."""
+    floors, step = [], parabolic._flow_step
+
+    def checking_step(u, lap, spare, bc, t, dt, density, combo, problem, work, sup_u):
+        v, bc_new, S, rho, rho_min, sup_v = out = step(u, lap, spare, bc, t, dt, density,
+                                                       combo, problem, work, sup_u)
+        n, h = len(u), problem.grid.h
+        floor = radial._rounding_floor(v, h, dt, 1.0 + dt, -u[1:-1], rho[1:-1], np.empty(n),
+                                       np.empty(n))
+        stencil = sum(map(abs, laplacian_coefficients(h)))
+        bound = np.finfo(float).eps * (dt * stencil * sup_v / rho_min + (1 + dt) * sup_v
+                                       + np.abs(u).max())
+        assert floor <= bound and rho_min == rho[1:-1].min() and sup_v == np.abs(v).max()
+        floors.append(floor)
+        return out
+
+    monkeypatch.setattr(parabolic, "_flow_step", checking_step)
+    return floors
+
+
+def test_flow_refuses_a_floor_stop_above_its_bound(monkeypatch):
     # T = 12 in one step: its floor passes _FLOW_FLOOR_MAX, so the step is
-    # halved (3 times) until the floor it stops at is small
+    # halved (3 times) until every accepted step's floor is small
+    floors = _checking_floors(monkeypatch)
     result = run_flow(_degenerating_flow(12.0, 12.0))
-    assert result.step_rejections > 0
-    floors = result.newton_floors[~np.isnan(result.newton_floors)]
-    assert np.all(floors <= parabolic._FLOW_FLOOR_MAX)
-    assert result.newton_residuals.max() <= radial._FLOOR_FACTOR * parabolic._FLOW_FLOOR_MAX
+    assert result.step_rejections == 3 and len(floors) == sum(result.newton_iterations) == 4
+    assert 1e-7 < max(floors) <= parabolic._FLOW_FLOOR_MAX
 
 
 def test_flow_near_degeneration_fails_rather_than_stopping_at_a_large_floor():
-    # past t = 17 the floors run to 2e-3 and 64 (residuals up to 33): a
-    # named numerical failure, never a result
-    with pytest.raises(SolverError, match="damping floor reached"):
+    # past t = 16.8 the floors pass the bound at every halving: a named
+    # numerical failure, never a result
+    with pytest.raises(SolverError, match=r"^flow step to t=16\.8936 refused: the rounding "
+                                          r"floor \(bound 1e-06\) is 1\.4\d\de-06 at node 254 "):
         run_flow(_degenerating_flow(27.0, 9.0))
 
 
@@ -585,114 +615,102 @@ def _bench_flow(n: int, dt: float):
     return FlowProblem(_bump_metric(grid), T=1.0, dt=dt, output_times=[0.5, 1.0])
 
 
-def test_flow_with_long_steps_takes_no_rejection():
-    # dt/h^2 large: the inner Newton stalls above tol = 1e-12 and used to be
-    # halved 5 times; now it stops at its floor
+def test_flow_with_long_steps_takes_no_rejection(monkeypatch):
+    # dt/h^2 large: the Newton flow stalled above its tolerance and used to
+    # be halved 5 times; each step's floor is far below the bound
+    floors = _checking_floors(monkeypatch)
     result = run_flow(_bench_flow(16384, 0.5))
-    assert result.step_rejections == 0
-    assert not np.isnan(result.newton_floors).all()
-    assert result.newton_residuals.max() > parabolic._FLOW_NEWTON.tol
+    assert result.step_rejections == 0 and result.newton_iterations.tolist() == [0, 1, 1]
+    assert max(floors) < 1e-8
 
 
 def test_bench_flow_takes_about_one_newton_iteration_a_step():
-    # started from the extrapolated state (191 iterations from u_n)
+    # one linear solve a step (warm-started Newton took 1.0, from u_n 1.9)
     result = run_flow(_bench_flow(16384, 1e-2))
     assert len(result.times) == 101 and result.step_rejections == 0
-    assert int(result.newton_iterations.sum()) <= 110
-
-
-def _steps_of(problem: FlowProblem):
-    """One step of the problem's flow as a function of (u, start, bc, t)."""
-    density, combo = parabolic._schedule_data(problem.omega0, problem.grid)
-    work = NewtonWorkspace.for_thread(problem.grid.n_nodes)
-    return lambda u, start, bc, t: parabolic._flow_step(u, start, bc, t, problem.dt, density,
-                                                        combo, problem, work)
-
-
-def test_flow_step_from_the_extrapolated_start_matches_the_cold_start():
-    problem = _bench_flow(16384, 0.5)
-    step = _steps_of(problem)
-    u0 = np.zeros(problem.grid.n_nodes)
-    v, bc, *_ = step(u0, None, np.zeros(2), 0.0)
-    u1 = v.copy()
-    v, _, cold_iters, _, cold_floor, *_ = step(u1, None, bc, 0.5)
-    cold = v.copy()
-    v, _, warm_iters, _, warm_floor, *_ = step(u1, u1 + (u1 - u0), bc, 0.5)
-    assert cold_floor is not None and warm_floor is not None   # both stopped at the floor
-    assert warm_iters < cold_iters
-    assert np.max(np.abs(v - cold)) <= 4 * min(cold_floor, warm_floor)
+    assert result.newton_iterations.tolist() == [0] + [1] * 100
 
 
 def test_warm_flow_step_takes_its_starts_laplacian_once(monkeypatch):
-    # the start's positivity is the residual's answer: no separate check
-    # takes the start's Laplacian a second time
-    problem = _bench_flow(4096, 1e-2)
-    step = _steps_of(problem)
-    u0 = np.zeros(problem.grid.n_nodes)
-    u1 = step(u0, None, np.zeros(2), 0.0)[0].copy()
-    start, laplacian, calls = 2.0 * u1 - u0, radial.unit_laplacian_interior, []
-
-    def counting(values, *args, **kwargs):
-        calls.append(np.array_equal(values, start))
-        return laplacian(values, *args, **kwargs)
-
-    monkeypatch.setattr(radial, "unit_laplacian_interior", counting)
-    step(u1, start, np.zeros(2), 0.01)
-    assert calls.count(True) == 1 and len(calls) >= 2
+    # a step's linearization reads u_n's Laplacian from the step before:
+    # the run forms one Laplacian a step, of its new state, and one of phi
+    calls = {parabolic: [], radial: []}
+    for module, seen in calls.items():
+        laplacian = module.unit_laplacian_interior
+        monkeypatch.setattr(module, "unit_laplacian_interior",
+                            lambda *args, seen=seen, f=laplacian, **kw: seen.append(1) or f(*args, **kw))
+    result = run_flow(_bench_flow(4096, 1e-2))
+    assert len(calls[parabolic]) == sum(result.newton_iterations) == 100
+    assert len(calls[radial]) == 1
 
 
-def test_flow_step_falls_back_to_u_n_from_a_start_losing_positivity():
-    problem = _bench_flow(4096, 1e-2)
-    step = _steps_of(problem)
-    u1 = step(np.zeros(problem.grid.n_nodes), None, np.zeros(2), 0.0)[0].copy()
-    v, _, *cold_stop, _, _ = step(u1, None, np.zeros(2), 0.01)   # iterations, residual, floor
-    cold = v.copy()
-    spoiled = u1.copy()
-    spoiled[1::2] += 1e3   # Delta of the spike train is about -1e3/h^2 on its nodes
-    v, _, *stop, _, _ = step(u1, spoiled, np.zeros(2), 0.01)
-    assert v.tobytes() == cold.tobytes() and stop == cold_stop
+def test_flow_step_falls_back_to_u_n_from_a_start_losing_positivity(monkeypatch):
+    # a step refused before its solve (S(t + dt) + Delta u_n not positive),
+    # after it (S(t + dt) + Delta v) or at its floor leaves u_n, its Laplacian
+    # and bc as they were, so the halved retry starts from u_n itself
+    refusals, step = [], parabolic._flow_step
+
+    def checked_step(u, lap, spare, bc, *args):
+        kept = [a.copy() for a in (u, lap[1:-1], bc)]
+        try:
+            return step(u, lap, spare, bc, *args)
+        except SolverError as exc:
+            refusals.append(str(exc))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, (u, lap[1:-1], bc)))
+            raise
+
+    monkeypatch.setattr(parabolic, "_flow_step", checked_step)
+    with pytest.raises(SolverError):
+        run_flow(_degenerating_flow(28.0, 28.0))
+    for kind in ("before the solve", "after the solve", "rounding floor"):
+        assert any(kind in message for message in refusals), kind
 
 
-def test_flow_start_losing_positivity_counts_no_rejection(monkeypatch):
-    # every extrapolated start spoiled: the run is the one started from u_n
-    # at every step, bit for bit, with no rejection
-    problem, step, spoiled = _bench_flow(4096, 1e-2), parabolic._flow_step, []
-
-    def spoiling_step(u, start, *args):
-        if start is not None:
-            start[1::2] += 1e3
-            spoiled.append(1)
-        return step(u, start, *args)
-
-    def cold_step(u, start, *args):
-        return step(u, None, *args)
-
-    monkeypatch.setattr(parabolic, "_flow_step", spoiling_step)
-    result = run_flow(problem)
-    monkeypatch.setattr(parabolic, "_flow_step", cold_step)
-    cold = run_flow(problem)
-    assert len(spoiled) == 99 and result.step_rejections == cold.step_rejections == 0
-    assert result.newton_iterations.tolist() == cold.newton_iterations.tolist()
-    for state, cold_state in zip(result.states, cold.states):
-        assert state.u.values.tobytes() == cold_state.u.values.tobytes()
+def test_flow_step_refused_before_its_solve_names_the_density_and_node():
+    # phi = log^2 x on 12 nodes: past t = 10 a step's S(t + dt) + Delta u_n
+    # is negative at every halving
+    grid = RadialGrid(-4.0, -2.3, 12)
+    metric = ModelMetric(conformal=RadialField(grid, grid.t ** 2))
+    with pytest.raises(SolverError, match=r"^flow step to t=10\.0585 refused: the evolving "
+                                          r"density before the solve has minimum -1\.083e-01 "
+                                          r"at node 10 \(x=0\.0859022\)$"):
+        run_flow(FlowProblem(metric, T=20.0, dt=20.0))
 
 
-def _golden_flow(name: str) -> FlowProblem:
-    """The flow of the golden case ``name``, every state kept."""
+def _golden_flow(name: str, dt=None) -> FlowProblem:
+    """The flow of the golden case ``name`` (with step dt, if given), every state kept."""
     config = cli.load_config(GOLDEN / f"{name}.cfg", cli.SCHEMAS["flow"])
     grid = cli._grid_from_config(config)
-    return FlowProblem(cli._metric_from_config(config, grid), T=config["T"], dt=config["dt"])
+    return FlowProblem(cli._metric_from_config(config, grid), T=config["T"],
+                       dt=config["dt"] if dt is None else dt)
+
+
+#: sup |u(1) - u_ref(1)| at dt = 0.5, 0.1, 0.05 and 0.01, u_ref at dt = 1e-4,
+#: as backward Euler with an inner Newton solve gave them
+BACKWARD_EULER_ERRORS = {"flow-conformal": (1.3887e-2, 3.4298e-3, 1.7636e-3, 3.5828e-4),
+                         "flow-halving": (5.2118e-1, 9.2792e-2, 4.1219e-2, 5.5040e-3)}
+
+
+@pytest.mark.parametrize("name", list(BACKWARD_EULER_ERRORS))
+def test_linearly_implicit_flow_is_as_accurate_as_backward_euler(name):
+    def final(dt):
+        return run_flow(_golden_flow(name, dt)).states[-1].u.values
+
+    reference = final(1e-4)
+    for dt, expected in zip((0.5, 0.1, 0.05, 0.01), BACKWARD_EULER_ERRORS[name]):
+        error = np.max(np.abs(final(dt) - reference))
+        assert abs(error - expected) <= 0.01 * expected, (dt, error)
 
 
 @pytest.mark.parametrize("name", ["flow-conformal", "flow-halving", "flow-halving-floor-bound"])
 def test_each_state_records_the_schedule_plus_laplacian_of_its_potential(monkeypatch, name):
-    # the record reads S and S + Delta u off the accepted Newton iterate; where
-    # the last sub-step landed exactly on the step time that is the recomputed
-    # density bit for bit, elsewhere S is taken a rounding of t off it
+    # the record reads S and S + Delta u off the last sub-step; where it
+    # landed exactly on the step time that is the recomputed density bit for
+    # bit, elsewhere S is taken a rounding of t off it
     problem, step, landed = _golden_flow(name), parabolic._flow_step, {0.0}
 
-    def landing_step(u, start, bc, t, dt, *args):
-        out = step(u, start, bc, t, dt, *args)
+    def landing_step(u, lap, spare, bc, t, dt, *args):
+        out = step(u, lap, spare, bc, t, dt, *args)
         landed.add(t + dt)
         return out
 
@@ -702,7 +720,7 @@ def test_each_state_records_the_schedule_plus_laplacian_of_its_potential(monkeyp
     assert [state.t for state in result.states] == result.times.tolist()
     for state, sup_u, margin in zip(result.states, result.sup_u, result.positivity_margin):
         u = state.u.values
-        evolving = (parabolic._schedule_values(grid, density, combo, state.t)
+        evolving = (parabolic._schedule_values(grid, density, combo, state.t)[0]
                     + radial.unit_laplacian(u, grid.h))
         recorded = state.flow_metric_density.values
         assert state.positivity_margin == margin and sup_u == np.max(np.abs(u))
@@ -716,10 +734,28 @@ def test_each_state_records_the_schedule_plus_laplacian_of_its_potential(monkeyp
         assert result.step_rejections > 0
 
 
+def test_flow_forcing_is_the_excess_taken_once(monkeypatch):
+    # phi = 1e-3 x: D0 + R0 is O(x^2), so S(t) - D0 rounds to 0 at the deep
+    # nodes, where expm1(-t) (D0 + R0) is the forcing
+    grid = RadialGrid(-40.0, math.log(0.5), 256)
+    metric = ModelMetric(conformal=RadialField(grid, 1e-3 * grid.x))
+    density, combo = parabolic._schedule_data(metric, grid)
+    seen, equation = [], parabolic._log_density_equation
+    monkeypatch.setattr(parabolic, "_log_density_equation",
+                        lambda h, S, excess, *args: seen.append(excess.copy())
+                        or equation(h, S, excess, *args))
+    run_flow(FlowProblem(metric, T=0.2, dt=0.1))
+    for k, excess in enumerate(seen, start=1):
+        expected = math.expm1(-k * 0.1) * combo
+        assert excess.tobytes() == expected[1:-1].tobytes()
+        deep = grid.deepest_indices()
+        assert np.all(expected[deep] != 0) and np.all((density + expected - density)[deep] == 0)
+
+
 def test_model_metric_flow_stays_exactly_at_zero():
-    # the extrapolation of zeros is zero: no step moves u off 0
+    # every step solves for a zero correction: no step moves u off 0
     result = run_flow(FlowProblem(ModelMetric(), T=1.0, dt=0.1, grid=GRID))
-    assert not np.any(result.sup_u) and not np.any(result.newton_iterations)
+    assert not np.any(result.sup_u) and result.newton_iterations.tolist() == [0] + [1] * 10
     assert all(not np.any(state.u.values) for state in result.states)
 
 
@@ -728,7 +764,8 @@ def test_tiny_spacing_conformal_flow_fails_with_a_named_error():
     # on a named numerical error rather than returning
     grid = RadialGrid(-1.000000001, -1.0, 64)
     metric = ModelMetric(conformal=RadialField.constant(grid, 0.2))
-    with pytest.raises(SolverError, match="damping floor reached"):
+    with pytest.raises(SolverError, match=r"^flow step to t=9\.76563e-06 refused: the evolving "
+                                          r"density after the solve has minimum .* at node \d+ "):
         run_flow(FlowProblem(metric, T=1.0, dt=0.01, grid=grid))
 
 

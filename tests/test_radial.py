@@ -221,8 +221,8 @@ def _no_floor(v, aux, out):
 
 
 def test_damped_newton_rejects_inadmissible_start():
-    # no start admissible: each is tried, in order, and the error names the label
-    starts, seen = (0.0, np.ones(8), -1.0), []
+    # the start is tried once, as given, and the error names the label
+    start, seen = np.linspace(1.0, 2.0, 8), []
 
     def residual(v, r, aux):
         seen.append(v.copy())
@@ -230,26 +230,9 @@ def test_damped_newton_rejects_inadmissible_start():
         return False
 
     with pytest.raises(SolverError, match="^probe started from an iterate violating positivity$"):
-        damped_newton(residual, None, starts, NewtonParams(5, 1e-12), "probe",
+        damped_newton(residual, None, start, NewtonParams(5, 1e-12), "probe",
                       NewtonWorkspace(8), _no_floor)
-    assert [v.tolist() for v in seen] == [np.broadcast_to(s, 8).tolist() for s in starts]
-
-
-def test_damped_newton_takes_the_first_admissible_start():
-    # the first start is refused, the second converges at once; the third is never tried
-    target = np.linspace(1.0, 2.0, 8)
-    tried = []
-
-    def residual(v, r, aux):
-        tried.append(v.copy())
-        np.subtract(v, target, out=r)
-        return bool(v.min() > 0)
-
-    v, _, iterations, residuals, *_ = damped_newton(
-        residual, None, (-1.0, target, 0.5), NewtonParams(5, 1e-12), "probe",
-        NewtonWorkspace(8), _no_floor)
-    assert iterations == 0 and residuals == [0.0] and v.tobytes() == target.tobytes()
-    assert len(tried) == 2 and tried[0].tolist() == [-1.0] * 8
+    assert [v.tolist() for v in seen] == [np.broadcast_to(start, 8).tolist()]
 
 
 def test_damped_newton_never_reads_a_nan_residual_as_converged():
@@ -259,7 +242,7 @@ def test_damped_newton_never_reads_a_nan_residual_as_converged():
 
     bands = lambda aux, out: dirichlet_bands(8, 0.1, 1.0, 1.0, out=out)
     with pytest.raises(ValueError, match="NaN"):
-        damped_newton(residual, bands, (np.zeros(8),), NewtonParams(), "probe",
+        damped_newton(residual, bands, np.zeros(8), NewtonParams(), "probe",
                       NewtonWorkspace(8), _no_floor)
 
 
@@ -276,7 +259,7 @@ def test_damped_newton_works_in_the_given_workspace():
 
     bands = lambda aux, out: dirichlet_bands(16, 0.1, 0.0, -1.0, out=out)
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
-        residual, bands, (np.zeros(16),), NewtonParams(5, 1e-12), "probe", work, _no_floor)
+        residual, bands, np.zeros(16), NewtonParams(5, 1e-12), "probe", work, _no_floor)
     assert iterations == 1 and damping == 0 and residuals == [2.0, 0.0] and floor_value is None
     assert any(v is b for b in buffers) and any(aux is b for b in buffers)
     assert v.tobytes() == target.tobytes() and aux.tobytes() == target.tobytes()
@@ -316,7 +299,7 @@ def test_damped_newton_asks_no_floor_while_newton_contracts():
     calls = []
     target = np.r_[0.0, np.linspace(0.1, 0.5, 14), 0.0]
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
-        *_cubic(target), (0.0,), NewtonParams(), "probe", NewtonWorkspace(16),
+        *_cubic(target), 0.0, NewtonParams(), "probe", NewtonWorkspace(16),
         floor=lambda v, aux, out: calls.append(1) or 1.0)
     assert calls == [] and floor_value is None and damping == 0
     assert residuals[-1] <= 1e-11 and iterations == len(residuals) - 1
@@ -354,7 +337,7 @@ def test_damped_newton_stops_at_the_callers_floor(problem, amplitude):
         return amplitude
 
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
-        residual, bands, (0.0,), NewtonParams(), "probe", work, floor=floor)
+        residual, bands, 0.0, NewtonParams(), "probe", work, floor=floor)
     assert floor_value == amplitude and iterations == len(residuals) - 1 >= 1
     assert NewtonParams().tol < residuals[-1] <= 4 * amplitude < residuals[-2]
     # the returned iterate is the one the floor was asked about, and its
@@ -379,7 +362,7 @@ def test_damped_newton_goes_on_unless_a_finite_floor_is_reached(floor_value):
     messages = []
     for floor in (_no_floor, spoiling_floor):
         with pytest.raises(SolverError) as info:
-            damped_newton(*_wobbling(target, 1e-9), (0.0,), NewtonParams(), "probe", work,
+            damped_newton(*_wobbling(target, 1e-9), 0.0, NewtonParams(), "probe", work,
                           floor=floor)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
@@ -543,8 +526,8 @@ def test_residual_positivity_answers_as_the_elementwise_tests(solver, name, monk
     # one rule for both instances: np.all(rho > 0), False on NaN, with rho =
     # S + lap and S = 1, the residual run on a Laplacian set to the case's values
     lap = np.array([0.0, *REACHABLE_POSITIVITY[name], 0.0])
-    residual, _, _ = _log_density_equation(0.1, *_equation(solver, np.ones(6), np.zeros(6)),
-                                           (0.0, 0.0), NewtonWorkspace(8), math.inf)
+    residual, *_ = _log_density_equation(0.1, *_equation(solver, np.ones(6), np.zeros(6)),
+                                         (0.0, 0.0), NewtonWorkspace(8))
     monkeypatch.setattr(radial, "unit_laplacian_interior",
                         lambda v, h, out, scratch: np.copyto(out[1:-1], lap) or out)
     with np.errstate(all="ignore"):
@@ -567,7 +550,7 @@ def test_log_density_equation_matches_a_dense_evaluation(solver):
         L[np.arange(n - 2), np.arange(n - 2) + k] = c
     rho = S + L @ v
     work = NewtonWorkspace(n)
-    residual, bands, floor = _log_density_equation(h, *equation, bc, work, math.inf)
+    residual, bands, floor, from_laplacian = _log_density_equation(h, *equation, bc, work)
 
     def residual_at(w):
         r, aux = np.full(n, np.nan), np.full(n, np.nan)
@@ -596,8 +579,13 @@ def test_log_density_equation_matches_a_dense_evaluation(solver):
                    for s, p, vj, b in zip(stencil_sums, rho, v[1:-1], beta))
     value = floor(v, aux, np.empty(n))
     assert value == pytest.approx(np.finfo(float).eps * expected, rel=1e-13)
-    _, _, bounded = _log_density_equation(h, *equation, bc, work, 0.5 * value)
-    assert bounded(v, aux, np.empty(n)) == math.inf
+    # the residual from a Laplacian held apart is the residual, bit for bit
+    lap, r_apart, aux_apart = np.empty(n), np.full(n, np.nan), np.full(n, np.nan)
+    radial.unit_laplacian_interior(v, h, out=lap)
+    kept = lap.copy()
+    assert from_laplacian(v, lap, r_apart, aux_apart) is True
+    assert r_apart.tobytes() == r.tobytes() and aux_apart[1:-1].tobytes() == aux[1:-1].tobytes()
+    assert lap.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("values", [
