@@ -34,14 +34,15 @@ Backward Euler's equation, (1 + dt) v - u_n - dt log1p((excess + Delta v)
 beta, gamma) = (S(t_{n+1}), expm1(-t_{n+1}) (D0 + R0), D0, 1 + dt, -u_n,
 dt).  The excess is formed once, never as S - D0, which rounds an O(x)
 forcing to 0 at deep nodes.  A step linearizes it at u_n (one tridiagonal
-solve) and is refused, and halved, when S(t_{n+1}) + Delta u_n or
-S(t_{n+1}) + Delta v is not positive, or when the residual's rounding floor
-at v passes ``_FLOW_FLOOR_MAX`` (computed only when a bound from sup|v|,
-min rho and sup|u_n| passes it).  Each step forms one Laplacian, of v: it
-gives rho = S + Delta v for the positivity test and the record, and it is
-the next step's Delta u_n.  A step time's record (the evolving density
-S + Delta u, its margin and sup|u|) reads the last sub-step's S and rho,
-with the one-sided end rows of Delta u at the two ends.
+solve) and owns the evolving density it reaches: rho = S(t_{n+1}) + Delta v
+on every node, the one-sided end rows of Delta v at the two ends.  It is
+refused, and halved, when S(t_{n+1}) + Delta u_n (inside) or rho (on any
+node) is not positive, or when the residual's rounding floor at v passes
+``_FLOW_FLOOR_MAX`` (computed only when a bound from sup|v|, min rho and
+sup|u_n| passes it).  Each step forms one Laplacian, of v: it gives rho,
+and it is the next step's Delta u_n.  ``run_flow`` only schedules: a step
+time's record (the evolving density, its margin and sup|u|) is the last
+sub-step's rho, min rho and sup|v|.
 
 Every stepper takes its steps from one time grid, ``_time_grid``, a step
 count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
@@ -345,7 +346,8 @@ def fitted_boundary_constant(state: FlowState) -> float:
 def run_flow(problem: FlowProblem) -> FlowResult:
     """Linearly implicit Euler integration of the normalized potential
     flow: a refused step is halved and retried, and one halved below
-    dt * _DT_MIN_FACTOR fails the flow with its refusal."""
+    dt * _DT_MIN_FACTOR fails the flow with its refusal.  Each step time
+    records the last sub-step's evolving density, its minimum and sup|u|."""
     grid = problem.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)   # every step of the run
     density, combo = _schedule_data(problem.omega0, grid)
@@ -353,8 +355,8 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     u, bc, t, rejections = np.zeros(grid.n_nodes), np.zeros(2), 0.0, 0
     lap, spare = work.r_new, work.candidate   # Delta u, and Delta of the next state
     lap.fill(0.0)
-    # the last sub-step's S, rho, min rho and sup|u|; at t = 0, rho is D0
-    S, rho, rho_min, sup_v = density, density, float(density[1:-1].min()), 0.0
+    # the last sub-step's rho = S + Delta u, min rho and sup|u|; at t = 0, rho is D0
+    rho, rho_min, sup_v = density, float(density.min()), 0.0
     states: list[FlowState] = []
     sup_u, margins = np.empty((2, time_grid.steps + 1))
     solves = np.empty(time_grid.steps + 1, dtype=int)
@@ -365,7 +367,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
             dt_loc = min(time_grid.h, target - t)
             while True:
                 try:
-                    v, bc_new, S, rho, rho_min, sup_v = _flow_step(
+                    v, bc_new, rho, rho_min, sup_v = _flow_step(
                         u, lap, spare, bc, t, dt_loc, density, combo, problem, work, sup_v)
                     break
                 except SolverError:
@@ -378,18 +380,10 @@ def run_flow(problem: FlowProblem) -> FlowResult:
             solves[k] += 1
             t += dt_loc
         t = target
-        # the evolving density S + Delta u: rho inside, the one-sided rows at the ends
-        lo, hi = _end_rows(u, grid.h)
-        ends = (S[0] + lo, S[-1] + hi)
-        margin = float(min(rho_min, *ends))
-        if margin <= 0:
-            raise SolverError(f"Kahler positivity lost at t={t:.6g}: margin {margin:.3e}")
-        sup_u[k], margins[k] = sup_v, margin
+        sup_u[k], margins[k] = sup_v, rho_min
         if keep is None or k in keep:
-            evolving = rho.copy()
-            evolving[0], evolving[-1] = ends
             states.append(FlowState(t, RadialField(grid, u.copy()),
-                                    RadialField(grid, evolving), margin))
+                                    RadialField(grid, rho.copy()), rho_min))
 
     return FlowResult(states, time_grid.times(), sup_u, margins, solves, rejections)
 
@@ -399,8 +393,11 @@ def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
     """One linearly implicit Euler step from u, whose interior Laplacian
     ``lap`` holds and whose sup|u| is ``sup_u``, worked in ``work``; Delta v
     goes into the interior of ``spare``.  Returns v (``work.v``), the new
-    boundary pair, S(t + dt), rho = S(t + dt) + Delta v on the interior
-    (``work.aux_new``), min rho and sup|v|; a refused step raises SolverError."""
+    boundary pair, the evolving density rho = S(t + dt) + Delta v on every
+    node (``work.aux_new``; the one-sided rows at the two ends), min rho and
+    sup|v|.  A step is refused, raising SolverError, when rho_n = S(t + dt) +
+    Delta u (inside) or rho (on any node) is not positive, or when the
+    residual's rounding floor at v passes ``_FLOW_FLOOR_MAX``."""
     grid, h = problem.grid, problem.grid.h
     t_next = t + dt
     S_next, excess = _schedule_values(grid, density, combo, t_next)
@@ -416,7 +413,7 @@ def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
     r = work.r
     if not from_laplacian(u, lap, r, work.aux):
         raise _refusal(grid, t_next, "the evolving density before the solve has minimum",
-                       work.aux[1:-1], np.argmin)
+                       work.aux, 1 + int(np.argmin(work.aux[1:-1])))
     bands(work.aux, work.bands)
     try:   # J c = r, solved in r's buffer; the step is -c
         v = np.subtract(u, _gtsv(*work.bands, r, overwrite=True), out=work.v)
@@ -424,13 +421,13 @@ def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
         raise SolverError(f"flow step to t={t_next:.6g} refused: its linear system is "
                           f"singular or not finite ({exc})") from exc
     v[0], v[-1] = bc_new
-    rho = work.aux_new
-    np.add(S_next[1:-1], unit_laplacian_interior(v, h, out=spare, scratch=work.scratch)[1:-1],
-           out=rho[1:-1])
-    rho_min = float(rho[1:-1].min())
+    rho, (lo, hi) = work.aux_new, _end_rows(v, h)
+    np.add(S_next, unit_laplacian_interior(v, h, out=spare, scratch=work.scratch), out=rho)
+    rho[0], rho[-1] = S_next[0] + lo, S_next[-1] + hi
+    rho_min = float(rho.min())
     if not rho_min > 0:
         raise _refusal(grid, t_next, "the evolving density after the solve has minimum",
-                       rho[1:-1], np.argmin)
+                       rho, int(np.argmin(rho)))
     sup_v = float(max(v.max(), -v.min()))
     # the floor is at most eps (dt sum|c_k| sup|v| / min rho + (1 + dt) sup|v| + sup|u|)
     stencil = sum(map(abs, laplacian_coefficients(h)))
@@ -439,16 +436,14 @@ def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
         with np.errstate(over="ignore", invalid="ignore"):
             if not floor(v, rho, r) <= _FLOW_FLOOR_MAX:   # r's interior holds each node's term
                 raise _refusal(grid, t_next, f"the rounding floor (bound {_FLOW_FLOOR_MAX:g}) is",
-                               sys.float_info.epsilon * r[1:-1], np.argmax)
-    return v, bc_new, S_next, rho, rho_min, sup_v
+                               sys.float_info.epsilon * r, 1 + int(np.argmax(r[1:-1])))
+    return v, bc_new, rho, rho_min, sup_v
 
 
-def _refusal(grid: RadialGrid, t: float, what: str, values: np.ndarray,
-             pick: Callable) -> SolverError:
-    """The error of a flow step to t refused on the interior ``values``, at
-    the node ``pick`` (np.argmin or np.argmax; the first NaN, if any) chooses."""
-    j = int(pick(values)) + 1
-    return SolverError(f"flow step to t={t:.6g} refused: {what} {values[j - 1]:.3e} "
+def _refusal(grid: RadialGrid, t: float, what: str, values: np.ndarray, j: int) -> SolverError:
+    """The error of a flow step to t refused at node j, where ``what`` is
+    ``values[j]`` (the first NaN, if any, when j comes from np.argmin or np.argmax)."""
+    return SolverError(f"flow step to t={t:.6g} refused: {what} {values[j]:.3e} "
                        f"at node {j} (x={grid.x[j]:.6g})")
 
 

@@ -415,13 +415,17 @@ def damped_newton(residual: Callable, bands: Callable, start: np.ndarray | float
     and in ``work.scratch``.  Once Newton stalls (a
     full step rejected, or an accepted one above tol and half the last
     residual), an iterate within ``_FLOOR_FACTOR`` of a finite floor counts as
-    converged.  Trials and floors overflow quietly: a non-finite trial fails.
+    converged.  ``params.tol`` is absolute, so a start already within it is
+    accepted only within ``_FLOOR_FACTOR`` of its floor (which may be 0);
+    otherwise Newton takes a step, and data far below tol still moves the
+    solution.  Trials and floors overflow quietly: a non-finite trial fails.
 
     No array of the grid's size is allocated: the loop works in ``work``
     from a copy of the start and solves each step in the residual's buffer.
     Returns ``(v, aux, iterations, residual_history, damping_events,
     floor_value)``, ``v`` and ``aux`` buffers of ``work`` and
-    ``floor_value`` the floor that stopped the loop, else None.
+    ``floor_value`` the floor that stopped a stalled loop, else None (so
+    always None at a residual within tol).
     """
     v, candidate, r, r_new = work.v, work.candidate, work.r, work.r_new
     aux, aux_new = work.aux, work.aux_new
@@ -431,7 +435,8 @@ def damped_newton(residual: Callable, bands: Callable, start: np.ndarray | float
     res_norm = _sup_norm(r, work.scratch)
     residuals = [res_norm]
     damping_events = iteration = 0
-    while not res_norm <= params.tol:
+    while not res_norm <= params.tol or (
+            iteration == 0 and _at_floor(floor, v, aux, r_new, res_norm) is None):
         if iteration == params.max_iter:
             raise SolverError(f"{label} did not converge in {params.max_iter} iterations; "
                               f"last residual {res_norm:.3e}")
@@ -452,7 +457,7 @@ def damped_newton(residual: Callable, bands: Callable, start: np.ndarray | float
                 new_norm = _sup_norm(r_new, work.scratch) if ok else np.inf
             if ok and new_norm <= (1.0 - 1e-4 * s) * res_norm:
                 break
-            if s == 1.0 and (at := _at_floor(floor, v, aux, r_new, res_norm)):
+            if s == 1.0 and (at := _at_floor(floor, v, aux, r_new, res_norm)) is not None:
                 return v, aux, iteration - 1, residuals, damping_events, at
             s *= 0.5
             damping_events += 1
@@ -464,7 +469,7 @@ def damped_newton(residual: Callable, bands: Callable, start: np.ndarray | float
         res_norm = new_norm
         residuals.append(res_norm)
         if res_norm > max(params.tol, 0.5 * residuals[-2]) and \
-                (at := _at_floor(floor, v, aux, r_new, res_norm)):
+                (at := _at_floor(floor, v, aux, r_new, res_norm)) is not None:
             return v, aux, iteration, residuals, damping_events, at
     return v, aux, iteration, residuals, damping_events, None
 

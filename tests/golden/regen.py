@@ -118,6 +118,8 @@ CASES = {
     "exit2-indicial-c-tiny": "indicial",
     "exit2-indicial-cutoff-huge": "indicial",
     "exit3-fit-term-overflow": "fit-expansion",
+    "exit3-flow-end-row-positivity": "flow",
+    "logterm-tiny-amplitude": "logterm-pipeline",
 }
 
 

@@ -217,6 +217,15 @@ def test_ma_converges_to_its_rounding_floor_on_every_grid(n, a):
     assert abs(detect_log_term(u).value / (2 * a / 3) - 1) < 1.5e-3
 
 
+def test_ma_start_within_tol_takes_a_step_unless_at_its_floor():
+    # F = 1e-12 x: the start u = 0 has residual 5e-13, within tol = 1e-11
+    # but far above its rounding floor, so Newton takes a step (it once
+    # returned u = 0 after 0 iterations); the zero source stays at 0
+    u, report = _ma_on(4096, 1e-12)
+    assert report.residuals[0] <= NewtonParams().tol and report.iterations == 1
+    assert report.residual_floor is None and np.any(u.values)
+
+
 @pytest.mark.parametrize("n, a", [(32768, 1.5), (65536, 1.0)])
 def test_ma_floor_is_at_least_its_stencil_term(n, a):
     # the floor once held only the stencil term eps max_j sum_k |c_k u_{j+k}|

@@ -393,8 +393,8 @@ def test_flow_snapshots_equal_runs_that_end_there():
 def test_newton_loop_allocates_no_grid_array(monkeypatch, solve):
     # traced peak inside each damped_newton call, below one float64 array of
     # the grid (the loop's only allocations are bool masks of the grid); a
-    # flow step allocates only the two it returns or drops, S(t + dt) and
-    # its excess over D0
+    # flow step allocates only the two it drops, S(t + dt) and its excess
+    # over D0
     from cuspasym import elliptic
 
     module, name = ((elliptic, "damped_newton") if solve == "monge_ampere"
@@ -576,15 +576,15 @@ def _checking_floors(monkeypatch) -> list:
     floors, step = [], parabolic._flow_step
 
     def checking_step(u, lap, spare, bc, t, dt, density, combo, problem, work, sup_u):
-        v, bc_new, S, rho, rho_min, sup_v = out = step(u, lap, spare, bc, t, dt, density,
-                                                       combo, problem, work, sup_u)
+        v, bc_new, rho, rho_min, sup_v = out = step(u, lap, spare, bc, t, dt, density,
+                                                    combo, problem, work, sup_u)
         n, h = len(u), problem.grid.h
         floor = radial._rounding_floor(v, h, dt, 1.0 + dt, -u[1:-1], rho[1:-1], np.empty(n),
                                        np.empty(n))
         stencil = sum(map(abs, laplacian_coefficients(h)))
         bound = np.finfo(float).eps * (dt * stencil * sup_v / rho_min + (1 + dt) * sup_v
                                        + np.abs(u).max())
-        assert floor <= bound and rho_min == rho[1:-1].min() and sup_v == np.abs(v).max()
+        assert floor <= bound and rho_min == rho.min() and sup_v == np.abs(v).max()
         floors.append(floor)
         return out
 
@@ -675,6 +675,21 @@ def test_flow_step_refused_before_its_solve_names_the_density_and_node():
                                           r"density before the solve has minimum -1\.083e-01 "
                                           r"at node 10 \(x=0\.0859022\)$"):
         run_flow(FlowProblem(metric, T=20.0, dt=20.0))
+
+
+def test_flow_step_refused_on_its_end_row_is_halved_like_an_interior_one(monkeypatch):
+    # phi = -log x on 16 nodes: the one-sided end row of S + Delta v at
+    # x = 0.5 turns negative first.  The step owns that test, so the step to
+    # t = 20 is halved and retried; the record's own test once failed the
+    # flow there outright ("Kahler positivity lost at t=20")
+    outcomes = _counting_steps(monkeypatch)
+    grid = RadialGrid(-40.0, math.log(0.5), 16)
+    metric = ModelMetric(conformal=RadialField(grid, -grid.t))
+    with pytest.raises(SolverError, match=r"^flow step to t=19\.279 refused: the evolving "
+                                          r"density after the solve has minimum -5\.338e-10 "
+                                          r"at node 15 \(x=0\.5\)$"):
+        run_flow(FlowProblem(metric, T=40.0, dt=30.0))
+    assert outcomes[:2] == [0, 1] and outcomes.count(1) > 1 and outcomes[-1] == 0
 
 
 def _golden_flow(name: str, dt=None) -> FlowProblem:

@@ -1,19 +1,51 @@
 """Relations the equations obey under a change of their data, each stated
 once: results on scaled data must be the scaled results.  They guard values
-that no golden output pins, such as a flow driven by data far below any
-absolute tolerance."""
+that no golden output pins, such as a solve or a flow driven by data far
+below any absolute tolerance."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cuspasym.elliptic import LinearProblem, solve_linear
+from cuspasym.elliptic import (LinearProblem, MongeAmpereProblem, solve_linear,
+                               solve_monge_ampere_radial)
+from cuspasym.fitting import detect_log_term
 from cuspasym.geometry import ModelMetric
 from cuspasym.parabolic import FlowProblem, run_flow
 from cuspasym.radial import RadialField, RadialGrid
 
 AMPLITUDES = (1e-6, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14)
+
+
+def _ma_solve(shift: float, F):
+    """The MA solve on the default grid translated by ``shift`` in t = log x,
+    with source F(x), and the detector's estimate on it."""
+    grid = RadialGrid(-40.0 + shift, math.log(0.5) + shift, 4096)
+    problem = MongeAmpereProblem(ModelMetric(), RadialField(grid, F(grid.x)))
+    u, _ = solve_monge_ampere_radial(problem)
+    return u.values, detect_log_term(u)
+
+
+def test_log_term_is_linear_in_a_small_source():
+    # F = a x: the solve is in its linear regime, where b~ / a is 2/3 up to
+    # the detector's bias; a start whose residual was below the absolute tol
+    # was once accepted untouched, and b~ read 0 for a <= 1e-11
+    ratios = [_ma_solve(0.0, lambda x, a=a: a * x)[1].value / a for a in AMPLITUDES]
+    assert ratios[0] == pytest.approx(0.666192488743706, rel=1e-9)
+    assert max(ratios) - min(ratios) <= 1e-9 * ratios[0], ratios
+
+
+@pytest.mark.parametrize("s", [-1.0, -5.0])
+def test_ma_solve_and_detector_are_covariant_under_translation(s):
+    # x -> e^s x with F = 1.5 e^{-s} x: u is the same at each node, and in
+    # u = b x log x + c x + ... b scales by e^{-s} and c by e^{-s} after its
+    # shift -b s (log x picks up s)
+    u, base = _ma_solve(0.0, lambda x: 1.5 * x)
+    u_s, moved = _ma_solve(s, lambda x: 1.5 * math.exp(-s) * x)
+    assert np.max(np.abs(u_s - u)) <= 1e-13
+    assert abs(moved.value * math.exp(s) - base.value) <= 1e-12
+    assert abs(moved.linear_value * math.exp(s) - (base.linear_value - base.value * s)) <= 1e-10
 
 
 def _flow_sup_u_per_amplitude(eps: float) -> float:
