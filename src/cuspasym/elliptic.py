@@ -11,9 +11,12 @@ handled in logarithmic residual form (u + F) - log1p(Delta_g u) = 0 by a
 damped Newton iteration whose linearization at u = 0 is (1 - Delta_g).
 With D the background density and Delta_g = Delta / D, that is ``radial``'s
 log-density equation with (S, D0, alpha, beta, gamma) = (D, D, 1, F, 1),
-whose residual, Jacobian, positivity test and rounding floor live there,
-beside the Newton loop (``damped_newton``), its settings (``NewtonParams``)
-and the band layout of the Dirichlet matrices (``dirichlet_bands``).
+whose residual, Jacobian solve, positivity test and rounding floor live
+there, beside the Newton loop (``damped_newton``), its settings
+(``NewtonParams``) and the band layout of the Dirichlet matrices
+(``dirichlet_bands``).  Each Newton step solves its Jacobian
+1 - Delta / (D + Delta u) as the symmetric positive definite matrix it is
+similar to after a row scaling, by LAPACK ptsv without pivoting; ``solve_linear`` eliminates with pivoting (gtsv).
 Backtracking halves the step until the residual decreases and the Kahler
 positivity D + Delta u > 0 is preserved; reaching the damping floor is a
 hard failure.
@@ -126,11 +129,11 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     grid = problem.F.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)
     D = problem.background.density(grid)[1:-1]
-    residual, bands, floor, _ = _log_density_equation(
+    residual, solve, floor, _ = _log_density_equation(
         grid.h, D, 0.0, D, 1.0, problem.F.values[1:-1], 1.0,
         (problem.bc_left, problem.bc_right), work)
     u, rho, iterations, residuals, damping_events, floor_value = damped_newton(
-        residual, bands, 0.0, problem.newton, "Newton", work, floor)
+        residual, solve, 0.0, problem.newton, "Newton", work, floor)
     min_kahler = float(np.divide(rho[1:-1], D, out=work.scratch[1:-1]).min())
     report = NewtonReport(True, iterations, residuals, residuals[-1], min_kahler,
                           damping_events, floor_value)

@@ -34,7 +34,9 @@ Backward Euler's equation, (1 + dt) v - u_n - dt log1p((excess + Delta v)
 beta, gamma) = (S(t_{n+1}), expm1(-t_{n+1}) (D0 + R0), D0, 1 + dt, -u_n,
 dt).  The excess is formed once, never as S - D0, which rounds an O(x)
 forcing to 0 at deep nodes.  A step linearizes it at u_n (one tridiagonal
-solve) and owns the evolving density it reaches: rho = S(t_{n+1}) + Delta v
+solve: the equation's, by LAPACK ptsv on the symmetric positive definite
+matrix its Jacobian is similar to, with the similarity D formed once a
+run) and owns the evolving density it reaches: rho = S(t_{n+1}) + Delta v
 on every node, the one-sided end rows of Delta v at the two ends.  It is
 refused, and halved, when S(t_{n+1}) + Delta u_n (inside) or rho (on any
 node) is not positive, or when the residual's rounding floor at v passes
@@ -66,10 +68,10 @@ from .radial import (
     RadialField,
     RadialGrid,
     _end_rows,
-    _gtsv,
     _log_density_equation,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
+    similarity_diagonal,
     unit_laplacian,
     unit_laplacian_interior,
 )
@@ -350,6 +352,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     records the last sub-step's evolving density, its minimum and sup|u|."""
     grid = problem.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)   # every step of the run
+    work.similarity(grid.h)   # the steps' similarity D, formed here and not in a step
     density, combo = _schedule_data(problem.omega0, grid)
     time_grid, keep = problem._plan
     u, bc, t, rejections = np.zeros(grid.n_nodes), np.zeros(2), 0.0, 0
@@ -407,16 +410,15 @@ def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
     for pos, j in ((0, 0), (1, -1)):
         bc_new[pos] = (bc[pos] + dt * math.log1p(excess[j] / density[j])) / (1.0 + dt)
 
-    _, bands, floor, from_laplacian = _log_density_equation(
+    _, solve, floor, from_laplacian = _log_density_equation(
         h, S_next[1:-1], excess[1:-1], density[1:-1], 1.0 + dt,
         np.negative(u[1:-1], out=work.step[1:-1]), dt, bc_new, work)
     r = work.r
     if not from_laplacian(u, lap, r, work.aux):
         raise _refusal(grid, t_next, "the evolving density before the solve has minimum",
                        work.aux, 1 + int(np.argmin(work.aux[1:-1])))
-    bands(work.aux, work.bands)
     try:   # J c = r, solved in r's buffer; the step is -c
-        v = np.subtract(u, _gtsv(*work.bands, r, overwrite=True), out=work.v)
+        v = np.subtract(u, solve(work.aux, r), out=work.v)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"flow step to t={t_next:.6g} refused: its linear system is "
                           f"singular or not finite ({exc})") from exc
@@ -473,10 +475,11 @@ def decay_certificate(grid: RadialGrid, gamma: float,
 
     The step matrix (1 + h_t) - h_t Delta has constant coefficients, and
     its interior rows decouple from the zero end rows.  The similarity
-    y = D u, D_j = (c_sup/c_sub)^{j/2} relative to the middle node, makes
-    them symmetric positive definite: factored once (LAPACK pttrf), solved
-    for y at each step (pttrs), with D folded into the forcing and the
-    weight D x^gamma.  A spacing h >= 2 (c_sub <= 0, no real D) is an error.
+    y = D u (``radial.similarity_diagonal``: D_j = (c_sup/c_sub)^{j/2}
+    relative to the middle node) makes them symmetric positive definite:
+    factored once (LAPACK pttrf), solved for y at each step (pttrs), with D
+    folded into the forcing and the weight D x^gamma.  A grid without that D,
+    of spacing h >= 2 (c_sub <= 0) or with D past e^700, is an error.
     """
     if gamma < 0:
         raise ValueError(f"decay weight gamma must be >= 0, got {gamma}")
@@ -484,7 +487,8 @@ def decay_certificate(grid: RadialGrid, gamma: float,
         raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
     n, h, x = grid.n_nodes, grid.h, grid.x
     c_sub, c_diag, c_sup = laplacian_coefficients(h)
-    if not (c_sub > 0 and 0.25 * math.log(c_sup / c_sub) * n < 700):
+    D = similarity_diagonal(n, h)
+    if D is None:
         raise ValueError(f"the decay certificate needs a grid spacing h < 2 whose "
                          f"similarity D stays below e^700, got h={h} on {n} nodes")
     time_grid = _time_grid(T, dt)
@@ -493,9 +497,7 @@ def decay_certificate(grid: RadialGrid, gamma: float,
     # the interior rows of (1 + h_t) - h_t * Delta by dirichlet_bands' arithmetic
     diag, off = -h_t * c_diag + (1.0 + h_t), -math.sqrt((-h_t * c_sub) * (-h_t * c_sup))
     solve = factor_symmetric_tridiagonal(np.full(n - 2, diag), np.full(n - 3, off))
-    weight = np.arange(1 - n // 2, n - 1 - n // 2, dtype=float)   # D x^gamma, in place
-    np.exp(np.multiply(0.5 * math.log(c_sup / c_sub), weight, out=weight), out=weight)
-    np.multiply(weight, x[1:-1] ** gamma, out=weight)
+    weight = np.multiply(D[1:-1], x[1:-1] ** gamma, out=D[1:-1])   # D x^gamma, in place
     if not weight[-1] >= np.finfo(float).tiny:   # the weight grows with x
         raise ValueError(f"decay weight gamma={gamma} makes x^gamma underflow at every node")
     kept = slice(int(np.argmax(weight >= np.finfo(float).tiny)), None)   # normal weights

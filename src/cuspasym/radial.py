@@ -13,13 +13,16 @@ endpoints (the latter only ever for diagnostics, never inside solves).
 
 The module also owns the numerics every radial solver shares: the band
 layout of Dirichlet-truncated operators (:func:`dirichlet_bands`), the
-backtracking Newton loop (:func:`damped_newton`) with the buffers it works
-in (:class:`NewtonWorkspace`), and the one equation of the MA and the flow,
+diagonal similarity that makes the stencil's interior rows symmetric
+(:func:`similarity_diagonal`), the backtracking Newton loop
+(:func:`damped_newton`) with the buffers it works in
+(:class:`NewtonWorkspace`), and the one equation of the MA and the flow,
 
     (alpha v + beta) - gamma log1p((S - D0 + Delta v) / D0) = 0,   S + Delta v > 0,
 
-with its residual, Jacobian, positivity test and rounding floor
-(:func:`_log_density_equation`): the Monge-Ampere solve is the instance
+with its residual, the solve of its Jacobian (symmetric positive definite
+after a row scaling and that similarity), positivity test and rounding
+floor (:func:`_log_density_equation`): the Monge-Ampere solve is the instance
 (S, D0, alpha, beta, gamma) = (D, D, 1, F, 1), solved by Newton, a flow step
 (S_{n+1}, D0, 1 + dt, -u_n, dt), linearized once at u_n.
 """
@@ -242,6 +245,21 @@ def dirichlet_bands(n: int, h: float, weight, shift, out=None):
     return sub, diag, sup
 
 
+def similarity_diagonal(n: int, h: float) -> Optional[np.ndarray]:
+    """The diagonal similarity D of a grid of n nodes and spacing h, relative
+    to the middle node: D_j = (c_sup/c_sub)^((j - n//2)/2), with (c_sub, c_sup)
+    :func:`laplacian_coefficients`' off-diagonal ones.  D M D^-1 is symmetric
+    for every tridiagonal M whose interior rows have the constant
+    off-diagonals (-c_sub, -c_sup) (off-diagonal -sqrt(c_sub c_sup)).  None
+    where D is not a real, normal scaling: spacing h >= 2 (c_sub <= 0), or
+    an exponent past 700 (1/4 log(c_sup/c_sub) n >= 700)."""
+    c_sub, _, c_sup = laplacian_coefficients(h)
+    if not (c_sub > 0 and 0.25 * math.log(c_sup / c_sub) * n < 700):
+        return None
+    D = np.arange(-(n // 2), n - n // 2, dtype=float)
+    return np.exp(np.multiply(0.5 * math.log(c_sup / c_sub), D, out=D), out=D)
+
+
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
     """Direct solve of A u = rhs with A[j,j-1]=sub[j], A[j,j]=diag[j],
@@ -287,7 +305,7 @@ _FLAPACK_LOCK = threading.Lock()
 
 def _lapack():
     """scipy's LAPACK extension ``scipy.linalg._flapack`` (``dgtsv``,
-    ``dpttrf``, ``dpttrs``), the package's one way to scipy's LAPACK.  It is
+    ``dptsv``, ``dpttrf``, ``dpttrs``), the package's one way to scipy's LAPACK.  It is
     loaded alone, without the inits of ``scipy.linalg`` (about 0.35 s) or
     ``scipy`` (about 20 ms), once under a lock, and registered in
     ``sys.modules``, so a later ``import scipy.linalg`` uses the same module,
@@ -369,9 +387,10 @@ class NewtonWorkspace:
     a time: ``v``/``candidate``, ``r``/``r_new`` and ``aux``/``aux_new`` are
     double buffers, swapped on an accepted step, and ``r`` receives each Newton
     correction; ``step`` holds a linear solve's right-hand side, then its
-    solution; ``bands`` the Jacobian's (sub, diag, sup); ``scratch``
+    solution; ``bands`` the three bands of a tridiagonal solve; ``scratch``
     is the callbacks' (the loop's between calls).  The package's solvers use
-    :meth:`for_thread`'s and return copies, never these buffers."""
+    :meth:`for_thread`'s and return copies, never these buffers.  It also
+    keeps the similarity D of the last spacing asked for (:meth:`similarity`)."""
 
     _slot = threading.local()
 
@@ -382,6 +401,7 @@ class NewtonWorkspace:
         self.step = np.empty(n)
         self.bands = (np.empty(n), np.empty(n), np.empty(n))
         self.scratch = np.empty(n)
+        self._similarity = (None, None)   # (h, D)
 
     @classmethod
     def for_thread(cls, n: int) -> "NewtonWorkspace":
@@ -393,15 +413,25 @@ class NewtonWorkspace:
             cls._slot.work = work = cls(n)
         return work
 
+    def similarity(self, h: float) -> Optional[np.ndarray]:
+        """:func:`similarity_diagonal` of the workspace's n nodes at spacing
+        h, computed when h differs from the last call's and kept till then."""
+        if self._similarity[0] != h:
+            self._similarity = (None, None)   # at most one D: drop the old one first
+            self._similarity = (h, similarity_diagonal(len(self.v), h))
+        return self._similarity[1]
 
-def damped_newton(residual: Callable, bands: Callable, start: np.ndarray | float,
+
+def damped_newton(residual: Callable, solve: Callable, start: np.ndarray | float,
                   params: NewtonParams, label: str, work: NewtonWorkspace, floor: Callable):
     """Backtracking Newton iteration on a tridiagonal Jacobian.
 
     ``residual(v, r_out, aux_out)`` writes the residual at v and the data
     its Jacobian needs, and returns False when v is not admissible: when
     the evolving density's ``min() > 0`` fails, which NaN fails too.
-    ``bands(aux, bands_out)`` writes the Jacobian bands at that iterate.
+    ``solve(aux, r)`` solves J c = r with J the Jacobian at that iterate,
+    writes c into r's buffer and returns it (the Newton step is -c), and
+    raises ``np.linalg.LinAlgError`` where J is singular.
     The loop starts from ``start`` (an array, or a scalar for a constant
     start); when it is not admissible, it raises SolverError.
     Each step is halved until the iterate is admissible and the sup-norm
@@ -441,9 +471,8 @@ def damped_newton(residual: Callable, bands: Callable, start: np.ndarray | float
             raise SolverError(f"{label} did not converge in {params.max_iter} iterations; "
                               f"last residual {res_norm:.3e}")
         iteration += 1
-        bands(aux, work.bands)
         try:   # J c = r, solved in r's buffer; the Newton step is -c
-            correction = _gtsv(*work.bands, r, overwrite=True)
+            correction = solve(aux, r)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular {label} linearization at iteration "
                               f"{iteration}: {exc}") from exc
@@ -502,16 +531,33 @@ def _rounding_floor(v: np.ndarray, h: float, gamma: float, alpha: float, beta: n
 
 def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: float,
                           bc: Sequence[float], work: NewtonWorkspace):
-    """``damped_newton``'s ``residual``, ``bands`` and ``floor`` for the
+    """``damped_newton``'s ``residual``, ``solve`` and ``floor`` for the
     equation (alpha v + beta) - gamma log1p((excess + Delta v) / D0) = 0 at
     the interior nodes, excess = S - D0, with v = bc at the two ends, and
     ``from_laplacian(v, lap, r, rho)``, the residual from Delta v held in
     ``lap`` (which may be ``r``).  Each writes rho = S + Delta v into the
-    interior of ``rho`` and answers ``min(rho) > 0``; the bands are alpha -
-    (gamma / rho) Delta, the floor :func:`_rounding_floor`'s.  ``S``,
-    ``excess``, ``D0`` and ``beta`` are scalars or arrays over the n - 2
-    interior nodes; the callbacks work in ``work.scratch``."""
+    interior of ``rho`` and answers ``min(rho) > 0``; the Jacobian is J =
+    alpha - (gamma / rho) Delta inside, identity rows at the ends, and the
+    floor :func:`_rounding_floor`'s.  ``S``, ``excess``, ``D0`` and ``beta``
+    are scalars or arrays over the n - 2 interior nodes; alpha and gamma are
+    positive.  The callbacks work in ``work.scratch``, and ``solve`` in
+    ``work.bands`` too.
+
+    ``solve(rho, r)`` solves J c = r in r's buffer.  With w = rho / gamma,
+    the interior rows of w J have the diagonal alpha w - c_diag and the
+    constant off-diagonals (-c_sub, -c_sup), so the similarity D of
+    ``work.similarity(h)`` makes them the symmetric S = D (w J) D^-1, whose
+    off-diagonal is -sqrt(c_sub c_sup) and whose diagonal exceeds twice its
+    size by alpha w: positive definite.  The solve moves the two Dirichlet
+    columns to the right-hand side, solves S y = D (w r) by one LDL^T
+    (LAPACK ptsv, no pivoting, stable on this diagonally dominant matrix)
+    and divides by D.  Where D does not exist (h >= 2, or D past e^700),
+    and where D (w r) overflows or the factorization fails, it solves J's
+    bands (:func:`dirichlet_bands`) by pivoting gtsv instead, which raises
+    what gtsv raises."""
     n, tmp = len(work.v), work.scratch[1:-1]
+    c_sub, c_diag, c_sup = laplacian_coefficients(h)
+    D = work.similarity(h)
 
     def from_laplacian(v: np.ndarray, lap: np.ndarray, r: np.ndarray, rho: np.ndarray) -> bool:
         inner, laplacian, positivity = r[1:-1], lap[1:-1], rho[1:-1]   # rho's ends unwritten
@@ -533,14 +579,37 @@ def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: fl
         return from_laplacian(v, unit_laplacian_interior(v, h, out=r, scratch=work.scratch),
                               r, rho)
 
-    def bands(rho: np.ndarray, out) -> None:
-        np.divide(-gamma, rho[1:-1], out=tmp)
-        dirichlet_bands(n, h, tmp, -alpha, out=out)
-
     def floor(v: np.ndarray, rho: np.ndarray, out: np.ndarray) -> float:
         return _rounding_floor(v, h, gamma, alpha, beta, rho[1:-1], out, work.scratch)
 
-    return residual, bands, floor, from_laplacian
+    def solve_bands(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+        np.divide(-gamma, rho[1:-1], out=tmp)
+        return _gtsv(*dirichlet_bands(n, h, tmp, -alpha, out=work.bands), r, overwrite=True)
+
+    if D is None:
+        return residual, solve_bands, floor, from_laplacian
+
+    scale, off = D[1:-1], -math.sqrt(c_sub * c_sup)
+    # the Dirichlet columns' entries of D (w J), D taken first: they meet bc-sized data
+    ends = (c_sub * float(D[1]), c_sup * float(D[-2]))
+
+    def solve(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+        e, d, y = work.bands[0][1:-2], work.bands[1][1:-1], work.bands[2][1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(rho[1:-1], gamma, out=y)   # w
+            np.multiply(y, alpha, out=d)
+            np.subtract(d, c_diag, out=d)
+            np.multiply(np.multiply(y, scale, out=y), r[1:-1], out=y)
+            y[0] += ends[0] * r[0]
+            y[-1] += ends[1] * r[-1]
+            if _all_finite(y):
+                e.fill(off)
+                if not _lapack().dptsv(d, e, y, True, True, True)[-1]:
+                    np.divide(y, scale, out=r[1:-1])
+                    return r
+        return solve_bands(rho, r)   # r is intact: the scaled system overflowed or failed
+
+    return residual, solve, floor, from_laplacian
 
 
 def _sup_norm(r: np.ndarray, scratch: np.ndarray) -> float:

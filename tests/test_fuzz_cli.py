@@ -13,7 +13,9 @@ sample texts to learn whether it reads a list of ``:``-separated items, and
 of which arity.  The node count of each
 run is drawn from 16 to 256 (96 to 256 for the log-term detector) by a
 seeded generator, so a run reproduces.  Each command with a grid also runs
-once on ``TINY_SPACING``, a 64-node grid of spacing 1.6e-11.  Three flow
+once on each of ``SPACING_EDGES``: a 64-node grid of spacing 1.6e-11, one of
+spacing 1.999, where the similarity D of the Jacobian solves is near its
+largest, and one of spacing 2, which has no D.  Three flow
 configs end on each refusal a flow step makes, and must exit 3 naming it.
 """
 
@@ -56,6 +58,12 @@ NODES = {"logterm-pipeline": (96, 256)}
 
 #: a grid whose spacing is far below the rounding of log x at its nodes
 TINY_SPACING = {"n_nodes": "64", "t_min": "-1.000000001", "t_max": "-1"}
+#: grids of extreme spacing, tiny first: h = 1.999 on 300 nodes, where the
+#: similarity D of the Jacobian solves spans about e^-620 to e^620 (its
+#: bound is e^700), and h = 2 exactly, where c_sub = 0 and D does not exist
+SPACING_EDGES = (TINY_SPACING,
+                 {"n_nodes": "300", "t_min": "-598.701", "t_max": "-1"},
+                 {"n_nodes": "16", "t_min": "-31", "t_max": "-1"})
 
 #: the keys each base config sets; every other key keeps its default
 BASE = {
@@ -98,7 +106,8 @@ def _runs():
                 config[key] = text
                 yield command, key, text, config
         if "n_nodes" in schema:
-            yield command, "t_min", TINY_SPACING["t_min"], {**base, **TINY_SPACING}
+            for grid in SPACING_EDGES:
+                yield command, "t_min", grid["t_min"], {**base, **grid}
 
 
 def _refuse_constant(name):

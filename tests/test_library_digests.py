@@ -27,10 +27,10 @@ GRID = RadialGrid(-40.0, math.log(0.5), 16384)
 FIT_SET = IndexSet(tuple(IndexTerm(z, k) for z, k in ((1, 0), (1, 1), (2, 0), (2, 1))), 2)
 
 DIGESTS = {
-    "ma-solution": "dfb88a3017584999345d00856aee1d3c6a963b53cf7a38bb14bc14f842c61f0d",
-    "ma-detector": "9b738001d338664c5b0d132541785a87ac7dcef878da11f340691961f5f90fe2",
-    "ma-fit": "24e92a1a8715638d713140f9f1c438ee7703fec1fab1478743a79c36db96b044",
-    "flow-snapshot": "3e3d46ca94caaebc958cff908f0df3203d0c3e6499f60481b9ea7a00df30ef38",
+    "ma-solution": "c7d4ffbdeda74b23248dbd00cfba871e89b9d7089f79ca47e76498735611574b",
+    "ma-detector": "9273c6a7aecc6c13584f5d6edcc2e7549278cf203e8e583562778db214c0cc4f",
+    "ma-fit": "3231dc29fa75114ba07c095b30edfb27e18856d4af5bebfc837278967ccdd0d2",
+    "flow-snapshot": "7b1ebbc077093c3ab45edc2be4168e0e3474cf205cde61aabcd586ca6e019c4e",
     "decay-slice-ratios": "3088b9158a7695b02b5dd9163f79878a18267c361d533ee7bfb25cf54e4061b2",
 }
 

@@ -507,15 +507,20 @@ def test_flow_newton_iterations_count_every_accepted_sub_step(monkeypatch):
 
 
 def _counting_solves(monkeypatch) -> list:
-    """Fail any Newton loop, and record each tridiagonal solve of the flow."""
-    calls, gtsv = [], parabolic._gtsv
+    """Fail any Newton loop, and record each linear solve of the flow: each
+    call of its log-density equation's ``solve``."""
+    calls, equation = [], parabolic._log_density_equation
 
     def no_newton(*args, **kwargs):
         raise AssertionError("the flow ran a Newton loop")
 
+    def counted(*args):
+        residual, solve, floor, from_laplacian = equation(*args)
+        return residual, lambda *a: calls.append(1) or solve(*a), floor, from_laplacian
+
     assert not hasattr(parabolic, "damped_newton")   # a name bound here would escape the patch
     monkeypatch.setattr(radial, "damped_newton", no_newton)
-    monkeypatch.setattr(parabolic, "_gtsv", lambda *a, **k: calls.append(1) or gtsv(*a, **k))
+    monkeypatch.setattr(parabolic, "_log_density_equation", counted)
     return calls
 
 

@@ -22,6 +22,7 @@ from cuspasym.radial import (
     evaluate_expansion,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
+    similarity_diagonal,
     solve_tridiagonal,
     unit_laplacian,
     unit_laplacian_interior,
@@ -215,6 +216,12 @@ def test_unit_laplacian_end_rows_exact_on_quadratics():
     assert np.allclose(lap[[0, -1]], exact[[0, -1]], rtol=0, atol=1e-11)
 
 
+def _gtsv_solve(bands):
+    """A ``solve`` for damped_newton: J c = r in r's buffer by pivoting gtsv,
+    with ``bands(aux)`` J's bands at the iterate."""
+    return lambda aux, r: _gtsv(*bands(aux), r, overwrite=True)
+
+
 def _no_floor(v, aux, out):
     """A floor never reached: the loop runs as if it had none."""
     return math.inf
@@ -240,9 +247,9 @@ def test_damped_newton_never_reads_a_nan_residual_as_converged():
         r.fill(np.nan)
         return True
 
-    bands = lambda aux, out: dirichlet_bands(8, 0.1, 1.0, 1.0, out=out)
+    solve = _gtsv_solve(lambda aux: dirichlet_bands(8, 0.1, 1.0, 1.0))
     with pytest.raises(ValueError, match="NaN"):
-        damped_newton(residual, bands, np.zeros(8), NewtonParams(), "probe",
+        damped_newton(residual, solve, np.zeros(8), NewtonParams(), "probe",
                       NewtonWorkspace(8), _no_floor)
 
 
@@ -257,9 +264,9 @@ def test_damped_newton_works_in_the_given_workspace():
         np.copyto(aux, v)
         return True
 
-    bands = lambda aux, out: dirichlet_bands(16, 0.1, 0.0, -1.0, out=out)
+    solve = _gtsv_solve(lambda aux: dirichlet_bands(16, 0.1, 0.0, -1.0))
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
-        residual, bands, np.zeros(16), NewtonParams(5, 1e-12), "probe", work, _no_floor)
+        residual, solve, np.zeros(16), NewtonParams(5, 1e-12), "probe", work, _no_floor)
     assert iterations == 1 and damping == 0 and residuals == [2.0, 0.0] and floor_value is None
     assert any(v is b for b in buffers) and any(aux is b for b in buffers)
     assert v.tobytes() == target.tobytes() and aux.tobytes() == target.tobytes()
@@ -275,13 +282,11 @@ def _cubic(target):
         np.subtract(r, target, out=r)
         return True
 
-    def bands(aux, out):
-        dirichlet_bands(len(target), 0.1, 0.0, -(1.0 + 3.0 * aux[1:-1] ** 2), out=out)
-    return residual, bands
+    return residual, _gtsv_solve(
+        lambda aux: dirichlet_bands(len(target), 0.1, 0.0, -(1.0 + 3.0 * aux[1:-1] ** 2)))
 
 
-def _identity_bands(aux, out):
-    dirichlet_bands(len(aux), 0.1, 0.0, -1.0, out=out)
+_identity_solve = _gtsv_solve(lambda aux: dirichlet_bands(len(aux), 0.1, 0.0, -1.0))
 
 
 def _wobbling(target, amplitude):
@@ -292,7 +297,7 @@ def _wobbling(target, amplitude):
         np.subtract(v, target, out=r)
         r[1:-1] += amplitude * np.sin(1e12 * v[1:-1])
         return True
-    return residual, _identity_bands
+    return residual, _identity_solve
 
 
 def test_damped_newton_asks_no_floor_while_newton_contracts():
@@ -314,7 +319,7 @@ def _slow(target):
         np.subtract(v, target, out=r)
         np.multiply(r, 1.6, out=r)
         return True
-    return residual, _identity_bands
+    return residual, _identity_solve
 
 
 @pytest.mark.parametrize("problem, amplitude", [(lambda t: _wobbling(t, 1e-9), 1e-9),
@@ -323,7 +328,7 @@ def _slow(target):
 def test_damped_newton_stops_at_the_callers_floor(problem, amplitude):
     target = np.r_[0.0, np.linspace(1.0, 2.0, 14), 0.0]
     work = NewtonWorkspace(16)
-    residual, bands = problem(target)
+    residual, solve = problem(target)
     seen = []
 
     def floor(v, aux, out):
@@ -337,7 +342,7 @@ def test_damped_newton_stops_at_the_callers_floor(problem, amplitude):
         return amplitude
 
     v, aux, iterations, residuals, damping, floor_value = damped_newton(
-        residual, bands, 0.0, NewtonParams(), "probe", work, floor=floor)
+        residual, solve, 0.0, NewtonParams(), "probe", work, floor=floor)
     assert floor_value == amplitude and iterations == len(residuals) - 1 >= 1
     assert NewtonParams().tol < residuals[-1] <= 4 * amplitude < residuals[-2]
     # the returned iterate is the one the floor was asked about, and its
@@ -536,7 +541,7 @@ def test_residual_positivity_answers_as_the_elementwise_tests(solver, name, monk
 
 @pytest.mark.parametrize("solver", ["ma", "flow"])
 def test_log_density_equation_matches_a_dense_evaluation(solver):
-    # residual, rho, Jacobian bands and floor of each instance against
+    # residual, rho, Jacobian solve and floor of each instance against
     # (alpha v + beta) - gamma log1p((excess + L v) / D0), rho = S + L v,
     # evaluated with the dense stencil matrix L
     rng = np.random.default_rng(17)
@@ -550,7 +555,7 @@ def test_log_density_equation_matches_a_dense_evaluation(solver):
         L[np.arange(n - 2), np.arange(n - 2) + k] = c
     rho = S + L @ v
     work = NewtonWorkspace(n)
-    residual, bands, floor, from_laplacian = _log_density_equation(h, *equation, bc, work)
+    residual, solve, floor, from_laplacian = _log_density_equation(h, *equation, bc, work)
 
     def residual_at(w):
         r, aux = np.full(n, np.nan), np.full(n, np.nan)
@@ -562,13 +567,13 @@ def test_log_density_equation_matches_a_dense_evaluation(solver):
     assert np.allclose(r[1:-1], (alpha * v[1:-1] + beta) - gamma * np.log1p((excess + L @ v) / D0),
                        rtol=0, atol=1e-14)
     assert np.allclose(aux[1:-1], rho, rtol=1e-14, atol=0)
-    bands(aux, work.bands)
-    sub, diag, sup = work.bands
-    jacobian = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-    dense = np.eye(n)
-    dense[1:-1] = alpha * dense[1:-1] - (gamma / rho)[:, None] * L
-    assert np.allclose(jacobian, dense, rtol=1e-14, atol=0)
-    # the bands are the residual's derivative: central differences, column by column
+    jacobian = np.eye(n)
+    jacobian[1:-1] = alpha * jacobian[1:-1] - (gamma / rho)[:, None] * L
+    b = rng.normal(size=n)
+    c = solve(aux, b.copy())
+    exact = np.linalg.solve(jacobian, b)
+    assert np.max(np.abs(c - exact)) <= 1e-13 * np.max(np.abs(exact)) * np.linalg.cond(jacobian)
+    # that J is the residual's derivative: central differences, column by column
     delta = 1e-6
     differences = np.column_stack([
         (residual_at(v + delta * e)[0] - residual_at(v - delta * e)[0]) / (2 * delta)
@@ -586,6 +591,69 @@ def test_log_density_equation_matches_a_dense_evaluation(solver):
     assert from_laplacian(v, lap, r_apart, aux_apart) is True
     assert r_apart.tobytes() == r.tobytes() and aux_apart[1:-1].tobytes() == aux[1:-1].tobytes()
     assert lap.tobytes() == kept.tobytes()
+
+
+def _jacobian_solves(solver: str, n: int, h: float, monkeypatch=None):
+    """The log-density equation's ``solve`` on n nodes at spacing h, and
+    (rho, r, J's bands from dirichlet_bands at rho) for random rho > 0 and
+    r; with ``monkeypatch``, a gtsv solve fails the test."""
+    if monkeypatch is not None:
+        monkeypatch.setattr(radial, "_gtsv", lambda *a, **k: pytest.fail("gtsv ran"))
+    rng = np.random.default_rng(23)
+    equation = _equation(solver, np.ones(n - 2), np.zeros(n - 2))
+    alpha, gamma = equation[3], equation[5]
+    _, solve, *_ = _log_density_equation(h, *equation, (0.0, 0.0), NewtonWorkspace(n))
+    cases = []
+    for _ in range(4):
+        rho = np.exp(rng.uniform(-3.0, 3.0, n))
+        cases.append((rho, rng.normal(size=n), dirichlet_bands(n, h, -gamma / rho[1:-1], -alpha)))
+    return solve, cases
+
+
+#: spacings with a similarity D: the fuzzer's tiny spacing, the default
+#: grid's, 1 and just below 2
+SIMILARITY_SPACINGS = [1.6e-11, 0.0096, 1.0, 1.99]
+
+
+@pytest.mark.parametrize("h", SIMILARITY_SPACINGS)
+@pytest.mark.parametrize("solver", ["ma", "flow"])
+def test_jacobian_solve_through_the_similarity_matches_a_dense_solve(solver, h, monkeypatch):
+    n = 64
+    assert similarity_diagonal(n, h) is not None
+    solve, cases = _jacobian_solves(solver, n, h, monkeypatch)
+    for rho, b, (sub, diag, sup) in cases:
+        jacobian = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        r = b.copy()
+        c = solve(rho, r)
+        assert c is r and c[0] == b[0] and c[-1] == b[-1]
+        exact = np.linalg.solve(jacobian, b)
+        assert np.max(np.abs(c - exact)) <= \
+            1e-13 * np.max(np.abs(exact)) * np.linalg.cond(jacobian)
+
+
+#: (n, h) without a similarity D: spacing 2 (c_sub = 0), above 2, and a
+#: spacing below 2 whose D passes e^700 on 300 nodes
+NO_SIMILARITY = {"h-2": (64, 2.0), "h-2.5": (64, 2.5), "past-e700": (300, 2.0 - 1e-10)}
+
+
+@pytest.mark.parametrize("case", list(NO_SIMILARITY))
+@pytest.mark.parametrize("solver", ["ma", "flow"])
+def test_jacobian_solve_without_a_similarity_is_gtsv_bit_for_bit(solver, case):
+    n, h = NO_SIMILARITY[case]
+    assert similarity_diagonal(n, h) is None
+    solve, cases = _jacobian_solves(solver, n, h)
+    for rho, b, bands in cases:
+        expected = _gtsv(*bands, b.copy(), overwrite=True)
+        assert solve(rho, b.copy()).tobytes() == expected.tobytes()
+
+
+def test_jacobian_solve_falls_back_to_gtsv_where_the_scaled_system_overflows():
+    # D (w r) overflows at the right end (D ~ 3^15 there on h = 1): the
+    # pivoting solve takes the intact system
+    solve, [(rho, b, bands), *_] = _jacobian_solves("ma", 64, 1.0)
+    b[-1] = 1e308
+    expected = _gtsv(*bands, b.copy(), overwrite=True)
+    assert solve(rho, b.copy()).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("values", [
