@@ -2,8 +2,8 @@
 
 The linear problem is (Delta_g - lambda) u = f on the log grid with
 Dirichlet values at both ends; the system is tridiagonal in t = log x and
-solved by direct banded elimination.  The fully nonlinear problem is the
-dimension-1 complex Monge-Ampere equation
+solved directly as radial's ``_solve_jacobian`` of (lambda - Delta_g) u = -f.
+The fully nonlinear problem is the dimension-1 complex Monge-Ampere equation
 
     (1 + Delta_g u) e^{-u} = e^F,
 
@@ -15,8 +15,8 @@ whose residual, Jacobian solve, positivity test and rounding floor live
 there, beside the Newton loop (``damped_newton``), its settings
 (``NewtonParams``) and the band layout of the Dirichlet matrices
 (``dirichlet_bands``).  Each Newton step solves its Jacobian
-1 - Delta / (D + Delta u) as the symmetric positive definite matrix it is
-similar to after a row scaling, by LAPACK ptsv without pivoting; ``solve_linear`` eliminates with pivoting (gtsv).
+1 - Delta / (D + Delta u) by the same function, as the symmetric positive
+definite matrix it is similar to after a row scaling, by LAPACK ptsv.
 Backtracking halves the step until the residual decreases and the Kahler
 positivity D + Delta u > 0 is preserved; reaching the damping floor is a
 hard failure.
@@ -39,10 +39,9 @@ from .radial import (
     NewtonWorkspace,
     RadialField,
     _all_finite,
-    _gtsv,
     _log_density_equation,
+    _solve_jacobian,
     damped_newton,
-    dirichlet_bands,
 )
 
 
@@ -96,18 +95,17 @@ class NewtonReport:
 
 
 def solve_linear(problem: LinearProblem) -> RadialField:
-    """Direct banded solve of the Dirichlet-truncated linear problem, in the thread's workspace."""
+    """Direct solve of the Dirichlet-truncated linear problem in the thread's
+    workspace: ``_solve_jacobian`` with (rho, gamma, alpha) = (D, 1, lambda)."""
     grid = problem.rhs.grid
     work, density = NewtonWorkspace.for_thread(grid.n_nodes), problem.metric.density(grid)
-    dirichlet_bands(grid.n_nodes, grid.h, np.divide(1.0, density[1:-1], out=work.scratch[1:-1]),
-                    problem.lam, out=work.bands)
-    np.copyto(work.step, problem.rhs.values)
-    work.step[0], work.step[-1] = problem.bc_left, problem.bc_right
+    rhs = np.negative(problem.rhs.values, out=work.step)
+    rhs[0], rhs[-1] = problem.bc_left, problem.bc_right
     try:
-        u = _gtsv(*work.bands, work.step, overwrite=True)
+        u = _solve_jacobian(grid.h, density, 1.0, problem.lam, rhs, work)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exact collision
         raise SolverError(f"singular linear system: {exc}") from exc
-    if not _all_finite(u):   # from finite data (_gtsv checked): the elimination overflowed
+    if not _all_finite(u):   # from finite data: the elimination overflowed
         data = max(abs(problem.bc_left), abs(problem.bc_right),
                    np.abs(problem.rhs.values[1:-1]).max())
         raise SolverError(f"linear solve overflowed: the tridiagonal elimination gave a non-finite "

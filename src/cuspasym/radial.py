@@ -9,20 +9,22 @@ vector field x d/dx becomes d/dt, so the model Laplacian
 has constant coefficients and the x -> 0 degeneracy disappears from the
 stencil.  Grids are uniform in t; centered second-order differences are
 used at interior nodes and one-sided second-order differences at the two
-endpoints (the latter only ever for diagnostics, never inside solves).
+endpoints (the latter for diagnostics and a flow step's positivity test at
+the ends, never as rows of a solve).
 
 The module also owns the numerics every radial solver shares: the band
 layout of Dirichlet-truncated operators (:func:`dirichlet_bands`), the
 diagonal similarity that makes the stencil's interior rows symmetric
-(:func:`similarity_diagonal`), the backtracking Newton loop
+(:func:`similarity_diagonal`), the one solve of every Dirichlet system,
+symmetric positive definite after a row scaling and that similarity
+(:func:`_solve_jacobian`), the backtracking Newton loop
 (:func:`damped_newton`) with the buffers it works in
 (:class:`NewtonWorkspace`), and the one equation of the MA and the flow,
 
     (alpha v + beta) - gamma log1p((S - D0 + Delta v) / D0) = 0,   S + Delta v > 0,
 
-with its residual, the solve of its Jacobian (symmetric positive definite
-after a row scaling and that similarity), positivity test and rounding
-floor (:func:`_log_density_equation`): the Monge-Ampere solve is the instance
+with its residual, Jacobian solve, positivity test and rounding floor
+(:func:`_log_density_equation`): the Monge-Ampere solve is the instance
 (S, D0, alpha, beta, gamma) = (D, D, 1, F, 1), solved by Newton, a flow step
 (S_{n+1}, D0, 1 + dt, -u_n, dt), linearized once at u_n.
 """
@@ -206,11 +208,8 @@ def unit_laplacian_interior(values: np.ndarray, h: float, out: Optional[np.ndarr
 
 
 def unit_laplacian(values: np.ndarray, h: float) -> np.ndarray:
-    """Full-grid stencil: centered inside, one-sided second order at ends.
-
-    The one-sided rows are diagnostic only; solves impose boundary
-    conditions instead of using them.
-    """
+    """Full-grid stencil: centered inside, one-sided second order at ends
+    (:func:`_end_rows`), which solves replace by Dirichlet rows."""
     out = unit_laplacian_interior(values, h)
     out[0], out[-1] = _end_rows(values, h)
     return out
@@ -529,6 +528,45 @@ def _rounding_floor(v: np.ndarray, h: float, gamma: float, alpha: float, beta: n
     return np.finfo(float).eps * float(np.max(inner))
 
 
+def _solve_jacobian(h: float, rho: np.ndarray, gamma: float, alpha: float, r: np.ndarray,
+                    work: NewtonWorkspace) -> np.ndarray:
+    """Solve J c = r in r's buffer (in ``work.bands`` and ``work.scratch``),
+    J = alpha - (gamma / rho) Delta at the interior nodes of the n-arrays,
+    identity rows at the ends, gamma > 0 and alpha >= 0: the Newton and flow
+    steps' Jacobian, and (Delta / D - lambda) u = f as (rho, gamma, alpha) =
+    (D, 1, lambda) on -f.  With w = rho / gamma, the interior rows of w J have
+    the diagonal alpha w - c_diag and the constant off-diagonals (-c_sub,
+    -c_sup), so the similarity D of ``work.similarity(h)`` makes them the
+    symmetric S = D (w J) D^-1: off-diagonal -sqrt(c_sub c_sup), diagonal
+    larger than twice that by alpha w + (sqrt(c_sup) - sqrt(c_sub))^2 > 0.
+    The two Dirichlet columns move to the right-hand side, one LDL^T (LAPACK
+    ptsv, no pivoting, stable on this diagonally dominant matrix) solves S y =
+    D (w r) and c = y / D.  Where D does not exist (h >= 2, or D past e^700),
+    or D (w r) overflows or the factorization fails, pivoting gtsv solves J's
+    bands (:func:`dirichlet_bands`) instead, raising what gtsv raises."""
+    D = work.similarity(h)
+    if D is not None:
+        c_sub, c_diag, c_sup = laplacian_coefficients(h)
+        scale = D[1:-1]
+        e, d, y = work.bands[0][1:-2], work.bands[1][1:-1], work.bands[2][1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(rho[1:-1], gamma, out=y)   # w
+            np.multiply(y, alpha, out=d)
+            np.subtract(d, c_diag, out=d)
+            np.multiply(np.multiply(y, scale, out=y), r[1:-1], out=y)
+            # the Dirichlet columns' entries of D (w J), D taken first: they meet bc-sized data
+            y[0] += (c_sub * float(D[1])) * r[0]
+            y[-1] += (c_sup * float(D[-2])) * r[-1]
+            if _all_finite(y):
+                e.fill(-math.sqrt(c_sub * c_sup))
+                if not _lapack().dptsv(d, e, y, True, True, True)[-1]:
+                    np.divide(y, scale, out=r[1:-1])
+                    return r
+    # r is intact: no similarity, or the scaled system overflowed or failed
+    weight = np.divide(-gamma, rho[1:-1], out=work.scratch[1:-1])
+    return _gtsv(*dirichlet_bands(len(r), h, weight, -alpha, out=work.bands), r, overwrite=True)
+
+
 def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: float,
                           bc: Sequence[float], work: NewtonWorkspace):
     """``damped_newton``'s ``residual``, ``solve`` and ``floor`` for the
@@ -540,24 +578,11 @@ def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: fl
     alpha - (gamma / rho) Delta inside, identity rows at the ends, and the
     floor :func:`_rounding_floor`'s.  ``S``, ``excess``, ``D0`` and ``beta``
     are scalars or arrays over the n - 2 interior nodes; alpha and gamma are
-    positive.  The callbacks work in ``work.scratch``, and ``solve`` in
-    ``work.bands`` too.
-
-    ``solve(rho, r)`` solves J c = r in r's buffer.  With w = rho / gamma,
-    the interior rows of w J have the diagonal alpha w - c_diag and the
-    constant off-diagonals (-c_sub, -c_sup), so the similarity D of
-    ``work.similarity(h)`` makes them the symmetric S = D (w J) D^-1, whose
-    off-diagonal is -sqrt(c_sub c_sup) and whose diagonal exceeds twice its
-    size by alpha w: positive definite.  The solve moves the two Dirichlet
-    columns to the right-hand side, solves S y = D (w r) by one LDL^T
-    (LAPACK ptsv, no pivoting, stable on this diagonally dominant matrix)
-    and divides by D.  Where D does not exist (h >= 2, or D past e^700),
-    and where D (w r) overflows or the factorization fails, it solves J's
-    bands (:func:`dirichlet_bands`) by pivoting gtsv instead, which raises
-    what gtsv raises."""
-    n, tmp = len(work.v), work.scratch[1:-1]
-    c_sub, c_diag, c_sup = laplacian_coefficients(h)
-    D = work.similarity(h)
+    positive.  The callbacks work in ``work.scratch``, and ``solve(rho, r)``,
+    :func:`_solve_jacobian` of J, in ``work.bands`` too; the similarity it
+    uses is formed here, before any Newton iteration or flow step."""
+    tmp = work.scratch[1:-1]
+    work.similarity(h)
 
     def from_laplacian(v: np.ndarray, lap: np.ndarray, r: np.ndarray, rho: np.ndarray) -> bool:
         inner, laplacian, positivity = r[1:-1], lap[1:-1], rho[1:-1]   # rho's ends unwritten
@@ -582,32 +607,8 @@ def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: fl
     def floor(v: np.ndarray, rho: np.ndarray, out: np.ndarray) -> float:
         return _rounding_floor(v, h, gamma, alpha, beta, rho[1:-1], out, work.scratch)
 
-    def solve_bands(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-        np.divide(-gamma, rho[1:-1], out=tmp)
-        return _gtsv(*dirichlet_bands(n, h, tmp, -alpha, out=work.bands), r, overwrite=True)
-
-    if D is None:
-        return residual, solve_bands, floor, from_laplacian
-
-    scale, off = D[1:-1], -math.sqrt(c_sub * c_sup)
-    # the Dirichlet columns' entries of D (w J), D taken first: they meet bc-sized data
-    ends = (c_sub * float(D[1]), c_sup * float(D[-2]))
-
     def solve(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-        e, d, y = work.bands[0][1:-2], work.bands[1][1:-1], work.bands[2][1:-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(rho[1:-1], gamma, out=y)   # w
-            np.multiply(y, alpha, out=d)
-            np.subtract(d, c_diag, out=d)
-            np.multiply(np.multiply(y, scale, out=y), r[1:-1], out=y)
-            y[0] += ends[0] * r[0]
-            y[-1] += ends[1] * r[-1]
-            if _all_finite(y):
-                e.fill(off)
-                if not _lapack().dptsv(d, e, y, True, True, True)[-1]:
-                    np.divide(y, scale, out=r[1:-1])
-                    return r
-        return solve_bands(rho, r)   # r is intact: the scaled system overflowed or failed
+        return _solve_jacobian(h, rho, gamma, alpha, r, work)
 
     return residual, solve, floor, from_laplacian
 

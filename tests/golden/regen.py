@@ -103,6 +103,7 @@ CASES = {
     "solve-linear-bc-huge": "solve-linear",
     "exit3-linear-residual-overflow": "solve-linear",
     "exit3-linear-elimination-overflow": "solve-linear",
+    "exit3-linear-elimination-overflow-right": "solve-linear",
     "exit3-flow-degenerating": "flow",
     "exit3-flow-tiny-spacing": "flow",
     "exit3-fit-overflow": "fit-expansion",

@@ -149,6 +149,19 @@ def test_solve_linear_writes_solution(tmp_path):
     assert np.max(np.abs(field.values[mask] - x[mask] * np.log(x[mask]))) < 1e-3
 
 
+def test_solve_linear_residual_stays_at_the_stencils_rounding_floor(tmp_path):
+    # pivoting once swapped the Dirichlet row into the stencil and left a
+    # residual 71 times this floor (1.76e-8)
+    cfg = write(tmp_path / "c.cfg", "n_nodes = 4096\nlambda = 0\nf_terms = 1.5:1:0\n"
+                                    "bc_left = 0.3\nmetric_a = 2\nmetric_b = 0.7\n")
+    out = tmp_path / "out"
+    assert main(["solve-linear", cfg, "-o", str(out)]) == 0
+    data = json.loads((out / "solve_linear.json").read_text())
+    h = (data["config"]["t_max"] - data["config"]["t_min"]) / 4095
+    floor = 64 * np.finfo(float).eps * (1 + data["sup_solution"]) / h**2 / math.sqrt(2 * 0.7)
+    assert data["interior_residual_sup"] <= floor
+
+
 def test_solve_linear_residual_leaves_out_the_overflowing_end_rows(tmp_path, capsys):
     # the solve succeeds; the one-sided end rows of the full-grid Laplacian
     # once overflowed on bc_left, leaked RuntimeWarnings and exited 2 with
@@ -171,12 +184,13 @@ def test_solve_linear_overflowing_interior_residual_is_numerical_failure(tmp_pat
     assert not (out / "solution.csv").exists()
 
 
-@pytest.mark.parametrize("bc_left, code", [(1e308, 3), (1e300, 0)])
-def test_solve_linear_names_an_overflowing_elimination(tmp_path, capsys, bc_left, code):
-    # at 4096 nodes the elimination overflows on the 1e308 Dirichlet row; the
-    # message once blamed "lambda collides with a discrete eigenvalue?"
+@pytest.mark.parametrize("bc_right, code", [(1e308, 3), (1e300, 0)])
+def test_solve_linear_names_an_overflowing_elimination(tmp_path, capsys, bc_right, code):
+    # at 4096 nodes the scaled system overflows on the 1e308 Dirichlet value
+    # at the right end, and so does the pivoting elimination it falls back
+    # to; the message once blamed "lambda collides with a discrete eigenvalue?"
     cfg = write(tmp_path / "c.cfg", f"n_nodes = 4096\nlambda = 1\nf_terms = 1:1:0\n"
-                                    f"bc_left = {bc_left}\n")
+                                    f"bc_right = {bc_right}\n")
     out = tmp_path / "out"
     assert main(["solve-linear", cfg, "-o", str(out)]) == code
     err = capsys.readouterr().err

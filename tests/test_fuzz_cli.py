@@ -15,7 +15,9 @@ run is drawn from 16 to 256 (96 to 256 for the log-term detector) by a
 seeded generator, so a run reproduces.  Each command with a grid also runs
 once on each of ``SPACING_EDGES``: a 64-node grid of spacing 1.6e-11, one of
 spacing 1.999, where the similarity D of the Jacobian solves is near its
-largest, and one of spacing 2, which has no D.  Three flow
+largest, one of spacing 1.9995 reaching t = -706.8, near the smallest
+normal x, whose D passes its e^700 bound, and one of spacing 2, which has
+no D.  Three flow
 configs end on each refusal a flow step makes, and must exit 3 naming it.
 """
 
@@ -60,9 +62,12 @@ NODES = {"logterm-pipeline": (96, 256)}
 TINY_SPACING = {"n_nodes": "64", "t_min": "-1.000000001", "t_max": "-1"}
 #: grids of extreme spacing, tiny first: h = 1.999 on 300 nodes, where the
 #: similarity D of the Jacobian solves spans about e^-620 to e^620 (its
-#: bound is e^700), and h = 2 exactly, where c_sub = 0 and D does not exist
+#: bound is e^700); h = 1.9995 on 354 nodes down to t = -706.8, where D's
+#: exponent of about 795 is past that bound; and h = 2 exactly, where c_sub
+#: = 0 and D does not exist
 SPACING_EDGES = (TINY_SPACING,
                  {"n_nodes": "300", "t_min": "-598.701", "t_max": "-1"},
+                 {"n_nodes": "354", "t_min": "-706.8235", "t_max": "-1"},
                  {"n_nodes": "16", "t_min": "-31", "t_max": "-1"})
 
 #: the keys each base config sets; every other key keeps its default

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cuspasym import radial
+from cuspasym.elliptic import LinearProblem, solve_linear
 from cuspasym.errors import SolverError
+from cuspasym.geometry import ModelMetric
 from cuspasym.radial import (
     NewtonParams,
     NewtonWorkspace,
@@ -17,6 +19,7 @@ from cuspasym.radial import (
     _log_density_equation,
     _require_finite,
     _rounding_floor,
+    _solve_jacobian,
     damped_newton,
     dirichlet_bands,
     evaluate_expansion,
@@ -145,8 +148,8 @@ def test_unit_laplacian_exponential_profile():
     assert np.max(np.abs(lap - 3.0 * vals) / vals) < 10 * g.h ** 2
 
 
-#: (weight, shift) of dirichlet_bands as each caller forms them from the
-#: interior density and Laplacian
+#: (weight, shift) of dirichlet_bands for each Dirichlet operator the
+#: package solves, from the interior density and Laplacian
 BAND_CASES = {
     "solve_linear": lambda density, lap: (1.0 / density, 2.5),
     "monge_ampere_jacobian": lambda density, lap: (-1.0 / (density + lap), -1.0),
@@ -594,20 +597,29 @@ def test_log_density_equation_matches_a_dense_evaluation(solver):
 
 
 def _jacobian_solves(solver: str, n: int, h: float, monkeypatch=None):
-    """The log-density equation's ``solve`` on n nodes at spacing h, and
-    (rho, r, J's bands from dirichlet_bands at rho) for random rho > 0 and
-    r; with ``monkeypatch``, a gtsv solve fails the test."""
+    """The Jacobian solve of ``solver`` on n nodes at spacing h, and (rho, r,
+    J's bands from dirichlet_bands at rho) for random rho > 0 and r; with
+    ``monkeypatch``, a gtsv solve fails the test.  "ma" and "flow" are the
+    log-density equation's ``solve``, "linear-<lambda>" is the linear
+    problem's instance (rho, gamma, alpha) = (density, 1, lambda), with rho
+    a conformal density on the grid of [-1 - (n - 1) h, -1]."""
     if monkeypatch is not None:
         monkeypatch.setattr(radial, "_gtsv", lambda *a, **k: pytest.fail("gtsv ran"))
     rng = np.random.default_rng(23)
-    equation = _equation(solver, np.ones(n - 2), np.zeros(n - 2))
-    alpha, gamma = equation[3], equation[5]
-    _, solve, *_ = _log_density_equation(h, *equation, (0.0, 0.0), NewtonWorkspace(n))
-    cases = []
-    for _ in range(4):
-        rho = np.exp(rng.uniform(-3.0, 3.0, n))
-        cases.append((rho, rng.normal(size=n), dirichlet_bands(n, h, -gamma / rho[1:-1], -alpha)))
-    return solve, cases
+    work = NewtonWorkspace(n)
+    if solver.startswith("linear-"):
+        grid = RadialGrid(-1.0 - (n - 1) * h, -1.0, n)
+        alpha, gamma = float(solver[len("linear-"):]), 1.0
+        densities = [ModelMetric(2.0, 0.7, RadialField(grid, rng.uniform(-1.5, 1.5, n))).density()
+                     for _ in range(4)]
+        solve = lambda rho, r: _solve_jacobian(h, rho, gamma, alpha, r, work)   # noqa: E731
+    else:
+        equation = _equation(solver, np.ones(n - 2), np.zeros(n - 2))
+        alpha, gamma = equation[3], equation[5]
+        _, solve, *_ = _log_density_equation(h, *equation, (0.0, 0.0), work)
+        densities = [np.exp(rng.uniform(-3.0, 3.0, n)) for _ in range(4)]
+    return solve, [(rho, rng.normal(size=n), dirichlet_bands(n, h, -gamma / rho[1:-1], -alpha))
+                   for rho in densities]
 
 
 #: spacings with a similarity D: the fuzzer's tiny spacing, the default
@@ -616,7 +628,7 @@ SIMILARITY_SPACINGS = [1.6e-11, 0.0096, 1.0, 1.99]
 
 
 @pytest.mark.parametrize("h", SIMILARITY_SPACINGS)
-@pytest.mark.parametrize("solver", ["ma", "flow"])
+@pytest.mark.parametrize("solver", ["ma", "flow", "linear-0", "linear-1.2"])
 def test_jacobian_solve_through_the_similarity_matches_a_dense_solve(solver, h, monkeypatch):
     n = 64
     assert similarity_diagonal(n, h) is not None
@@ -645,6 +657,29 @@ def test_jacobian_solve_without_a_similarity_is_gtsv_bit_for_bit(solver, case):
     for rho, b, bands in cases:
         expected = _gtsv(*bands, b.copy(), overwrite=True)
         assert solve(rho, b.copy()).tobytes() == expected.tobytes()
+
+
+#: grids without a similarity D: spacing 2, spacing 2.5, and the fuzzer's
+#: far span, whose D passes e^700
+NO_SIMILARITY_GRIDS = {"h-2": RadialGrid(-31.0, -1.0, 16), "h-2.5": RadialGrid(-38.5, -1.0, 16),
+                       "past-e700": RadialGrid(-706.8235, -1.0, 354)}
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+@pytest.mark.parametrize("case", list(NO_SIMILARITY_GRIDS))
+def test_solve_linear_without_a_similarity_is_its_pivoting_route_bit_for_bit(case, lam):
+    # the route solve_linear took before it shared the Jacobian solve: the
+    # bands of Delta / D - lambda and f, Dirichlet values at the ends, by gtsv
+    grid = NO_SIMILARITY_GRIDS[case]
+    assert similarity_diagonal(grid.n_nodes, grid.h) is None
+    metric = ModelMetric(2.0, 0.7, RadialField(grid, 0.1 * np.sin(grid.t)))
+    f, density = RadialField(grid, np.cos(grid.t) + 0.5), metric.density()
+    rhs = f.values.copy()
+    rhs[0], rhs[-1] = 0.3, -0.2
+    expected = _gtsv(*dirichlet_bands(grid.n_nodes, grid.h, 1.0 / density[1:-1], lam), rhs,
+                     overwrite=True)
+    u = solve_linear(LinearProblem(metric, lam, f, 0.3, -0.2)).values
+    assert u.tobytes() == expected.tobytes()
 
 
 def test_jacobian_solve_falls_back_to_gtsv_where_the_scaled_system_overflows():
