@@ -102,7 +102,7 @@ def solve_linear(problem: LinearProblem) -> RadialField:
     rhs = np.negative(problem.rhs.values, out=work.step)
     rhs[0], rhs[-1] = problem.bc_left, problem.bc_right
     try:
-        u = _solve_jacobian(grid.h, density, 1.0, problem.lam, rhs, work)
+        u = _solve_jacobian(grid.h, grid.similarity, density, 1.0, problem.lam, rhs, work)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exact collision
         raise SolverError(f"singular linear system: {exc}") from exc
     if not _all_finite(u):   # from finite data: the elimination overflowed
@@ -128,7 +128,7 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     work = NewtonWorkspace.for_thread(grid.n_nodes)
     D = problem.background.density(grid)[1:-1]
     residual, solve, floor, _ = _log_density_equation(
-        grid.h, D, 0.0, D, 1.0, problem.F.values[1:-1], 1.0,
+        grid.h, grid.similarity, D, 0.0, D, 1.0, problem.F.values[1:-1], 1.0,
         (problem.bc_left, problem.bc_right), work)
     u, rho, iterations, residuals, damping_events, floor_value = damped_newton(
         residual, solve, 0.0, problem.newton, "Newton", work, floor)

@@ -35,8 +35,8 @@ beta, gamma) = (S(t_{n+1}), expm1(-t_{n+1}) (D0 + R0), D0, 1 + dt, -u_n,
 dt).  The excess is formed once, never as S - D0, which rounds an O(x)
 forcing to 0 at deep nodes.  A step linearizes it at u_n (one tridiagonal
 solve: the equation's, by LAPACK ptsv on the symmetric positive definite
-matrix its Jacobian is similar to, with the similarity D formed once a
-run) and owns the evolving density it reaches: rho = S(t_{n+1}) + Delta v
+matrix its Jacobian is similar to by the grid's read-only similarity D)
+and owns the evolving density it reaches: rho = S(t_{n+1}) + Delta v
 on every node, the one-sided end rows of Delta v at the two ends.  It is
 refused, and halved, when S(t_{n+1}) + Delta u_n (inside) or rho (on any
 node) is not positive, or when the residual's rounding floor at v passes
@@ -71,7 +71,6 @@ from .radial import (
     _log_density_equation,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
-    similarity_diagonal,
     unit_laplacian,
     unit_laplacian_interior,
 )
@@ -137,7 +136,7 @@ def _time_grid(T: float, dt: float) -> _TimeGrid:
     round(T/dt) when that lands on T to within 1e-9 relative, ceil(T/dt)
     otherwise, at least 1 and at most ``_MAX_STEPS``.  At 10^8 steps the
     cheapest stepper, the scalar RK4, runs 85 s (0.85 us a step on a 2-vCPU
-    shared Xeon) and a flow on 8 nodes about 1.1 h (39 us a step)."""
+    shared Xeon) and a flow on 8 nodes about 2.2 h (80 us a step)."""
     if not (T >= 0 and dt > 0 and math.isfinite(T / dt)):
         raise ValueError(f"need T >= 0, dt > 0 and finite T/dt, got T={T}, dt={dt}")
     steps = round(T / dt)
@@ -352,7 +351,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     records the last sub-step's evolving density, its minimum and sup|u|."""
     grid = problem.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)   # every step of the run
-    work.similarity(grid.h)   # the steps' similarity D, formed here and not in a step
+    grid.similarity   # the steps' similarity D, formed here and not in a step
     density, combo = _schedule_data(problem.omega0, grid)
     time_grid, keep = problem._plan
     u, bc, t, rejections = np.zeros(grid.n_nodes), np.zeros(2), 0.0, 0
@@ -411,7 +410,7 @@ def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
         bc_new[pos] = (bc[pos] + dt * math.log1p(excess[j] / density[j])) / (1.0 + dt)
 
     _, solve, floor, from_laplacian = _log_density_equation(
-        h, S_next[1:-1], excess[1:-1], density[1:-1], 1.0 + dt,
+        h, grid.similarity, S_next[1:-1], excess[1:-1], density[1:-1], 1.0 + dt,
         np.negative(u[1:-1], out=work.step[1:-1]), dt, bc_new, work)
     r = work.r
     if not from_laplacian(u, lap, r, work.aux):
@@ -474,8 +473,8 @@ def decay_certificate(grid: RadialGrid, gamma: float,
     with fitted constants K and c such that every slice ratio is below K e^{c t}.
 
     The step matrix (1 + h_t) - h_t Delta has constant coefficients, and
-    its interior rows decouple from the zero end rows.  The similarity
-    y = D u (``radial.similarity_diagonal``: D_j = (c_sup/c_sub)^{j/2}
+    its interior rows decouple from the zero end rows.  The grid's read-only
+    similarity y = D u (``RadialGrid.similarity``: D_j = (c_sup/c_sub)^{j/2}
     relative to the middle node) makes them symmetric positive definite:
     factored once (LAPACK pttrf), solved for y at each step (pttrs), with D
     folded into the forcing and the weight D x^gamma.  A grid without that D,
@@ -487,7 +486,7 @@ def decay_certificate(grid: RadialGrid, gamma: float,
         raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
     n, h, x = grid.n_nodes, grid.h, grid.x
     c_sub, c_diag, c_sup = laplacian_coefficients(h)
-    D = similarity_diagonal(n, h)
+    D = grid.similarity
     if D is None:
         raise ValueError(f"the decay certificate needs a grid spacing h < 2 whose "
                          f"similarity D stays below e^700, got h={h} on {n} nodes")
@@ -497,7 +496,8 @@ def decay_certificate(grid: RadialGrid, gamma: float,
     # the interior rows of (1 + h_t) - h_t * Delta by dirichlet_bands' arithmetic
     diag, off = -h_t * c_diag + (1.0 + h_t), -math.sqrt((-h_t * c_sub) * (-h_t * c_sup))
     solve = factor_symmetric_tridiagonal(np.full(n - 2, diag), np.full(n - 3, off))
-    weight = np.multiply(D[1:-1], x[1:-1] ** gamma, out=D[1:-1])   # D x^gamma, in place
+    weight = x[1:-1] ** gamma
+    np.multiply(weight, D[1:-1], out=weight)   # D x^gamma
     if not weight[-1] >= np.finfo(float).tiny:   # the weight grows with x
         raise ValueError(f"decay weight gamma={gamma} makes x^gamma underflow at every node")
     kept = slice(int(np.argmax(weight >= np.finfo(float).tiny)), None)   # normal weights

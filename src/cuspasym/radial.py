@@ -14,19 +14,20 @@ the ends, never as rows of a solve).
 
 The module also owns the numerics every radial solver shares: the band
 layout of Dirichlet-truncated operators (:func:`dirichlet_bands`), the
-diagonal similarity that makes the stencil's interior rows symmetric
-(:func:`similarity_diagonal`), the one solve of every Dirichlet system,
-symmetric positive definite after a row scaling and that similarity
-(:func:`_solve_jacobian`), the backtracking Newton loop
-(:func:`damped_newton`) with the buffers it works in
+diagonal similarity D that makes the stencil's interior rows symmetric
+(:func:`similarity_diagonal`, each grid's one read-only ``similarity``),
+the one solve of every Dirichlet system, symmetric positive definite after
+a row scaling and D (:func:`_solve_jacobian`), the backtracking Newton
+loop (:func:`damped_newton`), the buffers every solve works in
 (:class:`NewtonWorkspace`), and the one equation of the MA and the flow,
 
     (alpha v + beta) - gamma log1p((S - D0 + Delta v) / D0) = 0,   S + Delta v > 0,
 
 with its residual, Jacobian solve, positivity test and rounding floor
 (:func:`_log_density_equation`): the Monge-Ampere solve is the instance
-(S, D0, alpha, beta, gamma) = (D, D, 1, F, 1), solved by Newton, a flow step
-(S_{n+1}, D0, 1 + dt, -u_n, dt), linearized once at u_n.
+(S, D0, alpha, beta, gamma) = (rho0, rho0, 1, F, 1), rho0 the background
+density, solved by Newton, a flow step (S_{n+1}, D0, 1 + dt, -u_n, dt),
+linearized once at u_n.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ class RadialGrid:
     @cached_property
     def x(self) -> np.ndarray:
         return np.exp(self.t)
+
+    @cached_property
+    def similarity(self) -> Optional[np.ndarray]:
+        """The grid's one D, read-only: :func:`similarity_diagonal` (or None)."""
+        D = similarity_diagonal(self.n_nodes, self.h)
+        if D is not None:
+            D.flags.writeable = False
+        return D
 
     @property
     def h(self) -> float:
@@ -382,14 +391,14 @@ class NewtonParams:
 
 
 class NewtonWorkspace:
-    """The arrays :func:`damped_newton` works in on ``n`` nodes, one solve at
-    a time: ``v``/``candidate``, ``r``/``r_new`` and ``aux``/``aux_new`` are
+    """The buffers a radial solve works in on ``n`` nodes, one solve at a
+    time: ``v``/``candidate``, ``r``/``r_new`` and ``aux``/``aux_new`` are
     double buffers, swapped on an accepted step, and ``r`` receives each Newton
     correction; ``step`` holds a linear solve's right-hand side, then its
     solution; ``bands`` the three bands of a tridiagonal solve; ``scratch``
     is the callbacks' (the loop's between calls).  The package's solvers use
-    :meth:`for_thread`'s and return copies, never these buffers.  It also
-    keeps the similarity D of the last spacing asked for (:meth:`similarity`)."""
+    :meth:`for_thread`'s and return copies, never these buffers; the
+    similarity D is the grid's (``RadialGrid.similarity``), not the workspace's."""
 
     _slot = threading.local()
 
@@ -400,7 +409,6 @@ class NewtonWorkspace:
         self.step = np.empty(n)
         self.bands = (np.empty(n), np.empty(n), np.empty(n))
         self.scratch = np.empty(n)
-        self._similarity = (None, None)   # (h, D)
 
     @classmethod
     def for_thread(cls, n: int) -> "NewtonWorkspace":
@@ -411,14 +419,6 @@ class NewtonWorkspace:
             cls._slot.work = None   # at most one a thread: drop the old one first
             cls._slot.work = work = cls(n)
         return work
-
-    def similarity(self, h: float) -> Optional[np.ndarray]:
-        """:func:`similarity_diagonal` of the workspace's n nodes at spacing
-        h, computed when h differs from the last call's and kept till then."""
-        if self._similarity[0] != h:
-            self._similarity = (None, None)   # at most one D: drop the old one first
-            self._similarity = (h, similarity_diagonal(len(self.v), h))
-        return self._similarity[1]
 
 
 def damped_newton(residual: Callable, solve: Callable, start: np.ndarray | float,
@@ -528,23 +528,23 @@ def _rounding_floor(v: np.ndarray, h: float, gamma: float, alpha: float, beta: n
     return np.finfo(float).eps * float(np.max(inner))
 
 
-def _solve_jacobian(h: float, rho: np.ndarray, gamma: float, alpha: float, r: np.ndarray,
-                    work: NewtonWorkspace) -> np.ndarray:
+def _solve_jacobian(h: float, D: Optional[np.ndarray], rho: np.ndarray, gamma: float,
+                    alpha: float, r: np.ndarray, work: NewtonWorkspace) -> np.ndarray:
     """Solve J c = r in r's buffer (in ``work.bands`` and ``work.scratch``),
     J = alpha - (gamma / rho) Delta at the interior nodes of the n-arrays,
     identity rows at the ends, gamma > 0 and alpha >= 0: the Newton and flow
-    steps' Jacobian, and (Delta / D - lambda) u = f as (rho, gamma, alpha) =
-    (D, 1, lambda) on -f.  With w = rho / gamma, the interior rows of w J have
-    the diagonal alpha w - c_diag and the constant off-diagonals (-c_sub,
-    -c_sup), so the similarity D of ``work.similarity(h)`` makes them the
-    symmetric S = D (w J) D^-1: off-diagonal -sqrt(c_sub c_sup), diagonal
-    larger than twice that by alpha w + (sqrt(c_sup) - sqrt(c_sub))^2 > 0.
-    The two Dirichlet columns move to the right-hand side, one LDL^T (LAPACK
-    ptsv, no pivoting, stable on this diagonally dominant matrix) solves S y =
-    D (w r) and c = y / D.  Where D does not exist (h >= 2, or D past e^700),
-    or D (w r) overflows or the factorization fails, pivoting gtsv solves J's
-    bands (:func:`dirichlet_bands`) instead, raising what gtsv raises."""
-    D = work.similarity(h)
+    steps' Jacobian, and (Delta_g - lambda) u = f as (rho, gamma, alpha) =
+    (density, 1, lambda) on -f.  With w = rho / gamma, the interior rows of w J
+    have the diagonal alpha w - c_diag and the constant off-diagonals (-c_sub,
+    -c_sup), so the similarity D (the grid's ``RadialGrid.similarity``, only
+    read) makes them the symmetric S = D (w J) D^-1: off-diagonal -sqrt(c_sub
+    c_sup), diagonal larger than twice that by alpha w + (sqrt(c_sup) -
+    sqrt(c_sub))^2 > 0.  The two Dirichlet columns move to the right-hand
+    side, one LDL^T (LAPACK ptsv, no pivoting, stable on this diagonally
+    dominant matrix) solves S y = D (w r) and c = y / D.  Where D is None (h
+    >= 2, or D past e^700), or D (w r) overflows or the factorization fails,
+    pivoting gtsv solves J's bands (:func:`dirichlet_bands`) instead, raising
+    what gtsv raises."""
     if D is not None:
         c_sub, c_diag, c_sup = laplacian_coefficients(h)
         scale = D[1:-1]
@@ -567,8 +567,8 @@ def _solve_jacobian(h: float, rho: np.ndarray, gamma: float, alpha: float, r: np
     return _gtsv(*dirichlet_bands(len(r), h, weight, -alpha, out=work.bands), r, overwrite=True)
 
 
-def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: float,
-                          bc: Sequence[float], work: NewtonWorkspace):
+def _log_density_equation(h: float, D: Optional[np.ndarray], S, excess, D0, alpha: float,
+                          beta, gamma: float, bc: Sequence[float], work: NewtonWorkspace):
     """``damped_newton``'s ``residual``, ``solve`` and ``floor`` for the
     equation (alpha v + beta) - gamma log1p((excess + Delta v) / D0) = 0 at
     the interior nodes, excess = S - D0, with v = bc at the two ends, and
@@ -579,10 +579,9 @@ def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: fl
     floor :func:`_rounding_floor`'s.  ``S``, ``excess``, ``D0`` and ``beta``
     are scalars or arrays over the n - 2 interior nodes; alpha and gamma are
     positive.  The callbacks work in ``work.scratch``, and ``solve(rho, r)``,
-    :func:`_solve_jacobian` of J, in ``work.bands`` too; the similarity it
-    uses is formed here, before any Newton iteration or flow step."""
+    :func:`_solve_jacobian` of J with D the grid's read-only similarity
+    (``RadialGrid.similarity``), in ``work.bands`` too."""
     tmp = work.scratch[1:-1]
-    work.similarity(h)
 
     def from_laplacian(v: np.ndarray, lap: np.ndarray, r: np.ndarray, rho: np.ndarray) -> bool:
         inner, laplacian, positivity = r[1:-1], lap[1:-1], rho[1:-1]   # rho's ends unwritten
@@ -608,7 +607,7 @@ def _log_density_equation(h: float, S, excess, D0, alpha: float, beta, gamma: fl
         return _rounding_floor(v, h, gamma, alpha, beta, rho[1:-1], out, work.scratch)
 
     def solve(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return _solve_jacobian(h, rho, gamma, alpha, r, work)
+        return _solve_jacobian(h, D, rho, gamma, alpha, r, work)
 
     return residual, solve, floor, from_laplacian
 

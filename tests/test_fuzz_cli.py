@@ -1,12 +1,14 @@
-"""Single-key edge sweep of the CLI: every key of every subcommand but
-``sweep``, one at a time, set to each edge value its parser's type admits,
-on top of a config that runs.  Each config runs through ``main``
-in-process.  It must exit 0, 2 or 3 with no exception escaping ``main`` and
-no warning; an exit 2 must name the key that was changed, as a whole word;
-every JSON artifact must be strict JSON (no ``NaN``, no ``Infinity``), and
-every CSV of a run that exits 0 must read back through
-``RadialField.read_csv`` on the run's grid with the values it holds.  A run
-still going after ``TIME_LIMIT`` seconds fails as a hang.
+"""Edge sweeps of the CLI.  The single-key sweep sets every key of every
+subcommand but ``sweep``, one at a time, to each edge value its parser's
+type admits, on top of a config that runs.  The pair sweep draws 1000
+seeded configs, each setting two keys of one such subcommand, each key to
+one of its edge values or to a random in-range value (``IN_RANGE``).  Each
+config runs through ``main`` in-process.  It must exit 0, 2 or 3 with no
+exception escaping ``main`` and no warning; an exit 2 must name a key that
+was changed, as a whole word; every JSON artifact must be strict JSON (no
+``NaN``, no ``Infinity``), and every CSV of a run that exits 0 must read
+back through ``RadialField.read_csv`` on the run's grid with the values it
+holds.  A run still going after ``TIME_LIMIT`` seconds fails as a hang.
 
 The keys come from ``cli.SCHEMAS``, and each key's parser is probed on
 sample texts to learn whether it reads a list of ``:``-separated items, and
@@ -82,6 +84,62 @@ BASE = {
 }
 
 
+PAIR_SEED = 35
+#: configs of the pair sweep, and the share of its changed keys set to an edge
+PAIRS, EDGE_SHARE = 1000, 0.3
+
+
+def _terms(rng: random.Random, amplitude: float) -> str:
+    """One or two a:z:k terms, |a| below ``amplitude``, z in (0, 2], k 0 or 1."""
+    return ", ".join(f"{rng.uniform(-amplitude, amplitude):.4g}:{rng.choice((0.5, 1, 1.5, 2))}:"
+                     f"{rng.randint(0, 1)}" for _ in range(rng.randint(1, 2)))
+
+
+def _uniform(lo: float, hi: float):
+    return lambda rng: f"{rng.uniform(lo, hi):.6g}"
+
+
+def _log_uniform(lo: float, hi: float):
+    return lambda rng: f"{10.0 ** rng.uniform(lo, hi):.6g}"
+
+
+#: an in-range text of each key, alone on the base config; in-range T and
+#: dt give a flow at most 50 steps, so no run nears ``TIME_LIMIT``
+IN_RANGE = {
+    "lambda": lambda rng: rng.choice(("0", "1", "2", "1/2", "3/2")),
+    "c": lambda rng: rng.choice(("1", "2", "1/2")),
+    "spectrum": lambda rng: ", ".join(rng.sample(("0", "1", "2", "5/2", "4"), rng.randint(1, 3))),
+    "multiplicities": lambda rng: ", ".join(str(rng.randint(1, 2))
+                                            for _ in range(rng.randint(1, 3))),
+    "alpha": lambda rng: rng.choice(("0", "1/2", "1")),
+    "cutoff": lambda rng: str(rng.randint(1, 6)),
+    "union_terms": lambda rng: rng.choice(("1:1", "1:1, 2:0", "3/2:0")),
+    "d": lambda rng: str(rng.randint(4, 12)),
+    "t_min": _uniform(-60.0, -3.0),
+    "t_max": _uniform(-2.0, -0.1),
+    "n_nodes": lambda rng: str(rng.randint(96, 256)),
+    "f_terms": lambda rng: _terms(rng, 2.0),
+    "conformal_terms": lambda rng: _terms(rng, 0.2),
+    "bc_left": _uniform(-1.0, 1.0),
+    "bc_right": _uniform(-1.0, 1.0),
+    "solution_csv": lambda rng: f"u{rng.randint(0, 9)}.csv",
+    "metric_a": _uniform(0.5, 3.0),
+    "metric_b": _uniform(0.5, 3.0),
+    "max_iter": lambda rng: str(rng.randint(1, 60)),
+    "tol": _log_uniform(-13.0, -8.0),
+    "damping_min": lambda rng: f"1/{2 ** rng.randint(1, 30)}",
+    "tolerance": _uniform(0.005, 0.1),
+    "T": _uniform(0.05, 1.0),
+    "dt": _uniform(0.02, 0.5),
+    "output_times": lambda rng: ", ".join(rng.sample(("0", "0.25", "0.5"), rng.randint(1, 2))),
+    "field_csv": lambda rng: "field.csv",
+    "index_set_json": lambda rng: "eset.json",
+    "window_lo": _log_uniform(-15.0, -6.0),
+    "window_hi": _log_uniform(-5.0, -0.5),
+    "output": lambda rng: f"out{rng.randint(0, 9)}",
+}
+
+
 def _values(parse) -> list[str]:
     """The edge texts of one key: each edge as the whole value, or, for a
     list of ``:``-separated items (its parser refuses the one-field "1"),
@@ -113,6 +171,23 @@ def _runs():
         if "n_nodes" in schema:
             for grid in SPACING_EDGES:
                 yield command, "t_min", grid["t_min"], {**base, **grid}
+
+
+def _pair_runs(seed: int, count: int):
+    """(command, {key: text} of the two keys changed, the whole config) for
+    ``count`` runs: each picks a command but ``sweep`` and two of its keys,
+    and sets each key to one of its edge texts (a share ``EDGE_SHARE`` of
+    them) or to an in-range text of ``IN_RANGE``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        command = rng.choice(list(BASE))
+        schema = cli.SCHEMAS[command]
+        changed = {key: rng.choice(_values(schema[key].parse)) if rng.random() < EDGE_SHARE
+                   else IN_RANGE[key](rng) for key in rng.sample(sorted(schema), 2)}
+        config = dict(BASE[command])
+        if "n_nodes" in schema:
+            config["n_nodes"] = str(rng.randint(*NODES.get(command, (16, 256))))
+        yield command, changed, {**config, **changed}
 
 
 def _refuse_constant(name):
@@ -153,36 +228,50 @@ def corpus(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _run_faults(corpus: Path, n: int, command: str, changed: dict, config: dict) -> list[str]:
+    """What run n of ``command`` on ``config`` breaks of the sweep's rules,
+    ``changed`` holding the keys the sweep set and their texts."""
+    cfg, out = corpus / f"c{n}.cfg", corpus / f"out{n}"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    what = f"{command} " + ", ".join(f"{key} = {text!r}" for key, text in changed.items())
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            with regen.time_limit(TIME_LIMIT):
+                code = cli.main([command, str(cfg), "-o", str(out)])
+        except Exception as exc:   # noqa: BLE001 - every escape is a finding
+            return [f"{what}: {type(exc).__name__}: {exc}"]
+    message, faults = err.getvalue(), []
+    if code not in (0, 2, 3):
+        faults.append(f"{what}: exit {code}")
+    if caught:
+        faults.append(f"{what}: warns {caught[0].category.__name__}: {caught[0].message}")
+    if code == 2 and not any(re.search(rf"(?<!\w){re.escape(key)}(?!\w)", message)
+                             for key in changed):
+        faults.append(f"{what}: exit 2 names none of {', '.join(changed)}: {message.strip()}")
+    for path in sorted(out.rglob("*.json")):
+        try:
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+        except ValueError as exc:
+            faults.append(f"{what}: {path.name}: {exc}")
+    if code == 0:
+        faults += [f"{what}: {fault}" for fault in _read_back_faults(command, cfg, out)]
+    return faults
+
+
 def test_every_single_key_edge_exits_cleanly_and_names_its_key(corpus):
     faults = []
     for n, (command, key, text, config) in enumerate(_runs()):
-        cfg, out = corpus / f"c{n}.cfg", corpus / f"out{n}"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
-        what = f"{command} {key} = {text!r}"
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            try:
-                with regen.time_limit(TIME_LIMIT):
-                    code = cli.main([command, str(cfg), "-o", str(out)])
-            except Exception as exc:   # noqa: BLE001 - every escape is a finding
-                faults.append(f"{what}: {type(exc).__name__}: {exc}")
-                continue
-        message = err.getvalue()
-        if code not in (0, 2, 3):
-            faults.append(f"{what}: exit {code}")
-        if caught:
-            faults.append(f"{what}: warns {caught[0].category.__name__}: {caught[0].message}")
-        if code == 2 and not re.search(rf"(?<!\w){re.escape(key)}(?!\w)", message):
-            faults.append(f"{what}: exit 2 names no {key}: {message.strip()}")
-        for path in sorted(out.rglob("*.json")):
-            try:
-                json.loads(path.read_text(), parse_constant=_refuse_constant)
-            except ValueError as exc:
-                faults.append(f"{what}: {path.name}: {exc}")
-        if code == 0:
-            faults += [f"{what}: {fault}" for fault in _read_back_faults(command, cfg, out)]
+        faults += _run_faults(corpus, n, command, {key: text}, config)
+    assert not faults, "\n".join(faults)
+
+
+def test_every_pair_of_keys_exits_cleanly_and_names_one_of_them(corpus):
+    faults = []
+    for n, (command, changed, config) in enumerate(_pair_runs(PAIR_SEED, PAIRS)):
+        faults += _run_faults(corpus, n, command, changed, config)
     assert not faults, "\n".join(faults)
 
 
@@ -191,6 +280,17 @@ def test_the_sweep_covers_every_key_of_every_command():
     assert {(command, key) for command, key, _, _ in runs} == {
         (command, key) for command in BASE for key in cli.SCHEMAS[command]}
     assert len(runs) >= 800
+
+
+def test_the_pair_sweep_draws_texts_each_parser_reads_on_every_command():
+    rng = random.Random(PAIR_SEED)
+    for command in BASE:
+        for key, spec in cli.SCHEMAS[command].items():
+            for _ in range(20):
+                spec.parse(IN_RANGE[key](rng))
+    runs = list(_pair_runs(PAIR_SEED, PAIRS))
+    assert len(runs) >= 1000 and {command for command, _, _ in runs} == set(BASE)
+    assert all(len(changed) == 2 for _, changed, _ in runs)
 
 
 #: flow configs whose last step is refused, by what the refusal names: the

@@ -762,8 +762,8 @@ def test_flow_forcing_is_the_excess_taken_once(monkeypatch):
     density, combo = parabolic._schedule_data(metric, grid)
     seen, equation = [], parabolic._log_density_equation
     monkeypatch.setattr(parabolic, "_log_density_equation",
-                        lambda h, S, excess, *args: seen.append(excess.copy())
-                        or equation(h, S, excess, *args))
+                        lambda h, D, S, excess, *args: seen.append(excess.copy())
+                        or equation(h, D, S, excess, *args))
     run_flow(FlowProblem(metric, T=0.2, dt=0.1))
     for k, excess in enumerate(seen, start=1):
         expected = math.expm1(-k * 0.1) * combo

@@ -534,7 +534,8 @@ def test_residual_positivity_answers_as_the_elementwise_tests(solver, name, monk
     # one rule for both instances: np.all(rho > 0), False on NaN, with rho =
     # S + lap and S = 1, the residual run on a Laplacian set to the case's values
     lap = np.array([0.0, *REACHABLE_POSITIVITY[name], 0.0])
-    residual, *_ = _log_density_equation(0.1, *_equation(solver, np.ones(6), np.zeros(6)),
+    residual, *_ = _log_density_equation(0.1, similarity_diagonal(8, 0.1),
+                                         *_equation(solver, np.ones(6), np.zeros(6)),
                                          (0.0, 0.0), NewtonWorkspace(8))
     monkeypatch.setattr(radial, "unit_laplacian_interior",
                         lambda v, h, out, scratch: np.copyto(out[1:-1], lap) or out)
@@ -558,7 +559,8 @@ def test_log_density_equation_matches_a_dense_evaluation(solver):
         L[np.arange(n - 2), np.arange(n - 2) + k] = c
     rho = S + L @ v
     work = NewtonWorkspace(n)
-    residual, solve, floor, from_laplacian = _log_density_equation(h, *equation, bc, work)
+    residual, solve, floor, from_laplacian = _log_density_equation(
+        h, similarity_diagonal(n, h), *equation, bc, work)
 
     def residual_at(w):
         r, aux = np.full(n, np.nan), np.full(n, np.nan)
@@ -606,17 +608,17 @@ def _jacobian_solves(solver: str, n: int, h: float, monkeypatch=None):
     if monkeypatch is not None:
         monkeypatch.setattr(radial, "_gtsv", lambda *a, **k: pytest.fail("gtsv ran"))
     rng = np.random.default_rng(23)
-    work = NewtonWorkspace(n)
+    work, D = NewtonWorkspace(n), similarity_diagonal(n, h)
     if solver.startswith("linear-"):
         grid = RadialGrid(-1.0 - (n - 1) * h, -1.0, n)
         alpha, gamma = float(solver[len("linear-"):]), 1.0
         densities = [ModelMetric(2.0, 0.7, RadialField(grid, rng.uniform(-1.5, 1.5, n))).density()
                      for _ in range(4)]
-        solve = lambda rho, r: _solve_jacobian(h, rho, gamma, alpha, r, work)   # noqa: E731
+        solve = lambda rho, r: _solve_jacobian(h, D, rho, gamma, alpha, r, work)   # noqa: E731
     else:
         equation = _equation(solver, np.ones(n - 2), np.zeros(n - 2))
         alpha, gamma = equation[3], equation[5]
-        _, solve, *_ = _log_density_equation(h, *equation, (0.0, 0.0), work)
+        _, solve, *_ = _log_density_equation(h, D, *equation, (0.0, 0.0), work)
         densities = [np.exp(rng.uniform(-3.0, 3.0, n)) for _ in range(4)]
     return solve, [(rho, rng.normal(size=n), dirichlet_bands(n, h, -gamma / rho[1:-1], -alpha))
                    for rho in densities]

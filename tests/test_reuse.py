@@ -1,5 +1,6 @@
 """Grid-only work paid once: the per-thread Newton workspace the solvers
-share, and the cached windows and designs of the detector and the fit.
+share, each grid's similarity D, and the cached windows and designs of the
+detector and the fit.
 Every result must stay the caller's own and bit for bit what an uncached
 computation gives."""
 
@@ -113,6 +114,34 @@ def test_concurrent_solves_give_the_bytes_of_serial_solves():
         assert results[i] == 2 * serial[i::4]
     assert len({id(mine), *map(id, workspaces.values())}) == 5
     assert NewtonWorkspace.for_thread(grids[1].n_nodes) is mine
+
+
+def test_each_grid_forms_its_similarity_once_and_keeps_it_read_only(monkeypatch):
+    # two rounds of the linear, MA and certificate solves on two fresh grids,
+    # so the thread's workspace switches size at every grid: one D a grid,
+    # counted under radial's name and any name parabolic might import it by
+    build, builds = radial.similarity_diagonal, []
+    for module in (radial, parabolic):
+        monkeypatch.setattr(module, "similarity_diagonal",
+                            lambda n, h: builds.append(n) or build(n, h), raising=False)
+    grids = [_grid(512), _grid(2048)]
+
+    def certificate(grid):
+        return parabolic.decay_certificate(grid, 1.0, lambda x, t: np.ones_like(x),
+                                           T=0.1, dt=0.05)
+
+    for _ in range(2):
+        for grid in grids:
+            _linear(grid, 1.0)
+            _ma(grid, 1.5)
+            certificate(grid)
+    assert builds == [512, 2048]
+    for grid in grids:
+        kept = grid.similarity.copy()
+        certificate(grid)
+        assert grid.similarity.tobytes() == kept.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            grid.similarity[0] = 0.0
 
 
 @pytest.mark.parametrize("solve", [
