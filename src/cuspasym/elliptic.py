@@ -2,7 +2,8 @@
 
 The linear problem is (Delta_g - lambda) u = f on the log grid with
 Dirichlet values at both ends; the system is tridiagonal in t = log x and
-solved directly as radial's ``_solve_jacobian`` of (lambda - Delta_g) u = -f.
+solved directly by radial's Jacobian solve (``_jacobian_solver``) of
+(lambda - Delta_g) u = -f, the instance (rho, gamma, alpha) = (D, 1, lambda).
 The fully nonlinear problem is the dimension-1 complex Monge-Ampere equation
 
     (1 + Delta_g u) e^{-u} = e^F,
@@ -10,13 +11,17 @@ The fully nonlinear problem is the dimension-1 complex Monge-Ampere equation
 handled in logarithmic residual form (u + F) - log1p(Delta_g u) = 0 by a
 damped Newton iteration whose linearization at u = 0 is (1 - Delta_g).
 With D the background density and Delta_g = Delta / D, that is ``radial``'s
-log-density equation with (S, D0, alpha, beta, gamma) = (D, D, 1, F, 1),
-whose residual, Jacobian solve, positivity test and rounding floor live
-there, beside the Newton loop (``damped_newton``), its settings
+log-density equation with (S, excess, D0, alpha, beta, gamma) = (D, 0, D,
+1, F, 1), whose residual, Jacobian solve, positivity test and rounding floor
+live there, beside the Newton loop (``damped_newton``), its settings
 (``NewtonParams``) and the band layout of the Dirichlet matrices
-(``dirichlet_bands``).  Each Newton step solves its Jacobian
-1 - Delta / (D + Delta u) by the same function, as the symmetric positive
-definite matrix it is similar to after a row scaling, by LAPACK ptsv.
+(``dirichlet_bands``).  Both solvers take D from the metric's
+``solver_density``: the scalar sqrt(ab) without a conformal factor, an
+array with one.  Identity coefficients (the unit metric's D = 1, and alpha
+= gamma = 1) cost no pass, bit for bit.  Each Newton step solves its
+Jacobian 1 - Delta / (D + Delta u) by the solve prepared with the instance,
+the one the linear problem uses, as the symmetric positive definite matrix
+it is similar to after a row scaling, by LAPACK ptsv.
 Backtracking halves the step until the residual decreases and the Kahler
 positivity D + Delta u > 0 is preserved; reaching the damping floor is a
 hard failure.
@@ -39,8 +44,8 @@ from .radial import (
     NewtonWorkspace,
     RadialField,
     _all_finite,
+    _jacobian_solver,
     _log_density_equation,
-    _solve_jacobian,
     damped_newton,
 )
 
@@ -96,13 +101,16 @@ class NewtonReport:
 
 def solve_linear(problem: LinearProblem) -> RadialField:
     """Direct solve of the Dirichlet-truncated linear problem in the thread's
-    workspace: ``_solve_jacobian`` with (rho, gamma, alpha) = (D, 1, lambda)."""
+    workspace: ``radial``'s Jacobian solve of the instance (rho, gamma,
+    alpha) = (D, 1, lambda), D the metric's ``solver_density`` (a scalar
+    without a conformal factor)."""
     grid = problem.rhs.grid
-    work, density = NewtonWorkspace.for_thread(grid.n_nodes), problem.metric.density(grid)
+    work = NewtonWorkspace.for_thread(grid.n_nodes)
     rhs = np.negative(problem.rhs.values, out=work.step)
     rhs[0], rhs[-1] = problem.bc_left, problem.bc_right
+    solve = _jacobian_solver(grid.h, grid.similarity, 1.0, problem.lam, work)
     try:
-        u = _solve_jacobian(grid.h, grid.similarity, density, 1.0, problem.lam, rhs, work)
+        u = solve(problem.metric.solver_density(grid), rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exact collision
         raise SolverError(f"singular linear system: {exc}") from exc
     if not _all_finite(u):   # from finite data: the elimination overflowed
@@ -122,11 +130,15 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     the residual (u + F) - log1p(Delta_g u) at interior nodes together with
     the Dirichlet mismatch at the two boundary rows: ``radial``'s
     log-density equation with (S, excess, D0, alpha, beta, gamma) = (D, 0,
-    D, 1, F, 1).  Every accepted iterate satisfies min(D + Delta u) > 0.
+    D, 1, F, 1), D the background's ``solver_density`` (the scalar sqrt(ab)
+    without a conformal factor, so the unit metric's D0 = 1 costs no pass).
+    Every accepted iterate satisfies min(D + Delta u) > 0.
     """
     grid = problem.F.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)
-    D = problem.background.density(grid)[1:-1]
+    D = problem.background.solver_density(grid)
+    if isinstance(D, np.ndarray):
+        D = D[1:-1]
     residual, solve, floor, _ = _log_density_equation(
         grid.h, grid.similarity, D, 0.0, D, 1.0, problem.F.values[1:-1], 1.0,
         (problem.bc_left, problem.bc_right), work)

@@ -41,7 +41,7 @@ class ModelMetric:
                 raise ValueError(f"metric coefficient {name} must be a finite positive "
                                  f"normal float, got {getattr(self, name)}")
         with np.errstate(over="ignore", under="ignore"):
-            density = np.sqrt([self.a * self.b]) if self.conformal is None else self.density()
+            density = np.array([self.base_density]) if self.conformal is None else self.density()
         bad = ~((density >= tiny) & (density < math.inf))
         if bad.any():
             where = ("" if self.conformal is None
@@ -49,13 +49,24 @@ class ModelMetric:
             raise ValueError(f"metric density sqrt(ab) e^(2 phi) is {density[bad][0]:.6g}{where}, "
                              "not a finite positive normal float")
 
+    @property
+    def base_density(self) -> float:
+        """sqrt(ab), the area density without the conformal factor: the one
+        place it is formed."""
+        return math.sqrt(self.a * self.b)
+
     def density(self, grid: Optional[RadialGrid] = None) -> np.ndarray:
         """Area density sqrt(ab) e^{2 phi} relative to the unit model."""
         grid = self._resolve_grid(grid)
-        base = np.sqrt(self.a * self.b)
         if self.conformal is None:  # np.exp of phi_values' zeros costs 3-35x more
-            return np.full(grid.n_nodes, base)
-        return base * np.exp(2.0 * self.conformal.values)
+            return np.full(grid.n_nodes, self.base_density)
+        return self.base_density * np.exp(2.0 * self.conformal.values)
+
+    def solver_density(self, grid: RadialGrid) -> float | np.ndarray:
+        """The density as the solvers take it: the scalar ``base_density``
+        where there is no conformal factor (a constant needs no array), else
+        :meth:`density` on ``grid``."""
+        return self.base_density if self.conformal is None else self.density(grid)
 
     def phi_values(self, grid: Optional[RadialGrid] = None) -> np.ndarray:
         grid = self._resolve_grid(grid)

@@ -508,8 +508,10 @@ def decay_certificate(grid: RadialGrid, gamma: float,
         np.multiply(forcing, np.asarray(g(x, times[m]), dtype=float)[1:-1], out=rhs)
         np.add(rhs, y, out=rhs)
         y, rhs = solve(rhs), y   # solved in place; the old y is scratch now
-        ratio = np.abs(y[kept], out=rhs[kept])
-        ratios[m] = float(np.max(np.divide(ratio, weight[kept], out=ratio)))
+        # sup |y| / w as the signed extremes of y / w (w > 0), written once;
+        # + 0.0 turns an all-zero slice's -0.0 into +0.0 and keeps a NaN
+        ratio = np.divide(y[kept], weight[kept], out=rhs[kept])
+        ratios[m] = max(float(ratio.max()), -float(ratio.min())) + 0.0
 
     idx = np.flatnonzero(ratios > 0)
     if len(idx) == 0:

@@ -17,17 +17,29 @@ layout of Dirichlet-truncated operators (:func:`dirichlet_bands`), the
 diagonal similarity D that makes the stencil's interior rows symmetric
 (:func:`similarity_diagonal`, each grid's one read-only ``similarity``),
 the one solve of every Dirichlet system, symmetric positive definite after
-a row scaling and D (:func:`_solve_jacobian`), the backtracking Newton
-loop (:func:`damped_newton`), the buffers every solve works in
-(:class:`NewtonWorkspace`), and the one equation of the MA and the flow,
+a row scaling and D, prepared once an instance (:func:`_jacobian_solver`),
+the backtracking Newton loop (:func:`damped_newton`), the buffers every
+solve works in (:class:`NewtonWorkspace`), and the one equation of the MA
+and the flow,
 
     (alpha v + beta) - gamma log1p((S - D0 + Delta v) / D0) = 0,   S + Delta v > 0,
 
 with its residual, Jacobian solve, positivity test and rounding floor
-(:func:`_log_density_equation`): the Monge-Ampere solve is the instance
-(S, D0, alpha, beta, gamma) = (rho0, rho0, 1, F, 1), rho0 the background
-density, solved by Newton, a flow step (S_{n+1}, D0, 1 + dt, -u_n, dt),
-linearized once at u_n.
+(:func:`_log_density_equation`).  An instance states its coefficients in
+one place, its call of that function (of :func:`_jacobian_solver` for the
+linear solve, which needs only the Jacobian), constants as scalars, arrays
+over the interior nodes:
+
+    Monge-Ampere      (S, excess, D0, alpha, beta, gamma) = (rho0, 0, rho0, 1, F, 1)
+    flow step         (S_{n+1}, expm1(-t_{n+1}) (D0 + R0), D0, 1 + dt, -u_n, dt)
+    linear solve      the Jacobian solve alone: (rho, gamma, alpha) = (rho0, 1, lambda)
+
+with rho0 the background density, the scalar sqrt(ab) on a metric without
+a conformal factor (``ModelMetric.solver_density``), so the unit metric's
+MA instance has excess 0, D0 = 1 and alpha = gamma = 1.  The equation and
+its solver find the identity coefficients once, when an instance is built,
+and an identity costs no pass; the results keep every bit of the general
+arithmetic.  The MA is solved by Newton, a flow step linearized once at u_n.
 """
 
 from __future__ import annotations
@@ -528,43 +540,71 @@ def _rounding_floor(v: np.ndarray, h: float, gamma: float, alpha: float, beta: n
     return np.finfo(float).eps * float(np.max(inner))
 
 
-def _solve_jacobian(h: float, D: Optional[np.ndarray], rho: np.ndarray, gamma: float,
-                    alpha: float, r: np.ndarray, work: NewtonWorkspace) -> np.ndarray:
-    """Solve J c = r in r's buffer (in ``work.bands`` and ``work.scratch``),
-    J = alpha - (gamma / rho) Delta at the interior nodes of the n-arrays,
-    identity rows at the ends, gamma > 0 and alpha >= 0: the Newton and flow
-    steps' Jacobian, and (Delta_g - lambda) u = f as (rho, gamma, alpha) =
-    (density, 1, lambda) on -f.  With w = rho / gamma, the interior rows of w J
-    have the diagonal alpha w - c_diag and the constant off-diagonals (-c_sub,
-    -c_sup), so the similarity D (the grid's ``RadialGrid.similarity``, only
-    read) makes them the symmetric S = D (w J) D^-1: off-diagonal -sqrt(c_sub
-    c_sup), diagonal larger than twice that by alpha w + (sqrt(c_sup) -
-    sqrt(c_sub))^2 > 0.  The two Dirichlet columns move to the right-hand
-    side, one LDL^T (LAPACK ptsv, no pivoting, stable on this diagonally
-    dominant matrix) solves S y = D (w r) and c = y / D.  Where D is None (h
-    >= 2, or D past e^700), or D (w r) overflows or the factorization fails,
-    pivoting gtsv solves J's bands (:func:`dirichlet_bands`) instead, raising
-    what gtsv raises."""
-    if D is not None:
-        c_sub, c_diag, c_sup = laplacian_coefficients(h)
-        scale = D[1:-1]
-        e, d, y = work.bands[0][1:-2], work.bands[1][1:-1], work.bands[2][1:-1]
+def _jacobian_solver(h: float, D: Optional[np.ndarray], gamma: float, alpha: float,
+                     work: NewtonWorkspace) -> Callable:
+    """``solve(rho, r)``, prepared once for an instance: it solves J c = r in
+    r's buffer (in ``work.bands`` and ``work.scratch``) and returns it, J =
+    alpha - (gamma / rho) Delta at the interior nodes of the n-arrays,
+    identity rows at the ends, gamma > 0, alpha >= 0 and rho an n-array or a
+    scalar (a constant density): the Newton and flow steps' Jacobian, and
+    (Delta_g - lambda) u = f as (rho, gamma, alpha) = (density, 1, lambda) on
+    -f.  With w = rho / gamma, the interior rows of w J have the diagonal
+    alpha w - c_diag and the constant off-diagonals (-c_sub, -c_sup), so the
+    similarity D (the grid's read-only ``RadialGrid.similarity``) makes them
+    the symmetric S = D (w J) D^-1: off-diagonal -sqrt(c_sub c_sup), diagonal
+    larger than twice that by alpha w + (sqrt(c_sup) - sqrt(c_sub))^2 > 0.
+    The two Dirichlet columns move to the right-hand side, one LDL^T (LAPACK
+    ptsv, no pivoting, stable on this diagonally dominant matrix) solves S y
+    = D (w r) and c = y / D.  Where D is None (h >= 2, or D past e^700), or D
+    (w r) overflows or the factorization fails, pivoting gtsv solves J's
+    bands (:func:`dirichlet_bands`) instead, raising what gtsv raises.
+
+    Prepared here, not in a solve: the stencil coefficients, the Dirichlet
+    columns' entries c_sub D[1] and c_sup D[-2] of D (w J) (D taken first:
+    they meet bc-sized data), the off-diagonal and the LAPACK routine.  An
+    identity coefficient costs no pass: gamma = 1 skips w's division, alpha
+    = 1 the product alpha w, and a scalar rho fills the diagonal; x / 1 and
+    1 x are x, so each instance solves bit for bit as the general rows do."""
+    c_sub, c_diag, c_sup = laplacian_coefficients(h)
+    unit_gamma, unit_alpha = gamma == 1.0, alpha == 1.0
+
+    def pivoting(rho, r: np.ndarray) -> np.ndarray:
+        weight = (np.divide(-gamma, rho[1:-1], out=work.scratch[1:-1])
+                  if isinstance(rho, np.ndarray) else -gamma / rho)
+        return _gtsv(*dirichlet_bands(len(r), h, weight, -alpha, out=work.bands), r,
+                     overwrite=True)
+
+    if D is None:
+        return pivoting
+    scale, left, right = D[1:-1], c_sub * float(D[1]), c_sup * float(D[-2])
+    off, ptsv = -math.sqrt(c_sub * c_sup), _lapack().dptsv
+    e, d, y = work.bands[0][1:-2], work.bands[1][1:-1], work.bands[2][1:-1]
+
+    def solve(rho, r: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(rho[1:-1], gamma, out=y)   # w
-            np.multiply(y, alpha, out=d)
-            np.subtract(d, c_diag, out=d)
-            np.multiply(np.multiply(y, scale, out=y), r[1:-1], out=y)
-            # the Dirichlet columns' entries of D (w J), D taken first: they meet bc-sized data
-            y[0] += (c_sub * float(D[1])) * r[0]
-            y[-1] += (c_sup * float(D[-2])) * r[-1]
+            if isinstance(rho, np.ndarray):   # w, then d = alpha w - c_diag
+                w = rho[1:-1] if unit_gamma else np.divide(rho[1:-1], gamma, out=y)
+                np.subtract(w if unit_alpha else np.multiply(w, alpha, out=d), c_diag, out=d)
+            else:
+                w = rho if unit_gamma else rho / gamma
+                d.fill((w if unit_alpha else w * alpha) - c_diag)
+            np.multiply(np.multiply(w, scale, out=y), r[1:-1], out=y)
+            y[0] += left * r[0]
+            y[-1] += right * r[-1]
             if _all_finite(y):
-                e.fill(-math.sqrt(c_sub * c_sup))
-                if not _lapack().dptsv(d, e, y, True, True, True)[-1]:
+                e.fill(off)
+                if not ptsv(d, e, y, True, True, True)[-1]:
                     np.divide(y, scale, out=r[1:-1])
                     return r
-    # r is intact: no similarity, or the scaled system overflowed or failed
-    weight = np.divide(-gamma, rho[1:-1], out=work.scratch[1:-1])
-    return _gtsv(*dirichlet_bands(len(r), h, weight, -alpha, out=work.bands), r, overwrite=True)
+        # r is intact: the scaled system overflowed or failed
+        return pivoting(rho, r)
+
+    return solve
+
+
+def _is_scalar(value, c: float) -> bool:
+    """Whether ``value`` is the scalar c; an array never is."""
+    return np.ndim(value) == 0 and value == c
 
 
 def _log_density_equation(h: float, D: Optional[np.ndarray], S, excess, D0, alpha: float,
@@ -577,23 +617,33 @@ def _log_density_equation(h: float, D: Optional[np.ndarray], S, excess, D0, alph
     interior of ``rho`` and answers ``min(rho) > 0``; the Jacobian is J =
     alpha - (gamma / rho) Delta inside, identity rows at the ends, and the
     floor :func:`_rounding_floor`'s.  ``S``, ``excess``, ``D0`` and ``beta``
-    are scalars or arrays over the n - 2 interior nodes; alpha and gamma are
-    positive.  The callbacks work in ``work.scratch``, and ``solve(rho, r)``,
-    :func:`_solve_jacobian` of J with D the grid's read-only similarity
-    (``RadialGrid.similarity``), in ``work.bands`` too."""
+    are scalars or arrays over the n - 2 interior nodes, scalars where they
+    are constant; alpha and gamma are positive.  The callbacks work in
+    ``work.scratch``, and ``solve(rho, r)``, :func:`_jacobian_solver`'s of J
+    with D the grid's read-only similarity (``RadialGrid.similarity``),
+    prepared here once, in ``work.bands`` too.
+
+    An instance states only its coefficients, in its call of this function;
+    which of them are identities (excess 0, scalar D0 = 1, gamma = 1, alpha = 1) is decided
+    once, and an identity costs no pass.  Every skip keeps every bit: 1 x
+    and x / 1 are x, and excess + Delta v with excess 0 differs from Delta v
+    only at Delta v = -0, which needs v_j >= +0 (c_diag < 0, so alpha v_j +
+    beta is not -0), where subtracting gamma log1p(+-0) gives the same."""
     tmp = work.scratch[1:-1]
+    zero_excess, unit_D0 = _is_scalar(excess, 0.0), _is_scalar(D0, 1.0)
+    unit_gamma, unit_alpha = gamma == 1.0, alpha == 1.0
 
     def from_laplacian(v: np.ndarray, lap: np.ndarray, r: np.ndarray, rho: np.ndarray) -> bool:
         inner, laplacian, positivity = r[1:-1], lap[1:-1], rho[1:-1]   # rho's ends unwritten
         np.add(S, laplacian, out=positivity)
         positive = bool(positivity.min() > 0)   # np.all(rho > 0): False on NaN
         if positive:
-            np.add(excess, laplacian, out=tmp)
-            np.divide(tmp, D0, out=tmp)
-            np.log1p(tmp, out=inner)
-            np.multiply(gamma, inner, out=tmp)
-            np.multiply(alpha, v[1:-1], out=inner)
-            np.add(inner, beta, out=inner)
+            ratio = laplacian if zero_excess else np.add(excess, laplacian, out=tmp)
+            np.log1p(ratio if unit_D0 else np.divide(ratio, D0, out=tmp), out=tmp)
+            if not unit_gamma:
+                np.multiply(gamma, tmp, out=tmp)
+            np.add(v[1:-1] if unit_alpha else np.multiply(alpha, v[1:-1], out=inner), beta,
+                   out=inner)
             np.subtract(inner, tmp, out=inner)
         r[0] = v[0] - bc[0]
         r[-1] = v[-1] - bc[1]
@@ -606,10 +656,7 @@ def _log_density_equation(h: float, D: Optional[np.ndarray], S, excess, D0, alph
     def floor(v: np.ndarray, rho: np.ndarray, out: np.ndarray) -> float:
         return _rounding_floor(v, h, gamma, alpha, beta, rho[1:-1], out, work.scratch)
 
-    def solve(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return _solve_jacobian(h, D, rho, gamma, alpha, r, work)
-
-    return residual, solve, floor, from_laplacian
+    return residual, _jacobian_solver(h, D, gamma, alpha, work), floor, from_laplacian
 
 
 def _sup_norm(r: np.ndarray, scratch: np.ndarray) -> float:

@@ -797,6 +797,8 @@ def test_decay_certificate_zero_source():
     cert = decay_certificate(GRID, 1.0, lambda x, t: np.zeros_like(x),
                              T=1.0, dt=1e-2)
     assert cert.sup_ratio == 0.0 and cert.K == 0.0 and cert.growth_rate == 0.0
+    # every slice ratio is +0.0, bit for bit: no -0.0 from a signed extreme
+    assert cert.slice_ratios.tobytes() == np.zeros(len(cert.times)).tobytes()
 
 
 def test_decay_certificate_linear_weight_grid_stable():

@@ -16,10 +16,10 @@ from cuspasym.radial import (
     RadialField,
     RadialGrid,
     _gtsv,
+    _jacobian_solver,
     _log_density_equation,
     _require_finite,
     _rounding_floor,
-    _solve_jacobian,
     damped_newton,
     dirichlet_bands,
     evaluate_expansion,
@@ -614,7 +614,7 @@ def _jacobian_solves(solver: str, n: int, h: float, monkeypatch=None):
         alpha, gamma = float(solver[len("linear-"):]), 1.0
         densities = [ModelMetric(2.0, 0.7, RadialField(grid, rng.uniform(-1.5, 1.5, n))).density()
                      for _ in range(4)]
-        solve = lambda rho, r: _solve_jacobian(h, D, rho, gamma, alpha, r, work)   # noqa: E731
+        solve = _jacobian_solver(h, D, gamma, alpha, work)
     else:
         equation = _equation(solver, np.ones(n - 2), np.zeros(n - 2))
         alpha, gamma = equation[3], equation[5]
@@ -691,6 +691,178 @@ def test_jacobian_solve_falls_back_to_gtsv_where_the_scaled_system_overflows():
     b[-1] = 1e308
     expected = _gtsv(*bands, b.copy(), overwrite=True)
     assert solve(rho, b.copy()).tobytes() == expected.tobytes()
+
+
+# -- the log-density equation's general arithmetic, in its unspecialized
+# operation order: every instance must give its bits, signed zeros included --
+
+def _general_from_laplacian(S, excess, D0, alpha, beta, gamma, bc, v, lap, r, rho, scratch):
+    tmp, inner, laplacian, positivity = scratch[1:-1], r[1:-1], lap[1:-1], rho[1:-1]
+    np.add(S, laplacian, out=positivity)
+    positive = bool(positivity.min() > 0)
+    if positive:
+        np.add(excess, laplacian, out=tmp)
+        np.divide(tmp, D0, out=tmp)
+        np.log1p(tmp, out=inner)
+        np.multiply(gamma, inner, out=tmp)
+        np.multiply(alpha, v[1:-1], out=inner)
+        np.add(inner, beta, out=inner)
+        np.subtract(inner, tmp, out=inner)
+    r[0] = v[0] - bc[0]
+    r[-1] = v[-1] - bc[1]
+    return positive
+
+
+def _general_solve(h, D, rho, gamma, alpha, r):
+    """J c = r with rho an n-array, every coefficient applied: w = rho /
+    gamma, the diagonal alpha w - c_diag and the right-hand side D (w r)."""
+    n = len(r)
+    bands, scratch = (np.empty(n), np.empty(n), np.empty(n)), np.empty(n)
+    if D is not None:
+        c_sub, c_diag, c_sup = laplacian_coefficients(h)
+        scale = D[1:-1]
+        e, d, y = bands[0][1:-2], bands[1][1:-1], bands[2][1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(rho[1:-1], gamma, out=y)
+            np.multiply(y, alpha, out=d)
+            np.subtract(d, c_diag, out=d)
+            np.multiply(np.multiply(y, scale, out=y), r[1:-1], out=y)
+            y[0] += (c_sub * float(D[1])) * r[0]
+            y[-1] += (c_sup * float(D[-2])) * r[-1]
+            if np.all(np.isfinite(y)):
+                e.fill(-math.sqrt(c_sub * c_sup))
+                if not radial._lapack().dptsv(d, e, y, True, True, True)[-1]:
+                    np.divide(y, scale, out=r[1:-1])
+                    return r
+    weight = np.divide(-gamma, rho[1:-1], out=scratch[1:-1])
+    return _gtsv(*dirichlet_bands(n, h, weight, -alpha, out=bands), r, overwrite=True)
+
+
+def _guarded_equation(monkeypatch, module, general_coefficients, built):
+    """Patch ``module``'s log-density equation: each instance's residual,
+    from_laplacian and solve check every call against the general
+    arithmetic on the coefficients ``general_coefficients(args)`` gives (all
+    array where the package passes a scalar); each instance's checked
+    (residual, solve) is appended to ``built``."""
+    equation = module._log_density_equation
+
+    def same(*pairs):
+        for got, want in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def guarded(h, D, *args):
+        residual, solve, floor, from_laplacian = equation(h, D, *args)
+        general = general_coefficients(args)
+        n = len(args[-1].v)
+
+        def general_residual(v):
+            r, rho, scratch = np.empty(n), np.empty(n), np.empty(n)
+            lap = radial.unit_laplacian_interior(v, h, out=r, scratch=scratch)
+            return _general_from_laplacian(*general, v, lap, r, rho, scratch), r, rho
+
+        def checked_residual(v, r, rho):
+            positive, r_want, rho_want = general_residual(v.copy())
+            same((residual(v, r, rho), positive), (r, r_want), (rho[1:-1], rho_want[1:-1]))
+            return positive
+
+        def checked_from_laplacian(v, lap, r, rho):
+            r_want, rho_want, scratch = np.empty(n), np.empty(n), np.empty(n)
+            positive = _general_from_laplacian(*general, v.copy(), lap.copy(), r_want,
+                                               rho_want, scratch)
+            same((from_laplacian(v, lap, r, rho), positive), (r, r_want),
+                 (rho[1:-1], rho_want[1:-1]))
+            return positive
+
+        def checked_solve(rho, r):
+            want = _general_solve(h, D, rho.copy(), general[5], general[3], r.copy())
+            got = solve(rho, r)
+            same((got, want))
+            return got
+
+        built.append((checked_residual, checked_solve))
+        return checked_residual, checked_solve, floor, checked_from_laplacian
+
+    monkeypatch.setattr(module, "_log_density_equation", guarded)
+
+
+#: the MA instances: the unit metric (scalar density 1), a b != 1 (the
+#: scalar sqrt(ab)) and a conformal metric (an array density)
+MA_METRICS = {"unit": lambda grid: ModelMetric(),
+              "ab": lambda grid: ModelMetric(2.0, 0.7),
+              "conformal": lambda grid: ModelMetric(conformal=RadialField(
+                  grid, 0.2 * grid.x * np.cos(grid.t)))}
+
+
+def _signed_zero_data(grid, a):
+    """a x with signed zeros: +0.0 and -0.0 at alternate nodes of a stretch."""
+    values = a * grid.x
+    values[2:12:2], values[3:13:2] = 0.0, -0.0
+    return values
+
+
+@pytest.mark.parametrize("metric", list(MA_METRICS))
+def test_each_ma_instance_is_the_general_arithmetic_bit_for_bit(metric, monkeypatch):
+    from cuspasym import elliptic
+
+    grid = RadialGrid(-40.0, math.log(0.5), 512)
+    background = MA_METRICS[metric](grid)
+    F = RadialField(grid, _signed_zero_data(grid, 1.5))
+    D = background.density(grid)[1:-1]   # the general instance takes D as an array
+    built = []
+    _guarded_equation(monkeypatch, elliptic,
+                      lambda args: (D, 0.0, D, 1.0, F.values[1:-1], 1.0, args[6]), built)
+    report = elliptic.solve_monge_ampere_radial(
+        elliptic.MongeAmpereProblem(background, F, 0.0, -0.0))[1]
+    assert report.iterations > 2 and len(built) == 1
+    # the instance the solve built, checked on iterates the solve never
+    # visits: signed zeros, where Delta v is -0 (v is -0, +0, -0 around the
+    # node) and the residual -0 (v and F are -0), subnormals, a rough field
+    checked_residual, checked_solve = built[0]
+    n, rng = grid.n_nodes, np.random.default_rng(36)
+    signed = np.zeros(n)
+    signed[1::2] = -0.0
+    signed[100:110] = [5e-324, -5e-324, 0.0, -0.0, 1e-310, -0.0, 0.0, -1e-310, 0.0, -0.0]
+    negative_zero = lambda a: np.any((a[1:-1] == 0) & np.signbit(a[1:-1]))   # noqa: E731
+    for v in (signed, 1e-3 * rng.standard_normal(n), np.zeros(n)):
+        r, rho = np.empty(n), np.empty(n)
+        assert checked_residual(v, r, rho) is True
+        if v is signed:   # the signed zeros a skipped term could have flipped
+            assert negative_zero(radial.unit_laplacian_interior(v, grid.h)) and negative_zero(r)
+        checked_solve(rho, r)
+
+
+@pytest.mark.parametrize("metric", ["unit", "conformal"])
+def test_each_flow_step_instance_is_the_general_arithmetic_bit_for_bit(metric, monkeypatch):
+    from cuspasym import parabolic
+
+    # a flow step passes every coefficient as it is (arrays, alpha = 1 + dt,
+    # gamma = dt): its residual and prepared solve on every call of a run
+    grid = RadialGrid(-40.0, math.log(0.5), 512)
+    built = []
+    _guarded_equation(monkeypatch, parabolic, lambda args: args[:7], built)
+    result = parabolic.run_flow(parabolic.FlowProblem(MA_METRICS[metric](grid), T=0.2, dt=0.05,
+                                                      grid=grid))
+    assert len(built) == sum(result.newton_iterations) == 4
+
+
+@pytest.mark.parametrize("spacing", ["similarity", "h-2.5"])
+@pytest.mark.parametrize("lam", [0.0, 1.2])
+@pytest.mark.parametrize("metric", list(MA_METRICS))
+def test_solve_linear_is_the_general_arithmetic_bit_for_bit(metric, lam, spacing):
+    # the density as an array, every coefficient applied, on data with signed
+    # zeros: the scalar density of a metric without a conformal factor moves
+    # no bit, through D or, on a grid without one, through gtsv
+    grid = (RadialGrid(-40.0, math.log(0.5), 512) if spacing == "similarity"
+            else NO_SIMILARITY_GRIDS[spacing])
+    metric = MA_METRICS[metric](grid)
+    f = RadialField(grid, _signed_zero_data(grid, -2.0))
+    for bc in ((0.0, -0.0), (-0.0, 0.7)):
+        rhs = np.negative(f.values)
+        rhs[0], rhs[-1] = bc
+        want = _general_solve(grid.h, grid.similarity, metric.density(grid), 1.0, lam, rhs)
+        want[0], want[-1] = bc
+        u = solve_linear(LinearProblem(metric, lam, f, *bc)).values
+        assert u.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("values", [

@@ -148,7 +148,7 @@ def test_each_grid_forms_its_similarity_once_and_keeps_it_read_only(monkeypatch)
     lambda F: solve_monge_ampere_radial(MongeAmpereProblem(UNIT, F)),
     lambda F: solve_linear(LinearProblem(UNIT, 1.0, F)),
 ], ids=["ma", "linear"])
-def test_a_repeated_16384_node_solve_allocates_under_three_grid_arrays(solve):
+def test_a_repeated_16384_node_solve_allocates_under_two_grid_arrays(solve):
     grid = _grid(16384)
     F = RadialField(grid, 1.5 * grid.x)
     solve(F)   # the thread's workspace now has this size
@@ -158,8 +158,9 @@ def test_a_repeated_16384_node_solve_allocates_under_three_grid_arrays(solve):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the density, the returned copy and small change; a fresh workspace is 11
-    assert peak < 3 * grid.x.nbytes
+    # the returned copy and small change: the unit metric's density is the
+    # scalar sqrt(ab), no array; a fresh workspace is 11
+    assert peak < 2 * grid.x.nbytes
 
 
 def test_cached_designs_and_windows_reject_writes():
