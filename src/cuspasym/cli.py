@@ -367,7 +367,7 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
     solution = solve_linear(problem)
     v = solution.values   # interior rows: the one-sided end rows can overflow on the data
     with np.errstate(over="ignore", invalid="ignore"):
-        lap = unit_laplacian_interior(v, grid.h) / metric.density(grid)
+        lap = unit_laplacian_interior(v, grid.h) / metric.solver_density(grid)
         residual_sup = float(np.max(np.abs((lap - config["lambda"] * v - rhs.values)[1:-1])))
     if not np.isfinite(residual_sup):
         raise SolverError(f"the linear residual overflows at the solution: {residual_sup}")

@@ -15,13 +15,14 @@ log-density equation with (S, excess, D0, alpha, beta, gamma) = (D, 0, D,
 1, F, 1), whose residual, Jacobian solve, positivity test and rounding floor
 live there, beside the Newton loop (``damped_newton``), its settings
 (``NewtonParams``) and the band layout of the Dirichlet matrices
-(``dirichlet_bands``).  Both solvers take D from the metric's
-``solver_density``: the scalar sqrt(ab) without a conformal factor, an
-array with one.  Identity coefficients (the unit metric's D = 1, and alpha
-= gamma = 1) cost no pass, bit for bit.  Each Newton step solves its
-Jacobian 1 - Delta / (D + Delta u) by the solve prepared with the instance,
-the one the linear problem uses, as the symmetric positive definite matrix
-it is similar to after a row scaling, by LAPACK ptsv.
+(``dirichlet_bands``).  Both solvers read D off the metric, which forms it
+when it is built (``ModelMetric.solver_density``): the scalar sqrt(ab)
+without a conformal factor, a read-only array with one.  Identity
+coefficients (the unit metric's D = 1, and alpha = gamma = 1) cost no
+pass, bit for bit.  Each Newton step solves its Jacobian 1 - Delta / (D +
+Delta u) by the solve prepared with the instance, the one the linear
+problem uses, as the symmetric positive definite matrix it is similar to
+after a row scaling, by LAPACK ptsv.
 Backtracking halves the step until the residual decreases and the Kahler
 positivity D + Delta u > 0 is preserved; reaching the damping floor is a
 hard failure.

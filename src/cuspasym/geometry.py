@@ -12,12 +12,14 @@ associated dbar-Laplacian on radial functions is
 
 and the Ricci form has density -1 - 2 Delta_unit(phi) relative to the unit
 model area form, so the unperturbed cusp satisfies Ric = -omega exactly.
+A ``ModelMetric`` owns the densities the solvers and the flow read: D0 and
+D0 + R0, the density of omega + Ric(omega) (``einstein_defect``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,11 +30,14 @@ from .radial import RadialField, RadialGrid, unit_laplacian
 @dataclass(frozen=True)
 class ModelMetric:
     """Constant-coefficient cusp model a dx^2/x^2 + b x^2 dtheta^2, with an
-    optional conformal factor e^{2 phi} sampled on a radial grid."""
+    optional conformal factor e^{2 phi} sampled on a radial grid.  Its area
+    density D0 is formed when it is built: the scalar sqrt(ab) without a
+    conformal factor, else a read-only array."""
 
     a: float = 1.0
     b: float = 1.0
     conformal: Optional[RadialField] = None  # phi, the log of the factor
+    _density: float | np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):   # the solvers divide by a, b and the density
         tiny = np.finfo(float).tiny
@@ -40,39 +45,38 @@ class ModelMetric:
             if not tiny <= getattr(self, name) < math.inf:
                 raise ValueError(f"metric coefficient {name} must be a finite positive "
                                  f"normal float, got {getattr(self, name)}")
-        with np.errstate(over="ignore", under="ignore"):
-            density = np.array([self.base_density]) if self.conformal is None else self.density()
-        bad = ~((density >= tiny) & (density < math.inf))
+        density = math.sqrt(self.a * self.b)
+        if self.conformal is not None:
+            with np.errstate(over="ignore", under="ignore"):
+                density = density * np.exp(2.0 * self.conformal.values)
+            density.flags.writeable = False
+        values = np.atleast_1d(density)
+        bad = ~((values >= tiny) & (values < math.inf))
         if bad.any():
             where = ("" if self.conformal is None
                      else f" at x={self.conformal.grid.x[bad.argmax()]:.6g}")
-            raise ValueError(f"metric density sqrt(ab) e^(2 phi) is {density[bad][0]:.6g}{where}, "
+            raise ValueError(f"metric density sqrt(ab) e^(2 phi) is {values[bad][0]:.6g}{where}, "
                              "not a finite positive normal float")
-
-    @property
-    def base_density(self) -> float:
-        """sqrt(ab), the area density without the conformal factor: the one
-        place it is formed."""
-        return math.sqrt(self.a * self.b)
+        object.__setattr__(self, "_density", density)
 
     def density(self, grid: Optional[RadialGrid] = None) -> np.ndarray:
-        """Area density sqrt(ab) e^{2 phi} relative to the unit model."""
-        grid = self._resolve_grid(grid)
-        if self.conformal is None:  # np.exp of phi_values' zeros costs 3-35x more
-            return np.full(grid.n_nodes, self.base_density)
-        return self.base_density * np.exp(2.0 * self.conformal.values)
+        """D0 = sqrt(ab) e^{2 phi} relative to the unit model, a fresh array."""
+        return np.full(self._resolve_grid(grid).n_nodes, self._density)
 
     def solver_density(self, grid: RadialGrid) -> float | np.ndarray:
-        """The density as the solvers take it: the scalar ``base_density``
-        where there is no conformal factor (a constant needs no array), else
-        :meth:`density` on ``grid``."""
-        return self.base_density if self.conformal is None else self.density(grid)
+        """D0 as the solvers take it, the metric's own: a scalar without a
+        conformal factor (a constant needs no array), else read-only."""
+        self._resolve_grid(grid)
+        return self._density
 
-    def phi_values(self, grid: Optional[RadialGrid] = None) -> np.ndarray:
+    def einstein_defect(self, grid: Optional[RadialGrid] = None) -> np.ndarray:
+        """D0 + R0 = sqrt(ab) e^{2 phi} - 1 - 2 Delta(phi), which drives the
+        normalized flow, its leading cancellation done by expm1 so that the
+        unperturbed cusp (Ric = -omega) gives exactly zero."""
         grid = self._resolve_grid(grid)
-        if self.conformal is None:
-            return np.zeros(grid.n_nodes)
-        return self.conformal.values
+        phi = np.zeros(grid.n_nodes) if self.conformal is None else self.conformal.values
+        log_base = 0.5 * math.log(self.a * self.b)
+        return np.expm1(2.0 * phi + log_base) - 2.0 * unit_laplacian(phi, grid.h)
 
     def _resolve_grid(self, grid: Optional[RadialGrid]) -> RadialGrid:
         """The grid a field on this metric lives on: the conformal factor's,
@@ -95,4 +99,4 @@ def cusp_laplacian(metric: ModelMetric, u: RadialField) -> RadialField:
     one-sided diagnostic stencil.
     """
     lap = unit_laplacian(u.values, u.grid.h)
-    return RadialField(u.grid, lap / metric.density(u.grid))
+    return RadialField(u.grid, lap / metric.solver_density(u.grid))

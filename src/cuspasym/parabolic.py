@@ -6,7 +6,8 @@ the negative of its Ricci form,
     omega_t = -Ric(omega_0) + e^{-t} (omega_0 + Ric(omega_0)),
 
 so in radial densities relative to the unit model, S(t) = D0 + expm1(-t)
-(D0 + R0) with D0 the initial density and R0 the Ricci density.  The
+(D0 + R0) with D0 the initial density and R0 the Ricci density, both read
+off the metric (``ModelMetric.density`` and ``einstein_defect``).  The
 potential then evolves by
 
     du/dt = log((S(t) + Delta u) / D0) - u,      u(0) = 0,
@@ -71,7 +72,6 @@ from .radial import (
     _log_density_equation,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
-    unit_laplacian,
     unit_laplacian_interior,
 )
 
@@ -243,23 +243,11 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
 # Flow background schedule
 # ---------------------------------------------------------------------------
 
-def _schedule_data(omega0: ModelMetric, grid: RadialGrid):
-    """D0 and the combination D0 + R0, the latter formed stably so that the
-    unperturbed cusp gives exactly zero."""
-    density = omega0.density(grid)
-    phi = omega0.phi_values(grid)
-    lap_phi = unit_laplacian(phi, grid.h)
-    log_base = 0.5 * math.log(omega0.a * omega0.b)
-    # D0 + R0 = sqrt(ab) e^{2 phi} - 1 - 2 Delta(phi), with the leading
-    # cancellation done by expm1
-    combo = np.expm1(2.0 * phi + log_base) - 2.0 * lap_phi
-    return density, combo
-
-
 def _schedule_values(grid: RadialGrid, density: np.ndarray, combo: np.ndarray,
                      t: float) -> tuple[np.ndarray, np.ndarray]:
-    """S(t) = D0 + excess and the excess expm1(-t) (D0 + R0), taken once
-    so that S - D0 is never formed; an error where S is not positive."""
+    """S(t) = D0 + excess and the excess expm1(-t) (D0 + R0), ``combo`` the
+    metric's D0 + R0, taken once so that S - D0 is never formed; an error
+    where S is not positive."""
     excess = math.expm1(-t) * combo
     values = density + excess
     if not values.min() > 0:   # np.all(values > 0) in one reduction
@@ -352,7 +340,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     grid = problem.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)   # every step of the run
     grid.similarity   # the steps' similarity D, formed here and not in a step
-    density, combo = _schedule_data(problem.omega0, grid)
+    density, combo = problem.omega0.density(grid), problem.omega0.einstein_defect(grid)
     time_grid, keep = problem._plan
     u, bc, t, rejections = np.zeros(grid.n_nodes), np.zeros(2), 0.0, 0
     lap, spare = work.r_new, work.candidate   # Delta u, and Delta of the next state

@@ -34,12 +34,14 @@ over the interior nodes:
     flow step         (S_{n+1}, expm1(-t_{n+1}) (D0 + R0), D0, 1 + dt, -u_n, dt)
     linear solve      the Jacobian solve alone: (rho, gamma, alpha) = (rho0, 1, lambda)
 
-with rho0 the background density, the scalar sqrt(ab) on a metric without
-a conformal factor (``ModelMetric.solver_density``), so the unit metric's
-MA instance has excess 0, D0 = 1 and alpha = gamma = 1.  The equation and
-its solver find the identity coefficients once, when an instance is built,
-and an identity costs no pass; the results keep every bit of the general
-arithmetic.  The MA is solved by Newton, a flow step linearized once at u_n.
+with rho0 the background density and D0 + R0 the flow's driving density,
+both the metric's own (``ModelMetric.solver_density``, the scalar sqrt(ab)
+without a conformal factor, and ``ModelMetric.einstein_defect``), so the
+unit metric's MA instance has excess 0, D0 = 1 and alpha = gamma = 1.  The
+equation and its solver find the identity coefficients once, when an
+instance is built, and an identity costs no pass; the results keep every
+bit of the general arithmetic.  The MA is solved by Newton, a flow step
+linearized once at u_n.
 """
 
 from __future__ import annotations
@@ -367,9 +369,9 @@ def _load_flapack():
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry is finite, in one pass when a finite sum of squares
-    proves it (``np.vdot`` raises no FP flag, where ``a @ a`` warns above 1e154)."""
-    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+    """Whether every entry is finite: no BLAS call, whose threads can stall a
+    scan of a large array, and no squares, which are subnormal on tiny data."""
+    return bool(np.isfinite(a).all())
 
 
 def _require_finite(*arrays: np.ndarray) -> None:

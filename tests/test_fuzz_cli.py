@@ -21,6 +21,12 @@ largest, one of spacing 1.9995 reaching t = -706.8, near the smallest
 normal x, whose D passes its e^700 bound, and one of spacing 2, which has
 no D.  Three flow
 configs end on each refusal a flow step makes, and must exit 3 naming it.
+
+The value sweep draws ``VALUES`` seeded in-range configs of the solvers
+(grid, source, boundary data, lambda and metric from ``IN_RANGE``) and
+checks three relations each solution must obey, on the library solvers:
+MA translation covariance, ``solve_linear`` superposition, and the
+comparison principle.
 """
 
 import contextlib
@@ -36,7 +42,15 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from cuspasym import cli
+from cuspasym.elliptic import (
+    LinearProblem,
+    MongeAmpereProblem,
+    solve_linear,
+    solve_monge_ampere_radial,
+)
 from cuspasym.indexsets import IndexSet, IndexTerm
 from cuspasym.radial import RadialField, RadialGrid
 
@@ -315,3 +329,71 @@ def test_each_flow_refusal_exits_3_naming_its_time_and_node(corpus, refusal):
     assert code == 3
     assert re.fullmatch(rf"numerical failure: flow step to t=\S+ refused: .*{refusal}.* "
                         rf"-?\d\.\d{{3}}e[-+]\d\d at node \d+ \(x=\S+\)\n", err.getvalue())
+
+
+VALUE_SEED = 7
+#: configs of the value sweep: about 0.3 s in all, each config's six solves
+#: within ``TIME_LIMIT``
+VALUES = 300
+#: the keys of the solver problems the value sweep draws
+VALUE_KEYS = ("t_min", "t_max", "n_nodes", "f_terms", "bc_left", "bc_right", "lambda",
+              "metric_a", "metric_b")
+
+
+def _value_runs(seed: int, count: int):
+    """(config, shift c in [-1, 1], amplitude s in [0, 1]) for ``count`` runs,
+    each config the solve-linear schema's reading of in-range texts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        raw = {key: IN_RANGE[key](rng) for key in VALUE_KEYS}
+        yield cli.resolve_config(raw, cli.SCHEMAS["solve-linear"]), rng.uniform(-1, 1), rng.random()
+
+
+def _value_faults(config: dict, c: float, s: float) -> list[str]:
+    """What the solutions on ``config`` break of the three relations:
+    - MA translation covariance, (1 + Delta_g u) e^{-u} = e^F being
+      invariant under (u, F) -> (u + c, F - c): u(F - c, bc + c) = u(F, bc)
+      + c, to 1e-12 of max(1, sup|u + c|);
+    - ``solve_linear`` superposition u(f, bc) = u(f, 0) + u(0, bc), to 1e-13
+      of sup|u(f, bc)|;
+    - the comparison principle: F + s x >= F gives no larger u, up to the two
+      solves' final residuals, each a bound on its solve's error in the sup
+      norm (the Jacobian 1 - Delta / rho is an M-matrix of row sums >= 1)."""
+    grid = cli._grid_from_config(config)
+    F, metric = cli._sample_terms(config, "f_terms", grid), cli._metric_from_config(config, grid)
+    bc = config["bc_left"], config["bc_right"]
+
+    def ma(values, left, right):
+        u, report = solve_monge_ampere_radial(
+            MongeAmpereProblem(metric, RadialField(grid, values), left, right))
+        return u.values, report.final_residual
+
+    def linear(f, left, right):
+        return solve_linear(LinearProblem(metric, config["lambda"], RadialField(grid, f),
+                                          left, right)).values
+
+    faults = []
+    u, residual = ma(F.values, *bc)
+    shifted, _ = ma(F.values - c, bc[0] + c, bc[1] + c)
+    error = np.abs(shifted - (u + c)).max() / max(1.0, np.abs(u + c).max())
+    if not error <= 1e-12:
+        faults.append(f"MA translation by {c:.6g} moves u by {error:.3e} relative")
+    larger, larger_residual = ma(F.values + s * grid.x, *bc)
+    rise = (larger - u).max()
+    if not rise <= residual + larger_residual:
+        faults.append(f"F + {s:.6g} x raises u by {rise:.3e}, past the solves' residuals "
+                      f"{residual:.3e} + {larger_residual:.3e}")
+    whole = linear(F.values, *bc)
+    parts = linear(F.values, 0.0, 0.0) + linear(np.zeros(grid.n_nodes), *bc)
+    error = np.abs(whole - parts).max() / np.abs(whole).max()
+    if not error <= 1e-13:
+        faults.append(f"solve_linear superposition off by {error:.3e} relative")
+    return faults
+
+
+def test_every_in_range_solve_keeps_covariance_superposition_and_comparison():
+    faults = []
+    for config, c, s in _value_runs(VALUE_SEED, VALUES):
+        with regen.time_limit(TIME_LIMIT):
+            faults += [f"{config}: {fault}" for fault in _value_faults(config, c, s)]
+    assert not faults, "\n".join(faults)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from cuspasym import parabolic
 from cuspasym.geometry import ModelMetric, cusp_laplacian
 from cuspasym.radial import RadialField, RadialGrid
 
@@ -87,9 +86,8 @@ def test_weighted_symmetry_of_laplacian():
 
 
 def ricci_density(metric):
-    """R0 as the flow forms it: the difference of D0 + R0 and D0."""
-    density, combo = parabolic._schedule_data(metric, GRID)
-    return combo - density
+    """R0 as the metric forms it: the difference of D0 + R0 and D0."""
+    return metric.einstein_defect(GRID) - metric.density(GRID)
 
 
 def test_ricci_of_model_is_minus_one():
@@ -104,7 +102,7 @@ def test_ricci_of_plain_cusp_is_the_zero_factor_case_bit_for_bit():
     expected = np.full(GRID.n_nodes, -1.0).tobytes()
     zero = np.zeros(GRID.n_nodes).tobytes()
     for m in (UNIT, ModelMetric(conformal=RadialField.zeros(GRID))):
-        density, combo = parabolic._schedule_data(m, GRID)
+        density, combo = m.density(GRID), m.einstein_defect(GRID)
         assert combo.tobytes() == zero
         assert density.tobytes() == np.ones(GRID.n_nodes).tobytes()
         assert ricci_density(m).tobytes() == expected

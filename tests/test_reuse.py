@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cuspasym import fitting, parabolic, radial
+from cuspasym import fitting, geometry, parabolic, radial
 from cuspasym.elliptic import (
     LinearProblem,
     MongeAmpereProblem,
@@ -262,7 +262,7 @@ def test_a_repeated_detector_and_fit_reuse_their_factorizations(monkeypatch):
 def test_a_flow_forms_each_steps_schedule_once_and_no_laplacian(monkeypatch):
     # each step's record reads S and S + Delta u off the step's accepted Newton
     # iterate: one schedule a step, and no full-grid Laplacian beside the
-    # schedule data's Delta(phi)
+    # metric's Delta(phi) in D0 + R0
     grid = _grid(512)
     problem = FlowProblem(ModelMetric(conformal=RadialField(grid, 0.05 * grid.x)), T=0.5, dt=0.1)
     schedule, laplacian, calls = parabolic._schedule_values, radial.unit_laplacian, []
@@ -271,8 +271,48 @@ def test_a_flow_forms_each_steps_schedule_once_and_no_laplacian(monkeypatch):
         return lambda *args: calls.append(name) or function(*args)
 
     monkeypatch.setattr(parabolic, "_schedule_values", counting("schedule", schedule))
-    for module in (radial, parabolic):
+    for module in (radial, geometry):
         monkeypatch.setattr(module, "unit_laplacian", counting("laplacian", laplacian))
     result = run_flow(problem)
     assert result.step_rejections == 0 and len(result.times) == 6
     assert (calls.count("schedule"), calls.count("laplacian")) == (5, 1)
+
+
+def test_a_conformal_metric_forms_its_density_once(monkeypatch):
+    grid = _grid(512)
+    metric = ModelMetric(1.5, 0.8, RadialField(grid, 0.05 * grid.x))
+    D = metric.solver_density(grid)
+    assert metric.solver_density(grid) is D and not D.flags.writeable
+    fresh = metric.density(grid)
+    assert fresh is not D and fresh.flags.writeable and fresh.tobytes() == D.tobytes()
+    calls = []
+
+    class CountingNumpy:   # geometry's numpy, counting its exp calls
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            return (lambda *a, **k: calls.append(name) or attr(*a, **k)) if name == "exp" else attr
+
+    monkeypatch.setattr(geometry, "np", CountingNumpy())
+    for _ in range(2):
+        solve_linear(LinearProblem(metric, 1.0, RadialField(grid, grid.x)))
+        solve_monge_ampere_radial(MongeAmpereProblem(metric, RadialField(grid, 0.5 * grid.x)))
+        run_flow(FlowProblem(metric, T=0.2, dt=0.1))
+    assert calls == []
+    ModelMetric(conformal=metric.conformal)   # a new metric forms its own, once
+    assert calls == ["exp"]
+
+
+def test_no_solve_fit_or_certificate_calls_blas(monkeypatch):
+    # BLAS ddot threads large arrays, and a thread stall then costs a scan
+    # milliseconds: no finiteness check may take that route
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.vdot called")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    grid = _grid(4096)
+    u = _ma(grid, 1.5)
+    _linear(grid, 1.5)
+    _flow(_grid(512), 1.0)
+    parabolic.decay_certificate(_grid(512), 1.0, lambda x, t: np.exp(-t) * x, 0.2, 0.1)
+    fitting.fit_polyhom(u, FIT_SET)
+    fitting.detect_log_term(u)
