@@ -140,8 +140,9 @@ def _read_config_lines(path: Path) -> dict[str, str]:
     """Raw ``key = value`` pairs of a config file; duplicate keys are errors."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    text = _file_op(path, lambda p: p.read_text(encoding="utf-8"), "read config file")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -276,17 +277,21 @@ def _fraction_json(value):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_fraction_json)
-                    + "\n", encoding="ascii")
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_fraction_json) + "\n"
+    _file_op(path, lambda p: p.write_text(text, encoding="ascii"))
+
+
+def _file_op(path: Path, op: Callable[[Path], Any], what: str = "write output file"):
+    """``op(path)``; an I/O fault, or text that is not UTF-8, is a config error naming it."""
+    try:
+        return op(path)
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot {what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _make_dir(path: Path) -> None:
-    """``path`` and its parents as directories; failing to make them is a config error."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {path}: {exc.strerror or exc}") from exc
+    """``path`` and its parents as directories, by :func:`_file_op`."""
+    _file_op(path, lambda p: p.mkdir(parents=True, exist_ok=True), "make output directory")
 
 
 def _grid_from_config(config) -> RadialGrid:
@@ -371,7 +376,7 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
         residual_sup = float(np.max(np.abs((lap - config["lambda"] * v - rhs.values)[1:-1])))
     if not np.isfinite(residual_sup):
         raise SolverError(f"the linear residual overflows at the solution: {residual_sup}")
-    solution.write_csv(outdir / config["solution_csv"])
+    _file_op(outdir / config["solution_csv"], solution.write_csv)
     payload = {
         "config": config,
         "solution_csv": config["solution_csv"],
@@ -389,7 +394,7 @@ def _solve_ma(config, outdir: Path, params: NewtonParams):
     problem = MongeAmpereProblem(ModelMetric(), _sample_terms(config, "f_terms", grid),
                                  config["bc_left"], config["bc_right"], newton=params)
     solution, report = solve_monge_ampere_radial(problem)
-    solution.write_csv(outdir / config["solution_csv"])
+    _file_op(outdir / config["solution_csv"], solution.write_csv)
     return solution, report
 
 
@@ -428,7 +433,7 @@ def cmd_flow(config, outdir: Path) -> dict:
     result = run_flow(problem)
     snapshots = []
     for name, state in zip(named, result.states):
-        state.u.write_csv(outdir / name)
+        _file_op(outdir / name, state.u.write_csv)
         snapshots.append({
             "t": state.t,
             "csv": name,

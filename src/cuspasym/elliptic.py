@@ -15,14 +15,13 @@ log-density equation with (S, excess, D0, alpha, beta, gamma) = (D, 0, D,
 1, F, 1), whose residual, Jacobian solve, positivity test and rounding floor
 live there, beside the Newton loop (``damped_newton``), its settings
 (``NewtonParams``) and the band layout of the Dirichlet matrices
-(``dirichlet_bands``).  Both solvers read D off the metric, which forms it
-when it is built (``ModelMetric.solver_density``): the scalar sqrt(ab)
-without a conformal factor, a read-only array with one.  Identity
-coefficients (the unit metric's D = 1, and alpha = gamma = 1) cost no
-pass, bit for bit.  Each Newton step solves its Jacobian 1 - Delta / (D +
-Delta u) by the solve prepared with the instance, the one the linear
-problem uses, as the symmetric positive definite matrix it is similar to
-after a row scaling, by LAPACK ptsv.
+(``dirichlet_bands``).  Both solvers read D off the metric
+(``ModelMetric.solver_density``).  Identity coefficients (the unit
+metric's D = 1, and alpha = gamma = 1) cost no pass, bit for bit.  Each
+Newton step solves its Jacobian 1 - Delta / (D + Delta u) by the solve
+prepared with the instance, the one the linear problem uses, as the
+symmetric positive definite matrix it is similar to after a row scaling,
+by LAPACK ptsv.
 Backtracking halves the step until the residual decreases and the Kahler
 positivity D + Delta u > 0 is preserved; reaching the damping floor is a
 hard failure.
@@ -121,7 +120,7 @@ def solve_linear(problem: LinearProblem) -> RadialField:
                           f"solution from data of magnitude up to {data:.3e}")
     # the Dirichlet rows are identities; pin the returned values exactly
     u[0], u[-1] = problem.bc_left, problem.bc_right
-    return RadialField(grid, u.copy())
+    return RadialField(grid, u)
 
 
 def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField, NewtonReport]:
@@ -148,5 +147,5 @@ def solve_monge_ampere_radial(problem: MongeAmpereProblem) -> tuple[RadialField,
     min_kahler = float(np.divide(rho[1:-1], D, out=work.scratch[1:-1]).min())
     report = NewtonReport(True, iterations, residuals, residuals[-1], min_kahler,
                           damping_events, floor_value)
-    return RadialField(grid, u.copy()), report
+    return RadialField(grid, u), report
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import FitError
 from .indexsets import IndexSet, IndexTerm
-from .radial import RadialField, RadialGrid, _all_finite
+from .radial import RadialField, RadialGrid, _all_finite, _read_only
 
 LN10 = math.log(10.0)
 
@@ -131,11 +131,8 @@ def _fit_design(grid: RadialGrid, window: tuple[float, float], terms: tuple[Inde
     # LAPACK dgelsd treats as zero under numpy.linalg.lstsq's rcond=None
     keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
     pinv = (Vt[keep].T / sv[keep]) @ U[:, keep].T
-    design = _FitDesign(rows, w, grid.x[rows] ** weight_exponent, A, A_scaled, col_norms,
-                        pinv, sv)
-    for array in design[1:]:
-        array.flags.writeable = False
-    return design
+    return _FitDesign(rows, *map(_read_only, (w, grid.x[rows] ** weight_exponent, A, A_scaled,
+                                              col_norms, pinv, sv)))
 
 
 def _weighted_lstsq(design: _FitDesign, y: np.ndarray) -> np.ndarray:

@@ -24,15 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .radial import RadialField, RadialGrid, unit_laplacian
+from .radial import RadialField, RadialGrid, _read_only, unit_laplacian
 
 
 @dataclass(frozen=True)
 class ModelMetric:
     """Constant-coefficient cusp model a dx^2/x^2 + b x^2 dtheta^2, with an
     optional conformal factor e^{2 phi} sampled on a radial grid.  Its area
-    density D0 is formed when it is built: the scalar sqrt(ab) without a
-    conformal factor, else a read-only array."""
+    density D0 (``solver_density``) is formed when it is built."""
 
     a: float = 1.0
     b: float = 1.0
@@ -48,8 +47,7 @@ class ModelMetric:
         density = math.sqrt(self.a * self.b)
         if self.conformal is not None:
             with np.errstate(over="ignore", under="ignore"):
-                density = density * np.exp(2.0 * self.conformal.values)
-            density.flags.writeable = False
+                density = _read_only(density * np.exp(2.0 * self.conformal.values))
         values = np.atleast_1d(density)
         bad = ~((values >= tiny) & (values < math.inf))
         if bad.any():
@@ -59,13 +57,9 @@ class ModelMetric:
                              "not a finite positive normal float")
         object.__setattr__(self, "_density", density)
 
-    def density(self, grid: Optional[RadialGrid] = None) -> np.ndarray:
-        """D0 = sqrt(ab) e^{2 phi} relative to the unit model, a fresh array."""
-        return np.full(self._resolve_grid(grid).n_nodes, self._density)
-
     def solver_density(self, grid: RadialGrid) -> float | np.ndarray:
-        """D0 as the solvers take it, the metric's own: a scalar without a
-        conformal factor (a constant needs no array), else read-only."""
+        """D0 = sqrt(ab) e^{2 phi} relative to the unit model, the metric's own:
+        the scalar sqrt(ab) without a conformal factor, else read-only."""
         self._resolve_grid(grid)
         return self._density
 

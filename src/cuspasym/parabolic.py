@@ -7,7 +7,7 @@ the negative of its Ricci form,
 
 so in radial densities relative to the unit model, S(t) = D0 + expm1(-t)
 (D0 + R0) with D0 the initial density and R0 the Ricci density, both read
-off the metric (``ModelMetric.density`` and ``einstein_defect``).  The
+off the metric (``ModelMetric.solver_density`` and ``einstein_defect``).  The
 potential then evolves by
 
     du/dt = log((S(t) + Delta u) / D0) - u,      u(0) = 0,
@@ -340,7 +340,8 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     grid = problem.grid
     work = NewtonWorkspace.for_thread(grid.n_nodes)   # every step of the run
     grid.similarity   # the steps' similarity D, formed here and not in a step
-    density, combo = problem.omega0.density(grid), problem.omega0.einstein_defect(grid)
+    density = np.broadcast_to(problem.omega0.solver_density(grid), grid.n_nodes)
+    combo = problem.omega0.einstein_defect(grid)
     time_grid, keep = problem._plan
     u, bc, t, rejections = np.zeros(grid.n_nodes), np.zeros(2), 0.0, 0
     lap, spare = work.r_new, work.candidate   # Delta u, and Delta of the next state
@@ -372,8 +373,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
         t = target
         sup_u[k], margins[k] = sup_v, rho_min
         if keep is None or k in keep:
-            states.append(FlowState(t, RadialField(grid, u.copy()),
-                                    RadialField(grid, rho.copy()), rho_min))
+            states.append(FlowState(t, RadialField(grid, u), RadialField(grid, rho), rho_min))
 
     return FlowResult(states, time_grid.times(), sup_u, margins, solves, rejections)
 

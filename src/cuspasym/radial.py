@@ -62,6 +62,7 @@ from .errors import SolverError
 
 CSV_FLOAT_FMT = "%.17g"
 _MIN_NODES = 8
+_MAX_NODES = 2 ** 22 + 1   # 32 MB an array, above every documented grid
 #: share of the nodes, deepest first, that stands for the x -> 0 limit
 DEEPEST_FRACTION = 0.1
 #: a stalled Newton loop stops within this factor of the caller's rounding floor
@@ -71,6 +72,11 @@ _FLOOR_FACTOR = 4.0
 def laplacian_coefficients(h: float) -> tuple[float, float, float]:
     """(sub, diag, sup) coefficients of the interior centered stencil."""
     return 0.5 / h**2 - 0.25 / h, -1.0 / h**2, 0.5 / h**2 + 0.25 / h
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,8 @@ class RadialGrid:
             raise ValueError(f"need t_max < 0 so that x stays below 1, got {self.t_max}")
         if self.n_nodes < _MIN_NODES:
             raise ValueError(f"need n_nodes >= {_MIN_NODES}, got {self.n_nodes}")
+        if self.n_nodes > _MAX_NODES:   # refused before any array of that size exists
+            raise ValueError(f"need n_nodes <= {_MAX_NODES}, got {self.n_nodes}")
         try:   # h**2 overflows, or underflows to 0, on an extreme span
             finite = all(map(math.isfinite, (self.t_min, *laplacian_coefficients(self.h))))
         except (OverflowError, ZeroDivisionError):
@@ -101,19 +109,16 @@ class RadialGrid:
 
     @cached_property
     def t(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n_nodes)
+        return _read_only(np.linspace(self.t_min, self.t_max, self.n_nodes))
 
     @cached_property
     def x(self) -> np.ndarray:
-        return np.exp(self.t)
+        return _read_only(np.exp(self.t))
 
     @cached_property
     def similarity(self) -> Optional[np.ndarray]:
         """The grid's one D, read-only: :func:`similarity_diagonal` (or None)."""
-        D = similarity_diagonal(self.n_nodes, self.h)
-        if D is not None:
-            D.flags.writeable = False
-        return D
+        return None if (D := similarity_diagonal(self.n_nodes, self.h)) is None else _read_only(D)
 
     @property
     def h(self) -> float:
@@ -145,34 +150,35 @@ class RadialGrid:
 DEFAULT_GRID = RadialGrid(t_min=-40.0, t_max=math.log(0.5), n_nodes=4096)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialField:
-    """Scalar samples on a radial grid; values must be finite everywhere."""
+    """Scalar samples on a radial grid, finite everywhere.  The one rule: a
+    field's values (a copy, taken when it is built), a grid's ``t``, ``x`` and
+    ``similarity``, a metric's D0 and the fit designs are read-only, their owner's own."""
 
     grid: RadialGrid
     values: np.ndarray
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+    def __post_init__(self):   # np.array copies, always
+        object.__setattr__(self, "values", _read_only(np.array(self.values, dtype=float)))
         if self.values.shape != (self.grid.n_nodes,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.n_nodes} nodes)")
+            raise ValueError(f"values shape {self.values.shape} does not match grid "
+                             f"({self.grid.n_nodes} nodes)")
         if not _all_finite(self.values):
             raise ValueError("field values must be finite at every node")
 
     @classmethod
     def from_function(cls, grid: RadialGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "RadialField":
         """Sample fn(x) on the grid."""
-        return cls(grid, np.asarray(fn(grid.x), dtype=float))
+        return cls(grid, fn(grid.x))
 
     @classmethod
     def zeros(cls, grid: RadialGrid) -> "RadialField":
-        return cls(grid, np.zeros(grid.n_nodes))
+        return cls.constant(grid, 0.0)
 
     @classmethod
     def constant(cls, grid: RadialGrid, value: float) -> "RadialField":
-        return cls(grid, np.full(grid.n_nodes, float(value)))
+        return cls(grid, np.broadcast_to(float(value), grid.n_nodes))   # no array before the copy
 
     def write_csv(self, path) -> None:
         """Write as "x,value" rows, ascending x, 17 significant digits."""
@@ -411,8 +417,8 @@ class NewtonWorkspace:
     correction; ``step`` holds a linear solve's right-hand side, then its
     solution; ``bands`` the three bands of a tridiagonal solve; ``scratch``
     is the callbacks' (the loop's between calls).  The package's solvers use
-    :meth:`for_thread`'s and return copies, never these buffers; the
-    similarity D is the grid's (``RadialGrid.similarity``), not the workspace's."""
+    :meth:`for_thread`'s; the similarity D is the grid's
+    (``RadialGrid.similarity``), not the workspace's."""
 
     _slot = threading.local()
 
@@ -622,8 +628,7 @@ def _log_density_equation(h: float, D: Optional[np.ndarray], S, excess, D0, alph
     are scalars or arrays over the n - 2 interior nodes, scalars where they
     are constant; alpha and gamma are positive.  The callbacks work in
     ``work.scratch``, and ``solve(rho, r)``, :func:`_jacobian_solver`'s of J
-    with D the grid's read-only similarity (``RadialGrid.similarity``),
-    prepared here once, in ``work.bands`` too.
+    with D the grid's similarity, prepared here once, in ``work.bands`` too.
 
     An instance states only its coefficients, in its call of this function;
     which of them are identities (excess 0, scalar D0 = 1, gamma = 1, alpha = 1) is decided

@@ -121,6 +121,7 @@ CASES = {
     "exit3-fit-term-overflow": "fit-expansion",
     "exit3-flow-end-row-positivity": "flow",
     "logterm-tiny-amplitude": "logterm-pipeline",
+    "exit2-n-nodes-huge": "solve-ma",
 }
 
 

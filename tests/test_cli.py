@@ -597,6 +597,28 @@ def test_sweep_item_directory_that_cannot_be_made_is_config_error(tmp_path, caps
     assert note == f"sweep item {sub} failed first"
 
 
+@pytest.mark.parametrize("artifact", ["solution.csv", "solve_ma.json"])
+def test_an_artifact_that_cannot_be_written_is_config_error_naming_it(tmp_path, capsys,
+                                                                      artifact):
+    cfg = write(tmp_path / "c.cfg", "n_nodes = 64\nf_terms = 1.5:1:0\n")
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main(["solve-ma", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output file {out / artifact}: Is a directory\n")
+
+
+def test_a_config_file_that_is_not_utf8_is_config_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"d = 5\n\xff\n")
+    sweep = write(tmp_path / "sweep.cfg", f"configs = {cfg}\n")
+    expected = (f"config error: cannot read config file {cfg}: 'utf-8' codec can't decode "
+                f"byte 0xff in position 6: invalid start byte\n")
+    for command, path in (("chern-coeff", str(cfg)), ("sweep", sweep)):
+        assert main([command, path, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == expected
+
+
 def test_sweep_subconfig_duplicate_key_rejected(tmp_path, capsys):
     sub = write(tmp_path / "a.cfg", "command = chern-coeff\nd = 5\nd = 6\n")
     cfg = write(tmp_path / "sweep.cfg", f"configs = {sub}\n")

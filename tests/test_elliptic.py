@@ -234,7 +234,7 @@ def test_ma_floor_is_at_least_its_stencil_term(n, a):
     u, report = _ma_on(n, a)
     assert report.residual_floor is not None
     grid, v, h = u.grid, u.values, u.grid.h
-    density = UNIT.density(grid)[1:-1]
+    density = UNIT.solver_density(grid)
     rho = (radial.unit_laplacian_interior(v, h)[1:-1] / density + 1.0) * density
     stencil = sum(abs(c) * np.abs(v[k:k + n - 2])
                   for k, c in enumerate(radial.laplacian_coefficients(h)))

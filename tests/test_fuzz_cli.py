@@ -19,14 +19,16 @@ once on each of ``SPACING_EDGES``: a 64-node grid of spacing 1.6e-11, one of
 spacing 1.999, where the similarity D of the Jacobian solves is near its
 largest, one of spacing 1.9995 reaching t = -706.8, near the smallest
 normal x, whose D passes its e^700 bound, and one of spacing 2, which has
-no D.  Three flow
+no D.  It also sets ``n_nodes`` one past ``radial._MAX_NODES``, which
+must be refused before any array is built.  Three flow
 configs end on each refusal a flow step makes, and must exit 3 naming it.
 
 The value sweep draws ``VALUES`` seeded in-range configs of the solvers
 (grid, source, boundary data, lambda and metric from ``IN_RANGE``) and
 checks three relations each solution must obey, on the library solvers:
 MA translation covariance, ``solve_linear`` superposition, and the
-comparison principle.
+comparison principle.  Beside it, ``CONSTANT_FLOWS`` seeded flows from a
+constant conformal factor must stay spatially constant up to rounding.
 """
 
 import contextlib
@@ -44,15 +46,17 @@ import pytest
 
 import numpy as np
 
-from cuspasym import cli
+from cuspasym import cli, radial
 from cuspasym.elliptic import (
     LinearProblem,
     MongeAmpereProblem,
     solve_linear,
     solve_monge_ampere_radial,
 )
+from cuspasym.geometry import ModelMetric
 from cuspasym.indexsets import IndexSet, IndexTerm
-from cuspasym.radial import RadialField, RadialGrid
+from cuspasym.parabolic import FlowProblem, run_flow
+from cuspasym.radial import RadialField, RadialGrid, laplacian_coefficients
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py")
@@ -85,6 +89,9 @@ SPACING_EDGES = (TINY_SPACING,
                  {"n_nodes": "300", "t_min": "-598.701", "t_max": "-1"},
                  {"n_nodes": "354", "t_min": "-706.8235", "t_max": "-1"},
                  {"n_nodes": "16", "t_min": "-31", "t_max": "-1"})
+
+#: one node past the most a grid may have: refused before any array exists
+TOO_MANY_NODES = str(radial._MAX_NODES + 1)
 
 #: the keys each base config sets; every other key keeps its default
 BASE = {
@@ -185,6 +192,7 @@ def _runs():
         if "n_nodes" in schema:
             for grid in SPACING_EDGES:
                 yield command, "t_min", grid["t_min"], {**base, **grid}
+            yield command, "n_nodes", TOO_MANY_NODES, {**base, "n_nodes": TOO_MANY_NODES}
 
 
 def _pair_runs(seed: int, count: int):
@@ -396,4 +404,39 @@ def test_every_in_range_solve_keeps_covariance_superposition_and_comparison():
     for config, c, s in _value_runs(VALUE_SEED, VALUES):
         with regen.time_limit(TIME_LIMIT):
             faults += [f"{config}: {fault}" for fault in _value_faults(config, c, s)]
+    assert not faults, "\n".join(faults)
+
+
+#: flows of the constant-factor sweep, about 0.3 s in all
+CONSTANT_FLOWS = 80
+
+
+def _constant_flows(seed: int, count: int):
+    """(grid, phi, a, b, T, dt) for ``count`` flows: 16 to 2048 nodes on an
+    in-range span, phi constant in [-1, 1], a and b in [0.3, 3], T in
+    {0.1, 0.5, 2} and dt in [0.01, 0.1]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        grid = RadialGrid(rng.uniform(-60.0, -3.0), rng.uniform(-2.0, -0.1), rng.randint(16, 2048))
+        yield (grid, rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+               rng.choice((0.1, 0.5, 2.0)), rng.uniform(0.01, 0.1))
+
+
+def test_a_constant_conformal_factor_keeps_the_flow_spatially_constant():
+    # S(t) = D0 + expm1(-t) (D0 - 1) is constant in x, so u(t) is too, and
+    # its spread max u - min u is rounding: one rounding of the state, and a
+    # step's stencil rounding eps sum|c_k| (1 + sup|u|) / min S per unit of
+    # time (the step's Jacobian damps dt times it), min S = min(1, sqrt(ab) e^{2 phi})
+    eps, faults = sys.float_info.epsilon, []
+    for grid, phi, a, b, T, dt in _constant_flows(VALUE_SEED, CONSTANT_FLOWS):
+        with regen.time_limit(TIME_LIMIT):
+            result = run_flow(FlowProblem(ModelMetric(a, b, RadialField.constant(grid, phi)),
+                                          T=T, dt=dt))
+        spread = max(float(np.ptp(state.u.values)) for state in result.states)
+        stencil = sum(map(abs, laplacian_coefficients(grid.h)))
+        min_S = min(1.0, math.sqrt(a * b) * math.exp(2.0 * phi))
+        bound = eps * (1.0 + float(result.sup_u.max())) * (1.0 + T * stencil / min_S)
+        if not spread <= bound:
+            faults.append(f"{grid}, phi={phi:.6g}, a={a:.6g}, b={b:.6g}, T={T}, dt={dt:.6g}: "
+                          f"spread {spread:.3e} past {bound:.3e}")
     assert not faults, "\n".join(faults)

@@ -87,7 +87,7 @@ def test_weighted_symmetry_of_laplacian():
 
 def ricci_density(metric):
     """R0 as the metric forms it: the difference of D0 + R0 and D0."""
-    return metric.einstein_defect(GRID) - metric.density(GRID)
+    return metric.einstein_defect(GRID) - metric.solver_density(GRID)
 
 
 def test_ricci_of_model_is_minus_one():
@@ -102,7 +102,8 @@ def test_ricci_of_plain_cusp_is_the_zero_factor_case_bit_for_bit():
     expected = np.full(GRID.n_nodes, -1.0).tobytes()
     zero = np.zeros(GRID.n_nodes).tobytes()
     for m in (UNIT, ModelMetric(conformal=RadialField.zeros(GRID))):
-        density, combo = m.density(GRID), m.einstein_defect(GRID)
+        density = np.broadcast_to(m.solver_density(GRID), GRID.n_nodes)
+        combo = m.einstein_defect(GRID)
         assert combo.tobytes() == zero
         assert density.tobytes() == np.ones(GRID.n_nodes).tobytes()
         assert ricci_density(m).tobytes() == expected
@@ -132,6 +133,6 @@ def test_metric_rejects_a_conformal_density_out_of_range_naming_x(phi, match):
 
 def test_metric_accepts_the_edges_of_the_normal_range():
     tiny = np.finfo(float).tiny
-    assert ModelMetric(a=tiny, b=1.0 / tiny).density(GRID)[0] == 1.0
+    assert ModelMetric(a=tiny, b=1.0 / tiny).solver_density(GRID) == 1.0
     phi = RadialField(GRID, np.full(GRID.n_nodes, 350.0))   # e^700 is finite
-    assert np.all(np.isfinite(ModelMetric(conformal=phi).density()))
+    assert np.all(np.isfinite(ModelMetric(conformal=phi).solver_density(GRID)))

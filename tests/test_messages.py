@@ -15,7 +15,7 @@ from cuspasym.errors import FitError
 from cuspasym.geometry import ModelMetric
 from cuspasym.indexsets import IndexSet, IndexTerm, rational_sqrt
 from cuspasym.indicial import IndicialFamily, index_set_hatEplus
-from cuspasym.radial import RadialField, RadialGrid
+from cuspasym.radial import _MAX_NODES, RadialField, RadialGrid
 
 ESET = {"cutoff": 2.0, "terms": [{"z": 1.0, "k": 0}, {"z": 1.0, "k": 1}]}
 
@@ -48,6 +48,9 @@ CLI_CASES = {
                          {"f.csv": _csv([(0.9 - 0.1 * k, 1.0) for k in range(8)]),
                           "e.json": json.dumps(ESET)}, 2,
                          r"x column in f\.csv must be positive and ascending"),
+    # refused before any array of that size exists
+    "too many nodes": ("solve-ma", f"n_nodes = {_MAX_NODES + 1}\nf_terms = 1.5:1:0\n", {}, 2,
+                       rf"need n_nodes <= {_MAX_NODES}, got {_MAX_NODES + 1}$"),
     "multiplicities": ("indicial", "lambda = 1\nc = 1\nspectrum = 0\nmultiplicities = 0\n"
                        "cutoff = 3\n", {}, 2, r"multiplicities must be >= 1"),
     # x^-400 overflows on [1e-3, 1e-2]
@@ -84,8 +87,10 @@ def test_each_config_fault_exits_with_its_code_and_message(tmp_path, capsys, cas
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: ModelMetric().density(), ValueError,
+    (lambda: ModelMetric().einstein_defect(), ValueError,
      r"^metric has no conformal factor; a grid is required$"),
+    (lambda: RadialGrid(-40.0, -1.0, 2 ** 22 + 2), ValueError,
+     r"^need n_nodes <= 4194305, got 4194306$"),
     (lambda: SHALLOW.window_mask(0.0, 0.5), ValueError, r"^invalid window \[0\.0, 0\.5\]$"),
     (lambda: SHALLOW.window_mask(0.5, 0.4), ValueError, r"^invalid window \[0\.5, 0\.4\]$"),
     (lambda: parabolic.cusp_constant_rk4(0.0, 1.0), ValueError,
@@ -106,7 +111,7 @@ def test_each_config_fault_exits_with_its_code_and_message(tmp_path, capsys, cas
     (lambda: fitting.fit_polyhom(RadialField(SHALLOW, np.ones(64)),
                                  IndexSet((IndexTerm(0, 1100),), 0), (0.62, 0.7)),
      FitError, r"vanishes identically on the window \[0\.62, 0\.7\]$"),
-], ids=["density-grid", "window-lo", "window-order", "rk4-constant", "decay-dt-zero",
+], ids=["density-grid", "grid-nodes", "window-lo", "window-order", "rk4-constant", "decay-dt-zero",
         "decay-dt-past-T", "multiplicities", "hatEplus-cutoff", "rational-sqrt",
         "fit-row-weights", "fit-term-vanishes"])
 def test_each_library_fault_raises_its_message(call, error, match):

@@ -189,8 +189,8 @@ def test_restricted_ode_rejects_bad_constants():
 # ---------------------------------------------------------------------------
 
 def schedule(metric, t):
-    return parabolic._schedule_values(GRID, metric.density(GRID), metric.einstein_defect(GRID),
-                                      t)[0]
+    density = np.broadcast_to(metric.solver_density(GRID), GRID.n_nodes)
+    return parabolic._schedule_values(GRID, density, metric.einstein_defect(GRID), t)[0]
 
 
 def test_schedule_fixed_for_model_cusp():
@@ -737,7 +737,8 @@ def test_each_state_records_the_schedule_plus_laplacian_of_its_potential(monkeyp
     monkeypatch.setattr(parabolic, "_flow_step", landing_step)
     result = run_flow(problem)
     grid, metric = problem.grid, problem.omega0
-    density, combo = metric.density(grid), metric.einstein_defect(grid)
+    density = np.broadcast_to(metric.solver_density(grid), grid.n_nodes)
+    combo = metric.einstein_defect(grid)
     assert [state.t for state in result.states] == result.times.tolist()
     for state, sup_u, margin in zip(result.states, result.sup_u, result.positivity_margin):
         u = state.u.values
@@ -760,7 +761,7 @@ def test_flow_forcing_is_the_excess_taken_once(monkeypatch):
     # nodes, where expm1(-t) (D0 + R0) is the forcing
     grid = RadialGrid(-40.0, math.log(0.5), 256)
     metric = ModelMetric(conformal=RadialField(grid, 1e-3 * grid.x))
-    density, combo = metric.density(grid), metric.einstein_defect(grid)
+    density, combo = metric.solver_density(grid), metric.einstein_defect(grid)
     seen, equation = [], parabolic._log_density_equation
     monkeypatch.setattr(parabolic, "_log_density_equation",
                         lambda h, D, S, excess, *args: seen.append(excess.copy())

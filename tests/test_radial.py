@@ -612,7 +612,7 @@ def _jacobian_solves(solver: str, n: int, h: float, monkeypatch=None):
     if solver.startswith("linear-"):
         grid = RadialGrid(-1.0 - (n - 1) * h, -1.0, n)
         alpha, gamma = float(solver[len("linear-"):]), 1.0
-        densities = [ModelMetric(2.0, 0.7, RadialField(grid, rng.uniform(-1.5, 1.5, n))).density()
+        densities = [ModelMetric(2.0, 0.7, RadialField(grid, rng.uniform(-1.5, 1.5, n))).solver_density(grid)
                      for _ in range(4)]
         solve = _jacobian_solver(h, D, gamma, alpha, work)
     else:
@@ -675,7 +675,7 @@ def test_solve_linear_without_a_similarity_is_its_pivoting_route_bit_for_bit(cas
     grid = NO_SIMILARITY_GRIDS[case]
     assert similarity_diagonal(grid.n_nodes, grid.h) is None
     metric = ModelMetric(2.0, 0.7, RadialField(grid, 0.1 * np.sin(grid.t)))
-    f, density = RadialField(grid, np.cos(grid.t) + 0.5), metric.density()
+    f, density = RadialField(grid, np.cos(grid.t) + 0.5), metric.solver_density(grid)
     rhs = f.values.copy()
     rhs[0], rhs[-1] = 0.3, -0.2
     expected = _gtsv(*dirichlet_bands(grid.n_nodes, grid.h, 1.0 / density[1:-1], lam), rhs,
@@ -807,7 +807,8 @@ def test_each_ma_instance_is_the_general_arithmetic_bit_for_bit(metric, monkeypa
     grid = RadialGrid(-40.0, math.log(0.5), 512)
     background = MA_METRICS[metric](grid)
     F = RadialField(grid, _signed_zero_data(grid, 1.5))
-    D = background.density(grid)[1:-1]   # the general instance takes D as an array
+    # the general instance takes D as an array
+    D = np.broadcast_to(background.solver_density(grid), grid.n_nodes)[1:-1]
     built = []
     _guarded_equation(monkeypatch, elliptic,
                       lambda args: (D, 0.0, D, 1.0, F.values[1:-1], 1.0, args[6]), built)
@@ -859,7 +860,8 @@ def test_solve_linear_is_the_general_arithmetic_bit_for_bit(metric, lam, spacing
     for bc in ((0.0, -0.0), (-0.0, 0.7)):
         rhs = np.negative(f.values)
         rhs[0], rhs[-1] = bc
-        want = _general_solve(grid.h, grid.similarity, metric.density(grid), 1.0, lam, rhs)
+        density = np.broadcast_to(metric.solver_density(grid), grid.n_nodes)
+        want = _general_solve(grid.h, grid.similarity, density, 1.0, lam, rhs)
         want[0], want[-1] = bc
         u = solve_linear(LinearProblem(metric, lam, f, *bc)).values
         assert u.tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ detector and the fit.
 Every result must stay the caller's own and bit for bit what an uncached
 computation gives."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -48,6 +49,34 @@ def _linear(grid, a):
 def _flow(grid, a):
     metric = ModelMetric(conformal=RadialField(grid, 0.1 * a * grid.x))
     return run_flow(FlowProblem(metric, T=0.5, dt=0.25)).states[-1].u
+
+
+def test_fields_and_grids_keep_their_own_read_only_values():
+    grid = _grid(64)
+    source = 0.1 * grid.x
+    field = RadialField(grid, grid.x)
+    metric = ModelMetric(conformal=RadialField(grid, source))
+    assert not np.shares_memory(field.values, grid.x)
+    source[5] = np.nan   # the caller's array is not the field's
+    assert np.array_equal(metric.conformal.values, 0.1 * grid.x)
+    for array in (field.values, grid.t, grid.x, metric.conformal.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[5] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.values = np.full(grid.n_nodes, np.nan)
+    assert np.array_equal(field.values, grid.x) and np.all(np.isfinite(grid.t))
+
+
+def test_no_result_shares_memory_with_the_workspace():
+    grid = _grid(256)
+    metric = ModelMetric(conformal=RadialField(grid, 0.1 * grid.x))
+    flow = run_flow(FlowProblem(metric, T=0.5, dt=0.25))
+    results = [_ma(grid, 1.5), _linear(grid, 1.5),
+               *(f for state in flow.states for f in (state.u, state.flow_metric_density))]
+    work = NewtonWorkspace.for_thread(grid.n_nodes)
+    for result in results:
+        assert not result.values.flags.writeable
+        assert not any(np.shares_memory(result.values, b) for b in _buffers(work))
 
 
 def test_for_thread_keeps_one_workspace_per_thread():
@@ -158,7 +187,7 @@ def test_a_repeated_16384_node_solve_allocates_under_two_grid_arrays(solve):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the returned copy and small change: the unit metric's density is the
+    # the field's own copy and small change: the unit metric's density is the
     # scalar sqrt(ab), no array; a fresh workspace is 11
     assert peak < 2 * grid.x.nbytes
 
@@ -283,8 +312,6 @@ def test_a_conformal_metric_forms_its_density_once(monkeypatch):
     metric = ModelMetric(1.5, 0.8, RadialField(grid, 0.05 * grid.x))
     D = metric.solver_density(grid)
     assert metric.solver_density(grid) is D and not D.flags.writeable
-    fresh = metric.density(grid)
-    assert fresh is not D and fresh.flags.writeable and fresh.tobytes() == D.tobytes()
     calls = []
 
     class CountingNumpy:   # geometry's numpy, counting its exp calls
