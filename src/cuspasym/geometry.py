@@ -57,6 +57,9 @@ class ModelMetric:
                              "not a finite positive normal float")
         object.__setattr__(self, "_density", density)
 
+    def __reduce__(self):   # a copy or an unpickled metric forms its own read-only D0
+        return type(self), (self.a, self.b, self.conformal)
+
     def solver_density(self, grid: RadialGrid) -> float | np.ndarray:
         """D0 = sqrt(ab) e^{2 phi} relative to the unit model, the metric's own:
         the scalar sqrt(ab) without a conformal factor, else read-only."""

@@ -20,8 +20,8 @@ Boundary values at both ends follow the zero-dimensional restriction
 
     dv/dt = log(S(t, x_end) / D0(x_end)) - v,
 
-integrated by backward Euler, the same rule on this linear equation, so
-that spatially constant initial data stays spatially constant, with no
+the flow with Delta v dropped, stepped by the same rule, so that
+spatially constant initial data stays spatially constant, with no
 artificial boundary layer polluting the density extraction.
 
 The deepest-boundary constant of the evolving metric relaxes as
@@ -30,22 +30,24 @@ flow sit two checks no CLI command runs: the linear decay certificate, on
 one symmetric factorization, and the restricted ODE, RK4 against its
 exact solution.
 
-Backward Euler's equation, (1 + dt) v - u_n - dt log1p((excess + Delta v)
-/ D0) = 0, is ``radial``'s log-density equation with (S, excess, D0, alpha,
-beta, gamma) = (S(t_{n+1}), expm1(-t_{n+1}) (D0 + R0), D0, 1 + dt, -u_n,
-dt).  The excess is formed once, never as S - D0, which rounds an O(x)
-forcing to 0 at deep nodes.  A step linearizes it at u_n (one tridiagonal
-solve: the equation's, by LAPACK ptsv on the symmetric positive definite
-matrix its Jacobian is similar to by the grid's read-only similarity D)
-and owns the evolving density it reaches: rho = S(t_{n+1}) + Delta v
-on every node, the one-sided end rows of Delta v at the two ends.  It is
-refused, and halved, when S(t_{n+1}) + Delta u_n (inside) or rho (on any
-node) is not positive, or when the residual's rounding floor at v passes
-``_FLOW_FLOOR_MAX`` (computed only when a bound from sup|v|, min rho and
-sup|u_n| passes it).  Each step forms one Laplacian, of v: it gives rho,
-and it is the next step's Delta u_n.  ``run_flow`` only schedules: a step
-time's record (the evolving density, its margin and sup|u|) is the last
-sub-step's rho, min rho and sup|v|.
+A step is one instance of ``radial``'s log-density equation, stated once
+in ``_flow_step``: backward Euler's equation, (1 + dt) v - u_n - dt
+log1p((excess + Delta v) / D0) = 0, with (S, excess, D0, alpha, beta,
+gamma) = (S(t_{n+1}), expm1(-t_{n+1}) (D0 + R0), D0, 1 + dt, -u_n, dt).
+The excess is formed once, never as S - D0, which rounds an O(x) forcing
+to 0 at deep nodes.  Inside, the step linearizes it at u_n (one
+tridiagonal solve, by LAPACK ptsv on the symmetric positive definite
+matrix its Jacobian is similar to by the grid's similarity D); at the two
+ends it is the same instance with Delta v dropped, solved exactly.  It
+owns the evolving density it reaches, rho = S(t_{n+1}) + Delta v on every
+node from one full-grid ``unit_laplacian`` of v, whose interior is the
+next step's Delta u_n.  It is refused, and halved, when S(t_{n+1}) +
+Delta u_n (inside) or rho (on any node) is not positive, or when the
+residual's rounding floor at v passes ``_FLOW_FLOOR_MAX`` (computed only
+when a bound from alpha, gamma, sup|v|, min rho and sup|beta| passes it).
+``u`` is the flow's only state, its ends the boundary values, and
+``run_flow`` only schedules: a step time's record (the evolving density,
+its margin and sup|u|) is the last sub-step's rho, min rho and sup|v|.
 
 Every stepper takes its steps from one time grid, ``_time_grid``, a step
 count: ``_TimeGrid.time(k)`` is exactly k*T/steps, T itself last, and
@@ -68,11 +70,10 @@ from .radial import (
     NewtonWorkspace,
     RadialField,
     RadialGrid,
-    _end_rows,
     _log_density_equation,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
-    unit_laplacian_interior,
+    unit_laplacian,
 )
 
 #: the largest rounding floor a flow step's residual may have at its new
@@ -90,18 +91,21 @@ _MAX_STEPS = 10 ** 8
 # Cusp-constant ODE
 # ---------------------------------------------------------------------------
 
+def _cusp_constant(c: float) -> float:
+    """c as a float, refused unless it is finite and positive."""
+    if not 0 < (c := float(c)) < math.inf:
+        raise ValueError(f"cusp constant must be positive and finite, got {c}")
+    return c
+
+
 def cusp_constant_evolution(c0: float, t: float) -> float:
     """Closed-form relaxation 1 + e^{-t} (c0 - 1) of dc/dt = 1 - c."""
-    if c0 <= 0:
-        raise ValueError(f"cusp constant must be positive, got {c0}")
-    return 1.0 + math.exp(-t) * (c0 - 1.0)
+    return 1.0 + math.exp(-t) * (_cusp_constant(c0) - 1.0)
 
 
 def cusp_constant_rk4(c0: float, t: float, dt: float = 1e-3) -> float:
     """Generic RK4 integration of dc/dt = 1 - c, for cross-checking."""
-    if c0 <= 0:
-        raise ValueError(f"cusp constant must be positive, got {c0}")
-    return float(_rk4(lambda s, c: 1.0 - c, c0, _time_grid(t, dt))[-1])
+    return float(_rk4(lambda s, c: 1.0 - c, _cusp_constant(c0), _time_grid(t, dt))[-1])
 
 
 class _TimeGrid(NamedTuple):
@@ -147,6 +151,13 @@ def _time_grid(T: float, dt: float) -> _TimeGrid:
         raise ValueError(f"T={T} with dt={dt} takes {steps} steps, "
                          f"more than the {_MAX_STEPS} a run may take")
     return _TimeGrid(float(T), steps)
+
+
+def _run_grid(T: float, dt: float) -> _TimeGrid:
+    """The time grid of a run that takes steps of about dt up to T: 0 < dt <= T."""
+    if dt <= 0 or T < dt:
+        raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
+    return _time_grid(T, dt)
 
 
 def _rk4(f: Callable[[float, float], float], y0: float,
@@ -222,9 +233,7 @@ def restricted_ode_solution(c_list: Sequence[float], T: float,
     c_i - 1 rounds to -1 (below about 5.6e-17) is refused: RK4's source is
     log 0 there at t = 0.
     """
-    c_list = [float(c) for c in c_list]
-    if any(c <= 0 for c in c_list):
-        raise ValueError(f"all cusp constants must be positive, got {c_list}")
+    c_list = list(map(_cusp_constant, c_list))
     for c in c_list:
         if c - 1.0 == -1.0:
             raise ValueError(f"cusp constant {c} is too small for the RK4 route: "
@@ -276,10 +285,8 @@ class FlowProblem:
     _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T < self.dt:
-            raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
+        time_grid, kept = _run_grid(self.T, self.dt), None
         object.__setattr__(self, "grid", self.omega0._resolve_grid(self.grid))
-        time_grid, kept = _time_grid(self.T, self.dt), None
         if self.output_times is not None:
             object.__setattr__(self, "output_times", tuple(self.output_times))
             steps = [time_grid.step_of(ot) for ot in self.output_times]
@@ -343,7 +350,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     density = np.broadcast_to(problem.omega0.solver_density(grid), grid.n_nodes)
     combo = problem.omega0.einstein_defect(grid)
     time_grid, keep = problem._plan
-    u, bc, t, rejections = np.zeros(grid.n_nodes), np.zeros(2), 0.0, 0
+    u, t, rejections = np.zeros(grid.n_nodes), 0.0, 0
     lap, spare = work.r_new, work.candidate   # Delta u, and Delta of the next state
     lap.fill(0.0)
     # the last sub-step's rho = S + Delta u, min rho and sup|u|; at t = 0, rho is D0
@@ -358,8 +365,8 @@ def run_flow(problem: FlowProblem) -> FlowResult:
             dt_loc = min(time_grid.h, target - t)
             while True:
                 try:
-                    v, bc_new, rho, rho_min, sup_v = _flow_step(
-                        u, lap, spare, bc, t, dt_loc, density, combo, problem, work, sup_v)
+                    v, rho, rho_min, sup_v = _flow_step(
+                        u, lap, spare, t, dt_loc, density, combo, problem, work, sup_v)
                     break
                 except SolverError:
                     rejections += 1
@@ -367,7 +374,7 @@ def run_flow(problem: FlowProblem) -> FlowResult:
                     if dt_loc < problem.dt * _DT_MIN_FACTOR:
                         raise
             np.copyto(u, v)
-            lap, spare, bc = spare, lap, bc_new
+            lap, spare = spare, lap
             solves[k] += 1
             t += dt_loc
         t = target
@@ -378,28 +385,27 @@ def run_flow(problem: FlowProblem) -> FlowResult:
     return FlowResult(states, time_grid.times(), sup_u, margins, solves, rejections)
 
 
-def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
+def _flow_step(u, lap, spare, t, dt, density, combo, problem: FlowProblem,
                work: NewtonWorkspace, sup_u: float):
     """One linearly implicit Euler step from u, whose interior Laplacian
-    ``lap`` holds and whose sup|u| is ``sup_u``, worked in ``work``; Delta v
-    goes into the interior of ``spare``.  Returns v (``work.v``), the new
-    boundary pair, the evolving density rho = S(t + dt) + Delta v on every
-    node (``work.aux_new``; the one-sided rows at the two ends), min rho and
+    ``lap`` holds and whose sup|u| is ``sup_u``, worked in ``work``: the
+    instance (alpha, beta, gamma) = (1 + dt, -u, dt), stated here once,
+    linearized at u inside and solved exactly, with Delta v dropped, at the
+    two ends.  Delta v goes into ``spare``.  Returns v (``work.v``), the
+    evolving density rho = S(t + dt) + Delta v on every node
+    (``work.aux_new``; the one-sided rows at the two ends), min rho and
     sup|v|.  A step is refused, raising SolverError, when rho_n = S(t + dt) +
     Delta u (inside) or rho (on any node) is not positive, or when the
     residual's rounding floor at v passes ``_FLOW_FLOOR_MAX``."""
     grid, h = problem.grid, problem.grid.h
     t_next = t + dt
     S_next, excess = _schedule_values(grid, density, combo, t_next)
-
-    # backward-Euler update of the endpoint restriction
-    bc_new = np.empty(2)
-    for pos, j in ((0, 0), (1, -1)):
-        bc_new[pos] = (bc[pos] + dt * math.log1p(excess[j] / density[j])) / (1.0 + dt)
+    alpha, beta, gamma = 1.0 + dt, np.negative(u, out=work.step), dt
+    ends = [(gamma * math.log1p(excess[j] / density[j]) - beta[j]) / alpha for j in (0, -1)]
 
     _, solve, floor, from_laplacian = _log_density_equation(
-        h, grid.similarity, S_next[1:-1], excess[1:-1], density[1:-1], 1.0 + dt,
-        np.negative(u[1:-1], out=work.step[1:-1]), dt, bc_new, work)
+        h, grid.similarity, S_next[1:-1], excess[1:-1], density[1:-1], alpha, beta[1:-1],
+        gamma, ends, work)
     r = work.r
     if not from_laplacian(u, lap, r, work.aux):
         raise _refusal(grid, t_next, "the evolving density before the solve has minimum",
@@ -409,24 +415,22 @@ def _flow_step(u, lap, spare, bc, t, dt, density, combo, problem: FlowProblem,
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"flow step to t={t_next:.6g} refused: its linear system is "
                           f"singular or not finite ({exc})") from exc
-    v[0], v[-1] = bc_new
-    rho, (lo, hi) = work.aux_new, _end_rows(v, h)
-    np.add(S_next, unit_laplacian_interior(v, h, out=spare, scratch=work.scratch), out=rho)
-    rho[0], rho[-1] = S_next[0] + lo, S_next[-1] + hi
+    v[0], v[-1] = ends
+    rho = np.add(S_next, unit_laplacian(v, h, out=spare, scratch=work.scratch), out=work.aux_new)
     rho_min = float(rho.min())
     if not rho_min > 0:
         raise _refusal(grid, t_next, "the evolving density after the solve has minimum",
                        rho, int(np.argmin(rho)))
     sup_v = float(max(v.max(), -v.min()))
-    # the floor is at most eps (dt sum|c_k| sup|v| / min rho + (1 + dt) sup|v| + sup|u|)
+    # the floor is at most eps (gamma sum|c_k| sup|v| / min rho + alpha sup|v| + sup|beta|)
     stencil = sum(map(abs, laplacian_coefficients(h)))
-    bound = sys.float_info.epsilon * (dt * stencil * sup_v / rho_min + (1.0 + dt) * sup_v + sup_u)
+    bound = sys.float_info.epsilon * (gamma * stencil * sup_v / rho_min + alpha * sup_v + sup_u)
     if not bound <= _FLOW_FLOOR_MAX:
         with np.errstate(over="ignore", invalid="ignore"):
             if not floor(v, rho, r) <= _FLOW_FLOOR_MAX:   # r's interior holds each node's term
                 raise _refusal(grid, t_next, f"the rounding floor (bound {_FLOW_FLOOR_MAX:g}) is",
                                sys.float_info.epsilon * r, 1 + int(np.argmax(r[1:-1])))
-    return v, bc_new, rho, rho_min, sup_v
+    return v, rho, rho_min, sup_v
 
 
 def _refusal(grid: RadialGrid, t: float, what: str, values: np.ndarray, j: int) -> SolverError:
@@ -468,17 +472,15 @@ def decay_certificate(grid: RadialGrid, gamma: float,
     folded into the forcing and the weight D x^gamma.  A grid without that D,
     of spacing h >= 2 (c_sub <= 0) or with D past e^700, is an error.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"decay weight gamma must be >= 0, got {gamma}")
-    if dt <= 0 or T < dt:
-        raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
+    time_grid = _run_grid(T, dt)
     n, h, x = grid.n_nodes, grid.h, grid.x
     c_sub, c_diag, c_sup = laplacian_coefficients(h)
     D = grid.similarity
     if D is None:
         raise ValueError(f"the decay certificate needs a grid spacing h < 2 whose "
                          f"similarity D stays below e^700, got h={h} on {n} nodes")
-    time_grid = _time_grid(T, dt)
     h_t, times = time_grid.h, time_grid.times()
 
     # the interior rows of (1 + h_t) - h_t * Delta by dirichlet_bands' arithmetic

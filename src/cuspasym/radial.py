@@ -26,7 +26,7 @@ and the flow,
 
 with its residual, Jacobian solve, positivity test and rounding floor
 (:func:`_log_density_equation`).  An instance states its coefficients in
-one place, its call of that function (of :func:`_jacobian_solver` for the
+one place, where it calls that function (:func:`_jacobian_solver` for the
 linear solve, which needs only the Jacobian), constants as scalars, arrays
 over the interior nodes:
 
@@ -146,15 +146,19 @@ class RadialGrid:
         count = max(1, int(round(self.n_nodes * DEEPEST_FRACTION)))
         return slice(0, count)
 
+    def __reduce__(self):   # a copy or an unpickled grid fills its read-only caches anew
+        return type(self), (self.t_min, self.t_max, self.n_nodes)
+
 
 DEFAULT_GRID = RadialGrid(t_min=-40.0, t_max=math.log(0.5), n_nodes=4096)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialField:
     """Scalar samples on a radial grid, finite everywhere.  The one rule: a
     field's values (a copy, taken when it is built), a grid's ``t``, ``x`` and
-    ``similarity``, a metric's D0 and the fit designs are read-only, their owner's own."""
+    ``similarity``, a metric's D0 and the fit designs are read-only, their owner's own;
+    a copy or an unpickled one is built anew.  A field equals only itself."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -166,6 +170,9 @@ class RadialField:
                              f"({self.grid.n_nodes} nodes)")
         if not _all_finite(self.values):
             raise ValueError("field values must be finite at every node")
+
+    def __reduce__(self):
+        return type(self), (self.grid, self.values)
 
     @classmethod
     def from_function(cls, grid: RadialGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "RadialField":
@@ -236,21 +243,18 @@ def unit_laplacian_interior(values: np.ndarray, h: float, out: Optional[np.ndarr
     return out
 
 
-def unit_laplacian(values: np.ndarray, h: float) -> np.ndarray:
-    """Full-grid stencil: centered inside, one-sided second order at ends
-    (:func:`_end_rows`), which solves replace by Dirichlet rows."""
-    out = unit_laplacian_interior(values, h)
-    out[0], out[-1] = _end_rows(values, h)
+def unit_laplacian(values: np.ndarray, h: float, out: Optional[np.ndarray] = None,
+                   scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """The one full-grid stencil: :func:`unit_laplacian_interior` inside,
+    with its ``out`` and ``scratch``, and one-sided second order at the first
+    and the last node, rows that diagnostics and a flow step's density read
+    and solves replace by Dirichlet rows."""
+    v, out = values, unit_laplacian_interior(values, h, out, scratch)
+    out[0] = 0.5 * ((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
+                    + (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h))
+    out[-1] = 0.5 * ((2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
+                     + (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h))
     return out
-
-
-def _end_rows(v: np.ndarray, h: float) -> tuple[float, float]:
-    """The one-sided second-order rows of :func:`unit_laplacian` at the
-    first and the last node."""
-    return (0.5 * ((2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
-                   + (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)),
-            0.5 * ((2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
-                   + (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)))
 
 
 def dirichlet_bands(n: int, h: float, weight, shift, out=None):

@@ -3,6 +3,7 @@ with its exit code and stderr line, a library fault at the call that
 raises it."""
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -94,7 +95,17 @@ def test_each_config_fault_exits_with_its_code_and_message(tmp_path, capsys, cas
     (lambda: SHALLOW.window_mask(0.0, 0.5), ValueError, r"^invalid window \[0\.0, 0\.5\]$"),
     (lambda: SHALLOW.window_mask(0.5, 0.4), ValueError, r"^invalid window \[0\.5, 0\.4\]$"),
     (lambda: parabolic.cusp_constant_rk4(0.0, 1.0), ValueError,
-     r"^cusp constant must be positive, got 0\.0$"),
+     r"^cusp constant must be positive and finite, got 0\.0$"),
+    (lambda: parabolic.cusp_constant_rk4(math.inf, 1.0, 0.1), ValueError,
+     r"^cusp constant must be positive and finite, got inf$"),
+    (lambda: parabolic.cusp_constant_evolution(math.nan, 1.0), ValueError,
+     r"^cusp constant must be positive and finite, got nan$"),
+    (lambda: parabolic.restricted_ode_solution([2.0, -math.inf], 1.0, dt=0.1), ValueError,
+     r"^cusp constant must be positive and finite, got -inf$"),
+    (lambda: parabolic.restricted_ode_solution([math.nan], 1.0, dt=0.1), ValueError,
+     r"^cusp constant must be positive and finite, got nan$"),
+    (lambda: parabolic.decay_certificate(SHALLOW, math.nan, lambda x, t: x, 1.0, 0.1),
+     ValueError, r"^decay weight gamma must be >= 0, got nan$"),
     (lambda: parabolic.decay_certificate(SHALLOW, 1.0, lambda x, t: x, 1.0, 0.0), ValueError,
      r"^need 0 < dt <= T, got dt=0\.0, T=1\.0$"),
     (lambda: parabolic.decay_certificate(SHALLOW, 1.0, lambda x, t: x, 0.1, 0.2), ValueError,
@@ -111,7 +122,9 @@ def test_each_config_fault_exits_with_its_code_and_message(tmp_path, capsys, cas
     (lambda: fitting.fit_polyhom(RadialField(SHALLOW, np.ones(64)),
                                  IndexSet((IndexTerm(0, 1100),), 0), (0.62, 0.7)),
      FitError, r"vanishes identically on the window \[0\.62, 0\.7\]$"),
-], ids=["density-grid", "grid-nodes", "window-lo", "window-order", "rk4-constant", "decay-dt-zero",
+], ids=["density-grid", "grid-nodes", "window-lo", "window-order", "rk4-constant",
+        "rk4-constant-inf", "evolution-constant-nan", "restricted-constant-minus-inf",
+        "restricted-constant-nan", "decay-gamma-nan", "decay-dt-zero",
         "decay-dt-past-T", "multiplicities", "hatEplus-cutoff", "rational-sqrt",
         "fit-row-weights", "fit-term-vanishes"])
 def test_each_library_fault_raises_its_message(call, error, match):

@@ -580,9 +580,9 @@ def _checking_floors(monkeypatch) -> list:
     computed exactly, after checking that the step's cheap bound covers it."""
     floors, step = [], parabolic._flow_step
 
-    def checking_step(u, lap, spare, bc, t, dt, density, combo, problem, work, sup_u):
-        v, bc_new, rho, rho_min, sup_v = out = step(u, lap, spare, bc, t, dt, density,
-                                                    combo, problem, work, sup_u)
+    def checking_step(u, lap, spare, t, dt, density, combo, problem, work, sup_u):
+        v, rho, rho_min, sup_v = out = step(u, lap, spare, t, dt, density, combo, problem,
+                                            work, sup_u)
         n, h = len(u), problem.grid.h
         floor = radial._rounding_floor(v, h, dt, 1.0 + dt, -u[1:-1], rho[1:-1], np.empty(n),
                                        np.empty(n))
@@ -638,30 +638,36 @@ def test_bench_flow_takes_about_one_newton_iteration_a_step():
 
 def test_warm_flow_step_takes_its_starts_laplacian_once(monkeypatch):
     # a step's linearization reads u_n's Laplacian from the step before:
-    # the run forms one Laplacian a step, of its new state, and one of phi
-    calls = {parabolic: [], radial: []}
-    for module, seen in calls.items():
-        laplacian = module.unit_laplacian_interior
-        monkeypatch.setattr(module, "unit_laplacian_interior",
+    # the run forms one Laplacian a step, of its new state, and one of phi,
+    # and each is one interior stencil
+    from cuspasym import geometry
+
+    calls = {(parabolic, "unit_laplacian"): [], (geometry, "unit_laplacian"): [],
+             (radial, "unit_laplacian_interior"): []}
+    for (module, name), seen in calls.items():
+        laplacian = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *args, seen=seen, f=laplacian, **kw: seen.append(1) or f(*args, **kw))
     result = run_flow(_bench_flow(4096, 1e-2))
-    assert len(calls[parabolic]) == sum(result.newton_iterations) == 100
-    assert len(calls[radial]) == 1
+    assert len(calls[parabolic, "unit_laplacian"]) == sum(result.newton_iterations) == 100
+    assert len(calls[geometry, "unit_laplacian"]) == 1
+    assert len(calls[radial, "unit_laplacian_interior"]) == 101
 
 
 def test_flow_step_falls_back_to_u_n_from_a_start_losing_positivity(monkeypatch):
     # a step refused before its solve (S(t + dt) + Delta u_n not positive),
-    # after it (S(t + dt) + Delta v) or at its floor leaves u_n, its Laplacian
-    # and bc as they were, so the halved retry starts from u_n itself
+    # after it (S(t + dt) + Delta v) or at its floor leaves u_n, ends
+    # included, and its Laplacian as they were, so the halved retry starts
+    # from u_n itself
     refusals, step = [], parabolic._flow_step
 
-    def checked_step(u, lap, spare, bc, *args):
-        kept = [a.copy() for a in (u, lap[1:-1], bc)]
+    def checked_step(u, lap, spare, *args):
+        kept = [a.copy() for a in (u, lap[1:-1])]
         try:
-            return step(u, lap, spare, bc, *args)
+            return step(u, lap, spare, *args)
         except SolverError as exc:
             refusals.append(str(exc))
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, (u, lap[1:-1], bc)))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, (u, lap[1:-1])))
             raise
 
     monkeypatch.setattr(parabolic, "_flow_step", checked_step)
@@ -729,8 +735,8 @@ def test_each_state_records_the_schedule_plus_laplacian_of_its_potential(monkeyp
     # bit, elsewhere S is taken a rounding of t off it
     problem, step, landed = _golden_flow(name), parabolic._flow_step, {0.0}
 
-    def landing_step(u, lap, spare, bc, t, dt, *args):
-        out = step(u, lap, spare, bc, t, dt, *args)
+    def landing_step(u, lap, spare, t, dt, *args):
+        out = step(u, lap, spare, t, dt, *args)
         landed.add(t + dt)
         return out
 

@@ -4,8 +4,10 @@ detector and the fit.
 Every result must stay the caller's own and bit for bit what an uncached
 computation gives."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -65,6 +67,36 @@ def test_fields_and_grids_keep_their_own_read_only_values():
     with pytest.raises(dataclasses.FrozenInstanceError):
         field.values = np.full(grid.n_nodes, np.nan)
     assert np.array_equal(field.values, grid.x) and np.all(np.isfinite(grid.t))
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_are_built_read_only_like_their_originals(duplicate):
+    # numpy drops the read-only flag when it copies or unpickles an array:
+    # a copied field's values, grid x and metric D0 were writable
+    grid = RadialGrid(-5.0, -1.0, 16)
+    grid.x, grid.similarity   # filled caches, which a copy once carried as writable copies
+    field = RadialField(grid, 0.1 * grid.x)
+    metric = ModelMetric(a=2.0, conformal=field)
+    twin_grid, twin_field, twin_metric = map(duplicate, (grid, field, metric))
+    assert twin_grid == grid and twin_metric.a == 2.0
+    arrays = (twin_grid.t, twin_grid.x, twin_grid.similarity, twin_field.values,
+              twin_field.grid.x, twin_metric.conformal.values, twin_metric.solver_density(grid))
+    for array in arrays:
+        assert not array.flags.writeable
+    assert np.array_equal(twin_field.values, field.values)
+    assert twin_metric.solver_density(grid).tobytes() == metric.solver_density(grid).tobytes()
+
+
+def test_fields_and_conformal_metrics_compare_and_hash_by_identity():
+    # a frozen dataclass compared the values arrays, whose truth value numpy refuses
+    grid = _grid(16)
+    field, twin = RadialField(grid, grid.x), RadialField(grid, grid.x)
+    assert field == field and field != twin and hash(field) != hash(twin)
+    metric = ModelMetric(conformal=field)
+    assert metric == ModelMetric(conformal=field) != ModelMetric(conformal=twin)
+    assert len({metric, ModelMetric(conformal=field), ModelMetric(conformal=twin)}) == 2
 
 
 def test_no_result_shares_memory_with_the_workspace():
