@@ -15,7 +15,8 @@ from .elliptic import (
     solve_linear,
     solve_monge_ampere_radial,
 )
-from .fitting import PolyhomFit, detect_log_term, fit_polyhom, remainder_check
+from .fitting import (PolyhomFit, detect_log_term, extrapolate_log_term, fit_polyhom,
+                      remainder_check)
 from .geometry import ModelMetric, cusp_laplacian
 from .indexsets import IndexSet, IndexTerm, closure, extended_union
 from .indicial import (

@@ -99,8 +99,13 @@ def _cusp_constant(c: float) -> float:
 
 
 def cusp_constant_evolution(c0: float, t: float) -> float:
-    """Closed-form relaxation 1 + e^{-t} (c0 - 1) of dc/dt = 1 - c."""
-    return 1.0 + math.exp(-t) * (_cusp_constant(c0) - 1.0)
+    """Closed-form relaxation 1 + e^{-t} (c0 - 1) of dc/dt = 1 - c, for a
+    time t >= 0 (t = inf gives the limit 1.0); a ValueError for a NaN or
+    negative t, as :func:`cusp_constant_rk4` refuses it."""
+    c0 = _cusp_constant(c0)
+    if not t >= 0:
+        raise ValueError(f"time t must be >= 0, got {t}")
+    return 1.0 + math.exp(-t) * (c0 - 1.0)
 
 
 def cusp_constant_rk4(c0: float, t: float, dt: float = 1e-3) -> float:

@@ -122,6 +122,8 @@ CASES = {
     "exit3-flow-end-row-positivity": "flow",
     "logterm-tiny-amplitude": "logterm-pipeline",
     "exit2-n-nodes-huge": "solve-ma",
+    "logterm-no-log-term": "logterm-pipeline",
+    "logterm-coarse-fallback": "logterm-pipeline",
 }
 
 

@@ -2,11 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cuspasym import indexsets, parabolic
+from cuspasym import cli, indexsets, parabolic
 from cuspasym.cli import main
 from cuspasym.elliptic import NewtonParams
 from cuspasym.indexsets import IndexTerm, closure
@@ -478,6 +479,46 @@ def test_logterm_pipeline_negative_source(tmp_path):
     data = json.loads((out / "logterm.json").read_text())
     assert data["passed"] is True
     assert abs(data["b_tilde_fitted"] + 2.0 / 3.0) <= 0.02
+
+
+def _logterm(tmp_path, text: str) -> dict:
+    cfg = write(tmp_path / "c.cfg", text)
+    assert main(["logterm-pipeline", cfg, "-o", str(tmp_path / "out")]) == 0
+    return json.loads((tmp_path / "out" / "logterm.json").read_text())
+
+
+def test_logterm_pipeline_extrapolates_over_three_grids(tmp_path):
+    data = _logterm(tmp_path, "f_terms = 1.5:1:0\n")
+    assert data["extrapolated"] is True and data["reliable"] is True
+    assert [g["n_nodes"] for g in data["grids"]] == [4096, 2048, 1024]
+    assert data["b_tilde_single_grid"] == data["grids"][0]["b_tilde"]
+    assert abs(data["b_tilde_single_grid"] - 1.0) > 2e-4   # the detector's h^2 bias
+    assert abs(data["b_tilde_fitted"] - 1.0) <= 1e-6
+    assert abs(data["b_tilde_fitted"] - 1.0) <= data["uncertainty"] <= 1e-6
+    assert data["window_values"][0] == data["b_tilde_fitted"]
+
+
+def test_logterm_pipeline_falls_back_to_the_fine_grid(tmp_path):
+    # 64 nodes cannot hold the detector's windows: one grid, its window spread
+    data = _logterm(tmp_path, "n_nodes = 256\nf_terms = 1.5:1:0\n")
+    assert data["extrapolated"] is False
+    assert [g["n_nodes"] for g in data["grids"]] == [256]
+    assert data["b_tilde_fitted"] == data["b_tilde_single_grid"] == data["window_values"][0]
+    assert data["uncertainty"] == max(abs(v - data["window_values"][0])
+                                      for v in data["window_values"])
+
+
+@pytest.mark.parametrize("terms", ["2:2:0", "3:3:0", "1:1.5:0"])
+def test_logterm_pipeline_reports_no_reliable_log_term_without_one(tmp_path, terms):
+    data = _logterm(tmp_path, f"f_terms = {terms}\n")
+    assert data["reliable"] is False and data["b_tilde_predicted"] == 0.0
+
+
+def test_b_tilde_predicted_is_one_over_the_indicial_slope_at_1():
+    family = cli.MA_LINEARIZATION
+    assert family.c / 2 * (1 + 1) - family.lam == 0   # P(1) = 0
+    assert 1 / cli._P_PRIME_AT_1 == Fraction(2, 3)
+    assert float(1 / cli._P_PRIME_AT_1) == 2.0 / 3.0   # the literal's bits
 
 
 def test_sweep_fans_out(tmp_path):

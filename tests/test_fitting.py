@@ -1,5 +1,6 @@
 """Expansion fitting, the log-term detector, and remainder diagnostics."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -9,16 +10,20 @@ import pytest
 from cuspasym.errors import FitError
 from cuspasym.fitting import (
     _DETECTOR_SET,
+    MA_LINEARIZATION,
     _fit_design,
     _detector_windows,
+    _stencil_root,
     default_fit_window,
     detect_log_term,
+    extrapolate_log_term,
     fit_polyhom,
     remainder_check,
 )
 from cuspasym.geometry import ModelMetric
 from cuspasym.elliptic import MongeAmpereProblem, solve_monge_ampere_radial
 from cuspasym.indexsets import IndexSet, IndexTerm, closure
+from cuspasym.indicial import spec_b_roots
 from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion
 
 GRID = DEFAULT_GRID
@@ -143,6 +148,92 @@ def test_detector_is_the_fit_on_each_of_its_windows():
     assert est.windows == [fit.window for fit in fits]
     assert est.window_values == [fit.coefficients[IndexTerm(1, 1)] for fit in fits]
     assert est.linear_value == fits[0].coefficients[IndexTerm(1, 0)]
+
+
+def test_detector_basis_is_the_log_term_and_the_roots_below_it():
+    # P(z) = (z^2 + z)/2 - 1 has roots -2 and 1: x^-2 is the Dirichlet mode
+    assert [r.z for r in spec_b_roots(MA_LINEARIZATION)] == [-2, 1]
+    assert _DETECTOR_SET.pairs() == [(-2.0, 0), (1.0, 0), (1.0, 1)]
+    assert _DETECTOR_SET.cutoff == 1
+    assert detect_log_term(RadialField(GRID, GRID.x)).basis == _DETECTOR_SET
+
+
+def test_stencil_root_is_one_less_h_squared_over_twelve():
+    for n in (2048, 4096, 16384):
+        h = RadialGrid(GRID.t_min, GRID.t_max, n).h
+        assert (1.0 - _stencil_root(h, 1.0)) / (h * h / 12.0) == pytest.approx(1.0, abs=1e-4)
+
+
+def _ma_solution(n, F, t_min=GRID.t_min):
+    grid = RadialGrid(t_min, GRID.t_max, n)
+    return solve_monge_ampere_radial(MongeAmpereProblem(ModelMetric(),
+                                                        RadialField(grid, F(grid.x))))[0]
+
+
+@pytest.mark.parametrize("F", [lambda x: 2 * x ** 2, lambda x: 3 * x ** 3, lambda x: x ** 1.5],
+                         ids=["2x^2", "3x^3", "x^1.5"])
+def test_detector_reads_no_log_term_where_the_stencil_makes_its_own(F):
+    # no x log x in the solution: with x^-2 fitted the detector reads the
+    # stencil's own term c (z_h - 1), which reliable must not take for one
+    est = detect_log_term(_ma_solution(4096, F))
+    stencil_term = abs(est.linear_value) * (1.0 - _stencil_root(GRID.h, 1.0))
+    assert 1.0 <= est.value / stencil_term <= 1.04
+    assert not est.reliable
+    assert est.message == "no reliable log term (within twice the stencil's own x log x term)"
+
+
+@pytest.mark.parametrize("t_min, n", [(GRID.t_min, 100), (-300.0, 4096)],
+                         ids=["9-samples-short", "x^-2-overflows"])
+def test_detector_fits_without_the_dirichlet_mode_where_windows_cannot_hold_it(t_min, n):
+    # windows of fewer than 9 samples, or so deep that x^-3 squared overflows:
+    # the fit of x log x and x alone, as before the Dirichlet mode joined
+    u = _ma_solution(n, lambda x: 1.5 * x, t_min)
+    est = detect_log_term(u)
+    two_terms = IndexSet((IndexTerm(1, 1), IndexTerm(1, 0)), 1)
+    assert est.basis == two_terms
+    assert est.window_values == [fit_polyhom(u, two_terms, window).coefficients[IndexTerm(1, 1)]
+                                 for window in est.windows]
+
+
+@functools.lru_cache(maxsize=None)
+def _detected(n: int, a: float):
+    """The detector on the MA solution of F = a x on n nodes, and the spacing."""
+    u = _ma_solution(n, lambda x: a * x)
+    return detect_log_term(u), u.grid.h
+
+
+#: the ladder of finest grids; each is extrapolated with n // 2 and n // 4
+LADDER = (2048, 4096, 8192, 16384, 32768, 65536)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 4.5])
+def test_extrapolated_log_term_lies_inside_its_error_bar_and_falls_with_h(a):
+    b = 2.0 * a / 3.0
+    errors, bars = [], []
+    for n in LADDER:
+        estimates, spacings = zip(*(_detected(m, a) for m in (n, n // 2, n // 4)))
+        extrapolated = extrapolate_log_term(estimates, spacings)
+        error = abs(extrapolated.value - b)
+        assert error <= extrapolated.uncertainty, n
+        if error > 1e-9 * b:   # above rounding, the bar is at most 10x the error
+            assert extrapolated.uncertainty <= 10.0 * error, n
+        assert extrapolated.window_values[0] == extrapolated.value
+        errors.append(error)
+        bars.append(extrapolated.uncertainty)
+    # fourth order until rounding: each halving of h from 2048 to 16384 nodes
+    # divides the error by at least 8 (16 in the limit) and the bar by 4
+    assert errors[0] <= 2e-6 * b
+    for k in range(3):
+        assert errors[k + 1] <= errors[k] / 8 and bars[k + 1] <= bars[k] / 4
+
+
+def test_extrapolation_needs_the_same_windows_and_basis_on_every_grid():
+    (fine, h), (half, h2), (quarter, h4) = (_detected(n, 1.5) for n in (512, 256, 128))
+    assert extrapolate_log_term((fine, half, quarter), (h, h2, h4)).value == \
+        pytest.approx(1.0, abs=1e-3)
+    two_terms, h_100 = _detected(100, 1.5)   # windows of 8 or 9 samples
+    with pytest.raises(ValueError, match="do not hold the detector's windows and basis"):
+        extrapolate_log_term((fine, half, two_terms), (h, h2, h_100))
 
 
 def test_remainder_saturates_on_exact_expansion():

@@ -28,7 +28,7 @@ FIT_SET = IndexSet(tuple(IndexTerm(z, k) for z, k in ((1, 0), (1, 1), (2, 0), (2
 
 DIGESTS = {
     "ma-solution": "c7d4ffbdeda74b23248dbd00cfba871e89b9d7089f79ca47e76498735611574b",
-    "ma-detector": "9273c6a7aecc6c13584f5d6edcc2e7549278cf203e8e583562778db214c0cc4f",
+    "ma-detector": "d8a2ba7df21a315a0726646e09f4683c52a99bc392c485dbb7d5fd1d2f8361d5",
     "ma-fit": "3231dc29fa75114ba07c095b30edfb27e18856d4af5bebfc837278967ccdd0d2",
     "flow-snapshot": "7b1ebbc077093c3ab45edc2be4168e0e3474cf205cde61aabcd586ca6e019c4e",
     "decay-slice-ratios": "3088b9158a7695b02b5dd9163f79878a18267c361d533ee7bfb25cf54e4061b2",

@@ -100,6 +100,10 @@ def test_each_config_fault_exits_with_its_code_and_message(tmp_path, capsys, cas
      r"^cusp constant must be positive and finite, got inf$"),
     (lambda: parabolic.cusp_constant_evolution(math.nan, 1.0), ValueError,
      r"^cusp constant must be positive and finite, got nan$"),
+    (lambda: parabolic.cusp_constant_evolution(2.0, math.nan), ValueError,
+     r"^time t must be >= 0, got nan$"),
+    (lambda: parabolic.cusp_constant_evolution(2.0, -1000.0), ValueError,
+     r"^time t must be >= 0, got -1000\.0$"),
     (lambda: parabolic.restricted_ode_solution([2.0, -math.inf], 1.0, dt=0.1), ValueError,
      r"^cusp constant must be positive and finite, got -inf$"),
     (lambda: parabolic.restricted_ode_solution([math.nan], 1.0, dt=0.1), ValueError,
@@ -123,7 +127,8 @@ def test_each_config_fault_exits_with_its_code_and_message(tmp_path, capsys, cas
                                  IndexSet((IndexTerm(0, 1100),), 0), (0.62, 0.7)),
      FitError, r"vanishes identically on the window \[0\.62, 0\.7\]$"),
 ], ids=["density-grid", "grid-nodes", "window-lo", "window-order", "rk4-constant",
-        "rk4-constant-inf", "evolution-constant-nan", "restricted-constant-minus-inf",
+        "rk4-constant-inf", "evolution-constant-nan", "evolution-time-nan",
+        "evolution-time-negative", "restricted-constant-minus-inf",
         "restricted-constant-nan", "decay-gamma-nan", "decay-dt-zero",
         "decay-dt-past-T", "multiplicities", "hatEplus-cutoff", "rational-sqrt",
         "fit-row-weights", "fit-term-vanishes"])

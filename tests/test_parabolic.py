@@ -51,6 +51,8 @@ def scaled_cusp(c0: float, grid=GRID) -> ModelMetric:
 def test_cusp_constant_closed_form():
     assert cusp_constant_evolution(2.0, math.log(2.0)) == 1.5
     assert cusp_constant_evolution(1.0, 17.3) == 1.0
+    # t = inf is the limit; a NaN or negative t is refused (test_messages.py)
+    assert cusp_constant_evolution(5.0, math.inf) == 1.0
 
 
 def test_cusp_constant_rk4_cross_check():

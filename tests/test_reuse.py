@@ -275,11 +275,11 @@ def _uncached_detector(samples):
     values, linear = [], []
     for window in fitting._detector_windows(grid):
         mask = grid.window_mask(*window)
-        # the index set's canonical column order: x, then x log x
+        # the index set's canonical column order: x^-2, x, then x log x
         coefs = _uncached_lstsq(grid.t[mask], samples.values[mask],
-                                (IndexTerm(1, 0), IndexTerm(1, 1)), 1.0)
-        values.append(float(coefs[1]))
-        linear.append(float(coefs[0]))
+                                (IndexTerm(-2, 0), IndexTerm(1, 0), IndexTerm(1, 1)), 1.0)
+        values.append(float(coefs[2]))
+        linear.append(float(coefs[1]))
     return values[0], linear[0], max(abs(v - values[0]) for v in values), values
 
 

@@ -29,10 +29,10 @@ def _ma_solve(shift: float, F):
 
 def test_log_term_is_linear_in_a_small_source():
     # F = a x: the solve is in its linear regime, where b~ / a is 2/3 up to
-    # the detector's bias; a start whose residual was below the absolute tol
-    # was once accepted untouched, and b~ read 0 for a <= 1e-11
+    # the detector's h^2 bias; a start whose residual was below the absolute
+    # tol was once accepted untouched, and b~ read 0 for a <= 1e-11
     ratios = [_ma_solve(0.0, lambda x, a=a: a * x)[1].value / a for a in AMPLITUDES]
-    assert ratios[0] == pytest.approx(0.666192488743706, rel=1e-9)
+    assert ratios[0] == pytest.approx(0.6668272598219602, rel=1e-9)
     assert max(ratios) - min(ratios) <= 1e-9 * ratios[0], ratios
 
 
