@@ -504,20 +504,20 @@ _P_PRIME_AT_1 = MA_LINEARIZATION.c * (1 + Fraction(1, 2))
 
 def _extrapolated(config, params: NewtonParams, estimate, grid: RadialGrid):
     """``extrapolate_log_term`` of ``estimate``, made on ``grid``, and of the
-    same solve on n_nodes // 2 and n_nodes // 4 nodes over its span, with the
-    grids' node counts and single-grid values; None and ``grid`` alone where
-    a coarser grid is refused, its solve or detection fails, or it does not
-    hold the detector's windows and basis."""
-    estimates, grids = [estimate], [grid]
+    same solve on n_nodes // 2 and n_nodes // 4 nodes over its span, None
+    and the grids' node counts and single-grid values; None, the message of
+    the error and ``grid`` alone where a coarser grid is refused, its solve or
+    detection fails, or it does not hold the detector's windows and basis."""
+    estimates, grids, error = [estimate], [grid], None
     try:
         for n in (grid.n_nodes // 2, grid.n_nodes // 4):
             grids.append(RadialGrid(grid.t_min, grid.t_max, n))
             estimates.append(detect_log_term(_ma_on(config, grids[-1], params)[0]))
         extrapolated = extrapolate_log_term(estimates, [g.h for g in grids])
-    except (ValueError, SolverError, FitError):
-        extrapolated, estimates = None, estimates[:1]
-    return extrapolated, [{"n_nodes": g.n_nodes, "b_tilde": e.value}
-                          for g, e in zip(grids, estimates)]
+    except (ValueError, SolverError, FitError) as exc:
+        extrapolated, estimates, error = None, estimates[:1], str(exc)
+    return extrapolated, error, [{"n_nodes": g.n_nodes, "b_tilde": e.value}
+                                 for g, e in zip(grids, estimates)]
 
 
 def cmd_logterm_pipeline(config, outdir: Path) -> dict:
@@ -528,7 +528,7 @@ def cmd_logterm_pipeline(config, outdir: Path) -> dict:
     params = NewtonParams(max_iter=config["max_iter"], tol=config["tol"])
     solution, report = _solve_ma(config, outdir, params)
     estimate = _named(", ".join(_GRID_KEYS), detect_log_term, solution)   # a shallow grid
-    extrapolated, grids = _extrapolated(config, params, estimate, solution.grid)
+    extrapolated, error, grids = _extrapolated(config, params, estimate, solution.grid)
     reported = extrapolated or estimate   # else the fine grid's value and window spread
     rel_error = abs(reported.value - predicted) / (abs(predicted) or 1.0)
     payload = {
@@ -545,6 +545,7 @@ def cmd_logterm_pipeline(config, outdir: Path) -> dict:
         "b_tilde_fitted": reported.value,
         "b_tilde_single_grid": estimate.value,
         "extrapolated": extrapolated is not None,
+        "extrapolation_error": error,
         "grids": grids,
         "uncertainty": reported.uncertainty,
         "window_values": reported.window_values,

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import FitError
 from .indexsets import IndexSet, IndexTerm, exponent_gt
 from .indicial import IndicialFamily, spec_b_roots
-from .radial import RadialField, RadialGrid, _all_finite, _read_only, laplacian_coefficients
+from .radial import RadialField, RadialGrid, _all_finite, _read_only, stencil_root
 
 LN10 = math.log(10.0)
 
@@ -265,15 +265,6 @@ def _detector_windows(grid: RadialGrid) -> tuple[tuple[float, float], ...]:
     return tuple(windows)
 
 
-def _stencil_root(h: float, lam: float) -> float:
-    """The upper root z_h of P_h(z) = lam, P_h(z) = c_sub e^{-zh} + c_diag +
-    c_sup e^{zh} the centred stencil's action on x^z: s = e^{z_h h} is the
-    larger root of c_sup s^2 - (lam - c_diag) s + c_sub = 0."""
-    c_sub, c_diag, c_sup = laplacian_coefficients(h)
-    b = lam - c_diag
-    return math.log((b + math.sqrt(b * b - 4.0 * c_sup * c_sub)) / (2.0 * c_sup)) / h
-
-
 def detect_log_term(samples: RadialField) -> LogTermEstimate:
     """Estimate the coefficient of x log x in a field vanishing at the cusp.
 
@@ -305,7 +296,7 @@ def detect_log_term(samples: RadialField) -> LogTermEstimate:
     floor = 1e-8 * (1.0 + data_scale)
     stable = uncertainty <= max(0.5 * abs(value), floor)
     stencil_term = abs(linear_value) * (float(_LOG_TERM.z)
-                                        - _stencil_root(grid.h, float(MA_LINEARIZATION.lam)))
+                                        - stencil_root(grid.h, float(MA_LINEARIZATION.lam)))
     reliable = stable and abs(value) > 2.0 * stencil_term
     message = ("" if reliable else
                "no reliable log term (non-stabilizing estimates)" if not stable else

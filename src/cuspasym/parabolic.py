@@ -64,7 +64,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import SolverError
-from .fitting import _lsq_slope
 from .geometry import ModelMetric
 from .radial import (
     NewtonWorkspace,
@@ -73,6 +72,7 @@ from .radial import (
     _log_density_equation,
     factor_symmetric_tridiagonal,
     laplacian_coefficients,
+    stencil_symbol,
     unit_laplacian,
 )
 
@@ -456,18 +456,20 @@ class DecayCertificate:
     slice_ratios: np.ndarray     # sup |u| / x^gamma per time slice
     sup_ratio: float
     K: float
-    growth_rate: float           # fitted c in the bound K e^{c t}
+    growth_rate: float           # the barrier's rate c in the bound K e^{c t}
 
 
 def decay_certificate(grid: RadialGrid, gamma: float,
                       g: Callable[[np.ndarray, float], np.ndarray],
                       T: float, dt: float) -> DecayCertificate:
-    """Empirical barrier bound for du/dt = Delta u - u + x^gamma g(x, t).
+    """Barrier bound K e^{c t} for du/dt = Delta u - u + x^gamma g(x, t).
 
     Integrates the linear equation by backward Euler (zero Dirichlet data,
     u(0) = 0) and reports, per time slice, the sup of |u| / x^gamma over the
-    interior nodes where the weight is a normal float (none is a ValueError),
-    with fitted constants K and c such that every slice ratio is below K e^{c t}.
+    interior nodes where the weight is a normal float (none is a ValueError).
+    A step maps x^gamma to q x^gamma, q = 1 + h_t (1 - P_h(gamma)) (``stencil_symbol``),
+    so the maximum principle bounds slice m by K_m = (K_{m-1} + h_t sup|g|) / q:
+    c = max(0, -log(q) / h_t) is its rate, K the smallest constant; q <= 0 is an error.
 
     The step matrix (1 + h_t) - h_t Delta has constant coefficients, and
     its interior rows decouple from the zero end rows.  The grid's read-only
@@ -496,6 +498,11 @@ def decay_certificate(grid: RadialGrid, gamma: float,
     if not weight[-1] >= np.finfo(float).tiny:   # the weight grows with x
         raise ValueError(f"decay weight gamma={gamma} makes x^gamma underflow at every node")
     kept = slice(int(np.argmax(weight >= np.finfo(float).tiny)), None)   # normal weights
+    try:   # log1p raises where q <= 0, and stencil_symbol once gamma h passes about 709
+        rate = max(0.0, -math.log1p(h_t * (1.0 - stencil_symbol(h, gamma))) / h_t)
+    except (OverflowError, ValueError):
+        raise ValueError(f"no barrier K x^gamma for gamma={gamma} at dt={dt} on h={h}: the "
+                         f"step's factor q = 1 + h_t (1 - P_h(gamma)) is not positive") from None
 
     y, rhs, ratios = np.zeros(n - 2), np.empty(n - 2), np.zeros(len(times))
     forcing = h_t * weight
@@ -508,13 +515,5 @@ def decay_certificate(grid: RadialGrid, gamma: float,
         ratio = np.divide(y[kept], weight[kept], out=rhs[kept])
         ratios[m] = max(float(ratio.max()), -float(ratio.min())) + 0.0
 
-    idx = np.flatnonzero(ratios > 0)
-    if len(idx) == 0:
-        return DecayCertificate(gamma, times, ratios, 0.0, 0.0, 0.0)
-    # fit c from the later half of the positive slices, then the smallest
-    # K making K e^{c t} a true bound
-    tail = idx[idx >= idx[0] + (idx[-1] - idx[0]) // 2]
-    slope = _lsq_slope(times[tail], np.log(ratios[tail])) if len(tail) >= 2 else 0.0
-    c_fit = max(0.0, float(slope))
-    K = float(np.max(ratios * np.exp(-c_fit * times)))
-    return DecayCertificate(gamma, times, ratios, float(np.max(ratios)), K, c_fit)
+    K = float(np.max(ratios * np.exp(-rate * times)))
+    return DecayCertificate(gamma, times, ratios, float(np.max(ratios)), K, rate)

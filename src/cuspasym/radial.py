@@ -74,6 +74,20 @@ def laplacian_coefficients(h: float) -> tuple[float, float, float]:
     return 0.5 / h**2 - 0.25 / h, -1.0 / h**2, 0.5 / h**2 + 0.25 / h
 
 
+def stencil_symbol(h: float, z: float) -> float:
+    """P_h(z), the centred stencil's exact action on powers: Delta_h x^z = P_h(z) x^z."""
+    c_sub, c_diag, c_sup = laplacian_coefficients(h)
+    return c_sub * math.exp(-z * h) + c_diag + c_sup * math.exp(z * h)
+
+
+def stencil_root(h: float, lam: float) -> float:
+    """The upper root z_h of P_h(z) = lam: s = e^{z_h h} is the larger root
+    of c_sup s^2 - (lam - c_diag) s + c_sub = 0."""
+    c_sub, c_diag, c_sup = laplacian_coefficients(h)
+    b = lam - c_diag
+    return math.log((b + math.sqrt(b * b - 4.0 * c_sup * c_sub)) / (2.0 * c_sup)) / h
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

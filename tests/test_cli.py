@@ -10,6 +10,7 @@ import pytest
 from cuspasym import cli, indexsets, parabolic
 from cuspasym.cli import main
 from cuspasym.elliptic import NewtonParams
+from cuspasym.fitting import _detector_windows
 from cuspasym.indexsets import IndexTerm, closure
 from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid
 
@@ -490,6 +491,7 @@ def _logterm(tmp_path, text: str) -> dict:
 def test_logterm_pipeline_extrapolates_over_three_grids(tmp_path):
     data = _logterm(tmp_path, "f_terms = 1.5:1:0\n")
     assert data["extrapolated"] is True and data["reliable"] is True
+    assert data["extrapolation_error"] is None
     assert [g["n_nodes"] for g in data["grids"]] == [4096, 2048, 1024]
     assert data["b_tilde_single_grid"] == data["grids"][0]["b_tilde"]
     assert abs(data["b_tilde_single_grid"] - 1.0) > 2e-4   # the detector's h^2 bias
@@ -506,6 +508,17 @@ def test_logterm_pipeline_falls_back_to_the_fine_grid(tmp_path):
     assert data["b_tilde_fitted"] == data["b_tilde_single_grid"] == data["window_values"][0]
     assert data["uncertainty"] == max(abs(v - data["window_values"][0])
                                       for v in data["window_values"])
+
+
+def test_logterm_pipeline_says_why_it_did_not_extrapolate(tmp_path):
+    # the 64-node grid's windows move, and the last holds too few samples
+    # for even the two-term fit: logterm.json names that refusal
+    data = _logterm(tmp_path, "n_nodes = 256\nf_terms = 1.5:1:0\n")
+    assert data["extrapolated"] is False
+    assert data["extrapolation_error"] == ("window [1.71e-14, 5.41e-13] holds 5 samples; "
+                                           "need at least 6 for 2 terms")
+    lo, hi = _detector_windows(RadialGrid(DEFAULT_GRID.t_min, DEFAULT_GRID.t_max, 64))[-1]
+    assert f"[{lo:.3g}, {hi:.3g}]" == "[1.71e-14, 5.41e-13]"
 
 
 @pytest.mark.parametrize("terms", ["2:2:0", "3:3:0", "1:1.5:0"])

@@ -13,7 +13,6 @@ from cuspasym.fitting import (
     MA_LINEARIZATION,
     _fit_design,
     _detector_windows,
-    _stencil_root,
     default_fit_window,
     detect_log_term,
     extrapolate_log_term,
@@ -24,7 +23,7 @@ from cuspasym.geometry import ModelMetric
 from cuspasym.elliptic import MongeAmpereProblem, solve_monge_ampere_radial
 from cuspasym.indexsets import IndexSet, IndexTerm, closure
 from cuspasym.indicial import spec_b_roots
-from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion
+from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion, stencil_root
 
 GRID = DEFAULT_GRID
 E_X = closure((IndexTerm(1, 0),), 2)          # {x, x^2}
@@ -161,7 +160,7 @@ def test_detector_basis_is_the_log_term_and_the_roots_below_it():
 def test_stencil_root_is_one_less_h_squared_over_twelve():
     for n in (2048, 4096, 16384):
         h = RadialGrid(GRID.t_min, GRID.t_max, n).h
-        assert (1.0 - _stencil_root(h, 1.0)) / (h * h / 12.0) == pytest.approx(1.0, abs=1e-4)
+        assert (1.0 - stencil_root(h, 1.0)) / (h * h / 12.0) == pytest.approx(1.0, abs=1e-4)
 
 
 def _ma_solution(n, F, t_min=GRID.t_min):
@@ -176,7 +175,7 @@ def test_detector_reads_no_log_term_where_the_stencil_makes_its_own(F):
     # no x log x in the solution: with x^-2 fitted the detector reads the
     # stencil's own term c (z_h - 1), which reliable must not take for one
     est = detect_log_term(_ma_solution(4096, F))
-    stencil_term = abs(est.linear_value) * (1.0 - _stencil_root(GRID.h, 1.0))
+    stencil_term = abs(est.linear_value) * (1.0 - stencil_root(GRID.h, 1.0))
     assert 1.0 <= est.value / stencil_term <= 1.04
     assert not est.reliable
     assert est.message == "no reliable log term (within twice the stencil's own x log x term)"

@@ -1,6 +1,7 @@
 """Import graph: scipy and the thread pool are loaded only by the functions
-that use them, and the exact-arithmetic modules import nothing outside the
-standard library.
+that use them, the exact-arithmetic modules import nothing outside the
+standard library, and the solver modules import neither the fits nor the
+index algebra.
 
 Each runtime check runs in a fresh interpreter, since the test process
 itself has long since imported scipy.  The package reaches LAPACK through
@@ -68,6 +69,34 @@ def test_exact_modules_import_only_stdlib_and_package():
                 continue
             assert all(top in sys.stdlib_module_names or top == "cuspasym"
                        for top in tops), (name, tops)
+
+
+#: the solver modules, and the package modules that none of them imports:
+#: the fits and the exact index algebra sit above the solvers
+SOLVER_MODULES = ("radial.py", "geometry.py", "elliptic.py", "parabolic.py")
+ABOVE_THE_SOLVERS = {"fitting", "indexsets", "indicial"}
+
+
+def _package_imports(name: str) -> set[str]:
+    """The package modules that ``name`` imports anywhere, a function's
+    imports included."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / "cuspasym" / name).read_text())):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "cuspasym." + (node.module or "") if node.level else node.module
+            paths = [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {path.split(".")[1] for path in paths if path.startswith("cuspasym.")}
+    return found
+
+
+def test_solver_modules_import_no_fit_or_index_algebra():
+    assert _package_imports("fitting.py") >= {"radial", "indexsets", "indicial"}
+    for name in SOLVER_MODULES:
+        assert not _package_imports(name) & ABOVE_THE_SOLVERS, (name, _package_imports(name))
 
 
 def test_package_import_loads_no_scipy(tmp_path):

@@ -114,6 +114,16 @@ def test_each_config_fault_exits_with_its_code_and_message(tmp_path, capsys, cas
      r"^need 0 < dt <= T, got dt=0\.0, T=1\.0$"),
     (lambda: parabolic.decay_certificate(SHALLOW, 1.0, lambda x, t: x, 0.1, 0.2), ValueError,
      r"^need 0 < dt <= T, got dt=0\.2, T=0\.1$"),
+    # q = 1 + h_t (1 - P_h(20)) = 1 - 25.5 on 512 nodes
+    (lambda: parabolic.decay_certificate(RadialGrid(-40.0, math.log(0.5), 512), 20.0,
+                                         lambda x, t: np.ones_like(x), 1.0, 0.1), ValueError,
+     r"^no barrier K x\^gamma for gamma=20\.0 at dt=0\.1 on h=0\.07692143408892378: the "
+     r"step's factor q = 1 \+ h_t \(1 - P_h\(gamma\)\) is not positive$"),
+    # gamma h = 710.6: P_h(gamma) overflows while D x^gamma is still normal at the last node
+    (lambda: parabolic.decay_certificate(RadialGrid(-13.301, -0.001, 8), 374.0,
+                                         lambda x, t: np.ones_like(x), 1.0, 0.1), ValueError,
+     r"^no barrier K x\^gamma for gamma=374\.0 at dt=0\.1 on h=1\.9000000000000001: the "
+     r"step's factor q = 1 \+ h_t \(1 - P_h\(gamma\)\) is not positive$"),
     (lambda: IndicialFamily(1, 1, (0, 2), (1, -1)), ValueError,
      r"^multiplicities must be >= 1$"),
     (lambda: index_set_hatEplus(IndicialFamily(1, 1, (0,)), 2, 1), ValueError,
@@ -130,7 +140,8 @@ def test_each_config_fault_exits_with_its_code_and_message(tmp_path, capsys, cas
         "rk4-constant-inf", "evolution-constant-nan", "evolution-time-nan",
         "evolution-time-negative", "restricted-constant-minus-inf",
         "restricted-constant-nan", "decay-gamma-nan", "decay-dt-zero",
-        "decay-dt-past-T", "multiplicities", "hatEplus-cutoff", "rational-sqrt",
+        "decay-dt-past-T", "decay-no-barrier", "decay-symbol-overflow",
+        "multiplicities", "hatEplus-cutoff", "rational-sqrt",
         "fit-row-weights", "fit-term-vanishes"])
 def test_each_library_fault_raises_its_message(call, error, match):
     with pytest.raises(error, match=match):

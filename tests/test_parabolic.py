@@ -803,10 +803,26 @@ def test_tiny_spacing_conformal_flow_fails_with_a_named_error():
 # decay certificate
 # ---------------------------------------------------------------------------
 
+def _stencil_symbol(h: float, z: float) -> float:
+    """P_h(z) = c_sub e^{-zh} + c_diag + c_sup e^{zh}: the centred stencil
+    maps x^z to P_h(z) x^z exactly at every interior node."""
+    c_sub, c_diag, c_sup = laplacian_coefficients(h)
+    return c_sub * math.exp(-z * h) + c_diag + c_sup * math.exp(z * h)
+
+
+def _barrier_rate(h: float, gamma: float, h_t: float) -> float:
+    """-log(q) / h_t, at least 0, q = 1 + h_t (1 - P_h(gamma)) the factor a
+    backward-Euler step maps the barrier x^gamma by."""
+    return max(0.0, -math.log1p(h_t * (1.0 - _stencil_symbol(h, gamma))) / h_t)
+
+
 def test_decay_certificate_zero_source():
     cert = decay_certificate(GRID, 1.0, lambda x, t: np.zeros_like(x),
                              T=1.0, dt=1e-2)
-    assert cert.sup_ratio == 0.0 and cert.K == 0.0 and cert.growth_rate == 0.0
+    assert cert.sup_ratio == 0.0 and cert.K == 0.0
+    # the rate is the barrier's, whatever the source: P_h(1) - 1 ~ h^2/8 > 0
+    assert cert.growth_rate == -math.log1p(1e-2 * (1.0 - _stencil_symbol(GRID.h, 1.0))) / 1e-2
+    assert cert.growth_rate > 0.0
     # every slice ratio is +0.0, bit for bit: no -0.0 from a signed extreme
     assert cert.slice_ratios.tobytes() == np.zeros(len(cert.times)).tobytes()
 
@@ -880,7 +896,8 @@ def test_decay_certificate_matches_per_step_solves_bit_for_bit(gamma):
 
 def _unsymmetrized_reference(grid, gamma, g, T, steps):
     """Slice ratios and bound (K, c) of the backward-Euler decay run in u
-    itself, one pivoting gtsv solve of the full system per step."""
+    itself, one pivoting gtsv solve of the full system per step: c the
+    barrier's rate, K the smallest constant with ratios <= K e^{c t}."""
     h_t, x = T / steps, grid.x
     bands = dirichlet_bands(grid.n_nodes, grid.h, -h_t, -(1.0 + h_t))
     times = np.linspace(0.0, T, steps + 1)
@@ -890,9 +907,7 @@ def _unsymmetrized_reference(grid, gamma, g, T, steps):
         rhs[0] = rhs[-1] = 0.0
         u = solve_tridiagonal(*bands, rhs)
         ratios[m] = np.max(np.abs(u[1:-1]) / x[1:-1] ** gamma)
-    idx = np.flatnonzero(ratios > 0)
-    tail = idx[idx >= idx[0] + (idx[-1] - idx[0]) // 2]
-    c = max(0.0, np.polyfit(times[tail], np.log(ratios[tail]), 1)[0])
+    c = _barrier_rate(grid.h, gamma, h_t)
     return ratios, float(np.max(ratios * np.exp(-c * times))), c
 
 
@@ -943,12 +958,33 @@ def test_decay_certificate_rejects_negative_gamma():
 
 def test_decay_certificate_takes_ratios_where_the_weight_is_normal():
     # x^20 is subnormal or 0 below about x = e^-35.4: those nodes hold no
-    # ratio (dividing by them made sup_ratio and K inf)
-    cert = decay_certificate(GRID, 20.0, lambda x, t: np.ones_like(x), T=1.0, dt=0.1)
+    # ratio (dividing by them made sup_ratio and K inf); dt = 0.002 keeps
+    # q = 1 + dt (1 - P_h(20)) positive (at dt = 0.1 it is 1 - 25.5)
+    cert = decay_certificate(GRID, 20.0, lambda x, t: np.ones_like(x), T=1.0, dt=0.002)
     assert np.all(np.isfinite(cert.slice_ratios)) and np.all(cert.slice_ratios[1:] > 0)
     assert 0 < cert.sup_ratio < math.inf and 0 < cert.K < math.inf
     bound = cert.K * np.exp(cert.growth_rate * cert.times)
     assert np.all(cert.slice_ratios <= bound * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("source", list(DECAY_SOURCES))
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [4096, 16384, 65536])
+def test_decay_certificate_slices_stay_below_the_barrier(n, gamma, source):
+    # (1 + h_t - h_t Delta_h) x^gamma = q x^gamma, so the discrete maximum
+    # principle puts slice m below K_m = (K_{m-1} + h_t sup|g(., t_m)|) / q
+    grid, g = RadialGrid(-40.0, math.log(0.5), n), DECAY_SOURCES[source]
+    cert = decay_certificate(grid, gamma, g, T=1.0, dt=1e-2)
+    h_t = 1e-2
+    q = 1.0 + h_t * (1.0 - _stencil_symbol(grid.h, gamma))
+    barrier = np.zeros(len(cert.times))
+    for m in range(1, len(cert.times)):
+        sup_g = np.max(np.abs(g(grid.x, cert.times[m])[1:-1]))
+        barrier[m] = (barrier[m - 1] + h_t * sup_g) / q
+    assert np.all(cert.slice_ratios <= barrier * (1 + 1e-9))
+    assert cert.growth_rate == pytest.approx(_barrier_rate(grid.h, gamma, h_t), rel=1e-12)
+    assert np.all(cert.slice_ratios <= cert.K * np.exp(cert.growth_rate * cert.times)
+                  * (1 + 1e-12))
 
 
 def test_decay_certificate_weight_underflowing_everywhere_names_gamma():
