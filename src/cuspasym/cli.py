@@ -9,6 +9,9 @@ Every default is echoed into the output JSON so results are
 self-describing, floats are serialized at full precision, and repeated
 runs on the same config produce byte-identical files.
 
+Each command executes only the package modules it calls (``_deferred``),
+so ``indicial`` and ``chern-coeff``, exact arithmetic alone, load no numpy.
+
 Exit codes: 0 success, 2 config error (every ``ValueError`` raised while a
 command runs, a library constructor rejecting a value included; ``_named``
 puts the config key at fault before the message), 3 numerical failure
@@ -26,40 +29,41 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import math
 import os
 import sys
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
-from .chern import log_coefficient_plane_curve
+from . import defaults
 from .errors import ConfigError, FitError, SolverError
-from .elliptic import (
-    LinearProblem,
-    MongeAmpereProblem,
-    NewtonParams,
-    solve_linear,
-    solve_monge_ampere_radial,
-)
-from .fitting import (MA_LINEARIZATION, detect_log_term, extrapolate_log_term, fit_polyhom,
-                      remainder_check)
-from .geometry import ModelMetric
-from .indexsets import IndexSet, IndexTerm, as_exponent, closure, extended_union
-from .indicial import (
-    IndicialFamily,
-    count_complex_root_eigenvalues,
-    index_set_Eplus,
-    index_set_hatEplus,
-    spec_b_roots,
-)
-from .parabolic import FlowProblem, fitted_boundary_constant, run_flow
-from .radial import (DEFAULT_GRID, RadialField, RadialGrid, evaluate_expansion,
-                     unit_laplacian_interior)
+
+
+def _deferred(name: str) -> types.ModuleType:
+    """The package module ``name``, bound in ``sys.modules`` and on the
+    package but executed only when its first attribute is read
+    (``importlib.util.LazyLoader``); a module already imported, or already
+    deferred, is reused as it is.  So a command executes only the modules
+    it calls, and the exact commands load no numpy."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+chern, elliptic, fitting, geometry, indexsets, indicial, parabolic, radial = map(
+    _deferred, ("chern", "elliptic", "fitting", "geometry", "indexsets", "indicial",
+                "parabolic", "radial"))
 
 OUTDIR_ENV = "CUSPASYM_OUTDIR"
 
@@ -101,7 +105,7 @@ _parse_rational = _number("rational", _rational)
 
 
 def _parse_exponent(text: str):   # as_exponent refuses one that is not finite
-    return as_exponent(_parse_rational(text))
+    return indexsets.as_exponent(_parse_rational(text))
 
 
 def _file_name(text: str) -> str:
@@ -188,9 +192,9 @@ def resolve_config(raw: dict[str, str], schema: dict[str, Key],
 
 
 _GRID_KEYS = {
-    "t_min": Key(_parse_float, DEFAULT_GRID.t_min),
-    "t_max": Key(_parse_float, DEFAULT_GRID.t_max),
-    "n_nodes": Key(_parse_int, DEFAULT_GRID.n_nodes),
+    "t_min": Key(_parse_float, defaults.DEFAULT_GRID_SPAN.t_min),
+    "t_max": Key(_parse_float, defaults.DEFAULT_GRID_SPAN.t_max),
+    "n_nodes": Key(_parse_int, defaults.DEFAULT_GRID_SPAN.n_nodes),
 }
 
 #: keys of the commands that solve for a potential with source ``f_terms``
@@ -202,8 +206,8 @@ _SOLVE_KEYS = {
 }
 
 _NEWTON_KEYS = {
-    "max_iter": Key(_parse_int, NewtonParams.max_iter),
-    "tol": Key(_parse_float, NewtonParams.tol),
+    "max_iter": Key(_parse_int, defaults.NewtonParams.max_iter),
+    "tol": Key(_parse_float, defaults.NewtonParams.tol),
 }
 
 _OUTPUT_KEY = {"output": Key(str, "")}
@@ -233,7 +237,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {name: {**keys, **_OUTPUT_KEY} for name, ke
         **_GRID_KEYS,
         **_SOLVE_KEYS,
         **_NEWTON_KEYS,
-        "damping_min": Key(_parse_float, NewtonParams.damping_min),
+        "damping_min": Key(_parse_float, defaults.NewtonParams.damping_min),
     },
     "flow": {
         **_GRID_KEYS,
@@ -295,32 +299,34 @@ def _make_dir(path: Path) -> None:
     _file_op(path, lambda p: p.mkdir(parents=True, exist_ok=True), "make output directory")
 
 
-def _grid_from_config(config) -> RadialGrid:
-    return RadialGrid(config["t_min"], config["t_max"], config["n_nodes"])
+def _grid_from_config(config) -> radial.RadialGrid:
+    return radial.RadialGrid(config["t_min"], config["t_max"], config["n_nodes"])
 
 
-def _sample_terms(config, key: str, grid: RadialGrid) -> RadialField:
+def _sample_terms(config, key: str, grid: radial.RadialGrid) -> radial.RadialField:
     """The term list ``config[key]`` sampled on ``grid``; a config error
     where it is not finite (an overflowing power of x, say) or a term's
     exponent is not (x^inf is 0 on the grid, but no JSON number)."""
+    import numpy as np
+
     if not all(math.isfinite(z) for _, z, _ in config[key]):
         raise ConfigError(f"{key} has a term exponent that is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = evaluate_expansion(config[key], grid.x)
+        values = radial.evaluate_expansion(config[key], grid.x)
     bad = ~np.isfinite(values)
     if np.any(bad):
         raise ConfigError(f"{key} is not finite at x={grid.x[np.argmax(bad)]:.6g}")
-    return RadialField(grid, values)
+    return radial.RadialField(grid, values)
 
 
-def _metric_from_config(config, grid) -> ModelMetric:
+def _metric_from_config(config, grid) -> geometry.ModelMetric:
     """The config's metric, its fields given one at a time, so that a value the
     constructor rejects is a config error naming the key it came from."""
     args = [config["metric_a"], config["metric_b"]]
     if config.get("conformal_terms"):
         args.append(_sample_terms(config, "conformal_terms", grid))
     for count, key in enumerate(("metric_a", "metric_b", "conformal_terms")[:len(args)], 1):
-        metric = _named(key, ModelMetric, *args[:count])
+        metric = _named(key, geometry.ModelMetric, *args[:count])
     return metric
 
 
@@ -329,27 +335,27 @@ def _metric_from_config(config, grid) -> ModelMetric:
 # ---------------------------------------------------------------------------
 
 def cmd_indicial(config, outdir: Path) -> dict:
-    family = IndicialFamily(config["lambda"], config["c"], tuple(config["spectrum"]),
-                            tuple(config["multiplicities"]))
+    family = indicial.IndicialFamily(config["lambda"], config["c"], tuple(config["spectrum"]),
+                                     tuple(config["multiplicities"]))
     alpha, cutoff = config["alpha"], config["cutoff"]
-    roots = spec_b_roots(family)
-    e_plus = index_set_Eplus(family, alpha, cutoff)
-    hat_e_plus = index_set_hatEplus(family, alpha, cutoff)
+    roots = indicial.spec_b_roots(family)
+    e_plus = indicial.index_set_Eplus(family, alpha, cutoff)
+    hat_e_plus = indicial.index_set_hatEplus(family, alpha, cutoff)
     payload = {
         "config": config,
         "roots": [{"z": float(r.z), "order": r.order,
                    "eigenvalue_index": r.eigenvalue_index,
                    "multiplicity": r.multiplicity} for r in roots],
-        "complex_eigenvalues": count_complex_root_eigenvalues(family),
+        "complex_eigenvalues": indicial.count_complex_root_eigenvalues(family),
         "E_plus": e_plus.to_json_dict(),
-        "E_plus_closure": closure(e_plus.terms, cutoff).to_json_dict(),
+        "E_plus_closure": indexsets.closure(e_plus.terms, cutoff).to_json_dict(),
         "hat_E_plus": hat_e_plus.to_json_dict(),
     }
     if config["union_terms"]:
         # the terms are built inside the call, so a bad log power names the key too
-        extra = _named("union_terms", closure,
-                       (IndexTerm(z, k) for z, k in config["union_terms"]), cutoff)
-        payload["extended_union"] = extended_union(hat_e_plus, extra).to_json_dict()
+        extra = _named("union_terms", indexsets.closure,
+                       (indexsets.IndexTerm(z, k) for z, k in config["union_terms"]), cutoff)
+        payload["extended_union"] = indexsets.extended_union(hat_e_plus, extra).to_json_dict()
     write_json(outdir / "indicial.json", payload)
     return payload
 
@@ -357,7 +363,7 @@ def cmd_indicial(config, outdir: Path) -> dict:
 def cmd_chern(config, outdir: Path) -> dict:
     payload = {
         "d": config["d"],
-        "b_tilde": _named("d", log_coefficient_plane_curve, config["d"]),
+        "b_tilde": _named("d", chern.log_coefficient_plane_curve, config["d"]),
         "config": config,
     }
     write_json(outdir / "chern.json", payload)
@@ -365,15 +371,17 @@ def cmd_chern(config, outdir: Path) -> dict:
 
 
 def cmd_solve_linear(config, outdir: Path) -> dict:
+    import numpy as np
+
     grid = _grid_from_config(config)
     metric = _metric_from_config(config, grid)
     rhs = _sample_terms(config, "f_terms", grid)
-    problem = LinearProblem(metric, config["lambda"], rhs, config["bc_left"],
-                            config["bc_right"])
-    solution = solve_linear(problem)
+    problem = elliptic.LinearProblem(metric, config["lambda"], rhs, config["bc_left"],
+                                     config["bc_right"])
+    solution = elliptic.solve_linear(problem)
     v = solution.values   # interior rows: the one-sided end rows can overflow on the data
     with np.errstate(over="ignore", invalid="ignore"):
-        lap = unit_laplacian_interior(v, grid.h) / metric.solver_density(grid)
+        lap = radial.unit_laplacian_interior(v, grid.h) / metric.solver_density(grid)
         residual_sup = float(np.max(np.abs((lap - config["lambda"] * v - rhs.values)[1:-1])))
     if not np.isfinite(residual_sup):
         raise SolverError(f"the linear residual overflows at the solution: {residual_sup}")
@@ -388,15 +396,15 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
     return payload
 
 
-def _ma_on(config, grid: RadialGrid, params: NewtonParams):
+def _ma_on(config, grid: radial.RadialGrid, params: defaults.NewtonParams):
     """Monge-Ampere solve on the unit background with the config's source
     and boundary data on ``grid``."""
-    return solve_monge_ampere_radial(MongeAmpereProblem(
-        ModelMetric(), _sample_terms(config, "f_terms", grid),
+    return elliptic.solve_monge_ampere_radial(elliptic.MongeAmpereProblem(
+        geometry.ModelMetric(), _sample_terms(config, "f_terms", grid),
         config["bc_left"], config["bc_right"], newton=params))
 
 
-def _solve_ma(config, outdir: Path, params: NewtonParams):
+def _solve_ma(config, outdir: Path, params: defaults.NewtonParams):
     """:func:`_ma_on` the config's grid; writes the solution CSV."""
     solution, report = _ma_on(config, _grid_from_config(config), params)
     _file_op(outdir / config["solution_csv"], solution.write_csv)
@@ -404,7 +412,9 @@ def _solve_ma(config, outdir: Path, params: NewtonParams):
 
 
 def cmd_solve_ma(config, outdir: Path) -> dict:
-    solution, report = _solve_ma(config, outdir, NewtonParams(
+    import numpy as np
+
+    solution, report = _solve_ma(config, outdir, defaults.NewtonParams(
         max_iter=config["max_iter"], tol=config["tol"], damping_min=config["damping_min"]))
     payload = {
         "config": config,
@@ -422,11 +432,13 @@ def cmd_solve_ma(config, outdir: Path) -> dict:
 
 
 def cmd_flow(config, outdir: Path) -> dict:
+    import numpy as np
+
     grid = _grid_from_config(config)
     metric = _metric_from_config(config, grid)
     output_times = config["output_times"] or [config["T"]]
-    problem = FlowProblem(metric, T=config["T"], dt=config["dt"], grid=grid,
-                          output_times=output_times)
+    problem = parabolic.FlowProblem(metric, T=config["T"], dt=config["dt"], grid=grid,
+                                    output_times=output_times)
     # name every snapshot before the flow runs: one per kept step, ascending
     named = {}   # snapshot file name -> its time
     for t in problem.snapshot_times:
@@ -435,14 +447,14 @@ def cmd_flow(config, outdir: Path) -> dict:
             raise ConfigError(f"output times {named[name]} and {t} "
                               f"share the snapshot file {name}")
         named[name] = t
-    result = run_flow(problem)
+    result = parabolic.run_flow(problem)
     snapshots = []
     for name, state in zip(named, result.states):
         _file_op(outdir / name, state.u.write_csv)
         snapshots.append({
             "t": state.t,
             "csv": name,
-            "fitted_boundary_constant": fitted_boundary_constant(state),
+            "fitted_boundary_constant": parabolic.fitted_boundary_constant(state),
             "positivity_margin": state.positivity_margin,
             "sup_u": float(np.max(np.abs(state.u.values))),
         })
@@ -470,9 +482,9 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
     json_path = Path(config["index_set_json"])
     # a missing file, bad JSON, an unreadable CSV or a missing or ill-typed
     # field: each a ValueError, reported with the key and the file
-    samples = _named(f"field_csv {csv_path}", _read_file, csv_path, RadialField.read_csv)
+    samples = _named(f"field_csv {csv_path}", _read_file, csv_path, radial.RadialField.read_csv)
     E = _named(f"index_set_json {json_path}", _read_file, json_path,
-               lambda path: IndexSet.from_json_dict(json.loads(path.read_text())))
+               lambda path: indexsets.IndexSet.from_json_dict(json.loads(path.read_text())))
     lo, hi = config["window_lo"], config["window_hi"]
     window = None if lo == hi == 0 else (lo, hi)   # both 0: the default window
     for key, ok in (("window_lo", 0 < lo < math.inf), ("window_hi", lo < hi < math.inf)):
@@ -482,8 +494,8 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
     # an index set without terms, or a window with too few samples
     fit = _named(f"index_set_json {json_path}" if not E.terms else
                  "window_lo, window_hi" if window else f"field_csv {csv_path}",
-                 fit_polyhom, samples, E, fit_window=window)
-    remainder = remainder_check(fit, samples)
+                 fitting.fit_polyhom, samples, E, fit_window=window)
+    remainder = fitting.remainder_check(fit, samples)
     payload = {
         "config": config,
         "window": list(fit.window),
@@ -497,25 +509,24 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
     return payload
 
 
-#: P'(1) of the Monge-Ampere linearization's indicial polynomial
-#: P(z) = (c/2)(z^2 + z) - lambda, exactly: a source a x gives b~ = a/P'(1)
-_P_PRIME_AT_1 = MA_LINEARIZATION.c * (1 + Fraction(1, 2))
-
-
-def _extrapolated(config, params: NewtonParams, estimate, grid: RadialGrid):
+def _extrapolated(config, params: defaults.NewtonParams, estimate, grid: radial.RadialGrid):
     """``extrapolate_log_term`` of ``estimate``, made on ``grid``, and of the
     same solve on n_nodes // 2 and n_nodes // 4 nodes over its span, None
     and the grids' node counts and single-grid values; None, the message of
     the error and ``grid`` alone where a coarser grid is refused, its solve or
-    detection fails, or it does not hold the detector's windows and basis."""
+    detection fails, or it does not hold the detector's windows and basis.
+    An error of one coarser grid names its node count first, "64 nodes: ..."."""
     estimates, grids, error = [estimate], [grid], None
+    failing = ""   # the coarser grid at work, if any
     try:
         for n in (grid.n_nodes // 2, grid.n_nodes // 4):
-            grids.append(RadialGrid(grid.t_min, grid.t_max, n))
-            estimates.append(detect_log_term(_ma_on(config, grids[-1], params)[0]))
-        extrapolated = extrapolate_log_term(estimates, [g.h for g in grids])
+            failing = f"{n} nodes: "
+            grids.append(radial.RadialGrid(grid.t_min, grid.t_max, n))
+            estimates.append(fitting.detect_log_term(_ma_on(config, grids[-1], params)[0]))
+        failing = ""
+        extrapolated = fitting.extrapolate_log_term(estimates, [g.h for g in grids])
     except (ValueError, SolverError, FitError) as exc:
-        extrapolated, estimates, error = None, estimates[:1], str(exc)
+        extrapolated, estimates, error = None, estimates[:1], failing + str(exc)
     return extrapolated, error, [{"n_nodes": g.n_nodes, "b_tilde": e.value}
                                  for g, e in zip(grids, estimates)]
 
@@ -524,10 +535,10 @@ def cmd_logterm_pipeline(config, outdir: Path) -> dict:
     if not 0 < config["tolerance"] < math.inf:
         raise ConfigError(f"tolerance must be finite and > 0, got {config['tolerance']}")
     coefficient_x = sum(a for a, z, k in config["f_terms"] if z == 1.0 and k == 0)
-    predicted = float(1 / _P_PRIME_AT_1) * coefficient_x
-    params = NewtonParams(max_iter=config["max_iter"], tol=config["tol"])
+    predicted = float(1 / defaults.P_PRIME_AT_1) * coefficient_x
+    params = defaults.NewtonParams(max_iter=config["max_iter"], tol=config["tol"])
     solution, report = _solve_ma(config, outdir, params)
-    estimate = _named(", ".join(_GRID_KEYS), detect_log_term, solution)   # a shallow grid
+    estimate = _named(", ".join(_GRID_KEYS), fitting.detect_log_term, solution)   # a shallow grid
     extrapolated, error, grids = _extrapolated(config, params, estimate, solution.grid)
     reported = extrapolated or estimate   # else the fine grid's value and window spread
     rel_error = abs(reported.value - predicted) / (abs(predicted) or 1.0)
@@ -581,24 +592,19 @@ def _run_sweep_item(path: str, outdir: Path) -> dict:
 
 
 def cmd_sweep(config, outdir: Path) -> dict:
-    """Run each sub-config into ``outdir/<stem>``, ``max_workers`` at a time
-    (at least one) on one thread pool.  Every item runs, even after one
+    """Run each sub-config into ``outdir/<stem>``, one after the other in
+    config order, in the calling thread.  Every item runs, even after one
     fails; the first failure in config order is raised, carrying one note
     per later failure with its error.  Each line names its sub-config once.
 
-    The pool is one of threads, not processes.  An item is small next to the
-    cost of a new process: a 4096-node logterm-pipeline item computes in
-    about 20 ms, while a spawned worker first re-imports numpy and the
-    package and loads LAPACK again (the README gives the timings).  The
-    threads overlap only work that releases the GIL: scipy's f2py LAPACK
-    wrappers hold it, so the items' tridiagonal sweeps take turns (two
-    threads each running 200 ``dpttrs`` on 32768 rows took 0.092 s, against
-    0.091 s one after the other; ``dptsv`` 0.261 s against 0.271 s, best of
-    5 on a 2-vCPU shared Xeon).
+    ``max_workers`` is parsed and echoed, so older configs keep working and
+    their outputs keep their bytes, but it changes nothing.  A thread pool
+    overlapped nothing: scipy's f2py LAPACK wrappers hold the GIL, so the
+    items' tridiagonal sweeps took turns (two 4096-node logterm-pipeline
+    items took 0.40 s with one thread and 0.39 s with two, README), and the
+    package modules the CLI defers must not be first read by two threads
+    at once (``_deferred``).
     """
-    # only a sweep pays for this import (and the logging it pulls in)
-    from concurrent.futures import ThreadPoolExecutor
-
     items = config["configs"]
     if not items:
         raise ConfigError("sweep requires at least one entry in 'configs'")
@@ -606,11 +612,12 @@ def cmd_sweep(config, outdir: Path) -> dict:
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:
         raise ConfigError(f"sweep configs share output directories: {', '.join(clashes)}")
-    # submit, not map: map cancels the items still queued when one fails
-    with ThreadPoolExecutor(max_workers=max(1, config["max_workers"])) as pool:
-        futures = [pool.submit(_run_sweep_item, p, outdir) for p in items]
-    failures = [(p, exc) for p, f in zip(items, futures)
-                if (exc := f.exception()) is not None]
+    runs, failures = [], []
+    for path in items:
+        try:
+            runs.append(_run_sweep_item(path, outdir))
+        except Exception as exc:
+            failures.append((path, exc))
     if failures:
         first = failures[0][1]
         for i, (path, exc) in enumerate(failures):
@@ -621,7 +628,7 @@ def cmd_sweep(config, outdir: Path) -> dict:
             elif item != "sweep item":
                 first.add_note(f"{item} failed first")
         raise first
-    payload = {"config": config, "runs": [f.result() for f in futures]}
+    payload = {"config": config, "runs": runs}
     write_json(outdir / "sweep.json", payload)
     return payload
 

@@ -14,8 +14,8 @@ With D the background density and Delta_g = Delta / D, that is ``radial``'s
 log-density equation with (S, excess, D0, alpha, beta, gamma) = (D, 0, D,
 1, F, 1), whose residual, Jacobian solve, positivity test and rounding floor
 live there, beside the Newton loop (``damped_newton``), its settings
-(``NewtonParams``) and the band layout of the Dirichlet matrices
-(``dirichlet_bands``).  Both solvers read D off the metric
+(``NewtonParams``, from ``defaults``) and the band layout of the Dirichlet
+matrices (``dirichlet_bands``).  Both solvers read D off the metric
 (``ModelMetric.solver_density``).  Identity coefficients (the unit
 metric's D = 1, and alpha = gamma = 1) cost no pass, bit for bit.  Each
 Newton step solves its Jacobian 1 - Delta / (D + Delta u) by the solve

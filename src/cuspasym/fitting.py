@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import defaults
 from .errors import FitError
 from .indexsets import IndexSet, IndexTerm, exponent_gt
 from .indicial import IndicialFamily, spec_b_roots
@@ -51,9 +52,9 @@ DETECTOR_WIDTH_DECADES = 1.5
 DETECTOR_STRIDE_DECADES = 0.75
 DETECTOR_MAX_WINDOWS = 4
 _LOG_TERM, _LINEAR_TERM = IndexTerm(1, 1), IndexTerm(1, 0)
-#: the indicial family of the Monge-Ampere linearization at the cusp,
-#: P(z) = (z^2 + z)/2 - 1: its roots are 1, the log term's, and -2
-MA_LINEARIZATION = IndicialFamily(1, 1, (0,))
+#: the indicial family of the Monge-Ampere linearization at the cusp
+#: (``defaults.MA_LINEARIZATION``): its roots are 1, the log term's, and -2
+MA_LINEARIZATION = IndicialFamily(*defaults.MA_LINEARIZATION)
 #: b x log x + c x and the Dirichlet modes, the roots of the linearization
 #: below the log term's, with the cutoff 1 weighting rows by x^-1
 _DETECTOR_SET = IndexSet((_LOG_TERM, _LINEAR_TERM, *(

@@ -58,6 +58,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_GRID_SPAN, NewtonParams
 from .errors import SolverError
 
 CSV_FLOAT_FMT = "%.17g"
@@ -164,7 +165,7 @@ class RadialGrid:
         return type(self), (self.t_min, self.t_max, self.n_nodes)
 
 
-DEFAULT_GRID = RadialGrid(t_min=-40.0, t_max=math.log(0.5), n_nodes=4096)
+DEFAULT_GRID = RadialGrid(*DEFAULT_GRID_SPAN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,24 +409,6 @@ def _check_lapack_info(info: int, routine: str, fault: str = "singular matrix") 
         raise np.linalg.LinAlgError(fault)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
-
-
-@dataclass(frozen=True)
-class NewtonParams:
-    """Settings of :func:`damped_newton`: the step budget, the sup-norm
-    residual to reach and the smallest step fraction backtracking tries."""
-
-    max_iter: int = 40
-    tol: float = 1e-11
-    damping_min: float = 2.0 ** -20
-
-    def __post_init__(self):
-        count = self.max_iter >= 0 and self.max_iter % 1 == 0
-        for name, ok, need in (("max_iter", count, "an integer >= 0"),
-                               ("tol", 0 < self.tol < math.inf, "finite and > 0"),
-                               ("damping_min", 0 < self.damping_min < 1, "in (0, 1)")):
-            if not ok:
-                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
 
 
 class NewtonWorkspace:

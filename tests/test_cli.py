@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cuspasym import cli, indexsets, parabolic
+from cuspasym import defaults, fitting, indexsets, parabolic
 from cuspasym.cli import main
 from cuspasym.elliptic import NewtonParams
 from cuspasym.fitting import _detector_windows
@@ -304,7 +304,7 @@ def test_flow_snapshot_names_checked_before_any_flow_step(tmp_path, capsys, monk
     def no_flow(problem):
         raise AssertionError("run_flow called")
 
-    monkeypatch.setattr("cuspasym.cli.run_flow", no_flow)
+    monkeypatch.setattr("cuspasym.parabolic.run_flow", no_flow)
     cfg = write(tmp_path / "c.cfg",
                 "n_nodes = 8\nt_min = -5\nt_max = -1\nconformal_terms = 0.2:0:0\n"
                 "T = 1e-3\ndt = 1e-7\noutput_times = 2e-7, 3e-7\n")
@@ -515,8 +515,8 @@ def test_logterm_pipeline_says_why_it_did_not_extrapolate(tmp_path):
     # for even the two-term fit: logterm.json names that refusal
     data = _logterm(tmp_path, "n_nodes = 256\nf_terms = 1.5:1:0\n")
     assert data["extrapolated"] is False
-    assert data["extrapolation_error"] == ("window [1.71e-14, 5.41e-13] holds 5 samples; "
-                                           "need at least 6 for 2 terms")
+    assert data["extrapolation_error"] == ("64 nodes: window [1.71e-14, 5.41e-13] holds "
+                                           "5 samples; need at least 6 for 2 terms")
     lo, hi = _detector_windows(RadialGrid(DEFAULT_GRID.t_min, DEFAULT_GRID.t_max, 64))[-1]
     assert f"[{lo:.3g}, {hi:.3g}]" == "[1.71e-14, 5.41e-13]"
 
@@ -528,10 +528,11 @@ def test_logterm_pipeline_reports_no_reliable_log_term_without_one(tmp_path, ter
 
 
 def test_b_tilde_predicted_is_one_over_the_indicial_slope_at_1():
-    family = cli.MA_LINEARIZATION
+    family = fitting.MA_LINEARIZATION   # the detector's, from the one owner
+    assert (family.lam, family.c, family.spectrum) == defaults.MA_LINEARIZATION
     assert family.c / 2 * (1 + 1) - family.lam == 0   # P(1) = 0
-    assert 1 / cli._P_PRIME_AT_1 == Fraction(2, 3)
-    assert float(1 / cli._P_PRIME_AT_1) == 2.0 / 3.0   # the literal's bits
+    assert 1 / defaults.P_PRIME_AT_1 == Fraction(2, 3)
+    assert float(1 / defaults.P_PRIME_AT_1) == 2.0 / 3.0   # the literal's bits
 
 
 def test_sweep_fans_out(tmp_path):

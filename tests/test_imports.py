@@ -1,7 +1,7 @@
-"""Import graph: scipy and the thread pool are loaded only by the functions
-that use them, the exact-arithmetic modules import nothing outside the
-standard library, and the solver modules import neither the fits nor the
-index algebra.
+"""Import graph: scipy is loaded only by the functions that use it, numpy
+only by the commands that compute with it, the exact-arithmetic modules
+import nothing outside the standard library, and the solver modules import
+neither the fits nor the index algebra.
 
 Each runtime check runs in a fresh interpreter, since the test process
 itself has long since imported scipy.  The package reaches LAPACK through
@@ -9,14 +9,20 @@ itself has long since imported scipy.  The package reaches LAPACK through
 and no other scipy module, not even the top-level ``scipy`` (unless the
 extension fails to load without it); no package code imports
 ``scipy.integrate``, not even ``parabolic.restricted_ode_solution``, whose
-second route is the ODE's exact solution, and ``concurrent.futures`` belongs to
-``cli.cmd_sweep``.  Importing the package or running a command that solves
-nothing loads none of them.  The extension it loads is the very module a
-later ``import scipy.linalg`` binds, loaded once however many threads reach
+second route is the ODE's exact solution, and no command loads
+``concurrent.futures``.  Importing the package or running a command that
+solves nothing loads none of them.  The extension it loads is the very module
+a later ``import scipy.linalg`` binds, loaded once however many threads reach
 their first solve together.
+
+The package ``__init__`` is lazy (PEP 562), and ``cli`` binds each package
+module a command calls as a deferred module, executed when a command first
+reads it: ``indicial`` and ``chern-coeff`` load no numpy, and each command
+executes only the package modules it calls.
 """
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -38,11 +44,22 @@ _REPORT = ("\nimport json, sys\n"
            "if m.startswith(('scipy', 'concurrent')))))\n")
 
 
-def run_fresh(code: str, cwd: Path) -> list[str]:
-    """Run ``code`` in a new interpreter; the scipy* and concurrent.*
-    modules it loaded."""
+#: appended to a child script instead: the package modules it executed (a
+#: deferred module that nothing has read keeps the LazyLoader's class, and
+#: ``type`` does not load it) and the numpy* and scipy* modules it loaded
+_EXECUTED = ("\nimport json, sys, types\n"
+             "print(json.dumps({'executed': sorted(\n"
+             "    m for m, module in sys.modules.items()\n"
+             "    if m.startswith('cuspasym.') and type(module) is types.ModuleType),\n"
+             "    'numpy_or_scipy': sorted(m for m in sys.modules\n"
+             "                             if m.split('.')[0] in ('numpy', 'scipy'))}))\n")
+
+
+def run_fresh(code: str, cwd: Path, report: str = _REPORT):
+    """Run ``code`` in a new interpreter; what ``report`` prints at its end,
+    by default the scipy* and concurrent.* modules it loaded."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code + _REPORT], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-c", code + report], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -58,7 +75,7 @@ def run_command(command: str, cfg_text: str, tmp_path: Path) -> list[str]:
 
 
 def test_exact_modules_import_only_stdlib_and_package():
-    for name in ("indexsets.py", "indicial.py", "chern.py"):
+    for name in ("indexsets.py", "indicial.py", "chern.py", "defaults.py"):
         tree = ast.parse((SRC / "cuspasym" / name).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -103,6 +120,83 @@ def test_package_import_loads_no_scipy(tmp_path):
     assert run_fresh("import cuspasym, cuspasym.cli", tmp_path) == []
 
 
+def test_package_import_loads_no_numpy(tmp_path):
+    assert run_fresh("import cuspasym", tmp_path, _EXECUTED) == {
+        "executed": [], "numpy_or_scipy": []}
+    assert run_fresh("import cuspasym.cli", tmp_path, _EXECUTED) == {
+        "executed": ["cuspasym.cli", "cuspasym.defaults", "cuspasym.errors"],
+        "numpy_or_scipy": []}
+
+
+def _top_level_imports(name: str) -> set[str]:
+    """The top-level names of the absolute imports that ``name`` makes when
+    it is executed: everywhere but inside its functions."""
+    found, nodes = set(), list(ast.parse((SRC / "cuspasym" / name).read_text()).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_package_front_imports_no_numpy_at_module_top():
+    assert "numpy" in _top_level_imports("radial.py")   # the walk finds one
+    for name in ("__init__.py", "cli.py", "defaults.py"):
+        assert not _top_level_imports(name) & {"numpy", "scipy"}, name
+
+
+#: every public name of the package, by the module it was first exported from
+PUBLIC_API = {
+    "chern": ("ChernData", "log_coefficient", "log_coefficient_plane_curve",
+              "plane_curve_chern"),
+    "errors": ("ConfigError", "FitError", "SolverError"),
+    "elliptic": ("LinearProblem", "MongeAmpereProblem", "NewtonParams", "solve_linear",
+                 "solve_monge_ampere_radial"),
+    "fitting": ("PolyhomFit", "detect_log_term", "extrapolate_log_term", "fit_polyhom",
+                "remainder_check"),
+    "geometry": ("ModelMetric", "cusp_laplacian"),
+    "indexsets": ("IndexSet", "IndexTerm", "closure", "extended_union"),
+    "indicial": ("IndicialFamily", "IndicialRoot", "count_complex_root_eigenvalues",
+                 "index_set_Eplus", "index_set_hatEplus", "spec_b_roots"),
+    "parabolic": ("DecayCertificate", "FlowProblem", "FlowState", "cusp_constant_evolution",
+                  "cusp_constant_rk4", "decay_certificate", "fitted_boundary_constant",
+                  "restricted_ode_solution", "run_flow"),
+    "radial": ("DEFAULT_GRID", "RadialField", "RadialGrid", "evaluate_expansion"),
+}
+
+
+def test_every_public_name_resolves_to_its_owners_object():
+    import cuspasym
+
+    assert sorted(cuspasym.__all__) == sorted(n for names in PUBLIC_API.values() for n in names)
+    for module, names in PUBLIC_API.items():
+        owner = importlib.import_module(f"cuspasym.{module}")
+        for name in names:
+            assert getattr(cuspasym, name) is getattr(owner, name), (module, name)
+    assert cuspasym.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'solve'"):
+        cuspasym.solve
+
+
+@pytest.mark.parametrize("first", ["", "import cuspasym.cli\n"])
+def test_submodules_import_from_the_package(tmp_path, first):
+    # the bench's form, in a fresh package and after the CLI deferred them
+    code = (first + "import cuspasym\n"
+            "from cuspasym import elliptic, fitting, parabolic\n"
+            "assert (cuspasym.elliptic, cuspasym.fitting) == (elliptic, fitting)\n"
+            "assert callable(elliptic.solve_monge_ampere_radial)\n"
+            "assert callable(fitting.detect_log_term) and callable(parabolic.run_flow)\n")
+    loaded = {"defaults", "elliptic", "errors", "fitting", "geometry", "indexsets", "indicial",
+              "parabolic", "radial"} | ({"cli"} if first else set())
+    assert run_fresh(code, tmp_path, _EXECUTED)["executed"] == sorted(
+        f"cuspasym.{m}" for m in loaded)
+
+
 def test_indicial_loads_no_scipy(tmp_path):
     assert run_command("indicial", "lambda = 1\nc = 1\nspectrum = 0, 2\ncutoff = 3\n"
                        "union_terms = 1:0\n", tmp_path) == []
@@ -112,15 +206,19 @@ def test_chern_coeff_loads_no_scipy(tmp_path):
     assert run_command("chern-coeff", "d = 4\n", tmp_path) == []
 
 
-def test_fit_expansion_loads_no_scipy(tmp_path):
+def _fit_config(tmp_path: Path) -> str:
+    """A fit-expansion config whose field and index set it writes to ``tmp_path``."""
     grid = RadialGrid(-30.0, math.log(0.5), 512)
     RadialField.from_function(grid, lambda x: 2 * x + 5 * x ** 2).write_csv(
         tmp_path / "field.csv")
     (tmp_path / "eset.json").write_text(
         json.dumps(closure((IndexTerm(1, 0),), 2).to_json_dict()))
-    assert run_command("fit-expansion",
-                       f"field_csv = {tmp_path / 'field.csv'}\n"
-                       f"index_set_json = {tmp_path / 'eset.json'}\n", tmp_path) == []
+    return (f"field_csv = {tmp_path / 'field.csv'}\n"
+            f"index_set_json = {tmp_path / 'eset.json'}\n")
+
+
+def test_fit_expansion_loads_no_scipy(tmp_path):
+    assert run_command("fit-expansion", _fit_config(tmp_path), tmp_path) == []
 
 
 SOLVER_CONFIGS = {
@@ -138,7 +236,58 @@ def test_solver_commands_load_only_the_lapack_extension(tmp_path, command):
     loaded = run_command(command, SOLVER_CONFIGS[command], tmp_path)
     scipy_modules = [m for m in loaded if m.startswith("scipy")]
     assert scipy_modules == ["scipy.linalg._flapack"]
-    assert ("concurrent.futures" in loaded) == (command == "sweep"), loaded
+    assert "concurrent.futures" not in loaded, loaded   # a sweep runs its items in turn
+
+
+EXACT_CONFIGS = {
+    "indicial": "lambda = 1\nc = 1\nspectrum = 0, 2\ncutoff = 3\nunion_terms = 1:0\n",
+    "chern-coeff": "d = 4\n",
+}
+
+#: the package modules each command executes besides ``defaults`` and
+#: ``errors`` (and ``cli``, run as ``__main__``); the sweep runs one solve-ma
+EXECUTES = {
+    "indicial": {"indexsets", "indicial"},
+    "chern-coeff": {"chern"},
+    "solve-linear": {"radial", "geometry", "elliptic"},
+    "solve-ma": {"radial", "geometry", "elliptic"},
+    "flow": {"radial", "geometry", "parabolic"},
+    "fit-expansion": {"radial", "indexsets", "indicial", "fitting"},
+    "logterm-pipeline": {"radial", "geometry", "elliptic", "indexsets", "indicial",
+                         "fitting"},
+    "sweep": {"radial", "geometry", "elliptic"},
+}
+
+
+def run_cli_module(command: str, tmp_path: Path) -> dict:
+    """Run ``python -m cuspasym.cli <command>`` on a small config in a new
+    interpreter (by ``runpy``, as ``-m`` does), asserting exit 0: the package
+    modules it executed and the numpy and scipy modules it loaded."""
+    (tmp_path / "item.cfg").write_text("command = solve-ma\n" + SOLVER_CONFIGS["solve-ma"])
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(_fit_config(tmp_path) if command == "fit-expansion" else
+                   {**EXACT_CONFIGS, **SOLVER_CONFIGS}[command])
+    argv = ["-m", command, str(cfg), "-o", str(tmp_path / "out")]
+    code = ("import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('cuspasym.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "else:\n"
+            "    raise AssertionError('the CLI did not exit')\n")
+    return run_fresh(code, tmp_path, _EXECUTED)
+
+
+@pytest.mark.parametrize("command", sorted(EXACT_CONFIGS))
+def test_exact_commands_load_no_numpy(tmp_path, command):
+    assert run_cli_module(command, tmp_path)["numpy_or_scipy"] == []
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTES))
+def test_each_command_executes_only_the_modules_it_calls(tmp_path, command):
+    assert run_cli_module(command, tmp_path)["executed"] == sorted(
+        f"cuspasym.{m}" for m in EXECUTES[command] | {"defaults", "errors"})
 
 
 #: a child's tridiagonal system, and its gtsv solution through the package
@@ -288,8 +437,10 @@ def _sweep(tmp_path: Path, workers: int) -> dict:
 
 
 def test_concurrent_first_solves_match_serial_sweep(tmp_path):
-    # with two workers both threads reach the first solve, and so the
-    # deferred LAPACK load, together
+    # max_workers is echoed but changes nothing: both sweeps run their items
+    # in turn in the calling thread, and write the same bytes.  Threads that
+    # reach the deferred LAPACK load together are
+    # test_threads_solving_together_load_lapack_once's.
     (tmp_path / "a.cfg").write_text("command = solve-ma\nn_nodes = 2048\n"
                                     "f_terms = 1.5:1:0\n")
     (tmp_path / "b.cfg").write_text("command = logterm-pipeline\nn_nodes = 2048\n"
