@@ -534,8 +534,8 @@ def _extrapolated(config, params: defaults.NewtonParams, estimate, grid: radial.
 def cmd_logterm_pipeline(config, outdir: Path) -> dict:
     if not 0 < config["tolerance"] < math.inf:
         raise ConfigError(f"tolerance must be finite and > 0, got {config['tolerance']}")
-    coefficient_x = sum(a for a, z, k in config["f_terms"] if z == 1.0 and k == 0)
-    predicted = float(1 / defaults.P_PRIME_AT_1) * coefficient_x
+    coefficient_x = sum(a for a, z, k in config["f_terms"] if z == fitting.LOG_ROOT and k == 0)
+    predicted = float(1 / fitting.P_PRIME_AT_LOG_ROOT) * coefficient_x
     params = defaults.NewtonParams(max_iter=config["max_iter"], tol=config["tol"])
     solution, report = _solve_ma(config, outdir, params)
     estimate = _named(", ".join(_GRID_KEYS), fitting.detect_log_term, solution)   # a shallow grid

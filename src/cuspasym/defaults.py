@@ -5,17 +5,13 @@ it parses a config, before a command has loaded numpy (the exact commands
 never do).  So this module imports the standard library alone:
 
 - :class:`NewtonParams`, the settings of the Newton loop and their defaults;
-- the span and node count of the default grid, ``radial.DEFAULT_GRID``;
-- the indicial family of the Monge-Ampere linearization at the cusp, whose
-  ``IndicialFamily`` is ``fitting.MA_LINEARIZATION``, and its slope P'(1)
-  at the log term's root.
+- the span and node count of the default grid, ``radial.DEFAULT_GRID``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -47,18 +43,3 @@ class GridSpan(NamedTuple):
 
 #: the default grid: x from e^-40 to 1/2 on 4096 nodes
 DEFAULT_GRID_SPAN = GridSpan(t_min=-40.0, t_max=math.log(0.5), n_nodes=4096)
-
-
-class Linearization(NamedTuple):
-    """An ``IndicialFamily``'s arguments: shift lambda, cusp constant c, spectrum."""
-
-    lam: int
-    c: int
-    spectrum: tuple[int, ...]
-
-
-#: the Monge-Ampere linearization at the cusp, P(z) = (c/2)(z^2 + z) - lambda
-#: = (z^2 + z)/2 - 1: its roots are 1, the log term's, and -2
-MA_LINEARIZATION = Linearization(lam=1, c=1, spectrum=(0,))
-#: P'(1) = c (1 + 1/2), exactly: a source a x gives b~ = a / P'(1)
-P_PRIME_AT_1 = MA_LINEARIZATION.c * (1 + Fraction(1, 2))

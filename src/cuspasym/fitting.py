@@ -34,10 +34,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import defaults
 from .errors import FitError
 from .indexsets import IndexSet, IndexTerm, exponent_gt
-from .indicial import IndicialFamily, spec_b_roots
+from .indicial import HALF, IndicialFamily, spec_b_roots
 from .radial import RadialField, RadialGrid, _all_finite, _read_only, stencil_root
 
 LN10 = math.log(10.0)
@@ -51,15 +50,20 @@ DETECTOR_GUARD_DECADES = 1.25
 DETECTOR_WIDTH_DECADES = 1.5
 DETECTOR_STRIDE_DECADES = 0.75
 DETECTOR_MAX_WINDOWS = 4
-_LOG_TERM, _LINEAR_TERM = IndexTerm(1, 1), IndexTerm(1, 0)
-#: the indicial family of the Monge-Ampere linearization at the cusp
-#: (``defaults.MA_LINEARIZATION``): its roots are 1, the log term's, and -2
-MA_LINEARIZATION = IndicialFamily(*defaults.MA_LINEARIZATION)
+#: the indicial family of the Monge-Ampere linearization at the cusp,
+#: P(z) = (c/2)(z^2 + z) - lambda = (z^2 + z)/2 - 1, with roots -2 and 1
+MA_LINEARIZATION = IndicialFamily(lam=1, c=1, spectrum=(0,))
+_MA_ROOTS = spec_b_roots(MA_LINEARIZATION)
+#: the log term's exponent, the upper root, and P' = c (z + 1/2) there,
+#: exactly: a source a x^z gives b~ = a / P'
+LOG_ROOT = _MA_ROOTS[-1].z
+P_PRIME_AT_LOG_ROOT = MA_LINEARIZATION.c * (LOG_ROOT + HALF)
+_LOG_TERM, _LINEAR_TERM = IndexTerm(LOG_ROOT, 1), IndexTerm(LOG_ROOT, 0)
 #: b x log x + c x and the Dirichlet modes, the roots of the linearization
 #: below the log term's, with the cutoff 1 weighting rows by x^-1
 _DETECTOR_SET = IndexSet((_LOG_TERM, _LINEAR_TERM, *(
-    IndexTerm(r.z, k) for r in spec_b_roots(MA_LINEARIZATION)
-    if exponent_gt(_LOG_TERM.z, r.z) for k in range(r.order))), 1)
+    IndexTerm(r.z, k) for r in _MA_ROOTS
+    if exponent_gt(LOG_ROOT, r.z) for k in range(r.order))), 1)
 #: the same without the Dirichlet modes, for windows that cannot hold them
 _LOG_AND_LINEAR_SET = IndexSet((_LOG_TERM, _LINEAR_TERM), 1)
 #: safety factor on the Richardson estimate of an extrapolated value's error,

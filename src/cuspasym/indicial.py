@@ -169,13 +169,3 @@ def index_set_hatEplus(family: IndicialFamily, alpha: float, cutoff) -> IndexSet
     heads = [(r.z, r.order) for r in spec_b_roots(family) if exponent_gt(r.z, alpha)]
     return IndexSet(tuple(IndexTerm(z, k) for z, total in sweep_shifts(heads, cutoff, sum)
                           for k in range(total)), cutoff)
-
-
-__all__ = [
-    "IndicialFamily",
-    "IndicialRoot",
-    "spec_b_roots",
-    "count_complex_root_eigenvalues",
-    "index_set_Eplus",
-    "index_set_hatEplus",
-]

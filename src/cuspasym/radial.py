@@ -62,6 +62,7 @@ from .defaults import DEFAULT_GRID_SPAN, NewtonParams
 from .errors import SolverError
 
 CSV_FLOAT_FMT = "%.17g"
+_CSV_HEADER = "x,value"
 _MIN_NODES = 8
 _MAX_NODES = 2 ** 22 + 1   # 32 MB an array, above every documented grid
 #: share of the nodes, deepest first, that stands for the x -> 0 limit
@@ -205,14 +206,17 @@ class RadialField:
     def write_csv(self, path) -> None:
         """Write as "x,value" rows, ascending x, 17 significant digits."""
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("x,value\n")
+            fh.write(_CSV_HEADER + "\n")
             for xv, val in zip(self.grid.x, self.values):
                 fh.write(f"{CSV_FLOAT_FMT % xv},{CSV_FLOAT_FMT % val}\n")
 
     @classmethod
     def read_csv(cls, path) -> "RadialField":
         with open(path) as fh:
-            rows = fh.read().splitlines()[1:]
+            header, *rows = fh.read().splitlines() or [""]
+        if header != _CSV_HEADER:   # else a headerless file would lose its first sample
+            raise ValueError(f"expected the header line {_CSV_HEADER} first in {path}, "
+                             f"got {header!r}")
         # loadtxt warns on empty input, so an empty body skips the parse
         data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 2))
         if len(data) < _MIN_NODES:

@@ -124,6 +124,7 @@ CASES = {
     "exit2-n-nodes-huge": "solve-ma",
     "logterm-no-log-term": "logterm-pipeline",
     "logterm-coarse-fallback": "logterm-pipeline",
+    "exit2-fit-csv-no-header": "fit-expansion",
 }
 
 

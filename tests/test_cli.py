@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cuspasym import defaults, fitting, indexsets, parabolic
+from cuspasym import fitting, indexsets, parabolic
 from cuspasym.cli import main
 from cuspasym.elliptic import NewtonParams
 from cuspasym.fitting import _detector_windows
@@ -374,9 +374,12 @@ _GOOD_TERMS = '[{"z": 1, "k": 0}]'
     ("x,value\n0.1,1\n", '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv",
      "got 1"),
     ("x,value\n", '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv", "got 0"),
+    # 64 headerless rows, once read as a field of 63 nodes without the deepest
+    ("".join(f"{math.exp(t / 4)!r},{math.exp(t / 4)!r}\n" for t in range(-67, -3)),
+     '{"terms": ' + _GOOD_TERMS + ', "cutoff": 2}', "field_csv", "header line x,value"),
 ], ids=["top-level-list", "terms-not-list", "missing-terms", "missing-z",
         "missing-cutoff", "truncated-json", "unparseable-csv", "fractional-k",
-        "no-terms", "one-row-csv", "header-only-csv"])
+        "no-terms", "one-row-csv", "header-only-csv", "headerless-csv"])
 def test_fit_expansion_bad_input_files_name_key_path_and_field(
         tmp_path, capsys, csv_text, json_text, key, field):
     csv_path, json_path = tmp_path / "field.csv", tmp_path / "eset.json"
@@ -527,12 +530,20 @@ def test_logterm_pipeline_reports_no_reliable_log_term_without_one(tmp_path, ter
     assert data["reliable"] is False and data["b_tilde_predicted"] == 0.0
 
 
-def test_b_tilde_predicted_is_one_over_the_indicial_slope_at_1():
-    family = fitting.MA_LINEARIZATION   # the detector's, from the one owner
-    assert (family.lam, family.c, family.spectrum) == defaults.MA_LINEARIZATION
-    assert family.c / 2 * (1 + 1) - family.lam == 0   # P(1) = 0
-    assert 1 / defaults.P_PRIME_AT_1 == Fraction(2, 3)
-    assert float(1 / defaults.P_PRIME_AT_1) == 2.0 / 3.0   # the literal's bits
+def test_b_tilde_predicted_is_one_over_the_indicial_slope_at_1(tmp_path):
+    family, z = fitting.MA_LINEARIZATION, fitting.LOG_ROOT   # the one owner, the detector's
+
+    def P(w):
+        return family.c / 2 * (w * w + w) - family.lam
+
+    assert P(z) == 0 and z == 1 and isinstance(z, Fraction)   # exact
+    slope = fitting.P_PRIME_AT_LOG_ROOT
+    assert slope == (P(z + 1) - P(z - 1)) / 2   # a central difference, exact on a quadratic
+    assert float(1 / slope) == 2.0 / 3.0   # 0.6666666666666666, as logterm.json has it
+    a = 0.3
+    data = _logterm(tmp_path, f"n_nodes = 256\nf_terms = {a}:1:0\n")
+    assert data["source_x_coefficient"] == a
+    assert data["b_tilde_predicted"] == float(1 / slope) * a
 
 
 def test_sweep_fans_out(tmp_path):
