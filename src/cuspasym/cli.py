@@ -77,6 +77,8 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class Key:
+    """One config key of a schema: the parser of its text and its default
+    (``_REQUIRED`` for a key the config must set)."""
     parse: Callable[[str], Any]
     default: Any = _REQUIRED
 
@@ -650,17 +652,16 @@ COMMANDS: dict[str, Callable[[dict, Path], dict]] = {
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for the whole argv: ``<command> <config> [-o OUTDIR]``."""
     parser = argparse.ArgumentParser(
         prog="cuspasym",
         description="Radial cusp-metric experiments: indicial roots, "
                     "Monge-Ampere and flow solves, expansion fits.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("config", help="path to the key=value config file")
-        p.add_argument("-o", "--output", default=None,
-                       help="output directory (default: config 'output' key, "
-                            f"then ${OUTDIR_ENV}, then '.')")
+    parser.add_argument("command", choices=COMMANDS, help="the experiment to run")
+    parser.add_argument("config", help="path to the key=value config file")
+    parser.add_argument("-o", "--output", default=None, metavar="OUTDIR",
+                        help="output directory (default: config 'output' key, "
+                             f"then ${OUTDIR_ENV}, then '.')")
     return parser
 
 
@@ -694,13 +695,20 @@ def entry_point() -> None:
     """Run :func:`main` as a whole process and exit with its code: the
     ``cuspasym`` script, ``python -m cuspasym`` and ``python -m cuspasym.cli``.
 
-    Before exiting it moves every live object into the collector's permanent
-    generation (``gc.freeze``), so interpreter shutdown skips the full
-    collections over everything the imports created (about 40 ms).  Nothing
-    is lost by that: every artifact is written and closed inside ``main``,
-    and the streams are flushed at exit as usual.  ``main`` itself never
-    freezes, so tests and library callers keep a normal collector.
+    The cyclic collector is off while the command runs (``gc.disable``), so
+    it does not rescan the heap the imports built, again and again.  That is
+    safe because a command's own work leaves no reference cycles behind:
+    reference counting frees all of it, however many steps it takes
+    (``tests/test_reuse.py`` holds the solvers to that).  Before exiting it
+    moves every live object into the collector's permanent generation
+    (``gc.freeze``), so interpreter shutdown, which collects even with the
+    collector off, skips the full collections over everything the imports
+    created.  Nothing is lost by either: every artifact is written and
+    closed inside ``main``, and the streams are flushed at exit as usual.
+    ``main`` itself never touches the collector, so tests and library
+    callers keep a normal one.
     """
+    gc.disable()
     status = main()
     gc.freeze()
     sys.exit(status)

@@ -90,6 +90,9 @@ class MongeAmpereProblem:
 
 @dataclass
 class NewtonReport:
+    """How a Monge-Ampere solve converged: its Newton iterations and the
+    residual norm after each, the least Kahler density ratio at the solution,
+    the damped steps taken and the rounding floor that stopped it, if one did."""
     converged: bool
     iterations: int
     residuals: list[float]

@@ -84,6 +84,9 @@ class PolyhomFit:
 
 @dataclass
 class RemainderReport:
+    """What a fit leaves over on its window (``remainder_check``): the
+    weighted sup of the remainder, its decay slope against log x and that
+    slope's spread, or saturated where it is below the noise floor."""
     residual_sup: float           # sup |residual| / x^N over the window
     slope: Optional[float]        # None when saturated
     spread: Optional[tuple[float, float]]
@@ -93,6 +96,9 @@ class RemainderReport:
 
 @dataclass
 class LogTermEstimate:
+    """The detector's x log x coefficient on one grid (``detect_log_term``):
+    the deepest window's value and x coefficient, the value on every sliding
+    window, their spread, the basis fitted and why it is unreliable, if it is."""
     value: float                  # coefficient of x log x, deepest window
     linear_value: float           # coefficient of x in the same window
     uncertainty: float            # max spread across the sliding windows
@@ -105,6 +111,9 @@ class LogTermEstimate:
 
 @dataclass
 class ExtrapolatedLogTerm:
+    """The x log x coefficient extrapolated over three grids
+    (``extrapolate_log_term``): the deepest window's value, its error bar and
+    the extrapolated value on every window."""
     value: float                  # b_R on the two finest grids, deepest window
     uncertainty: float            # error bar of value: see extrapolate_log_term
     window_values: list[float]    # b_R on each window

@@ -189,6 +189,8 @@ def _rk4(f: Callable[[float, float], float], y0: float,
 
 @dataclass
 class RestrictedOdeResult:
+    """The restricted ODE at its step times (``restricted_ode_solution``):
+    the closed-form and RK4 solutions and their largest discrepancy."""
     times: np.ndarray
     exact: np.ndarray          # the closed-form solution per time
     rk4: np.ndarray
@@ -312,6 +314,8 @@ class FlowProblem:
 
 @dataclass
 class FlowState:
+    """The flow at one kept step time: the potential, the evolving metric
+    density and that density's minimum."""
     t: float
     u: RadialField
     flow_metric_density: RadialField   # S(t) + Delta u, the evolving metric
@@ -451,6 +455,8 @@ def _refusal(grid: RadialGrid, t: float, what: str, values: np.ndarray, j: int) 
 
 @dataclass
 class DecayCertificate:
+    """A barrier bound K e^{c t} on sup |u| / x^gamma (``decay_certificate``):
+    the ratio on each time slice, its largest value, K and the rate c."""
     gamma: float
     times: np.ndarray
     slice_ratios: np.ndarray     # sup |u| / x^gamma per time slice

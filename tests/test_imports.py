@@ -88,6 +88,17 @@ def test_exact_modules_import_only_stdlib_and_package():
                        for top in tops), (name, tops)
 
 
+def test_every_dataclass_has_a_docstring():
+    # without one, @dataclass builds a __doc__ from inspect.signature each
+    # time the class is created, in every process that loads its module
+    bare = [f"{path.stem}.{node.name}"
+            for path in sorted((SRC / "cuspasym").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and not ast.get_docstring(node)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
+    assert bare == []
+
+
 #: the solver modules, and the package modules that none of them imports:
 #: the fits and the exact index algebra sit above the solvers
 SOLVER_MODULES = ("radial.py", "geometry.py", "elliptic.py", "parabolic.py")

@@ -1,10 +1,13 @@
 """The CLI as a whole process.
 
-``cli.entry_point`` runs ``main`` and freezes the collector before the
-interpreter exits, so shutdown skips its full collections.  These checks
-show that the freeze loses nothing: ``python -m cuspasym.cli`` and
-``python -m cuspasym`` leave the same artifacts, stdout, stderr and exit
-code, byte for byte, as ``main`` called in-process, which never freezes.
+``cli.entry_point`` runs ``main`` with the cyclic collector off and freezes
+the collector before the interpreter exits, so neither the command nor
+shutdown rescans the heap the imports built.  These checks show that this
+loses nothing: ``python -m cuspasym.cli`` and ``python -m cuspasym`` leave
+the same artifacts, stdout, stderr and exit code, byte for byte, as
+``main`` called in-process, which leaves the collector as it found it;
+usage errors exit 2 the same way from all three.  ``tests/test_reuse.py``
+checks that the solvers leave no reference cycles for a collector to find.
 """
 
 import gc
@@ -52,12 +55,66 @@ def _setup(root: Path, files: dict) -> Path:
     return root
 
 
-def test_main_leaves_the_collector_unfrozen(tmp_path):
-    before = gc.get_freeze_count()
-    cfg = tmp_path / "c.cfg"
+def _chern_argv(root: Path) -> list[str]:
+    root.mkdir(exist_ok=True)
+    cfg = root / "c.cfg"
     cfg.write_text("d = 4\n")
-    assert main(["chern-coeff", str(cfg), "-o", str(tmp_path / "out")]) == 0
-    assert gc.get_freeze_count() == before
+    return ["chern-coeff", str(cfg), "-o", str(root / "out")]
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    # and enabled or disabled, as it found it
+    before, was_enabled = gc.get_freeze_count(), gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(_chern_argv(tmp_path / str(enabled))) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == (before, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+def test_entry_point_runs_main_with_the_collector_off(tmp_path):
+    code = ("import gc, sys\n"
+            "import cuspasym.cli as cli\n"
+            "seen, main = [], cli.main\n"
+            "def recording(argv=None):\n"
+            "    seen.append(gc.isenabled())\n"
+            "    return main(argv)\n"
+            "cli.main = recording\n"
+            f"sys.argv = ['cuspasym', *{_chern_argv(tmp_path)!r}]\n"
+            "try:\n"
+            "    cli.entry_point()\n"
+            "except SystemExit as exit:\n"
+            "    print(exit.code, seen)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 [False]\n", "")
+    assert (tmp_path / "out" / "chern.json").is_file()
+
+
+#: argv -> what the usage error says
+USAGE_ERRORS = {
+    "unknown-command": (["no-such-command", "c.cfg"], "invalid choice: 'no-such-command'"),
+    "missing-config": (["chern-coeff"], "the following arguments are required: config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_from_every_entry(tmp_path, capsys, case):
+    argv, says = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit.value.code == 2 and says in err
+    for module in ("cuspasym.cli", "cuspasym"):
+        proc = subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err), module
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -69,9 +126,8 @@ def test_process_entry_points_match_main(tmp_path, monkeypatch, capsys, case):
     expected = (code, captured.out, captured.err, _tree(Path.cwd()))
     assert len(expected[3]) > len(files)
 
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     for module in ("cuspasym.cli", "cuspasym"):
         cwd = _setup(tmp_path / module, files)
-        proc = subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
+        proc = subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=_env(),
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr, _tree(cwd)) == expected, module

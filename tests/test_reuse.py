@@ -2,10 +2,12 @@
 share, each grid's similarity D, and the cached windows and designs of the
 detector and the fit.
 Every result must stay the caller's own and bit for bit what an uncached
-computation gives."""
+computation gives, and no solve may leave reference cycles behind: a CLI
+process runs its command with the cyclic collector off."""
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import sys
@@ -375,3 +377,37 @@ def test_no_solve_fit_or_certificate_calls_blas(monkeypatch):
     parabolic.decay_certificate(_grid(512), 1.0, lambda x, t: np.exp(-t) * x, 0.2, 0.1)
     fitting.fit_polyhom(u, FIT_SET)
     fitting.detect_log_term(u)
+
+
+def _flow_500_steps():
+    grid = _grid(512)
+    result = run_flow(FlowProblem(ModelMetric(conformal=RadialField(grid, 0.1 * grid.x)),
+                                  T=5.0, dt=0.01))
+    assert len(result.times) > 500
+
+
+def _ma_detect_extrapolate():
+    grids = [_grid(n) for n in (4096, 2048, 1024)]
+    estimates = [fitting.detect_log_term(_ma(grid, 0.75)) for grid in grids]
+    fitting.extrapolate_log_term(estimates, [grid.h for grid in grids])
+
+
+@pytest.mark.parametrize("work", [
+    _flow_500_steps,
+    _ma_detect_extrapolate,
+    lambda: _linear(_grid(4096), 1.5),
+    lambda: parabolic.decay_certificate(_grid(512), 1.0, lambda x, t: np.exp(-t) * x, 1.0, 0.01),
+], ids=["flow", "ma-detect-extrapolate", "linear", "decay-certificate"])
+def test_solves_leave_no_reference_cycles(work):
+    # cli.entry_point turns the cyclic collector off, so whatever a command
+    # leaves unreachable must go by reference counting alone; otherwise a
+    # CLI process would keep every step's garbage until it exits
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
