@@ -25,6 +25,7 @@ _OWNERS = {name: module for module, names in {
     "fitting": ("PolyhomFit", "detect_log_term", "extrapolate_log_term", "fit_polyhom",
                 "remainder_check"),
     "geometry": ("ModelMetric", "cusp_laplacian"),
+    "headline": ("LogTermHeadline", "log_term_headline"),
     "indexsets": ("IndexSet", "IndexTerm", "closure", "extended_union"),
     "indicial": ("IndicialFamily", "IndicialRoot", "count_complex_root_eigenvalues",
                  "index_set_Eplus", "index_set_hatEplus", "spec_b_roots"),

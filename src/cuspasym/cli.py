@@ -11,6 +11,9 @@ runs on the same config produce byte-identical files.
 
 Each command executes only the package modules it calls (``_deferred``),
 so ``indicial`` and ``chern-coeff``, exact arithmetic alone, load no numpy.
+A command parses, calls the library and writes: ``logterm-pipeline``
+solves, writes the solution CSV and then what ``headline.log_term_headline``
+returns (the detector, the coarser grids and Richardson's b_R live there).
 
 Exit codes: 0 success, 2 config error (every ``ValueError`` raised while a
 command runs, a library constructor rejecting a value included; ``_named``
@@ -28,6 +31,7 @@ A term list that is not finite somewhere on the grid is a config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib.util
 import json
@@ -61,8 +65,8 @@ def _deferred(name: str) -> types.ModuleType:
     return module
 
 
-chern, elliptic, fitting, geometry, indexsets, indicial, parabolic, radial = map(
-    _deferred, ("chern", "elliptic", "fitting", "geometry", "indexsets", "indicial",
+chern, elliptic, fitting, geometry, headline, indexsets, indicial, parabolic, radial = map(
+    _deferred, ("chern", "elliptic", "fitting", "geometry", "headline", "indexsets", "indicial",
                 "parabolic", "radial"))
 
 OUTDIR_ENV = "CUSPASYM_OUTDIR"
@@ -305,28 +309,12 @@ def _grid_from_config(config) -> radial.RadialGrid:
     return radial.RadialGrid(config["t_min"], config["t_max"], config["n_nodes"])
 
 
-def _sample_terms(config, key: str, grid: radial.RadialGrid) -> radial.RadialField:
-    """The term list ``config[key]`` sampled on ``grid``; a config error
-    where it is not finite (an overflowing power of x, say) or a term's
-    exponent is not (x^inf is 0 on the grid, but no JSON number)."""
-    import numpy as np
-
-    if not all(math.isfinite(z) for _, z, _ in config[key]):
-        raise ConfigError(f"{key} has a term exponent that is not finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = radial.evaluate_expansion(config[key], grid.x)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise ConfigError(f"{key} is not finite at x={grid.x[np.argmax(bad)]:.6g}")
-    return radial.RadialField(grid, values)
-
-
 def _metric_from_config(config, grid) -> geometry.ModelMetric:
     """The config's metric, its fields given one at a time, so that a value the
     constructor rejects is a config error naming the key it came from."""
     args = [config["metric_a"], config["metric_b"]]
     if config.get("conformal_terms"):
-        args.append(_sample_terms(config, "conformal_terms", grid))
+        args.append(radial.sample_terms(config["conformal_terms"], grid, "conformal_terms"))
     for count, key in enumerate(("metric_a", "metric_b", "conformal_terms")[:len(args)], 1):
         metric = _named(key, geometry.ModelMetric, *args[:count])
     return metric
@@ -377,7 +365,7 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
 
     grid = _grid_from_config(config)
     metric = _metric_from_config(config, grid)
-    rhs = _sample_terms(config, "f_terms", grid)
+    rhs = radial.sample_terms(config["f_terms"], grid, "f_terms")
     problem = elliptic.LinearProblem(metric, config["lambda"], rhs, config["bc_left"],
                                      config["bc_right"])
     solution = elliptic.solve_linear(problem)
@@ -398,17 +386,13 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
     return payload
 
 
-def _ma_on(config, grid: radial.RadialGrid, params: defaults.NewtonParams):
-    """Monge-Ampere solve on the unit background with the config's source
-    and boundary data on ``grid``."""
-    return elliptic.solve_monge_ampere_radial(elliptic.MongeAmpereProblem(
-        geometry.ModelMetric(), _sample_terms(config, "f_terms", grid),
-        config["bc_left"], config["bc_right"], newton=params))
-
-
 def _solve_ma(config, outdir: Path, params: defaults.NewtonParams):
-    """:func:`_ma_on` the config's grid; writes the solution CSV."""
-    solution, report = _ma_on(config, _grid_from_config(config), params)
+    """Monge-Ampere solve on the unit background with the config's grid,
+    source and boundary data; writes the solution CSV."""
+    grid = _grid_from_config(config)
+    solution, report = elliptic.solve_monge_ampere_radial(elliptic.MongeAmpereProblem(
+        geometry.ModelMetric(), radial.sample_terms(config["f_terms"], grid, "f_terms"),
+        config["bc_left"], config["bc_right"], newton=params))
     _file_op(outdir / config["solution_csv"], solution.write_csv)
     return solution, report
 
@@ -511,39 +495,14 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
     return payload
 
 
-def _extrapolated(config, params: defaults.NewtonParams, estimate, grid: radial.RadialGrid):
-    """``extrapolate_log_term`` of ``estimate``, made on ``grid``, and of the
-    same solve on n_nodes // 2 and n_nodes // 4 nodes over its span, None
-    and the grids' node counts and single-grid values; None, the message of
-    the error and ``grid`` alone where a coarser grid is refused, its solve or
-    detection fails, or it does not hold the detector's windows and basis.
-    An error of one coarser grid names its node count first, "64 nodes: ..."."""
-    estimates, grids, error = [estimate], [grid], None
-    failing = ""   # the coarser grid at work, if any
-    try:
-        for n in (grid.n_nodes // 2, grid.n_nodes // 4):
-            failing = f"{n} nodes: "
-            grids.append(radial.RadialGrid(grid.t_min, grid.t_max, n))
-            estimates.append(fitting.detect_log_term(_ma_on(config, grids[-1], params)[0]))
-        failing = ""
-        extrapolated = fitting.extrapolate_log_term(estimates, [g.h for g in grids])
-    except (ValueError, SolverError, FitError) as exc:
-        extrapolated, estimates, error = None, estimates[:1], failing + str(exc)
-    return extrapolated, error, [{"n_nodes": g.n_nodes, "b_tilde": e.value}
-                                 for g, e in zip(grids, estimates)]
-
-
 def cmd_logterm_pipeline(config, outdir: Path) -> dict:
     if not 0 < config["tolerance"] < math.inf:
         raise ConfigError(f"tolerance must be finite and > 0, got {config['tolerance']}")
-    coefficient_x = sum(a for a, z, k in config["f_terms"] if z == fitting.LOG_ROOT and k == 0)
-    predicted = float(1 / fitting.P_PRIME_AT_LOG_ROOT) * coefficient_x
     params = defaults.NewtonParams(max_iter=config["max_iter"], tol=config["tol"])
     solution, report = _solve_ma(config, outdir, params)
-    estimate = _named(", ".join(_GRID_KEYS), fitting.detect_log_term, solution)   # a shallow grid
-    extrapolated, error, grids = _extrapolated(config, params, estimate, solution.grid)
-    reported = extrapolated or estimate   # else the fine grid's value and window spread
-    rel_error = abs(reported.value - predicted) / (abs(predicted) or 1.0)
+    result = _named(", ".join(_GRID_KEYS), headline.log_term_headline,   # a shallow grid
+                    config["f_terms"], solution, config["tolerance"], bc_left=config["bc_left"],
+                    bc_right=config["bc_right"], newton=params)
     payload = {
         "config": config,
         "solution_csv": config["solution_csv"],
@@ -553,19 +512,19 @@ def cmd_logterm_pipeline(config, outdir: Path) -> dict:
             "final_residual": report.final_residual,
             "min_kahler": report.min_kahler,
         },
-        "source_x_coefficient": coefficient_x,
-        "b_tilde_predicted": predicted,
-        "b_tilde_fitted": reported.value,
-        "b_tilde_single_grid": estimate.value,
-        "extrapolated": extrapolated is not None,
-        "extrapolation_error": error,
-        "grids": grids,
-        "uncertainty": reported.uncertainty,
-        "window_values": reported.window_values,
-        "reliable": estimate.reliable,
-        "rel_error": rel_error,
+        "source_x_coefficient": result.source_x_coefficient,
+        "b_tilde_predicted": result.predicted,
+        "b_tilde_fitted": result.reported.value,
+        "b_tilde_single_grid": result.estimate.value,
+        "extrapolated": result.extrapolated is not None,
+        "extrapolation_error": result.extrapolation_error,
+        "grids": [{"n_nodes": n, "b_tilde": b} for n, b in result.grids],
+        "uncertainty": result.reported.uncertainty,
+        "window_values": result.reported.window_values,
+        "reliable": result.estimate.reliable,
+        "rel_error": result.rel_error,
         "tolerance": config["tolerance"],
-        "passed": bool(rel_error <= config["tolerance"]),
+        "passed": result.passed,
     }
     write_json(outdir / "logterm.json", payload)
     return payload
@@ -651,6 +610,7 @@ COMMANDS: dict[str, Callable[[dict, Path], dict]] = {
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache   # built once a process: each parser built is cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     """One parser for the whole argv: ``<command> <config> [-o OUTDIR]``."""
     parser = argparse.ArgumentParser(

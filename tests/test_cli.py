@@ -9,8 +9,9 @@ import pytest
 
 from cuspasym import fitting, indexsets, parabolic
 from cuspasym.cli import main
-from cuspasym.elliptic import NewtonParams
+from cuspasym.elliptic import MongeAmpereProblem, NewtonParams, solve_monge_ampere_radial
 from cuspasym.fitting import _detector_windows
+from cuspasym.geometry import ModelMetric
 from cuspasym.indexsets import IndexTerm, closure
 from cuspasym.radial import DEFAULT_GRID, RadialField, RadialGrid
 
@@ -788,3 +789,18 @@ def test_a_rejected_value_names_its_key(tmp_path, capsys, monkeypatch, command, 
     cfg = write(tmp_path / "c.cfg", text)
     assert main([command, cfg, "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_grid_too_shallow_for_the_detector_keeps_the_solution_written_first(tmp_path, capsys):
+    # the solve succeeds and its CSV is written before the detector refuses
+    # the grid, by the grid keys
+    cfg = write(tmp_path / "c.cfg", "t_min = -4\nn_nodes = 64\nf_terms = 1.5:1:0\n")
+    out = tmp_path / "out"
+    assert main(["logterm-pipeline", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: t_min, t_max, n_nodes: grid too shallow "
+                                       "for the sliding-window detector\n")
+    assert sorted(p.name for p in out.iterdir()) == ["solution.csv"]
+    grid = RadialGrid(-4.0, DEFAULT_GRID.t_max, 64)
+    u, _ = solve_monge_ampere_radial(MongeAmpereProblem(ModelMetric(),
+                                                        RadialField(grid, 1.5 * grid.x)))
+    assert RadialField.read_csv(out / "solution.csv").values.tobytes() == u.values.tobytes()

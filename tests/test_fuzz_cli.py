@@ -368,7 +368,8 @@ def _value_faults(config: dict, c: float, s: float) -> list[str]:
       solves' final residuals, each a bound on its solve's error in the sup
       norm (the Jacobian 1 - Delta / rho is an M-matrix of row sums >= 1)."""
     grid = cli._grid_from_config(config)
-    F, metric = cli._sample_terms(config, "f_terms", grid), cli._metric_from_config(config, grid)
+    F = radial.sample_terms(config["f_terms"], grid, "f_terms")
+    metric = cli._metric_from_config(config, grid)
     bc = config["bc_left"], config["bc_right"]
 
     def ma(values, left, right):

@@ -171,6 +171,7 @@ PUBLIC_API = {
     "fitting": ("PolyhomFit", "detect_log_term", "extrapolate_log_term", "fit_polyhom",
                 "remainder_check"),
     "geometry": ("ModelMetric", "cusp_laplacian"),
+    "headline": ("LogTermHeadline", "log_term_headline"),
     "indexsets": ("IndexSet", "IndexTerm", "closure", "extended_union"),
     "indicial": ("IndicialFamily", "IndicialRoot", "count_complex_root_eigenvalues",
                  "index_set_Eplus", "index_set_hatEplus", "spec_b_roots"),
@@ -265,7 +266,7 @@ EXECUTES = {
     "flow": {"radial", "geometry", "parabolic"},
     "fit-expansion": {"radial", "indexsets", "indicial", "fitting"},
     "logterm-pipeline": {"radial", "geometry", "elliptic", "indexsets", "indicial",
-                         "fitting"},
+                         "fitting", "headline"},
     "sweep": {"radial", "geometry", "elliptic"},
 }
 

@@ -5,8 +5,9 @@ the collector before the interpreter exits, so neither the command nor
 shutdown rescans the heap the imports built.  These checks show that this
 loses nothing: ``python -m cuspasym.cli`` and ``python -m cuspasym`` leave
 the same artifacts, stdout, stderr and exit code, byte for byte, as
-``main`` called in-process, which leaves the collector as it found it;
-usage errors exit 2 the same way from all three.  ``tests/test_reuse.py``
+``main`` called in-process, which leaves the collector as it found it and
+builds its parser once a process; usage errors exit 2 the same way from all
+three.  ``tests/test_reuse.py``
 checks that the solvers leave no reference cycles for a collector to find.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspasym.cli import main
+from cuspasym.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,6 +73,27 @@ def test_main_leaves_the_collector_unfrozen(tmp_path):
             assert (gc.get_freeze_count(), gc.isenabled()) == (before, enabled)
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_main_leaves_no_parser_as_cyclic_garbage(tmp_path):
+    # the parser refers to itself through its actions: one built a call would
+    # be garbage for the collector, which a CLI process runs without
+    assert build_parser() is build_parser()
+    main(_chern_argv(tmp_path / "warm"))
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(_chern_argv(tmp_path / "run")) == 0
+        gc.collect()
+        left = [type(o).__qualname__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def _env() -> dict:

@@ -25,6 +25,7 @@ from cuspasym.elliptic import (
     solve_monge_ampere_radial,
 )
 from cuspasym.geometry import ModelMetric
+from cuspasym.headline import log_term_headline
 from cuspasym.indexsets import IndexSet, IndexTerm, exponent_gt
 from cuspasym.parabolic import FlowProblem, run_flow
 from cuspasym.radial import NewtonWorkspace, RadialField, RadialGrid
@@ -395,9 +396,10 @@ def _ma_detect_extrapolate():
 @pytest.mark.parametrize("work", [
     _flow_500_steps,
     _ma_detect_extrapolate,
+    lambda: log_term_headline([(0.75, 1.0, 0)], _ma(_grid(4096), 0.75), 0.02),
     lambda: _linear(_grid(4096), 1.5),
     lambda: parabolic.decay_certificate(_grid(512), 1.0, lambda x, t: np.exp(-t) * x, 1.0, 0.01),
-], ids=["flow", "ma-detect-extrapolate", "linear", "decay-certificate"])
+], ids=["flow", "ma-detect-extrapolate", "headline", "linear", "decay-certificate"])
 def test_solves_leave_no_reference_cycles(work):
     # cli.entry_point turns the cyclic collector off, so whatever a command
     # leaves unreachable must go by reference counting alone; otherwise a
