@@ -15,10 +15,10 @@ A command parses, calls the library and writes: ``logterm-pipeline``
 solves, writes the solution CSV and then what ``headline.log_term_headline``
 returns (the detector, the coarser grids and Richardson's b_R live there).
 
-Exit codes: 0 success, 2 config error (every ``ValueError`` raised while a
-command runs, a library constructor rejecting a value included; ``_named``
-puts the config key at fault before the message), 3 numerical failure
-(``SolverError``, ``FitError``).
+Exit codes: 0 success, 2 config error (a ``ConfigError``, which only this
+module raises: its message begins with the config keys at fault, by ``_named``,
+or with the file at fault), 3 numerical failure (``SolverError``,
+``FitError``); any other exception propagates, exit 1 with its traceback.
 
 The default output directory is taken from the CUSPASYM_OUTDIR environment
 variable, overridable per run with --output or the ``output`` config key.
@@ -150,7 +150,7 @@ _parse_terms = _list_of(_colon_item("term", a=_parse_float, z=_parse_float, k=_p
 def _read_config_lines(path: Path) -> dict[str, str]:
     """Raw ``key = value`` pairs of a config file; duplicate keys are errors."""
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{path}: config file not found")
     text = _file_op(path, lambda p: p.read_text(encoding="utf-8"), "read config file")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -168,8 +168,9 @@ def _read_config_lines(path: Path) -> dict[str, str]:
 
 def _named(key: str, call: Callable[..., Any], *args, **kwargs):
     """``call(*args, **kwargs)``; a ValueError it raises becomes the ConfigError
-    "<key>: <message>", the one place a message gets the key at fault.  Never
-    nested: a ConfigError is a ValueError, and would gain the key twice."""
+    "<key>: <message>", the one way a library's message gets the config keys
+    at fault (``key`` lists those ``call`` reads, "lambda, c").  Never nested: a
+    ConfigError is a ValueError, and would gain its keys twice."""
     try:
         return call(*args, **kwargs)
     except ValueError as exc:
@@ -293,11 +294,12 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _file_op(path: Path, op: Callable[[Path], Any], what: str = "write output file"):
-    """``op(path)``; an I/O fault, or text that is not UTF-8, is a config error naming it."""
+    """``op(path)``; an I/O fault, or text that is not UTF-8, is the ConfigError
+    "<path>: cannot <what>: <reason>"."""
     try:
         return op(path)
     except (OSError, UnicodeError) as exc:
-        raise ConfigError(f"cannot {what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise ConfigError(f"{path}: cannot {what}: {getattr(exc, 'strerror', '') or exc}") from exc
 
 
 def _make_dir(path: Path) -> None:
@@ -306,7 +308,7 @@ def _make_dir(path: Path) -> None:
 
 
 def _grid_from_config(config) -> radial.RadialGrid:
-    return radial.RadialGrid(config["t_min"], config["t_max"], config["n_nodes"])
+    return _named(", ".join(_GRID_KEYS), radial.RadialGrid, *(config[key] for key in _GRID_KEYS))
 
 
 def _metric_from_config(config, grid) -> geometry.ModelMetric:
@@ -314,7 +316,7 @@ def _metric_from_config(config, grid) -> geometry.ModelMetric:
     constructor rejects is a config error naming the key it came from."""
     args = [config["metric_a"], config["metric_b"]]
     if config.get("conformal_terms"):
-        args.append(radial.sample_terms(config["conformal_terms"], grid, "conformal_terms"))
+        args.append(_named("conformal_terms", radial.sample_terms, config["conformal_terms"], grid))
     for count, key in enumerate(("metric_a", "metric_b", "conformal_terms")[:len(args)], 1):
         metric = _named(key, geometry.ModelMetric, *args[:count])
     return metric
@@ -325,12 +327,13 @@ def _metric_from_config(config, grid) -> geometry.ModelMetric:
 # ---------------------------------------------------------------------------
 
 def cmd_indicial(config, outdir: Path) -> dict:
-    family = indicial.IndicialFamily(config["lambda"], config["c"], tuple(config["spectrum"]),
-                                     tuple(config["multiplicities"]))
+    family = _named("lambda, c, spectrum, multiplicities", indicial.IndicialFamily,
+                    config["lambda"], config["c"], tuple(config["spectrum"]),
+                    tuple(config["multiplicities"]))
     alpha, cutoff = config["alpha"], config["cutoff"]
     roots = indicial.spec_b_roots(family)
-    e_plus = indicial.index_set_Eplus(family, alpha, cutoff)
-    hat_e_plus = indicial.index_set_hatEplus(family, alpha, cutoff)
+    e_plus = _named("alpha, cutoff", indicial.index_set_Eplus, family, alpha, cutoff)
+    hat_e_plus = _named("alpha, cutoff", indicial.index_set_hatEplus, family, alpha, cutoff)
     payload = {
         "config": config,
         "roots": [{"z": float(r.z), "order": r.order,
@@ -365,9 +368,9 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
 
     grid = _grid_from_config(config)
     metric = _metric_from_config(config, grid)
-    rhs = radial.sample_terms(config["f_terms"], grid, "f_terms")
-    problem = elliptic.LinearProblem(metric, config["lambda"], rhs, config["bc_left"],
-                                     config["bc_right"])
+    rhs = _named("f_terms", radial.sample_terms, config["f_terms"], grid)
+    problem = _named("lambda, bc_left, bc_right", elliptic.LinearProblem, metric,
+                     config["lambda"], rhs, config["bc_left"], config["bc_right"])
     solution = elliptic.solve_linear(problem)
     v = solution.values   # interior rows: the one-sided end rows can overflow on the data
     with np.errstate(over="ignore", invalid="ignore"):
@@ -389,9 +392,9 @@ def cmd_solve_linear(config, outdir: Path) -> dict:
 def _solve_ma(config, outdir: Path, params: defaults.NewtonParams):
     """Monge-Ampere solve on the unit background with the config's grid,
     source and boundary data; writes the solution CSV."""
-    grid = _grid_from_config(config)
-    solution, report = elliptic.solve_monge_ampere_radial(elliptic.MongeAmpereProblem(
-        geometry.ModelMetric(), radial.sample_terms(config["f_terms"], grid, "f_terms"),
+    source = _named("f_terms", radial.sample_terms, config["f_terms"], _grid_from_config(config))
+    solution, report = elliptic.solve_monge_ampere_radial(_named(
+        "bc_left, bc_right", elliptic.MongeAmpereProblem, geometry.ModelMetric(), source,
         config["bc_left"], config["bc_right"], newton=params))
     _file_op(outdir / config["solution_csv"], solution.write_csv)
     return solution, report
@@ -400,8 +403,9 @@ def _solve_ma(config, outdir: Path, params: defaults.NewtonParams):
 def cmd_solve_ma(config, outdir: Path) -> dict:
     import numpy as np
 
-    solution, report = _solve_ma(config, outdir, defaults.NewtonParams(
-        max_iter=config["max_iter"], tol=config["tol"], damping_min=config["damping_min"]))
+    params = _named("max_iter, tol, damping_min", defaults.NewtonParams, config["max_iter"],
+                    config["tol"], config["damping_min"])
+    solution, report = _solve_ma(config, outdir, params)
     payload = {
         "config": config,
         "solution_csv": config["solution_csv"],
@@ -423,14 +427,14 @@ def cmd_flow(config, outdir: Path) -> dict:
     grid = _grid_from_config(config)
     metric = _metric_from_config(config, grid)
     output_times = config["output_times"] or [config["T"]]
-    problem = parabolic.FlowProblem(metric, T=config["T"], dt=config["dt"], grid=grid,
-                                    output_times=output_times)
+    problem = _named("T, dt, output_times", parabolic.FlowProblem, metric, T=config["T"],
+                     dt=config["dt"], grid=grid, output_times=output_times)
     # name every snapshot before the flow runs: one per kept step, ascending
     named = {}   # snapshot file name -> its time
     for t in problem.snapshot_times:
         name = f"flow_t{t:.6f}.csv"
         if name in named:
-            raise ConfigError(f"output times {named[name]} and {t} "
+            raise ConfigError(f"output_times: output times {named[name]} and {t} "
                               f"share the snapshot file {name}")
         named[name] = t
     result = parabolic.run_flow(problem)
@@ -456,27 +460,26 @@ def cmd_flow(config, outdir: Path) -> dict:
     return payload
 
 
-def _read_file(path: Path, read: Callable[[Path], Any]):
-    """``read(path)``; a missing file is a ValueError like an unreadable one."""
+def _read_file(path: Path, key: str, read: Callable[[Path], Any]):
+    """``read(path)`` of the file the config key ``key`` names.  A missing file,
+    or one ``read`` refuses (bad JSON, a CSV that does not parse, a missing or
+    ill-typed field), is the ConfigError "<key> <path>: ..."; an I/O fault
+    while reading it, "<path>: cannot read <key>: ..." (:func:`_file_op`)."""
     if not path.is_file():
-        raise ValueError("no such file")
-    return read(path)
+        raise ConfigError(f"{key} {path}: no such file")
+    return _file_op(path, lambda p: _named(f"{key} {p}", read, p), f"read {key}")
 
 
 def cmd_fit_expansion(config, outdir: Path) -> dict:
-    csv_path = Path(config["field_csv"])
-    json_path = Path(config["index_set_json"])
-    # a missing file, bad JSON, an unreadable CSV or a missing or ill-typed
-    # field: each a ValueError, reported with the key and the file
-    samples = _named(f"field_csv {csv_path}", _read_file, csv_path, radial.RadialField.read_csv)
-    E = _named(f"index_set_json {json_path}", _read_file, json_path,
-               lambda path: indexsets.IndexSet.from_json_dict(json.loads(path.read_text())))
+    csv_path, json_path = Path(config["field_csv"]), Path(config["index_set_json"])
+    samples = _read_file(csv_path, "field_csv", radial.RadialField.read_csv)
+    E = _read_file(json_path, "index_set_json",
+                   lambda path: indexsets.IndexSet.from_json_dict(json.loads(path.read_text())))
     lo, hi = config["window_lo"], config["window_hi"]
     window = None if lo == hi == 0 else (lo, hi)   # both 0: the default window
-    for key, ok in (("window_lo", 0 < lo < math.inf), ("window_hi", lo < hi < math.inf)):
-        if window and not ok:
-            raise ConfigError(f"{key} must be finite with 0 < window_lo < window_hi "
-                              f"(both 0 for the default window), got {lo} and {hi}")
+    if window and not 0 < lo < hi < math.inf:
+        raise ConfigError(f"window_lo, window_hi: must be finite with 0 < window_lo < window_hi "
+                          f"(both 0 for the default window), got {lo} and {hi}")
     # an index set without terms, or a window with too few samples
     fit = _named(f"index_set_json {json_path}" if not E.terms else
                  "window_lo, window_hi" if window else f"field_csv {csv_path}",
@@ -498,7 +501,7 @@ def cmd_fit_expansion(config, outdir: Path) -> dict:
 def cmd_logterm_pipeline(config, outdir: Path) -> dict:
     if not 0 < config["tolerance"] < math.inf:
         raise ConfigError(f"tolerance must be finite and > 0, got {config['tolerance']}")
-    params = defaults.NewtonParams(max_iter=config["max_iter"], tol=config["tol"])
+    params = _named("max_iter, tol", defaults.NewtonParams, config["max_iter"], config["tol"])
     solution, report = _solve_ma(config, outdir, params)
     result = _named(", ".join(_GRID_KEYS), headline.log_term_headline,   # a shallow grid
                     config["f_terms"], solution, config["tolerance"], bc_left=config["bc_left"],
@@ -568,11 +571,11 @@ def cmd_sweep(config, outdir: Path) -> dict:
     """
     items = config["configs"]
     if not items:
-        raise ConfigError("sweep requires at least one entry in 'configs'")
+        raise ConfigError("configs: sweep requires at least one entry")
     stems = [Path(p).stem for p in items]
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:
-        raise ConfigError(f"sweep configs share output directories: {', '.join(clashes)}")
+        raise ConfigError(f"configs: sweep items share output directories: {', '.join(clashes)}")
     runs, failures = [], []
     for path in items:
         try:
@@ -635,7 +638,7 @@ def main(argv=None) -> int:
         outdir = Path(args.output or config["output"] or os.environ.get(OUTDIR_ENV) or ".")
         _make_dir(outdir)
         COMMANDS[args.command](config, outdir)
-    except ValueError as exc:  # ConfigError, or a constructor rejecting a value
+    except ConfigError as exc:
         _report("config error", exc)
         return 2
     except (SolverError, FitError) as exc:

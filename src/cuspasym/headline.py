@@ -60,7 +60,7 @@ def log_term_headline(f_terms, solution: radial.RadialField, tolerance: float,
         for n in (grid.n_nodes // 2, grid.n_nodes // 4):
             failing = f"{n} nodes: "   # names the coarser grid at work in its error
             grids.append(radial.RadialGrid(grid.t_min, grid.t_max, n))
-            source = radial.sample_terms(f_terms, grids[-1], "f_terms")
+            source = radial.sample_terms(f_terms, grids[-1])
             estimates.append(fitting.detect_log_term(elliptic.solve_monge_ampere_radial(
                 elliptic.MongeAmpereProblem(geometry.ModelMetric(), source, **problem))[0]))
         failing = ""

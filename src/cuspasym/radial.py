@@ -59,7 +59,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .defaults import DEFAULT_GRID_SPAN, NewtonParams
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 
 CSV_FLOAT_FMT = "%.17g"
 _CSV_HEADER = "x,value"
@@ -685,16 +685,15 @@ def evaluate_expansion(terms: Sequence[tuple[float, float, int]], x: np.ndarray)
     return out
 
 
-def sample_terms(terms: Sequence[tuple[float, float, int]], grid: RadialGrid,
-                 name: str) -> RadialField:
-    """The term list ``terms`` sampled on ``grid``; a ConfigError naming it
-    ``name`` where it is not finite (an overflowing power of x, say) or a
-    term's exponent is not (x^inf is 0 on the grid, but no JSON number)."""
+def sample_terms(terms: Sequence[tuple[float, float, int]], grid: RadialGrid) -> RadialField:
+    """The term list ``terms`` sampled on ``grid``; a ValueError where it is not
+    finite (an overflowing power of x, say) or a term's exponent is not
+    (x^inf is 0 on the grid, but no JSON number)."""
     if not all(math.isfinite(z) for _, z, _ in terms):
-        raise ConfigError(f"{name} has a term exponent that is not finite")
+        raise ValueError("a term exponent is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         values = evaluate_expansion(terms, grid.x)
     bad = ~np.isfinite(values)
     if np.any(bad):
-        raise ConfigError(f"{name} is not finite at x={grid.x[np.argmax(bad)]:.6g}")
+        raise ValueError(f"the terms are not finite at x={grid.x[np.argmax(bad)]:.6g}")
     return RadialField(grid, values)

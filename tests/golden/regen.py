@@ -444,14 +444,18 @@ def _items(before: Path, after: Path) -> list[_Item]:
         items.append(_Item("case", name, [f"{name}: {status}"] + [f"    {line}" for line, _ in found],
                            [move for _, move in found]))
     with np.load(before / "library.npz") as old, np.load(after / "library.npz") as new:
+        results = {}   # one item per library result, "<name>[<i>]" one of its arrays
         for key in [*old.files, *(k for k in new.files if k not in old.files)]:
             if key not in new.files or key not in old.files:
                 only = f"only {'before' if key in old.files else 'after'}"
-                items.append(_Item("library", key, [f"library {key}: {only}"], [only]))
+                found = [(f"library {key}: {only}", only)]
             else:
                 found = _compare_arrays(f"library {key}", old[key], new[key])
-                items.append(_Item("library", key, [line for line, _ in found]
-                                   or [f"library {key}: no difference"], [move for _, move in found]))
+            name = key.rpartition("[")[0]
+            item = results.setdefault(name, _Item("library", name, [], []))
+            item.lines.extend([line for line, _ in found] or [f"library {key}: no difference"])
+            item.moves.extend(move for _, move in found)
+        items += results.values()
     with np.load(before / "ops.npz") as old, np.load(after / "ops.npz") as new:
         ops = {key.partition(": ")[0]: [] for key in [*old.files, *new.files]}
         for key in [*old.files, *(k for k in new.files if k not in old.files)]:

@@ -1,5 +1,8 @@
 """CLI subcommands: config validation, outputs, exit codes, determinism."""
 
+import builtins
+import errno
+import io
 import json
 import math
 from fractions import Fraction
@@ -119,7 +122,7 @@ def test_overflowing_terms_are_config_error(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", "n_nodes = 512\nf_terms = 1:-30:0\n")
     assert main(["solve-ma", cfg, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: f_terms is not finite at x={math.exp(-40):.6g}\n"
+    assert err == f"config error: f_terms: the terms are not finite at x={math.exp(-40):.6g}\n"
 
 
 def test_chern_coefficients(tmp_path):
@@ -211,7 +214,8 @@ def test_solve_linear_non_finite_lambda_is_named(tmp_path, capsys, lam):
     cfg = write(tmp_path / "c.cfg", f"n_nodes = 16\nlambda = {lam}\nf_terms = 1:1:0\n")
     out = tmp_path / "out"
     assert main(["solve-linear", cfg, "-o", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: lambda must be finite and >= 0, got {lam}\n"
+    assert capsys.readouterr().err == (f"config error: lambda, bc_left, bc_right: lambda must be "
+                                       f"finite and >= 0, got {lam}\n")
     assert not (out / "solution.csv").exists()
 
 
@@ -245,7 +249,8 @@ def test_non_finite_grid_is_config_error(tmp_path, capsys, command, t_min):
     out = tmp_path / "out"
     assert main([command, cfg, "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: need a finite t_min") and f"[{float(t_min)}, " in err
+    assert err.startswith("config error: t_min, t_max, n_nodes: need a finite t_min")
+    assert f"[{float(t_min)}, " in err
     assert list(out.iterdir()) == []
 
 
@@ -269,7 +274,8 @@ def test_flow_unreachable_output_time_is_config_error(tmp_path, capsys):
                 "n_nodes = 256\nT = 1\ndt = 0.1\noutput_times = 0.33, 0.5, 2\n")
     out = tmp_path / "out"
     assert main(["flow", cfg, "-o", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: output time 0.33 ")
+    assert capsys.readouterr().err.startswith(
+        "config error: T, dt, output_times: output time 0.33 ")
     assert not (out / "flow.json").exists()
 
 
@@ -280,7 +286,7 @@ def test_flow_snapshots_sharing_a_file_name_are_config_error(tmp_path, capsys):
                 "T = 1e-6\ndt = 1e-7\noutput_times = 2e-7, 3e-7\n")
     out = tmp_path / "out"
     assert main(["flow", cfg, "-o", str(out)]) == 2
-    assert capsys.readouterr().err == ("config error: output times 2e-07 and 3e-07 "
+    assert capsys.readouterr().err == ("config error: output_times: output times 2e-07 and 3e-07 "
                                        "share the snapshot file flow_t0.000000.csv\n")
     assert list(out.iterdir()) == []
 
@@ -311,7 +317,7 @@ def test_flow_snapshot_names_checked_before_any_flow_step(tmp_path, capsys, monk
                 "T = 1e-3\ndt = 1e-7\noutput_times = 2e-7, 3e-7\n")
     out = tmp_path / "out"
     assert main(["flow", cfg, "-o", str(out)]) == 2
-    assert capsys.readouterr().err == ("config error: output times 2e-07 and 3e-07 "
+    assert capsys.readouterr().err == ("config error: output_times: output times 2e-07 and 3e-07 "
                                        "share the snapshot file flow_t0.000000.csv\n")
     assert list(out.iterdir()) == []
 
@@ -323,7 +329,8 @@ def test_flow_without_finite_step_count_is_config_error(tmp_path, capsys, steps)
     cfg = write(tmp_path / "c.cfg", f"n_nodes = 256\n{steps}\noutput_times = 1\n")
     out = tmp_path / "out"
     assert main(["flow", cfg, "-o", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: need T >= 0, dt > 0")
+    assert capsys.readouterr().err.startswith(
+        "config error: T, dt, output_times: need T >= 0, dt > 0")
     assert not (out / "flow.json").exists()
 
 
@@ -333,8 +340,8 @@ def test_flow_with_too_many_steps_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["flow", cfg, "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == ("config error: T=1000000.0 with dt=1e-09 takes 1000000000000000 "
-                   "steps, more than the 100000000 a run may take\n")
+    assert err == ("config error: T, dt, output_times: T=1000000.0 with dt=1e-09 takes "
+                   "1000000000000000 steps, more than the 100000000 a run may take\n")
     assert not (out / "flow.json").exists()
 
 
@@ -399,17 +406,40 @@ def test_fit_expansion_bad_input_files_name_key_path_and_field(
     assert field in err
 
 
-@pytest.mark.parametrize("window, key", [
-    ("window_lo = nan\nwindow_hi = nan", "window_lo"),
-    ("window_lo = -1e-2\nwindow_hi = -1e-6", "window_lo"),
-    ("window_lo = 1e-6\nwindow_hi = inf", "window_hi"),
-    ("window_lo = 1e-2\nwindow_hi = 1e-6", "window_hi"),
-    ("window_lo = 1e-6", "window_hi"),
-    ("window_hi = 1e-2", "window_lo"),
+@pytest.mark.parametrize("key", ["field_csv", "index_set_json"])
+def test_fit_expansion_input_that_cannot_be_read_is_config_error_naming_it(
+        tmp_path, capsys, monkeypatch, key):
+    # an OSError from open once escaped main as a traceback
+    paths = {"field_csv": tmp_path / "field.csv", "index_set_json": tmp_path / "eset.json"}
+    grid = RadialGrid(-30.0, math.log(0.5), 256)
+    RadialField.from_function(grid, lambda x: 2 * x).write_csv(paths["field_csv"])
+    paths["index_set_json"].write_text(json.dumps(closure((IndexTerm(1, 0),), 2).to_json_dict()))
+    cfg = write(tmp_path / "c.cfg", "".join(f"{k} = {p}\n" for k, p in paths.items()))
+    real_open = io.open
+
+    def refusing_open(file, *args, **kwargs):
+        if str(file) == str(paths[key]):
+            raise PermissionError(errno.EACCES, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing_open)   # RadialField.read_csv
+    monkeypatch.setattr(io, "open", refusing_open)   # Path.read_text
+    out = tmp_path / "out"
+    assert main(["fit-expansion", cfg, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: {paths[key]}: cannot read {key}: "
+                                       "Permission denied\n")
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("window", [
+    "window_lo = nan\nwindow_hi = nan", "window_lo = -1e-2\nwindow_hi = -1e-6",
+    "window_lo = 1e-6\nwindow_hi = inf", "window_lo = 1e-2\nwindow_hi = 1e-6",
+    "window_lo = 1e-6", "window_hi = 1e-2",
 ], ids=["nan", "negative", "inf", "reversed", "lo-only", "hi-only"])
-def test_fit_expansion_window_keys_are_checked(tmp_path, capsys, window, key):
+def test_fit_expansion_window_keys_are_checked(tmp_path, capsys, window):
     # NaN or negative bounds once fell back to the default window and exited
-    # 0, echoing a non-JSON NaN into fit.json
+    # 0, echoing a non-JSON NaN into fit.json; the rule reads both keys, so
+    # it names both (one key once took the blame for the other's value)
     grid = RadialGrid(-30.0, math.log(0.5), 256)
     RadialField.from_function(grid, lambda x: 2 * x).write_csv(tmp_path / "field.csv")
     (tmp_path / "eset.json").write_text(json.dumps(closure((IndexTerm(1, 0),), 2).to_json_dict()))
@@ -418,8 +448,8 @@ def test_fit_expansion_window_keys_are_checked(tmp_path, capsys, window, key):
     out = tmp_path / "out"
     assert main(["fit-expansion", cfg, "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        f"config error: {key} must be finite with 0 < window_lo < window_hi "
-        f"(both 0 for the default window), got ")
+        "config error: window_lo, window_hi: must be finite with 0 < window_lo < window_hi "
+        "(both 0 for the default window), got ")
     assert not (out / "fit.json").exists()
 
 
@@ -648,7 +678,7 @@ def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, capsys):
     for target in (afile, afile / "sub"):
         assert main(["chern-coeff", cfg, "-o", str(target)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot make output directory {target}: ")
+        assert err.startswith(f"config error: {target}: cannot make output directory: ")
         assert err.count("\n") == 1
 
 
@@ -660,7 +690,7 @@ def test_sweep_item_directory_that_cannot_be_made_is_config_error(tmp_path, caps
     (out / "a").write_text("")
     assert main(["sweep", cfg, "-o", str(out)]) == 2
     first, note = capsys.readouterr().err.splitlines()
-    assert first.startswith(f"config error: cannot make output directory {out / 'a'}: ")
+    assert first.startswith(f"config error: {out / 'a'}: cannot make output directory: ")
     assert note == f"sweep item {sub} failed first"
 
 
@@ -672,14 +702,14 @@ def test_an_artifact_that_cannot_be_written_is_config_error_naming_it(tmp_path, 
     (out / artifact).mkdir(parents=True)
     assert main(["solve-ma", cfg, "-o", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: cannot write output file {out / artifact}: Is a directory\n")
+        f"config error: {out / artifact}: cannot write output file: Is a directory\n")
 
 
 def test_a_config_file_that_is_not_utf8_is_config_error_naming_it(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_bytes(b"d = 5\n\xff\n")
     sweep = write(tmp_path / "sweep.cfg", f"configs = {cfg}\n")
-    expected = (f"config error: cannot read config file {cfg}: 'utf-8' codec can't decode "
+    expected = (f"config error: {cfg}: cannot read config file: 'utf-8' codec can't decode "
                 f"byte 0xff in position 6: invalid start byte\n")
     for command, path in (("chern-coeff", str(cfg)), ("sweep", sweep)):
         assert main([command, path, "-o", str(tmp_path / "out")]) == 2
@@ -753,8 +783,8 @@ def test_indicial_cutoff_beyond_the_shift_bound_is_named(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["indicial", cfg, "-o", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: cutoff {cutoff} lies more than {indexsets._MAX_SHIFTS} integer "
-        "shifts above the lowest exponent 1\n")
+        f"config error: alpha, cutoff: cutoff {cutoff} lies more than "
+        f"{indexsets._MAX_SHIFTS} integer shifts above the lowest exponent 1\n")
     assert not (out / "indicial.json").exists()
 
 
@@ -767,10 +797,12 @@ def test_indicial_cutoff_beyond_the_shift_bound_is_named(tmp_path, capsys):
     # a log power below 0, once named by no key
     ("indicial", "lambda = 1\nc = 1\nspectrum = 0\ncutoff = 3\nunion_terms = 1:-1\n",
      "union_terms: log power k must be a nonnegative integer, got -1"),
-    ("solve-ma", "n_nodes = 4\nf_terms = 1.5:1:0\n", "need n_nodes >= 8, got 4"),
+    pytest.param("solve-ma", "n_nodes = 4\nf_terms = 1.5:1:0\n",
+                 "t_min, t_max, n_nodes: need n_nodes >= 8, got 4",
+                 id="solve-ma-n_nodes = 4\nf_terms = 1.5:1:0\n-need n_nodes >= 8, got 4"),
     # x^inf is 0 on the grid: once exit 0 with the non-JSON Infinity in the config echo
     ("solve-ma", "n_nodes = 64\nf_terms = 0.5:inf:0\n",
-     "f_terms has a term exponent that is not finite"),
+     "f_terms: a term exponent is not finite"),
     # once a FileNotFoundError traceback, as the directory "sub" is not there
     ("solve-ma", "n_nodes = 64\nf_terms = 1.5:1:0\nsolution_csv = sub/u.csv\n",
      "solution_csv: must be a file name in the output directory, got 'sub/u.csv'"),

@@ -143,6 +143,28 @@ def test_the_summary_gives_each_moved_output_its_largest_move(recorded_twice, tm
     ]
 
 
+def test_a_library_result_of_two_arrays_counts_once(recorded_twice, tmp_path):
+    # each array once counted as a library result of its own
+    before, after = recorded_twice
+    changed = shutil.copytree(after, tmp_path / "changed")
+    with np.load(changed / "library.npz") as library:
+        arrays = dict(library)
+    for key in ("ma-headline[0]", "ma-headline[1]"):
+        arrays[key][0] = _one_ulp_up(arrays[key][0])
+    np.savez(changed / "library.npz", **arrays)
+
+    items = regen._items(before, changed)
+    headline = [item for item in items if item.kind == "library" and item.name == "ma-headline"]
+    assert len(headline) == 1 and len(headline[0].lines) == len(headline[0].moves) == 2
+    assert [line.partition(":")[0] for line in headline[0].lines] == [
+        "library ma-headline[0]", "library ma-headline[1]"]
+    results = {key.rpartition("[")[0] for key in arrays}
+    assert sum(item.kind == "library" for item in items) == len(results) < len(arrays)
+    summary = regen.summary(items)   # "summary:", the one moved result, the counts
+    assert len(summary) == 3 and summary[1].startswith("  library ma-headline: max abs ")
+    assert f"{len(results) - 1} of {len(results)} library results" in summary[2]
+
+
 def test_each_side_records_the_library_results_of_its_own_tree(tmp_path):
     # a before tree whose library results read an accessor its own source
     # has and the checkout's does not: recorded with the checkout's digests

@@ -19,7 +19,7 @@ GOLDEN_B_R = 0.9999998651605279
 
 def _solve(terms, grid, **problem):
     return solve_monge_ampere_radial(MongeAmpereProblem(
-        ModelMetric(), sample_terms(terms, grid, "f_terms"), **problem))[0]
+        ModelMetric(), sample_terms(terms, grid), **problem))[0]
 
 
 def test_default_grid_reports_the_golden_b_R_within_its_error_bar():

@@ -88,6 +88,23 @@ def test_exact_modules_import_only_stdlib_and_package():
                        for top in tops), (name, tops)
 
 
+def test_only_the_cli_names_its_config_error():
+    # exit 2 is the CLI's verdict on a config: the library raises ValueError,
+    # and the CLI names the keys at fault
+    def names(path: Path):   # variables, attributes and imported names
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    allowed = {"cli.py", "errors.py", "__init__.py"}
+    assert [path.name for path in sorted((SRC / "cuspasym").glob("*.py"))
+            if path.name not in allowed and "ConfigError" in names(path)] == []
+
+
 def test_every_dataclass_has_a_docstring():
     # without one, @dataclass builds a __doc__ from inspect.signature each
     # time the class is created, in every process that loads its module

@@ -61,8 +61,7 @@ def _ma():
 def _headline():
     # logterm-pipeline's computation: the source sampled from its term list
     terms = [(1.5, 1.0, 0)]
-    u, _ = solve_monge_ampere_radial(MongeAmpereProblem(ModelMetric(),
-                                                        sample_terms(terms, GRID, "f_terms")))
+    u, _ = solve_monge_ampere_radial(MongeAmpereProblem(ModelMetric(), sample_terms(terms, GRID)))
     result = log_term_headline(terms, u, 0.02)
     return {"ma-headline": ([result.extrapolated.value, result.extrapolated.uncertainty,
                              result.estimate.value, result.rel_error],

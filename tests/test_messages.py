@@ -34,13 +34,13 @@ SHALLOW = RadialGrid(-1.0, -0.3, 64)
 
 #: (command, config text, {file: text} beside it, exit code, stderr match)
 CLI_CASES = {
-    "config file not found": ("solve-ma", None, {}, 2, r"config file not found: .*missing\.cfg"),
+    "config file not found": ("solve-ma", None, {}, 2, r"missing\.cfg: config file not found"),
     "expected key = value": ("solve-ma", "f_terms 1.5:1:0\n", {}, 2,
                              r"c\.cfg:1: expected 'key = value'"),
     "unknown sweep command": ("sweep", "configs = a.cfg\n", {"a.cfg": "command = bogus\n"}, 2,
                               r"a\.cfg: unknown sweep command 'bogus'"),
     "empty sweep": ("sweep", "configs =\n", {}, 2,
-                    r"sweep requires at least one entry in 'configs'"),
+                    r"configs: sweep requires at least one entry"),
     "csv columns": ("fit-expansion", "field_csv = f.csv\nindex_set_json = e.json\n",
                     {"f.csv": _csv([(0.1 * k, 1.0, 2.0) for k in range(1, 9)]),
                      "e.json": json.dumps(ESET)}, 2,

@@ -7,7 +7,9 @@ loses nothing: ``python -m cuspasym.cli`` and ``python -m cuspasym`` leave
 the same artifacts, stdout, stderr and exit code, byte for byte, as
 ``main`` called in-process, which leaves the collector as it found it and
 builds its parser once a process; usage errors exit 2 the same way from all
-three.  ``tests/test_reuse.py``
+three.  An exception other than the CLI's own error types is a bug, not a
+config fault: it ends the process with exit 1 and its traceback.
+``tests/test_reuse.py``
 checks that the solvers leave no reference cycles for a collector to find.
 """
 
@@ -117,6 +119,28 @@ def test_entry_point_runs_main_with_the_collector_off(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 [False]\n", "")
     assert (tmp_path / "out" / "chern.json").is_file()
+
+
+@pytest.mark.parametrize("error, last_line", [
+    ("ValueError('a bug')", "ValueError: a bug"),
+    ("numpy.linalg.LinAlgError('singular')", "numpy.linalg.LinAlgError: singular"),
+])
+def test_a_bug_in_a_solver_exits_1_with_its_traceback(tmp_path, error, last_line):
+    # main once mapped every ValueError, LinAlgError included, to exit 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_nodes = 64\nf_terms = 1.5:1:0\n")
+    code = ("import sys, numpy, cuspasym.cli as cli, cuspasym.elliptic as elliptic\n"
+            "def solve(problem):\n"
+            f"    raise {error}\n"
+            "elliptic.solve_monge_ampere_radial = solve\n"
+            f"sys.argv = ['cuspasym', 'solve-ma', {str(cfg)!r}, '-o', 'out']\n"
+            "cli.entry_point()\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith(f"\n{last_line}\n")
+    assert "config error" not in proc.stderr
 
 
 #: argv -> what the usage error says
